@@ -489,6 +489,14 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 	// the floor already covers commits before the last catalog save — over-
 	// counting those merely skips epochs, which is harmless).
 	db.epochs.SetCurrent(root.Epoch + wal.CountCommits(recs))
+	// The catalog's TxID floor can lag the log the same way. Commit records
+	// gate LSM replay by TxID, so a TxID handed out twice would let a later
+	// statement's commit adopt the records of an earlier, torn one.
+	maxTx := db.txSeq.Load()
+	for _, r := range recs {
+		maxTx = max(maxTx, r.TxID)
+	}
+	db.txSeq.Store(maxTx)
 	// LSM memtables are volatile; re-apply every logged put/delete the
 	// manifest's flushed-seq watermark does not already cover. Each record
 	// carries its own sequence number, so replay is order-independent and

@@ -12,19 +12,24 @@
 //	crashtest -from 10 -to 60 -stride 5
 //	crashtest -tear 100 -tear-wal     # additionally tear crashing WAL writes
 //	crashtest -rebalance              # crash an online device rebalancing
+//	crashtest -lsm                    # crash the LSM delete + compaction sequences
 //	crashtest -cancel                 # cancel (not crash) at every ordinal
 //	crashtest -reader                 # crash/cancel under a concurrent MVCC snapshot reader
 //	crashtest -metrics-json           # dump the accumulated fault counters
 //
 // The sweep is deterministic: the same flags visit the same I/Os and
 // produce the same digest, so a failing ordinal reproduces exactly with
-// `crashtest -at k`. Exit status is 1 if any ordinal fails.
+// `crashtest -at k`. Exit status is 1 if any ordinal fails. The scenario
+// table — what each flag sweeps and which recovered states are legal — is
+// DESIGN.md §7.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"bulkdel"
 	"bulkdel/internal/crashtest"
@@ -32,141 +37,110 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 0, "table rows (default 48)")
-	victims := flag.Int("victims", 0, "victim count (default rows/3)")
-	indexes := flag.Int("indexes", 0, "indexes on the table, 1..3 (default 3)")
-	method := flag.String("method", "all", "join method: sort, hash, partition, or all")
-	at := flag.Int("at", 0, "run a single ordinal instead of sweeping")
-	from := flag.Int("from", 0, "first swept ordinal (default 1)")
-	to := flag.Int("to", 0, "last swept ordinal (default: the statement's I/O count)")
-	stride := flag.Int("stride", 1, "sweep every Nth ordinal")
-	tear := flag.Int("tear", 0, "tear the crashing write, persisting only this byte prefix")
-	tearWAL := flag.Bool("tear-wal", false, "restrict tearing to the WAL file")
-	seed := flag.Int64("seed", 1, "victim-selection seed")
-	checkpointRows := flag.Int("checkpoint-rows", 0, "deletions between WAL checkpoints (default 8)")
-	memory := flag.Int("memory", 0, "sort/hash budget in bytes (default 512)")
-	buffer := flag.Int("buffer", 0, "buffer-pool budget in bytes (default 24 pages)")
-	devices := flag.Int("devices", 0, "simulated disk array width (data files placed by the device policy; 0 = single spindle)")
-	parallel := flag.Int("parallel", 0, "worker cap for the remaining-index passes (makes the crash point nondeterministic; invariants still checked)")
-	concurrent := flag.Bool("concurrent", false, "two-table scenario: crash a concurrent two-statement batch (invariants only, no digest)")
-	rebalance := flag.Bool("rebalance", false, "rebalance scenario: crash an online device rebalancing instead of a bulk delete")
-	lsmMode := flag.Bool("lsm", false, "LSM scenario: crash an LSM range delete + flush + compaction sequence instead of a bulk delete")
-	cancelMode := flag.Bool("cancel", false, "cancel scenario: cooperatively cancel at every ordinal and compare the online abort against crash+recover")
-	reader := flag.Bool("reader", false, "attach a concurrent MVCC snapshot reader to the crash (or, with -cancel, the cancel) sweep; the pinned view must stay repeatable throughout")
-	verifyDigest := flag.Bool("verify-digest", true, "re-run deterministic sweeps and require identical digests")
-	verbose := flag.Bool("v", false, "print every ordinal's outcome")
-	metricsJSON := flag.Bool("metrics-json", false, "print the accumulated metrics registry as JSON")
-	eventsPath := flag.String("events", "", "write the statement event log (all scenarios, JSONL) to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	methods := map[string]bulkdel.Method{
+// run is the command: it parses args, sweeps, prints to stdout, and returns
+// the exit status — 0, 1 when an ordinal failed, 2 on a usage or harness
+// error (reported on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crashtest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rows := fs.Int("rows", 0, "table rows (default 48)")
+	victims := fs.Int("victims", 0, "victim count (default rows/3)")
+	indexes := fs.Int("indexes", 0, "indexes on the table, 1..3 (default 3)")
+	method := fs.String("method", "all", "join method: sort, hash, partition, or all")
+	at := fs.Int("at", 0, "run a single ordinal instead of sweeping")
+	from := fs.Int("from", 0, "first swept ordinal (default 1)")
+	to := fs.Int("to", 0, "last swept ordinal (default: the statement's I/O count)")
+	stride := fs.Int("stride", 1, "sweep every Nth ordinal")
+	tear := fs.Int("tear", 0, "tear the crashing write, persisting only this byte prefix")
+	tearWAL := fs.Bool("tear-wal", false, "restrict tearing to the WAL file")
+	seed := fs.Int64("seed", 1, "victim-selection seed")
+	checkpointRows := fs.Int("checkpoint-rows", 0, "deletions between WAL checkpoints (default 8)")
+	memory := fs.Int("memory", 0, "sort/hash budget in bytes (default 512)")
+	buffer := fs.Int("buffer", 0, "buffer-pool budget in bytes (default 24 pages)")
+	devices := fs.Int("devices", 0, "simulated disk array width (data files placed by the device policy; 0 = single spindle)")
+	parallel := fs.Int("parallel", 0, "worker cap for the remaining-index passes (makes the crash point nondeterministic; invariants still checked)")
+	concurrent := fs.Bool("concurrent", false, "two-table scenario: crash a concurrent two-statement batch (invariants only, no digest)")
+	rebalance := fs.Bool("rebalance", false, "rebalance scenario: crash an online device rebalancing instead of a bulk delete")
+	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, instead of a heap bulk delete")
+	cancelMode := fs.Bool("cancel", false, "cancel scenario: cooperatively cancel at every ordinal and compare the online abort against crash+recover")
+	reader := fs.Bool("reader", false, "attach a concurrent MVCC snapshot reader to the crash (or, with -cancel, the cancel) sweep; the pinned view must stay repeatable throughout")
+	verifyDigest := fs.Bool("verify-digest", true, "re-run deterministic sweeps and require identical digests")
+	verbose := fs.Bool("v", false, "print every ordinal's outcome")
+	metricsJSON := fs.Bool("metrics-json", false, "print the accumulated metrics registry as JSON")
+	eventsPath := fs.String("events", "", "write the statement event log (all scenarios, JSONL) to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	harness := func(err error) int {
+		fmt.Fprintln(stderr, "crashtest:", err)
+		return 2
+	}
+
+	methods := []string{"sort", "hash", "partition"}
+	if *method != "all" {
+		methods = []string{*method}
+	}
+	byName := map[string]bulkdel.Method{
 		"sort": bulkdel.SortMerge, "hash": bulkdel.Hash, "partition": bulkdel.HashPartition,
 	}
-	var run []struct {
-		name string
-		m    bulkdel.Method
+	// Flag precedence picks the scenarios; the heap-delete ones run once per
+	// join method, the others have no join method to vary.
+	scenarios, perMethod := []string{"bulk"}, true
+	switch {
+	case *concurrent:
+		scenarios = []string{"concurrent"}
+	case *rebalance:
+		scenarios, perMethod = []string{"rebalance"}, false
+	case *lsmMode:
+		scenarios, perMethod = []string{"lsm", "lsm-in"}, false
+	case *reader && *cancelMode:
+		scenarios = []string{"reader-cancel"}
+	case *reader:
+		scenarios = []string{"reader"}
+	case *cancelMode:
+		scenarios = []string{"cancel"}
 	}
-	if *method == "all" {
-		for _, n := range []string{"sort", "hash", "partition"} {
-			run = append(run, struct {
-				name string
-				m    bulkdel.Method
-			}{n, methods[n]})
-		}
-	} else if m, ok := methods[*method]; ok {
-		run = append(run, struct {
-			name string
-			m    bulkdel.Method
-		}{*method, m})
-	} else {
-		fmt.Fprintf(os.Stderr, "crashtest: unknown method %q (sort, hash, partition, all)\n", *method)
-		os.Exit(2)
+	if !perMethod {
+		methods = methods[:1]
 	}
 
 	observer := obs.NewObserver()
 	failed := 0
-	for _, r := range run {
-		cfg := crashtest.Config{
-			Rows: *rows, Victims: *victims, Indexes: *indexes, Method: r.m,
-			CheckpointRows: *checkpointRows, Memory: *memory, BufferBytes: *buffer,
-			Seed: *seed, From: *from, To: *to, Stride: *stride,
-			TearBytes: *tear, TearWALOnly: *tearWAL,
-			Devices: *devices, Parallel: *parallel,
-			Observer: observer,
-		}
-		if *concurrent {
-			failed += runConcurrent(r.name, cfg, *at, *verbose)
-			continue
-		}
-		if *rebalance {
-			failed += runRebalance(cfg, *at, *verbose, *verifyDigest)
-			break // the rebalance scenario has no join method to vary
-		}
-		if *lsmMode {
-			failed += runLSM(cfg, *at, *verbose, *verifyDigest)
-			break // the LSM backend has no join method to vary
-		}
-		if *reader {
-			failed += runReader(r.name, cfg, *cancelMode, *verbose)
-			continue
-		}
-		if *cancelMode {
-			failed += runCancel(r.name, cfg, *verbose)
-			continue
-		}
-		if *at > 0 {
-			res, err := crashtest.RunOrdinal(cfg, *at)
+	for _, name := range scenarios {
+		for _, mname := range methods {
+			m, ok := byName[mname]
+			if !ok {
+				return harness(fmt.Errorf("unknown method %q (sort, hash, partition, all)", mname))
+			}
+			cfg := crashtest.Config{
+				Rows: *rows, Victims: *victims, Indexes: *indexes, Method: m,
+				CheckpointRows: *checkpointRows, Memory: *memory, BufferBytes: *buffer,
+				Seed: *seed, From: *from, To: *to, Stride: *stride,
+				TearBytes: *tear, TearWALOnly: *tearWAL,
+				Devices: *devices, Parallel: *parallel,
+				Observer: observer,
+			}
+			label := name + ":"
+			if perMethod {
+				label = fmt.Sprintf("%-9s", mname+":")
+			}
+			n, err := runScenario(stdout, name, label, cfg, *at, *verbose, *verifyDigest)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "crashtest:", err)
-				os.Exit(2)
+				return harness(err)
 			}
-			printOrdinal(r.name, res)
-			if res.Err != "" {
-				failed++
-			}
-			continue
-		}
-		sw, err := crashtest.Sweep(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
-		}
-		if *verbose {
-			for _, res := range sw.Ordinals {
-				printOrdinal(r.name, res)
-			}
-		} else {
-			for _, res := range sw.Failures() {
-				printOrdinal(r.name, res)
-			}
-		}
-		fmt.Printf("%-9s %d I/Os, swept %d ordinals, %d failed, digest %s\n",
-			r.name+":", sw.TotalIOs, sw.Ran, sw.Failed, sw.Digest())
-		failed += sw.Failed
-		// A deterministic configuration (serial workers or a single
-		// device) must reproduce its digest exactly on a second sweep.
-		if *verifyDigest && cfg.Deterministic() {
-			sw2, err := crashtest.Sweep(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crashtest:", err)
-				os.Exit(2)
-			}
-			if sw2.Digest() != sw.Digest() {
-				fmt.Fprintf(os.Stderr, "crashtest: %s sweep is nondeterministic: digest %s then %s\n",
-					r.name, sw.Digest(), sw2.Digest())
-				failed++
-			}
+			failed += n
 		}
 	}
 
 	if *metricsJSON {
 		j, err := observer.Registry().JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
+			return harness(err)
 		}
-		os.Stdout.Write(j)
-		fmt.Println()
+		fmt.Fprintf(stdout, "%s\n", j)
 	}
 	if *eventsPath != "" {
 		f, err := os.Create(*eventsPath)
@@ -177,249 +151,109 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
+			return harness(err)
 		}
-		fmt.Printf("events: wrote %s\n", *eventsPath)
+		fmt.Fprintf(stdout, "events: wrote %s\n", *eventsPath)
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "crashtest: %d ordinal(s) failed\n", failed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "crashtest: %d ordinal(s) failed\n", failed)
+		return 1
 	}
+	return 0
 }
 
-// runRebalance sweeps (or, with at > 0, reproduces one ordinal of) the
-// online-rebalancing crash scenario and returns the number of failures.
-func runRebalance(cfg crashtest.Config, at int, verbose, verifyDigest bool) int {
+// kind is how a scenario's lines are worded.
+type kind struct {
+	title string // summary line, between the label and the I/O count
+	fired string // the per-ordinal "did the fault take effect" column
+	// digest marks the digest-comparable sweeps: the summary carries the
+	// sweep digest, every ordinal its simulated clock, and a deterministic
+	// configuration is swept twice. reference marks the cancel sweep, whose
+	// summary carries the cancelled count and the completed-delete digest
+	// every ordinal's own digest must equal.
+	digest, reference bool
+}
+
+var kinds = map[string]kind{
+	"bulk":          {fired: "crash", digest: true},
+	"rebalance":     {fired: "crash", digest: true},
+	"lsm":           {fired: "crash", digest: true},
+	"lsm-in":        {fired: "crash", digest: true},
+	"concurrent":    {title: "concurrent 2-table batch: ", fired: "crash"},
+	"cancel":        {title: "cancel sweep: ", fired: "cancelled", reference: true},
+	"reader":        {title: "reader crash sweep: ", fired: "fired"},
+	"reader-cancel": {title: "reader cancel sweep: ", fired: "fired"},
+}
+
+// runScenario sweeps (or, with at > 0, reproduces one ordinal of) the named
+// scenario and returns the number of failures; the error reports a harness
+// failure.
+func runScenario(w io.Writer, name, label string, cfg crashtest.Config, at int, verbose, verifyDigest bool) (int, error) {
+	k := kinds[name]
 	if at > 0 {
-		res, err := crashtest.RunRebalanceOrdinal(cfg, at)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
-		}
-		printRebalanceOrdinal(res)
-		if res.Err != "" {
-			return 1
-		}
-		return 0
+		cfg.From, cfg.To, cfg.Stride = at, at, 1
 	}
-	sw, err := crashtest.RebalanceSweep(cfg)
+	sw, err := crashtest.Run(name, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crashtest:", err)
-		os.Exit(2)
+		return 0, err
 	}
-	if verbose {
-		for _, res := range sw.Ordinals {
-			printRebalanceOrdinal(res)
-		}
-	} else {
-		for _, res := range sw.Failures() {
-			printRebalanceOrdinal(res)
+	for _, r := range sw.Ordinals {
+		if verbose || at > 0 || r.Err != "" {
+			printOrdinal(w, label, k, r)
 		}
 	}
-	fmt.Printf("rebalance: %d I/Os, swept %d ordinals, %d failed, digest %s\n",
-		sw.TotalIOs, sw.Ran, sw.Failed, sw.Digest())
-	failed := sw.Failed
-	if verifyDigest { // the rebalancer is single-threaded: always deterministic
-		sw2, err := crashtest.RebalanceSweep(cfg)
+	if at > 0 {
+		if sw.Ran == 0 {
+			err = fmt.Errorf("-at %d is past the %d I/Os the %s statement performs", at, sw.TotalIOs, name)
+		}
+		return sw.Failed, err
+	}
+	line := fmt.Sprintf("%s %s%d I/Os, swept %d ordinals, ", label, k.title, sw.TotalIOs, sw.Ran)
+	if k.reference {
+		line += fmt.Sprintf("%d cancelled, ", sw.Fired)
+	}
+	line += fmt.Sprintf("%d failed", sw.Failed)
+	switch {
+	case k.digest:
+		line += ", digest " + sw.Digest()
+	case k.reference:
+		line += ", reference " + sw.Reference
+	}
+	fmt.Fprintln(w, line)
+	// A deterministic configuration (no statement-level goroutines racing
+	// for the disk) must reproduce its digest exactly on a second sweep.
+	if verifyDigest && k.digest && sw.Deterministic {
+		sw2, err := crashtest.Run(name, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
+			return sw.Failed, err
 		}
 		if sw2.Digest() != sw.Digest() {
-			fmt.Fprintf(os.Stderr, "crashtest: rebalance sweep is nondeterministic: digest %s then %s\n",
-				sw.Digest(), sw2.Digest())
-			failed++
+			return sw.Failed, fmt.Errorf("%s sweep is nondeterministic: digest %s then %s",
+				strings.TrimRight(label, ": "), sw.Digest(), sw2.Digest())
 		}
 	}
-	return failed
+	return sw.Failed, nil
 }
 
-func printRebalanceOrdinal(r crashtest.RebalanceOrdinalResult) {
+func printOrdinal(w io.Writer, label string, k kind, r crashtest.Result) {
+	line := fmt.Sprintf("%s io=%-4d %s=%-5v", label, r.Ordinal, k.fired, r.Fired)
+	for _, f := range r.Fields {
+		if _, isBool := f.Value.(bool); isBool {
+			line += fmt.Sprintf(" %s=%-5v", f.Name, f.Value)
+		} else {
+			line += fmt.Sprintf(" %s=%-3d", f.Name, f.Value)
+		}
+	}
+	line += fmt.Sprintf(" survivors=%-3d", r.Survivors)
+	switch {
+	case k.digest:
+		line += fmt.Sprintf(" clock=%dus", r.ClockUS)
+	case k.reference:
+		line += " digest=" + r.Digest
+	}
 	status := "ok"
 	if r.Err != "" {
 		status = "FAIL " + r.Err
 	}
-	fmt.Printf("rebalance: io=%-4d crash=%-5v replayed=%-2d completed=%-2d survivors=%-3d clock=%dus %s\n",
-		r.Ordinal, r.CrashFired, r.MovesReplayed, r.MovesCompleted, r.Survivors, r.ClockUS, status)
-}
-
-// runLSM sweeps (or, with at > 0, reproduces one ordinal of) the LSM
-// range-delete/flush/compaction crash scenario and returns the number of
-// failed ordinals.
-func runLSM(cfg crashtest.Config, at int, verbose, verifyDigest bool) int {
-	if at > 0 {
-		res, err := crashtest.RunLSMOrdinal(cfg, at)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
-		}
-		printLSMOrdinal(res)
-		if res.Err != "" {
-			return 1
-		}
-		return 0
-	}
-	sw, err := crashtest.LSMSweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crashtest:", err)
-		os.Exit(2)
-	}
-	if verbose {
-		for _, res := range sw.Ordinals {
-			printLSMOrdinal(res)
-		}
-	} else {
-		for _, res := range sw.Failures() {
-			printLSMOrdinal(res)
-		}
-	}
-	fmt.Printf("lsm: %d I/Os, swept %d ordinals, %d failed, digest %s\n",
-		sw.TotalIOs, sw.Ran, sw.Failed, sw.Digest())
-	failed := sw.Failed
-	if verifyDigest { // the LSM write path is single-threaded: always deterministic
-		sw2, err := crashtest.LSMSweep(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
-		}
-		if sw2.Digest() != sw.Digest() {
-			fmt.Fprintf(os.Stderr, "crashtest: lsm sweep is nondeterministic: digest %s then %s\n",
-				sw.Digest(), sw2.Digest())
-			failed++
-		}
-	}
-	return failed
-}
-
-func printLSMOrdinal(r crashtest.LSMOrdinalResult) {
-	status := "ok"
-	if r.Err != "" {
-		status = "FAIL " + r.Err
-	}
-	fmt.Printf("lsm: io=%-4d crash=%-5v replayed=%-3d range-survived=%-5v survivors=%-3d clock=%dus %s\n",
-		r.Ordinal, r.CrashFired, r.Replayed, r.RangeSurvived, r.Survivors, r.ClockUS, status)
-}
-
-// runCancel sweeps the cooperative-cancellation scenario: at every ordinal
-// the statement is cancelled (not crashed) at the kth I/O, aborted to
-// consistency by the online recovery replay, and the resulting structures
-// are digest-compared against both the completed delete and a real
-// crash+recover at the same ordinal. Returns the number of failed ordinals.
-func runCancel(method string, cfg crashtest.Config, verbose bool) int {
-	sw, err := crashtest.CancelSweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crashtest:", err)
-		os.Exit(2)
-	}
-	if verbose {
-		for _, res := range sw.Ordinals {
-			printCancelOrdinal(method, res)
-		}
-	} else {
-		for _, res := range sw.Failures() {
-			printCancelOrdinal(method, res)
-		}
-	}
-	fmt.Printf("%-9s cancel sweep: %d I/Os, swept %d ordinals, %d cancelled, %d failed, reference %s\n",
-		method+":", sw.TotalIOs, sw.Ran, sw.Cancelled, sw.Failed, sw.Reference)
-	return sw.Failed
-}
-
-func printCancelOrdinal(method string, r crashtest.CancelOrdinalResult) {
-	status := "ok"
-	if r.Err != "" {
-		status = "FAIL " + r.Err
-	}
-	fmt.Printf("%-9s io=%-4d cancelled=%-5v crash-comparable=%-5v survivors=%-3d digest=%s %s\n",
-		method+":", r.Ordinal, r.CancelFired, r.CrashComparable, r.Survivors, r.Digest, status)
-}
-
-// runReader sweeps the crash (or cancel) scenario with a concurrent MVCC
-// snapshot reader attached: a View pinned to the pre-delete epoch re-scans
-// the table for the whole statement and must see it whole every time, and
-// the table must settle at an atomic boundary. Returns the failure count.
-func runReader(method string, cfg crashtest.Config, cancelMode, verbose bool) int {
-	sweep, kind := crashtest.ReaderCrashSweep, "crash"
-	if cancelMode {
-		sweep, kind = crashtest.ReaderCancelSweep, "cancel"
-	}
-	sw, err := sweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crashtest:", err)
-		os.Exit(2)
-	}
-	if verbose {
-		for _, res := range sw.Ordinals {
-			printReaderOrdinal(method, res)
-		}
-	} else {
-		for _, res := range sw.Failures() {
-			printReaderOrdinal(method, res)
-		}
-	}
-	fmt.Printf("%-9s reader %s sweep: %d I/Os, swept %d ordinals, %d failed\n",
-		method+":", kind, sw.TotalIOs, sw.Ran, sw.Failed)
-	return sw.Failed
-}
-
-func printReaderOrdinal(method string, r crashtest.ReaderOrdinalResult) {
-	status := "ok"
-	if r.Err != "" {
-		status = "FAIL " + r.Err
-	}
-	fmt.Printf("%-9s io=%-4d fired=%-5v reader-scans=%-4d survivors=%-3d %s\n",
-		method+":", r.Ordinal, r.Fired, r.ReaderScans, r.Survivors, status)
-}
-
-// runConcurrent sweeps (or, with at > 0, reproduces one ordinal of) the
-// two-table concurrent scenario and returns the number of failed ordinals.
-func runConcurrent(method string, cfg crashtest.Config, at int, verbose bool) int {
-	if at > 0 {
-		res, err := crashtest.RunConcurrentOrdinal(cfg, at)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest:", err)
-			os.Exit(2)
-		}
-		printConcurrentOrdinal(method, res)
-		if res.Err != "" {
-			return 1
-		}
-		return 0
-	}
-	sw, err := crashtest.ConcurrentSweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crashtest:", err)
-		os.Exit(2)
-	}
-	if verbose {
-		for _, res := range sw.Ordinals {
-			printConcurrentOrdinal(method, res)
-		}
-	} else {
-		for _, res := range sw.Failures() {
-			printConcurrentOrdinal(method, res)
-		}
-	}
-	fmt.Printf("%-9s concurrent 2-table batch: %d I/Os, swept %d ordinals, %d failed\n",
-		method+":", sw.TotalIOs, sw.Ran, sw.Failed)
-	return sw.Failed
-}
-
-func printConcurrentOrdinal(method string, r crashtest.ConcurrentOrdinalResult) {
-	status := "ok"
-	if r.Err != "" {
-		status = "FAIL " + r.Err
-	}
-	fmt.Printf("%-9s io=%-4d crash=%-5v statements=%d rolled-forward=%-3d %s\n",
-		method+":", r.Ordinal, r.CrashFired, r.Statements, r.RolledForward, status)
-}
-
-func printOrdinal(method string, r crashtest.OrdinalResult) {
-	status := "ok"
-	if r.Err != "" {
-		status = "FAIL " + r.Err
-	}
-	fmt.Printf("%-9s io=%-4d crash=%-5v bulk-in-wal=%-5v rolled-forward=%-3d survivors=%-3d clock=%dus %s\n",
-		method+":", r.Ordinal, r.CrashFired, r.BulkInWAL, r.RolledForward, r.Survivors, r.ClockUS, status)
+	fmt.Fprintln(w, line, status)
 }

@@ -1,0 +1,60 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// runCLI runs the command in-process, requires the given exit status and
+// one stdout line per prefix, each starting with its prefix and ending with
+// suffix.
+func runCLI(t *testing.T, status int, args []string, suffix string, prefixes ...string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := "crashtest " + strings.Join(args, " ")
+	if got := run(args, &stdout, &stderr); got != status {
+		t.Fatalf("%s: exit status %d, want %d\nstdout:\n%sstderr:\n%s", cmd, got, status, &stdout, &stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if stdout.Len() == 0 {
+		lines = nil
+	}
+	if len(lines) != len(prefixes) {
+		t.Fatalf("%s printed %d lines, want %d:\n%s", cmd, len(lines), len(prefixes), &stdout)
+	}
+	for i, line := range lines {
+		if !strings.HasPrefix(line, prefixes[i]) || !strings.HasSuffix(line, suffix) {
+			t.Errorf("%s: line %d is %q, want %q…%q", cmd, i, line, prefixes[i], suffix)
+		}
+	}
+}
+
+// TestAtReproducesOneOrdinalInEveryScenario: -at K prints exactly the one
+// ordinal line (no sweep, no summary) whatever the scenario and mode — the
+// cancel and reader sweeps used to ignore it and run the whole range.
+func TestAtReproducesOneOrdinalInEveryScenario(t *testing.T) {
+	runCLI(t, 0, []string{"-cancel", "-at", "37", "-method", "sort"}, " ok", "sort:     io=37   cancelled=")
+	runCLI(t, 0, []string{"-lsm", "-at", "5"}, " ok", "lsm: io=5    crash=", "lsm-in: io=5    crash=")
+	runCLI(t, 0, []string{"-rebalance", "-at", "9"}, " ok", "rebalance: io=9    crash=")
+	runCLI(t, 0, []string{"-at", "37", "-method", "hash"}, " ok", "hash:     io=37   crash=")
+	runCLI(t, 0, []string{"-reader", "-cancel", "-at", "12", "-method", "sort"}, " ok", "sort:     io=12   fired=")
+	// An ordinal past the statement's last I/O is a usage error, not an
+	// empty success.
+	runCLI(t, 2, []string{"-rebalance", "-at", "100000"}, "")
+}
+
+// TestSummaryLines pins the one-line-per-sweep shape of every scenario.
+func TestSummaryLines(t *testing.T) {
+	runCLI(t, 0, []string{"-method", "sort", "-stride", "9"}, "",
+		"sort:     73 I/Os, swept 9 ordinals, 0 failed, digest ")
+	runCLI(t, 0, []string{"-lsm"}, "",
+		"lsm: 11 I/Os, swept 11 ordinals, 0 failed, digest ba623159b70f4826",
+		"lsm-in: 12 I/Os, swept 12 ordinals, 0 failed, digest ")
+	runCLI(t, 0, []string{"-cancel", "-method", "hash", "-stride", "9"}, "",
+		"hash:     cancel sweep: 62 I/Os, swept 7 ordinals, 7 cancelled, 0 failed, reference d0ec0d93a4ddb929")
+	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",
+		"sort:     reader crash sweep: 73 I/Os, swept 4 ordinals, 0 failed")
+	runCLI(t, 0, []string{"-concurrent", "-method", "sort", "-devices", "3", "-parallel", "2", "-rows", "24", "-stride", "25"}, "",
+		"sort:     concurrent 2-table batch: ")
+}

@@ -8,19 +8,9 @@ import (
 
 // cancelSweepAll runs a full cancel sweep for one method and fails the test
 // on any ordinal whose invariants break.
-func cancelSweepAll(t *testing.T, method bulkdel.Method, stride int) *CancelSweepResult {
+func cancelSweepAll(t *testing.T, method bulkdel.Method, stride int) *SweepResult {
 	t.Helper()
-	sw, err := CancelSweep(Config{Method: method, Stride: stride})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.Ran == 0 {
-		t.Fatal("cancel sweep ran no ordinals")
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d: %s", f.Ordinal, f.Err)
-	}
-	return sw
+	return mustRun(t, "cancel", Config{Method: method, Stride: stride})
 }
 
 func TestCancelSweepEveryOrdinalSortMerge(t *testing.T) {
@@ -28,7 +18,7 @@ func TestCancelSweepEveryOrdinalSortMerge(t *testing.T) {
 	// Cancelling after an early I/O must actually interrupt the statement
 	// at least once; a sweep where no ordinal fires would mean the cancel
 	// checkpoints are dead code.
-	if sw.Cancelled == 0 {
+	if sw.Fired == 0 {
 		t.Fatal("no ordinal observed the cancellation")
 	}
 	// The crash+recover cross-check must cross both regimes: early crashes
@@ -36,7 +26,7 @@ func TestCancelSweepEveryOrdinalSortMerge(t *testing.T) {
 	// crashes whose rolled-forward state matches the cancelled runs.
 	var zero, forward bool
 	for _, r := range sw.Ordinals {
-		if r.CrashComparable {
+		if r.Field("crash-comparable") == true {
 			forward = true
 		} else {
 			zero = true
@@ -61,7 +51,7 @@ func TestCancelSweepHashPartition(t *testing.T) {
 // holds the same survivor count as a completed one.
 func TestCancelConvergesToCompletedDelete(t *testing.T) {
 	cfg := Config{Method: bulkdel.SortMerge}.withDefaults()
-	sw, err := CancelSweep(cfg)
+	sw, err := Run("cancel", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +62,7 @@ func TestCancelConvergesToCompletedDelete(t *testing.T) {
 		}
 		if r.Survivors != want {
 			t.Fatalf("ordinal %d: %d survivors after cancel, want %d (cancelFired=%v)",
-				r.Ordinal, r.Survivors, want, r.CancelFired)
+				r.Ordinal, r.Survivors, want, r.Fired)
 		}
 	}
 }

@@ -20,18 +20,7 @@ func concurrentCfg() Config {
 func TestConcurrentSweep(t *testing.T) {
 	cfg := concurrentCfg()
 	cfg.Stride = 7
-	sw, err := ConcurrentSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.Failed > 0 {
-		for _, r := range sw.Failures() {
-			t.Errorf("ordinal %d: %s", r.Ordinal, r.Err)
-		}
-	}
-	if sw.Ran == 0 {
-		t.Fatal("sweep ran no ordinals")
-	}
+	sw := mustRun(t, "concurrent", cfg)
 	t.Logf("concurrent sweep: %d I/Os, ran %d, failed %d", sw.TotalIOs, sw.Ran, sw.Failed)
 }
 
@@ -39,24 +28,12 @@ func TestConcurrentSweep(t *testing.T) {
 // leaves BOTH statements unfinished in the shared WAL and checks that
 // recovery rolled both forward (wal.AnalyzeBulks routing the interleaved
 // records per transaction). Which ordinals interrupt both is scheduling-
-// dependent, so the test scans until it finds one; with the scheduler in
-// play roughly half the range qualifies.
+// dependent, so the test sweeps the whole range looking for one; with the
+// scheduler in play roughly half the range qualifies.
 func TestConcurrentRollForwardBothStatements(t *testing.T) {
-	cfg := concurrentCfg()
-	total, err := CountConcurrentIOs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= total; k++ {
-		r, err := RunConcurrentOrdinal(cfg, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Err != "" {
-			t.Fatalf("ordinal %d: %s", k, r.Err)
-		}
-		if r.Statements == 2 {
-			t.Logf("ordinal %d interrupted both statements; rolled forward %d records", k, r.RolledForward)
+	for _, r := range mustRun(t, "concurrent", concurrentCfg()).Ordinals {
+		if r.Field("statements") == int64(2) {
+			t.Logf("ordinal %d interrupted both statements; rolled forward %d records", r.Ordinal, r.Field("rolled-forward"))
 			return
 		}
 	}

@@ -1,20 +1,23 @@
-// Package crashtest sweeps a bulk delete through every possible crash
-// point. It builds a deterministic scenario — a multi-index table, a
-// seeded victim set, a WAL-enabled database — runs the statement once
-// fault-free to count its page I/Os, and then, for every I/O ordinal k,
-// re-runs it with a simulated power failure at exactly the kth I/O,
-// reopens the database through crash recovery, and checks the full
-// invariant set:
+// Package crashtest sweeps a statement through every possible crash point.
+// A scenario (scenarios.go) builds a deterministic database — seeded data,
+// WAL on, flushed durable — and names the statement under test; the one
+// driver in this file runs it once fault-free to count its page I/Os, and
+// then, for every I/O ordinal k, re-runs it on a fresh database with a
+// simulated power failure at exactly the kth I/O, reopens the database
+// through crash recovery, and hands it to the scenario's invariant check:
 //
-//   - the heap and every index pass table.CheckConsistency (structure,
-//     entry counts, and an exact ⟨key,RID⟩ match between heap and index);
-//   - the victim set is atomic: either every victim is gone (the WAL
-//     recorded the bulk delete and recovery rolled it forward, §3.2) or
-//     every victim is intact (the crash hit before the bulk-start record
-//     was durable); non-victim rows always survive;
+//   - every structure passes its consistency check (for a heap table: an
+//     exact ⟨key,RID⟩ match between the heap and every index);
+//   - the statement is atomic: either all of its effects are there (a bulk
+//     delete found in the WAL is rolled forward, §3.2) or none are; rows
+//     the statement does not touch always survive;
 //   - the run is deterministic: the same ordinal yields the same simulated
 //     clock and the same recovery actions, so any failure reproduces
 //     exactly with `crashtest -at k`.
+//
+// Cancel is a mode of the same driver: instead of cutting the power at the
+// kth I/O it requests cooperative cancellation there, checks the online
+// abort in-process, and compares it with the crash cycle at that ordinal.
 //
 // Because the disk, the clock, and the victim selection are all seeded and
 // simulated, a sweep is exhaustive rather than probabilistic: it visits
@@ -26,16 +29,16 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"slices"
 
 	"bulkdel"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/sim"
 )
 
-// Config describes one sweep scenario. The zero value is usable; every
-// field has a small-but-interesting default chosen so that the statement
-// spills sorts, takes mid-structure checkpoints, and evicts dirty pages.
+// Config describes one sweep. The zero value is usable; every field has a
+// small-but-interesting default chosen so that the statement spills sorts,
+// takes mid-structure checkpoints, and evicts dirty pages.
 type Config struct {
 	// Rows in the table (default 48). Each row is R(A,B,C) with A=i
 	// unique, B=3i, C=i%7, indexed IA (unique, the access index), IB, IC.
@@ -79,9 +82,8 @@ type Config struct {
 	Observer *obs.Observer
 	// SnapshotReads enables MVCC snapshot reads in the scenario database.
 	// Off by default: the classic sweeps pin MVCC off so their digests stay
-	// comparable with recorded baselines, and only the reader sweeps
-	// (ReaderCancelSweep, ReaderCrashSweep) — whose concurrent reader needs
-	// non-blocking reads — turn it on.
+	// comparable with recorded baselines, and only the reader scenarios —
+	// whose concurrent reader needs non-blocking reads — turn it on.
 	SnapshotReads bool
 }
 
@@ -119,57 +121,96 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Deterministic reports whether the sweep's digest is reproducible: true
-// unless the statement runs parallel workers on a real multi-device array.
-// With workers == 1 the statement is sequential by construction; with a
-// single device the parallel degree is clamped back to 1, so goroutine
-// scheduling never reorders the I/O stream in either case.
+// Deterministic reports whether a single-statement heap sweep's digest is
+// reproducible: true unless the statement runs parallel workers on a real
+// multi-device array. With workers == 1 the statement is sequential by
+// construction; with a single device the parallel degree is clamped back
+// to 1, so goroutine scheduling never reorders the I/O stream in either
+// case.
 func (c Config) Deterministic() bool {
 	c = c.withDefaults()
 	return c.Parallel <= 1 || c.Devices <= 1
 }
 
-// OrdinalResult reports one crash-and-recover cycle.
-type OrdinalResult struct {
+// Field is one scenario-named column of a Result: a bool or an int64.
+type Field struct {
+	Name  string
+	Value any
+}
+
+// Result reports one cycle of a sweep: crash-and-recover, or (in cancel
+// mode) cancel-and-replay.
+type Result struct {
 	// Ordinal is the I/O (1-based, counted from statement start) at which
-	// the crash was injected.
+	// the power failure or the cancellation was injected.
 	Ordinal int
-	// CrashFired reports whether the statement actually reached the
-	// ordinal (false past the statement's last I/O: the delete committed).
-	CrashFired bool
-	// BulkInWAL reports whether recovery found an unfinished bulk delete
-	// in the log and rolled it forward.
-	BulkInWAL bool
-	// RolledForward is the number of records recovery deleted.
-	RolledForward int64
-	// Survivors is the row count after recovery.
+	// Fired reports whether the statement actually observed it (false
+	// past the statement's last I/O, or when a cancelled statement
+	// completed before reaching a cancel checkpoint).
+	Fired bool
+	// Fields are the scenario's own columns, in a fixed order: what
+	// recovery did (bulk-in-wal, rolled-forward, replayed, …), which legal
+	// state it landed on, and what the decorators saw (reader-scans,
+	// crash-comparable).
+	Fields []Field
+	// Survivors is the row count after the cycle settled.
 	Survivors int64
-	// ClockUS is the simulated clock after recovery, in microseconds —
+	// ClockUS is the simulated clock after the cycle, in microseconds —
 	// equal across runs of the same ordinal iff the engine is
 	// deterministic.
 	ClockUS int64
+	// Digest is the settled table's StructureDigest. Only scenarios that
+	// compare states by digest (cancel, reader) fill it, and only when the
+	// ordinal's other invariants held.
+	Digest string
 	// Err describes an invariant violation ("" = the ordinal passed).
 	Err string
+}
 
-	// digest is the recovered table's logical structure digest, consumed by
-	// the -cancel sweep's cross-check. Unexported: it is only populated when
-	// the ordinal's invariants all held.
-	digest string
+// Field returns the value of the named column, nil when there is none.
+func (r *Result) Field(name string) any {
+	for _, f := range r.Fields {
+		if f.Name == name {
+			return f.Value
+		}
+	}
+	return nil
+}
+
+// set overwrites the named column in place, or appends it.
+func (r *Result) set(name string, v any) {
+	for i := range r.Fields {
+		if r.Fields[i].Name == name {
+			r.Fields[i].Value = v
+			return
+		}
+	}
+	r.Fields = append(r.Fields, Field{name, v})
+}
+
+func (r *Result) failf(format string, args ...any) {
+	r.Err = fmt.Sprintf(format, args...)
 }
 
 // SweepResult aggregates a sweep.
 type SweepResult struct {
 	// TotalIOs the fault-free statement performs; ordinals range 1..TotalIOs.
 	TotalIOs int
-	// Ran and Failed count the swept ordinals.
-	Ran, Failed int
+	// Ran, Failed and Fired count the swept ordinals.
+	Ran, Failed, Fired int
+	// Reference is the completed-statement StructureDigest every cancelled
+	// run must reproduce ("" outside the cancel and reader scenarios).
+	Reference string
+	// Deterministic reports whether a second sweep of the same Config must
+	// reproduce Digest.
+	Deterministic bool
 	// Ordinals holds every per-ordinal result, in sweep order.
-	Ordinals []OrdinalResult
+	Ordinals []Result
 }
 
 // Failures returns the results whose invariants failed.
-func (s *SweepResult) Failures() []OrdinalResult {
-	var out []OrdinalResult
+func (s *SweepResult) Failures() []Result {
+	var out []Result
 	for _, r := range s.Ordinals {
 		if r.Err != "" {
 			out = append(out, r)
@@ -179,205 +220,20 @@ func (s *SweepResult) Failures() []OrdinalResult {
 }
 
 // Digest fingerprints the sweep's observable behaviour — per ordinal: did
-// the crash fire, was a bulk found in the WAL, how many records rolled
-// forward, the survivor count, and the simulated clock. Two sweeps of the
-// same Config must produce identical digests.
+// the fault fire, every scenario column, the survivor count, and the
+// simulated clock. Two sweeps of the same deterministic Config must produce
+// identical digests.
 func (s *SweepResult) Digest() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "total=%d\n", s.TotalIOs)
 	for _, r := range s.Ordinals {
-		fmt.Fprintf(h, "%d:%v:%v:%d:%d:%d:%s\n",
-			r.Ordinal, r.CrashFired, r.BulkInWAL, r.RolledForward, r.Survivors, r.ClockUS, r.Err)
+		fmt.Fprintf(h, "%d:%v", r.Ordinal, r.Fired)
+		for _, f := range r.Fields {
+			fmt.Fprintf(h, ":%v", f.Value)
+		}
+		fmt.Fprintf(h, ":%d:%d:%s\n", r.Survivors, r.ClockUS, r.Err)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// buildDB constructs the scenario database: table R with three indexes,
-// flushed durable, plus the seeded victim list (values of the unique
-// attribute A).
-func buildDB(cfg Config) (*bulkdel.DB, *bulkdel.Table, []int64, error) {
-	db, err := bulkdel.Open(bulkdel.Options{
-		BufferBytes:          cfg.BufferBytes,
-		Devices:              cfg.Devices,
-		Observer:             cfg.Observer,
-		DisableSnapshotReads: !cfg.SnapshotReads,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tbl, err := db.CreateTable("R", 3, 64)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i := 0; i < cfg.Rows; i++ {
-		if _, err := tbl.Insert(int64(i), int64(3*i), int64(i%7)); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	defs := []bulkdel.IndexOptions{
-		{Name: "IA", Field: 0, Unique: true},
-		{Name: "IB", Field: 1},
-		{Name: "IC", Field: 2},
-	}
-	for _, ix := range defs[:cfg.Indexes] {
-		if err := tbl.CreateIndex(ix); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if err := db.Flush(); err != nil {
-		return nil, nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	perm := rng.Perm(cfg.Rows)
-	victims := make([]int64, cfg.Victims)
-	for i := range victims {
-		victims[i] = int64(perm[i])
-	}
-	return db, tbl, victims, nil
-}
-
-func bulkOpts(cfg Config) bulkdel.BulkOptions {
-	return bulkdel.BulkOptions{
-		Method:         cfg.Method,
-		Memory:         cfg.Memory,
-		CheckpointRows: cfg.CheckpointRows,
-		Parallel:       cfg.Parallel,
-	}
-}
-
-// CountIOs runs the scenario once without faults and returns the number of
-// page I/Os the statement performs — the sweep's ordinal range. It also
-// validates the fault-free run: the delete must succeed and leave the
-// table consistent.
-func CountIOs(cfg Config) (int, error) {
-	cfg = cfg.withDefaults()
-	db, tbl, victims, err := buildDB(cfg)
-	if err != nil {
-		return 0, err
-	}
-	before := db.Disk().IOCount()
-	res, err := tbl.BulkDelete(0, victims, bulkOpts(cfg))
-	if err != nil {
-		return 0, fmt.Errorf("crashtest: fault-free run failed: %w", err)
-	}
-	if res.Deleted != int64(len(victims)) {
-		return 0, fmt.Errorf("crashtest: fault-free run deleted %d of %d victims", res.Deleted, len(victims))
-	}
-	if err := tbl.Check(); err != nil {
-		return 0, fmt.Errorf("crashtest: fault-free run left the table inconsistent: %w", err)
-	}
-	return int(db.Disk().IOCount() - before), nil
-}
-
-// RunOrdinal executes one crash-and-recover cycle: fresh scenario, crash
-// at the kth statement I/O, recovery, invariant checks. Invariant
-// violations are reported in the result's Err field; the returned error is
-// reserved for harness failures (the scenario itself could not be built).
-func RunOrdinal(cfg Config, k int) (OrdinalResult, error) {
-	cfg = cfg.withDefaults()
-	res := OrdinalResult{Ordinal: k}
-	db, tbl, victims, err := buildDB(cfg)
-	if err != nil {
-		return res, err
-	}
-
-	plan := sim.NewFaultPlan().CrashAtIO(uint64(k))
-	if cfg.TearBytes > 0 {
-		if cfg.TearWALOnly {
-			if wf, ok := db.WALFile(); ok {
-				plan = plan.TearFileWrite(wf, cfg.TearBytes)
-			}
-		} else {
-			plan = plan.TearWrite(cfg.TearBytes)
-		}
-	}
-	db.Disk().SetFaultPlan(plan)
-
-	_, derr := tbl.BulkDelete(0, victims, bulkOpts(cfg))
-	switch {
-	case derr == nil:
-		// The statement finished before its kth I/O: k is past the end.
-		res.CrashFired = false
-	case sim.IsCrash(derr):
-		res.CrashFired = true
-	default:
-		res.Err = fmt.Sprintf("unexpected non-crash error: %v", derr)
-		return res, nil
-	}
-
-	// Power off, clear the fault plan (the machine rebooted), recover.
-	disk := db.SimulateCrash()
-	disk.SetFaultPlan(nil)
-	rdb, rep, rerr := bulkdel.Recover(disk, bulkdel.Options{
-		BufferBytes:          cfg.BufferBytes,
-		Observer:             cfg.Observer,
-		DisableSnapshotReads: !cfg.SnapshotReads,
-	})
-	if rerr != nil {
-		res.Err = fmt.Sprintf("recovery failed: %v", rerr)
-		return res, nil
-	}
-	res.BulkInWAL = rep.BulkInProgress
-	res.RolledForward = rep.RolledForward
-	res.Err = verifyState(rdb, cfg, victims, rep.BulkInProgress, &res)
-	res.ClockUS = disk.Clock().Microseconds()
-	if res.Err == "" {
-		if rtbl := rdb.Table("R"); rtbl != nil {
-			if d, derr := StructureDigest(rtbl); derr == nil {
-				res.digest = d
-			}
-		}
-	}
-	return res, nil
-}
-
-// verifyState checks the recovered database against the sweep invariants
-// and returns a description of the first violation ("" = all hold).
-func verifyState(rdb *bulkdel.DB, cfg Config, victims []int64, rolledForward bool, res *OrdinalResult) string {
-	tbl := rdb.Table("R")
-	if tbl == nil {
-		return "table R missing after recovery"
-	}
-	// Heap ↔ every index: structure, counts, and exact entry sets.
-	if err := tbl.Check(); err != nil {
-		return fmt.Sprintf("consistency check: %v", err)
-	}
-
-	vset := make(map[int64]bool, len(victims))
-	for _, v := range victims {
-		vset[v] = true
-	}
-	var total, victimsPresent, others int64
-	err := tbl.Scan(func(_ bulkdel.RID, fields []int64) error {
-		total++
-		if vset[fields[0]] {
-			victimsPresent++
-		} else {
-			others++
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Sprintf("scanning recovered heap: %v", err)
-	}
-	res.Survivors = total
-
-	if others != int64(cfg.Rows-len(victims)) {
-		return fmt.Sprintf("non-victim rows: %d survive, want %d", others, cfg.Rows-len(victims))
-	}
-	switch victimsPresent {
-	case 0, int64(len(victims)):
-		// Atomic: all gone or all intact.
-	default:
-		return fmt.Sprintf("victim set torn: %d of %d victims survive", victimsPresent, len(victims))
-	}
-	if rolledForward && victimsPresent != 0 {
-		return fmt.Sprintf("recovery rolled the bulk delete forward but %d victims survive", victimsPresent)
-	}
-	if tbl.Count() != total {
-		return fmt.Sprintf("cached row count %d, scanned %d", tbl.Count(), total)
-	}
-	return ""
 }
 
 // StructureDigest fingerprints a table's logical content: every record in
@@ -399,230 +255,260 @@ func StructureDigest(tbl *bulkdel.Table) (string, error) {
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// CancelOrdinalResult reports one cancel-and-replay cycle of the -cancel
-// sweep.
-type CancelOrdinalResult struct {
-	// Ordinal is the statement I/O after which cancellation was requested.
-	Ordinal int
-	// CancelFired reports whether the statement actually observed the
-	// cancellation (false when it completed before reaching a cancel
-	// checkpoint — a race near the statement's end, legitimate both ways).
-	CancelFired bool
-	// Survivors is the row count after the statement (and, on the cancel
-	// path, after the online abort-to-consistency replay).
-	Survivors int64
-	// Digest is the logical structure digest after the statement.
-	Digest string
-	// CrashComparable reports whether the crash+recover run at the same
-	// ordinal found the bulk delete in the WAL and rolled it forward. When
-	// it did, its digest must equal ours. When it did not — the crash
-	// predates the statement's first durable record, a boundary the online
-	// cancel path can never stop at (its first checkpoint sits after the
-	// bulk-start record, and the abort flushes the log before analyzing
-	// it) — the crash run's zero-effect state is compared against the
-	// pre-delete digest instead.
-	CrashComparable bool
-	// Err describes an invariant violation ("" = the ordinal passed).
-	Err string
-}
-
-// CancelSweepResult aggregates a -cancel sweep.
-type CancelSweepResult struct {
-	// TotalIOs the fault-free statement performs; ordinals range 1..TotalIOs.
-	TotalIOs int
-	// Reference is the completed-delete digest every cancelled (or
-	// completed) run must reproduce.
-	Reference string
-	// Ran, Failed, Cancelled count the swept ordinals.
-	Ran, Failed, Cancelled int
-	// Ordinals holds every per-ordinal result, in sweep order.
-	Ordinals []CancelOrdinalResult
-}
-
-// Failures returns the results whose invariants failed.
-func (s *CancelSweepResult) Failures() []CancelOrdinalResult {
-	var out []CancelOrdinalResult
-	for _, r := range s.Ordinals {
+// Run sweeps the named scenario (see Scenarios) over the ordinals cfg
+// selects. The returned error reports harness failures only — an unknown
+// name, a scenario that could not be built, a fault-free run that failed;
+// per-ordinal invariant violations are in the result.
+func Run(name string, cfg Config) (*SweepResult, error) {
+	sc, ok := scenarios[name]
+	if !ok {
+		return nil, fmt.Errorf("crashtest: unknown scenario %q (have %v)", name, Scenarios())
+	}
+	cfg = cfg.withDefaults()
+	if sc.reader {
+		cfg.SnapshotReads = true // the reader needs non-blocking snapshot reads
+	}
+	ref, err := sc.referenceRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	from, to := cfg.From, cfg.To
+	if from <= 0 {
+		from = 1
+	}
+	if to <= 0 || to > ref.totalIOs {
+		to = ref.totalIOs
+	}
+	cycle := sc.crashCycle
+	if sc.cancel {
+		cycle = sc.cancelCycle
+	}
+	sw := &SweepResult{TotalIOs: ref.totalIOs, Reference: ref.post, Deterministic: sc.deterministic(cfg)}
+	for k := from; k <= to; k += cfg.Stride {
+		r, err := cycle(cfg, k, ref)
+		if err != nil {
+			return sw, err
+		}
+		sw.Ran++
 		if r.Err != "" {
-			out = append(out, r)
+			sw.Failed++
+		}
+		if r.Fired {
+			sw.Fired++
+		}
+		sw.Ordinals = append(sw.Ordinals, r)
+	}
+	return sw, nil
+}
+
+// reference is what the fault-free run of a scenario establishes: the
+// sweep's ordinal range and, for the scenarios that compare states by
+// digest, the untouched (pre) and completed-statement (post) digests.
+type reference struct {
+	totalIOs  int
+	pre, post string
+}
+
+// referenceRun runs the statement once without faults (and without the
+// reader decorator: reads never change the logical state), validates the
+// outcome, and counts the page I/Os up to and including that validation.
+func (sc scenario) referenceRun(cfg Config) (ref reference, err error) {
+	st, err := sc.build(cfg)
+	if err != nil {
+		return ref, err
+	}
+	digests := sc.cancel || sc.reader
+	if digests {
+		if ref.pre, err = StructureDigest(st.tables[0]); err != nil {
+			return ref, err
 		}
 	}
-	return out
+	before := st.db.Disk().IOCount()
+	if err := sc.run(context.Background(), cfg, st, &Result{}); err != nil {
+		return ref, fmt.Errorf("crashtest: fault-free run failed: %w", err)
+	}
+	if err := sc.reference(cfg, st); err != nil {
+		return ref, fmt.Errorf("crashtest: fault-free run: %w", err)
+	}
+	ref.totalIOs = int(st.db.Disk().IOCount() - before)
+	if digests {
+		ref.post, err = StructureDigest(st.tables[0])
+	}
+	return ref, err
 }
 
-// RunCancelOrdinal executes one cancel-and-replay cycle: fresh scenario,
+// cycleRun is the statement as the cycles run it: decorated with the
+// concurrent snapshot reader in the reader scenarios.
+func (sc scenario) cycleRun() runFunc {
+	if sc.reader {
+		return withReader(sc.run, sc.cancel)
+	}
+	return sc.run
+}
+
+// options are the engine options every build and every recovery share.
+func options(cfg Config) bulkdel.Options {
+	return bulkdel.Options{
+		BufferBytes:          cfg.BufferBytes,
+		Observer:             cfg.Observer,
+		DisableSnapshotReads: !cfg.SnapshotReads,
+	}
+}
+
+// crashCycle executes one crash-and-recover cycle: fresh scenario, power
+// failure at the kth statement I/O, recovery, invariant checks. Invariant
+// violations are reported in the result's Err field; the returned error is
+// reserved for harness failures (the scenario itself could not be built).
+func (sc scenario) crashCycle(cfg Config, k int, ref reference) (Result, error) {
+	res := Result{Ordinal: k, Fields: slices.Clone(sc.fields)}
+	st, err := sc.build(cfg)
+	if err != nil {
+		return res, err
+	}
+	plan := sim.NewFaultPlan().CrashAtIO(uint64(k))
+	if cfg.TearBytes > 0 {
+		if !cfg.TearWALOnly {
+			plan = plan.TearWrite(cfg.TearBytes)
+		} else if wf, ok := st.db.WALFile(); ok {
+			plan = plan.TearFileWrite(wf, cfg.TearBytes)
+		}
+	}
+	st.db.Disk().SetFaultPlan(plan)
+	derr := sc.cycleRun()(context.Background(), cfg, st, &res)
+	switch {
+	case res.Err != "":
+		return res, nil
+	case derr == nil:
+		// The statement finished before its kth I/O: k is past the end (or
+		// the reader's I/Os soaked the ordinal up). The cycle still recovers.
+	case sim.IsCrash(derr):
+		res.Fired = true
+	case sc.reader && errors.Is(derr, bulkdel.ErrCancelled):
+		// The crash poisoned a WAL write under the statement while the
+		// reader held the failing I/O; the engine surfaced it as an abort.
+		// The recovery invariants still decide.
+		res.Fired = true
+	default:
+		res.failf("unexpected non-crash error: %v", derr)
+		return res, nil
+	}
+
+	// Power off, clear the fault plan (the machine rebooted), recover.
+	disk := st.db.SimulateCrash()
+	disk.SetFaultPlan(nil)
+	rdb, rep, rerr := bulkdel.Recover(disk, options(cfg))
+	if rerr != nil {
+		res.failf("recovery failed: %v", rerr)
+		return res, nil
+	}
+	sc.verify(cfg, st, rdb, rep, &res)
+	if res.ClockUS == 0 { // verify stamps it itself when it goes on to change the database
+		res.ClockUS = disk.Clock().Microseconds()
+	}
+	if res.Err != "" || ref.post == "" {
+		return res, nil
+	}
+	if res.Digest, err = StructureDigest(rdb.Table(st.tables[0].Name())); err != nil {
+		res.failf("digesting structures: %v", err)
+	} else if res.Digest != ref.post && res.Digest != ref.pre {
+		res.failf("recovered digest %s is neither completed %s nor untouched %s (victim set torn)",
+			res.Digest, ref.post, ref.pre)
+	}
+	return res, nil
+}
+
+// cancelCycle executes one cancel-and-replay cycle: fresh scenario,
 // cooperative cancellation requested as soon as the statement's kth page
 // I/O has happened, online abort-to-consistency, invariant checks — no
-// crash, no restart, same process. refDigest is the completed-delete
-// digest the structures must end at (roll-forward recovery finishes the
-// delete, so a cancelled statement and a completed one converge on the
-// same state); preDigest is the untouched-table digest used to check the
-// crash run's zero-effect ordinals.
-func RunCancelOrdinal(cfg Config, k int, refDigest, preDigest string) (CancelOrdinalResult, error) {
-	cfg = cfg.withDefaults()
-	res := CancelOrdinalResult{Ordinal: k}
-	db, tbl, victims, err := buildDB(cfg)
+// crash, no restart, same process. Roll-forward finishes the delete, so a
+// cancelled statement and a completed one must converge on ref.post; the
+// crash cycle at the same ordinal must land there too whenever its
+// boundary is one the cancel path can also stop at.
+func (sc scenario) cancelCycle(cfg Config, k int, ref reference) (Result, error) {
+	res := Result{Ordinal: k}
+	if !sc.reader {
+		res.set("crash-comparable", false)
+	}
+	st, err := sc.build(cfg)
 	if err != nil {
 		return res, err
 	}
 
 	// Arm the cancel trigger: a fault-plan hook requests cooperative
 	// cancellation synchronously at the kth statement I/O — the exact
-	// boundary RunOrdinal's CrashAtIO pins its power failure to. The
+	// boundary crashCycle's CrashAtIO pins its power failure to. The
 	// statement then stops at its next cancel checkpoint; every checkpoint
 	// is recoverable and every recovery rolls forward to the same final
 	// state, so the structure digest below is deterministic.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(uint64(k), cancel))
-	opts := bulkOpts(cfg)
-	opts.Ctx = ctx
-	_, derr := tbl.BulkDelete(0, victims, opts)
-	db.Disk().SetFaultPlan(nil)
-
+	st.db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(uint64(k), cancel))
+	derr := sc.cycleRun()(ctx, cfg, st, &res)
+	st.db.Disk().SetFaultPlan(nil)
 	switch {
+	case res.Err != "":
+		return res, nil
 	case derr == nil:
-		res.CancelFired = false
 	case errors.Is(derr, bulkdel.ErrCancelled):
-		res.CancelFired = true
+		res.Fired = true
 	default:
-		res.Err = fmt.Sprintf("unexpected non-cancel error: %v", derr)
+		res.failf("unexpected non-cancel error: %v", derr)
 		return res, nil
 	}
 
 	// The statement is over (cancelled + replayed, or completed): no locks,
 	// gates, or statements may linger.
-	if insp := db.Inspect(); len(insp.Statements) != 0 || !insp.WaitGraph.Idle() {
-		res.Err = fmt.Sprintf("leaked concurrent state after cancel:\n%s", insp.String())
+	if insp := st.db.Inspect(); len(insp.Statements) != 0 || !insp.WaitGraph.Idle() {
+		res.failf("leaked concurrent state after cancel:\n%s", insp.String())
 		return res, nil
 	}
+	tbl := st.tables[0]
 	if err := tbl.Check(); err != nil {
-		res.Err = fmt.Sprintf("consistency check: %v", err)
+		res.failf("consistency check: %v", err)
 		return res, nil
 	}
 	res.Survivors = tbl.Count()
-	res.Digest, err = StructureDigest(tbl)
-	if err != nil {
-		res.Err = fmt.Sprintf("digesting structures: %v", err)
+	res.ClockUS = st.db.Clock().Microseconds()
+	if res.Digest, err = StructureDigest(tbl); err != nil {
+		res.failf("digesting structures: %v", err)
 		return res, nil
 	}
-	if res.Digest != refDigest {
-		res.Err = fmt.Sprintf("structure digest %s != completed-delete reference %s", res.Digest, refDigest)
+	switch {
+	case res.Digest == ref.post:
+	case sc.reader && res.Fired && res.Digest == ref.pre:
+		// Zero-effect abort: the reader's I/Os burned the ordinal before the
+		// bulk-start record was durable. Atomic, just the other boundary.
+	default:
+		res.failf("structure digest %s != completed-delete reference %s", res.Digest, ref.post)
+	}
+	if res.Err != "" || sc.reader {
+		// With the reader's I/Os on the same disk, ordinal k is not the same
+		// statement boundary in two runs: nothing to compare a crash against.
 		return res, nil
 	}
 
-	// Crash+recover at the same ordinal must land on the same structures
-	// whenever its boundary is one the cancel path can also stop at (the
-	// bulk delete made it into the WAL); its early zero-effect ordinals
-	// must match the pre-delete state instead.
-	crash, err := RunOrdinal(cfg, k)
+	// Crash+recover at the same ordinal: when the bulk delete had made it
+	// into the WAL its rolled-forward digest must equal ours. When it had
+	// not — the crash predates the statement's first durable record, a
+	// boundary the online cancel path can never stop at (its first
+	// checkpoint sits after the bulk-start record, and the abort flushes
+	// the log before analyzing it) — it must match the untouched table.
+	crash, err := sc.crashCycle(cfg, k, ref)
 	if err != nil {
 		return res, err
 	}
 	if crash.Err != "" {
-		res.Err = fmt.Sprintf("crash+recover reference run failed: %s", crash.Err)
+		res.failf("crash+recover reference run failed: %s", crash.Err)
 		return res, nil
 	}
-	res.CrashComparable = crash.BulkInWAL
-	want := refDigest
-	if !crash.BulkInWAL {
-		want = preDigest
+	inWAL := crash.Field("bulk-in-wal") == true
+	res.set("crash-comparable", inWAL)
+	want := ref.post
+	if !inWAL {
+		want = ref.pre
 	}
-	if crash.digest != want {
-		res.Err = fmt.Sprintf("crash+recover digest %s at ordinal %d, want %s (bulkInWAL=%v)",
-			crash.digest, k, want, crash.BulkInWAL)
+	if crash.Digest != want {
+		res.failf("crash+recover digest %s at ordinal %d, want %s (bulkInWAL=%v)", crash.Digest, k, want, inWAL)
 	}
 	return res, nil
-}
-
-// CancelSweep runs RunCancelOrdinal for every ordinal in the configured
-// range, checking that cancellation at (after) every statement I/O leaves
-// structures digest-identical to what a crash at the equivalent boundary
-// plus recovery produces. The returned error reports harness failures only.
-func CancelSweep(cfg Config) (*CancelSweepResult, error) {
-	cfg = cfg.withDefaults()
-
-	// Pre-delete digest: the untouched table every zero-effect abort (and
-	// early crash) must preserve.
-	db, tbl, victims, err := buildDB(cfg)
-	if err != nil {
-		return nil, err
-	}
-	preDigest, err := StructureDigest(tbl)
-	if err != nil {
-		return nil, err
-	}
-	// Completed-delete reference digest, measured on the same run that
-	// counts the sweep's ordinal range.
-	before := db.Disk().IOCount()
-	res, err := tbl.BulkDelete(0, victims, bulkOpts(cfg))
-	if err != nil {
-		return nil, fmt.Errorf("crashtest: fault-free run failed: %w", err)
-	}
-	if res.Deleted != int64(len(victims)) {
-		return nil, fmt.Errorf("crashtest: fault-free run deleted %d of %d victims", res.Deleted, len(victims))
-	}
-	if err := tbl.Check(); err != nil {
-		return nil, fmt.Errorf("crashtest: fault-free run left the table inconsistent: %w", err)
-	}
-	total := int(db.Disk().IOCount() - before)
-	refDigest, err := StructureDigest(tbl)
-	if err != nil {
-		return nil, err
-	}
-
-	from, to := cfg.From, cfg.To
-	if from <= 0 {
-		from = 1
-	}
-	if to <= 0 || to > total {
-		to = total
-	}
-	sw := &CancelSweepResult{TotalIOs: total, Reference: refDigest}
-	for k := from; k <= to; k += cfg.Stride {
-		r, err := RunCancelOrdinal(cfg, k, refDigest, preDigest)
-		if err != nil {
-			return sw, err
-		}
-		sw.Ran++
-		if r.Err != "" {
-			sw.Failed++
-		}
-		if r.CancelFired {
-			sw.Cancelled++
-		}
-		sw.Ordinals = append(sw.Ordinals, r)
-	}
-	return sw, nil
-}
-
-// Sweep counts the statement's I/Os and runs RunOrdinal for every ordinal
-// in the configured range. The returned error reports harness failures
-// only; per-ordinal invariant violations are in the result.
-func Sweep(cfg Config) (*SweepResult, error) {
-	cfg = cfg.withDefaults()
-	total, err := CountIOs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	from, to := cfg.From, cfg.To
-	if from <= 0 {
-		from = 1
-	}
-	if to <= 0 || to > total {
-		to = total
-	}
-	sw := &SweepResult{TotalIOs: total}
-	for k := from; k <= to; k += cfg.Stride {
-		r, err := RunOrdinal(cfg, k)
-		if err != nil {
-			return sw, err
-		}
-		sw.Ran++
-		if r.Err != "" {
-			sw.Failed++
-		}
-		sw.Ordinals = append(sw.Ordinals, r)
-	}
-	return sw, nil
 }

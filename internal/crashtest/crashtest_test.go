@@ -1,7 +1,9 @@
 package crashtest
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,15 +16,26 @@ import (
 // any ordinal whose invariants break.
 func sweepAll(t *testing.T, method bulkdel.Method) *SweepResult {
 	t.Helper()
-	sw, err := Sweep(Config{Method: method})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := mustRun(t, "bulk", Config{Method: method})
 	if sw.Ran != sw.TotalIOs {
 		t.Fatalf("swept %d ordinals, statement performs %d I/Os", sw.Ran, sw.TotalIOs)
 	}
+	return sw
+}
+
+// mustRun sweeps a scenario and fails the test on a harness error or on any
+// ordinal whose invariants break.
+func mustRun(t *testing.T, scenario string, cfg Config) *SweepResult {
+	t.Helper()
+	sw, err := Run(scenario, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Ran == 0 {
+		t.Fatalf("%s sweep ran no ordinals", scenario)
+	}
 	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d: %s", f.Ordinal, f.Err)
+		t.Errorf("%s ordinal %d: %s", scenario, f.Ordinal, f.Err)
 	}
 	return sw
 }
@@ -31,7 +44,7 @@ func TestSweepEveryOrdinalSortMerge(t *testing.T) {
 	sw := sweepAll(t, bulkdel.SortMerge)
 	// Every swept ordinal is within the statement, so each must crash.
 	for _, r := range sw.Ordinals {
-		if !r.CrashFired {
+		if !r.Fired {
 			t.Fatalf("ordinal %d: crash did not fire", r.Ordinal)
 		}
 	}
@@ -39,7 +52,7 @@ func TestSweepEveryOrdinalSortMerge(t *testing.T) {
 	// table intact and late crashes that recovery rolls forward.
 	var intact, forward bool
 	for _, r := range sw.Ordinals {
-		if r.BulkInWAL {
+		if r.Field("bulk-in-wal") == true {
 			forward = true
 		} else {
 			intact = true
@@ -58,37 +71,35 @@ func TestSweepSingleIndexTable(t *testing.T) {
 	// Only the access index exists: the statement has no extraction or
 	// secondary-index passes, a different protocol shape worth its own
 	// exhaustive sweep.
-	sw, err := Sweep(Config{Method: bulkdel.SortMerge, Indexes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d (single index): %s", f.Ordinal, f.Err)
-	}
+	mustRun(t, "bulk", Config{Method: bulkdel.SortMerge, Indexes: 1})
 }
 
 func TestSweepEveryOrdinalHashPartition(t *testing.T) {
 	sweepAll(t, bulkdel.HashPartition)
 }
 
+// TestSweepDeterministic requires two sweeps of the same config to produce
+// identical digests in every scenario that claims determinism, so any
+// failing ordinal reproduces exactly.
 func TestSweepDeterministic(t *testing.T) {
-	cfg := Config{Method: bulkdel.SortMerge, Stride: 3}
-	a, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest() != b.Digest() {
-		t.Fatalf("same config, different sweeps:\n  %s\n  %s", a.Digest(), b.Digest())
+	for name, sc := range scenarios {
+		cfg := Config{Method: bulkdel.SortMerge, Stride: 5}
+		if !sc.deterministic(cfg.withDefaults()) {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			a, b := mustRun(t, name, cfg), mustRun(t, name, cfg)
+			if !a.Deterministic {
+				t.Fatal("sweep result does not report the scenario as deterministic")
+			}
+			if a.Digest() != b.Digest() {
+				t.Fatalf("same config, different sweeps:\n  %s\n  %s", a.Digest(), b.Digest())
+			}
+		})
 	}
 	// Different seed → different victim set → different digest.
-	c, err := Sweep(Config{Method: bulkdel.SortMerge, Stride: 3, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustRun(t, "bulk", Config{Method: bulkdel.SortMerge, Stride: 3})
+	c := mustRun(t, "bulk", Config{Method: bulkdel.SortMerge, Stride: 3, Seed: 99})
 	if c.Digest() == a.Digest() {
 		t.Fatal("different seeds produced identical digests")
 	}
@@ -101,28 +112,16 @@ func TestSweepParallelPlan(t *testing.T) {
 	// ordinal's recovery invariants (consistency, victim atomicity,
 	// non-victim survival) must hold regardless of how the goroutines
 	// interleaved around the crash.
-	sw, err := Sweep(Config{Method: bulkdel.SortMerge, Devices: 3, Parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.Ran == 0 {
-		t.Fatal("nothing swept")
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d (parallel): %s", f.Ordinal, f.Err)
+	sw := mustRun(t, "bulk", Config{Method: bulkdel.SortMerge, Devices: 3, Parallel: 3})
+	if sw.Deterministic {
+		t.Fatal("a parallel plan on a multi-device array reports a comparable digest")
 	}
 }
 
 func TestSweepTornWALTail(t *testing.T) {
 	// Tear every crashing WAL write mid-page: the log's torn tail must
 	// never resurrect records or break recovery, at any ordinal.
-	sw, err := Sweep(Config{Method: bulkdel.SortMerge, TearBytes: 13, TearWALOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d (torn WAL): %s", f.Ordinal, f.Err)
-	}
+	mustRun(t, "bulk", Config{Method: bulkdel.SortMerge, TearBytes: 13, TearWALOnly: true})
 }
 
 func TestTornDataPagesLeaveDatabaseReopenable(t *testing.T) {
@@ -132,7 +131,7 @@ func TestTornDataPagesLeaveDatabaseReopenable(t *testing.T) {
 	// exhaustively above). A torn data page can therefore lose entries
 	// undetectably — but recovery must still terminate and hand back an
 	// openable database at every ordinal, never panic or wedge.
-	sw, err := Sweep(Config{Method: bulkdel.SortMerge, TearBytes: 100})
+	sw, err := Run("bulk", Config{Method: bulkdel.SortMerge, TearBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,23 +143,28 @@ func TestTornDataPagesLeaveDatabaseReopenable(t *testing.T) {
 	}
 }
 
+// TestRangeAndStrideBoundSweep: From/To/Stride select the same ordinals in
+// every scenario and mode — the loop is the driver's, not the scenario's.
 func TestRangeAndStrideBoundSweep(t *testing.T) {
-	sw, err := Sweep(Config{From: 5, To: 11, Stride: 3})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range Scenarios() {
+		t.Run(name, func(t *testing.T) {
+			sw := mustRun(t, name, Config{From: 5, To: 11, Stride: 3})
+			var got []int
+			for _, r := range sw.Ordinals {
+				got = append(got, r.Ordinal)
+			}
+			if want := []int{5, 8, 11}; !slices.Equal(got, want) {
+				t.Fatalf("swept %v, want %v", got, want)
+			}
+			if sw.Ran != 3 {
+				t.Fatalf("Ran = %d, want 3", sw.Ran)
+			}
+		})
 	}
-	var got []int
-	for _, r := range sw.Ordinals {
-		got = append(got, r.Ordinal)
-	}
-	want := []int{5, 8, 11}
-	if len(got) != len(want) {
-		t.Fatalf("swept %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("swept %v, want %v", got, want)
-		}
+	// To past the statement's end clamps to its last I/O.
+	sw := mustRun(t, "lsm", Config{From: 10, To: 1000})
+	if last := sw.Ordinals[len(sw.Ordinals)-1].Ordinal; last != sw.TotalIOs {
+		t.Fatalf("swept up to %d, statement performs %d I/Os", last, sw.TotalIOs)
 	}
 }
 
@@ -170,12 +174,13 @@ func TestRangeAndStrideBoundSweep(t *testing.T) {
 // for errors.Is, and leave the database recoverable.
 func TestInjectedErrorNamesPhaseAndStructure(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	db, tbl, victims, err := buildDB(cfg)
+	st, err := bulk.build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := st.db
 	db.Disk().SetFaultPlan(sim.NewFaultPlan().FailWriteAt(3, nil))
-	_, derr := tbl.BulkDelete(0, victims, bulkOpts(cfg))
+	derr := bulk.run(context.Background(), cfg, st, &Result{})
 	if derr == nil {
 		t.Fatal("BulkDelete succeeded despite the injected write error")
 	}
@@ -196,24 +201,25 @@ func TestInjectedErrorNamesPhaseAndStructure(t *testing.T) {
 	// The database must still be recoverable after the failed statement.
 	disk := db.SimulateCrash()
 	disk.SetFaultPlan(nil)
-	rdb, _, rerr := bulkdel.Recover(disk, bulkdel.Options{BufferBytes: cfg.BufferBytes})
+	rdb, rep, rerr := bulkdel.Recover(disk, bulkdel.Options{BufferBytes: cfg.BufferBytes})
 	if rerr != nil {
 		t.Fatalf("recovery after injected error: %v", rerr)
 	}
-	if err := verifyStateErr(rdb, cfg, victims); err != "" {
-		t.Fatalf("recovered state: %s", err)
+	var res Result
+	if bulk.verify(cfg, st, rdb, rep, &res); res.Err != "" {
+		t.Fatalf("recovered state: %s", res.Err)
 	}
 }
 
 // TestInjectedReadErrorSurfaces covers the read class.
 func TestInjectedReadErrorSurfaces(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	db, tbl, victims, err := buildDB(cfg)
+	st, err := bulk.build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Disk().SetFaultPlan(sim.NewFaultPlan().FailReadAt(2, nil))
-	_, derr := tbl.BulkDelete(0, victims, bulkOpts(cfg))
+	st.db.Disk().SetFaultPlan(sim.NewFaultPlan().FailReadAt(2, nil))
+	derr := bulk.run(context.Background(), cfg, st, &Result{})
 	if derr == nil {
 		t.Fatal("BulkDelete succeeded despite the injected read error")
 	}
@@ -230,7 +236,7 @@ func TestInjectedReadErrorSurfaces(t *testing.T) {
 // the recovery runs of a sweep.
 func TestObserverAccumulatesFaultCounters(t *testing.T) {
 	ob := obs.NewObserver()
-	sw, err := Sweep(Config{To: 6, Observer: ob})
+	sw, err := Run("bulk", Config{To: 6, Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +253,4 @@ func TestObserverAccumulatesFaultCounters(t *testing.T) {
 	if got := reg.Counter("faults_injected").Value(); got < 6 {
 		t.Fatalf("faults_injected = %d, want >= 6", got)
 	}
-}
-
-// verifyStateErr adapts verifyState for tests that don't track a result.
-func verifyStateErr(rdb *bulkdel.DB, cfg Config, victims []int64) string {
-	var res OrdinalResult
-	return verifyState(rdb, cfg, victims, false, &res)
 }

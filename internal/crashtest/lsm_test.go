@@ -1,61 +1,132 @@
 package crashtest
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
+
+	"bulkdel"
+	"bulkdel/internal/sim"
 )
 
-// TestLSMSweepAllOrdinals crashes the LSM range-delete/flush/compaction
-// sequence at every I/O ordinal: recovery must always land on the base
-// state or base-minus-range, and post-recovery compaction must never
-// resurrect a deleted row.
+// TestLSMSweepAllOrdinals crashes the LSM delete/flush/compaction sequences
+// at every I/O ordinal: recovery must always land on the base state or
+// base-minus-victims, and post-recovery compaction must never resurrect a
+// deleted row.
 func TestLSMSweepAllOrdinals(t *testing.T) {
-	for _, rows := range []int{0, 600} { // default, and multi-SSTable with deeper compactions
-		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
-			testLSMSweep(t, Config{Rows: rows})
+	for _, c := range []struct {
+		scenario, survived string
+		rows               int
+	}{
+		{"lsm", "range-survived", 0},   // default
+		{"lsm", "range-survived", 600}, // multi-SSTable with deeper compactions
+		// 500 point tombstones: the statement's WAL records span several
+		// pages, so a crash can leave a durable prefix of them behind.
+		{"lsm-in", "victims-survived", 1500},
+	} {
+		t.Run(fmt.Sprintf("%s/rows=%d", c.scenario, c.rows), func(t *testing.T) {
+			sw := mustRun(t, c.scenario, Config{Rows: c.rows})
+			if sw.Ran != sw.TotalIOs {
+				t.Fatalf("swept %d of %d ordinals", sw.Ran, sw.TotalIOs)
+			}
+			// The sweep must cross the durable-delete boundary: early ordinals
+			// keep the base, late ones lose the victims.
+			var survived, gone bool
+			for _, r := range sw.Ordinals {
+				if r.Field(c.survived) == true {
+					survived = true
+				} else {
+					gone = true
+				}
+			}
+			if !survived || !gone {
+				t.Fatalf("sweep never crossed the durability boundary (survived=%v gone=%v)", survived, gone)
+			}
 		})
 	}
 }
 
-func testLSMSweep(t *testing.T, cfg Config) {
-	sw, err := LSMSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.TotalIOs == 0 || sw.Ran != sw.TotalIOs {
-		t.Fatalf("swept %d of %d ordinals", sw.Ran, sw.TotalIOs)
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d: %s", f.Ordinal, f.Err)
-	}
-	// The sweep must cross the durable-tombstone boundary: early ordinals
-	// keep the base, late ones lose the range.
-	var survived, gone bool
-	for _, r := range sw.Ordinals {
-		if r.RangeSurvived {
-			survived = true
-		} else {
-			gone = true
+// TestLSMInTwoCrashes: a multi-tombstone delete torn by a crash must stay
+// dead for good. Statement 1 is crashed at every one of its I/Os and
+// recovered; a second IN-delete then runs to completion and the database
+// crashes and recovers again. The second statement's commit record must not
+// adopt the first one's orphaned tombstones (the catalog's TxID floor lags
+// the log, so a careless restart hands the torn statement's TxID out
+// again): wherever the first delete did not commit, every one of its
+// victims is still there at the end.
+func TestLSMInTwoCrashes(t *testing.T) {
+	cfg := Config{Rows: 1500}.withDefaults()
+	sc := scenarios["lsm-in"]
+	// Few enough keys that the second statement does not fill the memtable:
+	// a flush would move the tree's flushed-seq horizon past the orphaned
+	// records and hide them from the second replay.
+	second := []int64{1, 4, 7}
+	var uncommitted int
+	for k := 1; ; k++ {
+		st, err := sc.build(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !survived || !gone {
-		t.Fatalf("sweep never crossed the durability boundary (survived=%v gone=%v)", survived, gone)
-	}
-}
+		st.db.Disk().SetFaultPlan(sim.NewFaultPlan().CrashAtIO(uint64(k)))
+		if err := sc.run(context.Background(), cfg, st, &Result{}); err == nil {
+			if uncommitted == 0 {
+				t.Fatal("no ordinal crashed the first statement before its commit")
+			}
+			return // k is past the sequence's last I/O
+		} else if !sim.IsCrash(err) {
+			t.Fatalf("ordinal %d: %v", k, err)
+		}
+		disk := st.db.SimulateCrash()
+		disk.SetFaultPlan(nil)
+		rdb, _, err := bulkdel.Recover(disk, options(cfg))
+		if err != nil {
+			t.Fatalf("ordinal %d: first recovery: %v", k, err)
+		}
+		_, firstIntact, msg := atomicState(rdb, "R", cfg.Rows, st.victims[0], true)
+		if msg != "" {
+			t.Fatalf("ordinal %d: after the first recovery: %s", k, msg)
+		}
+		if firstIntact {
+			uncommitted++
+		}
 
-// TestLSMSweepDeterministic requires two sweeps of the same config to
-// produce identical digests, so any failing ordinal reproduces exactly.
-func TestLSMSweepDeterministic(t *testing.T) {
-	cfg := Config{Stride: 7}
-	a, err := LSMSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LSMSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest() != b.Digest() {
-		t.Fatalf("digest %s then %s", a.Digest(), b.Digest())
+		if _, err := rdb.Table("R").BulkDelete(0, second, bulkdel.BulkOptions{}); err != nil {
+			t.Fatalf("ordinal %d: second delete: %v", k, err)
+		}
+		rdb2, _, err := bulkdel.Recover(rdb.SimulateCrash(), options(cfg))
+		if err != nil {
+			t.Fatalf("ordinal %d: second recovery: %v", k, err)
+		}
+		want := cfg.Rows
+		if !firstIntact {
+			want -= len(st.victims[0])
+		}
+		tbl := rdb2.Table("R")
+		var firstLeft, secondLeft int
+		err = tbl.Scan(func(_ bulkdel.RID, f []int64) error {
+			if f[0]%3 == 0 {
+				firstLeft++
+			} else if slices.Contains(second, f[0]) {
+				secondLeft++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("ordinal %d: scanning after the second recovery: %v", k, err)
+		}
+		if secondLeft != 0 {
+			t.Fatalf("ordinal %d: %d victims of the committed second delete survive", k, secondLeft)
+		}
+		if firstIntact && firstLeft != len(st.victims[0]) {
+			t.Fatalf("ordinal %d: the first delete never committed, yet only %d of its %d victims survive the second crash",
+				k, firstLeft, len(st.victims[0]))
+		}
+		if got := tbl.Count(); got != int64(want-len(second)) {
+			t.Fatalf("ordinal %d: %d rows after the second recovery, want %d", k, got, want-len(second))
+		}
+		if err := tbl.Check(); err != nil {
+			t.Fatalf("ordinal %d: %v", k, err)
+		}
 	}
 }

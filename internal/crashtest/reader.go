@@ -2,60 +2,45 @@ package crashtest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"bulkdel"
 	"bulkdel/internal/sim"
 )
 
-// Reader sweeps: the cancel and crash sweeps re-run with a concurrent MVCC
-// snapshot reader pinned to the pre-delete epoch. The reader opens a View
-// before the bulk delete starts and scans it in a loop for as long as the
-// statement runs — every scan must return the full pre-delete row count, no
-// matter how far the delete (or its abort replay) has progressed. The
-// sweeps force Config.SnapshotReads on; the reader's page reads share the
+// The reader scenarios re-run the crash and cancel sweeps with a concurrent
+// MVCC snapshot reader pinned to the pre-delete epoch. The reader opens a
+// View before the bulk delete starts and scans it in a loop for as long as
+// the statement runs — every scan must return the full pre-delete row
+// count, no matter how far the delete (or its abort replay) has progressed.
+// They force Config.SnapshotReads on; the reader's page reads share the
 // simulated disk, so the kth-I/O trigger fires at a scheduling-dependent
-// point in the statement and these sweeps assert per-ordinal invariants
-// rather than cross-run digest equality (like parallel sweeps do). The
+// point in the statement and these sweeps assert per-ordinal invariants —
+// the table settles on the untouched or the completed state, never between
+// — rather than cross-run digest equality (like parallel sweeps do). The
 // classic sweeps are untouched — they pin MVCC off and their digests stay
 // baseline-comparable.
 
-// ReaderOrdinalResult reports one reader-shadowed cycle.
-type ReaderOrdinalResult struct {
-	// Ordinal is the disk I/O (statement and reader combined) at which the
-	// trigger — cancellation or power failure — fired.
-	Ordinal int
-	// Fired reports whether the statement observed the trigger.
-	Fired bool
-	// ReaderScans is how many full snapshot scans the reader completed;
-	// each saw exactly the pre-delete row count.
-	ReaderScans int
-	// Survivors is the row count after the cycle settled.
-	Survivors int64
-	// Err describes an invariant violation ("" = the ordinal passed).
-	Err string
-}
-
-// ReaderSweepResult aggregates a reader sweep.
-type ReaderSweepResult struct {
-	// TotalIOs the fault-free statement performs; ordinals range 1..TotalIOs.
-	TotalIOs int
-	// Ran and Failed count the swept ordinals.
-	Ran, Failed int
-	// Ordinals holds every per-ordinal result, in sweep order.
-	Ordinals []ReaderOrdinalResult
-}
-
-// Failures returns the results whose invariants failed.
-func (s *ReaderSweepResult) Failures() []ReaderOrdinalResult {
-	var out []ReaderOrdinalResult
-	for _, r := range s.Ordinals {
-		if r.Err != "" {
-			out = append(out, r)
+// withReader decorates a scenario's statement with the snapshot reader and
+// records how many scans it completed in the reader-scans column; a reader
+// failure becomes the ordinal's Err. final asks for one more scan of the
+// pinned view after the statement settled — the cancel path, where the
+// database outlives the statement.
+func withReader(run runFunc, final bool) runFunc {
+	return func(ctx context.Context, cfg Config, st *state, res *Result) error {
+		rd, err := startSnapReader(st.tables[0], int64(cfg.Rows))
+		if err != nil {
+			res.Err = err.Error()
+			return nil
 		}
+		derr := run(ctx, cfg, st, res)
+		scans, err := rd.stop(final)
+		res.set("reader-scans", int64(scans))
+		if err != nil {
+			res.Err = err.Error()
+		}
+		return derr
 	}
-	return out
 }
 
 // snapReader scans a pre-delete View: once synchronously before the
@@ -143,211 +128,4 @@ func (r *snapReader) stop(final bool) (int, error) {
 	}
 	r.v.Close()
 	return scans, err
-}
-
-// runReaderCancelOrdinal is one cancel cycle with the reader attached:
-// the statement must settle at an atomic boundary — the completed delete
-// (refDigest, the usual case: the online abort rolls forward) or, when the
-// reader's I/Os advanced the trigger past the cancel before the statement's
-// first durable record, the untouched table (preDigest).
-func runReaderCancelOrdinal(cfg Config, k int, refDigest, preDigest string) (ReaderOrdinalResult, error) {
-	res := ReaderOrdinalResult{Ordinal: k}
-	db, tbl, victims, err := buildDB(cfg)
-	if err != nil {
-		return res, err
-	}
-	rd, err := startSnapReader(tbl, int64(cfg.Rows))
-	if err != nil {
-		return res, err
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(uint64(k), cancel))
-	opts := bulkOpts(cfg)
-	opts.Ctx = ctx
-	_, derr := tbl.BulkDelete(0, victims, opts)
-	db.Disk().SetFaultPlan(nil)
-
-	res.ReaderScans, err = rd.stop(true)
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-
-	switch {
-	case derr == nil:
-		res.Fired = false
-	case errors.Is(derr, bulkdel.ErrCancelled):
-		res.Fired = true
-	default:
-		res.Err = fmt.Sprintf("unexpected non-cancel error: %v", derr)
-		return res, nil
-	}
-	if insp := db.Inspect(); len(insp.Statements) != 0 || !insp.WaitGraph.Idle() {
-		res.Err = fmt.Sprintf("leaked concurrent state after cancel:\n%s", insp.String())
-		return res, nil
-	}
-	if err := tbl.Check(); err != nil {
-		res.Err = fmt.Sprintf("consistency check: %v", err)
-		return res, nil
-	}
-	res.Survivors = tbl.Count()
-	d, err := StructureDigest(tbl)
-	if err != nil {
-		res.Err = fmt.Sprintf("digesting structures: %v", err)
-		return res, nil
-	}
-	switch {
-	case d == refDigest:
-	case d == preDigest && res.Fired:
-		// Zero-effect abort: the reader's I/Os burned the ordinal before the
-		// bulk-start record was durable. Atomic, just the other boundary.
-	default:
-		res.Err = fmt.Sprintf("structure digest %s, want completed %s (or untouched %s on a zero-effect abort)",
-			d, refDigest, preDigest)
-	}
-	return res, nil
-}
-
-// runReaderCrashOrdinal is one crash cycle with the reader attached: power
-// fails at the kth combined I/O, the reader drains on the crash error, and
-// recovery must land on one of the two atomic boundaries.
-func runReaderCrashOrdinal(cfg Config, k int, refDigest, preDigest string) (ReaderOrdinalResult, error) {
-	res := ReaderOrdinalResult{Ordinal: k}
-	db, tbl, victims, err := buildDB(cfg)
-	if err != nil {
-		return res, err
-	}
-	rd, err := startSnapReader(tbl, int64(cfg.Rows))
-	if err != nil {
-		return res, err
-	}
-
-	db.Disk().SetFaultPlan(sim.NewFaultPlan().CrashAtIO(uint64(k)))
-	_, derr := tbl.BulkDelete(0, victims, bulkOpts(cfg))
-	res.ReaderScans, err = rd.stop(false)
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	switch {
-	case derr == nil:
-		// The reader's I/Os may soak up every swept ordinal so the statement
-		// never hits the crash itself; the cycle still recovers below.
-		res.Fired = false
-	case sim.IsCrash(derr):
-		res.Fired = true
-	case errors.Is(derr, bulkdel.ErrCancelled):
-		// The crash poisoned a WAL write under the statement; the engine
-		// surfaced it as an abort. The recovery invariants still decide.
-		res.Fired = true
-	default:
-		res.Err = fmt.Sprintf("unexpected non-crash error: %v", derr)
-		return res, nil
-	}
-
-	disk := db.SimulateCrash()
-	disk.SetFaultPlan(nil)
-	rdb, _, rerr := bulkdel.Recover(disk, bulkdel.Options{
-		BufferBytes:          cfg.BufferBytes,
-		Observer:             cfg.Observer,
-		DisableSnapshotReads: !cfg.SnapshotReads,
-	})
-	if rerr != nil {
-		res.Err = fmt.Sprintf("recovery failed: %v", rerr)
-		return res, nil
-	}
-	rtbl := rdb.Table("R")
-	if rtbl == nil {
-		res.Err = "table R missing after recovery"
-		return res, nil
-	}
-	if err := rtbl.Check(); err != nil {
-		res.Err = fmt.Sprintf("consistency check: %v", err)
-		return res, nil
-	}
-	res.Survivors = rtbl.Count()
-	d, err := StructureDigest(rtbl)
-	if err != nil {
-		res.Err = fmt.Sprintf("digesting structures: %v", err)
-		return res, nil
-	}
-	if d != refDigest && d != preDigest {
-		res.Err = fmt.Sprintf("recovered digest %s is neither completed %s nor untouched %s (victim set torn)",
-			d, refDigest, preDigest)
-	}
-	return res, nil
-}
-
-// readerReference builds the sweep's reference state: the untouched-table
-// digest, the completed-delete digest, and the fault-free statement's I/O
-// count (the swept ordinal range). Runs without a reader: reads never
-// change the logical state, so the digests are reader-independent.
-func readerReference(cfg Config) (preDigest, refDigest string, totalIOs int, err error) {
-	db, tbl, victims, err := buildDB(cfg)
-	if err != nil {
-		return "", "", 0, err
-	}
-	preDigest, err = StructureDigest(tbl)
-	if err != nil {
-		return "", "", 0, err
-	}
-	before := db.Disk().IOCount()
-	res, err := tbl.BulkDelete(0, victims, bulkOpts(cfg))
-	if err != nil {
-		return "", "", 0, fmt.Errorf("crashtest: fault-free run failed: %w", err)
-	}
-	if res.Deleted != int64(len(victims)) {
-		return "", "", 0, fmt.Errorf("crashtest: fault-free run deleted %d of %d victims", res.Deleted, len(victims))
-	}
-	if err := tbl.Check(); err != nil {
-		return "", "", 0, fmt.Errorf("crashtest: fault-free run left the table inconsistent: %w", err)
-	}
-	totalIOs = int(db.Disk().IOCount() - before)
-	refDigest, err = StructureDigest(tbl)
-	return preDigest, refDigest, totalIOs, err
-}
-
-func readerSweep(cfg Config, one func(Config, int, string, string) (ReaderOrdinalResult, error)) (*ReaderSweepResult, error) {
-	cfg = cfg.withDefaults()
-	cfg.SnapshotReads = true // the reader needs non-blocking snapshot reads
-	preDigest, refDigest, total, err := readerReference(cfg)
-	if err != nil {
-		return nil, err
-	}
-	from, to := cfg.From, cfg.To
-	if from <= 0 {
-		from = 1
-	}
-	if to <= 0 || to > total {
-		to = total
-	}
-	sw := &ReaderSweepResult{TotalIOs: total}
-	for k := from; k <= to; k += cfg.Stride {
-		r, err := one(cfg, k, refDigest, preDigest)
-		if err != nil {
-			return sw, err
-		}
-		sw.Ran++
-		if r.Err != "" {
-			sw.Failed++
-		}
-		sw.Ordinals = append(sw.Ordinals, r)
-	}
-	return sw, nil
-}
-
-// ReaderCancelSweep runs the cancel sweep with a concurrent snapshot
-// reader: cancellation at (after) every swept I/O, while a View pinned to
-// the pre-delete epoch re-scans the table and must see it whole every time.
-func ReaderCancelSweep(cfg Config) (*ReaderSweepResult, error) {
-	return readerSweep(cfg, runReaderCancelOrdinal)
-}
-
-// ReaderCrashSweep runs the crash sweep with a concurrent snapshot reader:
-// power failure at every swept I/O while the reader scans; recovery must
-// land on the untouched or the completed state, never between.
-func ReaderCrashSweep(cfg Config) (*ReaderSweepResult, error) {
-	return readerSweep(cfg, runReaderCrashOrdinal)
 }

@@ -14,42 +14,24 @@ import (
 // database and, on the crash path, runs full recovery.
 
 func TestReaderCancelSweep(t *testing.T) {
-	sw, err := ReaderCancelSweep(Config{Method: bulkdel.SortMerge, Stride: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.Ran == 0 {
-		t.Fatal("reader cancel sweep ran no ordinals")
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d: %s", f.Ordinal, f.Err)
-	}
-	// The reader must actually observe mid-statement state somewhere in the
-	// sweep: a run where no ordinal completed a scan would mean the reader
-	// was starved — exactly what snapshot reads exist to prevent.
-	scans := 0
-	for _, r := range sw.Ordinals {
-		scans += r.ReaderScans
-	}
-	if scans == 0 {
-		t.Fatal("the snapshot reader never completed a scan across the whole sweep")
-	}
+	requireReaderScans(t, mustRun(t, "reader-cancel", Config{Method: bulkdel.SortMerge, Stride: 7}))
 }
 
 func TestReaderCrashSweep(t *testing.T) {
-	sw, err := ReaderCrashSweep(Config{Method: bulkdel.SortMerge, Stride: 7})
-	if err != nil {
-		t.Fatal(err)
+	requireReaderScans(t, mustRun(t, "reader", Config{Method: bulkdel.SortMerge, Stride: 7}))
+}
+
+// requireReaderScans: the reader must actually observe mid-statement state
+// somewhere in the sweep: a run where no ordinal completed a scan would mean
+// the reader was starved — exactly what snapshot reads exist to prevent.
+func requireReaderScans(t *testing.T, sw *SweepResult) {
+	t.Helper()
+	if sw.Deterministic {
+		t.Fatal("a reader sweep reports a comparable digest")
 	}
-	if sw.Ran == 0 {
-		t.Fatal("reader crash sweep ran no ordinals")
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d: %s", f.Ordinal, f.Err)
-	}
-	scans := 0
+	var scans int64
 	for _, r := range sw.Ordinals {
-		scans += r.ReaderScans
+		scans += r.Field("reader-scans").(int64)
 	}
 	if scans == 0 {
 		t.Fatal("the snapshot reader never completed a scan across the whole sweep")
@@ -61,11 +43,11 @@ func TestReaderCrashSweep(t *testing.T) {
 // digests stay comparable with baselines recorded before snapshot reads
 // existed. Flipping the default would silently change every recorded digest.
 func TestClassicSweepsPinSnapshotReadsOff(t *testing.T) {
-	db, _, _, err := buildDB(Config{}.withDefaults())
+	st, err := bulk.build(Config{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.SnapshotReadsEnabled() {
+	if st.db.SnapshotReadsEnabled() {
 		t.Fatal("classic crashtest scenario has MVCC snapshot reads enabled; digests no longer match recorded baselines")
 	}
 }

@@ -5,25 +5,19 @@ import (
 )
 
 func TestRebalanceSweepEveryOrdinal(t *testing.T) {
-	sw, err := RebalanceSweep(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := mustRun(t, "rebalance", Config{})
 	if sw.Ran != sw.TotalIOs {
 		t.Fatalf("swept %d ordinals, rebalance performs %d I/Os", sw.Ran, sw.TotalIOs)
-	}
-	for _, f := range sw.Failures() {
-		t.Errorf("ordinal %d: %s", f.Ordinal, f.Err)
 	}
 	// Every swept ordinal is within the rebalance, so each must crash, and
 	// the sweep must cross both regimes: crashes recovered with no move
 	// visible in the log, and crashes whose moves recovery replayed.
 	var fired, none, replayed bool
 	for _, r := range sw.Ordinals {
-		if r.CrashFired {
+		if r.Fired {
 			fired = true
 		}
-		if r.MovesReplayed == 0 {
+		if r.Field("replayed") == int64(0) {
 			none = true
 		} else {
 			replayed = true
@@ -34,21 +28,6 @@ func TestRebalanceSweepEveryOrdinal(t *testing.T) {
 	}
 	if !none || !replayed {
 		t.Fatalf("sweep did not cross the move-start durability boundary (none=%v replayed=%v)", none, replayed)
-	}
-}
-
-func TestRebalanceSweepDeterministic(t *testing.T) {
-	cfg := Config{Stride: 5}
-	a, err := RebalanceSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RebalanceSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest() != b.Digest() {
-		t.Fatalf("same config, different rebalance sweeps:\n  %s\n  %s", a.Digest(), b.Digest())
 	}
 }
 

@@ -1,0 +1,463 @@
+package crashtest
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+
+	"bulkdel"
+)
+
+// state is one freshly built scenario database plus what running and
+// verifying the statement need: the tables under test and, per table, the
+// keys (values of the unique attribute A) the statement deletes.
+type state struct {
+	db      *bulkdel.DB
+	tables  []*bulkdel.Table
+	victims [][]int64
+}
+
+// runFunc runs the statement sequence under test. res is the cycle's
+// result: the base statements ignore it, decorators record columns in it.
+type runFunc func(ctx context.Context, cfg Config, st *state, res *Result) error
+
+// scenario is one row of the sweep table: everything the driver does not
+// own. The driver counts I/Os, injects the fault, recovers, loops over the
+// ordinals and keeps the books; the scenario says what is built, what is
+// swept, and what recovery may legally leave behind.
+type scenario struct {
+	// build returns a fresh database whose state is durable.
+	build func(cfg Config) (*state, error)
+	// run is the swept statement sequence; it must fail when the sequence
+	// completed but did not do its job.
+	run runFunc
+	// reference validates the state a fault-free run left.
+	reference func(cfg Config, st *state) error
+	// verify checks the recovered database against the scenario's
+	// invariants, recording its columns, Survivors and Err in res.
+	verify func(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result)
+	// deterministic reports whether two sweeps of cfg must agree.
+	deterministic func(cfg Config) bool
+	// fields are the crash cycle's columns with their zero values, so every
+	// ordinal line has the same shape even when recovery fails.
+	fields []Field
+	// cancel selects the driver's cancel mode; reader decorates run with a
+	// concurrent snapshot reader. Both need a single-table scenario whose
+	// run honours ctx.
+	cancel, reader bool
+}
+
+var (
+	always = func(Config) bool { return true }
+	never  = func(Config) bool { return false }
+)
+
+// bulk is the paper's statement: one ⋈̸ bulk delete of a seeded victim set
+// on a heap table with Config.Indexes indexes.
+var bulk = scenario{
+	build:         buildHeap("R"),
+	run:           runBulk,
+	reference:     checkTables,
+	verify:        verifyBulk,
+	deterministic: Config.Deterministic,
+	fields:        []Field{{"bulk-in-wal", false}, {"rolled-forward", int64(0)}},
+}
+
+func (sc scenario) inCancelMode() scenario {
+	sc.cancel = true
+	return sc
+}
+
+func (sc scenario) underReader() scenario {
+	sc.reader, sc.deterministic = true, never
+	return sc
+}
+
+var scenarios = map[string]scenario{
+	"bulk":          bulk,
+	"cancel":        bulk.inCancelMode(),
+	"reader":        bulk.underReader(),
+	"reader-cancel": bulk.inCancelMode().underReader(),
+	// Two bulk deletes on independent tables through DB.RunConcurrent. With
+	// goroutines racing to the fault the crash no longer lands at a
+	// deterministic statement position, so this sweep is invariants-only:
+	// each table atomic on its own, every statement left unfinished in the
+	// shared WAL rolled forward independently (wal.AnalyzeBulks routes the
+	// interleaved records per transaction, in TBulkStart order).
+	"concurrent": {
+		build:         buildHeap("R", "S"),
+		run:           runConcurrent,
+		reference:     checkTables,
+		verify:        verifyConcurrent,
+		deterministic: never,
+		fields:        []Field{{"statements", int64(0)}, {"rolled-forward", int64(0)}},
+	},
+	// An online rebalancing run instead of a delete: a partitioned table
+	// plus its indexes live on a 2-data-device array, the array grows, and
+	// Rebalance migrates files onto the new arms under the WAL move
+	// protocol. A crash can land before a move's start record, mid-copy,
+	// between the copy and its done record, or between the done record and
+	// the catalog save — recovery must land every file intact on exactly
+	// one device in all of them.
+	"rebalance": {
+		build:         buildRebalance,
+		run:           runRebalance,
+		reference:     checkTables,
+		verify:        verifyRebalance,
+		deterministic: always,
+		fields:        []Field{{"replayed", int64(0)}, {"completed", int64(0)}},
+	},
+	// The LSM backend's whole write path — tombstone WAL appends, log
+	// flush, memtable flush, every compaction, and the catalog saves that
+	// commit each manifest: a delete, then CompactLSM to the no-tombstone
+	// fixpoint. "lsm" deletes the middle third of the keyspace with one
+	// range tombstone; "lsm-in" deletes every third key with one point
+	// tombstone each, a multi-record statement whose log spans pages.
+	"lsm": lsmScenario("range-survived",
+		func(rows int) []int64 { return keys(rows/3, 2*rows/3-1, 1) },
+		func(tbl *bulkdel.Table, v []int64) error {
+			_, err := tbl.DeleteRange(0, v[0], v[len(v)-1], bulkdel.BulkOptions{})
+			return err
+		}),
+	"lsm-in": lsmScenario("victims-survived",
+		func(rows int) []int64 { return keys(0, rows-1, 3) },
+		func(tbl *bulkdel.Table, v []int64) error {
+			_, err := tbl.BulkDelete(0, v, bulkdel.BulkOptions{})
+			return err
+		}),
+}
+
+// Scenarios lists the names Run accepts, sorted.
+func Scenarios() []string {
+	names := make([]string, 0, len(scenarios))
+	for n := range scenarios {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	return names
+}
+
+func keys(lo, hi, step int) []int64 {
+	var out []int64
+	for k := lo; k <= hi; k += step {
+		out = append(out, int64(k))
+	}
+	return out
+}
+
+// populate loads tbl with cfg.Rows rows R(A,B,C), A=i, B=3i, C=i%7, and
+// builds the first indexes of IA (unique, on A), IB, IC over them.
+func populate(tbl *bulkdel.Table, cfg Config, indexes int) error {
+	for i := 0; i < cfg.Rows; i++ {
+		if _, err := tbl.Insert(int64(i), int64(3*i), int64(i%7)); err != nil {
+			return err
+		}
+	}
+	defs := []bulkdel.IndexOptions{
+		{Name: "IA", Field: 0, Unique: true},
+		{Name: "IB", Field: 1},
+		{Name: "IC", Field: 2},
+	}
+	for _, ix := range defs[:indexes] {
+		if err := tbl.CreateIndex(ix); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// buildHeap returns the build of a scenario with one populated, indexed heap
+// table per name, flushed durable, each with its own seeded victim list.
+func buildHeap(names ...string) func(Config) (*state, error) {
+	return func(cfg Config) (*state, error) {
+		opts := options(cfg)
+		opts.Devices = cfg.Devices
+		db, err := bulkdel.Open(opts)
+		if err != nil {
+			return nil, err
+		}
+		st := &state{db: db}
+		for ti, name := range names {
+			tbl, err := db.CreateTable(name, 3, 64)
+			if err != nil {
+				return nil, err
+			}
+			if err := populate(tbl, cfg, cfg.Indexes); err != nil {
+				return nil, err
+			}
+			perm := rand.New(rand.NewSource(cfg.Seed + int64(ti))).Perm(cfg.Rows)
+			victims := make([]int64, cfg.Victims)
+			for i := range victims {
+				victims[i] = int64(perm[i])
+			}
+			st.tables = append(st.tables, tbl)
+			st.victims = append(st.victims, victims)
+		}
+		return st, db.Flush()
+	}
+}
+
+// deleteVictims bulk-deletes table i's victim list and fails unless every
+// victim was deleted.
+func deleteVictims(ctx context.Context, cfg Config, st *state, i int, concurrent bool) error {
+	res, err := st.tables[i].BulkDelete(0, st.victims[i], bulkdel.BulkOptions{
+		Method:         cfg.Method,
+		Memory:         cfg.Memory,
+		CheckpointRows: cfg.CheckpointRows,
+		Parallel:       cfg.Parallel,
+		Concurrent:     concurrent,
+		Ctx:            ctx,
+	})
+	if err == nil && res.Deleted != int64(len(st.victims[i])) {
+		err = fmt.Errorf("deleted %d of %d victims", res.Deleted, len(st.victims[i]))
+	}
+	return err
+}
+
+func runBulk(ctx context.Context, cfg Config, st *state, _ *Result) error {
+	return deleteVictims(ctx, cfg, st, 0, false)
+}
+
+// runConcurrent runs one bulk delete per table through DB.RunConcurrent
+// under the §3.1 protocol and returns the first statement error. Scheduling
+// can shift which statement performs the kth I/O, but the batch's total
+// work is fixed, so the ordinal range is stable.
+func runConcurrent(ctx context.Context, cfg Config, st *state, _ *Result) error {
+	stmts := make([]func() error, len(st.tables))
+	for i := range st.tables {
+		stmts[i] = func() error { return deleteVictims(ctx, cfg, st, i, true) }
+	}
+	_, err := st.db.RunConcurrent(stmts...)
+	return err
+}
+
+func checkTables(_ Config, st *state) error {
+	for _, tbl := range st.tables {
+		if err := tbl.Check(); err != nil {
+			return fmt.Errorf("left %s inconsistent: %w", tbl.Name(), err)
+		}
+	}
+	return nil
+}
+
+// atomicState checks one recovered table — the full consistency check,
+// every row byte-correct, the untouched rows all present, the victim set
+// atomically gone or atomically intact — and returns its row count, which
+// of the two legal states it is in, and the first violation ("" = none).
+// keyOrdered additionally requires the scan to arrive in strict key order
+// (the LSM merge's contract).
+func atomicState(rdb *bulkdel.DB, name string, rows int, victims []int64, keyOrdered bool) (total int64, intact bool, msg string) {
+	tbl := rdb.Table(name)
+	if tbl == nil {
+		return 0, false, fmt.Sprintf("table %s missing after recovery", name)
+	}
+	if err := tbl.Check(); err != nil {
+		return 0, false, fmt.Sprintf("consistency check: %v", err)
+	}
+	vset := make(map[int64]bool, len(victims))
+	for _, v := range victims {
+		vset[v] = true
+	}
+	var present int64
+	last := int64(-1)
+	err := tbl.Scan(func(_ bulkdel.RID, f []int64) error {
+		a := f[0]
+		if keyOrdered && a <= last {
+			return fmt.Errorf("scan out of order or duplicate key: %d after %d", a, last)
+		}
+		last = a
+		if a < 0 || a >= int64(rows) || f[1] != 3*a || f[2] != a%7 {
+			return fmt.Errorf("row %v does not match the base formula", f)
+		}
+		total++
+		if vset[a] {
+			present++
+		}
+		return nil
+	})
+	nv := int64(len(victims))
+	switch {
+	case err != nil:
+		msg = fmt.Sprintf("scanning recovered table: %v", err)
+	case total-present != int64(rows)-nv:
+		msg = fmt.Sprintf("non-victim rows: %d survive, want %d", total-present, int64(rows)-nv)
+	case present != 0 && present != nv:
+		msg = fmt.Sprintf("victim set torn: %d of %d victims survive", present, nv)
+	case tbl.Count() != total:
+		msg = fmt.Sprintf("cached row count %d, scanned %d", tbl.Count(), total)
+	}
+	return total, nv > 0 && present == nv, msg
+}
+
+// verifyHeap checks every table of a heap scenario; a table recovery says it
+// rolled a bulk delete forward on must have lost its victims.
+func verifyHeap(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result) {
+	res.set("rolled-forward", rep.RolledForward)
+	for i, tbl := range st.tables {
+		total, intact, msg := atomicState(rdb, tbl.Name(), cfg.Rows, st.victims[i], false)
+		res.Survivors += total
+		if msg == "" && intact && slices.Contains(rep.Tables, tbl.Name()) {
+			msg = fmt.Sprintf("recovery rolled the bulk delete forward but all %d victims survive", len(st.victims[i]))
+		}
+		if msg != "" {
+			if len(st.tables) > 1 {
+				msg = tbl.Name() + ": " + msg
+			}
+			res.Err = msg
+			return
+		}
+	}
+}
+
+func verifyBulk(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result) {
+	res.set("bulk-in-wal", rep.BulkInProgress)
+	verifyHeap(cfg, st, rdb, rep, res)
+}
+
+func verifyConcurrent(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result) {
+	res.set("statements", int64(rep.Statements))
+	verifyHeap(cfg, st, rdb, rep, res)
+}
+
+// buildRebalance constructs the rebalance scenario: a hash-partitioned
+// table with indexes on a 2-data-device array, durable, already grown to 4
+// data devices so the next Rebalance has real work.
+func buildRebalance(cfg Config) (*state, error) {
+	opts := options(cfg)
+	opts.Devices = 2
+	db, err := bulkdel.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	tbl, err := db.CreateTablePartitioned("R", 3, 64, bulkdel.PartitionSpec{Field: 0, HashParts: 4})
+	if err != nil {
+		return nil, err
+	}
+	if err := populate(tbl, cfg, cfg.Indexes); err != nil {
+		return nil, err
+	}
+	if err := db.Flush(); err != nil {
+		return nil, err
+	}
+	return &state{db: db, tables: []*bulkdel.Table{tbl}, victims: [][]int64{nil}}, db.GrowDevices(4)
+}
+
+func runRebalance(_ context.Context, _ Config, st *state, _ *Result) error {
+	res, err := st.db.Rebalance()
+	if err == nil && len(res.Moves) == 0 {
+		err = fmt.Errorf("rebalance moved nothing")
+	}
+	return err
+}
+
+// verifyRebalance checks the recovered database: a rebalance must never
+// lose or duplicate a row, break a heap↔index invariant, or leave a file in
+// limbo — and the engine must still be fully operational (a follow-up
+// rebalance and a bulk delete both succeed).
+func verifyRebalance(cfg Config, _ *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result) {
+	res.set("replayed", int64(rep.MovesReplayed))
+	res.set("completed", int64(rep.MovesCompleted))
+	if tbl := rdb.Table("R"); tbl != nil && tbl.Partitions() != 4 {
+		res.failf("table has %d partitions after recovery, want 4", tbl.Partitions())
+		return
+	}
+	res.Survivors, _, res.Err = atomicState(rdb, "R", cfg.Rows, nil, false)
+	if res.Err != "" {
+		return
+	}
+	// The array must be fully usable: finishing the interrupted
+	// rebalancing and then deleting through the moved files both work.
+	if _, err := rdb.Rebalance(); err != nil {
+		res.failf("rebalance after recovery: %v", err)
+		return
+	}
+	tbl, victims := rdb.Table("R"), keys(0, cfg.Rows-1, 4)
+	dres, err := tbl.BulkDelete(0, victims, bulkdel.BulkOptions{Memory: cfg.Memory})
+	switch {
+	case err != nil:
+		res.failf("bulk delete after recovery: %v", err)
+	case dres.Deleted != int64(len(victims)):
+		res.failf("bulk delete after recovery removed %d of %d", dres.Deleted, len(victims))
+	default:
+		if err := tbl.Check(); err != nil {
+			res.failf("consistency after post-recovery delete: %v", err)
+		}
+	}
+}
+
+// lsmScenario sweeps one delete statement plus CompactLSM on an LSM table:
+// a durable base of Rows rows in SSTables, then del over pick(Rows) and a
+// flush + compaction to the tombstone-free fixpoint. After recovery exactly
+// two logical states are legal — the base, or the base minus the victims —
+// and compacting the recovered tree must never resurrect a deleted row.
+// survived names the column that says which state recovery landed on. The
+// backend has no statement-level goroutines: always deterministic.
+func lsmScenario(survived string, pick func(rows int) []int64, del func(*bulkdel.Table, []int64) error) scenario {
+	return scenario{
+		build: func(cfg Config) (*state, error) {
+			opts := options(cfg)
+			opts.Devices, opts.Backend = cfg.Devices, bulkdel.BackendLSM
+			db, err := bulkdel.Open(opts)
+			if err != nil {
+				return nil, err
+			}
+			tbl, err := db.CreateTable("R", 3, 64)
+			if err != nil {
+				return nil, err
+			}
+			if err := populate(tbl, cfg, 0); err != nil {
+				return nil, err
+			}
+			// Into SSTables, WAL tail drained: the base is durable before
+			// any fault is armed.
+			if err := tbl.CompactLSM(); err != nil {
+				return nil, err
+			}
+			return &state{db: db, tables: []*bulkdel.Table{tbl}, victims: [][]int64{pick(cfg.Rows)}}, db.Flush()
+		},
+		run: func(_ context.Context, _ Config, st *state, _ *Result) error {
+			if err := del(st.tables[0], st.victims[0]); err != nil {
+				return err
+			}
+			return st.tables[0].CompactLSM()
+		},
+		reference: func(cfg Config, st *state) error {
+			want := int64(cfg.Rows - len(st.victims[0]))
+			if got := st.tables[0].Count(); got != want {
+				return fmt.Errorf("left %d rows, want %d", got, want)
+			}
+			return checkTables(cfg, st)
+		},
+		verify: func(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result) {
+			res.set("replayed", int64(rep.LSMReplayed))
+			if tbl := rdb.Table("R"); tbl != nil && tbl.Backend() != bulkdel.BackendLSM {
+				res.failf("table R recovered with backend %q", tbl.Backend())
+				return
+			}
+			var intact bool
+			res.Survivors, intact, res.Err = atomicState(rdb, "R", cfg.Rows, st.victims[0], true)
+			res.set(survived, intact)
+			res.ClockUS = rdb.Clock().Microseconds() // the recovery's clock, not the compaction's below
+			if res.Err != "" {
+				return
+			}
+			// Reclamation after recovery must not resurrect: draining every
+			// tombstone out of the recovered tree has to preserve the logical
+			// state the recovery landed on.
+			if err := rdb.Table("R").CompactLSM(); err != nil {
+				res.failf("post-recovery compaction failed: %v", err)
+				return
+			}
+			total, intact2, msg := atomicState(rdb, "R", cfg.Rows, st.victims[0], true)
+			if msg != "" {
+				res.Err = msg + " after post-recovery compaction"
+			} else if total != res.Survivors || intact2 != intact {
+				res.failf("post-recovery compaction changed state: %d rows (victims survived %v) -> %d rows (victims survived %v)",
+					res.Survivors, intact, total, intact2)
+			}
+		},
+		deterministic: always,
+		fields:        []Field{{"replayed", int64(0)}, {survived, false}},
+	}
+}

@@ -126,12 +126,15 @@ func splitLSMPayload(p []byte) (name string, rest []byte, ok bool) {
 
 // logLSM appends one LSM mutation record when the WAL is on. The record
 // is replayed into the memtable by Recover when its seq is newer than the
-// manifest's flushed horizon.
-func (tbl *Table) logLSM(t wal.Type, a, b uint64, rest []byte) error {
+// manifest's flushed horizon. A single-record statement logs under tx 0
+// and is atomic by itself; a record of a multi-record statement carries
+// the statement's TxID and is replayed only if that TxID's commit record
+// is durable too (see lsmDeleteKeys).
+func (tbl *Table) logLSM(t wal.Type, tx, a, b uint64, rest []byte) error {
 	if tbl.db.log == nil {
 		return nil
 	}
-	_, err := tbl.db.log.Append(t, 0, a, b, lsmPayload(tbl.t.Name, rest))
+	_, err := tbl.db.log.Append(t, tx, a, b, lsmPayload(tbl.t.Name, rest))
 	return err
 }
 
@@ -154,7 +157,7 @@ func (tbl *Table) lsmInsert(fields []int64) (RID, error) {
 	defer tbl.updMu.Unlock()
 	key := fields[0]
 	seq := tbl.lsm.NextSeq()
-	if err := tbl.logLSM(wal.TLSMPut, uint64(key), seq, rec); err != nil {
+	if err := tbl.logLSM(wal.TLSMPut, 0, uint64(key), seq, rec); err != nil {
 		tbl.lsm.AbandonSeq(seq)
 		return record.NilRID, err
 	}
@@ -253,9 +256,9 @@ func (tbl *Table) lsmScan(fn func(rid RID, fields []int64) error) error {
 // becomes a point tombstone. Victims on field 0 are probed first (so the
 // result counts rows that actually existed and absent keys cost no
 // tombstone); other fields collect their matching keys with one merged
-// scan. The statement runs under the exclusive table lock, appends one
-// WAL record per tombstone, flushes the log at commit, and advances the
-// commit epoch like any other committed delete.
+// scan. The statement runs under the exclusive table lock, logs its
+// tombstones as one crash-atomic group (lsmDeleteKeys), flushes the log at
+// commit, and advances the commit epoch like any other committed delete.
 func (tbl *Table) lsmBulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error) {
 	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.t.Name,
 		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Exclusive}}, opts.LockWait)
@@ -291,19 +294,43 @@ func (tbl *Table) lsmBulkDelete(field int, values []int64, opts BulkOptions) (*B
 			return nil, err
 		}
 	}
-	for _, k := range keys {
-		seq := tbl.lsm.NextSeq()
-		if err := tbl.logLSM(wal.TLSMDel, uint64(k), seq, nil); err != nil {
-			tbl.lsm.AbandonSeq(seq)
-			return nil, err
-		}
-		tbl.lsm.DeletePoint(k, seq)
-		res.Deleted++
+	if err := tbl.lsmDeleteKeys(keys); err != nil {
+		return nil, err
 	}
+	res.Deleted = int64(len(keys))
 	if err := tbl.lsmCommitDelete(); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// lsmDeleteKeys logs and applies one point tombstone per key as one
+// crash-atomic group: the log may spill pages to disk mid-loop, so the
+// records carry a fresh TxID and end with a commit record, and replay
+// ignores the group unless the commit made it out — a crash deletes every
+// key or none, never a prefix of the list. The caller flushes the log.
+func (tbl *Table) lsmDeleteKeys(keys []int64) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	var tx uint64
+	if tbl.db.log != nil {
+		tx = tbl.db.nextTx()
+	}
+	for _, k := range keys {
+		seq := tbl.lsm.NextSeq()
+		if err := tbl.logLSM(wal.TLSMDel, tx, uint64(k), seq, nil); err != nil {
+			tbl.lsm.AbandonSeq(seq)
+			return err
+		}
+		tbl.lsm.DeletePoint(k, seq)
+	}
+	if tbl.db.log != nil {
+		if _, err := tbl.db.log.Append(wal.TCommit, tx, 0, 0, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DeleteRange deletes every row whose field value lies in [lo, hi], both
@@ -357,7 +384,7 @@ func (tbl *Table) DeleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkR
 		seq := tbl.lsm.NextSeq()
 		var seqBuf [8]byte
 		binary.LittleEndian.PutUint64(seqBuf[:], seq)
-		if err := tbl.logLSM(wal.TLSMRangeDel, uint64(lo), uint64(hi), seqBuf[:]); err != nil {
+		if err := tbl.logLSM(wal.TLSMRangeDel, 0, uint64(lo), uint64(hi), seqBuf[:]); err != nil {
 			tbl.lsm.AbandonSeq(seq)
 			return nil, err
 		}
@@ -374,15 +401,10 @@ func (tbl *Table) DeleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkR
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range keys {
-			seq := tbl.lsm.NextSeq()
-			if err := tbl.logLSM(wal.TLSMDel, uint64(k), seq, nil); err != nil {
-				tbl.lsm.AbandonSeq(seq)
-				return nil, err
-			}
-			tbl.lsm.DeletePoint(k, seq)
-			res.Deleted++
+		if err := tbl.lsmDeleteKeys(keys); err != nil {
+			return nil, err
 		}
+		res.Deleted = int64(len(keys))
 	}
 	if err := tbl.lsmCommitDelete(); err != nil {
 		return nil, err
@@ -440,8 +462,17 @@ func (tbl *Table) LSMManifest() lsm.Manifest {
 // rebuild the memtable exactly as it was at the crash (order inside the
 // log does not matter — every record carries its seq, and both memtable
 // replacement and tombstone visibility compare seqs, not arrival order).
+// A record logged under a TxID belongs to a multi-record statement and is
+// applied only when that TxID's commit record is durable; an uncommitted
+// one still has its seq noted, so the seq is never handed out again.
 // Returns the number of records applied.
 func (db *DB) replayLSMRecords(recs []wal.Record) int {
+	committed := make(map[uint64]bool)
+	for _, r := range recs {
+		if r.Type == wal.TCommit {
+			committed[r.TxID] = true
+		}
+	}
 	applied := 0
 	for _, r := range recs {
 		switch r.Type {
@@ -449,6 +480,7 @@ func (db *DB) replayLSMRecords(recs []wal.Record) int {
 		default:
 			continue
 		}
+		live := r.TxID == 0 || committed[r.TxID]
 		name, rest, ok := splitLSMPayload(r.Payload)
 		if !ok {
 			continue
@@ -464,13 +496,13 @@ func (db *DB) replayLSMRecords(recs []wal.Record) int {
 				continue
 			}
 			tree.NoteReplayedSeq(r.B)
-			if r.B > tree.FlushedSeq() {
+			if live && r.B > tree.FlushedSeq() {
 				tree.Put(int64(r.A), append([]byte(nil), rest...), r.B)
 				applied++
 			}
 		case wal.TLSMDel:
 			tree.NoteReplayedSeq(r.B)
-			if r.B > tree.FlushedSeq() {
+			if live && r.B > tree.FlushedSeq() {
 				tree.DeletePoint(int64(r.A), r.B)
 				applied++
 			}
@@ -480,7 +512,7 @@ func (db *DB) replayLSMRecords(recs []wal.Record) int {
 			}
 			seq := binary.LittleEndian.Uint64(rest)
 			tree.NoteReplayedSeq(seq)
-			if seq > tree.FlushedSeq() {
+			if live && seq > tree.FlushedSeq() {
 				tree.DeleteRange(int64(r.A), int64(r.B), seq)
 				applied++
 			}
