@@ -6,7 +6,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bulkdel/internal/table"
 )
+
+// heapOf reaches the table.Table behind a heap-backed table through the
+// accessor every heap-only entry point uses.
+func heapOf(tbl *Table) *table.Table {
+	h, err := tbl.heap()
+	if err != nil {
+		panic(err)
+	}
+	return h.t
+}
 
 // newBenchDB builds a DB with a table R(A,B,C) of n rows (A=i, B=3i,
 // C=i%97), indexed IA (unique) and IB.

@@ -6,16 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"bulkdel/internal/btree"
-	"bulkdel/internal/buffer"
-	"bulkdel/internal/cc"
 	"bulkdel/internal/core"
-	"bulkdel/internal/heap"
 	"bulkdel/internal/lsm"
-	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
-	"bulkdel/internal/table"
 	"bulkdel/internal/wal"
 )
 
@@ -166,44 +160,9 @@ func (db *DB) saveCatalog() error {
 		root.WALFile = uint32(db.log.FileID())
 	}
 	for _, tbl := range db.tables {
-		if tbl.lsm != nil {
-			// Manifest() reads a lock-free snapshot published under the
-			// tree mutex, so a flush that calls back into saveCatalog while
-			// holding that mutex cannot deadlock here.
-			m := tbl.lsm.Manifest()
-			root.Tables = append(root.Tables, catalogTable{
-				Name:      tbl.t.Name,
-				NumFields: tbl.t.Schema.NumFields,
-				Size:      tbl.t.Schema.Size,
-				Backend:   BackendLSM,
-				LSM:       &m,
-			})
-			continue
-		}
-		ct := catalogTable{
-			Name:      tbl.t.Name,
-			NumFields: tbl.t.Schema.NumFields,
-			Size:      tbl.t.Schema.Size,
-			HeapFile:  uint32(tbl.t.Heap.ID()),
-		}
-		if ph, ok := tbl.t.Heap.(*heap.Partitioned); ok {
-			spec := ph.Spec()
-			ct.Partition = &catalogPartition{
-				Field: spec.Field, Hash: spec.HashParts, Bounds: spec.RangeBounds,
-			}
-			for _, p := range ph.Parts() {
-				ct.HeapFiles = append(ct.HeapFiles, uint32(p.ID()))
-				ct.HeapDevices = append(ct.HeapDevices, db.disk.DeviceOf(p.ID()))
-			}
-		}
-		for _, ix := range tbl.t.Idx {
-			ct.Indexes = append(ct.Indexes, catalogIndex{
-				Name: ix.Def.Name, Field: ix.Def.Field, KeyLen: ix.Def.KeyLen,
-				Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
-				Priority: ix.Def.Priority, File: uint32(ix.Tree.ID()),
-				Device: db.disk.DeviceOf(ix.Tree.ID()),
-			})
-		}
+		// The backend describes its layout; what every table shares is ours.
+		ct := tbl.b.catalogEntry()
+		ct.Name, ct.NumFields, ct.Size = tbl.name, tbl.schema.NumFields, tbl.schema.Size
 		root.Tables = append(root.Tables, ct)
 	}
 	for _, fk := range db.fks {
@@ -349,118 +308,28 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 	if opts.Devices == 0 {
 		opts.Devices = root.Devices // keep the crashed instance's layout
 	}
-	if opts.Devices > 1 {
-		disk.ConfigureDevices(opts.Devices + 1)
-	}
-	db := &DB{
-		disk:    disk,
-		pool:    buffer.New(disk, opts.BufferBytes),
-		tables:  make(map[string]*Table),
-		catalog: 0,
-		opts:    opts,
-		obs:     opts.Observer,
-		epochs:  cc.NewEpochClock(),
-	}
+	db := newDB(disk, opts)
 	db.txSeq.Store(root.TxSeq)
 	db.catPtr = ptr
 	// Epochs are volatile; restart the clock at the catalog's floor. With a
 	// WAL present it is fast-forwarded further below once the records are in
 	// hand, so no epoch is ever handed out twice across a restart.
 	db.epochs.SetCurrent(root.Epoch)
-	if db.obs == nil {
-		db.obs = obs.NewObserver()
-	}
-	db.initConcurrency()
 	db.obs.Registry().Counter("recoveries_run").Add(1)
-	if opts.ReadAhead > 0 {
-		db.pool.SetReadAhead(opts.ReadAhead)
-	}
 	for _, ct := range root.Tables {
-		if ct.Backend == BackendLSM {
-			var m lsm.Manifest
-			if ct.LSM != nil {
-				m = *ct.LSM
-			}
-			tree, err := lsm.Open(db.pool, ct.Size,
-				lsm.Options{Devices: db.lsmDevices()}, m)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bulkdel: reopening LSM table %s: %w", ct.Name, err)
-			}
-			for _, lvl := range m.Levels {
-				for _, meta := range lvl {
-					if meta.Device > 0 {
-						if err := disk.PlaceFile(sim.FileID(meta.File), meta.Device); err != nil {
-							return nil, nil, fmt.Errorf("bulkdel: placing SSTable %d of %s: %w", meta.File, ct.Name, err)
-						}
-					}
+		_, err := db.addTable(ct.Name, record.Schema{NumFields: ct.NumFields, Size: ct.Size},
+			func(tbl *Table) (backend, error) {
+				// The catalog entry says which backend reopens the table.
+				switch ct.Backend {
+				case BackendLSM:
+					return openLSMBackend(tbl, ct)
+				default:
+					return openHeapBackend(tbl, ct)
 				}
-			}
-			t := &table.Table{Name: ct.Name,
-				Schema: record.Schema{NumFields: ct.NumFields, Size: ct.Size}}
-			t.Lock = db.cc.Lock(ct.Name)
-			tree.SetPersist(db.saveCatalog)
-			db.tables[ct.Name] = &Table{db: db, t: t, lsm: tree}
-			continue
-		}
-		var h heap.Store
-		if ct.Partition != nil && len(ct.HeapFiles) > 0 {
-			ids := make([]sim.FileID, len(ct.HeapFiles))
-			for i, f := range ct.HeapFiles {
-				ids[i] = sim.FileID(f)
-			}
-			spec := heap.PartitionSpec{
-				Field: ct.Partition.Field, HashParts: ct.Partition.Hash,
-				RangeBounds: ct.Partition.Bounds,
-			}
-			ph, err := heap.OpenPartitioned(db.pool,
-				ids, record.Schema{NumFields: ct.NumFields, Size: ct.Size}, spec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
-			}
-			for i, d := range ct.HeapDevices {
-				if i < len(ids) && d > 0 {
-					if err := disk.PlaceFile(ids[i], d); err != nil {
-						return nil, nil, fmt.Errorf("bulkdel: placing partition %d of %s: %w", i, ct.Name, err)
-					}
-				}
-			}
-			h = ph
-		} else {
-			hf, err := heap.Open(db.pool, sim.FileID(ct.HeapFile))
-			if err != nil {
-				return nil, nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
-			}
-			h = hf
-		}
-		t := table.ReattachForRecovery(db.pool, ct.Name,
-			record.Schema{NumFields: ct.NumFields, Size: ct.Size}, h)
-		for _, ci := range ct.Indexes {
-			tr, err := btree.Open(db.pool, sim.FileID(ci.File))
-			if err != nil {
-				return nil, nil, fmt.Errorf("bulkdel: reopening index %s.%s: %w", ct.Name, ci.Name, err)
-			}
-			if ci.Device > 0 {
-				// Reapply the catalog's device placement; the disk object
-				// usually retains it across a simulated crash, but a
-				// catalog restored onto a replacement array would not.
-				if err := disk.PlaceFile(sim.FileID(ci.File), ci.Device); err != nil {
-					return nil, nil, fmt.Errorf("bulkdel: placing index %s.%s: %w", ct.Name, ci.Name, err)
-				}
-			}
-			t.Idx = append(t.Idx, &table.Index{
-				Def: table.IndexDef{
-					Name: ci.Name, Field: ci.Field, KeyLen: ci.KeyLen,
-					Unique: ci.Unique, Clustered: ci.Clustered, Priority: ci.Priority,
-				},
-				Tree: tr,
-				Gate: cc.NewGate(),
 			})
+		if err != nil {
+			return nil, nil, err
 		}
-		t.Lock = db.cc.Lock(ct.Name)
-		if db.mvccOn() {
-			t.MVCC = table.NewMVCC(db.epochs)
-		}
-		db.tables[ct.Name] = &Table{db: db, t: t}
 	}
 
 	for _, fk := range root.FKs {
@@ -548,14 +417,10 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 		report.BulkInProgress = true
 		report.Statements++
 		report.StructuresSkipped += len(bs.Done)
-		var victim *Table
-		for _, tbl := range db.tables {
-			if uint64(tbl.t.Heap.ID()) == bs.Table {
-				victim = tbl
-				break
-			}
-		}
-		if victim == nil {
+		// Matched against heap implementations only: an LSM table owns no
+		// heap file a bulk-start record could name.
+		victim, ok := db.heapOwning(bs.Table)
+		if !ok {
 			return nil, nil, fmt.Errorf("bulkdel: interrupted bulk delete on unknown table (heap file %d)", bs.Table)
 		}
 		if report.Table == "" {
@@ -566,14 +431,11 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("bulkdel: bulk-start record lacks the delete attribute")
 		}
-		st, err := core.Resume(victim.target(), bs, log, recs, field, core.Options{})
+		deleted, err := db.resume(victim.target(), bs, recs, field, core.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("bulkdel: roll-forward on %s failed: %w", victim.t.Name, err)
 		}
-		if st.Trace != nil {
-			db.obs.OnTrace(st.Trace)
-		}
-		report.RolledForward += st.Deleted
+		report.RolledForward += deleted
 	}
 	return db, report, nil
 }

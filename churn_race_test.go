@@ -47,7 +47,7 @@ func TestLookupInsertInterleaving(t *testing.T) {
 	// Park the next insert between insertAt and setLeafEntry.
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
-	ix := tbl.t.IndexOnField(0)
+	ix := heapOf(tbl).IndexOnField(0)
 	ix.Tree.TestHookMidInsert = func() {
 		close(inWindow)
 		<-release

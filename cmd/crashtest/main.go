@@ -12,7 +12,7 @@
 //	crashtest -from 10 -to 60 -stride 5
 //	crashtest -tear 100 -tear-wal     # additionally tear crashing WAL writes
 //	crashtest -rebalance              # crash an online device rebalancing
-//	crashtest -lsm                    # crash the LSM delete + compaction sequences
+//	crashtest -lsm                    # crash the LSM delete + compaction sequences, and a heap delete beside an LSM table
 //	crashtest -cancel                 # cancel (not crash) at every ordinal
 //	crashtest -reader                 # crash/cancel under a concurrent MVCC snapshot reader
 //	crashtest -metrics-json           # dump the accumulated fault counters
@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "worker cap for the remaining-index passes (makes the crash point nondeterministic; invariants still checked)")
 	concurrent := fs.Bool("concurrent", false, "two-table scenario: crash a concurrent two-statement batch (invariants only, no digest)")
 	rebalance := fs.Bool("rebalance", false, "rebalance scenario: crash an online device rebalancing instead of a bulk delete")
-	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, instead of a heap bulk delete")
+	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, and a heap bulk delete beside an LSM table living in the WAL (lsm-heap:)")
 	cancelMode := fs.Bool("cancel", false, "cancel scenario: cooperatively cancel at every ordinal and compare the online abort against crash+recover")
 	reader := fs.Bool("reader", false, "attach a concurrent MVCC snapshot reader to the crash (or, with -cancel, the cancel) sweep; the pinned view must stay repeatable throughout")
 	verifyDigest := fs.Bool("verify-digest", true, "re-run deterministic sweeps and require identical digests")
@@ -95,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *rebalance:
 		scenarios, perMethod = []string{"rebalance"}, false
 	case *lsmMode:
-		scenarios, perMethod = []string{"lsm", "lsm-in"}, false
+		scenarios, perMethod = []string{"lsm", "lsm-in", "lsm-heap"}, false
 	case *reader && *cancelMode:
 		scenarios = []string{"reader-cancel"}
 	case *reader:
@@ -109,6 +110,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	observer := obs.NewObserver()
 	failed := 0
+	// -at K past one sweep's last I/O skips that sweep — the flag sets that
+	// run several (-lsm, -method all) have statements of different lengths
+	// — and is an error only when no sweep reached the ordinal.
+	var pastEnd error
+	reached := false
 	for _, name := range scenarios {
 		for _, mname := range methods {
 			m, ok := byName[mname]
@@ -128,11 +134,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 				label = fmt.Sprintf("%-9s", mname+":")
 			}
 			n, err := runScenario(stdout, name, label, cfg, *at, *verbose, *verifyDigest)
+			if errors.Is(err, errPastEnd) {
+				pastEnd = err
+				continue
+			}
 			if err != nil {
 				return harness(err)
 			}
+			reached = true
 			failed += n
 		}
+	}
+	if pastEnd != nil && !reached {
+		return harness(pastEnd)
 	}
 
 	if *metricsJSON {
@@ -179,11 +193,15 @@ var kinds = map[string]kind{
 	"rebalance":     {fired: "crash", digest: true},
 	"lsm":           {fired: "crash", digest: true},
 	"lsm-in":        {fired: "crash", digest: true},
+	"lsm-heap":      {fired: "crash", digest: true},
 	"concurrent":    {title: "concurrent 2-table batch: ", fired: "crash"},
 	"cancel":        {title: "cancel sweep: ", fired: "cancelled", reference: true},
 	"reader":        {title: "reader crash sweep: ", fired: "fired"},
 	"reader-cancel": {title: "reader cancel sweep: ", fired: "fired"},
 }
+
+// errPastEnd: -at named an ordinal after the swept statement's last I/O.
+var errPastEnd = errors.New("ordinal past the statement's last I/O")
 
 // runScenario sweeps (or, with at > 0, reproduces one ordinal of) the named
 // scenario and returns the number of failures; the error reports a harness
@@ -204,7 +222,7 @@ func runScenario(w io.Writer, name, label string, cfg crashtest.Config, at int, 
 	}
 	if at > 0 {
 		if sw.Ran == 0 {
-			err = fmt.Errorf("-at %d is past the %d I/Os the %s statement performs", at, sw.TotalIOs, name)
+			err = fmt.Errorf("-at %d: %w (the %s statement performs %d I/Os)", at, errPastEnd, name, sw.TotalIOs)
 		}
 		return sw.Failed, err
 	}

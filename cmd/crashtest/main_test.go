@@ -35,7 +35,10 @@ func runCLI(t *testing.T, status int, args []string, suffix string, prefixes ...
 // cancel and reader sweeps used to ignore it and run the whole range.
 func TestAtReproducesOneOrdinalInEveryScenario(t *testing.T) {
 	runCLI(t, 0, []string{"-cancel", "-at", "37", "-method", "sort"}, " ok", "sort:     io=37   cancelled=")
-	runCLI(t, 0, []string{"-lsm", "-at", "5"}, " ok", "lsm: io=5    crash=", "lsm-in: io=5    crash=")
+	runCLI(t, 0, []string{"-lsm", "-at", "5"}, " ok", "lsm: io=5    crash=", "lsm-in: io=5    crash=", "lsm-heap: io=5    crash=")
+	// Past the two short LSM statements, inside the heap delete: the sweeps
+	// the ordinal is past are skipped, not an error.
+	runCLI(t, 0, []string{"-lsm", "-at", "37"}, " ok", "lsm-heap: io=37   crash=")
 	runCLI(t, 0, []string{"-rebalance", "-at", "9"}, " ok", "rebalance: io=9    crash=")
 	runCLI(t, 0, []string{"-at", "37", "-method", "hash"}, " ok", "hash:     io=37   crash=")
 	runCLI(t, 0, []string{"-reader", "-cancel", "-at", "12", "-method", "sort"}, " ok", "sort:     io=12   fired=")
@@ -50,7 +53,8 @@ func TestSummaryLines(t *testing.T) {
 		"sort:     73 I/Os, swept 9 ordinals, 0 failed, digest ")
 	runCLI(t, 0, []string{"-lsm"}, "",
 		"lsm: 11 I/Os, swept 11 ordinals, 0 failed, digest ba623159b70f4826",
-		"lsm-in: 12 I/Os, swept 12 ordinals, 0 failed, digest ")
+		"lsm-in: 12 I/Os, swept 12 ordinals, 0 failed, digest ",
+		"lsm-heap: 74 I/Os, swept 74 ordinals, 0 failed, digest ")
 	runCLI(t, 0, []string{"-cancel", "-method", "hash", "-stride", "9"}, "",
 		"hash:     cancel sweep: 62 I/Os, swept 7 ordinals, 7 cancelled, 0 failed, reference d0ec0d93a4ddb929")
 	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",

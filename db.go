@@ -195,9 +195,28 @@ func Open(opts Options) (*DB, error) {
 	if opts.CostModel != nil {
 		cm = *opts.CostModel
 	}
-	disk := sim.NewDisk(cm)
+	db := newDB(sim.NewDisk(cm), opts)
+	// The catalog always occupies file 0 so recovery can find it.
+	db.catalog = db.disk.CreateFile()
+	if db.catalog != 0 {
+		return nil, fmt.Errorf("bulkdel: catalog must be file 0, got %d", db.catalog)
+	}
+	if !opts.DisableWAL {
+		db.log = wal.Create(db.disk)
+		db.wireWAL()
+	}
+	if err := db.saveCatalog(); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// newDB assembles an instance around a disk — a fresh one (Open) or a
+// crashed instance's (Recover): the device array (+1: device 0 is the
+// system spindle), the buffer pool, the observer, and the concurrency layer.
+func newDB(disk *sim.Disk, opts Options) *DB {
 	if opts.Devices > 1 {
-		disk.ConfigureDevices(opts.Devices + 1) // +1: device 0 is the system spindle
+		disk.ConfigureDevices(opts.Devices + 1)
 	}
 	db := &DB{
 		disk:   disk,
@@ -214,23 +233,11 @@ func Open(opts Options) (*DB, error) {
 	if opts.ReadAhead > 0 {
 		db.pool.SetReadAhead(opts.ReadAhead)
 	}
-	// The catalog always occupies file 0 so recovery can find it.
-	db.catalog = disk.CreateFile()
-	if db.catalog != 0 {
-		return nil, fmt.Errorf("bulkdel: catalog must be file 0, got %d", db.catalog)
-	}
-	if !opts.DisableWAL {
-		db.log = wal.Create(disk)
-		db.wireWAL()
-	}
-	if err := db.saveCatalog(); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return db
 }
 
 // initConcurrency wires the lock manager and the shared scheduler pool.
-// Called once from Open/Recover before any statement can run.
+// Called once from newDB, before any statement can run.
 func (db *DB) initConcurrency() {
 	db.cc = cc.NewManager()
 	reg := db.obs.Registry()
@@ -295,12 +302,7 @@ func (db *DB) wireWAL() {
 // lock footprint in the global deterministic order attributed to the
 // statement's ID, and maintains the active-statement gauges.
 func (db *DB) beginStatement(kind, table string, claims []cc.Claim) (*obs.Stmt, *cc.Held) {
-	stmt := db.obs.Events().Begin(kind, table)
-	held := db.cc.AcquireOrderedAs(stmt.ID(), claims)
-	reg := db.obs.Registry()
-	n := db.active.Add(1)
-	reg.Gauge(obs.MetricStatementsActive).Set(n)
-	reg.Gauge(obs.MetricStatementsPeak).SetMax(n)
+	stmt, held, _ := db.beginStatementTimeout(kind, table, claims, 0) // no deadline: cannot fail
 	return stmt, held
 }
 
@@ -339,8 +341,8 @@ func (db *DB) noteRetainedBytes() {
 	var n int64
 	db.mu.Lock()
 	for _, tbl := range db.tables {
-		if mv := tbl.t.MVCC; mv != nil {
-			n += mv.RetainedBytes()
+		if h, ok := tbl.b.(*heapBackend); ok && h.t.MVCC != nil {
+			n += h.t.MVCC.RetainedBytes()
 		}
 	}
 	db.mu.Unlock()
@@ -366,18 +368,18 @@ func (db *DB) deleteFootprint(tbl *Table) ([]cc.Claim, []ForeignKey) {
 	modes := make(map[string]cc.Mode)
 	var visit func(t *Table)
 	visit = func(t *Table) {
-		if m, ok := modes[t.t.Name]; ok && m == cc.Exclusive {
+		if m, ok := modes[t.name]; ok && m == cc.Exclusive {
 			return // already visited as a delete target (FK cycles stop here)
 		}
-		modes[t.t.Name] = cc.Exclusive
+		modes[t.name] = cc.Exclusive
 		for _, fk := range fks {
 			if fk.Parent != t {
 				continue
 			}
 			if fk.OnDelete == Cascade {
 				visit(fk.Child)
-			} else if _, ok := modes[fk.Child.t.Name]; !ok {
-				modes[fk.Child.t.Name] = cc.Shared
+			} else if _, ok := modes[fk.Child.name]; !ok {
+				modes[fk.Child.name] = cc.Shared
 			}
 		}
 	}
@@ -581,7 +583,7 @@ func jitter64(seed, stmt, attempt uint64) uint64 {
 // and finishes the delete by the same roll-forward Recover runs. A cancel
 // that fired before TBulkStart became durable leaves no BulkState, and the
 // abort is zero-effect: also exactly what crash+recover would produce.
-func (db *DB) rollForwardOnline(tbl *Table, txID uint64, field int, token uint64) (int64, error) {
+func (db *DB) rollForwardOnline(h *heapBackend, txID uint64, field int, token uint64) (int64, error) {
 	recs, err := db.log.DurableRecords()
 	if err != nil {
 		return 0, err
@@ -597,19 +599,25 @@ func (db *DB) rollForwardOnline(tbl *Table, txID uint64, field int, token uint64
 		// open snapshots must keep seeing them, so it retains under the
 		// SAME token as the statement — its deferred commit stamps both
 		// attempts' versions together.
-		tgt := tbl.target()
-		tbl.retainTarget(tgt, token)
-		st, err := core.Resume(tgt, bs, db.log, recs, field,
-			core.Options{Undeletable: tbl.t.Undeletable})
-		if err != nil {
-			return 0, err
-		}
-		if st.Trace != nil {
-			db.obs.OnTrace(st.Trace)
-		}
-		return st.Deleted, nil
+		tgt := h.target()
+		h.retainTarget(tgt, token)
+		return db.resume(tgt, bs, recs, field, core.Options{Undeletable: h.t.Undeletable})
 	}
 	return 0, nil
+}
+
+// resume finishes one interrupted bulk delete by the §3.2 roll-forward —
+// shared by crash recovery and the online abort — and returns the rows it
+// completed.
+func (db *DB) resume(tgt *core.Target, bs wal.BulkState, recs []wal.Record, field int, opts core.Options) (int64, error) {
+	st, err := core.Resume(tgt, bs, db.log, recs, field, opts)
+	if err != nil {
+		return 0, err
+	}
+	if st.Trace != nil {
+		db.obs.OnTrace(st.Trace)
+	}
+	return st.Deleted, nil
 }
 
 // Disk exposes the simulated disk (for cost-model inspection and tests).
@@ -734,37 +742,51 @@ func (db *DB) WALFile() (id sim.FileID, ok bool) {
 }
 
 // CreateTable adds a table of numFields int64 attributes padded to
-// recordSize bytes.
+// recordSize bytes, on the backend Options.Backend selects.
 func (db *DB) CreateTable(name string, numFields, recordSize int) (*Table, error) {
-	if db.crashed.Load() {
-		return nil, errCrashed
-	}
 	if db.opts.Backend == BackendLSM {
 		return db.CreateTableLSM(name, numFields, recordSize)
 	}
 	schema := record.Schema{NumFields: numFields, Size: recordSize}
+	return db.created(db.addTable(name, schema, func(tbl *Table) (backend, error) {
+		t, err := table.Create(db.pool, name, schema)
+		if err != nil {
+			return nil, err
+		}
+		return newHeapBackend(tbl, t), nil
+	}))
+}
+
+// created finishes a CREATE TABLE: the catalog save that makes it durable.
+func (db *DB) created(tbl *Table, err error) (*Table, error) {
+	if err == nil {
+		err = db.saveCatalog()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return tbl, nil
+}
+
+// addTable registers a new table under db.mu — every CREATE TABLE and
+// Recover's reopen come through here: the shared statement-layer shell
+// first, then build attaches the backend that will hold its rows. Saving
+// the catalog is the caller's business.
+func (db *DB) addTable(name string, schema record.Schema, build func(*Table) (backend, error)) (*Table, error) {
+	if db.crashed.Load() {
+		return nil, errCrashed
+	}
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if _, ok := db.tables[name]; ok {
-		db.mu.Unlock()
 		return nil, fmt.Errorf("bulkdel: table %q already exists", name)
 	}
-	t, err := table.Create(db.pool, name, schema)
-	if err != nil {
-		db.mu.Unlock()
+	tbl := &Table{db: db, name: name, schema: schema, lock: db.cc.Lock(name)}
+	var err error
+	if tbl.b, err = build(tbl); err != nil {
 		return nil, err
 	}
-	// Install the manager's shared lock so ordered multi-table acquisition
-	// and the table's own DML entry points contend on the same object.
-	t.Lock = db.cc.Lock(name)
-	if db.mvccOn() {
-		t.MVCC = table.NewMVCC(db.epochs)
-	}
-	tbl := &Table{db: db, t: t}
 	db.tables[name] = tbl
-	db.mu.Unlock()
-	if err := db.saveCatalog(); err != nil {
-		return nil, err
-	}
 	return tbl, nil
 }
 

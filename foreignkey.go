@@ -62,7 +62,10 @@ func (e *ErrRestricted) Error() string {
 
 // AddForeignKey registers a foreign key: child.childField references
 // parent.parentField. The child must have an index on childField — the
-// vertical constraint check and the cascade both run through it.
+// vertical constraint check and the cascade both run through it. Both
+// tables must be heap-backed: an LSM delete writes tombstones without
+// enumerating its victims, so the vertical phase would have nothing to
+// probe (parent), and an LSM table has no index to probe through (child).
 func (db *DB) AddForeignKey(child *Table, childField int, parent *Table, parentField int, onDelete RefAction) error {
 	if db.crashed.Load() {
 		return errCrashed
@@ -76,7 +79,14 @@ func (db *DB) AddForeignKey(child *Table, childField int, parent *Table, parentF
 	if parentField < 0 || parentField >= parent.NumFields() {
 		return fmt.Errorf("bulkdel: parent field %d out of range", parentField)
 	}
-	if child.t.IndexOnField(childField) == nil {
+	c, err := child.heap()
+	if err == nil {
+		_, err = parent.heap()
+	}
+	if err != nil {
+		return fmt.Errorf("bulkdel: foreign key %s -> %s: %w", child.name, parent.name, err)
+	}
+	if c.t.IndexOnField(childField) == nil {
 		return fmt.Errorf("bulkdel: foreign key requires an index on %s.field%d",
 			child.Name(), childField)
 	}
@@ -97,7 +107,7 @@ func (db *DB) ForeignKeys() []ForeignKey {
 	return append([]ForeignKey(nil), db.fks...)
 }
 
-// enforceForeignKeys runs the vertical RI phase of a bulk delete on tbl:
+// enforceForeignKeys runs the vertical RI phase of a bulk delete on h:
 // RESTRICT probes first (so nothing is undone on failure), then CASCADEs
 // recursively. It returns the number of cascaded deletions. The locks for
 // every table touched here — RESTRICT children shared, CASCADE children
@@ -106,7 +116,7 @@ func (db *DB) ForeignKeys() []ForeignKey {
 // the snapshot that footprint was computed from: enforcing the live list
 // instead would let an AddForeignKey landing mid-statement cascade into a
 // child whose lock was never acquired.
-func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (int64, error) {
+func (db *DB) enforceForeignKeys(h *heapBackend, field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (int64, error) {
 	if depth > 16 {
 		return 0, fmt.Errorf("bulkdel: foreign-key cascade deeper than 16 levels (cycle?)")
 	}
@@ -116,7 +126,7 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 	// attribute must be projected first, read-only).
 	var direct, indirect []ForeignKey
 	for _, fk := range fks {
-		if fk.Parent != tbl {
+		if fk.Parent != h.tbl {
 			continue
 		}
 		if fk.ParentField == field {
@@ -141,7 +151,7 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 				want = append(want, fk.ParentField)
 			}
 		}
-		projected, err := core.CollectVictimFieldValues(tbl.target(), field, values, want, opts.Memory)
+		projected, err := core.CollectVictimFieldValues(h.target(), field, values, want, opts.Memory)
 		if err != nil {
 			return 0, err
 		}
@@ -163,17 +173,21 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 		if fk.OnDelete != Restrict {
 			continue
 		}
-		ixRef, err := fk.Child.indexRefOnField(fk.ChildField)
+		child, err := fk.Child.heap()
 		if err != nil {
 			return 0, err
 		}
-		hit, _, err := core.AnyKeyMatch(fk.Child.target(), ixRef, keysFor(fk), opts.Memory)
+		ixRef, err := child.indexRefOnField(fk.ChildField)
+		if err != nil {
+			return 0, err
+		}
+		hit, _, err := core.AnyKeyMatch(child.target(), ixRef, keysFor(fk), opts.Memory)
 		if err != nil {
 			return 0, err
 		}
 		if hit {
 			return 0, &ErrRestricted{
-				Parent: tbl.Name(), Child: fk.Child.Name(), ChildField: fk.ChildField,
+				Parent: h.t.Name, Child: fk.Child.Name(), ChildField: fk.ChildField,
 			}
 		}
 	}
@@ -193,7 +207,11 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 		if mode, ok := held.Holds(fk.Child.Name()); !ok || mode != cc.Exclusive {
 			return cascaded, fmt.Errorf("bulkdel: internal: cascade into %s without its exclusive lock", fk.Child.Name())
 		}
-		res, err := fk.Child.bulkDeleteWithDepth(fk.ChildField, keys, opts, depth+1, stmt, held, fks)
+		child, err := fk.Child.heap()
+		if err != nil {
+			return cascaded, err
+		}
+		res, err := child.bulkDeleteWithDepth(fk.ChildField, keys, opts, depth+1, stmt, held, fks)
 		if err != nil {
 			return cascaded, fmt.Errorf("bulkdel: cascading into %s: %w", fk.Child.Name(), err)
 		}
@@ -219,10 +237,10 @@ func dedupInt64(vals []int64) []int64 {
 }
 
 // indexRefOnField builds core's view of the index over the field.
-func (tbl *Table) indexRefOnField(field int) (*core.IndexRef, error) {
-	ix := tbl.t.IndexOnField(field)
+func (h *heapBackend) indexRefOnField(field int) (*core.IndexRef, error) {
+	ix := h.t.IndexOnField(field)
 	if ix == nil {
-		return nil, fmt.Errorf("bulkdel: table %s lost its index on field %d", tbl.Name(), field)
+		return nil, fmt.Errorf("bulkdel: table %s lost its index on field %d", h.t.Name, field)
 	}
 	return &core.IndexRef{
 		Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,

@@ -310,3 +310,66 @@ func TestForeignKeyDiamondCascade(t *testing.T) {
 		}
 	}
 }
+
+// TestForeignKeyRejectsLSMTables: an LSM delete writes tombstones without
+// enumerating its victims, so the vertical RESTRICT/CASCADE phase has
+// nothing to probe — a foreign key with an LSM table on either side used to
+// be accepted and then silently not enforced (deleting parent rows left the
+// child rows dangling). It is now refused at registration, and nothing
+// reaches the FK list or the catalog.
+func TestForeignKeyRejectsLSMTables(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := db.CreateTableLSM("orders", 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := db.CreateTable("lines", 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.CreateIndex(IndexOptions{Name: "order", Field: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for o := 0; o < 10; o++ {
+		if _, err := parent.Insert(int64(o), int64(o)); err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < 5; l++ {
+			if _, err := child.Insert(int64(o), int64(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, action := range []RefAction{Restrict, Cascade} {
+		if err := db.AddForeignKey(child, 0, parent, 0, action); err == nil {
+			t.Fatalf("%v foreign key with an LSM parent accepted", action)
+		}
+		if err := db.AddForeignKey(parent, 0, child, 0, action); err == nil {
+			t.Fatalf("%v foreign key with an LSM child accepted", action)
+		}
+	}
+	if fks := db.ForeignKeys(); len(fks) != 0 {
+		t.Fatalf("rejected foreign keys were registered: %+v", fks)
+	}
+	// Not in the catalog either: the recovered database has none, and the
+	// unconstrained parent delete leaves the child alone.
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, _, err := Recover(db.SimulateCrash(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fks := rdb.ForeignKeys(); len(fks) != 0 {
+		t.Fatalf("recovered catalog carries foreign keys: %+v", fks)
+	}
+	if _, err := rdb.Table("orders").BulkDelete(0, []int64{1, 2, 3}, BulkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rdb.Table("lines").Count(); got != 50 {
+		t.Fatalf("child has %d rows, want 50", got)
+	}
+}

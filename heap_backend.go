@@ -1,0 +1,656 @@
+package bulkdel
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+
+	"bulkdel/internal/btree"
+	"bulkdel/internal/cc"
+	"bulkdel/internal/core"
+	"bulkdel/internal/heap"
+	"bulkdel/internal/obs"
+	"bulkdel/internal/record"
+	"bulkdel/internal/sim"
+	"bulkdel/internal/table"
+)
+
+// heapBackend is the storage the paper studies: a heap (single file or
+// partitioned) with B-link-tree indexes, index gates and side-files, MVCC
+// snapshot reads, and the ⋈̸ bulk-delete statement body. Everything that
+// needs a RID, an index, or the planner lives here and is reached from the
+// public Table through Table.heap.
+type heapBackend struct {
+	tbl *Table
+	t   *table.Table
+}
+
+// newHeapBackend wires a created or reopened table.Table to its Table: the
+// manager's shared lock (so ordered multi-table acquisition and the DML
+// entry points contend on one object) and, unless disabled, MVCC.
+func newHeapBackend(tbl *Table, t *table.Table) *heapBackend {
+	t.Lock = tbl.lock
+	if tbl.db.mvccOn() {
+		t.MVCC = table.NewMVCC(tbl.db.epochs)
+	}
+	return &heapBackend{tbl: tbl, t: t}
+}
+
+func (h *heapBackend) kind() string { return "heap" }
+
+func (h *heapBackend) insert(fields []int64) (RID, error) { return h.t.Insert(fields) }
+
+func (h *heapBackend) count() int64 { return h.t.Heap.Count() }
+
+func (h *heapBackend) flush() error { return h.t.Flush() }
+
+// check additionally waits for every index gate: a previous statement's
+// early-released index passes must finish before the trees can be scanned
+// (or judged).
+func (h *heapBackend) check() error {
+	h.waitIndexesOnline()
+	return h.t.CheckConsistency()
+}
+
+// ownedFiles lists the heap partitions and index trees — the files the
+// rebalancer may migrate — once no index pass is still in flight.
+func (h *heapBackend) ownedFiles() []sim.FileID {
+	h.waitIndexesOnline()
+	var out []sim.FileID
+	for _, p := range h.t.Heap.Parts() {
+		out = append(out, p.ID())
+	}
+	for _, ix := range h.t.Idx {
+		out = append(out, ix.Tree.ID())
+	}
+	return out
+}
+
+func (h *heapBackend) catalogEntry() catalogTable {
+	disk := h.tbl.db.disk
+	ct := catalogTable{HeapFile: uint32(h.t.Heap.ID())}
+	if ph, ok := h.t.Heap.(*heap.Partitioned); ok {
+		spec := ph.Spec()
+		ct.Partition = &catalogPartition{
+			Field: spec.Field, Hash: spec.HashParts, Bounds: spec.RangeBounds,
+		}
+		for _, p := range ph.Parts() {
+			ct.HeapFiles = append(ct.HeapFiles, uint32(p.ID()))
+			ct.HeapDevices = append(ct.HeapDevices, disk.DeviceOf(p.ID()))
+		}
+	}
+	for _, ix := range h.t.Idx {
+		ct.Indexes = append(ct.Indexes, catalogIndex{
+			Name: ix.Def.Name, Field: ix.Def.Field, KeyLen: ix.Def.KeyLen,
+			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
+			Priority: ix.Def.Priority, File: uint32(ix.Tree.ID()),
+			Device: disk.DeviceOf(ix.Tree.ID()),
+		})
+	}
+	return ct
+}
+
+// openHeapBackend reopens a heap table from its catalog entry during
+// Recover: the heap store (partition placements reapplied), then every
+// index tree.
+func openHeapBackend(tbl *Table, ct catalogTable) (backend, error) {
+	db, schema := tbl.db, tbl.schema
+	var h heap.Store
+	if ct.Partition != nil && len(ct.HeapFiles) > 0 {
+		ids := make([]sim.FileID, len(ct.HeapFiles))
+		for i, f := range ct.HeapFiles {
+			ids[i] = sim.FileID(f)
+		}
+		spec := heap.PartitionSpec{
+			Field: ct.Partition.Field, HashParts: ct.Partition.Hash,
+			RangeBounds: ct.Partition.Bounds,
+		}
+		ph, err := heap.OpenPartitioned(db.pool, ids, schema, spec)
+		if err != nil {
+			return nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
+		}
+		for i, d := range ct.HeapDevices {
+			if i < len(ids) && d > 0 {
+				if err := db.disk.PlaceFile(ids[i], d); err != nil {
+					return nil, fmt.Errorf("bulkdel: placing partition %d of %s: %w", i, ct.Name, err)
+				}
+			}
+		}
+		h = ph
+	} else {
+		hf, err := heap.Open(db.pool, sim.FileID(ct.HeapFile))
+		if err != nil {
+			return nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
+		}
+		h = hf
+	}
+	t := table.ReattachForRecovery(db.pool, ct.Name, schema, h)
+	for _, ci := range ct.Indexes {
+		tr, err := btree.Open(db.pool, sim.FileID(ci.File))
+		if err != nil {
+			return nil, fmt.Errorf("bulkdel: reopening index %s.%s: %w", ct.Name, ci.Name, err)
+		}
+		if ci.Device > 0 {
+			// Reapply the catalog's device placement; the disk object
+			// usually retains it across a simulated crash, but a
+			// catalog restored onto a replacement array would not.
+			if err := db.disk.PlaceFile(sim.FileID(ci.File), ci.Device); err != nil {
+				return nil, fmt.Errorf("bulkdel: placing index %s.%s: %w", ct.Name, ci.Name, err)
+			}
+		}
+		t.Idx = append(t.Idx, &table.Index{
+			Def: table.IndexDef{
+				Name: ci.Name, Field: ci.Field, KeyLen: ci.KeyLen,
+				Unique: ci.Unique, Clustered: ci.Clustered, Priority: ci.Priority,
+			},
+			Tree: tr,
+			Gate: cc.NewGate(),
+		})
+	}
+	return newHeapBackend(tbl, t), nil
+}
+
+// heapOwning finds the heap table whose heap file is id — how Recover maps
+// an unfinished bulk delete's WAL state back to its table. LSM tables own no
+// heap file and are never candidates.
+func (db *DB) heapOwning(id uint64) (*heapBackend, bool) {
+	for _, tbl := range db.tables {
+		if h, ok := tbl.b.(*heapBackend); ok && uint64(h.t.Heap.ID()) == id {
+			return h, true
+		}
+	}
+	return nil, false
+}
+
+// beginSnapshotRead opens an MVCC snapshot read on the table: it takes the
+// snapshot-read lock mode (admitted alongside a bulk delete's exclusive
+// claim; blocked only by Structural claims), captures the commit epoch, and
+// returns it with a release func. Callers must hold neither lock already.
+func (h *heapBackend) beginSnapshotRead() (s uint64, done func()) {
+	db := h.tbl.db
+	blocked := h.t.Lock.LockSnapshotRead()
+	reg := db.obs.Registry()
+	reg.Counter(obs.MetricSnapshotReads).Add(1)
+	if blocked {
+		reg.Counter(obs.MetricSnapshotReadWaits).Add(1)
+	}
+	s = db.epochs.Snapshot()
+	return s, func() { // allocated per read: captures only h and s
+		db := h.tbl.db
+		db.epochs.Release(s)
+		h.t.MVCC.Prune() // versions only this snapshot needed can go now
+		db.noteRetainedBytes()
+		h.t.Lock.UnlockSnapshotRead()
+	}
+}
+
+// noteFallbackScan records an indexed snapshot lookup that was served by
+// the visibility-filtered heap scan instead of the index tree.
+func (h *heapBackend) noteFallbackScan(field int, usedIndex bool) {
+	if !usedIndex && h.t.IndexOnField(field) != nil {
+		h.tbl.db.obs.Registry().Counter(obs.MetricSnapshotFallbackScans).Add(1)
+	}
+}
+
+// lookup serves Table.Lookup via an index on the field. With snapshot reads
+// enabled it runs against a commit-epoch snapshot: it never blocks behind a
+// bulk delete, and while one holds the table's index trees offline the
+// lookup degrades to a visibility-filtered heap scan.
+func (h *heapBackend) lookup(field int, v int64) ([][]int64, error) {
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
+		defer done()
+		rows, usedIndex, err := h.t.SnapshotLookup(field, v, s)
+		h.noteFallbackScan(field, usedIndex)
+		return rows, err
+	}
+	h.t.Lock.LockShared()
+	defer h.t.Lock.UnlockShared()
+	return h.t.Lookup(field, v)
+}
+
+// lookupRange serves Table.LookupRange via an index on the field when one
+// exists, else a heap scan. Index results arrive in key order; scan results
+// in physical order.
+func (h *heapBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
+		defer done()
+		rows, usedIndex, err := h.t.SnapshotLookupRange(field, lo, hi, s)
+		h.noteFallbackScan(field, usedIndex)
+		return rows, err
+	}
+	h.t.Lock.LockShared()
+	defer h.t.Lock.UnlockShared()
+	return h.lookupRangeLocked(field, lo, hi)
+}
+
+// lookupRangeLocked is the lock-based arm of lookupRange; the caller holds
+// the table lock (shared for a read, exclusive inside a delete statement).
+func (h *heapBackend) lookupRangeLocked(field int, lo, hi int64) ([][]int64, error) {
+	if lo > hi {
+		return nil, nil
+	}
+	ix := h.t.IndexOnField(field)
+	if ix == nil {
+		var out [][]int64
+		err := h.t.Heap.Scan(func(_ record.RID, rec []byte) error {
+			v := h.t.Schema.Field(rec, field)
+			if v >= lo && v <= hi {
+				vals, err := h.t.Schema.Decode(rec)
+				if err != nil {
+					return err
+				}
+				out = append(out, vals)
+			}
+			return nil
+		})
+		return out, err
+	}
+	ix.Gate.WaitOnline()
+	// SearchRange's hi bound is exclusive; hi+1 would overflow at the
+	// top of the key space, so MaxInt64 becomes an open-ended scan.
+	var hiKey []byte
+	if hi < math.MaxInt64 {
+		hiKey = ix.EncodeKey(hi + 1)
+	}
+	var rids []RID
+	ix.Latch.RLock()
+	err := ix.Tree.SearchRange(ix.EncodeKey(lo), hiKey, func(_ []byte, rid record.RID) error {
+		rids = append(rids, rid)
+		return nil
+	})
+	ix.Latch.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int64, 0, len(rids))
+	for _, rid := range rids {
+		row, err := h.t.Get(rid)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+// scan serves Table.Scan in physical order. Under snapshot reads the
+// surviving rows come first in physical order, then the snapshot's retained
+// rows (deleted after the snapshot) in RID order.
+func (h *heapBackend) scan(fn func(rid RID, fields []int64) error) error {
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
+		defer done()
+		return h.t.SnapshotScan(s, fn)
+	}
+	h.t.Lock.LockShared()
+	defer h.t.Lock.UnlockShared()
+	return h.t.Heap.Scan(func(rid record.RID, rec []byte) error {
+		vals, err := h.t.Schema.Decode(rec)
+		if err != nil {
+			return err
+		}
+		return fn(rid, vals)
+	})
+}
+
+// target builds core's view of the table.
+func (h *heapBackend) target() *core.Target {
+	tgt := &core.Target{
+		Name: h.t.Name, Heap: h.t.Heap, Schema: h.t.Schema, Pool: h.tbl.db.pool,
+	}
+	for _, ix := range h.t.Idx {
+		tgt.Indexes = append(tgt.Indexes, core.IndexRef{
+			Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
+			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
+			Priority: ix.Def.Priority, Gate: ix.Gate, Latch: &ix.Latch,
+		})
+	}
+	return tgt
+}
+
+// retainTarget arms a target's MVCC retention hook, bound to one deleting
+// statement's token: Retain copies each victim's pre-delete image into the
+// version store before the slot is tombstoned or truncated away. A
+// replayed statement (online roll-forward after cancel) must pass the same
+// token as its first attempt, so its retained images commit with the
+// statement instead of lingering pending forever.
+func (h *heapBackend) retainTarget(tgt *core.Target, token uint64) {
+	mv := h.t.MVCC
+	if mv == nil {
+		return
+	}
+	reg := h.tbl.db.obs.Registry()
+	tgt.Retain = func(rid record.RID, rec []byte) {
+		mv.Retain(token, rid, rec)
+		reg.Counter(obs.MetricVersionsRetained).Add(1)
+		reg.Gauge(obs.MetricVersionsRetainedBytes).Add(int64(len(rec)))
+	}
+}
+
+// explain renders the ⋈̸ plan — the code form of the paper's Figures 3–5.
+func (h *heapBackend) explain(field int, m Method, memory int) string {
+	if memory <= 0 {
+		memory = table.DefaultSortBudget
+	}
+	tgt := h.target()
+	if m == Auto {
+		m = core.ChooseMethod(tgt, field, 0, memory)
+	}
+	return core.BuildPlan(tgt, field, m, memory, 1).String()
+}
+
+// deleteIn is the vertical bulk delete operator — the paper's contribution.
+// With the WAL enabled the statement is checkpointed and crash-recoverable
+// (it is rolled forward, not back). Declared foreign keys are enforced
+// first, vertically: RESTRICT probes run read-only before anything is
+// modified, CASCADE recursively bulk-deletes the referencing child rows.
+func (h *heapBackend) deleteIn(st *statement, field int, values []int64) (*BulkResult, error) {
+	return h.bulkDeleteWithDepth(field, values, st.opts, 0, st.stmt, st.held, st.fks)
+}
+
+// deleteRange resolves the range to its distinct field values — under the
+// statement's exclusive lock, through the lock-based read arm — and hands
+// them to the regular ⋈̸ machinery.
+func (h *heapBackend) deleteRange(st *statement, field int, lo, hi int64) (*BulkResult, error) {
+	h.waitIndexesOnline()
+	rows, err := h.lookupRangeLocked(field, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]int64, len(rows))
+	for i, row := range rows {
+		vals[i] = row[field]
+	}
+	slices.Sort(vals)
+	if vals = slices.Compact(vals); len(vals) == 0 {
+		return &BulkResult{}, nil
+	}
+	return h.deleteIn(st, field, vals)
+}
+
+// bulkDeleteWithDepth runs one level of the (possibly cascading) delete.
+// All locks were acquired by the statement layer at depth 0; held carries
+// them so recursion never re-acquires (which would self-deadlock). fks is
+// the FK snapshot the footprint was computed from — every level enforces
+// this snapshot, never a re-read of the live list, so the cascade graph
+// cannot outgrow the locks.
+func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (*BulkResult, error) {
+	db, name := h.tbl.db, h.t.Name
+	if db.crashed.Load() {
+		return nil, errCrashed
+	}
+	if opts.Memory <= 0 {
+		opts.Memory = table.DefaultSortBudget
+	}
+	res := &BulkResult{Victims: len(values)}
+
+	// Referential integrity first — "as early as possible and before
+	// deleting records from the table and the indices" (paper §2.1).
+	cascaded, err := db.enforceForeignKeys(h, field, values, opts, depth, stmt, held, fks)
+	if err != nil {
+		return nil, err
+	}
+	res.Cascaded = cascaded
+
+	coreOpts := core.Options{
+		Ctx:            opts.Ctx,
+		Method:         opts.Method,
+		Memory:         opts.Memory,
+		Reorganize:     opts.Reorganize,
+		CheckpointRows: opts.CheckpointRows,
+		Parallel:       opts.Parallel,
+		Sched:          db.sched,
+		Stmt:           stmt,
+	}
+	if db.log != nil {
+		coreOpts.Log = db.log
+		coreOpts.TxID = db.nextTx()
+	}
+
+	// The statement trace: core fills in the phase spans; we own the root.
+	tr := obs.NewTrace("bulk-delete",
+		fmt.Sprintf("table=%s field=%d victims=%d", name, field, len(values)),
+		db.obsSource())
+	coreOpts.Trace = tr
+	res.Trace = tr
+
+	// §3.1 concurrency protocol: the root level's exclusive lock is released
+	// at this level's end, or earlier via OnCriticalDone; ReleaseTable is
+	// idempotent. Cascade children (depth > 0) keep their locks until the
+	// statement's ReleaseAll: a diamond FK graph can cascade into the same
+	// child from two branches, and an early release after the first visit
+	// would let another statement lock the child while our second visit
+	// still mutates it.
+	unlock := func() {}
+	if depth == 0 {
+		unlock = func() { held.ReleaseTable(name) }
+	}
+	defer unlock()
+
+	// A previous statement's early release means its non-critical index
+	// passes may still be running offline; wait for every gate before
+	// touching the trees (updaters may queue through side-files, but two
+	// bulk passes on one tree must not overlap).
+	h.waitIndexesOnline()
+
+	// MVCC: open this level's retain token, and stamp its versions with one
+	// commit epoch exactly once — at §3.1 early release in concurrent mode
+	// (the statement's logical commit point), at level end otherwise.
+	// BeginDelete runs before any gate goes offline: it drains snapshot
+	// readers out of the index trees, then sends new ones to the
+	// visibility-filtered heap scan until EndDelete — which is deferred
+	// FIRST so it runs after the gate-cleanup defer below brings every tree
+	// back online.
+	mv := h.t.MVCC
+	var token uint64
+	levelCommit := func() {}
+	if mv != nil {
+		token = mv.NewToken()
+		var commitOnce sync.Once
+		levelCommit = func() {
+			commitOnce.Do(func() {
+				mv.CommitToken(token) // prunes behind the horizon
+				db.noteRetainedBytes()
+			})
+		}
+		defer levelCommit()
+		mv.BeginDelete()
+		defer mv.EndDelete()
+	}
+
+	// Parallel passes invoke OnStructureDone from concurrent goroutines;
+	// the side-file replay below mutates res, so serialize it.
+	var sfMu sync.Mutex
+
+	if opts.Concurrent {
+		byFile := make(map[sim.FileID]*table.Index, len(h.t.Idx))
+		// reopened tracks the gates this statement has already brought back
+		// online. The cleanup below must consult it, not Gate.State(): once
+		// every pass is done the next statement may acquire the lock, pass
+		// waitIndexesOnline, and take the gates offline again before our
+		// deferred cleanup runs — quiescing that statement's side-file and
+		// reopening its gates mid-pass would corrupt its trees.
+		reopened := make(map[sim.FileID]bool, len(h.t.Idx))
+		for _, ix := range h.t.Idx {
+			ix.Gate.TakeOffline()
+			stmt.Event(obs.EvGateOffline, ix.Def.Name)
+			byFile[ix.Tree.ID()] = ix
+		}
+		coreOpts.Undeletable = h.t.Undeletable
+		coreOpts.OnStructureDone = func(file sim.FileID) {
+			sfMu.Lock()
+			defer sfMu.Unlock()
+			ix, ok := byFile[file]
+			if !ok {
+				return // the heap: nothing to reopen
+			}
+			reopened[file] = true
+			// Apply the side-file: drain in batches while appends
+			// continue, then quiesce for the final batch and bring
+			// the index online (§3.1.1).
+			before := res.SideFileOps
+			sf := ix.Gate.SideFile()
+			for sf.Len() > 64 {
+				for _, op := range sf.Drain(64) {
+					res.SideFileOps++
+					_ = applySideOp(ix, op)
+				}
+			}
+			for _, op := range sf.Quiesce() {
+				res.SideFileOps++
+				_ = applySideOp(ix, op)
+			}
+			ix.Gate.BringOnline()
+			stmt.Event(obs.EvGateOnline,
+				fmt.Sprintf("%s side-ops=%d", ix.Def.Name, res.SideFileOps-before))
+		}
+		coreOpts.OnCriticalDone = func() {
+			// Table and unique indexes durable: this is the statement's
+			// commit point. Stamp the retained versions before releasing
+			// the lock, so no reader starting after the release can still
+			// see the deleted rows (§3.1).
+			levelCommit()
+			if depth == 0 {
+				stmt.Event(obs.EvEarlyRelease, name)
+			}
+			unlock()
+		}
+		defer func() {
+			// Whatever happens, no gate WE took offline stays offline. Only
+			// not-yet-reopened gates are ours — an offline gate whose pass
+			// completed belongs to the next statement (see reopened above).
+			sfMu.Lock()
+			defer sfMu.Unlock()
+			for _, ix := range h.t.Idx {
+				if !reopened[ix.Tree.ID()] {
+					for _, op := range ix.Gate.SideFile().Quiesce() {
+						res.SideFileOps++
+						_ = applySideOp(ix, op)
+					}
+					ix.Gate.BringOnline()
+					stmt.Event(obs.EvGateOnline, ix.Def.Name+" (cleanup)")
+				}
+			}
+		}()
+	}
+
+	tgt := h.target()
+	h.retainTarget(tgt, token)
+	st, err := core.Execute(tgt, field, values, coreOpts)
+	tr.Finish()
+	db.obs.OnTrace(tr)
+	if err != nil {
+		if errors.Is(err, core.ErrCancelled) {
+			// Abort-to-consistency runs HERE, inside the statement: the
+			// deferred gate cleanup and lock release have not fired yet, so
+			// the replay owns the structures exactly as crash recovery
+			// would. After it returns, the deferred cleanup drains the
+			// side-files and reopens the gates on the now-final trees —
+			// the same epilogue as the success path. The replay retains
+			// under this level's token, so the deferred levelCommit stamps
+			// its versions too.
+			if aerr := h.abortToConsistency(stmt, opts.Ctx, coreOpts.TxID, field, token); aerr != nil {
+				return nil, fmt.Errorf("bulkdel: bulk delete on %s: abort-to-consistency failed: %v (statement error: %w)",
+					name, aerr, err)
+			}
+		}
+		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", name, err)
+	}
+	if depth == 0 {
+		// The statement's footprint was acquired once, before depth 0 ran;
+		// report the real blocking time on the root's stats only.
+		st.LockWait = held.WaitTotal()
+	}
+	res.Deleted = st.Deleted
+	res.Method = st.Method
+	res.Partitions = st.Partitions
+	res.Elapsed = st.Elapsed
+	res.Makespan = st.Makespan
+	res.Workers = st.Workers
+	if res.Workers == 0 {
+		res.Workers = 1
+	}
+	res.PlanText = st.PlanText
+	res.stats = st
+	return res, nil
+}
+
+// abortToConsistency handles a statement that stopped with ErrCancelled:
+// it records the cancellation (cc_aborts, plus cc_deadline_exceeded when
+// the context died of its deadline), then brings the structures to the
+// exact state a crash at the same boundary followed by Recover would
+// produce, by replaying the §3.2 roll-forward online (DB.rollForwardOnline).
+// Must be called while the statement still holds its locks and gates.
+func (h *heapBackend) abortToConsistency(stmt *obs.Stmt, ctx context.Context, txID uint64, field int, token uint64) error {
+	db := h.tbl.db
+	reg := db.obs.Registry()
+	reg.Counter(obs.MetricAborts).Add(1)
+	detail := "cancelled"
+	if ctx != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		reg.Counter(obs.MetricDeadlineExceeded).Add(1)
+		detail = "deadline exceeded"
+	}
+	stmt.Event(obs.EvCancel, detail)
+	if db.log == nil {
+		// No WAL: the executor only honors cancellation before any
+		// structure was modified, so there is nothing to roll forward.
+		stmt.Event(obs.EvAbort, "no wal: zero-effect abort")
+		return nil
+	}
+	deleted, err := db.rollForwardOnline(h, txID, field, token)
+	if err != nil {
+		return err
+	}
+	stmt.Event(obs.EvAbort, fmt.Sprintf("online roll-forward complete, rows=%d", deleted))
+	return nil
+}
+
+// waitIndexesOnline blocks until no index of the table is offline. Every
+// statement that modifies the table through the index trees directly calls
+// this right after taking the exclusive lock: the previous bulk delete may
+// have released the lock early (§3.1) with its remaining index passes
+// still in flight, and those passes own the offline trees until their
+// gates reopen.
+func (h *heapBackend) waitIndexesOnline() {
+	for _, ix := range h.t.Idx {
+		ix.Gate.WaitOnline()
+	}
+}
+
+// applySideOp replays one deferred index operation.
+func applySideOp(ix *table.Index, op cc.Op) error {
+	if op.Kind == cc.OpInsert {
+		return ix.Tree.Insert(op.Key, op.RID)
+	}
+	err := ix.Tree.Delete(op.Key, op.RID)
+	if err == btree.ErrNotFound {
+		return nil // already removed by the bulk delete
+	}
+	return err
+}
+
+// structural opens a statement holding the table's Structural claim — the
+// mode of every heap pass that rewrites structures without retaining
+// pre-images, so snapshot readers are drained and held out, not admitted —
+// and waits out any still-offline index pass. The caller defers
+// db.endStatement.
+func (h *heapBackend) structural(kind string) (*obs.Stmt, *cc.Held) {
+	stmt, held := h.tbl.db.beginStatement(kind, h.t.Name,
+		[]cc.Claim{{Table: h.t.Name, Mode: cc.Structural}})
+	h.waitIndexesOnline()
+	return stmt, held
+}
+
+// resetSnapshots discards the table's volatile MVCC state after an offline
+// structural pass. The caller must hold a Structural claim on the table, so
+// no snapshot reader can be open.
+func (h *heapBackend) resetSnapshots() {
+	if mv := h.t.MVCC; mv != nil {
+		mv.Reset()
+	}
+}

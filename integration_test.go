@@ -98,8 +98,8 @@ func TestRandomizedEngineAgainstModel(t *testing.T) {
 							t.Logf("lookup %d: %v %v", k, rows, err)
 							return false
 						}
-						rids, err := tbl.t.IndexOnField(0).Tree.Search(
-							tbl.t.IndexOnField(0).EncodeKey(k))
+						rids, err := heapOf(tbl).IndexOnField(0).Tree.Search(
+							heapOf(tbl).IndexOnField(0).EncodeKey(k))
 						if err != nil || len(rids) != 1 {
 							t.Logf("rid lookup %d failed", k)
 							return false

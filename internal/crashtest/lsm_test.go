@@ -47,6 +47,30 @@ func TestLSMSweepAllOrdinals(t *testing.T) {
 	}
 }
 
+// TestLSMHeapSweepAllOrdinals crashes a heap bulk delete at every I/O while
+// an LSM table lives beside it in the WAL only: each recovery must bring
+// the LSM rows back by replay, and the ones that find the delete in the log
+// must roll it forward on the heap table — Recover used to dereference the
+// LSM table's missing heap while looking for the statement's target.
+func TestLSMHeapSweepAllOrdinals(t *testing.T) {
+	sw := mustRun(t, "lsm-heap", Config{Method: bulkdel.SortMerge})
+	if sw.Ran != sw.TotalIOs {
+		t.Fatalf("swept %d of %d ordinals", sw.Ran, sw.TotalIOs)
+	}
+	var interrupted bool
+	for _, r := range sw.Ordinals {
+		if r.Field("replayed") == int64(0) {
+			t.Fatalf("ordinal %d: no LSM record replayed", r.Ordinal)
+		}
+		if r.Field("bulk-in-wal") == true {
+			interrupted = true
+		}
+	}
+	if !interrupted {
+		t.Fatal("no ordinal left the bulk delete unfinished in the WAL")
+	}
+}
+
 // TestLSMInTwoCrashes: a multi-tombstone delete torn by a crash must stay
 // dead for good. Statement 1 is crashed at every one of its I/Os and
 // recovered; a second IN-delete then runs to completion and the database

@@ -126,6 +126,19 @@ var scenarios = map[string]scenario{
 			_, err := tbl.BulkDelete(0, v, bulkdel.BulkOptions{})
 			return err
 		}),
+	// Recovery with mixed backends: the paper's statement on heap table R
+	// while LSM table S sits beside it with rows durable only as WAL records
+	// (an unflushed memtable). One recovery must replay S's records into
+	// its memtable and roll R's interrupted delete forward — matching the
+	// bulk-start record against heap tables only, since S owns no heap file.
+	"lsm-heap": {
+		build:         buildLSMHeap,
+		run:           runBulk,
+		reference:     checkTables,
+		verify:        verifyLSMHeap,
+		deterministic: Config.Deterministic,
+		fields:        append(slices.Clone(bulk.fields), Field{"replayed", int64(0)}),
+	},
 }
 
 // Scenarios lists the names Run accepts, sorted.
@@ -318,6 +331,46 @@ func verifyBulk(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryRep
 func verifyConcurrent(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result) {
 	res.set("statements", int64(rep.Statements))
 	verifyHeap(cfg, st, rdb, rep, res)
+}
+
+// lsmHeapRows is how many rows the lsm-heap scenario's LSM table S holds:
+// below the memtable's flush threshold, so all of them live in the WAL.
+func lsmHeapRows(cfg Config) int { return min(cfg.Rows, 200) }
+
+// buildLSMHeap is buildHeap("R") plus the populated LSM table S, its
+// insert records flushed durable in the log.
+func buildLSMHeap(cfg Config) (*state, error) {
+	st, err := buildHeap("R")(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := st.db.CreateTableLSM("S", 3, 64)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Rows = lsmHeapRows(cfg)
+	if err := populate(s, cfg, 0); err != nil {
+		return nil, err
+	}
+	return st, st.db.Flush()
+}
+
+// verifyLSMHeap is verifyBulk on R, and S must hold every row again —
+// which only WAL replay can have put there.
+func verifyLSMHeap(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result) {
+	res.set("replayed", int64(rep.LSMReplayed))
+	verifyBulk(cfg, st, rdb, rep, res)
+	if res.Err != "" {
+		return
+	}
+	total, _, msg := atomicState(rdb, "S", lsmHeapRows(cfg), nil, true)
+	res.Survivors += total
+	switch {
+	case msg != "":
+		res.Err = "S: " + msg
+	case rep.LSMReplayed == 0:
+		res.failf("S: recovery replayed no LSM record")
+	}
 }
 
 // buildRebalance constructs the rebalance scenario: a hash-partitioned

@@ -3,17 +3,15 @@ package bulkdel
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
-	"bulkdel/internal/cc"
 	"bulkdel/internal/lsm"
 	"bulkdel/internal/record"
-	"bulkdel/internal/table"
+	"bulkdel/internal/sim"
 	"bulkdel/internal/wal"
 )
 
-// The LSM storage backend: a second table implementation behind the same
-// public Table API. An LSM table keys every row on field 0 (upsert
+// The LSM storage backend: the second implementation of the backend seam
+// (table.go) behind the same public Table API. An LSM table keys every row on field 0 (upsert
 // semantics — inserting an existing key overwrites the row) and stores it
 // in an internal/lsm tree: memtable + WAL for the tail, SSTables on the
 // simulated disk for the bulk, leveled compaction with delete-aware
@@ -43,12 +41,44 @@ import (
 // storage backend; the zero value selects the heap backend.
 const BackendLSM = "lsm"
 
-// Backend reports the table's storage backend: "heap" or "lsm".
-func (tbl *Table) Backend() string {
-	if tbl.lsm != nil {
-		return BackendLSM
-	}
-	return "heap"
+// lsmBackend owns the table's tree. The statement layer's shared fields
+// (name for the WAL frame, schema, lock, db) are reached through tbl.
+type lsmBackend struct {
+	tbl  *Table
+	tree *lsm.Tree
+}
+
+// newLSMBackend attaches a created or reopened tree. Flushes and
+// compactions commit their manifest through the catalog: the new SSTable
+// set becomes durable in the same write that the old one is forgotten,
+// which is what makes them atomic under a crash.
+func newLSMBackend(tbl *Table, tree *lsm.Tree) *lsmBackend {
+	tree.SetPersist(tbl.db.saveCatalog)
+	return &lsmBackend{tbl: tbl, tree: tree}
+}
+
+func (l *lsmBackend) kind() string { return BackendLSM }
+
+// flush is a no-op: the memtable's durability comes from the WAL, and
+// SSTables are flushed as they are built.
+func (l *lsmBackend) flush() error { return nil }
+
+func (l *lsmBackend) check() error { return l.tree.Check() }
+
+// ownedFiles is empty: SSTable placement belongs to the manifest (files
+// round-robin over the data devices as they are built), not the rebalancer.
+func (l *lsmBackend) ownedFiles() []sim.FileID { return nil }
+
+func (l *lsmBackend) explain(field int, _ Method, _ int) string {
+	return fmt.Sprintf("LSMDelete(table=%s field=%d)\n  └─ tombstone write (range predicates: one range tombstone; O(1) I/O)\n", l.tbl.name, field)
+}
+
+// catalogEntry carries the manifest. Manifest() reads a lock-free snapshot
+// published under the tree mutex, so a flush that calls back into
+// saveCatalog while holding that mutex cannot deadlock here.
+func (l *lsmBackend) catalogEntry() catalogTable {
+	m := l.tree.Manifest()
+	return catalogTable{Backend: BackendLSM, LSM: &m}
 }
 
 // lsmDevices returns the data devices SSTables round-robin over: the
@@ -67,9 +97,6 @@ func (db *DB) lsmDevices() []int {
 // CreateTableLSM adds an LSM-backed table of numFields int64 attributes
 // padded to recordSize bytes, keyed on field 0.
 func (db *DB) CreateTableLSM(name string, numFields, recordSize int) (*Table, error) {
-	if db.crashed.Load() {
-		return nil, errCrashed
-	}
 	schema := record.Schema{NumFields: numFields, Size: recordSize}
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -83,27 +110,33 @@ func (db *DB) CreateTableLSM(name string, numFields, recordSize int) (*Table, er
 	if len(name) > 255 {
 		return nil, fmt.Errorf("bulkdel: LSM table name is %d bytes; the WAL frame caps names at 255", len(name))
 	}
-	db.mu.Lock()
-	if _, ok := db.tables[name]; ok {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("bulkdel: table %q already exists", name)
+	return db.created(db.addTable(name, schema, func(tbl *Table) (backend, error) {
+		return newLSMBackend(tbl, lsm.New(db.pool, recordSize, lsm.Options{Devices: db.lsmDevices()})), nil
+	}))
+}
+
+// openLSMBackend reopens an LSM table from its catalog entry during
+// Recover: the tree from its manifest, SSTable placements reapplied.
+func openLSMBackend(tbl *Table, ct catalogTable) (backend, error) {
+	db := tbl.db
+	var m lsm.Manifest
+	if ct.LSM != nil {
+		m = *ct.LSM
 	}
-	tree := lsm.New(db.pool, recordSize, lsm.Options{Devices: db.lsmDevices()})
-	// The stub table.Table carries the schema and the lock; it has no heap
-	// and no indexes — every data path branches to the tree first.
-	t := &table.Table{Name: name, Schema: schema}
-	t.Lock = db.cc.Lock(name)
-	tbl := &Table{db: db, t: t, lsm: tree}
-	db.tables[name] = tbl
-	db.mu.Unlock()
-	// Flushes and compactions commit their manifest through the catalog:
-	// the new SSTable set becomes durable in the same write that the old
-	// one is forgotten, which is what makes them atomic under a crash.
-	tree.SetPersist(db.saveCatalog)
-	if err := db.saveCatalog(); err != nil {
-		return nil, err
+	tree, err := lsm.Open(db.pool, ct.Size, lsm.Options{Devices: db.lsmDevices()}, m)
+	if err != nil {
+		return nil, fmt.Errorf("bulkdel: reopening LSM table %s: %w", ct.Name, err)
 	}
-	return tbl, nil
+	for _, lvl := range m.Levels {
+		for _, meta := range lvl {
+			if meta.Device > 0 {
+				if err := db.disk.PlaceFile(sim.FileID(meta.File), meta.Device); err != nil {
+					return nil, fmt.Errorf("bulkdel: placing SSTable %d of %s: %w", meta.File, ct.Name, err)
+				}
+			}
+		}
+	}
+	return newLSMBackend(tbl, tree), nil
 }
 
 // lsmPayload frames an LSM WAL record payload: [1B name length][name][rest].
@@ -124,127 +157,109 @@ func splitLSMPayload(p []byte) (name string, rest []byte, ok bool) {
 	return string(p[1 : 1+n]), p[1+n:], true
 }
 
-// logLSM appends one LSM mutation record when the WAL is on. The record
+// log appends one LSM mutation record when the WAL is on. The record
 // is replayed into the memtable by Recover when its seq is newer than the
 // manifest's flushed horizon. A single-record statement logs under tx 0
 // and is atomic by itself; a record of a multi-record statement carries
 // the statement's TxID and is replayed only if that TxID's commit record
-// is durable too (see lsmDeleteKeys).
-func (tbl *Table) logLSM(t wal.Type, tx, a, b uint64, rest []byte) error {
-	if tbl.db.log == nil {
+// is durable too (see deleteKeys).
+func (l *lsmBackend) log(t wal.Type, tx, a, b uint64, rest []byte) error {
+	if l.tbl.db.log == nil {
 		return nil
 	}
-	_, err := tbl.db.log.Append(t, tx, a, b, lsmPayload(tbl.t.Name, rest))
+	_, err := l.tbl.db.log.Append(t, tx, a, b, lsmPayload(l.tbl.name, rest))
 	return err
 }
 
-// lsmInsert adds (or overwrites) the row keyed on fields[0].
-func (tbl *Table) lsmInsert(fields []int64) (RID, error) {
+// insert adds (or overwrites) the row keyed on fields[0]. The statement
+// layer's updMu makes NextSeq → WAL append → Put → MaybeFlush one atomic
+// unit against the other shared-lock mutators (inserts, CompactLSM); see
+// the file comment. Delete statements hold the table exclusively, so they
+// cannot interleave here either.
+func (l *lsmBackend) insert(fields []int64) (RID, error) {
 	if len(fields) == 0 {
-		return record.NilRID, fmt.Errorf("bulkdel: LSM table %s: insert needs at least the key field", tbl.t.Name)
+		return record.NilRID, fmt.Errorf("bulkdel: LSM table %s: insert needs at least the key field", l.tbl.name)
 	}
-	rec, err := tbl.t.Schema.Encode(fields)
+	rec, err := l.tbl.schema.Encode(fields)
 	if err != nil {
 		return record.NilRID, err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	// updMu makes NextSeq → WAL append → Put → MaybeFlush one atomic unit
-	// against the other shared-lock mutators (inserts, CompactLSM); see
-	// the file comment. Delete statements hold the table exclusively, so
-	// they cannot interleave here either.
-	tbl.updMu.Lock()
-	defer tbl.updMu.Unlock()
 	key := fields[0]
-	seq := tbl.lsm.NextSeq()
-	if err := tbl.logLSM(wal.TLSMPut, 0, uint64(key), seq, rec); err != nil {
-		tbl.lsm.AbandonSeq(seq)
+	seq := l.tree.NextSeq()
+	if err := l.log(wal.TLSMPut, 0, uint64(key), seq, rec); err != nil {
+		l.tree.AbandonSeq(seq)
 		return record.NilRID, err
 	}
-	tbl.lsm.Put(key, rec, seq)
-	if err := tbl.lsm.MaybeFlush(); err != nil {
-		return record.NilRID, err
+	l.tree.Put(key, rec, seq)
+	return record.NilRID, l.tree.MaybeFlush()
+}
+
+// count counts visible rows via a merged scan; a scan error reports -1.
+func (l *lsmBackend) count() int64 {
+	l.tbl.lock.LockShared()
+	defer l.tbl.lock.UnlockShared()
+	n, err := l.tree.Count()
+	if err != nil {
+		return -1
 	}
-	return record.NilRID, nil
+	return n
 }
 
-// lsmCount counts visible rows via a merged scan.
-func (tbl *Table) lsmCount() (int64, error) {
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.lsm.Count()
-}
-
-// lsmLookup serves Table.Lookup: a point read on field 0, a filtered
-// merged scan on any other field.
-func (tbl *Table) lsmLookup(field int, v int64) ([][]int64, error) {
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	if field == 0 {
-		rec, ok, err := tbl.lsm.Get(v)
-		if err != nil || !ok {
-			return nil, err
-		}
-		vals, err := tbl.t.Schema.Decode(rec)
-		if err != nil {
-			return nil, err
-		}
-		return [][]int64{vals}, nil
+// lookup serves Table.Lookup: a point read on field 0, a filtered merged
+// scan on any other field.
+func (l *lsmBackend) lookup(field int, v int64) ([][]int64, error) {
+	if field != 0 {
+		return l.lookupRange(field, v, v)
 	}
-	var out [][]int64
-	err := tbl.lsm.Scan(func(_ int64, rec []byte) error {
-		if tbl.t.Schema.Field(rec, field) != v {
-			return nil
-		}
-		vals, err := tbl.t.Schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, vals)
-		return nil
-	})
-	return out, err
+	l.tbl.lock.LockShared()
+	defer l.tbl.lock.UnlockShared()
+	rec, ok, err := l.tree.Get(v)
+	if err != nil || !ok {
+		return nil, err
+	}
+	vals, err := l.tbl.schema.Decode(rec)
+	if err != nil {
+		return nil, err
+	}
+	return [][]int64{vals}, nil
 }
 
-// lsmLookupRange serves Table.LookupRange: a key-range merge on field 0,
-// a filtered merged scan otherwise. Results arrive in key order.
-func (tbl *Table) lsmLookupRange(field int, lo, hi int64) ([][]int64, error) {
+// lookupRange serves Table.LookupRange: a key-range merge on field 0, a
+// filtered merged scan otherwise. Results arrive in key order.
+func (l *lsmBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
 	if lo > hi {
 		return nil, nil
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
+	l.tbl.lock.LockShared()
+	defer l.tbl.lock.UnlockShared()
 	var out [][]int64
-	emit := func(rec []byte) error {
-		vals, err := tbl.t.Schema.Decode(rec)
+	emit := func(_ int64, rec []byte) error {
+		if v := l.tbl.schema.Field(rec, field); v < lo || v > hi {
+			return nil
+		}
+		vals, err := l.tbl.schema.Decode(rec)
 		if err != nil {
 			return err
 		}
 		out = append(out, vals)
 		return nil
 	}
+	var err error
 	if field == 0 {
-		err := tbl.lsm.ScanRange(lo, hi, func(_ int64, rec []byte) error {
-			return emit(rec)
-		})
-		return out, err
+		err = l.tree.ScanRange(lo, hi, emit)
+	} else {
+		err = l.tree.Scan(emit)
 	}
-	err := tbl.lsm.Scan(func(_ int64, rec []byte) error {
-		if v := tbl.t.Schema.Field(rec, field); v >= lo && v <= hi {
-			return emit(rec)
-		}
-		return nil
-	})
 	return out, err
 }
 
-// lsmScan serves Table.Scan in key order. LSM rows have no RIDs; fn
-// receives record.NilRID.
-func (tbl *Table) lsmScan(fn func(rid RID, fields []int64) error) error {
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.lsm.Scan(func(_ int64, rec []byte) error {
-		vals, err := tbl.t.Schema.Decode(rec)
+// scan serves Table.Scan in key order. LSM rows have no RIDs; fn receives
+// record.NilRID.
+func (l *lsmBackend) scan(fn func(rid RID, fields []int64) error) error {
+	l.tbl.lock.LockShared()
+	defer l.tbl.lock.UnlockShared()
+	return l.tree.Scan(func(_ int64, rec []byte) error {
+		vals, err := l.tbl.schema.Decode(rec)
 		if err != nil {
 			return err
 		}
@@ -252,26 +267,31 @@ func (tbl *Table) lsmScan(fn func(rid RID, fields []int64) error) error {
 	})
 }
 
-// lsmBulkDelete serves Table.BulkDelete on an LSM table: every victim
-// becomes a point tombstone. Victims on field 0 are probed first (so the
-// result counts rows that actually existed and absent keys cost no
-// tombstone); other fields collect their matching keys with one merged
-// scan. The statement runs under the exclusive table lock, logs its
-// tombstones as one crash-atomic group (lsmDeleteKeys), flushes the log at
-// commit, and advances the commit epoch like any other committed delete.
-func (tbl *Table) lsmBulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error) {
-	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Exclusive}}, opts.LockWait)
-	if err != nil {
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, err)
-	}
-	defer tbl.db.endStatement(stmt, held)
-	res := &BulkResult{Victims: len(values)}
+// keysWhere collects, by one merged scan, the keys of the rows whose field
+// value satisfies match — the victims of a delete on a non-key field.
+func (l *lsmBackend) keysWhere(field int, match func(v int64) bool) ([]int64, error) {
+	var keys []int64
+	err := l.tree.Scan(func(key int64, rec []byte) error {
+		if match(l.tbl.schema.Field(rec, field)) {
+			keys = append(keys, key)
+		}
+		return nil
+	})
+	return keys, err
+}
 
+// deleteIn serves Table.BulkDelete: every victim becomes a point
+// tombstone. Victims on field 0 are probed first (so the result counts rows
+// that actually existed and absent keys cost no tombstone); other fields
+// collect their matching keys with one merged scan. The statement runs
+// under the exclusive table lock, logs its tombstones as one crash-atomic
+// group (deleteKeys), flushes the log at commit, and advances the commit
+// epoch like any other committed delete.
+func (l *lsmBackend) deleteIn(_ *statement, field int, values []int64) (*BulkResult, error) {
 	var keys []int64
 	if field == 0 {
 		for _, v := range values {
-			_, ok, err := tbl.lsm.Get(v)
+			_, ok, err := l.tree.Get(v)
 			if err != nil {
 				return nil, err
 			}
@@ -284,146 +304,81 @@ func (tbl *Table) lsmBulkDelete(field int, values []int64, opts BulkOptions) (*B
 		for _, v := range values {
 			want[v] = true
 		}
-		err := tbl.lsm.Scan(func(key int64, rec []byte) error {
-			if want[tbl.t.Schema.Field(rec, field)] {
-				keys = append(keys, key)
-			}
-			return nil
-		})
-		if err != nil {
+		var err error
+		if keys, err = l.keysWhere(field, func(v int64) bool { return want[v] }); err != nil {
 			return nil, err
 		}
 	}
-	if err := tbl.lsmDeleteKeys(keys); err != nil {
+	return l.commitDelete(&BulkResult{Victims: len(values)}, keys)
+}
+
+// deleteRange serves Table.DeleteRange. On field 0 it is one range
+// tombstone — one WAL record, one memtable entry, Deleted = -1 (blind: the
+// covered rows are invisible, their count unknown); any other field scans
+// for the covered keys and deletes them like deleteIn.
+func (l *lsmBackend) deleteRange(_ *statement, field int, lo, hi int64) (*BulkResult, error) {
+	if field != 0 {
+		keys, err := l.keysWhere(field, func(v int64) bool { return v >= lo && v <= hi })
+		if err != nil {
+			return nil, err
+		}
+		return l.commitDelete(&BulkResult{}, keys)
+	}
+	seq := l.tree.NextSeq()
+	var seqBuf [8]byte
+	binary.LittleEndian.PutUint64(seqBuf[:], seq)
+	if err := l.log(wal.TLSMRangeDel, 0, uint64(lo), uint64(hi), seqBuf[:]); err != nil {
+		l.tree.AbandonSeq(seq)
+		return nil, err
+	}
+	l.tree.DeleteRange(lo, hi, seq)
+	res, err := l.commitDelete(&BulkResult{}, nil)
+	if err == nil {
+		res.Deleted = -1
+	}
+	return res, err
+}
+
+// commitDelete is the tail of every LSM delete statement. It logs and
+// applies one point tombstone per key as one crash-atomic group: the log may
+// spill pages to disk mid-loop, so the records carry a fresh TxID and end
+// with a commit record, and replay ignores the group unless the commit made
+// it out — a crash deletes every key or none, never a prefix of the list.
+// Then it makes the statement's tombstones durable, advances the commit
+// epoch (an LSM delete commits exactly like a heap bulk delete does), and
+// lets the tree flush/compact if its thresholds say so.
+func (l *lsmBackend) commitDelete(res *BulkResult, keys []int64) (*BulkResult, error) {
+	db := l.tbl.db
+	if len(keys) > 0 {
+		var tx uint64
+		if db.log != nil {
+			tx = db.nextTx()
+		}
+		for _, k := range keys {
+			seq := l.tree.NextSeq()
+			if err := l.log(wal.TLSMDel, tx, uint64(k), seq, nil); err != nil {
+				l.tree.AbandonSeq(seq)
+				return nil, err
+			}
+			l.tree.DeletePoint(k, seq)
+		}
+		if db.log != nil {
+			if _, err := db.log.Append(wal.TCommit, tx, 0, 0, nil); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if db.log != nil {
+		if err := db.log.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	db.epochs.Commit()
+	if err := l.tree.MaybeFlush(); err != nil {
 		return nil, err
 	}
 	res.Deleted = int64(len(keys))
-	if err := tbl.lsmCommitDelete(); err != nil {
-		return nil, err
-	}
 	return res, nil
-}
-
-// lsmDeleteKeys logs and applies one point tombstone per key as one
-// crash-atomic group: the log may spill pages to disk mid-loop, so the
-// records carry a fresh TxID and end with a commit record, and replay
-// ignores the group unless the commit made it out — a crash deletes every
-// key or none, never a prefix of the list. The caller flushes the log.
-func (tbl *Table) lsmDeleteKeys(keys []int64) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	var tx uint64
-	if tbl.db.log != nil {
-		tx = tbl.db.nextTx()
-	}
-	for _, k := range keys {
-		seq := tbl.lsm.NextSeq()
-		if err := tbl.logLSM(wal.TLSMDel, tx, uint64(k), seq, nil); err != nil {
-			tbl.lsm.AbandonSeq(seq)
-			return err
-		}
-		tbl.lsm.DeletePoint(k, seq)
-	}
-	if tbl.db.log != nil {
-		if _, err := tbl.db.log.Append(wal.TCommit, tx, 0, 0, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DeleteRange deletes every row whose field value lies in [lo, hi], both
-// bounds inclusive.
-//
-// On an LSM table with field == 0 this is the backend's signature move:
-// one range tombstone is logged and dropped into the memtable — O(1)
-// foreground I/O regardless of how many rows the range covers — and the
-// result's Deleted is -1 (a blind delete does not know the count; the
-// covered rows disappear from every read immediately and their space is
-// reclaimed by delete-aware compaction within TombstoneTTL flushes).
-// Non-key fields fall back to a merged scan issuing point tombstones.
-//
-// On a heap table the range is resolved to its distinct field values and
-// handed to the regular ⋈̸ BulkDelete machinery.
-func (tbl *Table) DeleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error) {
-	if tbl.db.crashed.Load() {
-		return nil, errCrashed
-	}
-	if lo > hi {
-		return &BulkResult{}, nil
-	}
-	if tbl.lsm == nil {
-		rows, err := tbl.LookupRange(field, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		seen := make(map[int64]bool, len(rows))
-		vals := make([]int64, 0, len(rows))
-		for _, row := range rows {
-			if v := row[field]; !seen[v] {
-				seen[v] = true
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return &BulkResult{}, nil
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		return tbl.BulkDelete(field, vals, opts)
-	}
-
-	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Exclusive}}, opts.LockWait)
-	if err != nil {
-		return nil, fmt.Errorf("bulkdel: range delete on %s: %w", tbl.t.Name, err)
-	}
-	defer tbl.db.endStatement(stmt, held)
-	res := &BulkResult{}
-	if field == 0 {
-		seq := tbl.lsm.NextSeq()
-		var seqBuf [8]byte
-		binary.LittleEndian.PutUint64(seqBuf[:], seq)
-		if err := tbl.logLSM(wal.TLSMRangeDel, 0, uint64(lo), uint64(hi), seqBuf[:]); err != nil {
-			tbl.lsm.AbandonSeq(seq)
-			return nil, err
-		}
-		tbl.lsm.DeleteRange(lo, hi, seq)
-		res.Deleted = -1 // blind: covered rows are invisible, count unknown
-	} else {
-		var keys []int64
-		err := tbl.lsm.Scan(func(key int64, rec []byte) error {
-			if v := tbl.t.Schema.Field(rec, field); v >= lo && v <= hi {
-				keys = append(keys, key)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := tbl.lsmDeleteKeys(keys); err != nil {
-			return nil, err
-		}
-		res.Deleted = int64(len(keys))
-	}
-	if err := tbl.lsmCommitDelete(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// lsmCommitDelete is the tail of every LSM delete statement: make the
-// tombstones durable, advance the commit epoch (an LSM delete commits
-// exactly like a heap bulk delete does), and let the tree flush/compact
-// if its thresholds say so.
-func (tbl *Table) lsmCommitDelete() error {
-	if tbl.db.log != nil {
-		if err := tbl.db.log.Flush(); err != nil {
-			return err
-		}
-	}
-	tbl.db.epochs.Commit()
-	return tbl.lsm.MaybeFlush()
 }
 
 // CompactLSM runs the table's triggered compactions to quiescence, then
@@ -431,29 +386,28 @@ func (tbl *Table) lsmCommitDelete() error {
 // "space fully reclaimed" fixpoint the benchmark measures. It is a no-op
 // on heap tables.
 func (tbl *Table) CompactLSM() error {
-	if tbl.lsm == nil {
+	l, ok := tbl.b.(*lsmBackend)
+	if !ok {
 		return nil
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	// Like lsmInsert: the forced flush must not interleave with a
-	// concurrent insert's NextSeq → Put window, or the published flush
-	// horizon could cover a not-yet-applied seq.
-	tbl.updMu.Lock()
-	defer tbl.updMu.Unlock()
-	if err := tbl.lsm.FlushMem(); err != nil {
+	// Like Insert: the forced flush must not interleave with a concurrent
+	// insert's NextSeq → Put window, or the published flush horizon could
+	// cover a not-yet-applied seq.
+	tbl.lockUpdater()
+	defer tbl.unlockUpdater()
+	if err := l.tree.FlushMem(); err != nil {
 		return err
 	}
-	return tbl.lsm.DrainTombstones()
+	return l.tree.DrainTombstones()
 }
 
 // LSMManifest returns the table's current LSM manifest (zero value for
 // heap tables) — the level layout tests and tools inspect.
 func (tbl *Table) LSMManifest() lsm.Manifest {
-	if tbl.lsm == nil {
-		return lsm.Manifest{}
+	if l, ok := tbl.b.(*lsmBackend); ok {
+		return l.tree.Manifest()
 	}
-	return tbl.lsm.Manifest()
+	return lsm.Manifest{}
 }
 
 // replayLSMRecords replays durable LSM WAL records into the freshly
@@ -485,14 +439,18 @@ func (db *DB) replayLSMRecords(recs []wal.Record) int {
 		if !ok {
 			continue
 		}
-		tbl := db.tables[name]
-		if tbl == nil || tbl.lsm == nil {
-			continue
+		var l *lsmBackend
+		tbl, ok := db.tables[name]
+		if ok {
+			l, ok = tbl.b.(*lsmBackend)
 		}
-		tree := tbl.lsm
+		if !ok {
+			continue // table since dropped, or not an LSM table's record
+		}
+		tree := l.tree
 		switch r.Type {
 		case wal.TLSMPut:
-			if len(rest) != tbl.t.Schema.Size {
+			if len(rest) != l.tbl.schema.Size {
 				continue
 			}
 			tree.NoteReplayedSeq(r.B)

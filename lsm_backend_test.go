@@ -1,11 +1,15 @@
 package bulkdel
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"bulkdel/internal/lsm"
+	"bulkdel/internal/sim"
 )
 
 // newLSMDB builds an LSM-backed table R(A,B,C) of n rows (A=i, B=3i,
@@ -32,59 +36,226 @@ func newLSMDB(t *testing.T, n int, opts Options) (*DB, *Table) {
 	return db, tbl
 }
 
-func TestLSMBackendBasics(t *testing.T) {
-	db, tbl := newLSMDB(t, 2000, Options{})
-	if got := tbl.Count(); got != 2000 {
-		t.Fatalf("count = %d", got)
+// TestBackendParity drives one seeded statement sequence through every
+// storage backend behind Table and checks each step against a plain map:
+// the shared surface of the seam (insert, Lookup, LookupRange, Scan, Count,
+// IN-list BulkDelete, DeleteRange on the key and on a non-key field, Check)
+// must mean the same thing whichever implementation holds the rows, before
+// and after a crash. Row sets are compared order-insensitively — physical
+// order on a heap, key order on LSM.
+func TestBackendParity(t *testing.T) {
+	cases := []struct {
+		name   string
+		create func(db *DB) (*Table, error)
+		// blind: DeleteRange on the key is one range tombstone, which does
+		// not know how many rows it covered (Deleted == -1).
+		blind bool
+		// extra holds the backend's own assertions on the loaded table.
+		extra func(t *testing.T, tbl *Table)
+	}{
+		{name: "heap-unique", create: func(db *DB) (*Table, error) {
+			tbl, err := db.CreateTable("R", 3, 64)
+			if err != nil {
+				return nil, err
+			}
+			return tbl, tbl.CreateIndex(IndexOptions{Name: "IA", Field: 0, Unique: true})
+		}},
+		{name: "heap-hash", create: func(db *DB) (*Table, error) {
+			return db.CreateTablePartitioned("R", 3, 64, PartitionSpec{Field: 0, HashParts: 4})
+		}},
+		{name: "lsm", blind: true, create: func(db *DB) (*Table, error) {
+			return db.CreateTableLSM("R", 3, 64)
+		}, extra: lsmSpecifics},
 	}
-	rows, err := tbl.Lookup(0, 123)
-	if err != nil || len(rows) != 1 || rows[0][1] != 369 {
-		t.Fatalf("point lookup = %v, %v", rows, err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := Open(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := c.create(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			model := make(map[int64][]int64)
+			where := func(keep func(row []int64) bool) [][]int64 {
+				var out [][]int64
+				for _, row := range model {
+					if keep(row) {
+						out = append(out, row)
+					}
+				}
+				return out
+			}
+			insert := func(keys []int) {
+				t.Helper()
+				for _, k := range keys {
+					row := []int64{int64(k), int64(3 * k), int64(k % 7)}
+					if _, err := tbl.Insert(row...); err != nil {
+						t.Fatalf("insert %d: %v", k, err)
+					}
+					model[row[0]] = row
+				}
+			}
+			// agree compares every read path of tbl against the model.
+			agree := func(stage string, tbl *Table) {
+				t.Helper()
+				if got := tbl.Count(); got != int64(len(model)) {
+					t.Fatalf("%s: Count = %d, model has %d", stage, got, len(model))
+				}
+				var scanned [][]int64
+				if err := tbl.Scan(func(_ RID, f []int64) error {
+					scanned = append(scanned, f)
+					return nil
+				}); err != nil {
+					t.Fatalf("%s: Scan: %v", stage, err)
+				}
+				requireSameRows(t, stage+": Scan", scanned, where(func([]int64) bool { return true }))
+				for i := 0; i < 20; i++ {
+					k := int64(rng.Intn(2200)) // some keys absent
+					rows, err := tbl.Lookup(0, k)
+					if err != nil {
+						t.Fatalf("%s: Lookup(0, %d): %v", stage, k, err)
+					}
+					requireSameRows(t, stage+": Lookup on the key", rows, where(func(r []int64) bool { return r[0] == k }))
+				}
+				rows, err := tbl.Lookup(2, 3)
+				if err != nil {
+					t.Fatalf("%s: Lookup(2, 3): %v", stage, err)
+				}
+				requireSameRows(t, stage+": Lookup on a non-key field", rows, where(func(r []int64) bool { return r[2] == 3 }))
+				lo := int64(rng.Intn(1800))
+				rows, err = tbl.LookupRange(0, lo, lo+150)
+				if err != nil {
+					t.Fatalf("%s: LookupRange(0): %v", stage, err)
+				}
+				requireSameRows(t, stage+": LookupRange on the key", rows, where(func(r []int64) bool { return r[0] >= lo && r[0] <= lo+150 }))
+				rows, err = tbl.LookupRange(1, 3*lo, 3*lo+100)
+				if err != nil {
+					t.Fatalf("%s: LookupRange(1): %v", stage, err)
+				}
+				requireSameRows(t, stage+": LookupRange on a non-key field", rows, where(func(r []int64) bool { return r[1] >= 3*lo && r[1] <= 3*lo+100 }))
+				if err := tbl.Check(); err != nil {
+					t.Fatalf("%s: Check: %v", stage, err)
+				}
+			}
+			// drop removes the model rows keep selects and returns how many.
+			drop := func(keep func(row []int64) bool) int64 {
+				doomed := where(keep)
+				for _, row := range doomed {
+					delete(model, row[0])
+				}
+				return int64(len(doomed))
+			}
+
+			insert(rng.Perm(2000))
+			agree("after load", tbl)
+			if c.extra != nil {
+				c.extra(t, tbl)
+			}
+
+			// IN-list delete: every third key, plus keys that never existed.
+			victims := []int64{5000, 5001}
+			for k := int64(0); k < 2000; k += 3 {
+				victims = append(victims, k)
+			}
+			vset := make(map[int64]bool)
+			for _, v := range victims {
+				vset[v] = true
+			}
+			res, err := tbl.BulkDelete(0, victims, BulkOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := drop(func(r []int64) bool { return vset[r[0]] }); res.Deleted != want {
+				t.Fatalf("BulkDelete removed %d rows, model %d", res.Deleted, want)
+			}
+			agree("after the IN-list delete", tbl)
+
+			res, err = tbl.DeleteRange(0, 400, 899, BulkOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drop(func(r []int64) bool { return r[0] >= 400 && r[0] <= 899 })
+			if res.Deleted != want && !(c.blind && res.Deleted == -1) {
+				t.Fatalf("DeleteRange on the key removed %d rows, model %d", res.Deleted, want)
+			}
+			agree("after the key-range delete", tbl)
+
+			res, err = tbl.DeleteRange(1, 3*1500, 3*1699, BulkOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := drop(func(r []int64) bool { return r[1] >= 3*1500 && r[1] <= 3*1699 }); res.Deleted != want {
+				t.Fatalf("DeleteRange on a non-key field removed %d rows, model %d", res.Deleted, want)
+			}
+			if res, err := tbl.DeleteRange(0, 10, 9, BulkOptions{}); err != nil || res.Deleted != 0 {
+				t.Fatalf("empty-range delete = %+v, %v", res, err)
+			}
+			insert([]int{3, 450, 1600, 2100}) // deleted keys come back, plus a new one
+			agree("after the non-key-range delete and re-inserts", tbl)
+
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			rdb, _, err := Recover(db.SimulateCrash(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rtbl := rdb.Table("R")
+			if rtbl == nil || rtbl.Backend() != tbl.Backend() {
+				t.Fatalf("table R not recovered on backend %q", tbl.Backend())
+			}
+			agree("after crash and recovery", rtbl)
+		})
 	}
-	// Non-key lookup falls back to a merged scan.
-	rows, err = tbl.Lookup(1, 369)
-	if err != nil || len(rows) != 1 || rows[0][0] != 123 {
-		t.Fatalf("non-key lookup = %v, %v", rows, err)
+}
+
+// requireSameRows compares two row sets order-insensitively (field 0 is
+// unique in every parity table, so it orders both sides).
+func requireSameRows(t *testing.T, what string, got, want [][]int64) {
+	t.Helper()
+	byKey := func(a, b []int64) int { return cmp.Compare(a[0], b[0]) }
+	got, want = slices.Clone(got), slices.Clone(want)
+	slices.SortFunc(got, byKey)
+	slices.SortFunc(want, byKey)
+	if !slices.EqualFunc(got, want, func(a, b []int64) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("%s: got %d rows, model has %d (first rows %v vs %v)", what, len(got), len(want), first(got), first(want))
 	}
-	// Upsert: re-inserting a key overwrites the row.
+}
+
+func first(rows [][]int64) []int64 {
+	if len(rows) == 0 {
+		return nil
+	}
+	return rows[0]
+}
+
+// lsmSpecifics is the LSM case's own half of the parity test: what only a
+// key-addressed, merge-read backend promises.
+func lsmSpecifics(t *testing.T, tbl *Table) {
+	// Upsert: re-inserting a key overwrites the row instead of adding one.
+	before := tbl.Count()
 	if _, err := tbl.Insert(123, 7, 7); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ = tbl.Lookup(0, 123)
-	if len(rows) != 1 || rows[0][1] != 7 {
-		t.Fatalf("upsert lost: %v", rows)
+	rows, _ := tbl.Lookup(0, 123)
+	if len(rows) != 1 || rows[0][1] != 7 || tbl.Count() != before {
+		t.Fatalf("upsert lost: %v (count %d -> %d)", rows, before, tbl.Count())
 	}
-	if got := tbl.Count(); got != 2000 {
-		t.Fatalf("count after upsert = %d", got)
-	}
-	// Key-range lookup arrives in key order.
-	rows, err = tbl.LookupRange(0, 100, 104)
-	if err != nil || len(rows) != 5 || rows[0][0] != 100 || rows[4][0] != 104 {
-		t.Fatalf("range lookup = %v, %v", rows, err)
-	}
-	// Point deletes count only rows that existed.
-	res, err := tbl.BulkDelete(0, []int64{5, 6, 7, 999999}, BulkOptions{})
-	if err != nil || res.Deleted != 3 {
-		t.Fatalf("bulk delete = %+v, %v", res, err)
-	}
-	if got := tbl.Count(); got != 1997 {
-		t.Fatalf("count after point deletes = %d", got)
-	}
-	if err := tbl.Check(); err != nil {
+	if _, err := tbl.Insert(123, 369, 123%7); err != nil { // back to the model's row
 		t.Fatal(err)
 	}
-	// The heap-only surface is rejected, not silently wrong.
-	if err := tbl.CreateIndex(IndexOptions{Name: "IA", Field: 0}); err == nil {
-		t.Fatal("CreateIndex accepted on LSM table")
-	}
-	if _, err := tbl.View(); err == nil {
-		t.Fatal("View accepted on LSM table")
+	// Key-range lookup arrives in key order.
+	rows, err := tbl.LookupRange(0, 100, 104)
+	if err != nil || len(rows) != 5 || rows[0][0] != 100 || rows[4][0] != 104 {
+		t.Fatalf("range lookup = %v, %v", rows, err)
 	}
 	// Explain mentions the tombstone plan rather than the ⋈̸ planner.
 	if plan := tbl.Explain(0, Auto, 0); !strings.Contains(plan, "LSM") {
 		t.Fatalf("explain = %q", plan)
 	}
-	_ = db
 }
 
 // TestLSMRangeDeleteConstantIO is the backend's headline acceptance: a
@@ -340,5 +511,119 @@ func TestLSMScanCallbackReentry(t *testing.T) {
 	}
 	if visited != 500 {
 		t.Fatalf("scan saw %d rows, want 500", visited)
+	}
+}
+
+// TestHeapOnlyOpsOnLSMTable calls every heap-only entry point on an LSM
+// table that shares a two-device database with a heap table. The ones that
+// can report an error return the single "not supported on LSM table" error
+// of Table.heap; the ones that cannot return their zero answer; and a
+// rebalance moves heap and index files only and leaves the database usable.
+// Before the storage seam the stub heap made Partitions, AlterPartitioning,
+// EstimateMethods and Rebalance panic (the last with db.mu held).
+func TestHeapOnlyOpsOnLSMTable(t *testing.T) {
+	db, err := Open(Options{Devices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := db.CreateTablePartitioned("H", 3, 64, PartitionSpec{Field: 0, HashParts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.CreateTableLSM("S", 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		for _, tbl := range []*Table{h, s} {
+			if _, err := tbl.Insert(int64(i), int64(3*i), int64(i%7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := h.CreateIndex(IndexOptions{Name: "IA", Field: 0, Unique: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompactLSM(); err != nil { // SSTables on disk: files the rebalancer must leave alone
+		t.Fatal(err)
+	}
+
+	id := func(v int64) int64 { return v }
+	refused := map[string]func() error{
+		"CreateIndex":       func() error { return s.CreateIndex(IndexOptions{Name: "IA", Field: 0}) },
+		"DropIndex":         func() error { return s.DropIndex("IA") },
+		"InsertDirect":      func() error { _, err := s.InsertDirect(1, 2, 3); return err },
+		"DeleteRow":         func() error { return s.DeleteRow(RID{}) },
+		"Get":               func() error { _, err := s.Get(RID{}); return err },
+		"LookupRIDs":        func() error { _, err := s.LookupRIDs(0, 1); return err },
+		"View":              func() error { _, err := s.View(); return err },
+		"BulkUpdate":        func() error { _, err := s.BulkUpdate(0, []int64{1}, 1, id, BulkOptions{}); return err },
+		"DeleteTraditional": func() error { _, err := s.DeleteTraditional(0, []int64{1}, true); return err },
+		"DeleteDropCreate":  func() error { _, err := s.DeleteDropCreate(0, []int64{1}); return err },
+		"AlterPartitioning": func() error { return s.AlterPartitioning(PartitionSpec{Field: 0, HashParts: 2}) },
+	}
+	for name, call := range refused {
+		if err := call(); err == nil || err.Error() != "bulkdel: not supported on LSM table S" {
+			t.Errorf("%s on an LSM table: error %v, want the not-supported error", name, err)
+		}
+	}
+	if got := s.Partitions(); got != 0 {
+		t.Errorf("Partitions = %d, want 0", got)
+	}
+	if got := s.PartitionSpec(); got.NumParts() != 0 || got.Field != 0 {
+		t.Errorf("PartitionSpec = %+v, want the zero spec", got)
+	}
+	if got := s.EstimateMethods(0, 100, 0); len(got) != 0 {
+		t.Errorf("EstimateMethods = %v, want empty", got)
+	}
+	if s.HasIndexOnField(0) || s.IndexNames() != nil || s.IndexHeight("IA") != 0 {
+		t.Error("LSM table reports an index")
+	}
+	s.SetDeletePolicy(true) // a no-op, not a panic
+
+	// Rebalance onto a grown array: only H's partitions and index move.
+	sstables := make(map[sim.FileID]int)
+	for _, lvl := range s.LSMManifest().Levels {
+		for _, meta := range lvl {
+			sstables[sim.FileID(meta.File)] = db.Disk().DeviceOf(sim.FileID(meta.File))
+		}
+	}
+	if len(sstables) == 0 {
+		t.Fatal("the LSM table has no SSTable on disk")
+	}
+	if err := db.GrowDevices(4); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Rebalance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Moves) == 0 {
+		t.Fatal("rebalance moved nothing")
+	}
+	for _, m := range res.Moves {
+		if _, ok := sstables[m.File]; ok {
+			t.Errorf("rebalance moved SSTable %d", m.File)
+		}
+	}
+	for f, dev := range sstables {
+		if got := db.Disk().DeviceOf(f); got != dev {
+			t.Errorf("SSTable %d went from device %d to %d", f, dev, got)
+		}
+	}
+	// Still usable: nothing was left locked, both tables answer and check.
+	for _, tbl := range []*Table{h, s} {
+		if _, err := tbl.Insert(9000, 27000, 5); err != nil {
+			t.Fatal(err)
+		}
+		if got := tbl.Count(); got != 601 {
+			t.Errorf("%s: count %d after rebalance, want 601", tbl.Name(), got)
+		}
+		if err := tbl.Check(); err != nil {
+			t.Errorf("%s: %v", tbl.Name(), err)
+		}
+	}
+	if got := h.Partitions(); got != 4 {
+		t.Errorf("heap table has %d partitions, want 4", got)
 	}
 }

@@ -370,7 +370,7 @@ func TestIndexPlacementPolicy(t *testing.T) {
 	// Three indexes over three data devices: affinity spreads them onto
 	// distinct arms, and none lands on the system device.
 	seen := map[int]bool{}
-	for _, ix := range tbl.t.Idx {
+	for _, ix := range heapOf(tbl).Idx {
 		dev := db.Disk().DeviceOf(ix.Tree.ID())
 		if dev == 0 {
 			t.Fatalf("index %s placed on the system device", ix.Def.Name)

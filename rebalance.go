@@ -27,48 +27,41 @@ type PartitionSpec = heap.PartitionSpec
 // multi-device array each partition is placed by the device policy, so the
 // per-partition passes of a bulk delete can overlap on separate spindles.
 func (db *DB) CreateTablePartitioned(name string, numFields, recordSize int, spec PartitionSpec) (*Table, error) {
-	if db.crashed.Load() {
-		return nil, errCrashed
-	}
 	schema := record.Schema{NumFields: numFields, Size: recordSize}
 	if err := spec.Validate(schema); err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	if _, ok := db.tables[name]; ok {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("bulkdel: table %q already exists", name)
-	}
-	t, err := table.CreatePartitioned(db.pool, name, schema, spec)
+	var h *heapBackend
+	tbl, err := db.addTable(name, schema, func(tbl *Table) (backend, error) {
+		t, err := table.CreatePartitioned(db.pool, name, schema, spec)
+		if err != nil {
+			return nil, err
+		}
+		h = newHeapBackend(tbl, t)
+		return h, nil
+	})
 	if err != nil {
-		db.mu.Unlock()
 		return nil, err
 	}
-	t.Lock = db.cc.Lock(name)
-	if db.mvccOn() {
-		t.MVCC = table.NewMVCC(db.epochs)
-	}
-	tbl := &Table{db: db, t: t}
-	db.tables[name] = tbl
-	db.mu.Unlock()
-	if err := tbl.placeHeapPartitions(); err != nil {
-		return nil, err
-	}
-	if err := db.saveCatalog(); err != nil {
-		return nil, err
-	}
-	return tbl, nil
+	return db.created(tbl, h.placeHeapPartitions())
 }
 
 // Partitions reports how many heap partitions the table has (1 = a plain
-// single-file heap).
-func (tbl *Table) Partitions() int { return len(tbl.t.Heap.Parts()) }
+// single-file heap, 0 = an LSM table, which has no heap).
+func (tbl *Table) Partitions() int {
+	if h, err := tbl.heap(); err == nil {
+		return len(h.t.Heap.Parts())
+	}
+	return 0
+}
 
 // PartitionSpec returns the table's partitioning declaration (zero value
-// for a single-file heap).
+// for a single-file heap or an LSM table).
 func (tbl *Table) PartitionSpec() PartitionSpec {
-	if ph, ok := tbl.t.Heap.(*heap.Partitioned); ok {
-		return ph.Spec()
+	if h, err := tbl.heap(); err == nil {
+		if ph, ok := h.t.Heap.(*heap.Partitioned); ok {
+			return ph.Spec()
+		}
 	}
 	return PartitionSpec{}
 }
@@ -80,24 +73,23 @@ func (tbl *Table) PartitionSpec() PartitionSpec {
 // statement takes the table's Structural lock — the rewrite renumbers every
 // RID, so snapshot readers are drained, not admitted; it is not
 // WAL-protected (like the other DDL, a crash mid-rewrite loses the
-// statement, not the log).
+// statement, not the log). Heap tables only.
 func (tbl *Table) AlterPartitioning(spec PartitionSpec) error {
-	if tbl.db.crashed.Load() {
-		return errCrashed
+	h, err := tbl.liveHeap()
+	if err != nil {
+		return err
 	}
 	if spec.NumParts() > 0 {
-		if err := spec.Validate(tbl.t.Schema); err != nil {
+		if err := spec.Validate(tbl.schema); err != nil {
 			return err
 		}
 	}
-	stmt, held := tbl.db.beginStatement("alter-partitioning", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
+	stmt, held := h.structural("alter-partitioning")
 	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	if err := tbl.t.Repartition(spec); err != nil {
+	if err := h.t.Repartition(spec); err != nil {
 		return err
 	}
-	if err := tbl.placeHeapPartitions(); err != nil {
+	if err := h.placeHeapPartitions(); err != nil {
 		return err
 	}
 	tbl.db.obs.Registry().Counter("repartitions_run").Add(1)
@@ -107,18 +99,18 @@ func (tbl *Table) AlterPartitioning(spec PartitionSpec) error {
 // placeHeapPartitions spreads a partitioned heap's files across the data
 // devices via the placement policy. Single-file heaps stay on the system
 // device (their sequential pass shares it with the WAL, as before).
-func (tbl *Table) placeHeapPartitions() error {
-	parts := tbl.t.Heap.Parts()
-	if len(parts) <= 1 || tbl.db.numDataDevices() <= 1 {
+func (h *heapBackend) placeHeapPartitions() error {
+	db, parts := h.tbl.db, h.t.Heap.Parts()
+	if len(parts) <= 1 || db.numDataDevices() <= 1 {
 		return nil
 	}
 	avoid := make(map[int]bool)
-	for _, ix := range tbl.t.Idx {
-		avoid[tbl.db.disk.DeviceOf(ix.Tree.ID())] = true
+	for _, ix := range h.t.Idx {
+		avoid[db.disk.DeviceOf(ix.Tree.ID())] = true
 	}
 	for _, p := range parts {
-		dev := tbl.db.pickDevice(avoid)
-		if err := tbl.db.pool.Relocate(p.ID(), dev); err != nil {
+		dev := db.pickDevice(avoid)
+		if err := db.pool.Relocate(p.ID(), dev); err != nil {
 			return err
 		}
 		avoid[dev] = true
@@ -129,13 +121,10 @@ func (tbl *Table) placeHeapPartitions() error {
 // deviceAffinity is the set of devices the table's structures already
 // occupy — the placement policy avoids them so a statement's per-structure
 // passes land on separate arms.
-func (tbl *Table) deviceAffinity() map[int]bool {
+func (h *heapBackend) deviceAffinity() map[int]bool {
 	avoid := make(map[int]bool)
-	for _, p := range tbl.t.Heap.Parts() {
-		avoid[tbl.db.disk.DeviceOf(p.ID())] = true
-	}
-	for _, ix := range tbl.t.Idx {
-		avoid[tbl.db.disk.DeviceOf(ix.Tree.ID())] = true
+	for _, f := range h.ownedFiles() {
+		avoid[h.tbl.db.disk.DeviceOf(f)] = true
 	}
 	return avoid
 }
@@ -194,7 +183,8 @@ type RebalanceResult struct {
 
 // Rebalance levels the data devices' allocation by migrating heap
 // partitions and index trees onto emptier arms — typically after
-// GrowDevices added spindles. It takes every table's exclusive lock (a
+// GrowDevices added spindles. Only files a backend reports as owned move:
+// an LSM table's SSTables stay where its manifest placed them. It takes every table's exclusive lock (a
 // migration must not race a statement using the file), and with the WAL
 // enabled each move is bracketed by move-start/move-done records: a crash
 // mid-migration is recovered by redoing the move, so the file is always
@@ -234,12 +224,8 @@ func (db *DB) RebalanceCtx(ctx context.Context) (*RebalanceResult, error) {
 	db.mu.Lock()
 	owned := make(map[sim.FileID]bool)
 	for _, tbl := range db.tables {
-		tbl.waitIndexesOnline()
-		for _, p := range tbl.t.Heap.Parts() {
-			owned[p.ID()] = true
-		}
-		for _, ix := range tbl.t.Idx {
-			owned[ix.Tree.ID()] = true
+		for _, f := range tbl.b.ownedFiles() {
+			owned[f] = true
 		}
 	}
 	db.mu.Unlock()

@@ -2,16 +2,13 @@ package bulkdel
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/cc"
 	"bulkdel/internal/core"
-	"bulkdel/internal/lsm"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
@@ -37,62 +34,113 @@ type IndexOptions struct {
 	Priority int
 }
 
-// Table is a base table with its indexes.
+// Table is a base table: the statement layer over one storage backend. It
+// owns what every backend shares — the name, the schema, the §3 coarse table
+// lock, updater serialization — and runs each statement's lifecycle (crashed
+// check, admission, lock footprint, event stream) once; the rows live
+// behind b. See DESIGN.md §4.9.
 type Table struct {
-	db *DB
-	t  *table.Table
-	// lsm, when non-nil, marks the table as LSM-backed: t is a schema
-	// stub (nil heap, no indexes) and every data path routes through the
-	// tree instead. See lsm_backend.go.
-	lsm *lsm.Tree
+	db     *DB
+	name   string
+	schema record.Schema
+	// lock is the manager's shared lock for this table name: ordered
+	// multi-table acquisition and the DML entry points contend on it.
+	lock *cc.TableLock
 	// updMu serializes updater DML (Insert/DeleteRow) against each
 	// other. It stands in for the fine-grained page latches a production
 	// engine would take; the bulk deleter does not take it — during a
 	// concurrent bulk delete it only touches offline index trees, which
 	// updaters reach exclusively through their (thread-safe) side-files.
 	updMu sync.Mutex
+	b     backend
+}
+
+// backend is the storage seam: the operations both the heap and the LSM
+// implementation really perform. Everything else on Table is heap-only and
+// goes through Table.heap. Reads take whatever table lock their backend's
+// read protocol needs; insert and check run under the statement layer's
+// shared lock (insert also under updMu), the deletes inside the statement
+// deleteStatement opened.
+type backend interface {
+	kind() string
+	insert(fields []int64) (RID, error)
+	count() int64
+	lookup(field int, v int64) ([][]int64, error)
+	lookupRange(field int, lo, hi int64) ([][]int64, error)
+	scan(fn func(rid RID, fields []int64) error) error
+	deleteIn(st *statement, field int, values []int64) (*BulkResult, error)
+	deleteRange(st *statement, field int, lo, hi int64) (*BulkResult, error)
+	check() error
+	flush() error
+	explain(field int, m Method, memory int) string
+	// catalogEntry is the backend's durable layout (saveCatalog adds name
+	// and schema); Recover reopens the table from it.
+	catalogEntry() catalogTable
+	// ownedFiles lists the files the rebalancer may migrate.
+	ownedFiles() []sim.FileID
+}
+
+// heap yields the heap implementation behind the table, or the one error
+// every heap-only entry point returns on an LSM table (which has no RIDs,
+// indexes, MVCC views, partitions or ⋈̸ planner).
+func (tbl *Table) heap() (*heapBackend, error) {
+	if h, ok := tbl.b.(*heapBackend); ok {
+		return h, nil
+	}
+	return nil, fmt.Errorf("bulkdel: not supported on LSM table %s", tbl.name)
+}
+
+// liveHeap is heap for the statements that refuse to start on a crashed
+// database.
+func (tbl *Table) liveHeap() (*heapBackend, error) {
+	if tbl.db.crashed.Load() {
+		return nil, errCrashed
+	}
+	return tbl.heap()
+}
+
+// lockUpdater takes what every updater of the table holds: the shared table
+// lock, then updMu.
+func (tbl *Table) lockUpdater() {
+	tbl.lock.LockShared()
+	tbl.updMu.Lock()
+}
+
+func (tbl *Table) unlockUpdater() {
+	tbl.updMu.Unlock()
+	tbl.lock.UnlockShared()
 }
 
 // Name returns the table name.
-func (tbl *Table) Name() string { return tbl.t.Name }
+func (tbl *Table) Name() string { return tbl.name }
 
 // NumFields returns the number of int64 attributes.
-func (tbl *Table) NumFields() int { return tbl.t.Schema.NumFields }
+func (tbl *Table) NumFields() int { return tbl.schema.NumFields }
+
+// Backend reports the table's storage backend: "heap" or "lsm".
+func (tbl *Table) Backend() string { return tbl.b.kind() }
 
 // Count returns the number of live records. On an LSM table this is a
 // merged scan (tombstones subtract); a scan error reports -1.
-func (tbl *Table) Count() int64 {
-	if tbl.lsm != nil {
-		n, err := tbl.lsmCount()
-		if err != nil {
-			return -1
-		}
-		return n
-	}
-	return tbl.t.Heap.Count()
-}
+func (tbl *Table) Count() int64 { return tbl.b.count() }
 
 // CreateIndex builds an index over the current contents (scan + external
 // sort + bottom-up bulk load). On a multi-device array (Options.Devices)
 // the new tree is placed by the device policy (internal/place): the
 // least-loaded data device the table does not already occupy, so
 // independent ⋈̸ passes of a parallel bulk delete can overlap on separate
-// spindles.
+// spindles. Heap tables only.
 func (tbl *Table) CreateIndex(opts IndexOptions) error {
-	if tbl.db.crashed.Load() {
-		return errCrashed
-	}
-	if tbl.lsm != nil {
-		return fmt.Errorf("bulkdel: table %s is LSM-backed; secondary indexes are not supported", tbl.t.Name)
+	h, err := tbl.liveHeap()
+	if err != nil {
+		return err
 	}
 	// Structural claim: the build scans the heap and installs the new tree,
 	// and no reader — snapshot readers included — may observe the table
 	// while the scan races updaters.
-	stmt, held := tbl.db.beginStatement("create-index", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
+	stmt, held := h.structural("create-index")
 	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	ix, err := tbl.t.CreateIndex(table.IndexDef{
+	ix, err := h.t.CreateIndex(table.IndexDef{
 		Name: opts.Name, Field: opts.Field, KeyLen: opts.KeyLen,
 		Unique: opts.Unique, Clustered: opts.Clustered, Priority: opts.Priority,
 	})
@@ -100,7 +148,7 @@ func (tbl *Table) CreateIndex(opts IndexOptions) error {
 		return err
 	}
 	if tbl.db.numDataDevices() > 1 {
-		dev := tbl.db.pickDevice(tbl.deviceAffinity())
+		dev := tbl.db.pickDevice(h.deviceAffinity())
 		if err := tbl.db.pool.Relocate(ix.Tree.ID(), dev); err != nil {
 			return err
 		}
@@ -110,106 +158,75 @@ func (tbl *Table) CreateIndex(opts IndexOptions) error {
 
 // DropIndex removes an index.
 func (tbl *Table) DropIndex(name string) error {
-	if err := tbl.t.DropIndex(name); err != nil {
+	h, err := tbl.heap()
+	if err == nil {
+		err = h.t.DropIndex(name)
+	}
+	if err != nil {
 		return err
 	}
 	return tbl.db.saveCatalog()
 }
 
-// IndexNames lists the table's indexes in catalog order.
+// IndexNames lists the table's indexes in catalog order (none on LSM).
 func (tbl *Table) IndexNames() []string {
 	var out []string
-	for _, ix := range tbl.t.Idx {
-		out = append(out, ix.Def.Name)
+	if h, err := tbl.heap(); err == nil {
+		for _, ix := range h.t.Idx {
+			out = append(out, ix.Def.Name)
+		}
 	}
 	return out
 }
 
 // IndexHeight returns the height of the named index (0 if absent).
 func (tbl *Table) IndexHeight(name string) int {
-	ix := tbl.t.FindIndex(name)
-	if ix == nil {
-		return 0
+	if h, err := tbl.heap(); err == nil {
+		if ix := h.t.FindIndex(name); ix != nil {
+			return ix.Tree.Height()
+		}
 	}
-	return ix.Tree.Height()
+	return 0
 }
 
 // Insert adds one row (values for the leading fields; the rest zero) and
-// maintains every index. It returns the new record's RID. Inserts take a
-// shared table lock, so they block while a bulk delete holds the table
-// exclusively and resume once the lock is released (after the heap and the
-// unique indexes are processed); updates to still-offline indexes go
-// through their side-files.
+// maintains every index. It returns the new record's RID (record.NilRID on
+// an LSM table, whose rows are addressed by key: field 0, upsert
+// semantics). Inserts take a shared table lock, so they block while a bulk
+// delete holds the table exclusively and resume once the lock is released
+// (after the heap and the unique indexes are processed); updates to
+// still-offline indexes go through their side-files.
 func (tbl *Table) Insert(fields ...int64) (RID, error) {
 	if tbl.db.crashed.Load() {
 		return record.NilRID, errCrashed
 	}
-	if tbl.lsm != nil {
-		return tbl.lsmInsert(fields)
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	tbl.updMu.Lock()
-	defer tbl.updMu.Unlock()
-	return tbl.t.Insert(fields)
+	tbl.lockUpdater()
+	defer tbl.unlockUpdater()
+	return tbl.b.insert(fields)
 }
 
 // InsertDirect adds a row using direct propagation when indexes are
 // offline during a concurrent bulk delete: entries are installed
-// immediately and marked undeletable (paper §3.1.2).
+// immediately and marked undeletable (paper §3.1.2). Heap tables only.
 func (tbl *Table) InsertDirect(fields ...int64) (RID, error) {
-	if tbl.db.crashed.Load() {
-		return record.NilRID, errCrashed
+	h, err := tbl.liveHeap()
+	if err != nil {
+		return record.NilRID, err
 	}
-	if tbl.lsm != nil {
-		return tbl.lsmInsert(fields)
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	tbl.updMu.Lock()
-	defer tbl.updMu.Unlock()
-	return tbl.t.InsertDirect(fields)
+	tbl.lockUpdater()
+	defer tbl.unlockUpdater()
+	return h.t.InsertDirect(fields)
 }
 
-// DeleteRow removes one record by RID.
+// DeleteRow removes one record by RID. Heap tables only.
 func (tbl *Table) DeleteRow(rid RID) error {
-	if tbl.lsm != nil {
-		return fmt.Errorf("bulkdel: table %s is LSM-backed and has no RIDs; delete by key", tbl.t.Name)
+	h, err := tbl.heap()
+	if err != nil {
+		return err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	tbl.updMu.Lock()
-	defer tbl.updMu.Unlock()
-	return tbl.t.DeleteRow(rid)
-}
-
-// beginSnapshotRead opens an MVCC snapshot read on the table: it takes the
-// snapshot-read lock mode (admitted alongside a bulk delete's exclusive
-// claim; blocked only by Structural claims), captures the commit epoch, and
-// returns it with a release func. Callers must hold neither lock already.
-func (tbl *Table) beginSnapshotRead() (s uint64, done func()) {
-	blocked := tbl.t.Lock.LockSnapshotRead()
-	reg := tbl.db.obs.Registry()
-	reg.Counter(obs.MetricSnapshotReads).Add(1)
-	if blocked {
-		reg.Counter(obs.MetricSnapshotReadWaits).Add(1)
-	}
-	s = tbl.db.epochs.Snapshot()
-	mv := tbl.t.MVCC
-	return s, func() {
-		tbl.db.epochs.Release(s)
-		mv.Prune() // versions only this snapshot needed can go now
-		tbl.db.noteRetainedBytes()
-		tbl.t.Lock.UnlockSnapshotRead()
-	}
-}
-
-// noteFallbackScan records an indexed snapshot lookup that was served by
-// the visibility-filtered heap scan instead of the index tree.
-func (tbl *Table) noteFallbackScan(field int, usedIndex bool) {
-	if !usedIndex && tbl.t.IndexOnField(field) != nil {
-		tbl.db.obs.Registry().Counter(obs.MetricSnapshotFallbackScans).Add(1)
-	}
+	tbl.lockUpdater()
+	defer tbl.unlockUpdater()
+	return h.t.DeleteRow(rid)
 }
 
 // Get decodes the record at rid. With snapshot reads enabled (the default)
@@ -217,15 +234,17 @@ func (tbl *Table) noteFallbackScan(field int, usedIndex bool) {
 // behind a concurrent bulk delete's exclusive lock. With them disabled it
 // takes a shared table lock: it blocks while a bulk delete holds the table
 // exclusively and proceeds once the §3.1 critical phase releases the lock
-// (indexes still offline are not needed — Get reads the heap).
+// (indexes still offline are not needed — Get reads the heap). Heap tables
+// only.
 func (tbl *Table) Get(rid RID) ([]int64, error) {
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: table %s is LSM-backed and has no RIDs; use Lookup", tbl.t.Name)
+	h, err := tbl.heap()
+	if err != nil {
+		return nil, err
 	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
 		defer done()
-		row, ok, err := tbl.t.SnapshotRow(rid, s)
+		row, ok, err := h.t.SnapshotRow(rid, s)
 		if err != nil {
 			return nil, err
 		}
@@ -234,61 +253,49 @@ func (tbl *Table) Get(rid RID) ([]int64, error) {
 		}
 		return row, nil
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.t.Get(rid)
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
+	return h.t.Get(rid)
 }
 
 // HasIndexOnField reports whether some index covers the field, i.e.
 // whether Lookup/LookupRIDs on it can use an access path.
 func (tbl *Table) HasIndexOnField(field int) bool {
-	return tbl.t.IndexOnField(field) != nil
+	// Asked once per SELECT: the assertion, not heap() and its error value.
+	h, ok := tbl.b.(*heapBackend)
+	return ok && h.t.IndexOnField(field) != nil
 }
 
-// Lookup returns all rows whose field equals v, via an index on the field.
-// With snapshot reads enabled it runs against a commit-epoch snapshot: it
-// never blocks behind a bulk delete, and while one holds the table's index
-// trees offline the lookup degrades to a visibility-filtered heap scan.
+// Lookup returns all rows whose field equals v: on a heap table via an
+// index on the field (see heapBackend.lookup for the snapshot semantics), on
+// an LSM table by a point read on field 0 or a filtered merged scan.
 func (tbl *Table) Lookup(field int, v int64) ([][]int64, error) {
-	if tbl.lsm != nil {
-		return tbl.lsmLookup(field, v)
-	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
-		defer done()
-		rows, usedIndex, err := tbl.t.SnapshotLookup(field, v, s)
-		tbl.noteFallbackScan(field, usedIndex)
-		return rows, err
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.t.Lookup(field, v)
+	return tbl.b.lookup(field, v)
 }
 
 // LookupRIDs returns the RIDs of all rows whose field equals v, via an
 // index on the field. Under snapshot reads, RIDs of rows deleted after the
 // snapshot are included — they name the snapshot's retained images, and a
-// Get through the same open View resolves them; a fresh Get may not.
+// Get through the same open View resolves them; a fresh Get may not. Heap
+// tables only.
 func (tbl *Table) LookupRIDs(field int, v int64) ([]RID, error) {
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: table %s is LSM-backed and has no RIDs", tbl.t.Name)
+	h, err := tbl.heap()
+	if err != nil {
+		return nil, err
 	}
-	if tbl.t.MVCC != nil {
-		if tbl.t.IndexOnField(field) == nil {
-			return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.t.Name, field)
-		}
-		s, done := tbl.beginSnapshotRead()
+	ix := h.t.IndexOnField(field)
+	if ix == nil {
+		return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.name, field)
+	}
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
 		defer done()
-		rids, usedIndex, err := tbl.t.SnapshotLookupRIDs(field, v, s)
-		tbl.noteFallbackScan(field, usedIndex)
+		rids, usedIndex, err := h.t.SnapshotLookupRIDs(field, v, s)
+		h.noteFallbackScan(field, usedIndex)
 		return rids, err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	ix := tbl.t.IndexOnField(field)
-	if ix == nil {
-		return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.t.Name, field)
-	}
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
 	// Wait out a previous statement's still-offline index pass (§3.1 early
 	// release) before traversing the tree; see Table.Lookup. The latch
 	// closes the torn-leaf window against concurrent online updaters.
@@ -299,89 +306,17 @@ func (tbl *Table) LookupRIDs(field int, v int64) ([]RID, error) {
 }
 
 // LookupRange returns all rows with lo <= field value <= hi (both bounds
-// inclusive), via an index on the field when one exists, else a heap scan.
-// Index results arrive in key order; scan results in physical order.
+// inclusive). Heap tables use an index on the field when one exists (key
+// order), else a heap scan (physical order); LSM tables merge in key order.
 func (tbl *Table) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	if tbl.lsm != nil {
-		return tbl.lsmLookupRange(field, lo, hi)
-	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
-		defer done()
-		rows, usedIndex, err := tbl.t.SnapshotLookupRange(field, lo, hi, s)
-		tbl.noteFallbackScan(field, usedIndex)
-		return rows, err
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	if lo > hi {
-		return nil, nil
-	}
-	ix := tbl.t.IndexOnField(field)
-	if ix == nil {
-		var out [][]int64
-		err := tbl.t.Heap.Scan(func(_ record.RID, rec []byte) error {
-			v := tbl.t.Schema.Field(rec, field)
-			if v >= lo && v <= hi {
-				vals, err := tbl.t.Schema.Decode(rec)
-				if err != nil {
-					return err
-				}
-				out = append(out, vals)
-			}
-			return nil
-		})
-		return out, err
-	}
-	ix.Gate.WaitOnline()
-	// SearchRange's hi bound is exclusive; hi+1 would overflow at the
-	// top of the key space, so MaxInt64 becomes an open-ended scan.
-	var hiKey []byte
-	if hi < math.MaxInt64 {
-		hiKey = ix.EncodeKey(hi + 1)
-	}
-	var rids []RID
-	ix.Latch.RLock()
-	err := ix.Tree.SearchRange(ix.EncodeKey(lo), hiKey, func(_ []byte, rid record.RID) error {
-		rids = append(rids, rid)
-		return nil
-	})
-	ix.Latch.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, 0, len(rids))
-	for _, rid := range rids {
-		row, err := tbl.t.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	return tbl.b.lookupRange(field, lo, hi)
 }
 
-// Scan calls fn for every row in physical order. Under snapshot reads the
-// surviving rows come first in physical order, then the snapshot's retained
-// rows (deleted after the snapshot) in RID order.
+// Scan calls fn for every row: physical order on a heap table (see
+// heapBackend.scan for the snapshot semantics), key order with
+// record.NilRID on an LSM table.
 func (tbl *Table) Scan(fn func(rid RID, fields []int64) error) error {
-	if tbl.lsm != nil {
-		return tbl.lsmScan(fn)
-	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
-		defer done()
-		return tbl.t.SnapshotScan(s, fn)
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.t.Heap.Scan(func(rid record.RID, rec []byte) error {
-		vals, err := tbl.t.Schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		return fn(rid, vals)
-	})
+	return tbl.b.scan(fn)
 }
 
 // View opens a stable read view: a snapshot epoch held across calls, so a
@@ -389,26 +324,24 @@ func (tbl *Table) Scan(fn func(rid RID, fields []int64) error) error {
 // of concurrent deletes. The view admits alongside a bulk delete's
 // exclusive lock (it blocks only behind Structural passes) and must be
 // Closed — an open view pins retained versions and holds a snapshot-reader
-// registration that Structural claims drain.
+// registration that Structural claims drain. Heap tables only.
 func (tbl *Table) View() (*View, error) {
-	if tbl.db.crashed.Load() {
-		return nil, errCrashed
+	h, err := tbl.liveHeap()
+	if err != nil {
+		return nil, err
 	}
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: table %s is LSM-backed; MVCC views are not supported", tbl.t.Name)
-	}
-	if tbl.t.MVCC == nil {
+	if h.t.MVCC == nil {
 		return nil, fmt.Errorf("bulkdel: snapshot reads are disabled (Options.DisableSnapshotReads)")
 	}
-	s, done := tbl.beginSnapshotRead()
-	return &View{tbl: tbl, s: s, done: done}, nil
+	s, done := h.beginSnapshotRead()
+	return &View{h: h, s: s, done: done}, nil
 }
 
 // View is a stable MVCC read view over one table. Its read methods mirror
 // the table's, evaluated at the view's snapshot epoch. Not safe for
 // concurrent use by multiple goroutines.
 type View struct {
-	tbl  *Table
+	h    *heapBackend
 	s    uint64
 	done func()
 }
@@ -427,64 +360,52 @@ func (v *View) Close() {
 // Get decodes the record at rid as of the view's snapshot; ok is false when
 // the snapshot holds no such row.
 func (v *View) Get(rid RID) (fields []int64, ok bool, err error) {
-	return v.tbl.t.SnapshotRow(rid, v.s)
+	return v.h.t.SnapshotRow(rid, v.s)
 }
 
 // Lookup returns all rows whose field equals val, as of the snapshot.
 func (v *View) Lookup(field int, val int64) ([][]int64, error) {
-	rows, usedIndex, err := v.tbl.t.SnapshotLookup(field, val, v.s)
-	v.tbl.noteFallbackScan(field, usedIndex)
+	rows, usedIndex, err := v.h.t.SnapshotLookup(field, val, v.s)
+	v.h.noteFallbackScan(field, usedIndex)
 	return rows, err
 }
 
 // LookupRange returns all rows with lo <= field <= hi, as of the snapshot.
 func (v *View) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	rows, usedIndex, err := v.tbl.t.SnapshotLookupRange(field, lo, hi, v.s)
-	v.tbl.noteFallbackScan(field, usedIndex)
+	rows, usedIndex, err := v.h.t.SnapshotLookupRange(field, lo, hi, v.s)
+	v.h.noteFallbackScan(field, usedIndex)
 	return rows, err
 }
 
 // Scan calls fn for every row visible to the snapshot.
 func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
-	return v.tbl.t.SnapshotScan(v.s, fn)
+	return v.h.t.SnapshotScan(v.s, fn)
 }
 
-// Check verifies heap/index agreement and every tree invariant. Like the
-// other read entry points it takes the shared table lock, and it additionally
-// waits for every index gate: a previous statement's early-released index
-// passes must finish before the trees can be scanned (or judged).
+// Check verifies every structural invariant of the backend (heap/index
+// agreement and the trees; the LSM levels and their manifest). Like the
+// other lock-based read entry points it takes the shared table lock.
 func (tbl *Table) Check() error {
-	if tbl.lsm != nil {
-		tbl.t.Lock.LockShared()
-		defer tbl.t.Lock.UnlockShared()
-		return tbl.lsm.Check()
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	tbl.waitIndexesOnline()
-	return tbl.t.CheckConsistency()
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
+	return tbl.b.check()
 }
 
 // Flush forces the table's pages to disk. LSM tables are a no-op: the
 // memtable's durability comes from the WAL, and SSTables are flushed as
 // they are built.
-func (tbl *Table) Flush() error {
-	if tbl.lsm != nil {
-		return nil
-	}
-	return tbl.t.Flush()
-}
+func (tbl *Table) Flush() error { return tbl.b.flush() }
 
 // SetDeletePolicy switches the traditional delete's page reclamation
 // between free-at-empty (default, the paper's choice) and merge-at-half.
+// A no-op on an LSM table, which has no B-trees to tune.
 func (tbl *Table) SetDeletePolicy(mergeAtHalf bool) {
-	if tbl.lsm != nil {
-		return // no B-trees to tune
-	}
+	policy := btree.FreeAtEmpty
 	if mergeAtHalf {
-		tbl.t.SetPolicyAll(btree.MergeAtHalf)
-	} else {
-		tbl.t.SetPolicyAll(btree.FreeAtEmpty)
+		policy = btree.MergeAtHalf
+	}
+	if h, err := tbl.heap(); err == nil {
+		h.t.SetPolicyAll(policy)
 	}
 }
 
@@ -590,67 +511,35 @@ func (r *BulkResult) MetricsJSON() ([]byte, error) {
 	return r.stats.MetricsJSON()
 }
 
-// target builds core's view of the table.
-func (tbl *Table) target() *core.Target {
-	tgt := &core.Target{
-		Name: tbl.t.Name, Heap: tbl.t.Heap, Schema: tbl.t.Schema, Pool: tbl.db.pool,
-	}
-	for _, ix := range tbl.t.Idx {
-		tgt.Indexes = append(tgt.Indexes, core.IndexRef{
-			Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
-			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
-			Priority: ix.Def.Priority, Gate: ix.Gate, Latch: &ix.Latch,
-		})
-	}
-	return tgt
+// statement is one running delete statement as its backend sees it: the
+// caller's options (Timeout already folded into Ctx), the event stream, the
+// held lock footprint, and the FK snapshot the footprint was computed from.
+type statement struct {
+	opts BulkOptions
+	stmt *obs.Stmt
+	held *cc.Held
+	fks  []ForeignKey
 }
 
-// retainTarget arms a target's MVCC retention hook, bound to one deleting
-// statement's token: Retain copies each victim's pre-delete image into the
-// version store before the slot is tombstoned or truncated away. A
-// replayed statement (online roll-forward after cancel) must pass the same
-// token as its first attempt, so its retained images commit with the
-// statement instead of lingering pending forever.
-func (tbl *Table) retainTarget(tgt *core.Target, token uint64) {
-	mv := tbl.t.MVCC
-	if mv == nil {
-		return
-	}
-	reg := tbl.db.obs.Registry()
-	tgt.Retain = func(rid record.RID, rec []byte) {
-		mv.Retain(token, rid, rec)
-		reg.Counter(obs.MetricVersionsRetained).Add(1)
-		reg.Gauge(obs.MetricVersionsRetainedBytes).Add(int64(len(rec)))
-	}
-}
-
-// BulkDelete executes DELETE FROM tbl WHERE field IN (values) with the
-// vertical bulk delete operator — the paper's contribution. With the WAL
-// enabled the statement is checkpointed and crash-recoverable (it is
-// rolled forward, not back). Declared foreign keys are enforced first,
-// vertically: RESTRICT probes run read-only before anything is modified,
-// CASCADE recursively bulk-deletes the referencing child rows.
-//
-// The statement locks its whole footprint — this table plus every
-// cascade-reachable child exclusively, RESTRICT children shared — up
-// front, in the lock manager's deterministic order, so bulk deletes on
-// different tables run concurrently and overlapping ones cannot deadlock.
-func (tbl *Table) BulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error) {
+// deleteStatement is the lifecycle of every delete statement, on either
+// backend: crashed check, admission, deadline, the lock footprint — this
+// table plus every cascade-reachable child exclusively, RESTRICT children
+// shared, taken up front in the lock manager's deterministic order, so
+// deletes on different tables run concurrently and overlapping ones cannot
+// deadlock — then body, then release.
+func (tbl *Table) deleteStatement(opts BulkOptions, body func(*statement) (*BulkResult, error)) (*BulkResult, error) {
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
-	}
-	if tbl.lsm != nil {
-		return tbl.lsmBulkDelete(field, values, opts)
 	}
 	// Overload guard: a statement that wants pool workers is shed here, at
 	// admission — before any lock is taken or log record written — when the
 	// pool's waiter queue is at its cap, so a shed statement is always safe
 	// to retry.
 	if opts.Parallel > 1 && !tbl.db.sched.Admit() {
-		stmt := tbl.db.obs.Events().Begin("bulk-delete", tbl.t.Name)
+		stmt := tbl.db.obs.Events().Begin("bulk-delete", tbl.name)
 		stmt.Event(obs.EvShed, "admission queue full")
 		stmt.End()
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, ErrOverloaded)
+		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.name, ErrOverloaded)
 	}
 	if opts.Timeout > 0 {
 		parent := opts.Ctx
@@ -663,275 +552,47 @@ func (tbl *Table) BulkDelete(field int, values []int64, opts BulkOptions) (*Bulk
 		opts.Timeout = 0
 	}
 	claims, fks := tbl.db.deleteFootprint(tbl)
-	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.t.Name, claims, opts.LockWait)
+	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.name, claims, opts.LockWait)
 	if err != nil {
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, err)
+		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.name, err)
 	}
 	defer tbl.db.endStatement(stmt, held)
-	return tbl.bulkDeleteWithDepth(field, values, opts, 0, stmt, held, fks)
+	return body(&statement{opts: opts, stmt: stmt, held: held, fks: fks})
 }
 
-// bulkDeleteWithDepth runs one level of the (possibly cascading) delete.
-// All locks were acquired by BulkDelete at depth 0; held carries them so
-// recursion never re-acquires (which would self-deadlock). fks is the FK
-// snapshot the footprint was computed from — every level enforces this
-// snapshot, never a re-read of the live list, so the cascade graph cannot
-// outgrow the locks.
-func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (*BulkResult, error) {
+// BulkDelete executes DELETE FROM tbl WHERE field IN (values). On a heap
+// table this is the vertical bulk delete operator — the paper's
+// contribution (heapBackend.deleteIn); on an LSM table every victim that
+// exists becomes a point tombstone, logged as one crash-atomic group.
+func (tbl *Table) BulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error) {
+	return tbl.deleteStatement(opts, func(st *statement) (*BulkResult, error) {
+		return tbl.b.deleteIn(st, field, values)
+	})
+}
+
+// DeleteRange deletes every row whose field value lies in [lo, hi], both
+// bounds inclusive, as one statement.
+//
+// On an LSM table with field == 0 this is the backend's signature move:
+// one range tombstone is logged and dropped into the memtable — O(1)
+// foreground I/O regardless of how many rows the range covers — and the
+// result's Deleted is -1 (a blind delete does not know the count; the
+// covered rows disappear from every read immediately and their space is
+// reclaimed by delete-aware compaction within TombstoneTTL flushes).
+// Non-key fields fall back to a merged scan issuing point tombstones.
+//
+// On a heap table the range is resolved to its distinct field values and
+// handed to the regular ⋈̸ BulkDelete machinery.
+func (tbl *Table) DeleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error) {
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
 	}
-	if opts.Memory <= 0 {
-		opts.Memory = table.DefaultSortBudget
+	if lo > hi {
+		return &BulkResult{}, nil // an empty range is no statement at all
 	}
-	res := &BulkResult{Victims: len(values)}
-
-	// Referential integrity first — "as early as possible and before
-	// deleting records from the table and the indices" (paper §2.1).
-	cascaded, err := tbl.db.enforceForeignKeys(tbl, field, values, opts, depth, stmt, held, fks)
-	if err != nil {
-		return nil, err
-	}
-	res.Cascaded = cascaded
-
-	coreOpts := core.Options{
-		Ctx:            opts.Ctx,
-		Method:         opts.Method,
-		Memory:         opts.Memory,
-		Reorganize:     opts.Reorganize,
-		CheckpointRows: opts.CheckpointRows,
-		Parallel:       opts.Parallel,
-		Sched:          tbl.db.sched,
-		Stmt:           stmt,
-	}
-	if tbl.db.log != nil {
-		coreOpts.Log = tbl.db.log
-		coreOpts.TxID = tbl.db.nextTx()
-	}
-
-	// The statement trace: core fills in the phase spans; we own the root.
-	tr := obs.NewTrace("bulk-delete",
-		fmt.Sprintf("table=%s field=%d victims=%d", tbl.t.Name, field, len(values)),
-		tbl.db.obsSource())
-	coreOpts.Trace = tr
-	res.Trace = tr
-
-	// §3.1 concurrency protocol: the root level's exclusive lock is released
-	// at this level's end, or earlier via OnCriticalDone; ReleaseTable is
-	// idempotent. Cascade children (depth > 0) keep their locks until the
-	// statement's ReleaseAll: a diamond FK graph can cascade into the same
-	// child from two branches, and an early release after the first visit
-	// would let another statement lock the child while our second visit
-	// still mutates it.
-	unlock := func() {}
-	if depth == 0 {
-		unlock = func() { held.ReleaseTable(tbl.t.Name) }
-	}
-	defer unlock()
-
-	// A previous statement's early release means its non-critical index
-	// passes may still be running offline; wait for every gate before
-	// touching the trees (updaters may queue through side-files, but two
-	// bulk passes on one tree must not overlap).
-	tbl.waitIndexesOnline()
-
-	// MVCC: open this level's retain token, and stamp its versions with one
-	// commit epoch exactly once — at §3.1 early release in concurrent mode
-	// (the statement's logical commit point), at level end otherwise.
-	// BeginDelete runs before any gate goes offline: it drains snapshot
-	// readers out of the index trees, then sends new ones to the
-	// visibility-filtered heap scan until EndDelete — which is deferred
-	// FIRST so it runs after the gate-cleanup defer below brings every tree
-	// back online.
-	mv := tbl.t.MVCC
-	var token uint64
-	levelCommit := func() {}
-	if mv != nil {
-		token = mv.NewToken()
-		var commitOnce sync.Once
-		levelCommit = func() {
-			commitOnce.Do(func() {
-				mv.CommitToken(token) // prunes behind the horizon
-				tbl.db.noteRetainedBytes()
-			})
-		}
-		defer levelCommit()
-		mv.BeginDelete()
-		defer mv.EndDelete()
-	}
-
-	// Parallel passes invoke OnStructureDone from concurrent goroutines;
-	// the side-file replay below mutates res, so serialize it.
-	var sfMu sync.Mutex
-
-	if opts.Concurrent {
-		byFile := make(map[sim.FileID]*table.Index, len(tbl.t.Idx))
-		// reopened tracks the gates this statement has already brought back
-		// online. The cleanup below must consult it, not Gate.State(): once
-		// every pass is done the next statement may acquire the lock, pass
-		// waitIndexesOnline, and take the gates offline again before our
-		// deferred cleanup runs — quiescing that statement's side-file and
-		// reopening its gates mid-pass would corrupt its trees.
-		reopened := make(map[sim.FileID]bool, len(tbl.t.Idx))
-		for _, ix := range tbl.t.Idx {
-			ix.Gate.TakeOffline()
-			stmt.Event(obs.EvGateOffline, ix.Def.Name)
-			byFile[ix.Tree.ID()] = ix
-		}
-		coreOpts.Undeletable = tbl.t.Undeletable
-		coreOpts.OnStructureDone = func(file sim.FileID) {
-			sfMu.Lock()
-			defer sfMu.Unlock()
-			ix, ok := byFile[file]
-			if !ok {
-				return // the heap: nothing to reopen
-			}
-			reopened[file] = true
-			// Apply the side-file: drain in batches while appends
-			// continue, then quiesce for the final batch and bring
-			// the index online (§3.1.1).
-			before := res.SideFileOps
-			sf := ix.Gate.SideFile()
-			for sf.Len() > 64 {
-				for _, op := range sf.Drain(64) {
-					res.SideFileOps++
-					_ = tbl.applySideOp(ix, op)
-				}
-			}
-			for _, op := range sf.Quiesce() {
-				res.SideFileOps++
-				_ = tbl.applySideOp(ix, op)
-			}
-			ix.Gate.BringOnline()
-			stmt.Event(obs.EvGateOnline,
-				fmt.Sprintf("%s side-ops=%d", ix.Def.Name, res.SideFileOps-before))
-		}
-		coreOpts.OnCriticalDone = func() {
-			// Table and unique indexes durable: this is the statement's
-			// commit point. Stamp the retained versions before releasing
-			// the lock, so no reader starting after the release can still
-			// see the deleted rows (§3.1).
-			levelCommit()
-			if depth == 0 {
-				stmt.Event(obs.EvEarlyRelease, tbl.t.Name)
-			}
-			unlock()
-		}
-		defer func() {
-			// Whatever happens, no gate WE took offline stays offline. Only
-			// not-yet-reopened gates are ours — an offline gate whose pass
-			// completed belongs to the next statement (see reopened above).
-			sfMu.Lock()
-			defer sfMu.Unlock()
-			for _, ix := range tbl.t.Idx {
-				if !reopened[ix.Tree.ID()] {
-					for _, op := range ix.Gate.SideFile().Quiesce() {
-						res.SideFileOps++
-						_ = tbl.applySideOp(ix, op)
-					}
-					ix.Gate.BringOnline()
-					stmt.Event(obs.EvGateOnline, ix.Def.Name+" (cleanup)")
-				}
-			}
-		}()
-	}
-
-	tgt := tbl.target()
-	tbl.retainTarget(tgt, token)
-	st, err := core.Execute(tgt, field, values, coreOpts)
-	tr.Finish()
-	tbl.db.obs.OnTrace(tr)
-	if err != nil {
-		if errors.Is(err, core.ErrCancelled) {
-			// Abort-to-consistency runs HERE, inside the statement: the
-			// deferred gate cleanup and lock release have not fired yet, so
-			// the replay owns the structures exactly as crash recovery
-			// would. After it returns, the deferred cleanup drains the
-			// side-files and reopens the gates on the now-final trees —
-			// the same epilogue as the success path. The replay retains
-			// under this level's token, so the deferred levelCommit stamps
-			// its versions too.
-			if aerr := tbl.abortToConsistency(stmt, opts.Ctx, coreOpts.TxID, field, token); aerr != nil {
-				return nil, fmt.Errorf("bulkdel: bulk delete on %s: abort-to-consistency failed: %v (statement error: %w)",
-					tbl.t.Name, aerr, err)
-			}
-		}
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, err)
-	}
-	if depth == 0 {
-		// The statement's footprint was acquired once, before depth 0 ran;
-		// report the real blocking time on the root's stats only.
-		st.LockWait = held.WaitTotal()
-	}
-	res.Deleted = st.Deleted
-	res.Method = st.Method
-	res.Partitions = st.Partitions
-	res.Elapsed = st.Elapsed
-	res.Makespan = st.Makespan
-	res.Workers = st.Workers
-	if res.Workers == 0 {
-		res.Workers = 1
-	}
-	res.PlanText = st.PlanText
-	res.stats = st
-	return res, nil
-}
-
-// abortToConsistency handles a statement that stopped with ErrCancelled:
-// it records the cancellation (cc_aborts, plus cc_deadline_exceeded when
-// the context died of its deadline), then brings the structures to the
-// exact state a crash at the same boundary followed by Recover would
-// produce, by replaying the §3.2 roll-forward online (DB.rollForwardOnline).
-// Must be called while the statement still holds its locks and gates.
-func (tbl *Table) abortToConsistency(stmt *obs.Stmt, ctx context.Context, txID uint64, field int, token uint64) error {
-	reg := tbl.db.obs.Registry()
-	reg.Counter(obs.MetricAborts).Add(1)
-	detail := "cancelled"
-	if ctx != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		reg.Counter(obs.MetricDeadlineExceeded).Add(1)
-		detail = "deadline exceeded"
-	}
-	stmt.Event(obs.EvCancel, detail)
-	if tbl.db.log == nil {
-		// No WAL: the executor only honors cancellation before any
-		// structure was modified, so there is nothing to roll forward.
-		stmt.Event(obs.EvAbort, "no wal: zero-effect abort")
-		return nil
-	}
-	deleted, err := tbl.db.rollForwardOnline(tbl, txID, field, token)
-	if err != nil {
-		return err
-	}
-	stmt.Event(obs.EvAbort, fmt.Sprintf("online roll-forward complete, rows=%d", deleted))
-	return nil
-}
-
-// waitIndexesOnline blocks until no index of the table is offline. Every
-// statement that modifies the table through the index trees directly calls
-// this right after taking the exclusive lock: the previous bulk delete may
-// have released the lock early (§3.1) with its remaining index passes
-// still in flight, and those passes own the offline trees until their
-// gates reopen.
-func (tbl *Table) waitIndexesOnline() {
-	for _, ix := range tbl.t.Idx {
-		ix.Gate.WaitOnline()
-	}
-}
-
-// applySideOp replays one deferred index operation.
-func (tbl *Table) applySideOp(ix *table.Index, op cc.Op) error {
-	if op.Kind == cc.OpInsert {
-		err := ix.Tree.Insert(op.Key, op.RID)
-		if err == btree.ErrDuplicateKey {
-			return err
-		}
-		return err
-	}
-	err := ix.Tree.Delete(op.Key, op.RID)
-	if err == btree.ErrNotFound {
-		return nil // already removed by the bulk delete
-	}
-	return err
+	return tbl.deleteStatement(opts, func(st *statement) (*BulkResult, error) {
+		return tbl.b.deleteRange(st, field, lo, hi)
+	})
 }
 
 // UpdateResult reports a bulk update.
@@ -953,15 +614,13 @@ type UpdateResult struct {
 // index over setField receives a bulk delete of the old entries followed
 // by a bulk insert of the new ones. Indexes over other attributes are
 // untouched. The statement runs under the exclusive table lock and is not
-// WAL-protected (see DESIGN.md's future-work notes).
+// WAL-protected (see DESIGN.md's future-work notes). Heap tables only.
 func (tbl *Table) BulkUpdate(predField int, values []int64, setField int,
 	transform func(int64) int64, opts BulkOptions) (*UpdateResult, error) {
 
-	if tbl.db.crashed.Load() {
-		return nil, errCrashed
-	}
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: bulk update is not supported on LSM table %s", tbl.t.Name)
+	h, err := tbl.liveHeap()
+	if err != nil {
+		return nil, err
 	}
 	if opts.Memory <= 0 {
 		opts.Memory = table.DefaultSortBudget
@@ -969,11 +628,9 @@ func (tbl *Table) BulkUpdate(predField int, values []int64, setField int,
 	// Structural: unlike a bulk delete, the update rewrites records in
 	// place without retaining pre-images, so snapshot readers must be
 	// drained and held out, not admitted.
-	stmt, held := tbl.db.beginStatement("bulk-update", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
+	stmt, held := h.structural("bulk-update")
 	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	st, err := core.ExecuteUpdate(tbl.target(), predField, values, setField, transform, core.Options{
+	st, err := core.ExecuteUpdate(h.target(), predField, values, setField, transform, core.Options{
 		Memory:     opts.Memory,
 		Reorganize: opts.Reorganize,
 		Stmt:       stmt,
@@ -981,7 +638,7 @@ func (tbl *Table) BulkUpdate(predField int, values []int64, setField int,
 	if err != nil {
 		return nil, err
 	}
-	tbl.resetSnapshots()
+	h.resetSnapshots()
 	return &UpdateResult{
 		Updated:      st.Updated,
 		EntriesMoved: st.EntriesMoved,
@@ -991,83 +648,59 @@ func (tbl *Table) BulkUpdate(predField int, values []int64, setField int,
 
 // DeleteTraditional runs the record-at-a-time baseline: every victim
 // probed through the access index, each record removed from the heap and
-// from every index individually.
+// from every index individually. Heap tables only.
 func (tbl *Table) DeleteTraditional(field int, values []int64, sortValues bool) (int64, error) {
-	if tbl.db.crashed.Load() {
-		return 0, errCrashed
-	}
-	if tbl.lsm != nil {
-		return 0, fmt.Errorf("bulkdel: traditional delete is not supported on LSM table %s", tbl.t.Name)
+	h, err := tbl.liveHeap()
+	if err != nil {
+		return 0, err
 	}
 	// Structural: the baseline deletes record-at-a-time with no version
 	// retention, so snapshot readers are held out for the duration.
-	stmt, held := tbl.db.beginStatement("delete-traditional", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
+	stmt, held := h.structural("delete-traditional")
 	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	n, err := tbl.t.TraditionalDelete(field, values, sortValues)
-	tbl.resetSnapshots()
+	n, err := h.t.TraditionalDelete(field, values, sortValues)
+	h.resetSnapshots()
 	return n, err
 }
 
 // DeleteDropCreate runs the drop-&-create baseline: secondary indexes are
 // dropped, the delete runs against the access index only, and the dropped
-// indexes are rebuilt.
+// indexes are rebuilt. Heap tables only.
 func (tbl *Table) DeleteDropCreate(field int, values []int64) (int64, error) {
-	if tbl.db.crashed.Load() {
-		return 0, errCrashed
-	}
-	if tbl.lsm != nil {
-		return 0, fmt.Errorf("bulkdel: drop-and-create delete is not supported on LSM table %s", tbl.t.Name)
+	h, err := tbl.liveHeap()
+	if err != nil {
+		return 0, err
 	}
 	// Structural: index trees are dropped and rebuilt wholesale; no reader
 	// — snapshot or otherwise — may observe the intermediate state.
-	stmt, held := tbl.db.beginStatement("delete-drop-create", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
+	stmt, held := h.structural("delete-drop-create")
 	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	n, err := tbl.t.DropCreateDelete(field, values, true)
-	tbl.resetSnapshots()
+	n, err := h.t.DropCreateDelete(field, values, true)
+	h.resetSnapshots()
 	if err != nil {
 		return n, err
 	}
 	return n, tbl.db.saveCatalog()
 }
 
-// resetSnapshots discards the table's volatile MVCC state after an offline
-// structural pass. The caller must hold a Structural claim on the table, so
-// no snapshot reader can be open.
-func (tbl *Table) resetSnapshots() {
-	if mv := tbl.t.MVCC; mv != nil {
-		mv.Reset()
-	}
-}
-
-// Explain renders the plan the given method would execute for a bulk
-// delete on the field — the code form of the paper's Figures 3–5.
+// Explain renders the plan a bulk delete on the field would execute: on a
+// heap table the given method's ⋈̸ plan — the code form of the paper's
+// Figures 3–5 — on an LSM table the tombstone write.
 func (tbl *Table) Explain(field int, m Method, memory int) string {
-	if tbl.lsm != nil {
-		return fmt.Sprintf("LSMDelete(table=%s field=%d)\n  └─ tombstone write (range predicates: one range tombstone; O(1) I/O)\n", tbl.t.Name, field)
-	}
-	if memory <= 0 {
-		memory = table.DefaultSortBudget
-	}
-	tgt := tbl.target()
-	if m == Auto {
-		m = core.ChooseMethod(tgt, field, 0, memory)
-	}
-	return core.BuildPlan(tgt, field, m, memory, 1).String()
+	return tbl.b.explain(field, m, memory)
 }
 
 // EstimateMethods returns the planner's cost estimates for a victim count,
-// in plan order.
+// in plan order (empty on an LSM table, which has no planner).
 func (tbl *Table) EstimateMethods(field, victims, memory int) map[string]time.Duration {
 	if memory <= 0 {
 		memory = table.DefaultSortBudget
 	}
 	out := make(map[string]time.Duration)
-	for _, e := range core.EstimateCosts(tbl.target(), field, victims, memory) {
-		out[e.Method.String()] = e.Time
+	if h, err := tbl.heap(); err == nil {
+		for _, e := range core.EstimateCosts(h.target(), field, victims, memory) {
+			out[e.Method.String()] = e.Time
+		}
 	}
 	return out
 }
