@@ -290,3 +290,45 @@ func TestRebalanceCtxCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestUnloggedParallelCancelIsAllOrNothing cancels an unlogged delete whose
+// remaining-index passes fan out over the device array, at every page I/O.
+// Without a WAL nothing can be rolled forward, so a statement past admission
+// observes its context nowhere — not at a pass boundary, not at a scheduler
+// node boundary: it either completes, or fails ErrCancelled untouched.
+func TestUnloggedParallelCancelIsAllOrNothing(t *testing.T) {
+	const n = 600
+	// run cancels at the statement's kth I/O (0 = never) and returns the
+	// statement's error and I/O count.
+	run := func(k uint64) (*Table, uint64, error) {
+		db, tbl, victims := newCancelDB(t, n, Options{DisableWAL: true, Devices: 4})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if k > 0 {
+			db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(k, cancel))
+		}
+		before := db.Disk().IOCount()
+		_, err := tbl.BulkDelete(0, victims, BulkOptions{Ctx: ctx, Parallel: 3})
+		db.Disk().SetFaultPlan(nil)
+		return tbl, db.Disk().IOCount() - before, err
+	}
+	_, total, err := run(0)
+	if err != nil || total == 0 {
+		t.Fatalf("fault-free delete: %d I/Os, %v", total, err)
+	}
+	for k := uint64(1); k <= total; k++ {
+		tbl, _, err := run(k)
+		want := int64(n / 2)
+		if errors.Is(err, ErrCancelled) {
+			want = n
+		} else if err != nil {
+			t.Fatalf("cancel at I/O %d: %v", k, err)
+		}
+		if cerr := tbl.Check(); cerr != nil {
+			t.Fatalf("cancel at I/O %d (statement returned %v): %v", k, err, cerr)
+		}
+		if got := tbl.Count(); got != want {
+			t.Fatalf("cancel at I/O %d (statement returned %v): %d rows, want %d", k, err, got, want)
+		}
+	}
+}

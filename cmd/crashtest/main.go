@@ -11,7 +11,7 @@
 //	crashtest -at 37 -v               # reproduce a single ordinal
 //	crashtest -from 10 -to 60 -stride 5
 //	crashtest -tear 100 -tear-wal     # additionally tear crashing WAL writes
-//	crashtest -rebalance              # crash an online device rebalancing
+//	crashtest -rebalance              # crash an online device rebalancing, and a bulk delete on a 4-way partitioned heap
 //	crashtest -lsm                    # crash the LSM delete + compaction sequences, and a heap delete beside an LSM table
 //	crashtest -cancel                 # cancel (not crash) at every ordinal
 //	crashtest -reader                 # crash/cancel under a concurrent MVCC snapshot reader
@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	devices := fs.Int("devices", 0, "simulated disk array width (data files placed by the device policy; 0 = single spindle)")
 	parallel := fs.Int("parallel", 0, "worker cap for the remaining-index passes (makes the crash point nondeterministic; invariants still checked)")
 	concurrent := fs.Bool("concurrent", false, "two-table scenario: crash a concurrent two-statement batch (invariants only, no digest)")
-	rebalance := fs.Bool("rebalance", false, "rebalance scenario: crash an online device rebalancing instead of a bulk delete")
+	rebalance := fs.Bool("rebalance", false, "partitioned-table scenarios: crash an online device rebalancing (rebalance:) and a sort/merge bulk delete on a hash-partitioned 4-way heap (parted:)")
 	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, and a heap bulk delete beside an LSM table living in the WAL (lsm-heap:)")
 	cancelMode := fs.Bool("cancel", false, "cancel scenario: cooperatively cancel at every ordinal and compare the online abort against crash+recover")
 	reader := fs.Bool("reader", false, "attach a concurrent MVCC snapshot reader to the crash (or, with -cancel, the cancel) sweep; the pinned view must stay repeatable throughout")
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *concurrent:
 		scenarios = []string{"concurrent"}
 	case *rebalance:
-		scenarios, perMethod = []string{"rebalance"}, false
+		scenarios, perMethod = []string{"rebalance", "parted"}, false
 	case *lsmMode:
 		scenarios, perMethod = []string{"lsm", "lsm-in", "lsm-heap"}, false
 	case *reader && *cancelMode:
@@ -191,6 +191,7 @@ type kind struct {
 var kinds = map[string]kind{
 	"bulk":          {fired: "crash", digest: true},
 	"rebalance":     {fired: "crash", digest: true},
+	"parted":        {fired: "crash", digest: true},
 	"lsm":           {fired: "crash", digest: true},
 	"lsm-in":        {fired: "crash", digest: true},
 	"lsm-heap":      {fired: "crash", digest: true},

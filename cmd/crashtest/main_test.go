@@ -39,7 +39,9 @@ func TestAtReproducesOneOrdinalInEveryScenario(t *testing.T) {
 	// Past the two short LSM statements, inside the heap delete: the sweeps
 	// the ordinal is past are skipped, not an error.
 	runCLI(t, 0, []string{"-lsm", "-at", "37"}, " ok", "lsm-heap: io=37   crash=")
-	runCLI(t, 0, []string{"-rebalance", "-at", "9"}, " ok", "rebalance: io=9    crash=")
+	runCLI(t, 0, []string{"-rebalance", "-at", "9"}, " ok", "rebalance: io=9    crash=", "parted: io=9    crash=")
+	// Past the rebalancing's last I/O, inside the partitioned-heap delete.
+	runCLI(t, 0, []string{"-rebalance", "-at", "45"}, " ok", "parted: io=45   crash=")
 	runCLI(t, 0, []string{"-at", "37", "-method", "hash"}, " ok", "hash:     io=37   crash=")
 	runCLI(t, 0, []string{"-reader", "-cancel", "-at", "12", "-method", "sort"}, " ok", "sort:     io=12   fired=")
 	// An ordinal past the statement's last I/O is a usage error, not an
@@ -55,6 +57,9 @@ func TestSummaryLines(t *testing.T) {
 		"lsm: 11 I/Os, swept 11 ordinals, 0 failed, digest ba623159b70f4826",
 		"lsm-in: 12 I/Os, swept 12 ordinals, 0 failed, digest ",
 		"lsm-heap: 74 I/Os, swept 74 ordinals, 0 failed, digest ")
+	runCLI(t, 0, []string{"-rebalance"}, "",
+		"rebalance: 31 I/Os, swept 31 ordinals, 0 failed, digest 62ca06787b056a05",
+		"parted: 90 I/Os, swept 90 ordinals, 0 failed, digest 8913f8d6db8ca5d9")
 	runCLI(t, 0, []string{"-cancel", "-method", "hash", "-stride", "9"}, "",
 		"hash:     cancel sweep: 62 I/Os, swept 7 ordinals, 7 cancelled, 0 failed, reference d0ec0d93a4ddb929")
 	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",

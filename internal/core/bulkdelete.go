@@ -68,24 +68,17 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	logged := o.Log != nil
 	var victimFile *rowFile
 	if logged {
-		err := func() error {
-			sp := e.span("materialize-victims", fmt.Sprintf("%d values → stable storage", len(values)))
+		err := e.phase("materialize-victims", fmt.Sprintf("%d values → stable storage", len(values)), tgt.Name, func() error {
 			if _, err := o.Log.Append(wal.TBegin, o.TxID, 0, 0, nil); err != nil {
 				return err
 			}
 			// Materialize the sorted victim list to stable storage before
 			// touching anything (paper §3.2).
-			srt, err := sortVictims(e, values)
+			it, err := sortedVictims(e, values)
 			if err != nil {
 				return err
 			}
-			it, err := srt.Finish()
-			if err != nil {
-				return err
-			}
-			victimFile, err = materialize(e, it.Next, keyenc.Int64Width)
-			it.Close()
-			if err != nil {
+			if victimFile, err = materializeOn(e, it, keyenc.Int64Width, -1); err != nil {
 				return err
 			}
 			// Payload: victim row count + delete attribute, so recovery can
@@ -98,14 +91,10 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 				return err
 			}
 			o.Stmt.Event(obs.EvWAL, fmt.Sprintf("bulk-start rows=%d field=%d", victimFile.rows, field))
-			if err := o.Log.Flush(); err != nil {
-				return err
-			}
-			sp.Finish()
-			return nil
-		}()
+			return o.Log.Flush()
+		})
 		if err != nil {
-			return nil, phaseErr("materialize-victims", tgt.Name, err)
+			return nil, err
 		}
 	}
 
@@ -114,8 +103,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	}
 
 	if logged {
-		err := func() error {
-			sp := e.span("wal-commit", "bulk-end + commit records")
+		err := e.phase("wal-commit", "bulk-end + commit records", tgt.Name, func() error {
 			if _, err := o.Log.Append(wal.TBulkEnd, o.TxID, 0, 0, nil); err != nil {
 				return err
 			}
@@ -126,11 +114,10 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 				return err
 			}
 			o.Stmt.Event(obs.EvCommit, "bulk-end + commit durable")
-			sp.Finish()
 			return nil
-		}()
+		})
 		if err != nil {
-			return stats, phaseErr("wal-commit", tgt.Name, err)
+			return stats, err
 		}
 	}
 	stats.Elapsed = e.disk().Clock() - start
@@ -174,39 +161,40 @@ type resumeState struct {
 	keyFiles map[sim.FileID]*rowFile
 }
 
-// run executes the phases. victimFile is non-nil in logged mode; rs is
-// non-nil when resuming after a crash.
+// run executes the phases: it builds each phase's jobs and hands them to
+// runPasses. victimFile is non-nil in logged mode; rs is non-nil when
+// resuming after a crash.
 func (e *execCtx) run(field int, values []int64, method Method,
 	access *IndexRef, rest []*IndexRef, victimFile *rowFile, rs *resumeState) error {
 
 	o := e.opts
 	logged := o.Log != nil
-	stats := e.stats
 	disk := e.disk()
 
-	// Degree of parallelism for phase 3. Recovery replays serially: the
-	// roll-forward has per-structure progress to respect and nothing to
-	// gain from overlap it could not also get on the original run.
-	stats.ParallelRequested = o.Parallel
-	workers := 1
+	// Degree of parallelism. Recovery replays serially: the roll-forward
+	// has per-structure progress to respect and nothing to gain from
+	// overlap it could not also get on the original run.
+	e.stats.ParallelRequested = o.Parallel
+	maxWorkers := 1
 	if o.Parallel > 1 && rs == nil {
-		workers = chooseParallelRest(e.tgt, rest, o.Parallel)
+		maxWorkers = o.Parallel
 	}
+	workers := clampWorkers(disk, indexFiles(rest), maxWorkers)
 	e.parWorkers = workers
-	par := workers > 1
+	e.criticalLeft = 1
+	for _, ix := range rest {
+		if ix.Unique {
+			e.criticalLeft++
+		}
+	}
 
 	// victimIter returns a fresh iterator over the sorted victim keys.
-	victimIter := func() (rowIter, error) {
+	victimIter := func(ce *execCtx) (rowIter, error) {
 		if victimFile != nil {
 			return victimFile.iterator(0)
 		}
-		sp := e.child("sort-victims", fmt.Sprintf("%d values by key", len(values)))
-		srt, err := sortVictims(e, values)
-		if err != nil {
-			sp.Finish()
-			return nil, err
-		}
-		it, err := srt.Finish()
+		sp := ce.child("sort-victims", fmt.Sprintf("%d values by key", len(values)))
+		it, err := sortedVictims(ce, values)
 		sp.Finish()
 		if err != nil {
 			return nil, err
@@ -219,8 +207,14 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	var ridFile *rowFile               // materialized sorted RID list (logged)
 	var ridIter rowIter                // sorted RID rows (unlogged)
 	var ridSet map[record.RID]struct{} // hash method
+	addToSet := func(rid record.RID) error {
+		ridSet[rid] = struct{}{}
+		return nil
+	}
 	collectRIDs := func(emit func(record.RID) error) error {
-		vi, err := victimIter()
+		// Sorted first even when the scan below will not read them: the
+		// sort's charges are part of every recorded number.
+		vi, err := victimIter(e)
 		if err != nil {
 			return err
 		}
@@ -241,335 +235,253 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		_, err = mergeDeleteIndexByKey(e, access, vi, false, emit, nil)
 		return err
 	}
-
-	collectStruct := e.tgt.Name
-	if access != nil {
-		collectStruct = access.Name
+	// sortedRIDs runs collectRIDs into a RID list and returns it sorted.
+	sortedRIDs := func() (*xsort.Iterator, error) {
+		rids, err := newRIDList(e)
+		if err != nil {
+			return nil, err
+		}
+		if err := collectRIDs(rids.add); err != nil {
+			return nil, err
+		}
+		return rids.sorted()
 	}
+
 	if rs != nil && rs.ridFile != nil {
 		ridFile = rs.ridFile
 	} else if logged {
-		// Read-only collect pass → sort by RID → materialize.
-		err := func() error {
-			sp := e.span("collect-rids", "read-only ⋈̸ → sorted RID list → stable storage")
-			e.cur = sp
-			srt, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
+		collectStruct := e.tgt.Name
+		if access != nil {
+			collectStruct = access.Name
+		}
+		err := e.phase("collect-rids", "read-only ⋈̸ → sorted RID list → stable storage", collectStruct, func() error {
+			it, err := sortedRIDs()
 			if err != nil {
 				return err
 			}
-			var row [record.RIDSize]byte
-			err = collectRIDs(func(rid record.RID) error {
-				record.PutRID(row[:], rid)
-				return srt.Add(row[:])
-			})
-			if err != nil {
+			if ridFile, err = materializeOn(e, it, record.RIDSize, -1); err != nil {
 				return err
 			}
-			it, err := srt.Finish()
-			if err != nil {
+			if err := e.logMaterialized(0, ridFile); err != nil {
 				return err
 			}
-			ridFile, err = materialize(e, it.Next, record.RIDSize)
-			it.Close()
-			if err != nil {
-				return err
-			}
-			var rowsPayload [8]byte
-			binary.LittleEndian.PutUint64(rowsPayload[:], uint64(ridFile.rows))
-			if _, err := o.Log.Append(wal.TMaterialized, o.TxID, 0, uint64(ridFile.file), rowsPayload[:]); err != nil {
-				return err
-			}
-			if err := o.Log.Flush(); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			return nil
-		}()
+			return o.Log.Flush()
+		})
 		if err != nil {
-			return phaseErr("collect-rids", collectStruct, err)
+			return err
 		}
 	}
 
-	// Destructive pass on the access index.
-	if access != nil && !e.skip(access.Tree.ID()) {
-		err := func() error {
-			sp := e.span("access-pass", fmt.Sprintf("⋈̸[merge] %s (by key)", access.Name))
-			e.cur = sp
-			t0 := disk.Clock()
-			if err := e.structStart(access.Tree.ID(), 1); err != nil {
-				return err
-			}
-			vi, err := victimIter()
+	// Destructive pass on the access index. On resume it may already be
+	// done; the RID list then comes from disk.
+	if access != nil {
+		var rids *ridList // unlogged sort/merge: sorted once the pass completes
+		job := e.indexJob(access, "merge", func(ce *execCtx) (int64, int, error) {
+			vi, err := victimIter(ce)
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
 			var startKey []byte
 			if from := resumeFrom(rs, access.Tree.ID()); from > 0 {
 				vi, startKey, err = skipRows(vi, uint64(from))
 				if err != nil {
-					return err
+					return 0, 0, err
 				}
-				e.applied = from // keep checkpoint progress absolute
+				ce.applied = from // keep checkpoint progress absolute
 			}
 			var emit func(record.RID) error
 			if !logged {
 				if method == Hash {
 					ridSet = make(map[record.RID]struct{}, len(values))
-					emit = func(rid record.RID) error {
-						ridSet[rid] = struct{}{}
-						return nil
-					}
+					emit = addToSet
 				} else {
-					srt, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
-					if err != nil {
-						return err
+					if rids, err = newRIDList(ce); err != nil {
+						return 0, 0, err
 					}
-					var row [record.RIDSize]byte
-					emit = func(rid record.RID) error {
-						record.PutRID(row[:], rid)
-						return srt.Add(row[:])
-					}
-					// Finished below, after the pass completes.
-					e.pendingRIDSorter = srt
+					emit = rids.add
 				}
 			}
-			del, err := mergeDeleteIndexByKey(e, access, vi, true, emit, startKey)
-			if err != nil {
-				return err
-			}
-			if err := access.Tree.RebuildUpper(o.Reorganize); err != nil {
-				return err
-			}
-			if err := e.structDone(access.Tree.ID(), func() error { return access.Tree.Flush() }); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			ss := StructStats{Name: access.Name, File: access.Tree.ID(), Deleted: del, Elapsed: disk.Clock() - t0}
-			ss.fillIO(sp)
-			stats.PerStructure = append(stats.PerStructure, ss)
-			if e.pendingRIDSorter != nil {
-				it, err := e.pendingRIDSorter.Finish()
-				if err != nil {
-					return err
-				}
-				ridIter = it.Next
-				e.pendingRIDSorter = nil
-			}
-			return nil
-		}()
-		if err != nil {
-			return phaseErr("access-pass", access.Name, err)
+			deleted, err := mergeDeleteIndexByKey(ce, access, vi, true, emit, startKey)
+			return deleted, 0, err
+		})
+		if err := e.runPasses("access-pass", []passJob{job}, 1); err != nil {
+			return err
 		}
-	} else if access != nil && logged {
-		// Access index already done on resume; RID list comes from disk.
+		if rids != nil {
+			it, err := rids.sorted()
+			if err != nil {
+				return phaseErr("access-pass", access.Name, err)
+			}
+			ridIter = it.Next
+		}
 	}
 
 	if access == nil && !logged {
 		// Victims located by table scan: RIDs arrive already sorted.
-		err := func() error {
-			sp := e.span("collect-rids", "table scan → RID list")
-			e.cur = sp
+		err := e.phase("collect-rids", "table scan → RID list", e.tgt.Name, func() error {
 			if method == Hash {
 				ridSet = make(map[record.RID]struct{}, len(values))
-				if err := collectRIDs(func(rid record.RID) error {
-					ridSet[rid] = struct{}{}
-					return nil
-				}); err != nil {
-					return err
-				}
-			} else {
-				srt, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
-				if err != nil {
-					return err
-				}
-				var row [record.RIDSize]byte
-				if err := collectRIDs(func(rid record.RID) error {
-					record.PutRID(row[:], rid)
-					return srt.Add(row[:])
-				}); err != nil {
-					return err
-				}
-				it, err := srt.Finish()
-				if err != nil {
-					return err
-				}
-				ridIter = it.Next
+				return collectRIDs(addToSet)
 			}
-			sp.Finish()
-			e.cur = nil
+			it, err := sortedRIDs()
+			if err != nil {
+				return err
+			}
+			ridIter = it.Next
 			return nil
-		}()
+		})
 		if err != nil {
-			return phaseErr("collect-rids", e.tgt.Name, err)
+			return err
 		}
 	}
 	if logged && method == Hash {
 		// Build the RID hash from the materialized list.
 		ridSet = make(map[record.RID]struct{})
-		if err := ridFile.iterate(0, func(row []byte) error {
-			ridSet[record.GetRID(row)] = struct{}{}
-			return nil
-		}); err != nil {
+		err := ridFile.iterate(0, func(row []byte) error { return addToSet(record.GetRID(row)) })
+		if err != nil {
 			return phaseErr("collect-rids", e.tgt.Name, err)
 		}
 	}
 
+	// Per remaining index: the sorter its ⟨key,RID⟩ rows are projected
+	// into, and the row file they are materialized, staged or partitioned
+	// into.
+	sorters := make(map[sim.FileID]*xsort.Sorter, len(rest))
+	keyFiles := make(map[sim.FileID]*rowFile)
+	newSorters := func() error {
+		for _, ix := range rest {
+			srt, err := xsort.New(disk, ix.Tree.KeyLen()+record.RIDSize, o.Memory, nil)
+			if err != nil {
+				return err
+			}
+			sorters[ix.Tree.ID()] = srt
+		}
+		return nil
+	}
+	toSorter := func(f sim.FileID, row []byte) error { return sorters[f].Add(row) }
+	toSorters := func(rid record.RID, rec []byte) error { return e.keyRows(rest, rid, rec, toSorter) }
+	// stageKeys moves an index's sorted key list into a row file on the
+	// device stageDev names.
+	stageKeys := func(ix *IndexRef) (*rowFile, error) {
+		it, err := sorters[ix.Tree.ID()].Finish()
+		if err != nil {
+			return nil, err
+		}
+		kf, err := materializeOn(e, it, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
+		if err == nil {
+			keyFiles[ix.Tree.ID()] = kf
+		}
+		return kf, err
+	}
+
 	// ---- Phase 2a (logged): extraction pass — materialize the ⟨key,RID⟩
 	// list of every remaining index before any record dies.
-	keyFiles := make(map[sim.FileID]*rowFile)
-	needExtract := method != Hash && len(rest) > 0
-	if logged && needExtract {
-		have := rs != nil && len(rs.keyFiles) == len(rest)
-		if !have {
+	if logged && method != Hash && len(rest) > 0 {
+		if rs != nil && len(rs.keyFiles) == len(rest) {
+			keyFiles = rs.keyFiles
+		} else {
 			// Extract into per-index sorters, then materialize the
 			// *sorted* lists — the paper's "results of the join
 			// variants should be materialized to stable storage".
-			err := func() error {
-				sp := e.span("extract", fmt.Sprintf("π ⟨key,RID⟩ for %d indexes → sorted, stable storage", len(rest)))
-				e.cur = sp
-				extractSorters := make(map[sim.FileID]*xsort.Sorter, len(rest))
-				for _, ix := range rest {
-					srt, err := xsort.New(disk, ix.Tree.KeyLen()+record.RIDSize, o.Memory, nil)
-					if err != nil {
-						return err
-					}
-					extractSorters[ix.Tree.ID()] = srt
+			err := e.phase("extract", fmt.Sprintf("π ⟨key,RID⟩ for %d indexes → sorted, stable storage", len(rest)), e.tgt.Name, func() error {
+				if err := newSorters(); err != nil {
+					return err
 				}
 				it, err := ridFile.iterator(0)
 				if err != nil {
 					return err
 				}
-				_, err = heapPassSortedRIDs(e, it, false, func(rid record.RID, rec []byte) error {
-					return e.extractToSorters(rest, extractSorters, rid, rec)
-				})
-				if err != nil {
+				if _, err := heapPassSortedRIDs(e, it, false, toSorters); err != nil {
 					return err
 				}
 				for _, ix := range rest {
-					sit, err := extractSorters[ix.Tree.ID()].Finish()
+					kf, err := stageKeys(ix)
 					if err != nil {
 						return err
 					}
-					kf, err := materializeOn(e, sit.Next, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
-					sit.Close()
-					if err != nil {
-						return err
-					}
-					keyFiles[ix.Tree.ID()] = kf
-					var rowsPayload [8]byte
-					binary.LittleEndian.PutUint64(rowsPayload[:], uint64(kf.rows))
-					if _, err := o.Log.Append(wal.TMaterialized, o.TxID,
-						uint64(ix.Tree.ID()), uint64(kf.file), rowsPayload[:]); err != nil {
+					if err := e.logMaterialized(ix.Tree.ID(), kf); err != nil {
 						return err
 					}
 				}
-				if err := o.Log.Flush(); err != nil {
-					return err
-				}
-				sp.Finish()
-				e.cur = nil
-				return nil
-			}()
+				return o.Log.Flush()
+			})
 			if err != nil {
-				return phaseErr("extract", e.tgt.Name, err)
+				return err
 			}
-		} else {
-			keyFiles = rs.keyFiles
 		}
 	}
 
-	// ---- Phase 2b: delete from the heap.
-	sorters := make(map[sim.FileID]*xsort.Sorter) // unlogged sort/merge
-	// A partitioned heap runs one pass per victim partition (possibly as a
-	// sched DAG) instead of the single merge below. The hash method keeps
-	// its one-scan-probes-all shape, and an unlogged run that must extract
-	// keys inline stays serial too: its sorters and key files are shared
-	// across the whole stream.
-	partedHeap := len(e.tgt.Heap.Parts()) > 1 && method != Hash && (logged || len(rest) == 0)
-	if partedHeap {
+	// ---- Phase 2b: delete from the heap. A partitioned heap runs one pass
+	// per victim partition instead of the single merge. The hash method
+	// keeps its one-scan-probes-all shape, and an unlogged run that must
+	// extract keys inline stays serial too: its sorters and key files are
+	// shared across the whole stream.
+	var heapJobs []passJob
+	var partFiles []*rowFile
+	heapWorkers := 1
+	if len(e.tgt.Heap.Parts()) > 1 && method != Hash && (logged || len(rest) == 0) {
 		src := ridIter
 		if logged {
-			it, ierr := ridFile.iterator(0)
-			if ierr != nil {
-				return phaseErr("heap-pass", e.tgt.Name, ierr)
+			it, err := ridFile.iterator(0)
+			if err != nil {
+				return phaseErr("heap-pass", e.tgt.Name, err)
 			}
 			src = it
 		}
-		heapWorkers := 1
-		if o.Parallel > 1 && rs == nil {
-			heapWorkers = o.Parallel
-		}
-		if err := e.partitionedHeapPass(src, method, rs, heapWorkers); err != nil {
+		var err error
+		if heapJobs, partFiles, err = e.partitionJobs(src, method, rs, maxWorkers > 1); err != nil {
 			return err
 		}
-	} else if !e.skip(e.tgt.Heap.ID()) {
-		err := func() error {
-			sp := e.span("heap-pass", fmt.Sprintf("⋈̸[%s] %s (by RID)", method, e.tgt.Name))
-			e.cur = sp
-			t0 := disk.Clock()
-			if err := e.structStart(e.tgt.Heap.ID(), 0); err != nil {
-				return err
-			}
-			var del int64
+		files := make([]sim.FileID, len(heapJobs))
+		for i := range heapJobs {
+			files[i] = heapJobs[i].file
+		}
+		heapWorkers = clampWorkers(disk, files, maxWorkers)
+	} else {
+		heapJobs = []passJob{e.heapJob(e.tgt, e.tgt.Name, method, func(ce *execCtx) (int64, int, error) {
+			var deleted int64
 			var err error
-			if method == Hash {
-				del, err = heapDeleteByRIDProbe(e, ridSet)
-			} else if logged {
+			switch {
+			case method == Hash:
+				deleted, err = heapDeleteByRIDProbe(ce, ridSet)
+			case logged:
 				from := resumeFrom(rs, e.tgt.Heap.ID())
 				it, ierr := ridFile.iterator(from)
 				if ierr != nil {
-					return ierr
+					return 0, 0, ierr
 				}
-				e.applied = from // keep checkpoint progress absolute
-				del, err = heapPassSortedRIDs(e, it, true, nil)
-			} else {
+				ce.applied = from // keep checkpoint progress absolute
+				deleted, err = heapPassSortedRIDs(ce, it, true, nil)
+			default:
 				// Single pass: extract keys for the remaining indexes and
 				// delete in one go.
-				for _, ix := range rest {
-					srt, serr := xsort.New(disk, ix.Tree.KeyLen()+record.RIDSize, o.Memory, nil)
-					if serr != nil {
-						return serr
-					}
-					sorters[ix.Tree.ID()] = srt
+				if err := newSorters(); err != nil {
+					return 0, 0, err
 				}
 				var extract func(record.RID, []byte) error
 				if method == HashPartition {
 					for _, ix := range rest {
-						kf, kerr := newRowFileOn(disk, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
-						if kerr != nil {
-							return kerr
+						kf, err := newRowFileOn(disk, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
+						if err != nil {
+							return 0, 0, err
 						}
 						keyFiles[ix.Tree.ID()] = kf
 					}
-					extract = func(rid record.RID, rec []byte) error {
-						return e.extractKeys(rest, keyFiles, rid, rec)
-					}
+					toKeyFile := func(f sim.FileID, row []byte) error { return keyFiles[f].append(row) }
+					extract = func(rid record.RID, rec []byte) error { return e.keyRows(rest, rid, rec, toKeyFile) }
 				} else if len(rest) > 0 {
-					extract = func(rid record.RID, rec []byte) error {
-						return e.extractToSorters(rest, sorters, rid, rec)
-					}
+					extract = toSorters
 				}
-				del, err = heapPassSortedRIDs(e, ridIter, true, extract)
+				deleted, err = heapPassSortedRIDs(ce, ridIter, true, extract)
 			}
-			if err != nil {
-				return err
-			}
-			if err := e.structDone(e.tgt.Heap.ID(), func() error { return e.tgt.Heap.Flush() }); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			stats.Deleted = del
-			ss := StructStats{Name: e.tgt.Name, File: e.tgt.Heap.ID(), Deleted: del, Elapsed: disk.Clock() - t0}
-			ss.fillIO(sp)
-			stats.PerStructure = append(stats.PerStructure, ss)
-			return nil
-		}()
-		if err != nil {
-			return phaseErr("heap-pass", e.tgt.Name, err)
-		}
+			return deleted, 0, err
+		})}
+	}
+	if err := e.runPasses("heap-pass", heapJobs, heapWorkers); err != nil {
+		return err
+	}
+	if err := dropPartFiles(partFiles); err != nil {
+		return err
 	}
 
 	// For HashPartition (unlogged), seal the key files written above.
@@ -587,144 +499,69 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// that arm. Stage each sorted key list onto its index's device now,
 	// serially — the same declustering the logged protocol gets for free
 	// from its materialization pass.
-	if par && method == SortMerge && !logged {
-		err := func() error {
-			sp := e.span("stage-keys", fmt.Sprintf("decluster %d sorted key lists onto index devices", len(rest)))
-			e.cur = sp
+	if workers > 1 && method == SortMerge && !logged {
+		err := e.phase("stage-keys", fmt.Sprintf("decluster %d sorted key lists onto index devices", len(rest)), e.tgt.Name, func() error {
 			for _, ix := range rest {
-				srt := sorters[ix.Tree.ID()]
-				if srt == nil || e.skip(ix.Tree.ID()) {
+				if sorters[ix.Tree.ID()] == nil || e.skip(ix.Tree.ID()) {
 					continue
 				}
-				it, ferr := srt.Finish()
-				if ferr != nil {
-					return ferr
+				if _, err := stageKeys(ix); err != nil {
+					return err
 				}
-				kf, merr := materializeOn(e, it.Next, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
-				it.Close()
-				if merr != nil {
-					return merr
-				}
-				keyFiles[ix.Tree.ID()] = kf
 			}
-			sp.Finish()
-			e.cur = nil
 			return nil
-		}()
+		})
 		if err != nil {
-			return phaseErr("stage-keys", e.tgt.Name, err)
-		}
-	}
-
-	// The table and every unique index that has been processed so far is
-	// durable; remaining unique indexes are handled first below. Signal
-	// "critical done" once the last unique structure completes.
-	criticalLeft := 0
-	for _, ix := range rest {
-		if ix.Unique {
-			criticalLeft++
-		}
-	}
-	signalCritical := func() {
-		if criticalLeft == 0 && e.opts.OnCriticalDone != nil {
-			e.opts.OnCriticalDone()
-			e.opts.OnCriticalDone = nil
-		}
-	}
-	signalCritical()
-
-	// ---- Phase 3: one ⋈̸ per remaining index, unique-first. With a degree
-	// of parallelism above one the passes run as a DAG over the device
-	// array; otherwise the original serial loop below runs unchanged.
-	if par {
-		if err := e.runIndexPassesParallel(rest, method, workers, keyFiles, ridSet,
-			&criticalLeft, signalCritical); err != nil {
 			return err
 		}
-		if !logged {
-			for _, kf := range keyFiles {
-				if err := kf.drop(); err != nil {
-					return phaseErr("cleanup", e.tgt.Name, err)
-				}
-			}
-		}
-		return nil
 	}
-	for _, ix := range rest {
-		if e.skip(ix.Tree.ID()) {
-			if ix.Unique {
-				criticalLeft--
-			}
-			signalCritical()
-			continue
-		}
-		perr := func() error {
-			sp := e.span("index-pass", fmt.Sprintf("⋈̸[%s] %s (by key)", method, ix.Name))
-			e.cur = sp
-			t0 := disk.Clock()
-			if err := e.structStart(ix.Tree.ID(), 1); err != nil {
-				return err
-			}
-			var del int64
-			var err error
+
+	// The table and every structure processed so far are durable; the
+	// remaining unique indexes go first below.
+	e.criticalDone(true)
+
+	// ---- Phase 3: one ⋈̸ per remaining index, unique-first.
+	jobs := make([]passJob, len(rest))
+	for i, ix := range rest {
+		id := ix.Tree.ID()
+		jobs[i] = e.indexJob(ix, method.String(), func(ce *execCtx) (int64, int, error) {
 			switch method {
 			case Hash:
-				del, err = indexDeleteByRIDProbe(e, ix, ridSet)
+				deleted, err := indexDeleteByRIDProbe(ce, ix, ridSet)
+				return deleted, 0, err
 			case HashPartition:
-				var p int
-				del, p, err = indexDeletePartitioned(e, ix, keyFiles[ix.Tree.ID()])
-				if p > stats.Partitions {
-					stats.Partitions = p
+				return indexDeletePartitioned(ce, ix, keyFiles[id])
+			}
+			// Sort/merge reads the key list from its row file — logged, or
+			// staged for the fan-out — or straight out of the sorter.
+			var rows rowIter
+			var startKey []byte
+			if kf := keyFiles[id]; kf != nil {
+				from := resumeFrom(rs, id)
+				var err error
+				if rows, err = kf.iterator(from); err != nil {
+					return 0, 0, err
 				}
-			default: // SortMerge
-				var rows rowIter
-				var startKey []byte
-				if logged {
-					kf := keyFiles[ix.Tree.ID()]
-					from := resumeFrom(rs, ix.Tree.ID())
-					rows, err = kf.iterator(from)
-					if err != nil {
-						return err
+				if from > 0 {
+					if rows, startKey, err = peekFirst(rows, ix.Tree.KeyLen()); err != nil {
+						return 0, 0, err
 					}
-					if from > 0 {
-						rows, startKey, err = peekFirst(rows, ix.Tree.KeyLen())
-						if err != nil {
-							return err
-						}
-						e.applied = from // keep checkpoint progress absolute
-					}
-				} else {
-					it, ferr := sorters[ix.Tree.ID()].Finish()
-					if ferr != nil {
-						return ferr
-					}
-					rows = it.Next
+					ce.applied = from // keep checkpoint progress absolute
 				}
-				del, err = mergeDeleteIndexByFullKey(e, ix, rows, startKey)
+			} else {
+				it, err := sorters[id].Finish()
+				if err != nil {
+					return 0, 0, err
+				}
+				rows = it.Next
 			}
-			if err != nil {
-				return err
-			}
-			if err := ix.Tree.RebuildUpper(o.Reorganize); err != nil {
-				return err
-			}
-			if err := e.structDone(ix.Tree.ID(), func() error { return ix.Tree.Flush() }); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			ss := StructStats{Name: ix.Name, File: ix.Tree.ID(), Deleted: del, Elapsed: disk.Clock() - t0}
-			ss.fillIO(sp)
-			stats.PerStructure = append(stats.PerStructure, ss)
-			return nil
-		}()
-		if perr != nil {
-			return phaseErr("index-pass", ix.Name, perr)
-		}
-		if ix.Unique {
-			criticalLeft--
-		}
-		signalCritical()
+			deleted, err := mergeDeleteIndexByFullKey(ce, ix, rows, startKey)
+			return deleted, 0, err
+		})
+		jobs[i].unique = ix.Unique
+	}
+	if err := e.runPasses("index-pass", jobs, workers); err != nil {
+		return err
 	}
 
 	// Drop the intermediate files of an unlogged run (logged runs keep
@@ -739,43 +576,39 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	return nil
 }
 
-// extractKeys appends one ⟨key,RID⟩ row per remaining index to the key
-// files.
-func (e *execCtx) extractKeys(rest []*IndexRef, files map[sim.FileID]*rowFile, rid record.RID, rec []byte) error {
+// keyRows hands sink one ⟨key,RID⟩ row per remaining index, keyed by the
+// index's file (the π of Figure 3).
+func (e *execCtx) keyRows(rest []*IndexRef, rid record.RID, rec []byte, sink func(sim.FileID, []byte) error) error {
 	for _, ix := range rest {
-		kf := files[ix.Tree.ID()]
 		row := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
 		keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
 		record.PutRID(row[ix.Tree.KeyLen():], rid)
-		if err := kf.append(row); err != nil {
+		if err := sink(ix.Tree.ID(), row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// extractToSorters feeds one ⟨key,RID⟩ row per remaining index into the
-// per-index sorters (the π + sort of Figure 3).
-func (e *execCtx) extractToSorters(rest []*IndexRef, sorters map[sim.FileID]*xsort.Sorter, rid record.RID, rec []byte) error {
-	for _, ix := range rest {
-		row := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
-		keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
-		record.PutRID(row[ix.Tree.KeyLen():], rid)
-		if err := sorters[ix.Tree.ID()].Add(row); err != nil {
-			return err
-		}
-	}
-	return nil
+// logMaterialized records that structure's victim list (0 = the RID list)
+// now sits in rf, with the row count recovery reopens it by.
+func (e *execCtx) logMaterialized(structure sim.FileID, rf *rowFile) error {
+	var rows [8]byte
+	binary.LittleEndian.PutUint64(rows[:], uint64(rf.rows))
+	_, err := e.opts.Log.Append(wal.TMaterialized, e.opts.TxID, uint64(structure), uint64(rf.file), rows[:])
+	return err
 }
 
-// materialize writes an iterator's rows to a sealed row file.
-func materialize(e *execCtx, it rowIter, rowSize int) (*rowFile, error) {
-	rf, err := newRowFile(e.disk(), rowSize)
+// materializeOn drains a sorted iterator into a sealed row file on device
+// dev (dev < 0 = default placement) and closes the iterator.
+func materializeOn(e *execCtx, it *xsort.Iterator, rowSize int, dev int) (*rowFile, error) {
+	defer it.Close()
+	rf, err := newRowFileOn(e.disk(), rowSize, dev)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		row, ok, err := it()
+		row, ok, err := it.Next()
 		if err != nil {
 			return nil, err
 		}

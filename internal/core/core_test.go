@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -450,31 +453,71 @@ func TestPlannerChoosesSensibly(t *testing.T) {
 	verifyTarget(t, tgt, set, 20000)
 }
 
+// TestOnStructureDoneAndCriticalHooks: the callbacks mutate unsynchronized
+// state, as an engine's may — the runner never invokes them concurrently,
+// serial or fanned out over a device array. The first index callback of the
+// fan-out lingers, so the other pass's callback would walk in on it.
 func TestOnStructureDoneAndCriticalHooks(t *testing.T) {
-	pool := testPool(2048)
-	tgt := makeTarget(t, pool, 5000, []int{0, 1, 2}, []bool{true, true, false})
-	var done []sim.FileID
-	critical := -1
-	victims, set := pickVictims(5000, 500, 13)
-	_, err := Execute(tgt, 0, victims, Options{
-		Method:          SortMerge,
-		OnStructureDone: func(f sim.FileID) { done = append(done, f) },
-		OnCriticalDone:  func() { critical = len(done) },
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, parallel := range []int{0, 3} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			pool := testPool(2048)
+			if parallel > 1 {
+				pool.Disk().ConfigureDevices(4)
+			}
+			tgt := makeTarget(t, pool, 5000, []int{0, 1, 2}, []bool{true, true, false})
+			if parallel > 1 {
+				for k, ix := range tgt.Indexes {
+					if err := pool.Relocate(ix.Tree.ID(), k+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var done []sim.FileID
+			critical := -1
+			var inside atomic.Int32
+			overlap := make(chan struct{})
+			victims, set := pickVictims(5000, 500, 13)
+			st, err := Execute(tgt, 0, victims, Options{
+				Method:   SortMerge,
+				Parallel: parallel,
+				OnStructureDone: func(f sim.FileID) {
+					if inside.Add(1) == 2 {
+						close(overlap)
+					}
+					defer inside.Add(-1)
+					if parallel > 1 && len(done) == 2 {
+						select {
+						case <-overlap:
+							t.Error("OnStructureDone invoked concurrently")
+						case <-time.After(100 * time.Millisecond):
+						}
+					}
+					done = append(done, f)
+				},
+				OnCriticalDone: func() { critical = len(done) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (st.Schedule != nil) != (parallel > 1) {
+				t.Fatalf("parallel=%d: schedule %v", parallel, st.Schedule)
+			}
+			if len(done) != 4 {
+				t.Fatalf("structure-done hooks: %d, want 4", len(done))
+			}
+			// Order: IA (access), heap, then IB (unique) and IC — in that
+			// order serially, in either order when they overlap.
+			ib, ic := tgt.Indexes[1].Tree.ID(), tgt.Indexes[2].Tree.ID()
+			if done[0] != tgt.Indexes[0].Tree.ID() || done[1] != tgt.Heap.ID() ||
+				!(done[2] == ib && done[3] == ic || parallel > 1 && done[2] == ic && done[3] == ib) {
+				t.Fatalf("structure order wrong: %v", done)
+			}
+			// Critical point: once IB, the last unique index, is done —
+			// before IC serially.
+			if critical <= slices.Index(done, ib) || parallel <= 1 && critical != 3 {
+				t.Fatalf("critical-done fired after %d structures of %v", critical, done)
+			}
+			verifyTarget(t, tgt, set, 5000)
+		})
 	}
-	if len(done) != 4 {
-		t.Fatalf("structure-done hooks: %d, want 4", len(done))
-	}
-	// Order: IA (access), heap, IB (unique), IC.
-	if done[0] != tgt.Indexes[0].Tree.ID() || done[1] != tgt.Heap.ID() ||
-		done[2] != tgt.Indexes[1].Tree.ID() || done[3] != tgt.Indexes[2].Tree.ID() {
-		t.Fatalf("structure order wrong: %v", done)
-	}
-	// Critical point: after IB (the last unique index), before IC.
-	if critical != 3 {
-		t.Fatalf("critical-done fired after %d structures, want 3", critical)
-	}
-	verifyTarget(t, tgt, set, 5000)
 }

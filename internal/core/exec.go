@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/heap"
@@ -32,16 +33,19 @@ type execCtx struct {
 	// checkpoint state
 	sinceCkpt int
 	applied   int64 // rows applied to the current structure
-	// pendingRIDSorter buffers the RID list emitted by the access-index
-	// pass of an unlogged sort/merge run until the pass completes.
-	pendingRIDSorter *xsort.Sorter
-	crash            crashCounters
+	crash     crashCounters
 	// parWorkers is the degree of parallelism chosen for phase 3 (1 =
 	// serial); scratchDev is the device scratch row files of this context
 	// must be created on, so a parallel index pass never touches another
 	// pass's arm (0 = the system device, the default placement).
 	parWorkers int
 	scratchDev int
+	// cbMu serializes the engine callbacks (OnStructureDone, OnCriticalDone)
+	// and guards criticalLeft, the §3.1 count of what must still finish
+	// before the table lock may go: one token run holds until phase 3
+	// starts, plus one per remaining unique index.
+	cbMu         sync.Mutex
+	criticalLeft int
 }
 
 func (e *execCtx) disk() *sim.Disk { return e.tgt.Pool.Disk() }
@@ -56,6 +60,19 @@ func (e *execCtx) span(name, detail string) *obs.Span {
 		return nil
 	}
 	return e.trace.Root().Child(name, detail)
+}
+
+// phase runs body under a root phase span; an error leaves the span open
+// and comes back naming the phase and the structure.
+func (e *execCtx) phase(name, detail, structure string, body func() error) error {
+	sp := e.span(name, detail)
+	e.cur = sp
+	if err := body(); err != nil {
+		return phaseErr(name, structure, err)
+	}
+	sp.Finish()
+	e.cur = nil
+	return nil
 }
 
 // child opens a sub-span of the currently open phase (or a root phase span
@@ -238,9 +255,9 @@ func (e *execCtx) undeletable(key []byte, rid record.RID) bool {
 	return e.opts.Undeletable != nil && e.opts.Undeletable.Contains(key, rid)
 }
 
-// sortVictims sorts the victim values and returns them as canonical 8-byte
-// order-preserving keys.
-func sortVictims(e *execCtx, values []int64) (*xsort.Sorter, error) {
+// sortedVictims sorts the victim values and returns an iterator over them
+// as canonical 8-byte order-preserving keys.
+func sortedVictims(e *execCtx, values []int64) (*xsort.Iterator, error) {
 	srt, err := xsort.New(e.disk(), keyenc.Int64Width, e.opts.Memory, nil)
 	if err != nil {
 		return nil, err
@@ -252,8 +269,30 @@ func sortVictims(e *execCtx, values []int64) (*xsort.Sorter, error) {
 			return nil, err
 		}
 	}
-	return srt, nil
+	return srt.Finish()
 }
+
+// ridList collects RIDs in any order and hands them back sorted by physical
+// position — the input of every skip-sequential heap pass.
+type ridList struct {
+	srt *xsort.Sorter
+	row [record.RIDSize]byte
+}
+
+func newRIDList(e *execCtx) (*ridList, error) {
+	srt, err := xsort.New(e.disk(), record.RIDSize, e.opts.Memory, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &ridList{srt: srt}, nil
+}
+
+func (l *ridList) add(rid record.RID) error {
+	record.PutRID(l.row[:], rid)
+	return l.srt.Add(l.row[:])
+}
+
+func (l *ridList) sorted() (*xsort.Iterator, error) { return l.srt.Finish() }
 
 // mergeDeleteIndexByKey merges the sorted 8-byte victim keys with the leaf
 // chain of the access index (the first ⋈̸ of every plan). Matching entries
@@ -550,7 +589,8 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool,
 }
 
 // pageView wraps the seeked slotted page (kept tiny to avoid importing page
-// into signatures).
+// into signatures). Get aliases the pinned page, so bulk updates mutate
+// records through it in place.
 type pageView struct {
 	s interface {
 		InUse(int) bool
@@ -836,11 +876,7 @@ func AnyKeyMatch(tgt *Target, ix *IndexRef, values []int64, memory int) (bool, i
 	waitOnline(ix)
 	o := Options{Memory: memory}
 	e := &execCtx{tgt: tgt, opts: o.withDefaults()}
-	srt, err := sortVictims(e, values)
-	if err != nil {
-		return false, 0, err
-	}
-	it, err := srt.Finish()
+	it, err := sortedVictims(e, values)
 	if err != nil {
 		return false, 0, err
 	}
@@ -869,11 +905,7 @@ func CountKeyMatches(tgt *Target, ix *IndexRef, values []int64, memory int) (int
 	waitOnline(ix)
 	o := Options{Memory: memory}
 	e := &execCtx{tgt: tgt, opts: o.withDefaults()}
-	srt, err := sortVictims(e, values)
-	if err != nil {
-		return 0, err
-	}
-	it, err := srt.Finish()
+	it, err := sortedVictims(e, values)
 	if err != nil {
 		return 0, err
 	}
@@ -905,31 +937,26 @@ func CollectVictimFieldValues(tgt *Target, field int, values []int64, wantFields
 		out[f] = nil
 	}
 	// RIDs, sorted by physical position.
-	ridSorter, err := xsort.New(e.disk(), record.RIDSize, e.opts.Memory, nil)
+	rids, err := newRIDList(e)
 	if err != nil {
 		return nil, err
 	}
-	var ridRow [record.RIDSize]byte
-	emit := func(rid record.RID) error {
-		record.PutRID(ridRow[:], rid)
-		return ridSorter.Add(ridRow[:])
-	}
 	if access := accessIndex(tgt, field); access != nil {
 		waitOnline(access)
-		vi, err := sortedVictimIter(e, values)
+		vi, err := sortedVictims(e, values)
 		if err != nil {
 			return nil, err
 		}
 		access.RLock()
-		_, err = mergeDeleteIndexByKey(e, access, vi, false, emit, nil)
+		_, err = mergeDeleteIndexByKey(e, access, vi.Next, false, rids.add, nil)
 		access.RUnlock()
 		if err != nil {
 			return nil, err
 		}
-	} else if err := collectVictimRIDsByScan(e, field, values, emit); err != nil {
+	} else if err := collectVictimRIDsByScan(e, field, values, rids.add); err != nil {
 		return nil, err
 	}
-	it, err := ridSorter.Finish()
+	it, err := rids.sorted()
 	if err != nil {
 		return nil, err
 	}

@@ -184,10 +184,13 @@ type Options struct {
 	Sched *sched.Pool
 	// OnStructureDone is invoked after each structure (heap or index) is
 	// fully processed — the hook where the engine applies side-files and
-	// brings index gates back online.
+	// brings index gates back online. From passes running in parallel it
+	// is called on their goroutines, but never concurrently with itself or
+	// with OnCriticalDone.
 	OnStructureDone func(file sim.FileID)
 	// OnCriticalDone is invoked once the heap and every unique index are
-	// processed — the point where the paper releases the table lock.
+	// processed — the point where the paper releases the table lock. It is
+	// never invoked concurrently with OnStructureDone.
 	OnCriticalDone func()
 	// Trace, when set, receives one child span per plan phase under its
 	// root (the caller finishes the trace). When nil, Execute creates and

@@ -27,22 +27,15 @@ type rowFile struct {
 
 const rowFileChunk = 16 // pages per chained write/read
 
-func newRowFile(disk *sim.Disk, rowSize int) (*rowFile, error) {
-	if rowSize <= 0 || rowSize > sim.PageSize {
-		return nil, fmt.Errorf("core: unusable row size %d", rowSize)
-	}
-	return &rowFile{disk: disk, file: disk.CreateFile(), rowSize: rowSize}, nil
-}
-
-// newRowFileOn is newRowFile with an explicit device placement. dev < 0
-// falls back to the default placement (device 0) — callers thread a device
-// hint through without branching.
+// newRowFileOn creates an empty row file on device dev; dev < 0 takes the
+// default placement, so callers thread a device hint through without
+// branching.
 func newRowFileOn(disk *sim.Disk, rowSize int, dev int) (*rowFile, error) {
-	if dev < 0 {
-		return newRowFile(disk, rowSize)
-	}
 	if rowSize <= 0 || rowSize > sim.PageSize {
 		return nil, fmt.Errorf("core: unusable row size %d", rowSize)
+	}
+	if dev < 0 {
+		return &rowFile{disk: disk, file: disk.CreateFile(), rowSize: rowSize}, nil
 	}
 	id, err := disk.CreateFileOn(dev)
 	if err != nil {

@@ -18,7 +18,7 @@ func rfDisk() *sim.Disk {
 
 func TestRowFileRoundTrip(t *testing.T) {
 	d := rfDisk()
-	rf, err := newRowFile(d, 16)
+	rf, err := newRowFileOn(d, 16, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRowFileRoundTrip(t *testing.T) {
 
 func TestRowFileIterateFromOffset(t *testing.T) {
 	d := rfDisk()
-	rf, err := newRowFile(d, 8)
+	rf, err := newRowFileOn(d, 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRowFileIterateFromOffset(t *testing.T) {
 
 func TestRowFileSealSemantics(t *testing.T) {
 	d := rfDisk()
-	rf, err := newRowFile(d, 8)
+	rf, err := newRowFileOn(d, 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRowFileSealSemantics(t *testing.T) {
 
 func TestRowFileReopen(t *testing.T) {
 	d := rfDisk()
-	rf, err := newRowFile(d, 8)
+	rf, err := newRowFileOn(d, 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRowFileReopen(t *testing.T) {
 
 func TestRowFileEmpty(t *testing.T) {
 	d := rfDisk()
-	rf, err := newRowFile(d, 8)
+	rf, err := newRowFileOn(d, 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestRowFileEmpty(t *testing.T) {
 	if calls != 0 {
 		t.Fatal("empty file yielded rows")
 	}
-	if _, err := newRowFile(d, 0); err == nil {
+	if _, err := newRowFileOn(d, 0, -1); err == nil {
 		t.Fatal("zero row size accepted")
 	}
-	if _, err := newRowFile(d, sim.PageSize+1); err == nil {
+	if _, err := newRowFileOn(d, sim.PageSize+1, -1); err == nil {
 		t.Fatal("oversized row accepted")
 	}
 }

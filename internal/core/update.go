@@ -71,27 +71,22 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 	}
 
 	// ---- Phase 1: victim RIDs, sorted by physical position.
-	ridSorter, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
+	rids, err := newRIDList(e)
 	if err != nil {
 		return nil, err
 	}
-	var ridRow [record.RIDSize]byte
-	emit := func(rid record.RID) error {
-		record.PutRID(ridRow[:], rid)
-		return ridSorter.Add(ridRow[:])
-	}
 	if access := accessIndex(tgt, predField); access != nil {
-		vi, err := sortedVictimIter(e, values)
+		vi, err := sortedVictims(e, values)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := mergeDeleteIndexByKey(e, access, vi, false, emit, nil); err != nil {
+		if _, err := mergeDeleteIndexByKey(e, access, vi.Next, false, rids.add, nil); err != nil {
 			return nil, err
 		}
-	} else if err := collectVictimRIDsByScan(e, predField, values, emit); err != nil {
+	} else if err := collectVictimRIDsByScan(e, predField, values, rids.add); err != nil {
 		return nil, err
 	}
-	ridIt, err := ridSorter.Finish()
+	ridIt, err := rids.sorted()
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +113,7 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 		return nil, err
 	}
 	curPage := sim.InvalidPage
-	var sp pageMutView
+	var sp pageView
 	for {
 		row, ok, err := ridIt.Next()
 		if err != nil {
@@ -136,7 +131,7 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 				return nil, err
 			}
 			curPage = rid.Page
-			sp = pageMutView{s: s}
+			sp = pageView{s: s}
 		}
 		rec, err := sp.s.Get(int(rid.Slot))
 		if err != nil {
@@ -211,25 +206,4 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 	}
 	stats.Elapsed = disk.Clock() - start
 	return stats, nil
-}
-
-// pageMutView wraps the seeked slotted page for in-place mutation.
-type pageMutView struct {
-	s interface {
-		InUse(int) bool
-		Get(int) ([]byte, error)
-	}
-}
-
-// sortedVictimIter sorts the victim values and returns their iterator.
-func sortedVictimIter(e *execCtx, values []int64) (rowIter, error) {
-	srt, err := sortVictims(e, values)
-	if err != nil {
-		return nil, err
-	}
-	it, err := srt.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return it.Next, nil
 }

@@ -108,6 +108,18 @@ var scenarios = map[string]scenario{
 		deterministic: always,
 		fields:        []Field{{"replayed", int64(0)}, {"completed", int64(0)}},
 	},
+	// The paper's statement on a partitioned heap: R hash-partitioned 4-way
+	// on A, so the sort/merge heap ⋈̸ is one logged pass per partition file
+	// (a fan-out over the devices when Config.Devices and Config.Parallel
+	// allow) and recovery resumes exactly the partitions still open.
+	"parted": {
+		build:         buildHeapParts(4, "R"),
+		run:           runParted,
+		reference:     checkTables,
+		verify:        verifyBulk,
+		deterministic: Config.Deterministic,
+		fields:        bulk.fields,
+	},
 	// The LSM backend's whole write path — tombstone WAL appends, log
 	// flush, memtable flush, every compaction, and the catalog saves that
 	// commit each manifest: a delete, then CompactLSM to the no-tombstone
@@ -183,6 +195,12 @@ func populate(tbl *bulkdel.Table, cfg Config, indexes int) error {
 // buildHeap returns the build of a scenario with one populated, indexed heap
 // table per name, flushed durable, each with its own seeded victim list.
 func buildHeap(names ...string) func(Config) (*state, error) {
+	return buildHeapParts(0, names...)
+}
+
+// buildHeapParts is buildHeap with every heap hash-partitioned hashParts
+// ways on A (0 = a single heap file).
+func buildHeapParts(hashParts int, names ...string) func(Config) (*state, error) {
 	return func(cfg Config) (*state, error) {
 		opts := options(cfg)
 		opts.Devices = cfg.Devices
@@ -192,7 +210,13 @@ func buildHeap(names ...string) func(Config) (*state, error) {
 		}
 		st := &state{db: db}
 		for ti, name := range names {
-			tbl, err := db.CreateTable(name, 3, 64)
+			var tbl *bulkdel.Table
+			var err error
+			if hashParts > 0 {
+				tbl, err = db.CreateTablePartitioned(name, 3, 64, bulkdel.PartitionSpec{Field: 0, HashParts: hashParts})
+			} else {
+				tbl, err = db.CreateTable(name, 3, 64)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -229,6 +253,12 @@ func deleteVictims(ctx context.Context, cfg Config, st *state, i int, concurrent
 }
 
 func runBulk(ctx context.Context, cfg Config, st *state, _ *Result) error {
+	return deleteVictims(ctx, cfg, st, 0, false)
+}
+
+// runParted pins the method: only sort/merge runs the per-partition passes.
+func runParted(ctx context.Context, cfg Config, st *state, _ *Result) error {
+	cfg.Method = bulkdel.SortMerge
 	return deleteVictims(ctx, cfg, st, 0, false)
 }
 
