@@ -186,6 +186,10 @@ type DB struct {
 	// Always non-nil (saveCatalog persists the current epoch); whether
 	// tables actually version rows is governed by Options.DisableSnapshotReads.
 	epochs *cc.EpochClock
+	// coreHooks rides on every core.Target the heap backend builds. Tests
+	// of this package set it before the statement they want to park; nothing
+	// else writes it.
+	coreHooks core.Hooks
 }
 
 // Open creates a fresh database on a new simulated disk.

@@ -302,6 +302,7 @@ func (h *heapBackend) scan(fn func(rid RID, fields []int64) error) error {
 func (h *heapBackend) target() *core.Target {
 	tgt := &core.Target{
 		Name: h.t.Name, Heap: h.t.Heap, Schema: h.t.Schema, Pool: h.tbl.db.pool,
+		Hooks: h.tbl.db.coreHooks,
 	}
 	for _, ix := range h.t.Idx {
 		tgt.Indexes = append(tgt.Indexes, core.IndexRef{

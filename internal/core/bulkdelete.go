@@ -101,33 +101,42 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	if err := e.run(field, values, method, access, rest, victimFile, nil); err != nil {
 		return stats, err
 	}
+	return stats, e.finish(start, ownTrace)
+}
 
-	if logged {
-		err := e.phase("wal-commit", "bulk-end + commit records", tgt.Name, func() error {
-			if _, err := o.Log.Append(wal.TBulkEnd, o.TxID, 0, 0, nil); err != nil {
+// finish is the epilogue Execute and Resume share. A logged statement makes
+// bulk-end + commit durable and only then drops the lists it materialized for
+// recovery; then come the timing, the plan annotation and the trace.
+func (e *execCtx) finish(start time.Duration, ownTrace bool) error {
+	if log := e.opts.Log; log != nil {
+		err := e.phase("wal-commit", "bulk-end + commit records", e.tgt.Name, func() error {
+			if _, err := log.Append(wal.TBulkEnd, e.opts.TxID, 0, 0, nil); err != nil {
 				return err
 			}
-			if _, err := o.Log.Append(wal.TCommit, o.TxID, 0, 0, nil); err != nil {
+			if _, err := log.Append(wal.TCommit, e.opts.TxID, 0, 0, nil); err != nil {
 				return err
 			}
-			if err := o.Log.Flush(); err != nil {
+			if err := log.Flush(); err != nil {
 				return err
 			}
-			o.Stmt.Event(obs.EvCommit, "bulk-end + commit durable")
+			e.opts.Stmt.Event(obs.EvCommit, "bulk-end + commit durable")
 			return nil
 		})
+		if err == nil {
+			dropLists(&err, e.lists...)
+		}
 		if err != nil {
-			return stats, err
+			return err
 		}
 	}
-	stats.Elapsed = e.disk().Clock() - start
-	finishTiming(stats, e.disk())
-	root.Set("deleted", fmt.Sprintf("%d", stats.Deleted))
-	annotatePlan(stats)
+	e.stats.Elapsed = e.disk().Clock() - start
+	finishTiming(e.stats, e.disk())
+	e.trace.Root().Set("deleted", fmt.Sprintf("%d", e.stats.Deleted))
+	annotatePlan(e.stats)
 	if ownTrace {
-		tr.Finish()
+		e.trace.Finish()
 	}
-	return stats, nil
+	return nil
 }
 
 // finishTiming derives the wall-clock view of a finished statement. The
@@ -165,7 +174,7 @@ type resumeState struct {
 // runPasses. victimFile is non-nil in logged mode; rs is non-nil when
 // resuming after a crash.
 func (e *execCtx) run(field int, values []int64, method Method,
-	access *IndexRef, rest []*IndexRef, victimFile *rowFile, rs *resumeState) error {
+	access *IndexRef, rest []*IndexRef, victimFile *rowFile, rs *resumeState) (err error) {
 
 	o := e.opts
 	logged := o.Log != nil
@@ -232,7 +241,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			}
 			return collectVictimRIDsByScan(e, field, vals, emit)
 		}
-		_, err = mergeDeleteIndexByKey(e, access, vi, false, emit, nil)
+		_, err = walkLeaves(e, access, nil, nil, e.mergeByKey(access, vi), false, emit)
 		return err
 	}
 	// sortedRIDs runs collectRIDs into a RID list and returns it sorted.
@@ -301,7 +310,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 					emit = rids.add
 				}
 			}
-			deleted, err := mergeDeleteIndexByKey(ce, access, vi, true, emit, startKey)
+			deleted, err := walkLeaves(ce, access, startKey, nil, ce.mergeByKey(access, vi), true, emit)
 			return deleted, 0, err
 		})
 		if err := e.runPasses("access-pass", []passJob{job}, 1); err != nil {
@@ -418,6 +427,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// shared across the whole stream.
 	var heapJobs []passJob
 	var partFiles []*rowFile
+	defer func() { dropLists(&err, partFiles...) }()
 	heapWorkers := 1
 	if len(e.tgt.Heap.Parts()) > 1 && method != Hash && (logged || len(rest) == 0) {
 		src := ridIter
@@ -480,9 +490,6 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	if err := e.runPasses("heap-pass", heapJobs, heapWorkers); err != nil {
 		return err
 	}
-	if err := dropPartFiles(partFiles); err != nil {
-		return err
-	}
 
 	// For HashPartition (unlogged), seal the key files written above.
 	if method == HashPartition && !logged {
@@ -527,7 +534,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		jobs[i] = e.indexJob(ix, method.String(), func(ce *execCtx) (int64, int, error) {
 			switch method {
 			case Hash:
-				deleted, err := indexDeleteByRIDProbe(ce, ix, ridSet)
+				deleted, err := walkLeaves(ce, ix, nil, nil, &probeMatcher{e: ce, ix: ix, rids: ridSet}, true, nil)
 				return deleted, 0, err
 			case HashPartition:
 				return indexDeletePartitioned(ce, ix, keyFiles[id])
@@ -555,7 +562,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 				}
 				rows = it.Next
 			}
-			deleted, err := mergeDeleteIndexByFullKey(ce, ix, rows, startKey)
+			deleted, err := walkLeaves(ce, ix, startKey, nil, ce.mergeByFullKey(ix, rows), true, nil)
 			return deleted, 0, err
 		})
 		jobs[i].unique = ix.Unique
@@ -564,16 +571,33 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		return err
 	}
 
-	// Drop the intermediate files of an unlogged run (logged runs keep
-	// them until the log is truncated; tests reuse them for recovery).
-	if !logged {
-		for _, kf := range keyFiles {
-			if err := kf.drop(); err != nil {
-				return phaseErr("cleanup", e.tgt.Name, err)
-			}
+	// The lists are the statement's to drop: an unlogged run is through with
+	// them here; a logged one keeps every list recovery would read — victims,
+	// RIDs, keys — until finish has made its commit durable.
+	lists := []*rowFile{victimFile, ridFile}
+	for _, kf := range keyFiles {
+		lists = append(lists, kf)
+	}
+	if logged {
+		e.lists = append(e.lists, lists...)
+	} else {
+		dropLists(&err, lists...)
+	}
+	return err
+}
+
+// dropLists releases scratch row files (nil entries are lists that never came
+// to be). A failed drop is reported through err unless an earlier error
+// already is, so it can sit in a defer.
+func dropLists(err *error, files ...*rowFile) {
+	for _, rf := range files {
+		if rf == nil {
+			continue
+		}
+		if derr := rf.drop(); derr != nil && *err == nil {
+			*err = phaseErr("cleanup", "scratch lists", derr)
 		}
 	}
-	return nil
 }
 
 // keyRows hands sink one ⟨key,RID⟩ row per remaining index, keyed by the

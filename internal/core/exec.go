@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
-	"bulkdel/internal/btree"
 	"bulkdel/internal/heap"
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/obs"
@@ -40,6 +37,9 @@ type execCtx struct {
 	// pass's arm (0 = the system device, the default placement).
 	parWorkers int
 	scratchDev int
+	// lists are the row files a logged statement materialized for recovery;
+	// finish drops them once the commit record is durable.
+	lists []*rowFile
 	// cbMu serializes the engine callbacks (OnStructureDone, OnCriticalDone)
 	// and guards criticalLeft, the §3.1 count of what must still finish
 	// before the table lock may go: one token run holds until phase 3
@@ -294,211 +294,6 @@ func (l *ridList) add(rid record.RID) error {
 
 func (l *ridList) sorted() (*xsort.Iterator, error) { return l.srt.Finish() }
 
-// mergeDeleteIndexByKey merges the sorted 8-byte victim keys with the leaf
-// chain of the access index (the first ⋈̸ of every plan). Matching entries
-// are deleted when del is true (read-only collect pass otherwise) and their
-// RIDs handed to emit. startVictim skips a victim prefix on recovery; when
-// it is positive, the leaf walk starts at the leaf covering the first
-// remaining victim instead of the leftmost leaf.
-func mergeDeleteIndexByKey(e *execCtx, ix *IndexRef, victims rowIter, del bool,
-	emit func(record.RID) error, startKey []byte) (int64, error) {
-
-	v, ok, err := victims()
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, nil
-	}
-	var cur *btree.LeafCursor
-	if startKey != nil {
-		cur, err = ix.Tree.EditLeavesFrom(padKey(startKey, ix.Tree.KeyLen()))
-	} else {
-		cur, err = ix.Tree.EditLeaves()
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer cur.Close()
-
-	var deleted int64
-	flush := func() error { return ix.Tree.Flush() }
-	for {
-		more, err := cur.NextLeaf()
-		if err != nil {
-			return deleted, err
-		}
-		if !more {
-			break
-		}
-		e.opts.Stmt.AddPages(1)
-		n, err := cur.Count()
-		if err != nil {
-			return deleted, err
-		}
-		for i := 0; i < n; {
-			key, err := cur.Key(i)
-			if err != nil {
-				return deleted, err
-			}
-			e.disk().ChargeCompares(1)
-			c := bytes.Compare(key[:keyenc.Int64Width], v)
-			switch {
-			case c < 0:
-				i++
-			case c > 0:
-				// Advance the victim list; the current victim has
-				// no (more) matches.
-				if err := e.noteApplied(ix.Tree.ID(), flush); err != nil {
-					return deleted, err
-				}
-				v, ok, err = victims()
-				if err != nil {
-					return deleted, err
-				}
-				if !ok {
-					return deleted, nil
-				}
-			default:
-				rid, err := cur.RID(i)
-				if err != nil {
-					return deleted, err
-				}
-				if e.undeletable(key, rid) {
-					i++
-					continue
-				}
-				if emit != nil {
-					if err := emit(rid); err != nil {
-						return deleted, err
-					}
-				}
-				if del {
-					if err := cur.Delete(i); err != nil {
-						return deleted, err
-					}
-					n--
-				} else {
-					i++
-				}
-				deleted++
-			}
-		}
-	}
-	return deleted, nil
-}
-
-// padKey widens an 8-byte canonical key to the index's key length.
-func padKey(k []byte, keyLen int) []byte {
-	if len(k) == keyLen {
-		return k
-	}
-	out := make([]byte, keyLen)
-	copy(out, k)
-	return out
-}
-
-// mergeDeleteIndexByFullKey merges sorted ⟨key ‖ RID⟩ rows (width = index
-// key length + RIDSize) with the leaf chain, deleting exact entries — the
-// per-index ⋈̸ of the sort/merge plan (Figure 3). startRow resumes after a
-// checkpoint.
-func mergeDeleteIndexByFullKey(e *execCtx, ix *IndexRef, rows rowIter, startKey []byte) (int64, error) {
-	v, ok, err := rows()
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, nil
-	}
-	var cur *btree.LeafCursor
-	if startKey != nil {
-		cur, err = ix.Tree.EditLeavesFrom(padKey(startKey, ix.Tree.KeyLen()))
-	} else {
-		cur, err = ix.Tree.EditLeaves()
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer cur.Close()
-
-	var deleted int64
-	flush := func() error { return ix.Tree.Flush() }
-	for {
-		more, err := cur.NextLeaf()
-		if err != nil {
-			return deleted, err
-		}
-		if !more {
-			break
-		}
-		e.opts.Stmt.AddPages(1)
-		n, err := cur.Count()
-		if err != nil {
-			return deleted, err
-		}
-		for i := 0; i < n; {
-			fk, err := cur.FullKey(i)
-			if err != nil {
-				return deleted, err
-			}
-			e.disk().ChargeCompares(1)
-			c := bytes.Compare(fk, v)
-			switch {
-			case c < 0:
-				i++
-			case c > 0:
-				if err := e.noteApplied(ix.Tree.ID(), flush); err != nil {
-					return deleted, err
-				}
-				v, ok, err = rows()
-				if err != nil {
-					return deleted, err
-				}
-				if !ok {
-					return deleted, nil
-				}
-			default:
-				if e.undeletable(fk[:ix.Tree.KeyLen()], record.GetRID(fk[ix.Tree.KeyLen():])) {
-					i++
-					continue
-				}
-				if err := cur.Delete(i); err != nil {
-					return deleted, err
-				}
-				n--
-				deleted++
-				// The exact entry matched; move to the next victim.
-				if err := e.noteApplied(ix.Tree.ID(), flush); err != nil {
-					return deleted, err
-				}
-				v, ok, err = rows()
-				if err != nil {
-					return deleted, err
-				}
-				if !ok {
-					return deleted, nil
-				}
-			}
-		}
-	}
-	return deleted, nil
-}
-
-// TestHookMidHeapPass, when set, is invoked after each slot deletion of a
-// sort/merge heap pass — a point where the statement holds its exclusive
-// table lock and a pinned heap page but no latch or pool mutex, so
-// concurrent snapshot readers are free to run. Tests use it to park a bulk
-// delete mid-heap-pass and demonstrate reads proceeding around it. Never
-// set outside tests.
-var TestHookMidHeapPass func()
-
-// TestHookPostTruncate, when set, is invoked right after a whole-partition
-// truncate inside the heap pass — inside the window where the partition's
-// pages are already released but the statement's commit epoch is not yet
-// stamped. Tests use it to register a snapshot in exactly that window and
-// prove the truncated rows were retained for it. Never set outside tests.
-var TestHookPostTruncate func()
-
 // heapPassSortedRIDs walks the heap in the physical order of the sorted RID
 // rows (skip-sequential merge, the ⋈̸ with R of Figure 3). When extract is
 // non-nil each victim record is handed over before deletion; when del is
@@ -577,8 +372,8 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool,
 			}
 			deleted++
 			e.opts.Stmt.AddRows(1)
-			if TestHookMidHeapPass != nil {
-				TestHookMidHeapPass()
+			if hook := e.tgt.Hooks.MidHeapPass; hook != nil {
+				hook()
 			}
 		}
 		if err := e.noteApplied(e.tgt.Heap.ID(), flush); err != nil {
@@ -655,203 +450,6 @@ func heapDeleteByRIDProbe(e *execCtx, ridSet map[record.RID]struct{}) (int64, er
 	return deleted, nil
 }
 
-// indexDeleteByRIDProbe scans the whole leaf chain probing every entry's
-// RID against the in-memory set — the hash plan's per-index ⋈̸ with primary
-// predicate "by RID" (Figure 4; §2.1 notes that looking up index entries by
-// RID "might sound counterintuitive" but pays off exactly here).
-func indexDeleteByRIDProbe(e *execCtx, ix *IndexRef, ridSet map[record.RID]struct{}) (int64, error) {
-	cur, err := ix.Tree.EditLeaves()
-	if err != nil {
-		return 0, err
-	}
-	defer cur.Close()
-	var deleted int64
-	flush := func() error { return ix.Tree.Flush() }
-	for {
-		more, err := cur.NextLeaf()
-		if err != nil {
-			return deleted, err
-		}
-		if !more {
-			break
-		}
-		e.opts.Stmt.AddPages(1)
-		n, err := cur.Count()
-		if err != nil {
-			return deleted, err
-		}
-		for i := 0; i < n; {
-			rid, err := cur.RID(i)
-			if err != nil {
-				return deleted, err
-			}
-			e.disk().ChargeRecords(1) // hash probe
-			if _, hit := ridSet[rid]; !hit {
-				i++
-				continue
-			}
-			key, err := cur.Key(i)
-			if err != nil {
-				return deleted, err
-			}
-			if e.undeletable(key, rid) {
-				i++
-				continue
-			}
-			if err := cur.Delete(i); err != nil {
-				return deleted, err
-			}
-			n--
-			deleted++
-			if err := e.noteApplied(ix.Tree.ID(), flush); err != nil {
-				return deleted, err
-			}
-		}
-	}
-	return deleted, nil
-}
-
-// hashOverheadPerEntry approximates the memory cost of one hash-table entry
-// (Go map overhead included) for the planner and the partition count.
-const hashOverheadPerEntry = 48
-
-// indexDeletePartitioned implements the hash + range-partitioning ⋈̸ of
-// Figure 5 for one index: the ⟨key, RID⟩ rows are split into partitions
-// small enough for an in-memory hash table using separator keys sampled
-// from the index itself ("I_B and I_C can be range partitioned without any
-// cost because the index is clustered by the key"), then each partition
-// probes only its own leaf range.
-func indexDeletePartitioned(e *execCtx, ix *IndexRef, rows *rowFile) (int64, int, error) {
-	fkLen := ix.Tree.KeyLen() + record.RIDSize
-	need := rows.rows * int64(fkLen+hashOverheadPerEntry)
-	k := int(need/int64(e.opts.Memory)) + 1
-	if k < 1 {
-		k = 1
-	}
-	boundaries, err := ix.Tree.SeparatorSample(k)
-	if err != nil {
-		return 0, 0, err
-	}
-	parts := len(boundaries) + 1
-
-	// Partition pass: route each row by binary search over boundaries.
-	partFiles := make([]*rowFile, parts)
-	for i := range partFiles {
-		pf, err := newRowFileOn(e.disk(), fkLen, e.scratchDev)
-		if err != nil {
-			return 0, 0, err
-		}
-		partFiles[i] = pf
-	}
-	err = rows.iterate(0, func(row []byte) error {
-		key := row[:ix.Tree.KeyLen()]
-		p := sort.Search(len(boundaries), func(i int) bool {
-			return bytes.Compare(boundaries[i], key) > 0
-		})
-		e.disk().ChargeCompares(4)
-		return partFiles[p].append(row)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, pf := range partFiles {
-		if err := pf.seal(); err != nil {
-			return 0, 0, err
-		}
-	}
-
-	// Probe pass per partition over its leaf range.
-	var deleted int64
-	flush := func() error { return ix.Tree.Flush() }
-	for p := 0; p < parts; p++ {
-		set := make(map[string]struct{})
-		err := partFiles[p].iterate(0, func(row []byte) error {
-			set[string(row)] = struct{}{}
-			return nil
-		})
-		if err != nil {
-			return deleted, parts, err
-		}
-		if len(set) == 0 {
-			continue
-		}
-		var cur *btree.LeafCursor
-		if p == 0 {
-			cur, err = ix.Tree.EditLeaves()
-		} else {
-			cur, err = ix.Tree.EditLeavesFrom(boundaries[p-1])
-		}
-		if err != nil {
-			return deleted, parts, err
-		}
-		var upper []byte
-		if p < len(boundaries) {
-			upper = boundaries[p]
-		}
-	leafLoop:
-		for {
-			more, err := cur.NextLeaf()
-			if err != nil {
-				cur.Close()
-				return deleted, parts, err
-			}
-			if !more {
-				break
-			}
-			e.opts.Stmt.AddPages(1)
-			n, err := cur.Count()
-			if err != nil {
-				cur.Close()
-				return deleted, parts, err
-			}
-			// Stop once the whole leaf is beyond this partition.
-			if n > 0 && upper != nil {
-				first, err := cur.Key(0)
-				if err != nil {
-					cur.Close()
-					return deleted, parts, err
-				}
-				if bytes.Compare(first, upper) >= 0 {
-					break leafLoop
-				}
-			}
-			for i := 0; i < n; {
-				fk, err := cur.FullKey(i)
-				if err != nil {
-					cur.Close()
-					return deleted, parts, err
-				}
-				e.disk().ChargeRecords(1) // hash probe
-				if _, hit := set[string(fk)]; !hit {
-					i++
-					continue
-				}
-				if e.undeletable(fk[:ix.Tree.KeyLen()], record.GetRID(fk[ix.Tree.KeyLen():])) {
-					i++
-					continue
-				}
-				if err := cur.Delete(i); err != nil {
-					cur.Close()
-					return deleted, parts, err
-				}
-				n--
-				deleted++
-				if err := e.noteApplied(ix.Tree.ID(), flush); err != nil {
-					cur.Close()
-					return deleted, parts, err
-				}
-			}
-		}
-		cur.Close()
-	}
-	for _, pf := range partFiles {
-		if err := pf.drop(); err != nil {
-			return deleted, parts, err
-		}
-	}
-	return deleted, parts, nil
-}
-
 // errFoundMatch stops a read-only probe as soon as one match appears.
 var errFoundMatch = fmt.Errorf("core: match found")
 
@@ -873,49 +471,25 @@ func waitOnline(ix *IndexRef) {
 // a RESTRICT foreign key runs this against the child's index before any
 // structure is modified.
 func AnyKeyMatch(tgt *Target, ix *IndexRef, values []int64, memory int) (bool, int64, error) {
-	waitOnline(ix)
 	o := Options{Memory: memory}
 	e := &execCtx{tgt: tgt, opts: o.withDefaults()}
-	it, err := sortedVictims(e, values)
-	if err != nil {
-		return false, 0, err
+	err := probeKeys(e, ix, values, func(record.RID) error { return errFoundMatch })
+	if errors.Is(err, errFoundMatch) {
+		return true, 1, nil
 	}
-	var hit int64
-	// The probe walks the child's leaf chain while the child table is at
-	// most share-locked; the latch keeps concurrent row inserts from
-	// splitting leaves under the cursor (the FK-probe race audit test).
-	ix.RLock()
-	_, err = mergeDeleteIndexByKey(e, ix, it.Next, false, func(rid record.RID) error {
-		hit = int64(1)
-		return errFoundMatch
-	}, nil)
-	ix.RUnlock()
-	if err == errFoundMatch {
-		return true, hit, nil
-	}
-	if err != nil {
-		return false, 0, err
-	}
-	return false, 0, nil
+	return false, 0, err
 }
 
 // CountKeyMatches counts the child entries referencing any victim value —
 // the cascade planner uses it for reporting.
 func CountKeyMatches(tgt *Target, ix *IndexRef, values []int64, memory int) (int64, error) {
-	waitOnline(ix)
 	o := Options{Memory: memory}
 	e := &execCtx{tgt: tgt, opts: o.withDefaults()}
-	it, err := sortedVictims(e, values)
-	if err != nil {
-		return 0, err
-	}
 	var n int64
-	ix.RLock()
-	_, err = mergeDeleteIndexByKey(e, ix, it.Next, false, func(record.RID) error {
+	err := probeKeys(e, ix, values, func(record.RID) error {
 		n++
 		return nil
-	}, nil)
-	ix.RUnlock()
+	})
 	return n, err
 }
 
@@ -941,19 +515,7 @@ func CollectVictimFieldValues(tgt *Target, field int, values []int64, wantFields
 	if err != nil {
 		return nil, err
 	}
-	if access := accessIndex(tgt, field); access != nil {
-		waitOnline(access)
-		vi, err := sortedVictims(e, values)
-		if err != nil {
-			return nil, err
-		}
-		access.RLock()
-		_, err = mergeDeleteIndexByKey(e, access, vi.Next, false, rids.add, nil)
-		access.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-	} else if err := collectVictimRIDsByScan(e, field, values, rids.add); err != nil {
+	if err := collectVictimRIDs(e, field, values, rids.add); err != nil {
 		return nil, err
 	}
 	it, err := rids.sorted()
@@ -970,6 +532,16 @@ func CollectVictimFieldValues(tgt *Target, field int, values []int64, wantFields
 		return nil, err
 	}
 	return out, nil
+}
+
+// collectVictimRIDs hands emit the RID of every record whose field carries
+// one of values: through the access index when there is one, by a table scan
+// otherwise.
+func collectVictimRIDs(e *execCtx, field int, values []int64, emit func(record.RID) error) error {
+	if access := accessIndex(e.tgt, field); access != nil {
+		return probeKeys(e, access, values, emit)
+	}
+	return collectVictimRIDsByScan(e, field, values, emit)
 }
 
 // collectVictimRIDsByScan finds the victims with a full table scan when no

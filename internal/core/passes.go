@@ -285,7 +285,7 @@ func (e *execCtx) stageDev(ix *IndexRef) int {
 // in parallel. WAL progress is per partition file, so a crash resumes
 // exactly the partitions still open; partition 0 shares the table's heap
 // ID, keeping recovery's "which statement owns this heap" match unchanged.
-// The returned files are the caller's to drop.
+// The returned files are the caller's to drop (dropLists).
 func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par bool) ([]passJob, []*rowFile, error) {
 	disk := e.disk()
 	parts := e.tgt.Heap.Parts()
@@ -366,8 +366,8 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 				if err := part.TruncateWith(ce.tgt.Retain); err != nil {
 					return 0, 0, err
 				}
-				if TestHookPostTruncate != nil {
-					TestHookPostTruncate()
+				if hook := ce.tgt.Hooks.PostTruncate; hook != nil {
+					hook()
 				}
 				return count, 0, nil
 			}
@@ -382,18 +382,4 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 		}))
 	}
 	return jobs, files, nil
-}
-
-// dropPartFiles releases the per-partition RID lists (nil entries are
-// partitions that had no victims).
-func dropPartFiles(files []*rowFile) error {
-	for _, rf := range files {
-		if rf == nil {
-			continue
-		}
-		if err := rf.drop(); err != nil {
-			return phaseErr("cleanup", "partition RID lists", err)
-		}
-	}
-	return nil
 }

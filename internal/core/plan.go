@@ -116,6 +116,24 @@ type Target struct {
 	// race a reader registering between the check and the statement's
 	// commit epoch. The bytes are only valid during the call.
 	Retain func(rid record.RID, rec []byte)
+	// Hooks are the executor's test interception points; the zero value
+	// (every production target) has none.
+	Hooks Hooks
+}
+
+// Hooks lets a test stop a statement inside a window no public boundary
+// exposes. Each is called on the statement's goroutine, every time its point
+// is passed.
+type Hooks struct {
+	// MidHeapPass runs after each slot deletion of a sort/merge heap pass — a
+	// point where the statement holds its exclusive table lock and a pinned
+	// heap page but no latch or pool mutex, so concurrent snapshot readers
+	// are free to run.
+	MidHeapPass func()
+	// PostTruncate runs right after a whole-partition truncate inside the
+	// heap pass: the partition's pages are already released, the statement's
+	// commit epoch is not yet stamped.
+	PostTruncate func()
 }
 
 // HeapFiles returns the file IDs of the heap's partitions in ordinal order

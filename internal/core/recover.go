@@ -167,6 +167,10 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	}
 	method := SortMerge
 	if len(rs.keyFiles) != len(rest) {
+		// An incomplete set is not used, but it is still this statement's.
+		for _, kf := range rs.keyFiles {
+			e.lists = append(e.lists, kf)
+		}
 		rs.keyFiles = nil
 		if heapStarted && rs.ridFile != nil {
 			// The destructive passes began without materialized key
@@ -193,23 +197,7 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	if err := e.run(field, nil, method, access, rest, victimFile, rs); err != nil {
 		return stats, err
 	}
-
-	if _, err := log.Append(wal.TBulkEnd, st.TxID, 0, 0, nil); err != nil {
-		return stats, err
-	}
-	if _, err := log.Append(wal.TCommit, st.TxID, 0, 0, nil); err != nil {
-		return stats, err
-	}
-	if err := log.Flush(); err != nil {
-		return stats, err
-	}
-	stats.Elapsed = disk.Clock() - start
-	finishTiming(stats, disk)
-	annotatePlan(stats)
-	if ownTrace {
-		tr.Finish()
-	}
-	return stats, nil
+	return stats, e.finish(start, ownTrace)
 }
 
 // rebuildIndexFromHeap restores a structurally damaged index from the base

@@ -119,87 +119,53 @@ func (r *rowFile) seal() error {
 	return nil
 }
 
-// iterate streams rows [from, rows) in order with chained reads. The row
-// slice passed to fn is only valid during the call.
+// iterate streams rows [from, rows) in order. The row slice passed to fn is
+// only valid during the call.
 func (r *rowFile) iterate(from int64, fn func(row []byte) error) error {
-	if !r.sealed {
-		return fmt.Errorf("core: iterate over unsealed row file")
+	next, err := r.iterator(from)
+	if err != nil {
+		return err
 	}
-	rpp := int64(r.rowsPerPage())
-	if from < 0 {
-		from = 0
-	}
-	row := from
-	for row < r.rows {
-		pg := sim.PageNo(row / rpp)
-		n := rowFileChunk
-		if int(pg)+n > r.pages {
-			n = r.pages - int(pg)
-		}
-		bufs := make([][]byte, n)
-		for i := range bufs {
-			bufs[i] = make([]byte, sim.PageSize)
-		}
-		if err := r.disk.ReadRun(r.file, pg, bufs); err != nil {
+	for {
+		row, ok, err := next()
+		if err != nil || !ok {
 			return err
 		}
-		for i := 0; i < n && row < r.rows; i++ {
-			start := int(row % rpp)
-			if i > 0 {
-				start = 0
-			}
-			for s := start; s < int(rpp) && row < r.rows; s++ {
-				if err := fn(bufs[i][s*r.rowSize : (s+1)*r.rowSize]); err != nil {
-					return err
-				}
-				row++
-			}
+		if err := fn(row); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
-// iterator returns a pull-style iterator compatible with xsort's.
-func (r *rowFile) iterator(from int64) (func() ([]byte, bool, error), error) {
+// iterator returns a pull iterator over rows [from, rows), read with chained
+// I/O a chunk of rowFileChunk pages at a time. A returned row is valid until
+// the iterator crosses into the next chunk.
+func (r *rowFile) iterator(from int64) (rowIter, error) {
 	if !r.sealed {
 		return nil, fmt.Errorf("core: iterate over unsealed row file")
 	}
-	type state struct {
-		bufs []([]byte)
-		pos  int64 // absolute row index
-	}
-	st := &state{pos: from}
-	if st.pos < 0 {
-		st.pos = 0
-	}
+	pos := max(from, 0) // absolute row index
 	rpp := int64(r.rowsPerPage())
-	var chunkStart sim.PageNo = sim.InvalidPage
-	var chunkLen int
+	var chunk [][]byte
+	chunkStart := sim.InvalidPage
 	return func() ([]byte, bool, error) {
-		if st.pos >= r.rows {
+		if pos >= r.rows {
 			return nil, false, nil
 		}
-		pg := sim.PageNo(st.pos / rpp)
-		if chunkStart == sim.InvalidPage || pg < chunkStart || int(pg) >= int(chunkStart)+chunkLen {
-			n := rowFileChunk
-			if int(pg)+n > r.pages {
-				n = r.pages - int(pg)
-			}
-			bufs := make([][]byte, n)
+		pg := sim.PageNo(pos / rpp)
+		if chunkStart == sim.InvalidPage || int(pg) >= int(chunkStart)+len(chunk) {
+			bufs := make([][]byte, min(rowFileChunk, r.pages-int(pg)))
 			for i := range bufs {
 				bufs[i] = make([]byte, sim.PageSize)
 			}
 			if err := r.disk.ReadRun(r.file, pg, bufs); err != nil {
 				return nil, false, err
 			}
-			st.bufs = bufs
-			chunkStart = pg
-			chunkLen = n
+			chunk, chunkStart = bufs, pg
 		}
-		slot := st.pos % rpp
-		buf := st.bufs[pg-chunkStart]
-		st.pos++
-		return buf[slot*int64(r.rowSize) : (slot+1)*int64(r.rowSize)], true, nil
+		off := int(pos%rpp) * r.rowSize
+		pos++
+		return chunk[pg-chunkStart][off : off+r.rowSize], true, nil
 	}, nil
 }
 

@@ -75,15 +75,7 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 	if err != nil {
 		return nil, err
 	}
-	if access := accessIndex(tgt, predField); access != nil {
-		vi, err := sortedVictims(e, values)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := mergeDeleteIndexByKey(e, access, vi.Next, false, rids.add, nil); err != nil {
-			return nil, err
-		}
-	} else if err := collectVictimRIDsByScan(e, predField, values, rids.add); err != nil {
+	if err := collectVictimRIDs(e, predField, values, rids.add); err != nil {
 		return nil, err
 	}
 	ridIt, err := rids.sorted()
@@ -108,63 +100,59 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 		newSorters[ix.Tree.ID()] = ns
 	}
 
-	ed, err := tgt.Heap.Edit()
+	err = func() error {
+		ed, err := tgt.Heap.Edit()
+		if err != nil {
+			return err
+		}
+		defer ed.Close()
+		curPage := sim.InvalidPage
+		var sp pageView
+		for {
+			row, ok, err := ridIt.Next()
+			if err != nil || !ok {
+				return err
+			}
+			rid := record.GetRID(row)
+			if rid.Page != curPage {
+				s, err := ed.Seek(rid.Page)
+				if err != nil {
+					return err
+				}
+				curPage = rid.Page
+				sp = pageView{s: s}
+			}
+			rec, err := sp.s.Get(int(rid.Slot))
+			if err != nil {
+				return err
+			}
+			oldVal := tgt.Schema.Field(rec, setField)
+			newVal := transform(oldVal)
+			if newVal == oldVal {
+				continue // no index churn, no write
+			}
+			for _, ix := range touched {
+				buf := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
+				keyenc.PutInt64(buf, oldVal)
+				record.PutRID(buf[ix.Tree.KeyLen():], rid)
+				if err := oldSorters[ix.Tree.ID()].Add(buf); err != nil {
+					return err
+				}
+				keyenc.PutInt64(buf, newVal)
+				if err := newSorters[ix.Tree.ID()].Add(buf); err != nil {
+					return err
+				}
+			}
+			// In-place mutation: the record is aliased into the pinned page.
+			tgt.Schema.SetField(rec, setField, newVal)
+			ed.MarkDirty()
+			disk.ChargeRecords(1)
+			stats.Updated++
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}
-	curPage := sim.InvalidPage
-	var sp pageView
-	for {
-		row, ok, err := ridIt.Next()
-		if err != nil {
-			ed.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rid := record.GetRID(row)
-		if rid.Page != curPage {
-			s, err := ed.Seek(rid.Page)
-			if err != nil {
-				ed.Close()
-				return nil, err
-			}
-			curPage = rid.Page
-			sp = pageView{s: s}
-		}
-		rec, err := sp.s.Get(int(rid.Slot))
-		if err != nil {
-			ed.Close()
-			return nil, err
-		}
-		oldVal := tgt.Schema.Field(rec, setField)
-		newVal := transform(oldVal)
-		if newVal == oldVal {
-			continue // no index churn, no write
-		}
-		for _, ix := range touched {
-			rowSize := ix.Tree.KeyLen() + record.RIDSize
-			buf := make([]byte, rowSize)
-			keyenc.PutInt64(buf, oldVal)
-			record.PutRID(buf[ix.Tree.KeyLen():], rid)
-			if err := oldSorters[ix.Tree.ID()].Add(buf); err != nil {
-				ed.Close()
-				return nil, err
-			}
-			keyenc.PutInt64(buf, newVal)
-			if err := newSorters[ix.Tree.ID()].Add(buf); err != nil {
-				ed.Close()
-				return nil, err
-			}
-		}
-		// In-place mutation: the record is aliased into the pinned page.
-		tgt.Schema.SetField(rec, setField, newVal)
-		ed.MarkDirty()
-		disk.ChargeRecords(1)
-		stats.Updated++
-	}
-	ed.Close()
 
 	// ---- Phase 3: per index over setField, bulk delete the old entries
 	// and bulk insert the new ones.
@@ -173,7 +161,7 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 		if err != nil {
 			return nil, err
 		}
-		del, err := mergeDeleteIndexByFullKey(e, ix, oit.Next, nil)
+		del, err := walkLeaves(e, ix, nil, nil, e.mergeByFullKey(ix, oit.Next), true, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,9 +1,9 @@
 package bulkdel
 
 import (
+	"sync"
 	"testing"
 
-	"bulkdel/internal/core"
 	"bulkdel/internal/obs"
 )
 
@@ -52,12 +52,13 @@ func TestSnapshotReadsDuringBulkDelete(t *testing.T) {
 
 	inPass := make(chan struct{})
 	release := make(chan struct{})
-	core.TestHookMidHeapPass = func() {
-		core.TestHookMidHeapPass = nil // park on the first slot deletion only
-		close(inPass)
-		<-release
+	var once sync.Once // park on the first slot deletion only
+	db.coreHooks.MidHeapPass = func() {
+		once.Do(func() {
+			close(inPass)
+			<-release
+		})
 	}
-	defer func() { core.TestHookMidHeapPass = nil }()
 
 	delDone := make(chan struct{})
 	var delRes *BulkResult

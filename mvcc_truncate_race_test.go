@@ -2,8 +2,6 @@ package bulkdel
 
 import (
 	"testing"
-
-	"bulkdel/internal/core"
 )
 
 // A whole-partition truncate must retain its rows for MVCC even when no
@@ -31,12 +29,11 @@ func TestSnapshotOpenedAfterPartitionTruncateSeesRows(t *testing.T) {
 
 	parked := make(chan struct{})
 	release := make(chan struct{})
-	core.TestHookPostTruncate = func() {
-		core.TestHookPostTruncate = nil // fire once: after partition 1's truncate
+	// Only partition 1 is deleted whole, so the hook fires once.
+	db.coreHooks.PostTruncate = func() {
 		close(parked)
 		<-release
 	}
-	defer func() { core.TestHookPostTruncate = nil }()
 
 	done := make(chan struct{})
 	var res *BulkResult
