@@ -2,6 +2,7 @@ package bulkdel
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -464,6 +465,84 @@ func TestEmptyVictimListAllMethodsPublic(t *testing.T) {
 		}
 		if err := tbl.Check(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRejectedDuplicateInsertLeavesNoTrace: an insert a unique index refuses
+// must take back the heap record and the entries made in the indexes ahead
+// of it — it used to leave both, so the table held a row no unique lookup
+// could account for.
+func TestRejectedDuplicateInsertLeavesNoTrace(t *testing.T) {
+	for _, snapshots := range []bool{true, false} {
+		db, err := Open(Options{DisableSnapshotReads: !snapshots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("t", 3, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range []IndexOptions{{Name: "ib", Field: 1}, {Name: "ia", Field: 0, Unique: true}} {
+			if err := tbl.CreateIndex(ix); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tbl.Insert(1, 10, 100); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.Insert(1, 20, 200); err == nil {
+			t.Fatal("duplicate key accepted by the unique index")
+		}
+		if n := tbl.Count(); n != 1 {
+			t.Errorf("snapshots=%v: Count() = %d after the rejected insert, want 1", snapshots, n)
+		}
+		if rows, err := tbl.Lookup(1, 20); err != nil || len(rows) != 0 {
+			t.Errorf("snapshots=%v: Lookup(b = 20) = %v, %v; want no row", snapshots, rows, err)
+		}
+		if err := tbl.Check(); err != nil {
+			t.Errorf("snapshots=%v: %v", snapshots, err)
+		}
+		// The slot is free again and the next insert is whole.
+		if _, err := tbl.Insert(2, 20, 200); err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := tbl.Lookup(1, 20); err != nil || len(rows) != 1 || rows[0][0] != 2 {
+			t.Errorf("snapshots=%v: Lookup(b = 20) = %v, %v; want the row of a = 2", snapshots, rows, err)
+		}
+		if err := tbl.Check(); err != nil {
+			t.Errorf("snapshots=%v: %v", snapshots, err)
+		}
+	}
+}
+
+// TestRefillPlacementIsDeterministic: after a delete has opened holes all
+// over the heap, the same refill puts the same rows in the same slots at the
+// same simulated time, run after run — inserts used to pick their page by
+// ranging over a map.
+func TestRefillPlacementIsDeterministic(t *testing.T) {
+	run := func() ([]RID, time.Duration) {
+		db, tbl := newBenchDB(t, 4000, Options{})
+		if _, err := tbl.BulkDelete(0, victims(4000, 400, 3), BulkOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		rids := make([]RID, 400)
+		for i := range rids {
+			rid, err := tbl.Insert(int64(4000+i), int64(3*(4000+i)), int64(i%97))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids[i] = rid
+		}
+		if err := tbl.Check(); err != nil {
+			t.Fatal(err)
+		}
+		return rids, db.Clock()
+	}
+	rids, clock := run()
+	for i := 0; i < 3; i++ {
+		if r, c := run(); !slices.Equal(r, rids) || c != clock {
+			t.Fatalf("run %d placed the refill differently (clock %v, first run %v)", i+2, c, clock)
 		}
 	}
 }

@@ -41,7 +41,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1, exp1..exp5, plans, reorg, methods, update, parallel, heapscale, all")
+		exp      = flag.String("exp", "all", "experiment: fig1, exp1..exp5, plans, reorg, methods, crossover, update, parallel, heapscale, lsm, all")
 		rows     = flag.Int("rows", bench.FullScaleRows, "table size (paper: 1000000)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		devices  = flag.Int("devices", 0, "run on a simulated disk array this wide (0 = single spindle)")
@@ -77,6 +77,7 @@ func main() {
 		{"exp5", r.Experiment5},
 		{"reorg", r.ReorgAblation},
 		{"methods", r.MethodAblation},
+		{"crossover", r.Crossover},
 		{"update", r.UpdateAblation},
 		{"parallel", r.ParallelScaling},
 		{"heapscale", r.HeapScaling},
@@ -138,7 +139,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fatal(fmt.Errorf("unknown experiment %q (want fig1, exp1..exp5, plans, reorg, methods, update, parallel, heapscale, lsm, all)", *exp))
+		fatal(fmt.Errorf("unknown experiment %q (want fig1, exp1..exp5, plans, reorg, methods, crossover, update, parallel, heapscale, lsm, all)", *exp))
 	}
 	if *check && want != "parallel" && want != "all" {
 		fatal(fmt.Errorf("-check-parallel needs the parallel experiment (-exp parallel)"))

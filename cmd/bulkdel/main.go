@@ -24,7 +24,7 @@
 //	create index <table> <ixname> <field> [unique] [clustered] [keylen <n>]
 //	load <table> <rows>
 //	insert <table> <v0> [v1 ...]
-//	delete <table> <field> <values|lo..hi> [method sort|hash|partition|auto]
+//	delete <table> <field> <values|lo..hi> [method sort|hash|partition|probe|auto]
 //	delete <table> <field> <values|lo..hi> traditional [sorted]
 //	delete <table> <field> <values|lo..hi> dropcreate
 //	lookup <table> <field> <value>
@@ -281,13 +281,13 @@ func (s *shell) help() {
   create index <table> <ixname> <field> [unique] [clustered] [keylen <n>]
   load <table> <rows>                      synthetic rows: field j of row i = (j+1)*i
   insert <table> <v0> [v1 ...]
-  delete <table> <field> <values|lo..hi> [method sort|hash|partition|auto]
+  delete <table> <field> <values|lo..hi> [method sort|hash|partition|probe|auto]
   delete <table> <field> <values|lo..hi> traditional [sorted]
   delete <table> <field> <values|lo..hi> dropcreate
   update <table> <predfield> <values|lo..hi> <setfield> <delta>
   lookup <table> <field> <value>
   count <table> | check <table>
-  explain <table> <field> [sort|hash|partition]
+  explain <table> <field> [sort|hash|partition|probe]
   estimate <table> <field> <victims>
   clock | stats | metrics | layout | inspect | flush | crash | recover | quit
 `)
@@ -484,21 +484,6 @@ func parseValues(s string) ([]int64, error) {
 	return out, nil
 }
 
-func methodByName(name string) (bulkdel.Method, error) {
-	switch name {
-	case "sort", "sortmerge", "sort/merge":
-		return bulkdel.SortMerge, nil
-	case "hash":
-		return bulkdel.Hash, nil
-	case "partition", "hashpartition":
-		return bulkdel.HashPartition, nil
-	case "auto", "":
-		return bulkdel.Auto, nil
-	default:
-		return bulkdel.Auto, fmt.Errorf("unknown method %q", name)
-	}
-}
-
 func (s *shell) delete(args []string) error {
 	if len(args) < 3 {
 		return fmt.Errorf("delete <table> <field> <values|lo..hi> [method m|traditional [sorted]|dropcreate]")
@@ -545,11 +530,11 @@ func (s *shell) delete(args []string) error {
 		name := ""
 		if mode == "method" {
 			if len(args) < 5 {
-				return fmt.Errorf("delete ... method <sort|hash|partition|auto>")
+				return fmt.Errorf("delete ... method <sort|hash|partition|probe|auto>")
 			}
 			name = args[4]
 		}
-		m, err := methodByName(name)
+		m, err := bulkdel.ParseMethod(name)
 		if err != nil {
 			return err
 		}
@@ -659,7 +644,7 @@ func (s *shell) explain(args []string) error {
 	if len(args) > 2 {
 		name = args[2]
 	}
-	m, err := methodByName(name)
+	m, err := bulkdel.ParseMethod(name)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	crashtest                         # sweep all ordinals, all three methods
+//	crashtest                         # sweep all ordinals, all four methods
 //	crashtest -method sort            # one method
 //	crashtest -at 37 -v               # reproduce a single ordinal
 //	crashtest -from 10 -to 60 -stride 5
@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rows := fs.Int("rows", 0, "table rows (default 48)")
 	victims := fs.Int("victims", 0, "victim count (default rows/3)")
 	indexes := fs.Int("indexes", 0, "indexes on the table, 1..3 (default 3)")
-	method := fs.String("method", "all", "join method: sort, hash, partition, or all")
+	method := fs.String("method", "all", "join method: sort, hash, partition, probe (Auto on its own small-delete scenario), or all")
 	at := fs.Int("at", 0, "run a single ordinal instead of sweeping")
 	from := fs.Int("from", 0, "first swept ordinal (default 1)")
 	to := fs.Int("to", 0, "last swept ordinal (default: the statement's I/O count)")
@@ -80,12 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	methods := []string{"sort", "hash", "partition"}
+	methods := []string{"sort", "hash", "partition", "probe"}
 	if *method != "all" {
 		methods = []string{*method}
-	}
-	byName := map[string]bulkdel.Method{
-		"sort": bulkdel.SortMerge, "hash": bulkdel.Hash, "partition": bulkdel.HashPartition,
 	}
 	// Flag precedence picks the scenarios; the heap-delete ones run once per
 	// join method, the others have no join method to vary.
@@ -115,11 +112,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// — and is an error only when no sweep reached the ordinal.
 	var pastEnd error
 	reached := false
-	for _, name := range scenarios {
+	for _, base := range scenarios {
 		for _, mname := range methods {
-			m, ok := byName[mname]
-			if !ok {
-				return harness(fmt.Errorf("unknown method %q (sort, hash, partition, all)", mname))
+			m, err := bulkdel.ParseMethod(mname)
+			if err != nil {
+				return harness(err)
+			}
+			// The probe arm sweeps its own scenario where it has one: the
+			// bulk scenario's single-leaf trees leave a probe nothing to
+			// descend and no leaf to empty.
+			name := base
+			if twin, ok := probeTwins[base]; ok && m == bulkdel.Probe {
+				name = twin
 			}
 			cfg := crashtest.Config{
 				Rows: *rows, Victims: *victims, Indexes: *indexes, Method: m,
@@ -133,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if perMethod {
 				label = fmt.Sprintf("%-9s", mname+":")
 			}
-			n, err := runScenario(stdout, name, label, cfg, *at, *verbose, *verifyDigest)
+			n, err := runScenario(stdout, name, kinds[base], label, cfg, *at, *verbose, *verifyDigest)
 			if errors.Is(err, errPastEnd) {
 				pastEnd = err
 				continue
@@ -188,6 +192,13 @@ type kind struct {
 	digest, reference bool
 }
 
+// probeTwins maps a heap-delete scenario to the one -method probe sweeps in
+// its place, worded like it.
+var probeTwins = map[string]string{
+	"bulk": "probe", "cancel": "probe-cancel",
+	"reader": "probe-reader", "reader-cancel": "probe-reader-cancel",
+}
+
 var kinds = map[string]kind{
 	"bulk":          {fired: "crash", digest: true},
 	"rebalance":     {fired: "crash", digest: true},
@@ -207,8 +218,7 @@ var errPastEnd = errors.New("ordinal past the statement's last I/O")
 // runScenario sweeps (or, with at > 0, reproduces one ordinal of) the named
 // scenario and returns the number of failures; the error reports a harness
 // failure.
-func runScenario(w io.Writer, name, label string, cfg crashtest.Config, at int, verbose, verifyDigest bool) (int, error) {
-	k := kinds[name]
+func runScenario(w io.Writer, name string, k kind, label string, cfg crashtest.Config, at int, verbose, verifyDigest bool) (int, error) {
 	if at > 0 {
 		cfg.From, cfg.To, cfg.Stride = at, at, 1
 	}

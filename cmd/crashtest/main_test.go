@@ -62,6 +62,12 @@ func TestSummaryLines(t *testing.T) {
 		"parted: 90 I/Os, swept 90 ordinals, 0 failed, digest 8913f8d6db8ca5d9")
 	runCLI(t, 0, []string{"-cancel", "-method", "hash", "-stride", "9"}, "",
 		"hash:     cancel sweep: 62 I/Os, swept 7 ordinals, 7 cancelled, 0 failed, reference d0ec0d93a4ddb929")
+	// -method probe sweeps the probe scenario; its cancelled runs settle on
+	// the digest the parent commit's DeleteTraditional(sorted) left.
+	runCLI(t, 0, []string{"-method", "probe", "-stride", "40"}, "",
+		"probe:    327 I/Os, swept 9 ordinals, 0 failed, digest ")
+	runCLI(t, 0, []string{"-cancel", "-method", "probe", "-stride", "40"}, " 0 failed, reference 442fef5ba8b3ed11",
+		"probe:    cancel sweep: 324 I/Os, swept 9 ordinals, ")
 	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",
 		"sort:     reader crash sweep: 73 I/Os, swept 4 ordinals, 0 failed")
 	runCLI(t, 0, []string{"-concurrent", "-method", "sort", "-devices", "3", "-parallel", "2", "-rows", "24", "-stride", "25"}, "",

@@ -23,7 +23,7 @@ func TestAllApproachesVerify(t *testing.T) {
 		cfg := Config{Rows: testRows, Fraction: fraction, MemoryMB: 5, NumIndexes: n, Seed: 1}
 		for _, ap := range []Approach{
 			NotSortedTrad, SortedTrad, DropCreate,
-			BulkSortMerge, BulkHash, BulkPartition, BulkAuto,
+			BulkSortMerge, BulkHash, BulkPartition, BulkProbe, BulkAuto,
 		} {
 			res := run(t, cfg, ap)
 			want := int64(float64(testRows)*fraction + 0.5)

@@ -443,6 +443,40 @@ func (r *Runner) MethodAblation() (Experiment, error) {
 	return e, nil
 }
 
+// Crossover locates where the leaf pass starts to pay: the paper's
+// three-index table, victims from a handful to a tenth of it on a log axis,
+// every index ⋈̸ by leaf passes, by batched probes, and as the planner picks
+// per index (the result's method says which: sort/merge, probe, or auto for
+// a mix).
+func (r *Runner) Crossover() (Experiment, error) {
+	fractions := []float64{0.00005, 0.0002, 0.0005, 0.002, 0.005, 0.01, 0.02, 0.05, 0.10}
+	xs := []string{"0.005%", "0.02%", "0.05%", "0.2%", "0.5%", "1%", "2%", "5%", "10%"}
+	var cfgs []Config
+	for _, f := range fractions {
+		cfgs = append(cfgs, Config{Rows: r.rows(), Fraction: f, MemoryMB: 5, NumIndexes: 3, Seed: r.seed()})
+	}
+	e := Experiment{
+		ID:     "crossover",
+		Title:  "Pass vs probes: leaf-pass ⋈̸, batched-probe ⋈̸ and the planner's per-index choice (3 indexes, 5 MB)",
+		XLabel: "deleted tuples (% of tuples)",
+	}
+	for _, row := range []struct {
+		label string
+		ap    Approach
+	}{
+		{"sort/merge (passes)", BulkSortMerge},
+		{"probe", BulkProbe},
+		{"auto (planner)", BulkAuto},
+	} {
+		s, err := r.runSeries(row.label, row.ap, cfgs, xs)
+		if err != nil {
+			return e, err
+		}
+		e.Series = append(e.Series, s)
+	}
+	return e, nil
+}
+
 // UpdateAblation measures the paper's UPDATE sketch (§1: "increasing the
 // salary of above-average Employees involves carrying out a bulk delete
 // (and bulk insert) on the Emp.salary index"): the vertical bulk update

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"time"
 
 	"bulkdel/internal/keyenc"
@@ -25,12 +26,8 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	if field < 0 || field >= tgt.Schema.NumFields {
 		return nil, fmt.Errorf("core: field %d out of range", field)
 	}
-	ests := EstimateCosts(tgt, field, len(values), o.Memory)
-	method := o.Method
-	if method == Auto {
-		method = bestEstimate(ests)
-	}
-	e := &execCtx{tgt: tgt, opts: o}
+	ests, method, probe := planStatement(tgt, field, values, o)
+	e := &execCtx{tgt: tgt, opts: o, probe: probe}
 	stats := &Stats{Method: method, Victims: len(values), Estimates: ests}
 	e.stats = stats
 
@@ -62,7 +59,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	access := accessIndex(tgt, field)
 	rest := remainingIndexes(tgt, access)
 	parts := estimatePartitions(tgt, rest, len(values), o.Memory)
-	stats.Plan = BuildPlan(tgt, field, method, o.Memory, parts)
+	stats.Plan = buildPlan(tgt, field, method, probe, o.Memory, parts)
 	stats.PlanText = stats.Plan.String()
 
 	logged := o.Log != nil
@@ -82,12 +79,18 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 				return err
 			}
 			// Payload: victim row count + delete attribute, so recovery can
-			// reconstruct the statement without the catalog's help.
-			var payload [16]byte
-			binary.LittleEndian.PutUint64(payload[:], uint64(victimFile.rows))
-			binary.LittleEndian.PutUint64(payload[8:], uint64(field))
+			// reconstruct the statement without the catalog's help; then the
+			// file of every index on the probe arm, so a roll-forward
+			// continues each structure with the arm it started with.
+			payload := binary.LittleEndian.AppendUint64(nil, uint64(victimFile.rows))
+			payload = binary.LittleEndian.AppendUint64(payload, uint64(field))
+			for i := range tgt.Indexes {
+				if ix := &tgt.Indexes[i]; probe[ix] {
+					payload = binary.LittleEndian.AppendUint64(payload, uint64(ix.Tree.ID()))
+				}
+			}
 			if _, err := o.Log.Append(wal.TBulkStart, o.TxID,
-				uint64(tgt.Heap.ID()), uint64(victimFile.file), payload[:]); err != nil {
+				uint64(tgt.Heap.ID()), uint64(victimFile.file), payload); err != nil {
 				return err
 			}
 			o.Stmt.Event(obs.EvWAL, fmt.Sprintf("bulk-start rows=%d field=%d", victimFile.rows, field))
@@ -98,7 +101,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 		}
 	}
 
-	if err := e.run(field, values, method, access, rest, victimFile, nil); err != nil {
+	if err := e.run(field, values, method.family(), access, rest, victimFile, nil); err != nil {
 		return stats, err
 	}
 	return stats, e.finish(start, ownTrace)
@@ -197,6 +200,18 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		}
 	}
 
+	// sorts are the sorts of this run that nothing else closes: closing one
+	// is what drops its spill file, whether its iterator ran dry, stopped
+	// short or — a cancel while it was filling — never came to be.
+	var sorts []io.Closer
+	defer func() {
+		for _, s := range sorts {
+			if cerr := s.Close(); cerr != nil && err == nil {
+				err = phaseErr("cleanup", "sort spill files", cerr)
+			}
+		}
+	}()
+
 	// victimIter returns a fresh iterator over the sorted victim keys.
 	victimIter := func(ce *execCtx) (rowIter, error) {
 		if victimFile != nil {
@@ -208,6 +223,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		if err != nil {
 			return nil, err
 		}
+		sorts = append(sorts, it)
 		return it.Next, nil
 	}
 
@@ -241,7 +257,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			}
 			return collectVictimRIDsByScan(e, field, vals, emit)
 		}
-		_, err = walkLeaves(e, access, nil, nil, e.mergeByKey(access, vi), false, emit)
+		_, err = e.indexJoin(access, vi, nil, true, false, emit)
 		return err
 	}
 	// sortedRIDs runs collectRIDs into a RID list and returns it sorted.
@@ -250,6 +266,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		if err != nil {
 			return nil, err
 		}
+		sorts = append(sorts, rids.srt)
 		if err := collectRIDs(rids.add); err != nil {
 			return nil, err
 		}
@@ -307,10 +324,11 @@ func (e *execCtx) run(field int, values []int64, method Method,
 					if rids, err = newRIDList(ce); err != nil {
 						return 0, 0, err
 					}
+					sorts = append(sorts, rids.srt)
 					emit = rids.add
 				}
 			}
-			deleted, err := walkLeaves(ce, access, startKey, nil, ce.mergeByKey(access, vi), true, emit)
+			deleted, err := ce.indexJoin(access, vi, startKey, true, true, emit)
 			return deleted, 0, err
 		})
 		if err := e.runPasses("access-pass", []passJob{job}, 1); err != nil {
@@ -364,6 +382,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 				return err
 			}
 			sorters[ix.Tree.ID()] = srt
+			sorts = append(sorts, srt)
 		}
 		return nil
 	}
@@ -562,7 +581,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 				}
 				rows = it.Next
 			}
-			deleted, err := walkLeaves(ce, ix, startKey, nil, ce.mergeByFullKey(ix, rows), true, nil)
+			deleted, err := ce.indexJoin(ix, rows, startKey, false, true, nil)
 			return deleted, 0, err
 		})
 		jobs[i].unique = ix.Unique

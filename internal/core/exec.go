@@ -37,6 +37,9 @@ type execCtx struct {
 	// pass's arm (0 = the system device, the default placement).
 	parWorkers int
 	scratchDev int
+	// probe holds the indexes whose ⋈̸ runs as batched probes, not as a leaf
+	// pass (indexJoin); nil, every forced pass method, leaves all on the pass.
+	probe map[*IndexRef]bool
 	// lists are the row files a logged statement materialized for recovery;
 	// finish drops them once the commit record is durable.
 	lists []*rowFile
@@ -515,6 +518,7 @@ func CollectVictimFieldValues(tgt *Target, field int, values []int64, wantFields
 	if err != nil {
 		return nil, err
 	}
+	defer rids.srt.Close()
 	if err := collectVictimRIDs(e, field, values, rids.add); err != nil {
 		return nil, err
 	}

@@ -114,7 +114,7 @@ func sliceRows(rows [][]byte) rowIter {
 
 // leafCase is one row of the kernel table.
 type leafCase struct {
-	kernel string // merge-key, merge-full, probe-rid, probe-full-1, probe-full-k
+	kernel string // merge-key, merge-full, probe-rid, probe-full-1, probe-full-k, probes-key, probes-full
 	keyLen int
 	dups   bool
 	undel  bool
@@ -135,8 +135,8 @@ func (c leafCase) name() string {
 // leafVictims is what a case asks its kernel to delete, in every shape the
 // kernels take it, plus the entries a correct kernel removes.
 type leafVictims struct {
-	keys    [][]byte                // sorted 8-byte keys (merge-key)
-	rows    [][]byte                // sorted key‖RID rows (merge-full, probe-full)
+	keys    [][]byte                // sorted 8-byte keys (merge-key, probes-key)
+	rows    [][]byte                // sorted key‖RID rows (merge-full, probe-full, probes-full)
 	rids    map[record.RID]struct{} // probe-rid
 	undel   *cc.UndeletableSet
 	removed map[int]bool // entry ordinals that must be gone afterwards
@@ -146,7 +146,7 @@ func pickLeafVictims(f *leafFixture, c leafCase) leafVictims {
 	v := leafVictims{rids: map[record.RID]struct{}{}, removed: map[int]bool{}}
 	kl := f.ix.Tree.KeyLen()
 	var hit []int
-	if c.kernel == "merge-key" {
+	if strings.HasSuffix(c.kernel, "-key") {
 		// Victim values: a window of present (even) values with absent (odd)
 		// ones interleaved, one below the first entry and a tail beyond the
 		// last so the list both misses and outlives the leaf chain.
@@ -232,6 +232,10 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	if strings.HasSuffix(c.kernel, "-k") {
 		o.Memory = 8000 // four range partitions for the 400-odd victim rows
 	}
+	// The lists name entries that are not there (and a resumed run's suffix
+	// entries that are gone already), which the probes arm, alone among the
+	// kernels, takes for an error unless told it is re-applying.
+	o.IgnoreMissing = strings.HasPrefix(c.kernel, "probes")
 	e := &execCtx{tgt: &Target{Name: "R", Pool: f.pool}, opts: o.withDefaults()}
 	kl := f.ix.Tree.KeyLen()
 
@@ -241,7 +245,7 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	if strings.HasPrefix(c.mode, "readonly") {
 		del = false
 	}
-	if c.kernel == "merge-key" {
+	if strings.HasSuffix(c.kernel, "-key") {
 		emit = func(record.RID) error {
 			run.emitted++
 			if stopAt > 0 && run.emitted == stopAt {
@@ -258,7 +262,7 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	var keyFile *rowFile
 	var err error
 	switch c.kernel {
-	case "merge-key":
+	case "merge-key", "probes-key":
 		rows = sliceRows(v.keys)
 		if from > 0 {
 			if rows, startKey, err = skipRows(rows, uint64(from)); err != nil {
@@ -266,7 +270,7 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 			}
 			e.applied = from
 		}
-	case "merge-full":
+	case "merge-full", "probes-full":
 		rows = sliceRows(v.rows[from:])
 		if from > 0 {
 			if rows, startKey, err = peekFirst(rows, kl); err != nil {
@@ -298,6 +302,10 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 		run.deleted, err = kernelMergeByFullKey(e, f.ix, rows, startKey)
 	case "probe-rid":
 		run.deleted, err = kernelProbeByRID(e, f.ix, v.rids)
+	case "probes-key":
+		run.deleted, err = kernelProbesByKey(e, f.ix, rows, del, emit)
+	case "probes-full":
+		run.deleted, err = kernelProbesByFullKey(e, f.ix, rows)
 	default:
 		run.deleted, run.parts, err = kernelProbePartitioned(e, f.ix, keyFile)
 	}
@@ -344,6 +352,12 @@ func checkLeafSurvivors(t *testing.T, f *leafFixture, c leafCase, removed map[in
 	if f.ix.Tree.Count() != int64(len(want)) {
 		t.Fatalf("%s: tree counts %d entries, holds %d", c.name(), f.ix.Tree.Count(), len(want))
 	}
+	if strings.HasPrefix(c.kernel, "probes") {
+		// The probes keep the inner levels themselves.
+		if err := f.ix.Tree.CheckInvariants(); err != nil {
+			t.Fatalf("%s: before any RebuildUpper: %v", c.name(), err)
+		}
+	}
 	if err := f.ix.Tree.RebuildUpper(false); err != nil {
 		t.Fatal(err)
 	}
@@ -354,19 +368,20 @@ func checkLeafSurvivors(t *testing.T, f *leafFixture, c leafCase, removed map[in
 
 // TestLeafKernels pins the index ⋈̸ kernels — merge by key, merge by
 // key‖RID, probe by RID, probe by key‖RID over one and over several range
-// partitions — on what they leave in the tree and on what they charge: the
+// partitions, and the batched root-to-leaf probes by key and by key‖RID —
+// on what they leave in the tree and on what they charge: the
 // simulated disk's read/write/positioning counters, the compare and record
 // charges, the noteApplied count, the leaves counted into the statement's
 // progress and the returned delete count.
 func TestLeafKernels(t *testing.T) {
 	var cases []leafCase
-	for _, kernel := range []string{"merge-key", "merge-full", "probe-rid", "probe-full-1", "probe-full-k"} {
+	for _, kernel := range []string{"merge-key", "merge-full", "probe-rid", "probe-full-1", "probe-full-k", "probes-key", "probes-full"} {
 		for _, keyLen := range []int{8, 16} {
 			for _, dups := range []bool{false, true} {
 				for _, undel := range []bool{false, true} {
 					modes := []string{"fresh", "resumed"}
-					if kernel == "merge-key" {
-						// The only kernel with a read-only form.
+					if strings.HasSuffix(kernel, "-key") {
+						// The kernels with a read-only form.
 						modes = append(modes, "readonly", "readonly-stop")
 					}
 					for _, mode := range modes {
@@ -383,7 +398,7 @@ func TestLeafKernels(t *testing.T) {
 		v := pickLeafVictims(f, c)
 		log := wal.Create(f.pool.Disk())
 		listLen := len(v.rows)
-		if c.kernel == "merge-key" {
+		if strings.HasSuffix(c.kernel, "-key") {
 			listLen = len(v.keys)
 		}
 		switch c.mode {
@@ -397,8 +412,8 @@ func TestLeafKernels(t *testing.T) {
 			crashAt := listLen / 2
 			ckpt := max(1, crashAt/3)
 			from := int64((crashAt - 1) / ckpt * ckpt)
-			if strings.HasPrefix(c.kernel, "probe") {
-				from = 0
+			if strings.HasPrefix(c.kernel, "probe-") {
+				from = 0 // the scans start over
 			}
 			first := runLeafKernel(t, f, c, v, log, ckpt, 0, crashAt, 0)
 			if first.err != "crash" {
@@ -446,6 +461,27 @@ func TestLeafKernels(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("charge model moved:\n got  %s\n want %s", got[i], want[i])
+		}
+	}
+}
+
+// TestProbesMissingEntry: a key‖RID row whose entry is not in the index ends
+// a first attempt — the row came out of the heap, so the index has lost an
+// entry — and is a no-op for a resumed one re-applying its suffix.
+func TestProbesMissingEntry(t *testing.T) {
+	for _, resumed := range []bool{false, true} {
+		f := buildLeafFixture(t, 8, false)
+		absent := f.fullKey(11)
+		record.PutRID(absent[8:], record.RID{Page: 9, Slot: 9}) // entry 11's key under another RID
+		rows := [][]byte{f.fullKey(10), absent, f.fullKey(12)}
+		o := Options{IgnoreMissing: resumed}
+		e := &execCtx{tgt: &Target{Name: "R", Pool: f.pool}, opts: o.withDefaults()}
+		deleted, err := probeIndex(e, f.ix, sliceRows(rows), false, true, nil)
+		switch {
+		case resumed && (err != nil || deleted != 2):
+			t.Errorf("resumed: deleted %d, %v; want the two entries that exist", deleted, err)
+		case !resumed && (!errors.Is(err, btree.ErrNotFound) || deleted != 1):
+			t.Errorf("first attempt: deleted %d, %v; want to stop at the missing entry", deleted, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sort"
 
 	"bulkdel/internal/btree"
@@ -120,6 +121,89 @@ func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool
 			if live, err := m.took(); err != nil || !live {
 				return hits, err
 			}
+		}
+	}
+}
+
+// indexJoin is ix's ⋈̸ with a sorted list — victim keys when byKey, key ‖ RID
+// rows otherwise — on the arm the plan gave the index: the leaf pass entered
+// at from, or the batched probes.
+func (e *execCtx) indexJoin(ix *IndexRef, rows rowIter, from []byte, byKey, del bool,
+	emit func(record.RID) error) (int64, error) {
+
+	if e.probe[ix] {
+		return probeIndex(e, ix, rows, byKey, del, emit)
+	}
+	m := e.mergeByFullKey(ix, rows)
+	if byKey {
+		m = e.mergeByKey(ix, rows)
+	}
+	return walkLeaves(e, ix, from, nil, m, del, emit)
+}
+
+// probeIndex is the probe arm of the index ⋈̸: the list a leaf pass would
+// merge, applied instead as root-to-leaf operations in key order, so the
+// batch shares the resident upper levels and every leaf it revisits and
+// reads no leaf without a victim. A victim key is looked up with Tree.Search
+// and each of its entries (a key ‖ RID row names its one entry itself) that
+// no concurrent transaction protected is handed to emit and, if del is set,
+// removed with Tree.Delete — which frees an emptied leaf and keeps the inner
+// levels itself, so no RebuildUpper follows. It returns the number of hits.
+// An entry already gone is an error unless Options.IgnoreMissing (a resumed
+// run re-applying its suffix) says otherwise.
+//
+// Its row of the charge table above:
+//
+//	probes  key /    sorted list  the descent's and the leaf    per list row  list exhausted
+//	        key‖RID               search's compares per Search
+//	                              and per Delete; 1 record per
+//	                              entry Search visits
+//
+// No leaf is read but by a descent; every delete costs the record charge
+// Tree.Delete makes. (Stmt.AddPages is not called: the batch cannot tell a
+// leaf it revisits from a new one.)
+func probeIndex(e *execCtx, ix *IndexRef, rows rowIter, byKey, del bool,
+	emit func(record.RID) error) (int64, error) {
+
+	keyLen := ix.Tree.KeyLen()
+	var hits int64
+	var one [1]record.RID
+	for {
+		row, ok, err := rows()
+		if err != nil || !ok {
+			return hits, err
+		}
+		key, rids := row[:min(len(row), keyLen)], one[:]
+		if byKey {
+			key = padKey(row, keyLen)
+			if rids, err = ix.Tree.Search(key); err != nil {
+				return hits, err
+			}
+		} else {
+			one[0] = record.GetRID(row[keyLen:])
+		}
+		for _, rid := range rids {
+			if e.undeletable(key, rid) {
+				continue
+			}
+			if emit != nil {
+				if err := emit(rid); err != nil {
+					return hits, err
+				}
+			}
+			if del {
+				err := ix.Tree.Delete(key, rid)
+				if errors.Is(err, btree.ErrNotFound) && e.opts.IgnoreMissing {
+					continue
+				}
+				if err != nil {
+					return hits, err
+				}
+			}
+			hits++
+		}
+		if err := e.noteApplied(ix.Tree.ID(), ix.Tree.Flush); err != nil {
+			return hits, err
 		}
 	}
 }
@@ -300,8 +384,12 @@ func probeKeys(e *execCtx, ix *IndexRef, values []int64, emit func(record.RID) e
 	if err != nil {
 		return err
 	}
+	defer it.Close()
 	ix.RLock()
 	defer ix.RUnlock()
-	_, err = walkLeaves(e, ix, nil, nil, e.mergeByKey(ix, it.Next), false, emit)
+	if probeCheaper(e.tgt, ix, values, false, e.opts.Memory) {
+		e.probe = map[*IndexRef]bool{ix: true}
+	}
+	_, err = e.indexJoin(ix, it.Next, nil, true, false, emit)
 	return err
 }

@@ -50,6 +50,11 @@ const (
 	Hash
 	// HashPartition is the hash + range-partitioning plan of Figure 5.
 	HashPartition
+	// Probe is the sorting plan with every index ⋈̸ run as batched
+	// root-to-leaf probes in key order instead of a leaf pass: the plan for a
+	// delete too small to pay for reading whole leaf levels. Auto mixes the
+	// two per index; as a result's Method, Auto names such a mixed plan.
+	Probe
 )
 
 func (m Method) String() string {
@@ -62,9 +67,20 @@ func (m Method) String() string {
 		return "hash"
 	case HashPartition:
 		return "hash+range-partition"
+	case Probe:
+		return "probe"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
+}
+
+// family is the plan whose lists and heap pass a statement runs: the probe
+// arms are arms of the sorting plan.
+func (m Method) family() Method {
+	if m == Probe || m == Auto {
+		return SortMerge
+	}
+	return m
 }
 
 // IndexRef is core's view of one index of the target table.
@@ -366,10 +382,27 @@ func bdel(structure, method, pred string) string {
 }
 
 // BuildPlan constructs the explain tree for the given method against the
-// target — the code form of the paper's Figures 3, 4 and 5.
+// target — the code form of the paper's Figures 3, 4 and 5; Probe is Figure 3
+// with every index ⋈̸ by probes.
 func BuildPlan(tgt *Target, field int, method Method, mem int, parts int) *PlanNode {
+	var probe map[*IndexRef]bool
+	if method == Probe {
+		probe = allIndexes(tgt)
+	}
+	return buildPlan(tgt, field, method, probe, mem, parts)
+}
+
+// buildPlan is BuildPlan with the planner's arms: the indexes in probe get a
+// ⋈̸[probe] node where the sorting plan has ⋈̸[merge].
+func buildPlan(tgt *Target, field int, method Method, probe map[*IndexRef]bool, mem int, parts int) *PlanNode {
 	access := accessIndex(tgt, field)
 	rest := remainingIndexes(tgt, access)
+	arm := func(ix *IndexRef) string {
+		if probe[ix] {
+			return "probe"
+		}
+		return "merge"
+	}
 	root := &PlanNode{
 		Op:     "DELETE",
 		Detail: fmt.Sprintf("FROM %s WHERE field%d IN D  —  method=%s, memory=%s", tgt.Name, field, method, fmtBytes(mem)),
@@ -378,7 +411,7 @@ func BuildPlan(tgt *Target, field int, method Method, mem int, parts int) *PlanN
 	var ridSource *PlanNode
 	if access != nil {
 		ridSource = &PlanNode{
-			Op:       bdel(access.Name, "merge", "key"),
+			Op:       bdel(access.Name, arm(access), "key"),
 			Detail:   "→ RIDs of deleted entries",
 			Children: []*PlanNode{sortD},
 		}
@@ -389,7 +422,7 @@ func BuildPlan(tgt *Target, field int, method Method, mem int, parts int) *PlanN
 			Children: []*PlanNode{sortD},
 		}
 	}
-	switch method {
+	switch method.family() {
 	case Hash:
 		// The RID hash table is a shared subexpression, split into every
 		// probe — the paper's Figure 4 draws it as a DAG; the explain
@@ -429,7 +462,7 @@ func BuildPlan(tgt *Target, field int, method Method, mem int, parts int) *PlanN
 				Children: []*PlanNode{{Op: "π", Detail: fmt.Sprintf("{key(%s), RID} from %s deletes", ix.Name, tgt.Name)}},
 			}
 			root.Children = append(root.Children, &PlanNode{
-				Op:       bdel(ix.Name, "merge", "key,RID"),
+				Op:       bdel(ix.Name, arm(ix), "key,RID"),
 				Children: []*PlanNode{sortI},
 			})
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"bulkdel/internal/page"
@@ -11,9 +12,10 @@ import (
 // The planner mirrors the optimizer decisions the paper assigns to the
 // query engine (§2.1): given the table size, the number of victims, the
 // number and shape of the indexes, and the memory budget, estimate the I/O
-// cost of each ⋈̸ method and pick the cheapest. The estimates use the same
-// cost model the simulated disk charges, so the planner and the execution
-// agree by construction.
+// cost of each ⋈̸ method and pick the cheapest — per index, between reading
+// its leaf level and probing it. The estimates use the same cost model the
+// simulated disk charges, so the planner and the execution agree by
+// construction.
 
 // CostEstimate is a simulated-time estimate for one method.
 type CostEstimate struct {
@@ -38,128 +40,219 @@ func bestEstimate(ests []CostEstimate) Method {
 }
 
 // EstimateCosts returns the estimated execution time of every applicable
-// method, in plan order (SortMerge, Hash, HashPartition).
+// method, in plan order (SortMerge, Hash, HashPartition, Probe), for victims
+// scattered over the key space.
 func EstimateCosts(tgt *Target, field int, victims int, memory int) []CostEstimate {
-	cm := tgt.Pool.Disk().CostModelInUse()
-	randIO := cm.Seek + cm.Rotation + cm.TransferPage
-	seqIO := cm.TransferPage
-
-	heapPages := float64(tgt.Heap.Count()) / float64(page.Capacity(tgt.Schema.Size))
-	v := float64(victims)
-	n := float64(tgt.Heap.Count())
-	if n == 0 {
-		n = 1
-	}
-	sel := v / n
-
-	// Leaf pages per index.
-	leafPages := func(ix *IndexRef) float64 {
-		return float64(ix.Tree.Count())/float64(ix.Tree.LeafCapacity()) + 1
-	}
-	access := accessIndex(tgt, field)
-	rest := remainingIndexes(tgt, access)
-
-	// Sorting a list of r rows of s bytes: in memory when it fits, else
-	// one spill + merge pass (write + read, chained).
-	sortCost := func(rows, rowSize float64) time.Duration {
-		bytes := rows * rowSize
-		if bytes <= float64(memory) {
-			return 0 // CPU only; negligible against I/O here
-		}
-		pages := bytes / sim.PageSize
-		chunk := float64(rowFileChunk)
-		positions := 2 * pages / chunk
-		return time.Duration(positions)*randIO + time.Duration(2*pages)*seqIO
-	}
-	// A full leaf pass of an index: chained read + write-back of dirty
-	// pages (roughly the touched fraction).
-	leafPass := func(lp float64, touched float64) time.Duration {
-		reads := time.Duration(lp) * seqIO
-		writes := time.Duration(lp*touched) * (seqIO + (cm.Seek+cm.Rotation)/2)
-		positions := time.Duration(lp/32) * randIO
-		return reads + writes + positions
-	}
-	// The heap pass: fraction of pages holding a victim.
-	recsPerPage := float64(page.Capacity(tgt.Schema.Size))
-	pVictimPage := 1 - pow(1-sel, recsPerPage)
-	heapPass := leafPass(heapPages, pVictimPage)
-
-	var ests []CostEstimate
-
-	// --- SortMerge: sort victims + access pass + sort RIDs + heap pass +
-	// per index: sort (key,RID) + leaf pass.
-	sm := sortCost(v, 8) + sortCost(v, record.RIDSize) + heapPass
-	if access != nil {
-		sm += leafPass(leafPages(access), pVictimLeaf(sel, float64(access.Tree.LeafCapacity())))
-	} else {
-		sm += leafPass(heapPages, 0) // extra filter scan
-	}
-	for _, ix := range rest {
-		sm += sortCost(v, float64(ix.Tree.KeyLen()+record.RIDSize))
-		sm += leafPass(leafPages(ix), pVictimLeaf(sel, float64(ix.Tree.LeafCapacity())))
-	}
-	ests = append(ests, CostEstimate{Method: SortMerge, Time: sm})
-
-	// --- Hash: applicable when the RID set fits in memory. Full scans of
-	// the heap and every remaining index.
-	hashBytes := v * (record.RIDSize + hashOverheadPerEntry)
-	if hashBytes <= float64(memory) {
-		h := sortCost(v, 8)
-		if access != nil {
-			h += leafPass(leafPages(access), pVictimLeaf(sel, float64(access.Tree.LeafCapacity())))
-		} else {
-			h += leafPass(heapPages, 0)
-		}
-		h += heapPass
-		for _, ix := range rest {
-			h += leafPass(leafPages(ix), pVictimLeaf(sel, float64(ix.Tree.LeafCapacity())))
-		}
-		ests = append(ests, CostEstimate{Method: Hash, Time: h})
-	}
-
-	// --- HashPartition: like SortMerge for the access index and heap,
-	// then per index: write + read the (key,RID) list twice (list +
-	// partitions) and one leaf pass.
-	hp := sortCost(v, 8) + sortCost(v, record.RIDSize) + heapPass
-	if access != nil {
-		hp += leafPass(leafPages(access), pVictimLeaf(sel, float64(access.Tree.LeafCapacity())))
-	} else {
-		hp += leafPass(heapPages, 0)
-	}
-	for _, ix := range rest {
-		rowBytes := v * float64(ix.Tree.KeyLen()+record.RIDSize)
-		ioPages := 4 * rowBytes / sim.PageSize // write+read list, write+read partitions
-		hp += time.Duration(ioPages)*seqIO + time.Duration(ioPages/rowFileChunk)*randIO
-		hp += leafPass(leafPages(ix), pVictimLeaf(sel, float64(ix.Tree.LeafCapacity())))
-	}
-	ests = append(ests, CostEstimate{Method: HashPartition, Time: hp})
-
+	ests, _, _ := priceArms(tgt, field, victims, 0, memory)
 	return ests
 }
 
-// pVictimLeaf is the probability a leaf page holds at least one victim.
-func pVictimLeaf(sel, cap float64) float64 {
-	return 1 - pow(1-sel, cap)
+// planStatement is the planner's verdict on one statement: the estimates,
+// the method Stats reports, and the indexes whose ⋈̸ runs as batched probes.
+// A forced method has its arms fixed: every index for Probe, none for the
+// paper's three. Auto compares the hash plans with the sorting plan at its
+// per-index best and names the winner SortMerge or Probe when that is what
+// the mix amounts to, Auto (with its own estimate) otherwise. A statement
+// that asks for §2.3 reorganization keeps the passes, which do it.
+func planStatement(tgt *Target, field int, values []int64, o Options) ([]CostEstimate, Method, map[*IndexRef]bool) {
+	ests, mixed, probe := priceArms(tgt, field, len(values), keySpan(values), o.Memory)
+	method := o.Method
+	if method == Auto {
+		cands := ests
+		switch {
+		case o.Reorganize:
+			cands = ests[:len(ests)-1] // all but Probe
+		case len(probe) > 0 && len(probe) < len(tgt.Indexes):
+			// A true mix; otherwise it is SortMerge's or Probe's own plan.
+			ests = append(ests, CostEstimate{Method: Auto, Time: mixed})
+			cands = ests
+		}
+		method = bestEstimate(cands)
+	}
+	switch method {
+	case Auto:
+	case Probe:
+		probe = allIndexes(tgt)
+	default:
+		probe = nil
+	}
+	return ests, method, probe
 }
 
-func pow(x float64, n float64) float64 {
-	// Small positive powers; avoid importing math for one call chain.
-	if x <= 0 {
+// allIndexes is the forced Probe plan's arm set.
+func allIndexes(tgt *Target) map[*IndexRef]bool {
+	all := make(map[*IndexRef]bool, len(tgt.Indexes))
+	for i := range tgt.Indexes {
+		all[&tgt.Indexes[i]] = true
+	}
+	return all
+}
+
+// keySpan is the width of the key interval the victim values come from.
+func keySpan(values []int64) float64 {
+	if len(values) == 0 {
 		return 0
 	}
-	if x >= 1 {
-		return 1
+	lo, hi := values[0], values[0]
+	for _, v := range values[1:] {
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	// exp(n ln x) via iterated squaring on the integer part is overkill;
-	// a simple loop over the integer exponent is fine for cap <= ~300.
-	r := 1.0
-	for i := 0; i < int(n); i++ {
-		r *= x
-		if r < 1e-12 {
-			return 0
+	return float64(hi) - float64(lo) + 1
+}
+
+// pricer prices plan steps with the charges of the simulated disk.
+type pricer struct {
+	disk                   *sim.Disk
+	randIO, seqIO, writeIO time.Duration
+	memory                 int
+}
+
+func newPricer(disk *sim.Disk, memory int) pricer {
+	cm := disk.CostModelInUse()
+	return pricer{
+		disk:   disk,
+		randIO: cm.Seek + cm.Rotation + cm.TransferPage,
+		seqIO:  cm.TransferPage,
+		// Dirty pages go back in page order: a transfer and half a
+		// positioning each.
+		writeIO: cm.TransferPage + (cm.Seek+cm.Rotation)/2,
+		memory:  memory,
+	}
+}
+
+func pages(n float64, each time.Duration) time.Duration { return time.Duration(n * float64(each)) }
+
+// sort prices sorting rows of rowSize bytes: in memory when they fit (CPU
+// only, negligible against I/O here), else one spill + merge pass (write +
+// read, chained).
+func (p pricer) sort(rows, rowSize float64) time.Duration {
+	bytes := rows * rowSize
+	if bytes <= float64(p.memory) {
+		return 0
+	}
+	pgs := bytes / sim.PageSize
+	return pages(2*pgs/rowFileChunk, p.randIO) + pages(2*pgs, p.seqIO)
+}
+
+// chain prices one chained read of n pages in file order.
+func (p pricer) chain(n float64) time.Duration {
+	return pages(n, p.seqIO) + pages(n/32, p.randIO)
+}
+
+// leafPass prices the pass arm of an index ⋈̸ over lp leaf pages of which
+// dirty get modified: the chained walk, the write-back, and — rebuild set,
+// every destructive pass — RebuildUpper's second walk over the leaf level
+// and its rewrite of the inner one.
+func (p pricer) leafPass(ix *IndexRef, lp, dirty float64, rebuild bool) time.Duration {
+	t := p.chain(lp) + pages(dirty, p.writeIO)
+	if rebuild {
+		t += p.chain(lp) + pages(lp/float64(ix.Tree.InnerCapacity())+1, p.writeIO)
+	}
+	return t
+}
+
+// probes prices the probe arm: every distinct leaf touched is one random
+// read (the upper levels stay resident) and, when deleting, one write-back.
+func (p pricer) probes(touched float64, del bool) time.Duration {
+	t := pages(touched, p.randIO)
+	if del {
+		t += pages(touched, p.writeIO)
+	}
+	return t
+}
+
+// arms prices ix's ⋈̸ with a list of rows entries (victim keys spanning span
+// values, 0 = scattered or unknown) both ways; del says whether it deletes.
+func (p pricer) arms(ix *IndexRef, rows, span float64, del bool) (pass, byProbes time.Duration) {
+	// The leaf level is the file less its meta page (the inner levels are
+	// under a hundredth of it), which unlike entries ÷ capacity stays right
+	// once inserts have split the leaves.
+	lp := 1.0
+	if n, err := p.disk.NumPages(ix.Tree.ID()); err == nil && n > 1 {
+		lp = float64(n - 1)
+	}
+	// Leaves holding at least one of the entries, were they scattered. A
+	// unique index holds at most one entry per key value, which bounds a
+	// clustered victim set far below that.
+	touched := lp * (1 - math.Pow(1-1/lp, rows))
+	if span > 0 && ix.Unique {
+		perLeaf := math.Max(1, float64(ix.Tree.Count())/lp)
+		touched = math.Min(touched, span/perLeaf+1)
+	}
+	dirty := 0.0
+	if del {
+		dirty = touched
+	}
+	return p.leafPass(ix, lp, dirty, del), p.probes(touched, del)
+}
+
+// probeCheaper reports whether one ⋈̸ of ix alone is cheaper by probes than
+// by a leaf pass — the choice of the read-only joins outside a statement's
+// plan.
+func probeCheaper(tgt *Target, ix *IndexRef, values []int64, del bool, memory int) bool {
+	pass, byProbes := newPricer(tgt.Pool.Disk(), memory).arms(ix, float64(len(values)), keySpan(values), del)
+	return byProbes < pass
+}
+
+// priceArms prices a delete of victims records on field, the victim keys
+// spanning span values (0 = scattered). It returns the estimate of every
+// forced method in plan order, the estimate of the sorting plan with each
+// index on its cheaper arm, and the indexes that arm is the probes for.
+func priceArms(tgt *Target, field int, victims int, span float64, memory int) ([]CostEstimate, time.Duration, map[*IndexRef]bool) {
+	p := newPricer(tgt.Pool.Disk(), memory)
+	v := float64(victims)
+	n := math.Max(1, float64(tgt.Heap.Count()))
+	recsPerPage := float64(page.Capacity(tgt.Schema.Size))
+	heapPages := n / recsPerPage
+	victimPages := heapPages * (1 - math.Pow(1-math.Min(1, v/n), recsPerPage))
+	access := accessIndex(tgt, field)
+	probe := make(map[*IndexRef]bool)
+
+	// arms prices ix's destructive ⋈̸ both ways and notes the cheaper.
+	arms := func(ix *IndexRef, span float64) (pass, byProbes time.Duration) {
+		if pass, byProbes = p.arms(ix, v, span, true); byProbes < pass {
+			probe[ix] = true
 		}
+		return pass, byProbes
 	}
-	return r
+
+	// Finding the victims is the access index's ⋈̸ by key, or a filter scan.
+	// The sorting plans' heap ⋈̸ is skip-sequential over the victim pages;
+	// the hash plan scans the whole heap.
+	find := p.chain(heapPages)
+	findByProbes := find
+	if access != nil {
+		find, findByProbes = arms(access, span)
+	}
+	heapMerge := min(p.chain(heapPages), pages(victimPages, p.randIO)) + pages(victimPages, p.writeIO)
+	sorts := p.sort(v, 8) + p.sort(v, record.RIDSize)
+	sm := sorts + find + heapMerge
+	hash := p.sort(v, 8) + find + p.chain(heapPages) + pages(victimPages, p.writeIO)
+	hp := sm
+	pr := sorts + findByProbes + heapMerge
+	mixed := sorts + min(find, findByProbes) + heapMerge
+	for _, ix := range remainingIndexes(tgt, access) {
+		pass, byProbes := arms(ix, 0)
+		rowSize := float64(ix.Tree.KeyLen() + record.RIDSize)
+		sortKeys := p.sort(v, rowSize)
+		sm += sortKeys + pass
+		pr += sortKeys + byProbes
+		mixed += sortKeys + min(pass, byProbes)
+		// Hash probes every entry by RID: a full pass, no list to sort.
+		hash += pass
+		// HashPartition writes + reads the ⟨key,RID⟩ list twice (list,
+		// partitions) before its pass.
+		ioPages := 4 * v * rowSize / sim.PageSize
+		hp += pages(ioPages, p.seqIO) + pages(ioPages/rowFileChunk, p.randIO) + pass
+	}
+
+	ests := []CostEstimate{{Method: SortMerge, Time: sm}}
+	// Hash applies when the RID set fits in memory.
+	if v*(record.RIDSize+hashOverheadPerEntry) <= float64(memory) {
+		ests = append(ests, CostEstimate{Method: Hash, Time: hash})
+	}
+	ests = append(ests, CostEstimate{Method: HashPartition, Time: hp}, CostEstimate{Method: Probe, Time: pr})
+	return ests, mixed, probe
 }
 
 // estimatePartitions predicts the partition count the hash+range plan will

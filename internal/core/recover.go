@@ -49,7 +49,7 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	for f := range st.Done {
 		o.SkipStructures[sim.FileID(f)] = true
 	}
-	e := &execCtx{tgt: tgt, opts: o}
+	e := &execCtx{tgt: tgt, opts: o, probe: probeArms(tgt, recs, st.TxID)}
 	stats := &Stats{Method: SortMerge}
 	e.stats = stats
 	tr := o.Trace
@@ -182,6 +182,7 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 			// every entry's RID against the set. The probes are
 			// idempotent, so a re-crash during this resume is safe.
 			method = Hash
+			e.probe = nil // the hash plan has no arms
 		}
 		// Otherwise the heap is untouched; re-run the extraction from
 		// the RID list inside run() as sort/merge.
@@ -190,7 +191,7 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	o.Method = method
 	e.opts = o
 
-	stats.Plan = BuildPlan(tgt, field, method, o.Memory,
+	stats.Plan = buildPlan(tgt, field, method, e.probe, o.Memory,
 		estimatePartitions(tgt, rest, stats.Victims, o.Memory))
 	stats.PlanText = stats.Plan.String()
 
@@ -243,16 +244,45 @@ func rebuildIndexFromHeap(e *execCtx, ix *IndexRef) error {
 	return ix.Tree.Flush()
 }
 
-// BulkStartField extracts the delete attribute recorded in the TBulkStart
-// payload, so an engine can resume without consulting its catalog.
-func BulkStartField(recs []wal.Record, txID uint64) (int, bool) {
+// bulkStartPayload returns the payload Execute gave the statement's
+// TBulkStart record — victim row count, delete attribute, then the file of
+// every index on the probe arm — or nil when the log holds no such record.
+func bulkStartPayload(recs []wal.Record, txID uint64) []byte {
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
 		if r.Type == wal.TBulkStart && r.TxID == txID && len(r.Payload) >= 16 {
-			return int(binary.LittleEndian.Uint64(r.Payload[8:])), true
+			return r.Payload
 		}
 	}
-	return 0, false
+	return nil
+}
+
+// BulkStartField extracts the delete attribute recorded in the TBulkStart
+// payload, so an engine can resume without consulting its catalog.
+func BulkStartField(recs []wal.Record, txID uint64) (int, bool) {
+	p := bulkStartPayload(recs, txID)
+	if p == nil {
+		return 0, false
+	}
+	return int(binary.LittleEndian.Uint64(p[8:])), true
+}
+
+// probeArms returns the indexes the interrupted statement had planned on the
+// probe arm. A roll-forward keeps every structure on the arm it started
+// with — an index a leaf pass left half-way needs the RebuildUpper only a
+// pass ends with — and gives a structure not yet started the arm the
+// statement planned, in crash recovery and in an online abort alike.
+func probeArms(tgt *Target, recs []wal.Record, txID uint64) map[*IndexRef]bool {
+	probe := make(map[*IndexRef]bool)
+	p := bulkStartPayload(recs, txID)
+	for p = p[min(16, len(p)):]; len(p) >= 8; p = p[8:] {
+		for i := range tgt.Indexes {
+			if uint64(tgt.Indexes[i].Tree.ID()) == binary.LittleEndian.Uint64(p) {
+				probe[&tgt.Indexes[i]] = true
+			}
+		}
+	}
+	return probe
 }
 
 // materializedRows finds the row count recorded in the payload of the log

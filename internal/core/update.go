@@ -75,6 +75,7 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 	if err != nil {
 		return nil, err
 	}
+	defer rids.srt.Close()
 	if err := collectVictimRIDs(e, predField, values, rids.add); err != nil {
 		return nil, err
 	}
@@ -98,6 +99,8 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 		}
 		oldSorters[ix.Tree.ID()] = os
 		newSorters[ix.Tree.ID()] = ns
+		defer os.Close()
+		defer ns.Close()
 	}
 
 	err = func() error {

@@ -29,6 +29,10 @@ import (
 func withReader(run runFunc, final bool) runFunc {
 	return func(ctx context.Context, cfg Config, st *state, res *Result) error {
 		rd, err := startSnapReader(st.tables[0], int64(cfg.Rows))
+		if sim.IsCrash(err) {
+			res.set("reader-scans", int64(0))
+			return err // the power failed before the statement began
+		}
 		if err != nil {
 			res.Err = err.Error()
 			return nil

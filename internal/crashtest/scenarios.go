@@ -42,6 +42,9 @@ type scenario struct {
 	// fields are the crash cycle's columns with their zero values, so every
 	// ordinal line has the same shape even when recovery fails.
 	fields []Field
+	// config, when set, rewrites the defaulted Config into the scenario's
+	// own shape before anything is built.
+	config func(Config) Config
 	// cancel selects the driver's cancel mode; reader decorates run with a
 	// concurrent snapshot reader. Both need a single-table scenario whose
 	// run honours ctx.
@@ -74,11 +77,48 @@ func (sc scenario) underReader() scenario {
 	return sc
 }
 
+// probe is the paper's statement where a pass would be waste: a few victims
+// in a table of many leaves, so the planner (Method Auto, whatever the
+// Config says) joins every index by batched root-to-leaf probes instead of
+// a leaf pass. The table has five times Config.Rows rows and indexes with
+// keys wide enough that a leaf holds probeLeafCap entries; the victims are
+// the rows of one whole leaf of IA and IB plus two of the next, so the
+// sweep crosses btree.Tree.Delete freeing an emptied leaf (handleEmpty,
+// spliceOut) — Config.Victims and Config.Seed do not apply.
+var probe = scenario{
+	config: func(cfg Config) Config {
+		cfg.Rows *= 5
+		cfg.Victims = probeLeafCap + 2
+		cfg.Method = bulkdel.Auto
+		return cfg
+	},
+	build: buildTables(0, probeKeyLen, func(cfg Config, _ int) []int64 {
+		first := cfg.Rows / 2 / probeLeafCap * probeLeafCap // a leaf's first key
+		return keys(first, first+cfg.Victims-1, 1)
+	}, "R"),
+	run:           runProbe,
+	reference:     checkTables,
+	verify:        verifyBulk,
+	deterministic: Config.Deterministic,
+	fields:        bulk.fields,
+}
+
+// probeKeyLen is the probe scenario's index key width, probeLeafCap the
+// entries such keys leave room for in a 4 KB leaf.
+const (
+	probeKeyLen  = 500
+	probeLeafCap = 8
+)
+
 var scenarios = map[string]scenario{
-	"bulk":          bulk,
-	"cancel":        bulk.inCancelMode(),
-	"reader":        bulk.underReader(),
-	"reader-cancel": bulk.inCancelMode().underReader(),
+	"bulk":                bulk,
+	"cancel":              bulk.inCancelMode(),
+	"reader":              bulk.underReader(),
+	"reader-cancel":       bulk.inCancelMode().underReader(),
+	"probe":               probe,
+	"probe-cancel":        probe.inCancelMode(),
+	"probe-reader":        probe.underReader(),
+	"probe-reader-cancel": probe.inCancelMode().underReader(),
 	// Two bulk deletes on independent tables through DB.RunConcurrent. With
 	// goroutines racing to the fault the crash no longer lands at a
 	// deterministic statement position, so this sweep is invariants-only:
@@ -172,8 +212,9 @@ func keys(lo, hi, step int) []int64 {
 }
 
 // populate loads tbl with cfg.Rows rows R(A,B,C), A=i, B=3i, C=i%7, and
-// builds the first indexes of IA (unique, on A), IB, IC over them.
-func populate(tbl *bulkdel.Table, cfg Config, indexes int) error {
+// builds the first indexes of IA (unique, on A), IB, IC over them, with keys
+// keyLen bytes wide (0 = the default 8).
+func populate(tbl *bulkdel.Table, cfg Config, indexes, keyLen int) error {
 	for i := 0; i < cfg.Rows; i++ {
 		if _, err := tbl.Insert(int64(i), int64(3*i), int64(i%7)); err != nil {
 			return err
@@ -185,6 +226,7 @@ func populate(tbl *bulkdel.Table, cfg Config, indexes int) error {
 		{Name: "IC", Field: 2},
 	}
 	for _, ix := range defs[:indexes] {
+		ix.KeyLen = keyLen
 		if err := tbl.CreateIndex(ix); err != nil {
 			return err
 		}
@@ -201,6 +243,20 @@ func buildHeap(names ...string) func(Config) (*state, error) {
 // buildHeapParts is buildHeap with every heap hash-partitioned hashParts
 // ways on A (0 = a single heap file).
 func buildHeapParts(hashParts int, names ...string) func(Config) (*state, error) {
+	return buildTables(hashParts, 0, func(cfg Config, ti int) []int64 {
+		perm := rand.New(rand.NewSource(cfg.Seed + int64(ti))).Perm(cfg.Rows)
+		victims := make([]int64, cfg.Victims)
+		for i := range victims {
+			victims[i] = int64(perm[i])
+		}
+		return victims
+	}, names...)
+}
+
+// buildTables is the build of every heap scenario: per name one table,
+// populated and indexed (keys keyLen wide), with the victim list pick
+// returns for it.
+func buildTables(hashParts, keyLen int, pick func(cfg Config, ti int) []int64, names ...string) func(Config) (*state, error) {
 	return func(cfg Config) (*state, error) {
 		opts := options(cfg)
 		opts.Devices = cfg.Devices
@@ -220,16 +276,11 @@ func buildHeapParts(hashParts int, names ...string) func(Config) (*state, error)
 			if err != nil {
 				return nil, err
 			}
-			if err := populate(tbl, cfg, cfg.Indexes); err != nil {
+			if err := populate(tbl, cfg, cfg.Indexes, keyLen); err != nil {
 				return nil, err
 			}
-			perm := rand.New(rand.NewSource(cfg.Seed + int64(ti))).Perm(cfg.Rows)
-			victims := make([]int64, cfg.Victims)
-			for i := range victims {
-				victims[i] = int64(perm[i])
-			}
 			st.tables = append(st.tables, tbl)
-			st.victims = append(st.victims, victims)
+			st.victims = append(st.victims, pick(cfg, ti))
 		}
 		return st, db.Flush()
 	}
@@ -237,7 +288,7 @@ func buildHeapParts(hashParts int, names ...string) func(Config) (*state, error)
 
 // deleteVictims bulk-deletes table i's victim list and fails unless every
 // victim was deleted.
-func deleteVictims(ctx context.Context, cfg Config, st *state, i int, concurrent bool) error {
+func deleteVictims(ctx context.Context, cfg Config, st *state, i int, concurrent bool) (*bulkdel.BulkResult, error) {
 	res, err := st.tables[i].BulkDelete(0, st.victims[i], bulkdel.BulkOptions{
 		Method:         cfg.Method,
 		Memory:         cfg.Memory,
@@ -249,17 +300,28 @@ func deleteVictims(ctx context.Context, cfg Config, st *state, i int, concurrent
 	if err == nil && res.Deleted != int64(len(st.victims[i])) {
 		err = fmt.Errorf("deleted %d of %d victims", res.Deleted, len(st.victims[i]))
 	}
-	return err
+	return res, err
 }
 
 func runBulk(ctx context.Context, cfg Config, st *state, _ *Result) error {
-	return deleteVictims(ctx, cfg, st, 0, false)
+	_, err := deleteVictims(ctx, cfg, st, 0, false)
+	return err
+}
+
+// runProbe fails when a completed statement was not the one the scenario is
+// about: the planner must have put every index on the probe arm.
+func runProbe(ctx context.Context, cfg Config, st *state, _ *Result) error {
+	res, err := deleteVictims(ctx, cfg, st, 0, false)
+	if err == nil && res.Method != bulkdel.Probe {
+		err = fmt.Errorf("planner chose %v, want every index by probes", res.Method)
+	}
+	return err
 }
 
 // runParted pins the method: only sort/merge runs the per-partition passes.
 func runParted(ctx context.Context, cfg Config, st *state, _ *Result) error {
 	cfg.Method = bulkdel.SortMerge
-	return deleteVictims(ctx, cfg, st, 0, false)
+	return runBulk(ctx, cfg, st, nil)
 }
 
 // runConcurrent runs one bulk delete per table through DB.RunConcurrent
@@ -269,7 +331,10 @@ func runParted(ctx context.Context, cfg Config, st *state, _ *Result) error {
 func runConcurrent(ctx context.Context, cfg Config, st *state, _ *Result) error {
 	stmts := make([]func() error, len(st.tables))
 	for i := range st.tables {
-		stmts[i] = func() error { return deleteVictims(ctx, cfg, st, i, true) }
+		stmts[i] = func() error {
+			_, err := deleteVictims(ctx, cfg, st, i, true)
+			return err
+		}
 	}
 	_, err := st.db.RunConcurrent(stmts...)
 	return err
@@ -379,7 +444,7 @@ func buildLSMHeap(cfg Config) (*state, error) {
 		return nil, err
 	}
 	cfg.Rows = lsmHeapRows(cfg)
-	if err := populate(s, cfg, 0); err != nil {
+	if err := populate(s, cfg, 0, 0); err != nil {
 		return nil, err
 	}
 	return st, st.db.Flush()
@@ -417,7 +482,7 @@ func buildRebalance(cfg Config) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := populate(tbl, cfg, cfg.Indexes); err != nil {
+	if err := populate(tbl, cfg, cfg.Indexes, 0); err != nil {
 		return nil, err
 	}
 	if err := db.Flush(); err != nil {
@@ -455,8 +520,9 @@ func verifyRebalance(cfg Config, _ *state, rdb *bulkdel.DB, rep *bulkdel.Recover
 		res.failf("rebalance after recovery: %v", err)
 		return
 	}
+	// (Sort/merge by name: the recorded digests carry this delete's clock.)
 	tbl, victims := rdb.Table("R"), keys(0, cfg.Rows-1, 4)
-	dres, err := tbl.BulkDelete(0, victims, bulkdel.BulkOptions{Memory: cfg.Memory})
+	dres, err := tbl.BulkDelete(0, victims, bulkdel.BulkOptions{Method: bulkdel.SortMerge, Memory: cfg.Memory})
 	switch {
 	case err != nil:
 		res.failf("bulk delete after recovery: %v", err)
@@ -489,7 +555,7 @@ func lsmScenario(survived string, pick func(rows int) []int64, del func(*bulkdel
 			if err != nil {
 				return nil, err
 			}
-			if err := populate(tbl, cfg, 0); err != nil {
+			if err := populate(tbl, cfg, 0, 0); err != nil {
 				return nil, err
 			}
 			// Into SSTables, WAL tail drained: the base is durable before

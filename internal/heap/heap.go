@@ -19,6 +19,7 @@
 package heap
 
 import (
+	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -43,7 +44,7 @@ type File struct {
 	// fsm tracks data pages known to have free space (from deletes or
 	// partially filled tails). It is a performance hint, not a source of
 	// truth: losing it only costs space reuse, never correctness.
-	fsm map[sim.PageNo]struct{}
+	fsm freeMap
 	// tail is the last data page inserts are currently filling.
 	tail sim.PageNo
 	// latch closes the torn-page window between in-place writers and the
@@ -55,6 +56,50 @@ type File struct {
 	// hold it shared per page. Bulk passes' read-only page views skip it —
 	// the exclusive table lock excludes every other writer.
 	latch sync.RWMutex
+}
+
+// freeMap is a set of page numbers that can name its lowest member. low is
+// a min-heap over the members and over pages removed since they were pushed,
+// which lowest discards as they surface.
+type freeMap struct {
+	set map[sim.PageNo]struct{}
+	low pageHeap
+}
+
+func (m *freeMap) add(p sim.PageNo) {
+	if _, ok := m.set[p]; ok {
+		return
+	}
+	if m.set == nil {
+		m.set = make(map[sim.PageNo]struct{})
+	}
+	m.set[p] = struct{}{}
+	heap.Push(&m.low, p)
+}
+
+func (m *freeMap) remove(p sim.PageNo) { delete(m.set, p) }
+
+func (m *freeMap) lowest() (sim.PageNo, bool) {
+	for len(m.low) > 0 {
+		if _, ok := m.set[m.low[0]]; ok {
+			return m.low[0], true
+		}
+		heap.Pop(&m.low)
+	}
+	return 0, false
+}
+
+type pageHeap []sim.PageNo
+
+func (h pageHeap) Len() int           { return len(h) }
+func (h pageHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h pageHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *pageHeap) Push(x any)        { *h = append(*h, x.(sim.PageNo)) }
+func (h *pageHeap) Pop() any {
+	old := *h
+	p := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return p
 }
 
 // Create makes a new heap file for records of recSize bytes.
@@ -74,7 +119,6 @@ func Create(pool *buffer.Pool, recSize int) (*File, error) {
 		pool:    pool,
 		id:      id,
 		recSize: recSize,
-		fsm:     make(map[sim.PageNo]struct{}),
 		tail:    sim.InvalidPage,
 	}, nil
 }
@@ -96,7 +140,6 @@ func Open(pool *buffer.Pool, id sim.FileID) (*File, error) {
 		pool:    pool,
 		id:      id,
 		recSize: recSize,
-		fsm:     make(map[sim.PageNo]struct{}),
 		tail:    sim.InvalidPage,
 	}
 	cap := page.Capacity(recSize)
@@ -113,7 +156,7 @@ func Open(pool *buffer.Pool, id sim.FileID) (*File, error) {
 		live := sp.LiveCount()
 		f.count += int64(live)
 		if live < cap {
-			f.fsm[p] = struct{}{}
+			f.fsm.add(p)
 		}
 		pool.Unpin(fr, false)
 	}
@@ -153,11 +196,11 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 	if f.tail != sim.InvalidPage {
 		try = append(try, f.tail)
 	}
-	for p := range f.fsm {
-		if p != f.tail {
-			try = append(try, p)
-		}
-		break // one candidate per insert keeps this O(1)
+	// One candidate per insert, and the lowest page rather than any: the
+	// same statements then place the same rows, and a refill works its way
+	// up the file instead of hopping over it.
+	if p, ok := f.fsm.lowest(); ok && p != f.tail {
+		try = append(try, p)
 	}
 	for _, p := range try {
 		fr, err := f.pool.Get(f.id, p)
@@ -168,7 +211,7 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 		if slot, ok := sp.Insert(rec); ok {
 			rid := record.RID{Page: p, Slot: uint16(slot)}
 			if sp.FreeSpace() < f.recSize {
-				delete(f.fsm, p)
+				f.fsm.remove(p)
 				if f.tail == p {
 					f.tail = sim.InvalidPage
 				}
@@ -178,7 +221,7 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 			f.pool.Disk().ChargeRecords(1)
 			return rid, nil
 		}
-		delete(f.fsm, p)
+		f.fsm.remove(p)
 		if f.tail == p {
 			f.tail = sim.InvalidPage
 		}
@@ -199,7 +242,7 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 	rid := record.RID{Page: fr.Page(), Slot: uint16(slot)}
 	f.tail = fr.Page()
 	if sp.FreeSpace() >= f.recSize {
-		f.fsm[fr.Page()] = struct{}{}
+		f.fsm.add(fr.Page())
 	}
 	f.pool.Unpin(fr, true)
 	f.count++
@@ -244,7 +287,7 @@ func (f *File) Delete(rid record.RID) error {
 		f.pool.Unpin(fr, false)
 		return fmt.Errorf("heap: %s: %w", rid, err)
 	}
-	f.fsm[rid.Page] = struct{}{}
+	f.fsm.add(rid.Page)
 	f.pool.Unpin(fr, true)
 	f.count--
 	f.pool.Disk().ChargeRecords(1)
@@ -391,7 +434,7 @@ func (e *PageEditor) DeleteSlot(slot int) error {
 	e.dirt = true
 	e.fr.MarkDirty() // visible to checkpoint flushes while still pinned
 	e.f.count--
-	e.f.fsm[e.cur] = struct{}{}
+	e.f.fsm.add(e.cur)
 	e.f.pool.Disk().ChargeRecords(1)
 	return nil
 }

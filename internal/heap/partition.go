@@ -167,7 +167,7 @@ func (f *File) truncateLocked() error {
 		return err
 	}
 	f.count = 0
-	f.fsm = make(map[sim.PageNo]struct{})
+	f.fsm = freeMap{}
 	f.tail = sim.InvalidPage
 	return nil
 }

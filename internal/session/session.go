@@ -762,18 +762,11 @@ func (s *Session) set(st *sql.Set) (*Result, error) {
 			s.memory = n
 		}
 	case "method":
-		switch strings.ToLower(val) {
-		case "auto":
-			s.method = bulkdel.Auto
-		case "sort":
-			s.method = bulkdel.SortMerge
-		case "hash":
-			s.method = bulkdel.Hash
-		case "hashpart":
-			s.method = bulkdel.HashPartition
-		default:
+		m, err := bulkdel.ParseMethod(val)
+		if err != nil {
 			return fail()
 		}
+		s.method = m
 	case "concurrent":
 		switch strings.ToLower(val) {
 		case "on", "true", "1":

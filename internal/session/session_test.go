@@ -304,3 +304,28 @@ func TestSQLLSMBackend(t *testing.T) {
 		t.Fatal("LSM + PARTITION BY did not fail")
 	}
 }
+
+// TestSQLRejectedDuplicateInsert: a statement the unique index refuses
+// leaves the table as it found it (it used to leave the heap record and the
+// entries of the indexes created before the unique one).
+func TestSQLRejectedDuplicateInsert(t *testing.T) {
+	f := newFrontend(t, bulkdel.Options{})
+	s := f.NewSession(context.Background())
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE t (a, b, c)")
+	mustExec(t, s, "CREATE INDEX ib ON t (b)")
+	mustExec(t, s, "CREATE UNIQUE INDEX ia ON t (a)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 10, 100)")
+	if _, err := s.Exec("INSERT INTO t VALUES (1, 20, 200)"); err == nil {
+		t.Fatal("duplicate key accepted")
+	}
+	if got := mustExec(t, s, "SELECT COUNT(*) FROM t"); got.Rows[0][0] != 1 {
+		t.Errorf("COUNT(*) = %d after the rejected INSERT, want 1", got.Rows[0][0])
+	}
+	if got := mustExec(t, s, "SELECT * FROM t WHERE b = 20"); len(got.Rows) != 0 {
+		t.Errorf("b = 20 finds %v", got.Rows)
+	}
+	if err := f.DB().Table("t").Check(); err != nil {
+		t.Error(err)
+	}
+}

@@ -97,6 +97,13 @@ func (m *MVCC) RecordBirth(rid record.RID) {
 	m.mu.Unlock()
 }
 
+// ForgetBirth drops the stamp of a row whose insert was taken back.
+func (m *MVCC) ForgetBirth(rid record.RID) {
+	m.mu.Lock()
+	delete(m.births, rid)
+	m.mu.Unlock()
+}
+
 // NewToken opens a retain set for one deleting statement. Every victim the
 // statement retains is grouped under the token and stamped together at
 // CommitToken.

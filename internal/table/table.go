@@ -179,6 +179,21 @@ func (t *Table) IndexOnField(field int) *Index {
 // receive the change through their side-file (blocking briefly when the
 // side-file is quiesced).
 func (t *Table) Insert(fields []int64) (record.RID, error) {
+	return t.insert(fields, false)
+}
+
+// InsertDirect adds a row using direct propagation for offline indexes:
+// the entry is installed immediately and marked undeletable so the running
+// bulk delete cannot remove it (paper §3.1.2).
+func (t *Table) InsertDirect(fields []int64) (record.RID, error) {
+	return t.insert(fields, true)
+}
+
+// insert puts the record in the heap and an entry in every index. An index
+// that refuses its entry — a unique index the key is already in — fails the
+// insert as a whole: the entries made so far, the birth stamp and the heap
+// record are taken back before the error is returned.
+func (t *Table) insert(fields []int64, direct bool) (record.RID, error) {
 	rec, err := t.Schema.Encode(fields)
 	if err != nil {
 		return record.NilRID, err
@@ -193,35 +208,24 @@ func (t *Table) Insert(fields []int64) (record.RID, error) {
 	if t.MVCC != nil {
 		t.MVCC.RecordBirth(rid)
 	}
-	for _, ix := range t.Idx {
-		key := ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field))
-		if err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpInsert, Key: key, RID: rid}, false); err != nil {
-			return record.NilRID, err
+	for i, ix := range t.Idx {
+		err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpInsert, Key: ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field)), RID: rid}, direct)
+		if err == nil {
+			continue
 		}
-	}
-	return rid, nil
-}
-
-// InsertDirect adds a row using direct propagation for offline indexes:
-// the entry is installed immediately and marked undeletable so the running
-// bulk delete cannot remove it (paper §3.1.2).
-func (t *Table) InsertDirect(fields []int64) (record.RID, error) {
-	rec, err := t.Schema.Encode(fields)
-	if err != nil {
-		return record.NilRID, err
-	}
-	rid, err := t.Heap.Insert(rec)
-	if err != nil {
-		return record.NilRID, err
-	}
-	if t.MVCC != nil {
-		t.MVCC.RecordBirth(rid)
-	}
-	for _, ix := range t.Idx {
-		key := ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field))
-		if err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpInsert, Key: key, RID: rid}, true); err != nil {
-			return record.NilRID, err
+		for _, done := range t.Idx[:i] {
+			key := done.EncodeKey(t.Schema.Field(rec, done.Def.Field))
+			if uerr := t.applyIndexOp(done, cc.Op{Kind: cc.OpDelete, Key: key, RID: rid}, direct); uerr != nil {
+				return record.NilRID, fmt.Errorf("%w (and removing the entry from index %s failed: %v)", err, done.Def.Name, uerr)
+			}
 		}
+		if t.MVCC != nil {
+			t.MVCC.ForgetBirth(rid)
+		}
+		if uerr := t.Heap.Delete(rid); uerr != nil {
+			return record.NilRID, fmt.Errorf("%w (and removing the record failed: %v)", err, uerr)
+		}
+		return record.NilRID, err
 	}
 	return rid, nil
 }

@@ -252,7 +252,7 @@ func (m *stressModel) keys() []int64 {
 // content, not just presence.
 func stressRow(id int64) []int64 { return []int64{id, 3 * id, id % 7} }
 
-var stressMethods = []bulkdel.Method{bulkdel.Auto, bulkdel.SortMerge, bulkdel.Hash, bulkdel.HashPartition}
+var stressMethods = []bulkdel.Method{bulkdel.Auto, bulkdel.SortMerge, bulkdel.Hash, bulkdel.HashPartition, bulkdel.Probe}
 
 // Stress builds the tables, runs the workers, and verifies the final
 // state. A nil error means every invariant held.

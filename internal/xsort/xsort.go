@@ -167,6 +167,18 @@ func (it *Iterator) Close() error {
 	return nil
 }
 
+// Close drops the spill file, if the sorter wrote one. It is the way out of
+// a sort abandoned before Finish or before its iterator ran dry, and what
+// the iterator's Close does; calling it again is harmless.
+func (s *Sorter) Close() error {
+	s.done = true
+	if !s.haveTmp {
+		return nil
+	}
+	s.haveTmp = false
+	return s.disk.DropFile(s.file)
+}
+
 // Finish completes the sort and returns an iterator over the rows in order.
 // The sorter cannot be reused afterwards.
 func (s *Sorter) Finish() (*Iterator, error) {
@@ -425,12 +437,6 @@ func (s *Sorter) mergeIterator(runs []runInfo) (*Iterator, error) {
 			copy(out, row) // row aliases a reader buffer about to be refilled
 			return out, true, nil
 		},
-		close: func() error {
-			if s.haveTmp {
-				s.haveTmp = false
-				return s.disk.DropFile(s.file)
-			}
-			return nil
-		},
+		close: s.Close,
 	}, nil
 }

@@ -362,3 +362,52 @@ func TestAllEqualRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloseDropsTheSpillFile: a sorter abandoned after it spilled, and one
+// whose iterator was left half-read, give their spill file back on Close —
+// the sorter's or the iterator's, in either order, any number of times.
+func TestCloseDropsTheSpillFile(t *testing.T) {
+	d := testDisk()
+	fill := func() *Sorter {
+		s, err := New(d, 8, 16000, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 10000; i++ {
+			if err := s.Add(row8(i * 2654435761)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !s.Spilled() || len(d.Placements()) != 1 {
+			t.Fatalf("want one spill file, have %d files", len(d.Placements()))
+		}
+		return s
+	}
+	s := fill()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(row8(1)); err == nil {
+		t.Error("Add after Close succeeded")
+	}
+	if n := len(d.Placements()); n != 0 {
+		t.Fatalf("abandoned sorter left %d files", n)
+	}
+
+	s = fill()
+	it, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := it.Next(); !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	for _, c := range []func() error{s.Close, it.Close, s.Close} {
+		if err := c(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(d.Placements()); n != 0 {
+		t.Fatalf("half-read iterator left %d files", n)
+	}
+}

@@ -90,3 +90,50 @@ func TestCancelledDeleteDropsItsLists(t *testing.T) {
 		}
 	}
 }
+
+// TestSortsDropTheirSpillFiles: a sort whose iterator ran dry, or stopped
+// short of that, or never got as far as Finish, takes its spill file with
+// it. The unlogged statement sorts its victim, RID and key lists at a budget
+// they all overflow; the logged one is cancelled across its whole I/O
+// stream, the read-only ⋈̸ filling the RID sorter and the extraction pass
+// filling the per-index sorters included.
+func TestSortsDropTheirSpillFiles(t *testing.T) {
+	opts := BulkOptions{Method: SortMerge, Memory: 4096}
+	db, tbl, victims := newCancelDB(t, 3000, Options{DisableWAL: true})
+	before := layoutFiles(db)
+	if _, err := tbl.BulkDelete(0, victims, opts); err != nil {
+		t.Fatal(err)
+	}
+	if after := layoutFiles(db); after != before {
+		t.Errorf("unlogged sort/merge: %d files before the delete, %d after", before, after)
+	}
+
+	db, tbl, victims = newCancelDB(t, 3000, Options{})
+	io0 := db.Disk().IOCount()
+	if _, err := tbl.BulkDelete(0, victims, opts); err != nil {
+		t.Fatal(err)
+	}
+	total := db.Disk().IOCount() - io0
+	cancelled := 0
+	for k := uint64(1); k <= total; k += 5 {
+		db, tbl, victims := newCancelDB(t, 3000, Options{})
+		ctx, cancel := context.WithCancel(context.Background())
+		db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(k, cancel))
+		before := layoutFiles(db)
+		opts.Ctx = ctx
+		_, err := tbl.BulkDelete(0, victims, opts)
+		cancel()
+		db.Disk().SetFaultPlan(nil)
+		if errors.Is(err, ErrCancelled) {
+			cancelled++
+		} else if err != nil {
+			t.Fatalf("cancel at I/O %d: %v", k, err)
+		}
+		if after := layoutFiles(db); after != before {
+			t.Errorf("cancel at I/O %d of %d: %d files before, %d after", k, total, before, after)
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no ordinal cancelled the statement")
+	}
+}
