@@ -474,45 +474,43 @@ func TestEmptyVictimListAllMethodsPublic(t *testing.T) {
 // of it — it used to leave both, so the table held a row no unique lookup
 // could account for.
 func TestRejectedDuplicateInsertLeavesNoTrace(t *testing.T) {
-	for _, snapshots := range []bool{true, false} {
-		db, err := Open(Options{DisableSnapshotReads: !snapshots})
-		if err != nil {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []IndexOptions{{Name: "ib", Field: 1}, {Name: "ia", Field: 0, Unique: true}} {
+		if err := tbl.CreateIndex(ix); err != nil {
 			t.Fatal(err)
 		}
-		tbl, err := db.CreateTable("t", 3, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ix := range []IndexOptions{{Name: "ib", Field: 1}, {Name: "ia", Field: 0, Unique: true}} {
-			if err := tbl.CreateIndex(ix); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tbl.Insert(1, 10, 100); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tbl.Insert(1, 20, 200); err == nil {
-			t.Fatal("duplicate key accepted by the unique index")
-		}
-		if n := tbl.Count(); n != 1 {
-			t.Errorf("snapshots=%v: Count() = %d after the rejected insert, want 1", snapshots, n)
-		}
-		if rows, err := tbl.Lookup(1, 20); err != nil || len(rows) != 0 {
-			t.Errorf("snapshots=%v: Lookup(b = 20) = %v, %v; want no row", snapshots, rows, err)
-		}
-		if err := tbl.Check(); err != nil {
-			t.Errorf("snapshots=%v: %v", snapshots, err)
-		}
-		// The slot is free again and the next insert is whole.
-		if _, err := tbl.Insert(2, 20, 200); err != nil {
-			t.Fatal(err)
-		}
-		if rows, err := tbl.Lookup(1, 20); err != nil || len(rows) != 1 || rows[0][0] != 2 {
-			t.Errorf("snapshots=%v: Lookup(b = 20) = %v, %v; want the row of a = 2", snapshots, rows, err)
-		}
-		if err := tbl.Check(); err != nil {
-			t.Errorf("snapshots=%v: %v", snapshots, err)
-		}
+	}
+	if _, err := tbl.Insert(1, 10, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Insert(1, 20, 200); err == nil {
+		t.Fatal("duplicate key accepted by the unique index")
+	}
+	if n := tbl.Count(); n != 1 {
+		t.Errorf("Count() = %d after the rejected insert, want 1", n)
+	}
+	if rows, err := tbl.Lookup(1, 20); err != nil || len(rows) != 0 {
+		t.Errorf("Lookup(b = 20) = %v, %v; want no row", rows, err)
+	}
+	if err := tbl.Check(); err != nil {
+		t.Error(err)
+	}
+	// The slot is free again and the next insert is whole.
+	if _, err := tbl.Insert(2, 20, 200); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := tbl.Lookup(1, 20); err != nil || len(rows) != 1 || rows[0][0] != 2 {
+		t.Errorf("Lookup(b = 20) = %v, %v; want the row of a = 2", rows, err)
+	}
+	if err := tbl.Check(); err != nil {
+		t.Error(err)
 	}
 }
 

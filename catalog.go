@@ -75,8 +75,7 @@ type catalogRoot struct {
 	// are volatile (no page or WAL payload stores one), so this is only a
 	// floor: recovery fast-forwards the clock by the WAL's commit count on
 	// top of it so the clock never hands out an epoch twice across a
-	// restart. Zero (the common DDL-time value) is omitted, keeping
-	// catalogs byte-identical with snapshot reads disabled.
+	// restart. Zero (the common DDL-time value) is omitted.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 

@@ -58,7 +58,7 @@ func TestSummaryLines(t *testing.T) {
 		"lsm-in: 12 I/Os, swept 12 ordinals, 0 failed, digest ",
 		"lsm-heap: 74 I/Os, swept 74 ordinals, 0 failed, digest ")
 	runCLI(t, 0, []string{"-rebalance"}, "",
-		"rebalance: 31 I/Os, swept 31 ordinals, 0 failed, digest 62ca06787b056a05",
+		"rebalance: 31 I/Os, swept 31 ordinals, 0 failed, digest 11d2995e4f436cec",
 		"parted: 90 I/Os, swept 90 ordinals, 0 failed, digest 8913f8d6db8ca5d9")
 	runCLI(t, 0, []string{"-cancel", "-method", "hash", "-stride", "9"}, "",
 		"hash:     cancel sweep: 62 I/Os, swept 7 ordinals, 7 cancelled, 0 failed, reference d0ec0d93a4ddb929")

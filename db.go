@@ -157,12 +157,6 @@ type Options struct {
 	// compaction. CreateTableLSM and the SQL BACKEND clause select it per
 	// table regardless of this default.
 	Backend string
-	// DisableSnapshotReads turns off epoch-based MVCC snapshot reads.
-	// With snapshot reads on (the default), SELECT/Lookup/Scan statements
-	// run against a commit-epoch snapshot and never block behind a bulk
-	// delete's exclusive table lock; off restores the strict pre-MVCC
-	// two-phase behavior where readers queue behind writers.
-	DisableSnapshotReads bool
 }
 
 func (o Options) withDefaults() Options {
@@ -206,9 +200,8 @@ type DB struct {
 	// active tracks statements currently holding table locks, for the
 	// cc_statements_active/peak gauges.
 	active atomic.Int64
-	// epochs is the global commit-epoch clock backing MVCC snapshot reads.
-	// Always non-nil (saveCatalog persists the current epoch); whether
-	// tables actually version rows is governed by Options.DisableSnapshotReads.
+	// epochs is the global commit-epoch clock backing MVCC snapshot reads
+	// (saveCatalog persists the current epoch).
 	epochs *cc.EpochClock
 	// coreHooks rides on every core.Target the heap backend builds. Tests
 	// of this package set it before the statement they want to park; nothing
@@ -369,7 +362,7 @@ func (db *DB) noteRetainedBytes() {
 	var n int64
 	db.mu.Lock()
 	for _, tbl := range db.tables {
-		if h, ok := tbl.b.(*heapBackend); ok && h.t.MVCC != nil {
+		if h, ok := tbl.b.(*heapBackend); ok {
 			n += h.t.MVCC.RetainedBytes()
 		}
 	}
@@ -747,13 +740,6 @@ func (db *DB) Metrics() obs.Snapshot { return db.obsSource().Capture() }
 
 // WALEnabled reports whether bulk deletes are logged and recoverable.
 func (db *DB) WALEnabled() bool { return db.log != nil }
-
-// mvccOn reports whether tables version deleted rows for snapshot reads.
-func (db *DB) mvccOn() bool { return !db.opts.DisableSnapshotReads }
-
-// SnapshotReadsEnabled reports whether reads run against MVCC snapshots
-// (the default) instead of blocking behind exclusive table locks.
-func (db *DB) SnapshotReadsEnabled() bool { return db.mvccOn() }
 
 // Epoch returns the current commit epoch — the snapshot a reader starting
 // now would capture. It advances once per committed delete statement.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -30,12 +29,10 @@ type heapBackend struct {
 
 // newHeapBackend wires a created or reopened table.Table to its Table: the
 // manager's shared lock (so ordered multi-table acquisition and the DML
-// entry points contend on one object) and, unless disabled, MVCC.
+// entry points contend on one object) and MVCC state on the DB's clock.
 func newHeapBackend(tbl *Table, t *table.Table) *heapBackend {
 	t.Lock = tbl.lock
-	if tbl.db.mvccOn() {
-		t.MVCC = table.NewMVCC(tbl.db.epochs)
-	}
+	t.MVCC = table.NewMVCC(tbl.db.epochs)
 	return &heapBackend{tbl: tbl, t: t}
 }
 
@@ -167,9 +164,10 @@ func (db *DB) heapOwning(id uint64) (*heapBackend, bool) {
 
 // beginSnapshotRead opens an MVCC snapshot read on the table: it takes the
 // snapshot-read lock mode (admitted alongside a bulk delete's exclusive
-// claim; blocked only by Structural claims), captures the commit epoch, and
-// returns it with a release func. Callers must hold neither lock already.
-func (h *heapBackend) beginSnapshotRead() (s uint64, done func()) {
+// claim; blocked only by Structural claims) and captures the commit epoch,
+// which the caller hands back to endSnapshotRead. Callers must hold neither
+// lock already.
+func (h *heapBackend) beginSnapshotRead() uint64 {
 	db := h.tbl.db
 	blocked := h.t.Lock.LockSnapshotRead()
 	reg := db.obs.Registry()
@@ -177,125 +175,56 @@ func (h *heapBackend) beginSnapshotRead() (s uint64, done func()) {
 	if blocked {
 		reg.Counter(obs.MetricSnapshotReadWaits).Add(1)
 	}
-	s = db.epochs.Snapshot()
-	return s, func() { // allocated per read: captures only h and s
-		db := h.tbl.db
-		db.epochs.Release(s)
-		h.t.MVCC.Prune() // versions only this snapshot needed can go now
-		db.noteRetainedBytes()
-		h.t.Lock.UnlockSnapshotRead()
-	}
+	return db.epochs.Snapshot()
 }
 
-// noteFallbackScan records an indexed snapshot lookup that was served by
-// the visibility-filtered heap scan instead of the index tree.
-func (h *heapBackend) noteFallbackScan(field int, usedIndex bool) {
+func (h *heapBackend) endSnapshotRead(s uint64) {
+	db := h.tbl.db
+	db.epochs.Release(s)
+	h.t.MVCC.Prune() // versions only this snapshot needed can go now
+	db.noteRetainedBytes()
+	h.t.Lock.UnlockSnapshotRead()
+}
+
+// lookupAt runs the table's one read function (table.SnapshotLookup: index
+// arm or scan arm) at snapshot s, and counts an indexed field's read that a
+// bulk delete in flight sent to the visibility-filtered heap scan.
+func (h *heapBackend) lookupAt(field int, lo, hi int64, s uint64, emit func(RID, []int64) error) error {
+	usedIndex, err := h.t.SnapshotLookup(field, lo, hi, s, emit)
 	if !usedIndex && h.t.IndexOnField(field) != nil {
 		h.tbl.db.obs.Registry().Counter(obs.MetricSnapshotFallbackScans).Add(1)
 	}
+	return err
 }
 
-// lookup serves Table.Lookup via an index on the field. With snapshot reads
-// enabled it runs against a commit-epoch snapshot: it never blocks behind a
-// bulk delete, and while one holds the table's index trees offline the
-// lookup degrades to a visibility-filtered heap scan.
-func (h *heapBackend) lookup(field int, v int64) ([][]int64, error) {
-	if h.t.MVCC != nil {
-		s, done := h.beginSnapshotRead()
-		defer done()
-		rows, usedIndex, err := h.t.SnapshotLookup(field, v, s)
-		h.noteFallbackScan(field, usedIndex)
-		return rows, err
-	}
-	h.t.Lock.LockShared()
-	defer h.t.Lock.UnlockShared()
-	return h.t.Lookup(field, v)
-}
-
-// lookupRange serves Table.LookupRange via an index on the field when one
-// exists, else a heap scan. Index results arrive in key order; scan results
-// in physical order.
-func (h *heapBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
-	if h.t.MVCC != nil {
-		s, done := h.beginSnapshotRead()
-		defer done()
-		rows, usedIndex, err := h.t.SnapshotLookupRange(field, lo, hi, s)
-		h.noteFallbackScan(field, usedIndex)
-		return rows, err
-	}
-	h.t.Lock.LockShared()
-	defer h.t.Lock.UnlockShared()
-	return h.lookupRangeLocked(field, lo, hi)
-}
-
-// lookupRangeLocked is the lock-based arm of lookupRange; the caller holds
-// the table lock (shared for a read, exclusive inside a delete statement).
-func (h *heapBackend) lookupRangeLocked(field int, lo, hi int64) ([][]int64, error) {
-	if lo > hi {
-		return nil, nil
-	}
-	ix := h.t.IndexOnField(field)
-	if ix == nil {
-		var out [][]int64
-		err := h.t.Heap.Scan(func(_ record.RID, rec []byte) error {
-			v := h.t.Schema.Field(rec, field)
-			if v >= lo && v <= hi {
-				vals, err := h.t.Schema.Decode(rec)
-				if err != nil {
-					return err
-				}
-				out = append(out, vals)
-			}
-			return nil
-		})
-		return out, err
-	}
-	ix.Gate.WaitOnline()
-	// SearchRange's hi bound is exclusive; hi+1 would overflow at the
-	// top of the key space, so MaxInt64 becomes an open-ended scan.
-	var hiKey []byte
-	if hi < math.MaxInt64 {
-		hiKey = ix.EncodeKey(hi + 1)
-	}
-	var rids []RID
-	ix.Latch.RLock()
-	err := ix.Tree.SearchRange(ix.EncodeKey(lo), hiKey, func(_ []byte, rid record.RID) error {
-		rids = append(rids, rid)
+// rowsAt collects lookupAt's rows: key order on the index arm, physical
+// order on the scan arm, either followed by the snapshot's retained rows.
+func (h *heapBackend) rowsAt(field int, lo, hi int64, s uint64) ([][]int64, error) {
+	var rows [][]int64
+	err := h.lookupAt(field, lo, hi, s, func(_ RID, row []int64) error {
+		rows = append(rows, row)
 		return nil
 	})
-	ix.Latch.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, 0, len(rids))
-	for _, rid := range rids {
-		row, err := h.t.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
+	return rows, err
 }
 
-// scan serves Table.Scan in physical order. Under snapshot reads the
-// surviving rows come first in physical order, then the snapshot's retained
-// rows (deleted after the snapshot) in RID order.
+// lookup, lookupRange and scan serve the Table methods of the same names
+// against a commit-epoch snapshot of their own: they never block behind a
+// bulk delete.
+func (h *heapBackend) lookup(field int, v int64) ([][]int64, error) {
+	return h.lookupRange(field, v, v)
+}
+
+func (h *heapBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+	s := h.beginSnapshotRead()
+	defer h.endSnapshotRead(s)
+	return h.rowsAt(field, lo, hi, s)
+}
+
 func (h *heapBackend) scan(fn func(rid RID, fields []int64) error) error {
-	if h.t.MVCC != nil {
-		s, done := h.beginSnapshotRead()
-		defer done()
-		return h.t.SnapshotScan(s, fn)
-	}
-	h.t.Lock.LockShared()
-	defer h.t.Lock.UnlockShared()
-	return h.t.Heap.Scan(func(rid record.RID, rec []byte) error {
-		vals, err := h.t.Schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		return fn(rid, vals)
-	})
+	s := h.beginSnapshotRead()
+	defer h.endSnapshotRead(s)
+	return h.t.SnapshotScan(s, fn)
 }
 
 // target builds core's view of the table.
@@ -321,11 +250,7 @@ func (h *heapBackend) target() *core.Target {
 // token as its first attempt, so its retained images commit with the
 // statement instead of lingering pending forever.
 func (h *heapBackend) retainTarget(tgt *core.Target, token uint64) {
-	mv := h.t.MVCC
-	if mv == nil {
-		return
-	}
-	reg := h.tbl.db.obs.Registry()
+	mv, reg := h.t.MVCC, h.tbl.db.obs.Registry()
 	tgt.Retain = func(rid record.RID, rec []byte) {
 		mv.Retain(token, rid, rec)
 		reg.Counter(obs.MetricVersionsRetained).Add(1)
@@ -354,18 +279,19 @@ func (h *heapBackend) deleteIn(st *statement, field int, values []int64) (*BulkR
 	return h.bulkDeleteWithDepth(field, values, st.opts, 0, st.stmt, st.held, st.fks)
 }
 
-// deleteRange resolves the range to its distinct field values — under the
-// statement's exclusive lock, through the lock-based read arm — and hands
-// them to the regular ⋈̸ machinery.
+// deleteRange resolves the range to its distinct field values and hands them
+// to the regular ⋈̸ machinery. The read runs at the current epoch under the
+// statement's exclusive lock: no delete of this table can commit beside it,
+// so it registers no snapshot.
 func (h *heapBackend) deleteRange(st *statement, field int, lo, hi int64) (*BulkResult, error) {
 	h.waitIndexesOnline()
-	rows, err := h.lookupRangeLocked(field, lo, hi)
+	var vals []int64
+	_, err := h.t.SnapshotLookup(field, lo, hi, h.tbl.db.epochs.Current(), func(_ RID, row []int64) error {
+		vals = append(vals, row[field])
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	vals := make([]int64, len(rows))
-	for i, row := range rows {
-		vals[i] = row[field]
 	}
 	slices.Sort(vals)
 	if vals = slices.Compact(vals); len(vals) == 0 {
@@ -448,21 +374,17 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 	// FIRST so it runs after the gate-cleanup defer below brings every tree
 	// back online.
 	mv := h.t.MVCC
-	var token uint64
-	levelCommit := func() {}
-	if mv != nil {
-		token = mv.NewToken()
-		var commitOnce sync.Once
-		levelCommit = func() {
-			commitOnce.Do(func() {
-				mv.CommitToken(token) // prunes behind the horizon
-				db.noteRetainedBytes()
-			})
-		}
-		defer levelCommit()
-		mv.BeginDelete()
-		defer mv.EndDelete()
+	token := mv.NewToken()
+	var commitOnce sync.Once
+	levelCommit := func() {
+		commitOnce.Do(func() {
+			mv.CommitToken(token) // prunes behind the horizon
+			db.noteRetainedBytes()
+		})
 	}
+	defer levelCommit()
+	mv.BeginDelete()
+	defer mv.EndDelete()
 
 	// Parallel passes invoke OnStructureDone from concurrent goroutines;
 	// the side-file replay below mutates res, so serialize it.
@@ -650,8 +572,4 @@ func (h *heapBackend) structural(kind string) (*obs.Stmt, *cc.Held) {
 // resetSnapshots discards the table's volatile MVCC state after an offline
 // structural pass. The caller must hold a Structural claim on the table, so
 // no snapshot reader can be open.
-func (h *heapBackend) resetSnapshots() {
-	if mv := h.t.MVCC; mv != nil {
-		mv.Reset()
-	}
-}
+func (h *heapBackend) resetSnapshots() { h.t.MVCC.Reset() }

@@ -648,9 +648,7 @@ func runLSM(cfg Config, reclaim bool) (Result, error) {
 		return Result{}, err
 	}
 	mem := cfg.scaledMemory()
-	db, err := bulkdel.Open(bulkdel.Options{
-		BufferBytes: mem, Backend: bulkdel.BackendLSM, DisableSnapshotReads: true,
-	})
+	db, err := bulkdel.Open(bulkdel.Options{BufferBytes: mem, Backend: bulkdel.BackendLSM})
 	if err != nil {
 		return Result{}, err
 	}

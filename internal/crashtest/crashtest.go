@@ -80,11 +80,6 @@ type Config struct {
 	// Observer, when set, accumulates metrics across every run of the
 	// sweep (faults_injected, crashes_simulated, recoveries_run).
 	Observer *obs.Observer
-	// SnapshotReads enables MVCC snapshot reads in the scenario database.
-	// Off by default: the classic sweeps pin MVCC off so their digests stay
-	// comparable with recorded baselines, and only the reader scenarios —
-	// whose concurrent reader needs non-blocking reads — turn it on.
-	SnapshotReads bool
 }
 
 func (c Config) withDefaults() Config {
@@ -268,9 +263,6 @@ func Run(name string, cfg Config) (*SweepResult, error) {
 	if sc.config != nil {
 		cfg = sc.config(cfg)
 	}
-	if sc.reader {
-		cfg.SnapshotReads = true // the reader needs non-blocking snapshot reads
-	}
 	ref, err := sc.referenceRun(cfg)
 	if err != nil {
 		return nil, err
@@ -351,11 +343,7 @@ func (sc scenario) cycleRun() runFunc {
 
 // options are the engine options every build and every recovery share.
 func options(cfg Config) bulkdel.Options {
-	return bulkdel.Options{
-		BufferBytes:          cfg.BufferBytes,
-		Observer:             cfg.Observer,
-		DisableSnapshotReads: !cfg.SnapshotReads,
-	}
+	return bulkdel.Options{BufferBytes: cfg.BufferBytes, Observer: cfg.Observer}
 }
 
 // crashCycle executes one crash-and-recover cycle: fresh scenario, power

@@ -13,13 +13,11 @@ import (
 // View before the bulk delete starts and scans it in a loop for as long as
 // the statement runs — every scan must return the full pre-delete row
 // count, no matter how far the delete (or its abort replay) has progressed.
-// They force Config.SnapshotReads on; the reader's page reads share the
-// simulated disk, so the kth-I/O trigger fires at a scheduling-dependent
-// point in the statement and these sweeps assert per-ordinal invariants —
-// the table settles on the untouched or the completed state, never between
-// — rather than cross-run digest equality (like parallel sweeps do). The
-// classic sweeps are untouched — they pin MVCC off and their digests stay
-// baseline-comparable.
+// The reader's page reads share the simulated disk, so the kth-I/O trigger
+// fires at a scheduling-dependent point in the statement and these sweeps
+// assert per-ordinal invariants — the table settles on the untouched or the
+// completed state, never between — rather than cross-run digest equality
+// (like parallel sweeps do).
 
 // withReader decorates a scenario's statement with the snapshot reader and
 // records how many scans it completed in the reader-scans column; a reader

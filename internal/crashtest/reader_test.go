@@ -37,17 +37,3 @@ func requireReaderScans(t *testing.T, sw *SweepResult) {
 		t.Fatal("the snapshot reader never completed a scan across the whole sweep")
 	}
 }
-
-// TestClassicSweepsPinSnapshotReadsOff guards the digest contract: the
-// default Config builds its database with MVCC off, so the classic sweep
-// digests stay comparable with baselines recorded before snapshot reads
-// existed. Flipping the default would silently change every recorded digest.
-func TestClassicSweepsPinSnapshotReadsOff(t *testing.T) {
-	st, err := bulk.build(Config{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.db.SnapshotReadsEnabled() {
-		t.Fatal("classic crashtest scenario has MVCC snapshot reads enabled; digests no longer match recorded baselines")
-	}
-}

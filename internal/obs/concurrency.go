@@ -38,7 +38,7 @@ const (
 // exactly that.
 const (
 	// MetricSnapshotReads counts read statements served from an MVCC
-	// snapshot (Get/Lookup/LookupRange/Scan with snapshot reads enabled).
+	// snapshot (Get/Lookup/LookupRange/Scan, or one View).
 	MetricSnapshotReads = "mvcc_snapshot_reads"
 	// MetricSnapshotReadWaits counts snapshot reads that had to block for
 	// a Structural claim (repartition, rebalance, offline baselines) —

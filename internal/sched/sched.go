@@ -21,15 +21,13 @@
 //     the same plan + seed always reports the same schedule, regardless of
 //     how the goroutines actually interleaved.
 //
-// Dependencies are supported (Node.Deps), with the usual topological
-// restriction that a dependency must appear earlier in the node list; the
-// bulk-delete executor's per-index ⋈̸ passes are mutually independent, so
-// its DAG is a plain fan-out, but the scheduler does not assume that.
+// The nodes are mutually independent — the bulk-delete executor's per-index
+// ⋈̸ passes form a plain fan-out — so only device exclusivity and the worker
+// count order them.
 package sched
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -45,9 +43,6 @@ type Node struct {
 	Label string
 	// Device is the spindle whose arm the node owns while it runs.
 	Device int
-	// Deps lists indexes of nodes that must finish before this one starts.
-	// Each dep must be a smaller index (the list is in topological order).
-	Deps []int
 	// Run does the work. It is called at most once, from a scheduler
 	// goroutine.
 	Run func() error
@@ -75,18 +70,6 @@ type Schedule struct {
 	// statements, so zero for an uncontended run and nondeterministic
 	// otherwise. It is measured, not part of the virtual schedule.
 	AdmissionWait time.Duration
-}
-
-// validate checks the topological-order restriction on deps.
-func validate(nodes []Node) error {
-	for i, n := range nodes {
-		for _, d := range n.Deps {
-			if d < 0 || d >= i {
-				return fmt.Errorf("sched: node %d (%s) dep %d is not an earlier node", i, n.Label, d)
-			}
-		}
-	}
-	return nil
 }
 
 // Execute runs the nodes with at most `workers` concurrent goroutines (one
@@ -122,9 +105,6 @@ func ExecutePoolCtx(ctx context.Context, pool *Pool, disk *sim.Disk, workers int
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validate(nodes); err != nil {
-		return nil, err
-	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -146,7 +126,6 @@ func ExecutePoolCtx(ctx context.Context, pool *Pool, disk *sim.Disk, workers int
 
 	var (
 		sem      = make(chan struct{}, workers)
-		done     = make([]chan struct{}, n)
 		errs     = make([]error, n)
 		durs     = make([]time.Duration, n)
 		admWaits = make([]time.Duration, n)
@@ -155,9 +134,6 @@ func ExecutePoolCtx(ctx context.Context, pool *Pool, disk *sim.Disk, workers int
 		closed   bool
 		wg       sync.WaitGroup
 	)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
 	abortAll := func() {
 		abortMu.Lock()
 		if !closed {
@@ -188,37 +164,18 @@ func ExecutePoolCtx(ctx context.Context, pool *Pool, disk *sim.Disk, workers int
 			defer wg.Done()
 			for _, i := range queue {
 				nd := nodes[i]
-				// Wait for deps before taking a worker slot, so waiting
-				// nodes cannot starve runnable ones.
-				skip := false
-				for _, d := range nd.Deps {
-					select {
-					case <-done[d]:
-					case <-abort:
-						skip = true
-					}
-					if skip {
-						break
-					}
+				select {
+				case sem <- struct{}{}:
+				case <-abort:
+					continue
 				}
-				if !skip {
-					select {
-					case sem <- struct{}{}:
-					case <-abort:
-						skip = true
-					}
-				}
-				if !skip && pool != nil {
+				if pool != nil {
 					ok, waited := pool.acquire(abort)
 					admWaits[i] = waited
 					if !ok {
 						<-sem
-						skip = true
+						continue
 					}
-				}
-				if skip {
-					close(done[i])
-					continue
 				}
 				var devMu *sync.Mutex
 				if pool != nil {
@@ -237,7 +194,6 @@ func ExecutePoolCtx(ctx context.Context, pool *Pool, disk *sim.Disk, workers int
 					errs[i] = err
 					abortAll()
 				}
-				close(done[i])
 			}
 		}(dev, queue)
 	}
@@ -260,9 +216,9 @@ func ExecutePoolCtx(ctx context.Context, pool *Pool, disk *sim.Disk, workers int
 
 // Plan computes the deterministic virtual schedule: the nodes, in plan
 // order, are list-scheduled onto `workers` virtual workers with device
-// exclusivity (a device serves one node at a time) and dependency edges.
-// It is exported so tests (and the executor's serial mode) can schedule
-// measured durations without re-running anything.
+// exclusivity (a device serves one node at a time). It is exported so tests
+// (and the executor's serial mode) can schedule measured durations without
+// re-running anything.
 func Plan(workers int, nodes []Node, durs []time.Duration) *Schedule {
 	if workers < 1 {
 		workers = 1
@@ -276,15 +232,7 @@ func Plan(workers int, nodes []Node, durs []time.Duration) *Schedule {
 	assigned := make([]int, n)
 
 	for i, nd := range nodes {
-		var ready time.Duration
-		for _, d := range nd.Deps {
-			if finish[d] > ready {
-				ready = finish[d]
-			}
-		}
-		if df := deviceFree[nd.Device]; df > ready {
-			ready = df
-		}
+		ready := deviceFree[nd.Device]
 		// Earliest-free virtual worker; ties broken by lowest index.
 		w := 0
 		for j := 1; j < workers; j++ {
@@ -314,9 +262,9 @@ func Plan(workers int, nodes []Node, durs []time.Duration) *Schedule {
 	}
 
 	// Critical path: walk back from the last-finishing node through
-	// whichever constraint (dep, device, or worker occupancy) forced each
-	// start time, preferring deps, then the device, then the worker, with
-	// lowest node index breaking remaining ties.
+	// whichever constraint (device or worker occupancy) forced each start
+	// time, preferring the device, then the worker, with the lowest node
+	// index breaking remaining ties.
 	last := -1
 	for i := 0; i < n; i++ {
 		if last == -1 || finish[i] > finish[last] {
@@ -327,12 +275,9 @@ func Plan(workers int, nodes []Node, durs []time.Duration) *Schedule {
 		sc.Critical = append(sc.Critical, cur)
 		next := -1
 		pick := func(j int) {
-			if j >= 0 && j < cur && finish[j] == start[cur] && next == -1 {
+			if finish[j] == start[cur] && next == -1 {
 				next = j
 			}
-		}
-		for _, d := range nodes[cur].Deps {
-			pick(d)
 		}
 		for j := 0; j < cur && next == -1; j++ {
 			if nodes[j].Device == nodes[cur].Device {

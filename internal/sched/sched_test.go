@@ -135,33 +135,6 @@ func TestExecuteWorkerLimit(t *testing.T) {
 	}
 }
 
-func TestExecuteDeps(t *testing.T) {
-	d, files := testDisk(t, 2)
-	var order atomic.Int32
-	var aDone, bSawA atomic.Bool
-	nodes := []Node{
-		{Label: "a", Device: 0, Run: func() error {
-			buf := make([]byte, sim.PageSize)
-			if err := d.ReadPage(files[0], 0, buf); err != nil {
-				return err
-			}
-			order.Add(1)
-			aDone.Store(true)
-			return nil
-		}},
-		{Label: "b", Device: 1, Deps: []int{0}, Run: func() error {
-			bSawA.Store(aDone.Load())
-			return nil
-		}},
-	}
-	if _, err := Execute(d, 2, nodes); err != nil {
-		t.Fatal(err)
-	}
-	if !bSawA.Load() {
-		t.Fatal("dependent node ran before its dependency finished")
-	}
-}
-
 func TestExecuteError(t *testing.T) {
 	d, files := testDisk(t, 2)
 	boom := errors.New("boom")
@@ -171,17 +144,6 @@ func TestExecuteError(t *testing.T) {
 	}
 	if _, err := Execute(d, 2, nodes); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
-	}
-}
-
-func TestValidateForwardDep(t *testing.T) {
-	d, _ := testDisk(t, 1)
-	nodes := []Node{
-		{Label: "a", Device: 0, Deps: []int{1}, Run: func() error { return nil }},
-		{Label: "b", Device: 0, Run: func() error { return nil }},
-	}
-	if _, err := Execute(d, 1, nodes); err == nil {
-		t.Fatal("forward dep accepted")
 	}
 }
 

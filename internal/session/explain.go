@@ -66,13 +66,10 @@ func (s *Session) explainSelect(st *sql.Select, analyze bool) (*Result, error) {
 		access.Annot = fmt.Sprintf("actual: rows=%d", countRows(res))
 		root.Annot = fmt.Sprintf("actual: returned=%d time=%v", len(res.Rows), time.Since(start).Round(time.Microsecond))
 	}
-	text := root.String()
-	if s.f.db.SnapshotReadsEnabled() {
-		// The epoch shown is the snapshot the statement would capture if it
-		// started now (SHOW epoch reports the same counter).
-		text += fmt.Sprintf("snapshot: MVCC read at commit epoch %d (does not block behind bulk deletes)\n", s.f.db.Epoch())
-	}
-	return &Result{Text: text}, nil
+	// The epoch shown is the snapshot the statement would capture if it
+	// started now (SHOW epoch reports the same counter).
+	return &Result{Text: root.String() + fmt.Sprintf(
+		"snapshot: MVCC read at commit epoch %d (does not block behind bulk deletes)\n", s.f.db.Epoch())}, nil
 }
 
 func countRows(r *Result) int {

@@ -470,42 +470,43 @@ const (
 	maxInt64 = 1<<63 - 1
 )
 
-// rowsMatching evaluates a bound predicate to full rows, via an index when
-// one covers the field (LookupRange falls back to a heap scan internally).
+// rowsMatching evaluates a bound predicate to full rows, all read at one
+// snapshot: a range through LookupRange (the table picks index or scan), an
+// IN list on an indexed field through one View that serves a lookup per
+// value, anything else through one filtered scan.
 func (s *Session) rowsMatching(tbl *bulkdel.Table, p *pred) ([][]int64, error) {
-	if p == nil {
-		var out [][]int64
-		err := tbl.Scan(func(_ bulkdel.RID, fields []int64) error {
-			out = append(out, append([]int64(nil), fields...))
-			return nil
-		})
-		return out, err
-	}
-	if p.eqVals == nil {
+	if p != nil && p.eqVals == nil {
 		return tbl.LookupRange(p.field, p.lo, p.hi)
 	}
-	if !tbl.HasIndexOnField(p.field) {
-		want := make(map[int64]bool, len(p.eqVals))
-		for _, v := range p.eqVals {
-			want[v] = true
+	var out [][]int64
+	if p == nil || !tbl.HasIndexOnField(p.field) {
+		var want map[int64]bool
+		if p != nil {
+			want = make(map[int64]bool, len(p.eqVals))
+			for _, v := range p.eqVals {
+				want[v] = true
+			}
 		}
-		var out [][]int64
 		err := tbl.Scan(func(_ bulkdel.RID, fields []int64) error {
-			if want[fields[p.field]] {
+			if p == nil || want[fields[p.field]] {
 				out = append(out, append([]int64(nil), fields...))
 			}
 			return nil
 		})
 		return out, err
 	}
-	var out [][]int64
+	view, err := tbl.View()
+	if err != nil {
+		return nil, err
+	}
+	defer view.Close()
 	seen := make(map[int64]bool, len(p.eqVals))
 	for _, v := range p.eqVals {
 		if seen[v] {
 			continue
 		}
 		seen[v] = true
-		rows, err := tbl.Lookup(p.field, v)
+		rows, err := view.Lookup(p.field, v)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bulkdel"
+	"bulkdel/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -64,6 +65,17 @@ func TestSQLEndToEnd(t *testing.T) {
 	res := mustExec(t, s, "SELECT * FROM users WHERE id = 1005")
 	if len(res.Rows) != 1 || res.Rows[0][1] != 10050 {
 		t.Fatalf("point select: %+v", res.Rows)
+	}
+	// An IN list is read at one snapshot, not one per value: a delete
+	// committing between two lookups must not show through.
+	reads := f.db.Observer().Registry().Counter(obs.MetricSnapshotReads)
+	before := reads.Value()
+	res = mustExec(t, s, "SELECT * FROM users WHERE id IN (5, 1005, 2005)")
+	if len(res.Rows) != 3 {
+		t.Fatalf("IN select: %+v", res.Rows)
+	}
+	if n := reads.Value() - before; n != 1 {
+		t.Fatalf("a 3-value IN opened %d snapshot reads, want 1", n)
 	}
 	// Projection + non-unique index + limit.
 	res = mustExec(t, s, "SELECT id, balance FROM users WHERE region = 3 LIMIT 4")
@@ -251,7 +263,7 @@ func sqlf(format string, args ...any) string { return fmt.Sprintf(format, args..
 // CREATE TABLE ... BACKEND LSM, inserts, reads, and the range DELETE that
 // lowers to a single range tombstone (victims uncounted, Affected 0).
 func TestSQLLSMBackend(t *testing.T) {
-	f := newFrontend(t, bulkdel.Options{DisableSnapshotReads: true})
+	f := newFrontend(t, bulkdel.Options{})
 	s := f.NewSession(context.Background())
 	defer s.Close()
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"bulkdel/internal/btree"
-	"bulkdel/internal/record"
 )
 
 // TraditionalDelete executes DELETE FROM t WHERE t.field IN (values) the
@@ -95,67 +94,6 @@ func (t *Table) DropCreateDelete(field int, values []int64, sortValues bool) (in
 		}
 	}
 	return deleted, nil
-}
-
-// Contains reports whether any record with value v in the field exists,
-// using the access-path index.
-func (t *Table) Contains(field int, v int64) (bool, error) {
-	ix := t.IndexOnField(field)
-	if ix == nil {
-		found := false
-		err := t.Heap.Scan(func(_ record.RID, rec []byte) error {
-			if t.Schema.Field(rec, field) == v {
-				found = true
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && err != errStop {
-			return false, err
-		}
-		return found, nil
-	}
-	ix.Latch.RLock()
-	rids, err := ix.Tree.Search(ix.EncodeKey(v))
-	ix.Latch.RUnlock()
-	if err != nil {
-		return false, err
-	}
-	return len(rids) > 0, nil
-}
-
-var errStop = fmt.Errorf("stop scan")
-
-// Lookup returns the decoded rows whose field equals v, via the index on
-// the field (error when none exists).
-func (t *Table) Lookup(field int, v int64) ([][]int64, error) {
-	ix := t.IndexOnField(field)
-	if ix == nil {
-		return nil, fmt.Errorf("table %s: no index on field %d", t.Name, field)
-	}
-	// A bulk delete's §3.1 early release admits readers while non-unique
-	// index passes still rebuild their trees offline; wait for the gate
-	// before traversing (updaters go through the side-file, reads cannot).
-	if ix.Gate != nil {
-		ix.Gate.WaitOnline()
-	}
-	// The latch closes the torn-leaf window against concurrent online
-	// updaters (see Index.Latch).
-	ix.Latch.RLock()
-	rids, err := ix.Tree.Search(ix.EncodeKey(v))
-	ix.Latch.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, 0, len(rids))
-	for _, rid := range rids {
-		row, err := t.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // SetPolicyAll sets the traditional-delete page reclamation policy on every

@@ -43,7 +43,7 @@ type version struct {
 }
 
 // MVCC is a table's volatile multi-version state. All methods are safe
-// for concurrent use. A nil *MVCC disables snapshot reads for the table.
+// for concurrent use.
 type MVCC struct {
 	// Clock is the DB-wide commit counter shared by every table.
 	Clock *cc.EpochClock
@@ -364,160 +364,79 @@ func (t *Table) SnapshotRow(rid record.RID, s uint64) ([]int64, bool, error) {
 	return row, err == nil, err
 }
 
-// SnapshotLookup returns the rows whose field equals v, as of snapshot s.
-// usedIndex reports whether the index path served the lookup; false means
-// a bulk delete was in flight and the visibility-filtered heap scan ran
-// instead.
-func (t *Table) SnapshotLookup(field int, v int64, s uint64) (rows [][]int64, usedIndex bool, err error) {
-	m := t.MVCC
-	ix := t.IndexOnField(field)
-	if ix != nil && m.TryEnterIndexRead() {
-		// No gate wait: ireaders > 0 keeps every gate online (BeginDelete
-		// drains readers before any gate goes offline). The latch closes
-		// the torn-leaf window against concurrent online updaters.
-		ix.Latch.RLock()
-		rids, serr := ix.Tree.Search(ix.EncodeKey(v))
-		ix.Latch.RUnlock()
-		m.ExitIndexRead()
-		if serr != nil {
-			return nil, true, serr
-		}
-		seen := make(map[record.RID]bool, len(rids))
-		for _, rid := range rids {
-			row, ok, rerr := t.SnapshotRow(rid, s)
-			if rerr != nil {
-				return nil, true, rerr
-			}
-			seen[rid] = true
-			if ok {
-				rows = append(rows, row)
-			}
-		}
-		// Supplement with rows whose delete postdates the snapshot: their
-		// index entries are already gone, only the version store has them.
-		var derr error
-		m.visibleDeleted(s, func(rid record.RID, rec []byte) {
-			if derr != nil || seen[rid] || t.Schema.Field(rec, field) != v {
-				return
-			}
-			row, e := t.Schema.Decode(rec)
-			if e != nil {
-				derr = e
-				return
-			}
-			rows = append(rows, row)
-		})
-		return rows, true, derr
-	}
-	err = t.SnapshotScan(s, func(_ record.RID, row []int64) error {
-		if row[field] == v {
-			rows = append(rows, row)
-		}
-		return nil
-	})
-	return rows, false, err
-}
-
-// SnapshotLookupRIDs returns the RIDs of rows whose field equals v, as of
-// snapshot s. RIDs of rows deleted after the snapshot are included: they
-// name the retained images, not live slots.
-func (t *Table) SnapshotLookupRIDs(field int, v int64, s uint64) (out []record.RID, usedIndex bool, err error) {
-	m := t.MVCC
-	ix := t.IndexOnField(field)
-	if ix != nil && m.TryEnterIndexRead() {
-		ix.Latch.RLock()
-		rids, serr := ix.Tree.Search(ix.EncodeKey(v))
-		ix.Latch.RUnlock()
-		m.ExitIndexRead()
-		if serr != nil {
-			return nil, true, serr
-		}
-		seen := make(map[record.RID]bool, len(rids))
-		for _, rid := range rids {
-			_, ok, rerr := t.SnapshotRow(rid, s)
-			if rerr != nil {
-				return nil, true, rerr
-			}
-			seen[rid] = true
-			if ok {
-				out = append(out, rid)
-			}
-		}
-		m.visibleDeleted(s, func(rid record.RID, rec []byte) {
-			if !seen[rid] && t.Schema.Field(rec, field) == v {
-				out = append(out, rid)
-			}
-		})
-		return out, true, nil
-	}
-	err = t.SnapshotScan(s, func(rid record.RID, row []int64) error {
-		if row[field] == v {
-			out = append(out, rid)
-		}
-		return nil
-	})
-	return out, false, err
-}
-
-// SnapshotLookupRange returns the rows with lo ≤ field ≤ hi as of s,
-// mirroring SnapshotLookup's index-or-scan structure.
-func (t *Table) SnapshotLookupRange(field int, lo, hi int64, s uint64) (rows [][]int64, usedIndex bool, err error) {
+// SnapshotLookup emits every row with lo ≤ row[field] ≤ hi (lo == hi is the
+// point form) that snapshot s sees, as (rid, row). It is the one place a read
+// chooses between the table's index and its heap:
+//
+//   - the index arm, when an index covers the field and no bulk delete is in
+//     flight: search the tree, resolve each RID with SnapshotRow, then add the
+//     rows whose delete postdates the snapshot — their index entries are
+//     already gone, only the version store has them. Key order, then those.
+//   - the scan arm otherwise: SnapshotScan, filtered.
+//
+// usedIndex reports the arm. An emitted RID names the snapshot's image of
+// the row, which may be a retained version and no longer a live slot.
+func (t *Table) SnapshotLookup(field int, lo, hi int64, s uint64, emit func(rid record.RID, row []int64) error) (usedIndex bool, err error) {
 	if lo > hi {
-		return nil, true, nil
+		return true, nil
 	}
 	m := t.MVCC
 	ix := t.IndexOnField(field)
-	if ix != nil && m.TryEnterIndexRead() {
+	if ix == nil || !m.TryEnterIndexRead() {
+		return false, t.SnapshotScan(s, func(rid record.RID, row []int64) error {
+			if row[field] < lo || row[field] > hi {
+				return nil
+			}
+			return emit(rid, row)
+		})
+	}
+	// No gate wait: ireaders > 0 keeps every gate online (BeginDelete drains
+	// readers before any gate goes offline). The latch closes the torn-leaf
+	// window against concurrent online updaters.
+	var rids []record.RID
+	ix.Latch.RLock()
+	if lo == hi {
+		rids, err = ix.Tree.Search(ix.EncodeKey(lo))
+	} else {
 		// SearchRange's hi bound is exclusive; hi+1 would overflow at the
 		// top of the key space, so MaxInt64 becomes an open-ended scan.
 		var hiKey []byte
 		if hi < math.MaxInt64 {
 			hiKey = ix.EncodeKey(hi + 1)
 		}
-		var rids []record.RID
-		ix.Latch.RLock()
-		serr := ix.Tree.SearchRange(ix.EncodeKey(lo), hiKey, func(_ []byte, rid record.RID) error {
+		err = ix.Tree.SearchRange(ix.EncodeKey(lo), hiKey, func(_ []byte, rid record.RID) error {
 			rids = append(rids, rid)
 			return nil
 		})
-		ix.Latch.RUnlock()
-		m.ExitIndexRead()
-		if serr != nil {
-			return nil, true, serr
-		}
-		seen := make(map[record.RID]bool, len(rids))
-		for _, rid := range rids {
-			row, ok, rerr := t.SnapshotRow(rid, s)
-			if rerr != nil {
-				return nil, true, rerr
-			}
-			seen[rid] = true
-			if ok {
-				rows = append(rows, row)
-			}
-		}
-		var derr error
-		m.visibleDeleted(s, func(rid record.RID, rec []byte) {
-			fv := t.Schema.Field(rec, field)
-			if derr != nil || seen[rid] || fv < lo || fv > hi {
-				return
-			}
-			row, e := t.Schema.Decode(rec)
-			if e != nil {
-				derr = e
-				return
-			}
-			rows = append(rows, row)
-		})
-		return rows, true, derr
 	}
-	err = t.SnapshotScan(s, func(_ record.RID, row []int64) error {
-		if row[field] >= lo && row[field] <= hi {
-			rows = append(rows, row)
+	ix.Latch.RUnlock()
+	m.ExitIndexRead()
+	if err != nil {
+		return true, err
+	}
+	seen := make(map[record.RID]bool, len(rids))
+	for _, rid := range rids {
+		row, ok, err := t.SnapshotRow(rid, s)
+		if err != nil {
+			return true, err
 		}
-		return nil
+		seen[rid] = true
+		if ok {
+			if err := emit(rid, row); err != nil {
+				return true, err
+			}
+		}
+	}
+	m.visibleDeleted(s, func(rid record.RID, rec []byte) {
+		if v := t.Schema.Field(rec, field); err != nil || seen[rid] || v < lo || v > hi {
+			return
+		}
+		var row []int64
+		if row, err = t.Schema.Decode(rec); err == nil {
+			err = emit(rid, row)
+		}
 	})
-	return rows, false, err
+	return true, err
 }
 
 // SnapshotScan visits every row visible to snapshot s: one physical pass

@@ -1,6 +1,9 @@
 package table
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -186,5 +189,109 @@ func TestMVCCRetainedBytesAccounting(t *testing.T) {
 	m.Reset()
 	if got := m.RetainedBytes(); got != 0 {
 		t.Fatalf("retained bytes = %d after Reset, want 0", got)
+	}
+}
+
+// lookupAt collects what SnapshotLookup emits for lo ≤ field ≤ hi at s.
+func lookupAt(t *testing.T, tbl *Table, field int, lo, hi int64, s uint64) (got map[record.RID][]int64, usedIndex bool) {
+	t.Helper()
+	got = make(map[record.RID][]int64)
+	usedIndex, err := tbl.SnapshotLookup(field, lo, hi, s, func(rid record.RID, row []int64) error {
+		if _, dup := got[rid]; dup {
+			t.Errorf("%v emitted twice", rid)
+		}
+		got[rid] = row
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, usedIndex
+}
+
+// has reports whether a fresh read finds a row with field = v.
+func has(t *testing.T, tbl *Table, field int, v int64) bool {
+	t.Helper()
+	got, _ := lookupAt(t, tbl, field, v, v, tbl.MVCC.Clock.Current())
+	return len(got) > 0
+}
+
+// TestSnapshotLookupArmsAgree: the index arm and the scan arm of the one read
+// function return the same rows under the same RIDs as a map model, for point
+// and range predicates, at a snapshot taken before a committed delete (the
+// victims live on as retained versions) and at one taken after it. Every
+// emitted RID resolves through SnapshotRow to the emitted row.
+func TestSnapshotLookupArmsAgree(t *testing.T) {
+	tbl := newTestTable(t, 300) // field0 = i (IA), field1 = 2i (IB), field2 = i%97 (no index)
+	clock := tbl.MVCC.Clock
+	model := make(map[record.RID][]int64)
+	if err := tbl.Heap.Scan(func(rid record.RID, rec []byte) error {
+		row, err := tbl.Schema.Decode(rec)
+		model[rid] = row
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := clock.Snapshot() // pins the versions the delete retains
+	defer clock.Release(before)
+	survivors := make(map[record.RID][]int64)
+	for rid, row := range model {
+		if row[0] >= 40 && row[0] < 60 {
+			if err := tbl.DeleteRow(rid); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			survivors[rid] = row
+		}
+	}
+	after := clock.Snapshot()
+	defer clock.Release(after)
+	if tbl.MVCC.LiveVersions() != 20 {
+		t.Fatalf("%d versions retained, want the 20 victims", tbl.MVCC.LiveVersions())
+	}
+
+	preds := []struct {
+		field  int
+		lo, hi int64
+	}{
+		{0, 45, 45}, {0, 123, 123}, {0, 9999, 9999}, // victim, survivor, absent
+		{1, 246, 246}, {1, 247, 247}, {1, 90, 90}, // present, absent, victim
+		{2, 96, 96}, {2, 45, 45}, // unindexed: a scan on either arm
+		{0, 30, 70}, {0, 250, math.MaxInt64}, {0, math.MinInt64, 41}, {0, 70, 30},
+		{1, 80, 121}, {2, 10, 12},
+	}
+	snaps := []struct {
+		name string
+		s    uint64
+		want map[record.RID][]int64
+	}{{"before", before, model}, {"after", after, survivors}}
+	for _, forceScan := range []bool{false, true} {
+		if forceScan {
+			tbl.MVCC.BeginDelete() // as while a bulk delete is in flight
+			defer tbl.MVCC.EndDelete()
+		}
+		for _, sn := range snaps {
+			for _, p := range preds {
+				want := make(map[record.RID][]int64)
+				for rid, row := range sn.want {
+					if p.lo <= row[p.field] && row[p.field] <= p.hi {
+						want[rid] = row
+					}
+				}
+				got, usedIndex := lookupAt(t, tbl, p.field, p.lo, p.hi, sn.s)
+				name := fmt.Sprintf("scan=%v %s field %d in [%d, %d]", forceScan, sn.name, p.field, p.lo, p.hi)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %d rows, model has %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
+				}
+				if wantIndex := p.lo > p.hi || (!forceScan && p.field != 2); usedIndex != wantIndex {
+					t.Errorf("%s: usedIndex = %v, want %v", name, usedIndex, wantIndex)
+				}
+				for rid, row := range got {
+					if r, ok, err := tbl.SnapshotRow(rid, sn.s); err != nil || !ok || !reflect.DeepEqual(r, row) {
+						t.Errorf("%s: SnapshotRow(%v) = %v, %v, %v; emitted %v", name, rid, r, ok, err, row)
+					}
+				}
+			}
+		}
 	}
 }

@@ -80,18 +80,17 @@ type Table struct {
 	Schema record.Schema
 	Heap   heap.Store
 	Idx    []*Index
-	// Lock is the §3 coarse table lock. Create and ReattachForRecovery
-	// give every table a private lock; a DB replaces it with the shared
-	// instance from its cc.Manager so ordered multi-table acquisition and
-	// the DML entry points contend on one object.
+	// Lock is the §3 coarse table lock; a DB replaces the private one with
+	// the shared instance from its cc.Manager so ordered multi-table
+	// acquisition and the DML entry points contend on one object.
 	Lock *cc.TableLock
 	// Undeletable marks entries installed by concurrent transactions via
 	// direct propagation during a bulk delete.
 	Undeletable *cc.UndeletableSet
 	// SortBudget is the working memory for index builds and victim sorts.
 	SortBudget int
-	// MVCC is the table's volatile snapshot-read state (nil when the DB
-	// runs with snapshot reads disabled). See mvcc.go.
+	// MVCC is the table's volatile snapshot-read state, never nil; a DB
+	// replaces it with one on its shared epoch clock. See mvcc.go.
 	MVCC *MVCC
 
 	pool *buffer.Pool
@@ -106,15 +105,7 @@ func Create(pool *buffer.Pool, name string, schema record.Schema) (*Table, error
 	if err != nil {
 		return nil, err
 	}
-	return &Table{
-		Name:        name,
-		Schema:      schema,
-		Heap:        h,
-		Lock:        &cc.TableLock{},
-		Undeletable: cc.NewUndeletableSet(),
-		SortBudget:  DefaultSortBudget,
-		pool:        pool,
-	}, nil
+	return newTable(pool, name, schema, h), nil
 }
 
 // CreatePartitioned makes an empty table whose heap is partitioned by spec.
@@ -127,6 +118,12 @@ func CreatePartitioned(pool *buffer.Pool, name string, schema record.Schema, spe
 	if err != nil {
 		return nil, err
 	}
+	return newTable(pool, name, schema, h), nil
+}
+
+// newTable wraps a heap store. The lock and the MVCC clock start out private
+// to the table; a DB swaps in its manager's lock and its shared clock.
+func newTable(pool *buffer.Pool, name string, schema record.Schema, h heap.Store) *Table {
 	return &Table{
 		Name:        name,
 		Schema:      schema,
@@ -134,8 +131,9 @@ func CreatePartitioned(pool *buffer.Pool, name string, schema record.Schema, spe
 		Lock:        &cc.TableLock{},
 		Undeletable: cc.NewUndeletableSet(),
 		SortBudget:  DefaultSortBudget,
+		MVCC:        NewMVCC(cc.NewEpochClock()),
 		pool:        pool,
-	}, nil
+	}
 }
 
 // Pool returns the table's buffer pool.
@@ -144,15 +142,7 @@ func (t *Table) Pool() *buffer.Pool { return t.pool }
 // ReattachForRecovery rebuilds a Table around an already-opened heap store
 // during crash recovery; the caller attaches the reopened indexes to Idx.
 func ReattachForRecovery(pool *buffer.Pool, name string, schema record.Schema, h heap.Store) *Table {
-	return &Table{
-		Name:        name,
-		Schema:      schema,
-		Heap:        h,
-		Lock:        &cc.TableLock{},
-		Undeletable: cc.NewUndeletableSet(),
-		SortBudget:  DefaultSortBudget,
-		pool:        pool,
-	}
+	return newTable(pool, name, schema, h)
 }
 
 // FindIndex returns the index with the given name, or nil.
@@ -205,9 +195,7 @@ func (t *Table) insert(fields []int64, direct bool) (record.RID, error) {
 	// Birth is stamped before any index entry exists, so an index-path
 	// snapshot reader that can see the entry always has the birth to
 	// filter the row by.
-	if t.MVCC != nil {
-		t.MVCC.RecordBirth(rid)
-	}
+	t.MVCC.RecordBirth(rid)
 	for i, ix := range t.Idx {
 		err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpInsert, Key: ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field)), RID: rid}, direct)
 		if err == nil {
@@ -219,9 +207,7 @@ func (t *Table) insert(fields []int64, direct bool) (record.RID, error) {
 				return record.NilRID, fmt.Errorf("%w (and removing the entry from index %s failed: %v)", err, done.Def.Name, uerr)
 			}
 		}
-		if t.MVCC != nil {
-			t.MVCC.ForgetBirth(rid)
-		}
+		t.MVCC.ForgetBirth(rid)
 		if uerr := t.Heap.Delete(rid); uerr != nil {
 			return record.NilRID, fmt.Errorf("%w (and removing the record failed: %v)", err, uerr)
 		}
@@ -284,24 +270,17 @@ func (t *Table) DeleteRow(rid record.RID) error {
 	// Retain the image before tombstoning so a concurrent snapshot reader
 	// always finds the row in the heap or the version store; the version
 	// is stamped with a fresh epoch once the indexes are maintained.
-	var token uint64
-	if t.MVCC != nil {
-		token = t.MVCC.NewToken()
-		t.MVCC.Retain(token, rid, rec)
-	}
+	token := t.MVCC.NewToken()
+	t.MVCC.Retain(token, rid, rec)
 	if err := t.Heap.Delete(rid); err != nil {
-		if t.MVCC != nil {
-			t.MVCC.AbortToken(token)
-		}
+		t.MVCC.AbortToken(token)
 		return err
 	}
 	// The slot is tombstoned: from here the delete commits even if index
 	// maintenance fails below, so the retained version must be stamped
 	// either way — a version left pending would stay visible to every
 	// future snapshot and never prune.
-	if t.MVCC != nil {
-		defer t.MVCC.CommitToken(token)
-	}
+	defer t.MVCC.CommitToken(token)
 	for _, ix := range t.Idx {
 		key := ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field))
 		if err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpDelete, Key: key, RID: rid}, false); err != nil {
@@ -309,15 +288,6 @@ func (t *Table) DeleteRow(rid record.RID) error {
 		}
 	}
 	return nil
-}
-
-// Get returns the decoded row at rid.
-func (t *Table) Get(rid record.RID) ([]int64, error) {
-	rec, err := t.Heap.Get(rid)
-	if err != nil {
-		return nil, err
-	}
-	return t.Schema.Decode(rec)
 }
 
 // CreateIndex builds a new index over the current table contents: one heap
@@ -433,9 +403,7 @@ func (t *Table) Repartition(spec heap.PartitionSpec) error {
 	// Every RID changed; volatile snapshot state would point at garbage.
 	// The Structural lock the caller holds guarantees no snapshot reader
 	// is open on the table.
-	if t.MVCC != nil {
-		t.MVCC.Reset()
-	}
+	t.MVCC.Reset()
 	for _, ix := range t.Idx {
 		if err := ix.Tree.ResetEmpty(); err != nil {
 			return err

@@ -51,25 +51,9 @@ func TestCreateInsertLookup(t *testing.T) {
 	if tbl.Heap.Count() != 500 {
 		t.Fatalf("count = %d", tbl.Heap.Count())
 	}
-	rows, err := tbl.Lookup(0, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0][1] != 246 {
-		t.Fatalf("lookup = %v", rows)
-	}
-	ok, err := tbl.Contains(1, 246)
-	if err != nil || !ok {
-		t.Fatalf("contains(1,246) = %v, %v", ok, err)
-	}
-	ok, err = tbl.Contains(1, 247)
-	if err != nil || ok {
-		t.Fatalf("contains(1,247) = %v, %v", ok, err)
-	}
-	// Contains without an index falls back to a scan.
-	ok, err = tbl.Contains(2, 96)
-	if err != nil || !ok {
-		t.Fatalf("contains(2,96) = %v, %v", ok, err)
+	// What the reads return is TestSnapshotLookupArmsAgree's.
+	if !has(t, tbl, 0, 123) {
+		t.Fatal("inserted row not found")
 	}
 	if err := tbl.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -82,13 +66,9 @@ func TestInsertMaintainsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tbl.Lookup(1, 2000)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("lookup after insert: %v, %v", rows, err)
-	}
-	got, err := tbl.Get(rid)
-	if err != nil || got[0] != 1000 {
-		t.Fatalf("get = %v, %v", got, err)
+	rows, _ := lookupAt(t, tbl, 1, 2000, 2000, tbl.MVCC.Clock.Current())
+	if len(rows) != 1 || rows[rid] == nil || rows[rid][0] != 1000 {
+		t.Fatalf("lookup after insert: %v, want the row at %v", rows, rid)
 	}
 	if err := tbl.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -101,10 +81,6 @@ func TestInsertMaintainsIndexes(t *testing.T) {
 
 func TestDeleteRow(t *testing.T) {
 	tbl := newTestTable(t, 100)
-	rows, err := tbl.Lookup(0, 42)
-	if err != nil || len(rows) != 1 {
-		t.Fatal("setup lookup failed")
-	}
 	rids, err := tbl.IndexOnField(0).Tree.Search(tbl.IndexOnField(0).EncodeKey(42))
 	if err != nil || len(rids) != 1 {
 		t.Fatal("setup search failed")
@@ -112,7 +88,7 @@ func TestDeleteRow(t *testing.T) {
 	if err := tbl.DeleteRow(rids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := tbl.Contains(0, 42); ok {
+	if has(t, tbl, 0, 42) {
 		t.Fatal("deleted row still found")
 	}
 	if tbl.Heap.Count() != 99 {
@@ -190,7 +166,7 @@ func TestTraditionalDelete(t *testing.T) {
 			t.Fatalf("heap count = %d", tbl.Heap.Count())
 		}
 		for _, v := range victims[:20] {
-			if ok, _ := tbl.Contains(0, v); ok {
+			if has(t, tbl, 0, v) {
 				t.Fatalf("victim %d survives", v)
 			}
 		}
@@ -269,7 +245,7 @@ func TestSideFileFlow(t *testing.T) {
 		t.Fatal("offline index updated directly")
 	}
 	// IA (online) did.
-	if ok, _ := tbl.Contains(0, 500); !ok {
+	if !has(t, tbl, 0, 500) {
 		t.Fatal("online index missed the insert")
 	}
 	// Apply the side-file like the bulk deleter would.

@@ -92,6 +92,16 @@ func TestSnapshotReadsDuringBulkDelete(t *testing.T) {
 	if got, err := tbl.LookupRange(0, 35, 44); err != nil || len(got) != 10 {
 		t.Fatalf("LookupRange during delete: %d rows err=%v, want 10", len(got), err)
 	}
+	if got, err := tbl.LookupRIDs(0, victim); err != nil || len(got) != 1 || got[0] != rids[victim] {
+		t.Fatalf("LookupRIDs(victim) during delete: %v err=%v, want %v", got, err, rids[victim])
+	}
+	// Field 2 (i%5) has no index: the same read function, scan arm.
+	if got, err := tbl.Lookup(2, 3); err != nil || len(got) != rows/5 {
+		t.Fatalf("unindexed Lookup during delete: %d rows err=%v, want %d", len(got), err, rows/5)
+	}
+	if got, err := tbl.LookupRange(2, 1, 2); err != nil || len(got) != 2*rows/5 {
+		t.Fatalf("unindexed LookupRange during delete: %d rows err=%v, want %d", len(got), err, 2*rows/5)
+	}
 	n := 0
 	if err := tbl.Scan(func(RID, []int64) error { n++; return nil }); err != nil {
 		t.Fatal(err)

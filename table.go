@@ -229,33 +229,23 @@ func (tbl *Table) DeleteRow(rid RID) error {
 	return h.t.DeleteRow(rid)
 }
 
-// Get decodes the record at rid. With snapshot reads enabled (the default)
-// it resolves the RID against a commit-epoch snapshot and does not block
-// behind a concurrent bulk delete's exclusive lock. With them disabled it
-// takes a shared table lock: it blocks while a bulk delete holds the table
-// exclusively and proceeds once the §3.1 critical phase releases the lock
-// (indexes still offline are not needed — Get reads the heap). Heap tables
-// only.
+// Get decodes the record at rid as of a commit-epoch snapshot; it does not
+// block behind a concurrent bulk delete's exclusive lock. Heap tables only.
 func (tbl *Table) Get(rid RID) ([]int64, error) {
 	h, err := tbl.heap()
 	if err != nil {
 		return nil, err
 	}
-	if h.t.MVCC != nil {
-		s, done := h.beginSnapshotRead()
-		defer done()
-		row, ok, err := h.t.SnapshotRow(rid, s)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("bulkdel: no record at %s", rid)
-		}
-		return row, nil
+	s := h.beginSnapshotRead()
+	defer h.endSnapshotRead(s)
+	row, ok, err := h.t.SnapshotRow(rid, s)
+	if err != nil {
+		return nil, err
 	}
-	tbl.lock.LockShared()
-	defer tbl.lock.UnlockShared()
-	return h.t.Get(rid)
+	if !ok {
+		return nil, fmt.Errorf("bulkdel: no record at %s", rid)
+	}
+	return row, nil
 }
 
 // HasIndexOnField reports whether some index covers the field, i.e.
@@ -274,35 +264,25 @@ func (tbl *Table) Lookup(field int, v int64) ([][]int64, error) {
 }
 
 // LookupRIDs returns the RIDs of all rows whose field equals v, via an
-// index on the field. Under snapshot reads, RIDs of rows deleted after the
-// snapshot are included — they name the snapshot's retained images, and a
-// Get through the same open View resolves them; a fresh Get may not. Heap
-// tables only.
+// index on the field. RIDs of rows deleted after the read's snapshot are
+// included — they name the snapshot's retained images, and a Get through the
+// same open View resolves them; a fresh Get may not. Heap tables only.
 func (tbl *Table) LookupRIDs(field int, v int64) ([]RID, error) {
 	h, err := tbl.heap()
 	if err != nil {
 		return nil, err
 	}
-	ix := h.t.IndexOnField(field)
-	if ix == nil {
+	if h.t.IndexOnField(field) == nil {
 		return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.name, field)
 	}
-	if h.t.MVCC != nil {
-		s, done := h.beginSnapshotRead()
-		defer done()
-		rids, usedIndex, err := h.t.SnapshotLookupRIDs(field, v, s)
-		h.noteFallbackScan(field, usedIndex)
-		return rids, err
-	}
-	tbl.lock.LockShared()
-	defer tbl.lock.UnlockShared()
-	// Wait out a previous statement's still-offline index pass (§3.1 early
-	// release) before traversing the tree; see Table.Lookup. The latch
-	// closes the torn-leaf window against concurrent online updaters.
-	ix.Gate.WaitOnline()
-	ix.Latch.RLock()
-	defer ix.Latch.RUnlock()
-	return ix.Tree.Search(ix.EncodeKey(v))
+	s := h.beginSnapshotRead()
+	defer h.endSnapshotRead(s)
+	var rids []RID
+	err = h.lookupAt(field, v, v, s, func(rid RID, _ []int64) error {
+		rids = append(rids, rid)
+		return nil
+	})
+	return rids, err
 }
 
 // LookupRange returns all rows with lo <= field value <= hi (both bounds
@@ -330,20 +310,16 @@ func (tbl *Table) View() (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.t.MVCC == nil {
-		return nil, fmt.Errorf("bulkdel: snapshot reads are disabled (Options.DisableSnapshotReads)")
-	}
-	s, done := h.beginSnapshotRead()
-	return &View{h: h, s: s, done: done}, nil
+	return &View{h: h, s: h.beginSnapshotRead()}, nil
 }
 
 // View is a stable MVCC read view over one table. Its read methods mirror
 // the table's, evaluated at the view's snapshot epoch. Not safe for
 // concurrent use by multiple goroutines.
 type View struct {
-	h    *heapBackend
-	s    uint64
-	done func()
+	h      *heapBackend
+	s      uint64
+	closed bool
 }
 
 // Epoch returns the view's snapshot epoch.
@@ -351,9 +327,9 @@ func (v *View) Epoch() uint64 { return v.s }
 
 // Close releases the view's snapshot. Idempotent.
 func (v *View) Close() {
-	if v.done != nil {
-		v.done()
-		v.done = nil
+	if !v.closed {
+		v.closed = true
+		v.h.endSnapshotRead(v.s)
 	}
 }
 
@@ -365,16 +341,12 @@ func (v *View) Get(rid RID) (fields []int64, ok bool, err error) {
 
 // Lookup returns all rows whose field equals val, as of the snapshot.
 func (v *View) Lookup(field int, val int64) ([][]int64, error) {
-	rows, usedIndex, err := v.h.t.SnapshotLookup(field, val, v.s)
-	v.h.noteFallbackScan(field, usedIndex)
-	return rows, err
+	return v.h.rowsAt(field, val, val, v.s)
 }
 
 // LookupRange returns all rows with lo <= field <= hi, as of the snapshot.
 func (v *View) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	rows, usedIndex, err := v.h.t.SnapshotLookupRange(field, lo, hi, v.s)
-	v.h.noteFallbackScan(field, usedIndex)
-	return rows, err
+	return v.h.rowsAt(field, lo, hi, v.s)
 }
 
 // Scan calls fn for every row visible to the snapshot.
