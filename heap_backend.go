@@ -227,6 +227,36 @@ func (h *heapBackend) scan(fn func(rid RID, fields []int64) error) error {
 	return h.t.SnapshotScan(s, fn)
 }
 
+func (h *heapBackend) hasIndexOnField(field int) bool { return h.t.IndexOnField(field) != nil }
+
+// view opens a snapshot read that stays registered until the View closes.
+func (h *heapBackend) view() *View {
+	s := h.beginSnapshotRead()
+	return &View{r: heapView{h: h, s: s}, epoch: s}
+}
+
+// heapView serves a View's reads at its snapshot epoch s.
+type heapView struct {
+	h *heapBackend
+	s uint64
+}
+
+func (v heapView) get(rid RID) ([]int64, bool, error) { return v.h.t.SnapshotRow(rid, v.s) }
+
+func (v heapView) lookup(field int, val int64) ([][]int64, error) {
+	return v.h.rowsAt(field, val, val, v.s)
+}
+
+func (v heapView) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+	return v.h.rowsAt(field, lo, hi, v.s)
+}
+
+func (v heapView) scan(fn func(rid RID, fields []int64) error) error {
+	return v.h.t.SnapshotScan(v.s, fn)
+}
+
+func (v heapView) close() { v.h.endSnapshotRead(v.s) }
+
 // target builds core's view of the table.
 func (h *heapBackend) target() *core.Target {
 	tgt := &core.Target{

@@ -273,14 +273,16 @@ func insertSorted(keep []*SSTable, out *SSTable) []*SSTable {
 	return keep
 }
 
-// swapCommitLocked trims empty trailing levels, commits the manifest, and
-// drops the input files (parked if a scan is in flight); a failed commit
-// rolls the level swap back to prev so the in-memory tree keeps matching
+// swapCommitLocked trims empty trailing levels, rebuilds the range-tombstone
+// union (a bottom merge drops its inputs' tombstones), commits the manifest,
+// and drops the input files (parked while a snapshot is open); a failed
+// commit rolls the swap back to prev so the in-memory tree keeps matching
 // the durable manifest. mu held.
 func (t *Tree) swapCommitLocked(prev treeState, out *SSTable, inputs []*SSTable) error {
 	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
 		t.levels = t.levels[:len(t.levels)-1]
 	}
+	t.rtombs = rtombUnion(t.mem.rtombs, t.levels)
 	if err := t.commitLocked(); err != nil {
 		// Inputs stay live under the old manifest; the merged output is an
 		// orphan (same as a crash between build and commit) — drop it

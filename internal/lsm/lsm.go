@@ -23,11 +23,12 @@
 //     the WAL suffix still covers its contents.
 //
 // All methods are safe for concurrent use; one mutex serializes the
-// tree's structure. Point reads hold it throughout; Scan/ScanRange
-// snapshot their merge sources under it and drive the merge — and the
-// user callback — lock-free, so a callback may re-enter the same tree
-// (SSTables are immutable; files superseded mid-scan are parked until
-// the last scan finishes). See DESIGN §4.9.
+// tree's structure. Tree.Get holds it for one lookup. Every other read goes
+// through a Snapshot, which captures the memtable, the level slices and the
+// range-tombstone union under it once and then reads lock-free — Get,
+// ScanRange, and the user callback, which may re-enter the same tree
+// (SSTables are immutable; files superseded while a snapshot is open are
+// parked until the last one closes). See DESIGN §4.9.
 package lsm
 
 import (
@@ -126,15 +127,6 @@ func (m *memtable) put(e entry) {
 	m.entries[i] = e
 }
 
-// get returns the memtable's point entry for key, if any.
-func (m *memtable) get(key int64) (entry, bool) {
-	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].key >= key })
-	if i < len(m.entries) && m.entries[i].key == key {
-		return m.entries[i], true
-	}
-	return entry{}, false
-}
-
 // Manifest is a tree's durable state, persisted inside the engine catalog.
 // Committing a new manifest (one catalog save) is the atomic step of every
 // flush and compaction.
@@ -167,6 +159,12 @@ type Tree struct {
 	created    uint64 // SSTable files ever created (placement round-robin)
 	mem        *memtable
 	levels     [][]*SSTable
+	// rtombs is the union of every live range tombstone (the memtable's and
+	// every SSTable's), kept so a read never collects it. Open snapshots
+	// share it, so it is replaced, never appended to in place: DeleteRange
+	// appends to a copy, a flush leaves it alone (it moves the memtable's
+	// tombstones into the new file), and a compaction rebuilds it.
+	rtombs []RangeTomb
 
 	// pending holds seqs handed out by NextSeq whose mutation has not yet
 	// been applied to the memtable (ascending — NextSeq is monotone). A
@@ -177,18 +175,17 @@ type Tree struct {
 	// by construction.
 	pending []uint64
 
-	// scans counts Scan/ScanRange merges running outside the mutex;
-	// obsolete parks files superseded while one was in flight (its
-	// iterators may still read their pages). The last scan to finish
-	// drops them.
+	// scans counts open Snapshots; obsolete parks files superseded while
+	// one was open (its reads may still touch their pages). The last
+	// snapshot to close drops them.
 	scans    int
 	obsolete []*SSTable
 
 	// persist commits the current manifest durably (the engine wires it to
 	// its catalog save). Called with mu held; it must read the manifest via
-	// the snapshot below, never through tree methods.
+	// the copy below, never through tree methods.
 	persist func() error
-	// manifest is the latest state snapshot, refreshed under mu after every
+	// manifest is the latest durable-state copy, refreshed under mu after every
 	// structural change and readable without the tree mutex (so the catalog
 	// writer never deadlocks against a flush that triggered it).
 	manifest atomic.Value // Manifest
@@ -197,7 +194,7 @@ type Tree struct {
 // New creates an empty tree.
 func New(pool *buffer.Pool, recSize int, opts Options) *Tree {
 	t := &Tree{pool: pool, recSize: recSize, opts: opts.withDefaults(), mem: &memtable{}}
-	t.manifest.Store(t.snapshotLocked())
+	t.publishLocked()
 	return t
 }
 
@@ -222,7 +219,8 @@ func Open(pool *buffer.Pool, recSize int, opts Options, m Manifest) (*Tree, erro
 		}
 		t.levels = append(t.levels, lvl)
 	}
-	t.manifest.Store(t.snapshotLocked())
+	t.rtombs = rtombUnion(nil, t.levels)
+	t.publishLocked()
 	return t, nil
 }
 
@@ -230,12 +228,12 @@ func Open(pool *buffer.Pool, recSize int, opts Options, m Manifest) (*Tree, erro
 // first mutation (the engine wires it to its catalog save at create/open).
 func (t *Tree) SetPersist(fn func() error) { t.persist = fn }
 
-// Manifest returns the latest durable-state snapshot. Safe to call from
-// inside the persist hook (it does not take the tree mutex).
+// Manifest returns the latest durable state. Safe to call from inside the
+// persist hook (it does not take the tree mutex).
 func (t *Tree) Manifest() Manifest { return t.manifest.Load().(Manifest) }
 
-// snapshotLocked builds the manifest for the current state; mu held.
-func (t *Tree) snapshotLocked() Manifest {
+// manifestLocked builds the manifest for the current state; mu held.
+func (t *Tree) manifestLocked() Manifest {
 	m := Manifest{Seq: t.seq, FlushedSeq: t.flushedSeq, Tick: t.tick, Created: t.created}
 	for _, lvl := range t.levels {
 		metas := make([]Meta, len(lvl))
@@ -247,8 +245,8 @@ func (t *Tree) snapshotLocked() Manifest {
 	return m
 }
 
-// publishLocked refreshes the lock-free manifest snapshot; mu held.
-func (t *Tree) publishLocked() { t.manifest.Store(t.snapshotLocked()) }
+// publishLocked refreshes the lock-free manifest copy; mu held.
+func (t *Tree) publishLocked() { t.manifest.Store(t.manifestLocked()) }
 
 // NextSeq allocates the next sequence number. The caller logs the mutation
 // under it before applying it to the tree; until the apply (or AbandonSeq
@@ -314,7 +312,9 @@ func (t *Tree) DeleteRange(lo, hi int64, seq uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.settleSeqLocked(seq)
-	t.mem.rtombs = append(t.mem.rtombs, RangeTomb{Lo: lo, Hi: hi, Seq: seq})
+	rt := RangeTomb{Lo: lo, Hi: hi, Seq: seq}
+	t.mem.rtombs = append(t.mem.rtombs, rt)
+	t.rtombs = append(t.rtombs[:len(t.rtombs):len(t.rtombs)], rt) // a copy: snapshots share the old one
 }
 
 // MemLen returns the memtable's entry count (range tombstones included).
@@ -366,7 +366,7 @@ func (t *Tree) FlushMem() error {
 	return t.flushLocked()
 }
 
-// treeState is a restorable snapshot of the fields a flush or compaction
+// treeState is a restorable copy of the fields a flush or compaction
 // mutates ahead of its manifest commit. When the commit (persist hook)
 // fails, restoring it keeps the in-memory tree consistent with the
 // durable manifest instead of leaving a level set and flush horizon the
@@ -376,9 +376,10 @@ type treeState struct {
 	tick       uint64
 	created    uint64
 	levels     [][]*SSTable
+	rtombs     []RangeTomb
 }
 
-// captureLocked snapshots the commit-mutable state; mu held. Compactions
+// captureLocked copies the commit-mutable state; mu held. Compactions
 // replace inner level slices rather than mutating them, so copying the
 // outer slice is enough.
 func (t *Tree) captureLocked() treeState {
@@ -387,6 +388,7 @@ func (t *Tree) captureLocked() treeState {
 		tick:       t.tick,
 		created:    t.created,
 		levels:     append([][]*SSTable(nil), t.levels...),
+		rtombs:     t.rtombs,
 	}
 }
 
@@ -394,7 +396,7 @@ func (t *Tree) captureLocked() treeState {
 // matching manifest snapshot; mu held.
 func (t *Tree) restoreLocked(s treeState) {
 	t.flushedSeq, t.tick, t.created = s.flushedSeq, s.tick, s.created
-	t.levels = s.levels
+	t.levels, t.rtombs = s.levels, s.rtombs
 	t.publishLocked()
 }
 
@@ -450,32 +452,15 @@ func (t *Tree) flushLocked() error {
 	return nil
 }
 
-// dropFileLocked removes an SSTable's file, or parks it while lock-free
-// scans are in flight (their iterators may still be reading its pages);
-// the last scan to finish drops parked files. mu held.
+// dropFileLocked removes an SSTable's file, or parks it while any Snapshot
+// is open (its reads may still touch the file's pages); the last snapshot
+// to close drops parked files. mu held.
 func (t *Tree) dropFileLocked(sst *SSTable) error {
 	if t.scans > 0 {
 		t.obsolete = append(t.obsolete, sst)
 		return nil
 	}
 	return t.pool.DropFile(sim.FileID(sst.File))
-}
-
-// scanDone retires one lock-free scan and, when it was the last, drops
-// the files parked while any scan ran.
-func (t *Tree) scanDone() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.scans--
-	if t.scans > 0 {
-		return
-	}
-	for _, sst := range t.obsolete {
-		// Best-effort: a failed drop leaks an unreferenced file, which is
-		// exactly what a crash between commit and drop leaves behind.
-		_ = t.pool.DropFile(sim.FileID(sst.File))
-	}
-	t.obsolete = nil
 }
 
 // pickDeviceLocked round-robins SSTable placement over the configured
@@ -495,6 +480,19 @@ func (t *Tree) commitLocked() error {
 		return nil
 	}
 	return t.persist()
+}
+
+// rtombUnion collects the memtable's range tombstones and every SSTable's
+// into a fresh slice: the tree's union, rebuilt when Open or a compaction
+// changes which tombstones exist.
+func rtombUnion(mem []RangeTomb, levels [][]*SSTable) []RangeTomb {
+	out := append([]RangeTomb(nil), mem...)
+	for _, lvl := range levels {
+		for _, sst := range lvl {
+			out = append(out, sst.rtombs...)
+		}
+	}
+	return out
 }
 
 // coveredBy reports whether any tombstone in rts hides (key, seq).

@@ -500,3 +500,29 @@ func TestConcurrentScansAndMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Tree.Get reads the tree's range-tombstone union instead of collecting one
+// per call, so its allocations do not grow with the live range tombstones:
+// here 1 vs 64, each in its own SSTable, with the key read from the
+// memtable.
+func TestGetAllocsFlatInRangeTombs(t *testing.T) {
+	allocs := func(rtombs int) float64 {
+		tr, _ := newTree(t, Options{})
+		for i := 0; i < rtombs; i++ {
+			lo := int64(1000 + 10*i)
+			tr.DeleteRange(lo, lo+5, tr.NextSeq())
+			if err := tr.FlushMem(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(tr, 7)
+		return testing.AllocsPerRun(100, func() {
+			if _, ok, err := tr.Get(7); err != nil || !ok {
+				t.Fatalf("Get(7) = %v, %v", ok, err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(64); one != many {
+		t.Fatalf("Get allocates %v times with 1 range tombstone, %v with 64", one, many)
+	}
+}

@@ -1,6 +1,11 @@
 package lsm
 
-import "math"
+import (
+	"math"
+	"sort"
+
+	"bulkdel/internal/sim"
+)
 
 // Read paths: every lookup merges the memtable with the SSTables, newest
 // first, and judges visibility against the union of range tombstones. The
@@ -20,33 +25,22 @@ func maxCoveringSeq(rts []RangeTomb, key int64) uint64 {
 	return max
 }
 
-// allRTombsLocked collects every live range tombstone; mu held.
-func (t *Tree) allRTombsLocked() []RangeTomb {
-	out := append([]RangeTomb(nil), t.mem.rtombs...)
-	for _, lvl := range t.levels {
-		for _, sst := range lvl {
-			out = append(out, sst.rtombs...)
-		}
-	}
-	return out
-}
-
-// Get returns the record stored under key, if visible.
-func (t *Tree) Get(key int64) ([]byte, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rseq := maxCoveringSeq(t.allRTombsLocked(), key)
+// getIn is the one point lookup: the first entry for key in mem (sorted by
+// key), then L0 newest→oldest, then each deeper level, is the winner, and it
+// is visible when it is a put newer than rseq, the highest range tombstone
+// covering key.
+func getIn(mem []entry, levels [][]*SSTable, rseq uint64, key int64) ([]byte, bool, error) {
 	settle := func(e entry) ([]byte, bool, error) {
 		if e.kind == kindPut && e.seq > rseq {
 			return e.val, true, nil
 		}
 		return nil, false, nil
 	}
-	if e, ok := t.mem.get(key); ok {
-		return settle(e)
+	if i := sort.Search(len(mem), func(i int) bool { return mem[i].key >= key }); i < len(mem) && mem[i].key == key {
+		return settle(mem[i])
 	}
-	if len(t.levels) > 0 {
-		l0 := t.levels[0]
+	if len(levels) > 0 {
+		l0 := levels[0]
 		for i := len(l0) - 1; i >= 0; i-- {
 			e, ok, err := l0[i].get(key)
 			if err != nil {
@@ -57,8 +51,8 @@ func (t *Tree) Get(key int64) ([]byte, bool, error) {
 			}
 		}
 	}
-	for li := 1; li < len(t.levels); li++ {
-		for _, sst := range t.levels[li] {
+	for li := 1; li < len(levels); li++ {
+		for _, sst := range levels[li] {
 			if key < sst.MinKey || key > sst.MaxKey {
 				continue
 			}
@@ -74,6 +68,74 @@ func (t *Tree) Get(key int64) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
+// Get returns the record stored under key, if visible. It reads the live
+// tree under the mutex and copies nothing; a Snapshot serves a sequence of
+// reads that must agree.
+func (t *Tree) Get(key int64) ([]byte, bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return getIn(t.mem.entries, t.levels, maxCoveringSeq(t.rtombs, key), key)
+}
+
+// Snapshot is a read handle on one state of the tree: the memtable's
+// entries, the level slices and the range-tombstone union, captured under
+// the tree mutex once. Its reads run without the mutex, so a callback may
+// re-enter the tree, and they see neither later writes nor later flushes
+// and compactions: SSTables are immutable, and the files a compaction
+// supersedes while any snapshot is open are parked, not dropped, until the
+// last one closes. A Snapshot must be closed; it is not safe for concurrent
+// use.
+type Snapshot struct {
+	t      *Tree
+	mem    []entry
+	levels [][]*SSTable
+	rtombs []RangeTomb
+	closed bool
+}
+
+// Snapshot captures the tree's current state. The memtable slice is copied
+// because put shifts entries within its backing array in place; the level
+// slices and the tombstone union are replaced, never edited, so sharing
+// them is enough.
+func (t *Tree) Snapshot() *Snapshot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.scans++
+	return &Snapshot{
+		t:      t,
+		mem:    append([]entry(nil), t.mem.entries...),
+		levels: append([][]*SSTable(nil), t.levels...),
+		rtombs: t.rtombs,
+	}
+}
+
+// Get returns the record stored under key in the snapshot, if visible.
+func (s *Snapshot) Get(key int64) ([]byte, bool, error) {
+	return getIn(s.mem, s.levels, maxCoveringSeq(s.rtombs, key), key)
+}
+
+// Close releases the snapshot; when it was the last one open, the files
+// superseded while any was open are dropped. Idempotent.
+func (s *Snapshot) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.scans--
+	if t.scans > 0 {
+		return
+	}
+	for _, sst := range t.obsolete {
+		// Best-effort: a failed drop leaks an unreferenced file, which is
+		// exactly what a crash between commit and drop leaves behind.
+		_ = t.pool.DropFile(sim.FileID(sst.File))
+	}
+	t.obsolete = nil
+}
+
 // mergeSrc is one head of the k-way merge.
 type mergeSrc struct {
 	cur  entry
@@ -87,76 +149,47 @@ func (s *mergeSrc) advance() error {
 	return err
 }
 
-// sourcesLocked opens a merge head per run, positioned at the first key
-// >= lo; mu held. The returned sources are usable after the mutex is
-// released: SSTables are immutable (and their files are parked, not
-// dropped, while a scan is in flight), and the memtable slice is copied
-// here because put shifts entries within its backing array in place.
-func (t *Tree) sourcesLocked(lo int64) ([]*mergeSrc, error) {
-	var srcs []*mergeSrc
-	mem := append([]entry(nil), t.mem.entries...)
-	i := 0
-	for i < len(mem) && mem[i].key < lo {
-		i++
-	}
-	srcs = append(srcs, &mergeSrc{next: func() (entry, bool, error) {
+// ScanRange calls fn for every record visible in the snapshot with
+// lo <= key <= hi, in key order, by a k-way merge of a head per run.
+func (s *Snapshot) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) error {
+	mem := s.mem
+	i := sort.Search(len(mem), func(i int) bool { return mem[i].key >= lo })
+	srcs := []*mergeSrc{{next: func() (entry, bool, error) {
 		if i >= len(mem) {
 			return entry{}, false, nil
 		}
 		e := mem[i]
 		i++
 		return e, true, nil
-	}})
-	for _, lvl := range t.levels {
+	}}}
+	for _, lvl := range s.levels {
 		for _, sst := range lvl {
 			if sst.Blocks == 0 || sst.MaxKey < lo {
 				continue
 			}
 			it := sst.iter()
 			if err := it.seek(lo); err != nil {
-				return nil, err
+				return err
 			}
 			srcs = append(srcs, &mergeSrc{next: it.next})
 		}
 	}
-	for _, s := range srcs {
-		if err := s.advance(); err != nil {
-			return nil, err
+	for _, src := range srcs {
+		if err := src.advance(); err != nil {
+			return err
 		}
 	}
-	return srcs, nil
-}
-
-// ScanRange calls fn for every visible record with lo <= key <= hi, in
-// key order. The merge sources are snapshotted under the tree mutex and
-// the merge itself — fn included — runs without it, so fn may re-enter
-// the tree (a lookup from inside a table scan callback must work on an
-// LSM table just as it does on the heap backend). The scan sees the tree
-// as of the snapshot; concurrent flushes and compactions neither tear it
-// (superseded files are parked until the last scan finishes) nor appear
-// in it.
-func (t *Tree) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) error {
-	t.mu.Lock()
-	rtombs := t.allRTombsLocked()
-	srcs, err := t.sourcesLocked(lo)
-	if err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	t.scans++
-	t.mu.Unlock()
-	defer t.scanDone()
-	disk := t.pool.Disk()
+	disk := s.t.pool.Disk()
 	for {
 		best := -1
 		live := 0
-		for i, s := range srcs {
-			if !s.ok {
+		for i, src := range srcs {
+			if !src.ok {
 				continue
 			}
 			live++
-			if best == -1 || s.cur.key < srcs[best].cur.key ||
-				(s.cur.key == srcs[best].cur.key && s.cur.seq > srcs[best].cur.seq) {
+			if best == -1 || src.cur.key < srcs[best].cur.key ||
+				(src.cur.key == srcs[best].cur.key && src.cur.seq > srcs[best].cur.seq) {
 				best = i
 			}
 		}
@@ -168,20 +201,30 @@ func (t *Tree) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) err
 		if win.key > hi {
 			return nil
 		}
-		for _, s := range srcs { // drop every (older) version of this key
-			for s.ok && s.cur.key == win.key {
-				if err := s.advance(); err != nil {
+		for _, src := range srcs { // drop every (older) version of this key
+			for src.ok && src.cur.key == win.key {
+				if err := src.advance(); err != nil {
 					return err
 				}
 			}
 		}
-		if win.kind == kindPut && win.seq > maxCoveringSeq(rtombs, win.key) {
+		if win.kind == kindPut && win.seq > maxCoveringSeq(s.rtombs, win.key) {
 			disk.ChargeRecords(1)
 			if err := fn(win.key, win.val); err != nil {
 				return err
 			}
 		}
 	}
+}
+
+// ScanRange calls fn for every visible record with lo <= key <= hi, in key
+// order, on a snapshot taken for the call, so fn may re-enter the tree (a
+// lookup from inside a table scan callback must work on an LSM table just
+// as it does on the heap backend).
+func (t *Tree) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) error {
+	s := t.Snapshot()
+	defer s.Close()
+	return s.ScanRange(lo, hi, fn)
 }
 
 // Scan calls fn for every visible record in key order.

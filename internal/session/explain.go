@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bulkdel"
 	"bulkdel/internal/core"
 	"bulkdel/internal/sql"
 )
@@ -26,23 +27,30 @@ func (s *Session) explainSelect(st *sql.Select, analyze bool) (*Result, error) {
 	}
 	cols := s.f.columns(st.Table, tbl)
 
-	// Access-path node.
+	// Access-path node. The access path on an LSM table is its key.
+	kind := tbl.Backend()
+	lookupOp, rangeOp := "index lookup", "index range scan"
+	snapshot := "MVCC read at commit epoch %d (does not block behind bulk deletes)"
+	if kind == bulkdel.BackendLSM {
+		lookupOp, rangeOp = "key lookup", "key range scan"
+		snapshot = "one LSM source snapshot pinned at commit epoch %d (memtable, levels, range tombstones)"
+	}
 	var access *core.PlanNode
 	switch {
 	case p == nil:
-		access = &core.PlanNode{Op: "scan", Detail: fmt.Sprintf("heap %s (full)", st.Table)}
+		access = &core.PlanNode{Op: "scan", Detail: fmt.Sprintf("%s %s (full)", kind, st.Table)}
 	case p.eqVals != nil && tbl.HasIndexOnField(p.field):
-		access = &core.PlanNode{Op: "index lookup",
+		access = &core.PlanNode{Op: lookupOp,
 			Detail: fmt.Sprintf("%s.%s = {%d value(s)}", st.Table, cols[p.field], len(p.eqVals))}
 	case p.eqVals != nil:
 		access = &core.PlanNode{Op: "scan",
-			Detail: fmt.Sprintf("heap %s, filter %s IN {%d value(s)}", st.Table, cols[p.field], len(p.eqVals))}
+			Detail: fmt.Sprintf("%s %s, filter %s IN {%d value(s)}", kind, st.Table, cols[p.field], len(p.eqVals))}
 	case tbl.HasIndexOnField(p.field):
-		access = &core.PlanNode{Op: "index range scan",
+		access = &core.PlanNode{Op: rangeOp,
 			Detail: fmt.Sprintf("%s.%s ∈ [%s, %s]", st.Table, cols[p.field], boundStr(p.lo), boundStr(p.hi))}
 	default:
 		access = &core.PlanNode{Op: "scan",
-			Detail: fmt.Sprintf("heap %s, filter %s ∈ [%s, %s]", st.Table, cols[p.field], boundStr(p.lo), boundStr(p.hi))}
+			Detail: fmt.Sprintf("%s %s, filter %s ∈ [%s, %s]", kind, st.Table, cols[p.field], boundStr(p.lo), boundStr(p.hi))}
 	}
 
 	// Projection (or aggregation) root.
@@ -68,8 +76,7 @@ func (s *Session) explainSelect(st *sql.Select, analyze bool) (*Result, error) {
 	}
 	// The epoch shown is the snapshot the statement would capture if it
 	// started now (SHOW epoch reports the same counter).
-	return &Result{Text: root.String() + fmt.Sprintf(
-		"snapshot: MVCC read at commit epoch %d (does not block behind bulk deletes)\n", s.f.db.Epoch())}, nil
+	return &Result{Text: root.String() + "snapshot: " + fmt.Sprintf(snapshot, s.f.db.Epoch()) + "\n"}, nil
 }
 
 func countRows(r *Result) int {

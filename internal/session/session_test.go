@@ -200,6 +200,10 @@ func TestExplainGolden(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		mustExec(t, s, sqlf("INSERT INTO R VALUES (%d, %d, %d)", i, 3*i, i%7))
 	}
+	mustExec(t, s, "CREATE TABLE kv (k, v) BACKEND LSM")
+	for i := int64(0); i < 50; i++ {
+		mustExec(t, s, sqlf("INSERT INTO kv VALUES (%d, %d)", i, i%7))
+	}
 
 	stmts := []string{
 		"EXPLAIN SELECT * FROM R WHERE a = 7",
@@ -209,6 +213,9 @@ func TestExplainGolden(t *testing.T) {
 		"EXPLAIN SELECT * FROM R WHERE a IN (1, 2, 3) LIMIT 2",
 		"EXPLAIN DELETE FROM R WHERE a IN (1, 2, 3)",
 		"EXPLAIN DELETE FROM R WHERE b BETWEEN 0 AND 30",
+		"EXPLAIN SELECT * FROM kv WHERE k IN (1, 2, 3)",
+		"EXPLAIN SELECT COUNT(*) FROM kv WHERE k BETWEEN 10 AND 20",
+		"EXPLAIN SELECT * FROM kv WHERE v = 3",
 	}
 	var b strings.Builder
 	for _, src := range stmts {
@@ -314,6 +321,50 @@ func TestSQLLSMBackend(t *testing.T) {
 	}
 	if _, err := s.Exec("CREATE TABLE bad (a, b) BACKEND LSM PARTITION BY HASH (a) PARTITIONS 2"); err == nil {
 		t.Fatal("LSM + PARTITION BY did not fail")
+	}
+}
+
+// TestSQLLSMPointSelectIsAGet: on an LSM table the key is an access path, so
+// a key equality reads about one page per level through a Get, and an IN
+// list one Get per distinct value — never a merged scan of every run.
+func TestSQLLSMPointSelectIsAGet(t *testing.T) {
+	f := newFrontend(t, bulkdel.Options{})
+	s := f.NewSession(context.Background())
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE t (k, v) BACKEND LSM")
+	for i := 0; i < 10000; i += 100 {
+		var vals []string
+		for k := i; k < i+100; k++ {
+			vals = append(vals, sqlf("(%d, %d)", k, 10*k))
+		}
+		mustExec(t, s, "INSERT INTO t VALUES "+strings.Join(vals, ", "))
+	}
+	refs := func() uint64 {
+		st := f.DB().PoolStats()
+		return st.Hits + st.Misses
+	}
+	for _, c := range []struct {
+		src  string
+		keys []int64
+	}{
+		{"SELECT * FROM t WHERE k = 4321", []int64{4321}},
+		{"SELECT * FROM t WHERE k IN (17, 4321, 9999)", []int64{17, 4321, 9999}},
+	} {
+		before := refs()
+		res := mustExec(t, s, c.src)
+		n := refs() - before
+		t.Logf("%s: %d page references", c.src, n)
+		if len(res.Rows) != len(c.keys) {
+			t.Fatalf("%s: %v", c.src, res.Rows)
+		}
+		for i, k := range c.keys {
+			if res.Rows[i][0] != k || res.Rows[i][1] != 10*k {
+				t.Fatalf("%s: row %d = %v", c.src, i, res.Rows[i])
+			}
+		}
+		if n > 8*uint64(len(c.keys)) {
+			t.Errorf("%s: %d page references, want at most %d", c.src, n, 8*len(c.keys))
+		}
 	}
 }
 

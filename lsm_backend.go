@@ -3,6 +3,7 @@ package bulkdel
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"bulkdel/internal/lsm"
 	"bulkdel/internal/record"
@@ -22,20 +23,21 @@ import (
 // compaction trigger.
 //
 // What LSM tables do not have: RIDs (rows are addressed by key),
-// secondary indexes, MVCC snapshot views, and the ⋈̸ bulk-delete planner
-// (tombstones make it unnecessary). Readers instead merge the memtable
-// and SSTables (point reads under the tree's own latch; scans snapshot
-// their sources and merge latch-free, so scan callbacks may re-enter the
-// table); deletes still take the engine's exclusive table lock and
-// advance the commit epoch, so the statement lifecycle, observability,
-// and locking semantics match the heap backend. Mutations under the
-// shared lock (inserts, forced compaction) additionally serialize on the
-// table's updMu, exactly like heap inserts: seq allocation, the WAL
-// append, the memtable apply, and any flush the mutation triggers must
-// form one atomic unit, or a concurrent mutation's flush could publish a
-// flushed-seq horizon covering a seq whose record is not yet in the
-// memtable — WAL replay would then skip it and the write would vanish
-// after a crash.
+// secondary indexes, and the ⋈̸ bulk-delete planner (tombstones make it
+// unnecessary). The key is their one access path: a lookup on field 0 is a
+// Get, a range on it a key-range merge. Readers merge the memtable and
+// SSTables (a one-off Get under the tree's own latch; everything else on an
+// lsm.Snapshot that reads latch-free, so scan callbacks may re-enter the
+// table, and a View holds one snapshot across its reads); deletes still
+// take the engine's exclusive table lock and advance the commit epoch, so
+// the statement lifecycle, observability, and locking semantics match the
+// heap backend. Mutations under the shared lock (inserts, forced
+// compaction) additionally serialize on the table's updMu, exactly like
+// heap inserts: seq allocation, the WAL append, the memtable apply, and any
+// flush the mutation triggers must form one atomic unit, or a concurrent
+// mutation's flush could publish a flushed-seq horizon covering a seq whose
+// record is not yet in the memtable — WAL replay would then skip it and the
+// write would vanish after a crash.
 
 // BackendLSM is the Options.Backend / Table.Backend() name of the LSM
 // storage backend; the zero value selects the heap backend.
@@ -205,15 +207,40 @@ func (l *lsmBackend) count() int64 {
 	return n
 }
 
-// lookup serves Table.Lookup: a point read on field 0, a filtered merged
-// scan on any other field.
+// lsmReader is what the read paths need of the tree: the live *lsm.Tree for
+// a one-off read, or the *lsm.Snapshot a View pins.
+type lsmReader interface {
+	Get(key int64) ([]byte, bool, error)
+	ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) error
+}
+
+// lookup serves Table.Lookup under the shared table lock.
 func (l *lsmBackend) lookup(field int, v int64) ([][]int64, error) {
-	if field != 0 {
-		return l.lookupRange(field, v, v)
-	}
 	l.tbl.lock.LockShared()
 	defer l.tbl.lock.UnlockShared()
-	rec, ok, err := l.tree.Get(v)
+	return l.lookupIn(l.tree, field, v)
+}
+
+// lookupRange serves Table.LookupRange under the shared table lock.
+func (l *lsmBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+	l.tbl.lock.LockShared()
+	defer l.tbl.lock.UnlockShared()
+	return l.lookupRangeIn(l.tree, field, lo, hi)
+}
+
+// scan serves Table.Scan under the shared table lock.
+func (l *lsmBackend) scan(fn func(rid RID, fields []int64) error) error {
+	l.tbl.lock.LockShared()
+	defer l.tbl.lock.UnlockShared()
+	return l.scanIn(l.tree, fn)
+}
+
+// lookupIn is a Get on field 0, a filtered merged scan on any other field.
+func (l *lsmBackend) lookupIn(r lsmReader, field int, v int64) ([][]int64, error) {
+	if field != 0 {
+		return l.lookupRangeIn(r, field, v, v)
+	}
+	rec, ok, err := r.Get(v)
 	if err != nil || !ok {
 		return nil, err
 	}
@@ -224,14 +251,12 @@ func (l *lsmBackend) lookup(field int, v int64) ([][]int64, error) {
 	return [][]int64{vals}, nil
 }
 
-// lookupRange serves Table.LookupRange: a key-range merge on field 0, a
-// filtered merged scan otherwise. Results arrive in key order.
-func (l *lsmBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+// lookupRangeIn is a key-range merge on field 0, a filtered merged scan
+// otherwise. Results arrive in key order.
+func (l *lsmBackend) lookupRangeIn(r lsmReader, field int, lo, hi int64) ([][]int64, error) {
 	if lo > hi {
 		return nil, nil
 	}
-	l.tbl.lock.LockShared()
-	defer l.tbl.lock.UnlockShared()
 	var out [][]int64
 	emit := func(_ int64, rec []byte) error {
 		if v := l.tbl.schema.Field(rec, field); v < lo || v > hi {
@@ -244,21 +269,18 @@ func (l *lsmBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
 		out = append(out, vals)
 		return nil
 	}
-	var err error
+	klo, khi := int64(math.MinInt64), int64(math.MaxInt64)
 	if field == 0 {
-		err = l.tree.ScanRange(lo, hi, emit)
-	} else {
-		err = l.tree.Scan(emit)
+		klo, khi = lo, hi
 	}
+	err := r.ScanRange(klo, khi, emit)
 	return out, err
 }
 
-// scan serves Table.Scan in key order. LSM rows have no RIDs; fn receives
+// scanIn visits every row in key order. LSM rows have no RIDs; fn receives
 // record.NilRID.
-func (l *lsmBackend) scan(fn func(rid RID, fields []int64) error) error {
-	l.tbl.lock.LockShared()
-	defer l.tbl.lock.UnlockShared()
-	return l.tree.Scan(func(_ int64, rec []byte) error {
+func (l *lsmBackend) scanIn(r lsmReader, fn func(rid RID, fields []int64) error) error {
+	return r.ScanRange(math.MinInt64, math.MaxInt64, func(_ int64, rec []byte) error {
 		vals, err := l.tbl.schema.Decode(rec)
 		if err != nil {
 			return err
@@ -266,6 +288,39 @@ func (l *lsmBackend) scan(fn func(rid RID, fields []int64) error) error {
 		return fn(record.NilRID, vals)
 	})
 }
+
+// hasIndexOnField: the key is the one access path.
+func (l *lsmBackend) hasIndexOnField(field int) bool { return field == 0 }
+
+// view pins one snapshot of the tree. The shared table lock is held only
+// while capturing: a delete applies its point tombstones one DeletePoint at
+// a time under the exclusive lock, so a capture without it could see half a
+// delete.
+func (l *lsmBackend) view() *View {
+	l.tbl.lock.LockShared()
+	defer l.tbl.lock.UnlockShared()
+	return &View{r: lsmView{l: l, s: l.tree.Snapshot()}, epoch: l.tbl.db.epochs.Current()}
+}
+
+// lsmView serves a View's reads from its pinned snapshot s.
+type lsmView struct {
+	l *lsmBackend
+	s *lsm.Snapshot
+}
+
+func (v lsmView) get(RID) ([]int64, bool, error) { return nil, false, notOnLSM(v.l.tbl.name) }
+
+func (v lsmView) lookup(field int, val int64) ([][]int64, error) {
+	return v.l.lookupIn(v.s, field, val)
+}
+
+func (v lsmView) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+	return v.l.lookupRangeIn(v.s, field, lo, hi)
+}
+
+func (v lsmView) scan(fn func(rid RID, fields []int64) error) error { return v.l.scanIn(v.s, fn) }
+
+func (v lsmView) close() { v.s.Close() }
 
 // keysWhere collects, by one merged scan, the keys of the rows whose field
 // value satisfies match — the victims of a delete on a non-key field.

@@ -2,6 +2,7 @@ package bulkdel
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -39,7 +40,8 @@ func newLSMDB(t *testing.T, n int, opts Options) (*DB, *Table) {
 // TestBackendParity drives one seeded statement sequence through every
 // storage backend behind Table and checks each step against a plain map:
 // the shared surface of the seam (insert, Lookup, LookupRange, Scan, Count,
-// IN-list BulkDelete, DeleteRange on the key and on a non-key field, Check)
+// the key reads of one View, IN-list BulkDelete, DeleteRange on the key and
+// on a non-key field, Check)
 // must mean the same thing whichever implementation holds the rows, before
 // and after a crash. Row sets are compared order-insensitively — physical
 // order on a heap, key order on LSM.
@@ -139,6 +141,40 @@ func TestBackendParity(t *testing.T) {
 				if err := tbl.Check(); err != nil {
 					t.Fatalf("%s: Check: %v", stage, err)
 				}
+				// One View answers k = live, k = dropped, an IN list with a
+				// duplicate and 450 (under the key-range delete's tombstone,
+				// then re-inserted), and k BETWEEN — what a SQL SELECT on the
+				// key lowers to.
+				live, dropped := int64(-1), int64(-1)
+				for k := int64(0); live < 0 || dropped < 0; k++ {
+					if _, ok := model[k]; !ok && dropped < 0 {
+						dropped = k
+					} else if ok && live < 0 {
+						live = k
+					}
+				}
+				view, err := tbl.View()
+				if err != nil {
+					t.Fatalf("%s: View: %v", stage, err)
+				}
+				defer view.Close()
+				for _, keys := range [][]int64{{live}, {dropped}, {live, live, dropped, 450}} {
+					var got, want [][]int64
+					for _, k := range keys {
+						rows, err := view.Lookup(0, k)
+						if err != nil {
+							t.Fatalf("%s: View.Lookup(0, %d): %v", stage, k, err)
+						}
+						got = append(got, rows...)
+						want = append(want, where(func(r []int64) bool { return r[0] == k })...)
+					}
+					requireSameRows(t, fmt.Sprintf("%s: View k IN %v", stage, keys), got, want)
+				}
+				rows, err = view.LookupRange(0, lo, lo+150)
+				if err != nil {
+					t.Fatalf("%s: View.LookupRange(0): %v", stage, err)
+				}
+				requireSameRows(t, stage+": View k BETWEEN", rows, where(func(r []int64) bool { return r[0] >= lo && r[0] <= lo+150 }))
 			}
 			// drop removes the model rows keep selects and returns how many.
 			drop := func(keep func(row []int64) bool) int64 {
@@ -550,13 +586,21 @@ func TestHeapOnlyOpsOnLSMTable(t *testing.T) {
 
 	id := func(v int64) int64 { return v }
 	refused := map[string]func() error{
-		"CreateIndex":       func() error { return s.CreateIndex(IndexOptions{Name: "IA", Field: 0}) },
-		"DropIndex":         func() error { return s.DropIndex("IA") },
-		"InsertDirect":      func() error { _, err := s.InsertDirect(1, 2, 3); return err },
-		"DeleteRow":         func() error { return s.DeleteRow(RID{}) },
-		"Get":               func() error { _, err := s.Get(RID{}); return err },
-		"LookupRIDs":        func() error { _, err := s.LookupRIDs(0, 1); return err },
-		"View":              func() error { _, err := s.View(); return err },
+		"CreateIndex":  func() error { return s.CreateIndex(IndexOptions{Name: "IA", Field: 0}) },
+		"DropIndex":    func() error { return s.DropIndex("IA") },
+		"InsertDirect": func() error { _, err := s.InsertDirect(1, 2, 3); return err },
+		"DeleteRow":    func() error { return s.DeleteRow(RID{}) },
+		"Get":          func() error { _, err := s.Get(RID{}); return err },
+		"LookupRIDs":   func() error { _, err := s.LookupRIDs(0, 1); return err },
+		"View.Get": func() error {
+			v, err := s.View()
+			if err != nil {
+				return err
+			}
+			defer v.Close()
+			_, _, err = v.Get(RID{})
+			return err
+		},
 		"BulkUpdate":        func() error { _, err := s.BulkUpdate(0, []int64{1}, 1, id, BulkOptions{}); return err },
 		"DeleteTraditional": func() error { _, err := s.DeleteTraditional(0, []int64{1}, true); return err },
 		"DeleteDropCreate":  func() error { _, err := s.DeleteDropCreate(0, []int64{1}); return err },
@@ -576,7 +620,10 @@ func TestHeapOnlyOpsOnLSMTable(t *testing.T) {
 	if got := s.EstimateMethods(0, 100, 0); len(got) != 0 {
 		t.Errorf("EstimateMethods = %v, want empty", got)
 	}
-	if s.HasIndexOnField(0) || s.IndexNames() != nil || s.IndexHeight("IA") != 0 {
+	if !s.HasIndexOnField(0) || s.HasIndexOnField(1) {
+		t.Error("an LSM table's access path is its key, field 0, alone")
+	}
+	if s.IndexNames() != nil || s.IndexHeight("IA") != 0 {
 		t.Error("LSM table reports an index")
 	}
 	s.SetDeletePolicy(true) // a no-op, not a panic
@@ -626,4 +673,120 @@ func TestHeapOnlyOpsOnLSMTable(t *testing.T) {
 	if got := h.Partitions(); got != 4 {
 		t.Errorf("heap table has %d partitions, want 4", got)
 	}
+}
+
+// TestViewOnLSMPinsItsSnapshot opens a View on an LSM table whose memtable
+// flushes every 8 entries, then overwrites and adds rows until flushes and
+// compactions have rebuilt the levels under it. The View keeps returning
+// the rows of the moment it opened, the files those compactions superseded
+// stay on disk until it closes, and they are gone after.
+func TestViewOnLSMPinsItsSnapshot(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTableLSM("R", 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.b = newLSMBackend(tbl, lsm.New(db.pool, 64, lsm.Options{MemLimit: 8, Devices: db.lsmDevices()}))
+	for i := int64(0); i < 40; i++ {
+		if _, err := tbl.Insert(i, 3*i, i%7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.DeleteRange(0, 10, 19, BulkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(40); i < 43; i++ { // rows in the memtable at capture
+		if _, err := tbl.Insert(i, 3*i, i%7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := tbl.LookupRange(0, 0, 1000)
+	if err != nil || len(want) != 33 {
+		t.Fatalf("rows before the view: %d, %v", len(want), err)
+	}
+	files := func() map[sim.FileID]bool {
+		out := make(map[sim.FileID]bool)
+		for _, lvl := range tbl.LSMManifest().Levels {
+			for _, meta := range lvl {
+				out[sim.FileID(meta.File)] = true
+			}
+		}
+		return out
+	}
+	pinned := files()
+	view, err := tbl.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); i < 400; i++ {
+			if _, err := tbl.Insert(i%60, -i, -1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func(stage string) {
+		t.Helper()
+		rows, err := view.LookupRange(0, 0, 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		requireSameRows(t, stage+": View.LookupRange", rows, want)
+		for _, k := range []int64{5, 15, 41, 45} {
+			rows, err := view.Lookup(0, k)
+			if err != nil {
+				t.Fatalf("%s: View.Lookup(0, %d): %v", stage, k, err)
+			}
+			requireSameRows(t, fmt.Sprintf("%s: View.Lookup(0, %d)", stage, k), rows, rowsWithKey(want, k))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		check("while inserting")
+	}
+	wg.Wait()
+	check("after inserting")
+
+	now := files()
+	var superseded []sim.FileID
+	for f := range pinned {
+		if !now[f] {
+			superseded = append(superseded, f)
+		}
+	}
+	if len(superseded) == 0 || len(now) == 0 {
+		t.Fatalf("no compaction superseded a pinned file (pinned %d, now %d)", len(pinned), len(now))
+	}
+	for _, f := range superseded {
+		if _, err := db.Disk().NumPages(f); err != nil {
+			t.Fatalf("superseded file %d dropped under an open view: %v", f, err)
+		}
+	}
+	view.Close()
+	for _, f := range superseded {
+		if _, err := db.Disk().NumPages(f); err == nil {
+			t.Errorf("superseded file %d still on disk after the view closed", f)
+		}
+	}
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rowsWithKey selects the rows whose key is k.
+func rowsWithKey(rows [][]int64, k int64) [][]int64 {
+	var out [][]int64
+	for _, r := range rows {
+		if r[0] == k {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -68,6 +68,11 @@ type backend interface {
 	lookup(field int, v int64) ([][]int64, error)
 	lookupRange(field int, lo, hi int64) ([][]int64, error)
 	scan(fn func(rid RID, fields []int64) error) error
+	// hasIndexOnField reports whether field has an access path: an index
+	// on the heap, the key (field 0) on LSM.
+	hasIndexOnField(field int) bool
+	// view pins one read state for Table.View.
+	view() *View
 	deleteIn(st *statement, field int, values []int64) (*BulkResult, error)
 	deleteRange(st *statement, field int, lo, hi int64) (*BulkResult, error)
 	check() error
@@ -82,12 +87,17 @@ type backend interface {
 
 // heap yields the heap implementation behind the table, or the one error
 // every heap-only entry point returns on an LSM table (which has no RIDs,
-// indexes, MVCC views, partitions or ⋈̸ planner).
+// secondary indexes, partitions or ⋈̸ planner).
 func (tbl *Table) heap() (*heapBackend, error) {
 	if h, ok := tbl.b.(*heapBackend); ok {
 		return h, nil
 	}
-	return nil, fmt.Errorf("bulkdel: not supported on LSM table %s", tbl.name)
+	return nil, notOnLSM(tbl.name)
+}
+
+// notOnLSM is the error a heap-only operation returns on an LSM table.
+func notOnLSM(name string) error {
+	return fmt.Errorf("bulkdel: not supported on LSM table %s", name)
 }
 
 // liveHeap is heap for the statements that refuse to start on a crashed
@@ -248,13 +258,9 @@ func (tbl *Table) Get(rid RID) ([]int64, error) {
 	return row, nil
 }
 
-// HasIndexOnField reports whether some index covers the field, i.e.
-// whether Lookup/LookupRIDs on it can use an access path.
-func (tbl *Table) HasIndexOnField(field int) bool {
-	// Asked once per SELECT: the assertion, not heap() and its error value.
-	h, ok := tbl.b.(*heapBackend)
-	return ok && h.t.IndexOnField(field) != nil
-}
+// HasIndexOnField reports whether Lookup on the field can use an access
+// path: an index on a heap table, the key (field 0) on an LSM table.
+func (tbl *Table) HasIndexOnField(field int) bool { return tbl.b.hasIndexOnField(field) }
 
 // Lookup returns all rows whose field equals v: on a heap table via an
 // index on the field (see heapBackend.lookup for the snapshot semantics), on
@@ -299,59 +305,69 @@ func (tbl *Table) Scan(fn func(rid RID, fields []int64) error) error {
 	return tbl.b.scan(fn)
 }
 
-// View opens a stable read view: a snapshot epoch held across calls, so a
-// sequence of reads observes one consistent state of the table regardless
-// of concurrent deletes. The view admits alongside a bulk delete's
-// exclusive lock (it blocks only behind Structural passes) and must be
-// Closed — an open view pins retained versions and holds a snapshot-reader
-// registration that Structural claims drain. Heap tables only.
+// View opens a stable read view: one state of the table held across calls,
+// so a sequence of reads observes it regardless of concurrent writes. On a
+// heap table that is an MVCC snapshot epoch: the view admits alongside a
+// bulk delete's exclusive lock (it blocks only behind Structural passes),
+// pins retained versions, and holds a snapshot-reader registration that
+// Structural claims drain. On an LSM table it is one source snapshot of the
+// tree, captured under the shared table lock so no delete is half-applied
+// in it. Either way the view must be Closed.
 func (tbl *Table) View() (*View, error) {
-	h, err := tbl.liveHeap()
-	if err != nil {
-		return nil, err
+	if tbl.db.crashed.Load() {
+		return nil, errCrashed
 	}
-	return &View{h: h, s: h.beginSnapshotRead()}, nil
+	return tbl.b.view(), nil
 }
 
-// View is a stable MVCC read view over one table. Its read methods mirror
-// the table's, evaluated at the view's snapshot epoch. Not safe for
-// concurrent use by multiple goroutines.
+// View is a stable read view over one table. Its read methods mirror the
+// table's, evaluated at the view's pinned state. Not safe for concurrent
+// use by multiple goroutines.
 type View struct {
-	h      *heapBackend
-	s      uint64
+	r      viewReader
+	epoch  uint64
 	closed bool
 }
 
-// Epoch returns the view's snapshot epoch.
-func (v *View) Epoch() uint64 { return v.s }
+// viewReader is one backend's pinned read state behind a View.
+type viewReader interface {
+	get(rid RID) ([]int64, bool, error)
+	lookup(field int, v int64) ([][]int64, error)
+	lookupRange(field int, lo, hi int64) ([][]int64, error)
+	scan(fn func(rid RID, fields []int64) error) error
+	close()
+}
 
-// Close releases the view's snapshot. Idempotent.
+// Epoch returns the commit epoch the view reads at.
+func (v *View) Epoch() uint64 { return v.epoch }
+
+// Close releases the view's pinned state. Idempotent.
 func (v *View) Close() {
 	if !v.closed {
 		v.closed = true
-		v.h.endSnapshotRead(v.s)
+		v.r.close()
 	}
 }
 
 // Get decodes the record at rid as of the view's snapshot; ok is false when
-// the snapshot holds no such row.
+// the snapshot holds no such row. Heap tables only: LSM rows have no RID.
 func (v *View) Get(rid RID) (fields []int64, ok bool, err error) {
-	return v.h.t.SnapshotRow(rid, v.s)
+	return v.r.get(rid)
 }
 
 // Lookup returns all rows whose field equals val, as of the snapshot.
 func (v *View) Lookup(field int, val int64) ([][]int64, error) {
-	return v.h.rowsAt(field, val, val, v.s)
+	return v.r.lookup(field, val)
 }
 
 // LookupRange returns all rows with lo <= field <= hi, as of the snapshot.
 func (v *View) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	return v.h.rowsAt(field, lo, hi, v.s)
+	return v.r.lookupRange(field, lo, hi)
 }
 
 // Scan calls fn for every row visible to the snapshot.
 func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
-	return v.h.t.SnapshotScan(v.s, fn)
+	return v.r.scan(fn)
 }
 
 // Check verifies every structural invariant of the backend (heap/index
