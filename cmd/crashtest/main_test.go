@@ -65,7 +65,7 @@ func TestSummaryLines(t *testing.T) {
 	// -method probe sweeps the probe scenario; its cancelled runs settle on
 	// the digest the parent commit's DeleteTraditional(sorted) left.
 	runCLI(t, 0, []string{"-method", "probe", "-stride", "40"}, "",
-		"probe:    327 I/Os, swept 9 ordinals, 0 failed, digest ")
+		"probe:    322 I/Os, swept 9 ordinals, 0 failed, digest ")
 	runCLI(t, 0, []string{"-cancel", "-method", "probe", "-stride", "40"}, " 0 failed, reference 442fef5ba8b3ed11",
 		"probe:    cancel sweep: 324 I/Os, swept 9 ordinals, ")
 	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",

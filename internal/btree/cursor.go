@@ -139,7 +139,7 @@ func (c *LeafCursor) NextLeaf() (bool, error) {
 	if c.next == sim.InvalidPage {
 		return false, nil
 	}
-	fr, err := c.t.pool.GetForScan(c.t.id, c.next)
+	fr, err := c.t.pool.GetForScan(c.t.id, c.next, buffer.FullRun)
 	if err != nil {
 		return false, err
 	}
@@ -313,7 +313,7 @@ func (t *Tree) RebuildUpper(reorg bool) error {
 	pg := leftmost
 	var total int64
 	for pg != sim.InvalidPage {
-		fr, err := t.pool.GetForScan(t.id, pg)
+		fr, err := t.pool.GetForScan(t.id, pg, buffer.FullRun)
 		if err != nil {
 			return err
 		}

@@ -392,7 +392,7 @@ func (t *Tree) ScanAll(fn func(key []byte, rid record.RID) error) error {
 		return err
 	}
 	for pg != sim.InvalidPage {
-		fr, err := t.pool.GetForScan(t.id, pg)
+		fr, err := t.pool.GetForScan(t.id, pg, buffer.FullRun)
 		if err != nil {
 			return err
 		}

@@ -40,7 +40,7 @@ func TestScanReadErrorWrapsRange(t *testing.T) {
 	f := mkFile(t, d, 12)
 	p := New(d, 16*sim.PageSize)
 	d.SetFaultPlan(sim.NewFaultPlan().FailReadAt(2, nil))
-	_, err := p.GetForScan(f, 0)
+	_, err := p.GetForScan(f, 0, FullRun)
 	if err == nil {
 		t.Fatal("GetForScan should fail")
 	}

@@ -25,6 +25,7 @@ package buffer
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,9 @@ func (p *Pool) SetReadAhead(pages int) {
 	p.mu.Unlock()
 }
 
-func (p *Pool) getReadAhead() int {
+// ReadAhead returns the chained-I/O run length: the most pages one
+// GetForScan miss reads.
+func (p *Pool) ReadAhead() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.readAhead
@@ -315,12 +318,16 @@ func (p *Pool) Get(file sim.FileID, page sim.PageNo) (*Frame, error) {
 	return f, nil
 }
 
+// FullRun asks GetForScan for as long a run as the pool allows: the run of a
+// sequential scan, which will read every page that follows.
+const FullRun = math.MaxInt
+
 // GetForScan behaves like Get but, on a miss, reads ahead: it issues one
-// chained read covering the longest non-resident run starting at page (up
-// to the configured read-ahead length and the end of the file). The extra
-// pages are installed unpinned so the following Gets of a sequential scan
-// hit the pool.
-func (p *Pool) GetForScan(file sim.FileID, page sim.PageNo) (*Frame, error) {
+// chained read of up to run pages starting at page, clipped at the
+// configured read-ahead length, the end of the file and the first resident
+// page (run ≤ 1 reads page alone). The extra pages are installed unpinned so
+// the caller's following Gets hit the pool.
+func (p *Pool) GetForScan(file sim.FileID, page sim.PageNo, run int) (*Frame, error) {
 	s := p.shardOf(file)
 	cap := p.shardCap()
 	s.mu.Lock()
@@ -331,10 +338,7 @@ func (p *Pool) GetForScan(file sim.FileID, page sim.PageNo) (*Frame, error) {
 		return f, nil
 	}
 	s.stats.Misses++
-	run := p.getReadAhead()
-	if run > cap/2 {
-		run = cap / 2
-	}
+	run = min(run, p.ReadAhead(), cap/2)
 	if run < 1 {
 		run = 1
 	}

@@ -203,7 +203,7 @@ func TestGetForScanReadAhead(t *testing.T) {
 	p.SetReadAhead(8)
 	d.ResetStats()
 	clock0 := d.Clock()
-	fr, err := p.GetForScan(f, 0)
+	fr, err := p.GetForScan(f, 0, FullRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGetForScanReadAhead(t *testing.T) {
 	// Pages 1..7 now hit.
 	p.ResetStats()
 	for i := 1; i < 8; i++ {
-		fr, err := p.GetForScan(f, sim.PageNo(i))
+		fr, err := p.GetForScan(f, sim.PageNo(i), FullRun)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,6 +226,30 @@ func TestGetForScanReadAhead(t *testing.T) {
 	}
 	if st := p.Stats(); st.Misses != 0 || st.Hits != 7 {
 		t.Fatalf("read-ahead pages not resident: hits=%d misses=%d", st.Hits, st.Misses)
+	}
+}
+
+// TestGetForScanReadsTheRunAskedFor: a caller that names its run gets that
+// many pages in one chained read — one page alone for a run of 1 — and never
+// more than the read-ahead length.
+func TestGetForScanReadsTheRunAskedFor(t *testing.T) {
+	for _, tc := range []struct{ run, reads int }{{1, 1}, {0, 1}, {3, 3}, {20, 8}} {
+		d := testDisk()
+		f := mkFile(t, d, 64)
+		p := New(d, 64*sim.PageSize)
+		p.SetReadAhead(8)
+		d.ResetStats()
+		fr, err := p.GetForScan(f, 10, tc.run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(fr, false)
+		if st := d.Stats(); int(st.Reads) != tc.reads || st.RandomOps != 1 {
+			t.Fatalf("run %d: %d pages in %d positionings, want %d in 1", tc.run, st.Reads, st.RandomOps, tc.reads)
+		}
+		if got := p.Resident(); got != tc.reads {
+			t.Fatalf("run %d: %d pages resident, want %d", tc.run, got, tc.reads)
+		}
 	}
 }
 
@@ -242,7 +266,7 @@ func TestGetForScanClipsAtResidentPage(t *testing.T) {
 	fr.Data()[0] = 0xEE
 	p.Unpin(fr, true)
 	// Scan from page 0: run must stop before page 3.
-	fr, err = p.GetForScan(f, 0)
+	fr, err = p.GetForScan(f, 0, FullRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +286,12 @@ func TestGetForScanEndOfFile(t *testing.T) {
 	f := mkFile(t, d, 5)
 	p := New(d, 32*sim.PageSize)
 	p.SetReadAhead(8)
-	fr, err := p.GetForScan(f, 3)
+	fr, err := p.GetForScan(f, 3, FullRun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Unpin(fr, false)
-	if _, err := p.GetForScan(f, 5); err == nil {
+	if _, err := p.GetForScan(f, 5, FullRun); err == nil {
 		t.Fatal("scan past EOF should fail")
 	}
 }
@@ -450,7 +474,7 @@ func TestGetForScanFallsBackWhenPinned(t *testing.T) {
 		pinned = append(pinned, fr)
 	}
 	// One frame left: the scan must fall back to a single-page fetch.
-	fr, err := p.GetForScan(f, 0)
+	fr, err := p.GetForScan(f, 0, FullRun)
 	if err != nil {
 		t.Fatalf("scan with crowded pool: %v", err)
 	}

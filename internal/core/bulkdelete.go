@@ -387,7 +387,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		return nil
 	}
 	toSorter := func(f sim.FileID, row []byte) error { return sorters[f].Add(row) }
-	toSorters := func(rid record.RID, rec []byte) error { return e.keyRows(rest, rid, rec, toSorter) }
+	toSorters := func(rid record.RID, rec []byte) (bool, error) { return false, e.keyRows(rest, rid, rec, toSorter) }
 	// stageKeys moves an index's sorted key list into a row file on the
 	// device stageDev names.
 	stageKeys := func(ix *IndexRef) (*rowFile, error) {
@@ -487,7 +487,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 				if err := newSorters(); err != nil {
 					return 0, 0, err
 				}
-				var extract func(record.RID, []byte) error
+				var extract visitFn
 				if method == HashPartition {
 					for _, ix := range rest {
 						kf, err := newRowFileOn(disk, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
@@ -497,7 +497,9 @@ func (e *execCtx) run(field int, values []int64, method Method,
 						keyFiles[ix.Tree.ID()] = kf
 					}
 					toKeyFile := func(f sim.FileID, row []byte) error { return keyFiles[f].append(row) }
-					extract = func(rid record.RID, rec []byte) error { return e.keyRows(rest, rid, rec, toKeyFile) }
+					extract = func(rid record.RID, rec []byte) (bool, error) {
+						return false, e.keyRows(rest, rid, rec, toKeyFile)
+					}
 				} else if len(rest) > 0 {
 					extract = toSorters
 				}

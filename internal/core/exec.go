@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"bulkdel/internal/heap"
@@ -31,6 +32,9 @@ type execCtx struct {
 	sinceCkpt int
 	applied   int64 // rows applied to the current structure
 	crash     crashCounters
+	// emptiedLeaf records that a leaf pass deleted the last entry of a leaf,
+	// which only RebuildUpper splices out of the tree.
+	emptiedLeaf bool
 	// parWorkers is the degree of parallelism chosen for phase 3 (1 =
 	// serial); scratchDev is the device scratch row files of this context
 	// must be created on, so a parallel index pass never touches another
@@ -297,13 +301,17 @@ func (l *ridList) add(rid record.RID) error {
 
 func (l *ridList) sorted() (*xsort.Iterator, error) { return l.srt.Finish() }
 
-// heapPassSortedRIDs walks the heap in the physical order of the sorted RID
-// rows (skip-sequential merge, the ⋈̸ with R of Figure 3). When extract is
-// non-nil each victim record is handed over before deletion; when del is
-// false the pass is read-only (the logged extraction pass).
-func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool,
-	extract func(rid record.RID, rec []byte) error) (int64, error) {
+// visitFn sees a victim's record where it lies on the pinned page, before any
+// delete, and reports whether it changed the record's bytes.
+type visitFn func(rid record.RID, rec []byte) (dirtied bool, err error)
 
+// heapPassSortedRIDs walks the heap in the physical order of the sorted RID
+// rows (skip-sequential merge, the ⋈̸ with R of Figure 3). When visit is
+// non-nil each victim record is handed to it in place; when del is false the
+// pass deletes nothing (the logged extraction pass, a projection, a bulk
+// update). It reads only victim pages, and the pages a chained read passes
+// through on its way from one to the next (ridLookahead.runEnd).
+func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool, visit visitFn) (int64, error) {
 	ed, err := e.tgt.Heap.Edit()
 	if err != nil {
 		return 0, err
@@ -311,19 +319,23 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool,
 	defer ed.Close()
 	var deleted int64
 	flush := func() error { return e.tgt.Heap.Flush() }
+	list := &ridLookahead{next: rids, gap: chainGap(e.disk().CostModelInUse()), window: e.tgt.Pool.ReadAhead()}
 	curPage := sim.InvalidPage
 	var sp pageView
 	for {
-		row, ok, err := rids()
+		rid, ok, err := list.pop()
 		if err != nil {
 			return deleted, err
 		}
 		if !ok {
 			break
 		}
-		rid := record.GetRID(row)
 		if rid.Page != curPage {
-			s, err := ed.Seek(rid.Page)
+			upTo, err := list.runEnd(rid.Page)
+			if err != nil {
+				return deleted, err
+			}
+			s, err := ed.Seek(rid.Page, upTo)
 			if err != nil {
 				if e.opts.IgnoreMissing && errors.Is(err, heap.ErrPageRange) {
 					// The page was released (a resumed run re-walking a
@@ -348,13 +360,17 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool,
 			}
 			return deleted, fmt.Errorf("core: victim %s is not a live record", rid)
 		}
-		if extract != nil {
+		if visit != nil {
 			rec, err := sp.s.Get(int(rid.Slot))
 			if err != nil {
 				return deleted, err
 			}
-			if err := extract(rid, rec); err != nil {
+			dirtied, err := visit(rid, rec)
+			if err != nil {
 				return deleted, err
+			}
+			if dirtied {
+				ed.MarkDirty()
 			}
 		}
 		if del {
@@ -386,6 +402,68 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool,
 	return deleted, nil
 }
 
+// chainGap is how many pages a chained read may pass over to reach the next
+// victim page: reading them costs no more than the seek and rotation a fresh
+// read of that page would pay.
+func chainGap(cm sim.CostModel) sim.PageNo {
+	if cm.TransferPage <= 0 {
+		return math.MaxUint32
+	}
+	return sim.PageNo((cm.Seek + cm.Rotation) / cm.TransferPage)
+}
+
+// ridLookahead reads a sorted RID list ahead of the heap pass, so that a page
+// missing from the pool can be read together with the victim pages just past
+// it. The peeked RIDs are decoded copies (a row aliases its iterator's
+// buffer), and they count as applied only when pop hands them out.
+type ridLookahead struct {
+	next   rowIter
+	gap    sim.PageNo
+	window int          // the longest chained read, in pages
+	ahead  []record.RID // peeked, not yet popped
+}
+
+// peek returns the i-th RID not yet popped; ok is false past the list's end.
+func (l *ridLookahead) peek(i int) (record.RID, bool, error) {
+	for len(l.ahead) <= i {
+		row, ok, err := l.next()
+		if err != nil || !ok {
+			return record.NilRID, false, err
+		}
+		l.ahead = append(l.ahead, record.GetRID(row))
+	}
+	return l.ahead[i], true, nil
+}
+
+// pop returns the next RID of the list.
+func (l *ridLookahead) pop() (record.RID, bool, error) {
+	rid, ok, err := l.peek(0)
+	if ok {
+		l.ahead = l.ahead[1:]
+	}
+	return rid, ok, err
+}
+
+// runEnd returns the last page a read of page p should chain through: the
+// farthest victim page after p that hops of at most gap skipped pages reach,
+// with the run no longer than the window.
+func (l *ridLookahead) runEnd(p sim.PageNo) (sim.PageNo, error) {
+	upTo := p
+	for i := 0; ; i++ {
+		rid, ok, err := l.peek(i)
+		if err != nil || !ok {
+			return upTo, err
+		}
+		if rid.Page <= upTo {
+			continue
+		}
+		if rid.Page-upTo-1 > l.gap || int(rid.Page-p) >= l.window {
+			return upTo, nil
+		}
+		upTo = rid.Page
+	}
+}
+
 // pageView wraps the seeked slotted page (kept tiny to avoid importing page
 // into signatures). Get aliases the pinned page, so bulk updates mutate
 // records through it in place.
@@ -413,7 +491,7 @@ func heapDeleteByRIDProbe(e *execCtx, ridSet map[record.RID]struct{}) (int64, er
 			defer ed.Close()
 			numPages := sim.PageNo(ed.NumDataPages())
 			for pg := sim.PageNo(1); pg <= numPages; pg++ {
-				sp, err := ed.Seek(pg)
+				sp, err := ed.Seek(pg, numPages)
 				if err != nil {
 					return err
 				}
@@ -526,11 +604,11 @@ func CollectVictimFieldValues(tgt *Target, field int, values []int64, wantFields
 	if err != nil {
 		return nil, err
 	}
-	_, err = heapPassSortedRIDs(e, it.Next, false, func(_ record.RID, rec []byte) error {
+	_, err = heapPassSortedRIDs(e, it.Next, false, func(_ record.RID, rec []byte) (bool, error) {
 		for _, f := range wantFields {
 			out[f] = append(out[f], tgt.Schema.Field(rec, f))
 		}
-		return nil
+		return false, nil
 	})
 	if err != nil {
 		return nil, err

@@ -114,6 +114,7 @@ func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool
 					return hits, err
 				}
 				n--
+				e.emptiedLeaf = e.emptiedLeaf || n == 0
 			} else {
 				i++
 			}

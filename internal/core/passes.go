@@ -75,7 +75,11 @@ func (j *passJob) run(ce *execCtx) (deleted int64, parts int, err error) {
 	if deleted, parts, err = j.body(ce); err != nil {
 		return deleted, parts, err
 	}
-	if j.tree != nil && !j.probed {
+	// A leaf pass that left no leaf empty kept every separator valid, so the
+	// inner levels stand as they are — unless §2.3 reorganization was asked
+	// for, or this is a resumed run, which cannot tell what its first
+	// attempt emptied.
+	if j.tree != nil && !j.probed && (ce.emptiedLeaf || ce.opts.Reorganize || ce.opts.IgnoreMissing) {
 		if err := j.tree.RebuildUpper(ce.opts.Reorganize); err != nil {
 			return deleted, parts, err
 		}

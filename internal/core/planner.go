@@ -141,8 +141,8 @@ func (p pricer) chain(n float64) time.Duration {
 
 // leafPass prices the pass arm of an index ⋈̸ over lp leaf pages of which
 // dirty get modified: the chained walk, the write-back, and — rebuild set,
-// every destructive pass — RebuildUpper's second walk over the leaf level
-// and its rewrite of the inner one.
+// a destructive pass that can empty a leaf — RebuildUpper's second walk over
+// the leaf level and its rewrite of the inner one.
 func (p pricer) leafPass(ix *IndexRef, lp, dirty float64, rebuild bool) time.Duration {
 	t := p.chain(lp) + pages(dirty, p.writeIO)
 	if rebuild {
@@ -175,15 +175,17 @@ func (p pricer) arms(ix *IndexRef, rows, span float64, del bool) (pass, byProbes
 	// unique index holds at most one entry per key value, which bounds a
 	// clustered victim set far below that.
 	touched := lp * (1 - math.Pow(1-1/lp, rows))
+	perLeaf := math.Max(1, float64(ix.Tree.Count())/lp)
 	if span > 0 && ix.Unique {
-		perLeaf := math.Max(1, float64(ix.Tree.Count())/lp)
 		touched = math.Min(touched, span/perLeaf+1)
 	}
 	dirty := 0.0
 	if del {
 		dirty = touched
 	}
-	return p.leafPass(ix, lp, dirty, del), p.probes(touched, del)
+	// Fewer victims than a leaf holds on average are priced as emptying no
+	// leaf, so the pass keeps the inner levels (passJob.run).
+	return p.leafPass(ix, lp, dirty, del && rows >= perLeaf), p.probes(touched, del)
 }
 
 // probeCheaper reports whether one ⋈̸ of ix alone is cheaper by probes than

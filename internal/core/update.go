@@ -103,56 +103,30 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 		defer ns.Close()
 	}
 
-	err = func() error {
-		ed, err := tgt.Heap.Edit()
-		if err != nil {
-			return err
+	_, err = heapPassSortedRIDs(e, ridIt.Next, false, func(rid record.RID, rec []byte) (bool, error) {
+		oldVal := tgt.Schema.Field(rec, setField)
+		newVal := transform(oldVal)
+		if newVal == oldVal {
+			return false, nil // no index churn, no write
 		}
-		defer ed.Close()
-		curPage := sim.InvalidPage
-		var sp pageView
-		for {
-			row, ok, err := ridIt.Next()
-			if err != nil || !ok {
-				return err
+		for _, ix := range touched {
+			buf := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
+			keyenc.PutInt64(buf, oldVal)
+			record.PutRID(buf[ix.Tree.KeyLen():], rid)
+			if err := oldSorters[ix.Tree.ID()].Add(buf); err != nil {
+				return false, err
 			}
-			rid := record.GetRID(row)
-			if rid.Page != curPage {
-				s, err := ed.Seek(rid.Page)
-				if err != nil {
-					return err
-				}
-				curPage = rid.Page
-				sp = pageView{s: s}
+			keyenc.PutInt64(buf, newVal)
+			if err := newSorters[ix.Tree.ID()].Add(buf); err != nil {
+				return false, err
 			}
-			rec, err := sp.s.Get(int(rid.Slot))
-			if err != nil {
-				return err
-			}
-			oldVal := tgt.Schema.Field(rec, setField)
-			newVal := transform(oldVal)
-			if newVal == oldVal {
-				continue // no index churn, no write
-			}
-			for _, ix := range touched {
-				buf := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
-				keyenc.PutInt64(buf, oldVal)
-				record.PutRID(buf[ix.Tree.KeyLen():], rid)
-				if err := oldSorters[ix.Tree.ID()].Add(buf); err != nil {
-					return err
-				}
-				keyenc.PutInt64(buf, newVal)
-				if err := newSorters[ix.Tree.ID()].Add(buf); err != nil {
-					return err
-				}
-			}
-			// In-place mutation: the record is aliased into the pinned page.
-			tgt.Schema.SetField(rec, setField, newVal)
-			ed.MarkDirty()
-			disk.ChargeRecords(1)
-			stats.Updated++
 		}
-	}()
+		// In-place mutation: the record is aliased into the pinned page.
+		tgt.Schema.SetField(rec, setField, newVal)
+		disk.ChargeRecords(1)
+		stats.Updated++
+		return true, nil
+	})
 	if err != nil {
 		return nil, err
 	}

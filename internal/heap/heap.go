@@ -148,7 +148,7 @@ func Open(pool *buffer.Pool, id sim.FileID) (*File, error) {
 		return nil, err
 	}
 	for p := sim.PageNo(1); p < n; p++ {
-		fr, err := pool.GetForScan(id, p)
+		fr, err := pool.GetForScan(id, p, buffer.FullRun)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +346,7 @@ func (f *File) Scan(fn func(rid record.RID, rec []byte) error) error {
 			f.latch.RUnlock()
 			return nil
 		}
-		fr, err := f.pool.GetForScan(f.id, p)
+		fr, err := f.pool.GetForScan(f.id, p, buffer.FullRun)
 		if err != nil {
 			f.latch.RUnlock()
 			return err
@@ -375,8 +375,9 @@ func (f *File) Scan(fn func(rid record.RID, rec []byte) error) error {
 }
 
 // PageEditor gives a bulk operation direct, page-at-a-time access to the
-// heap so it can delete many records on a page with one pin. The editor
-// visits every data page in physical order.
+// heap so it can delete many records on a page with one pin. It visits the
+// data pages its caller seeks, in whatever order, and reads each one missing
+// from the pool together with the pages the caller says it will seek next.
 type PageEditor struct {
 	f    *File
 	n    sim.PageNo
@@ -394,10 +395,12 @@ func (f *File) EditPages() (*PageEditor, error) {
 	return &PageEditor{f: f, n: n, cur: 0}, nil
 }
 
-// Seek positions the editor on data page p (fetching it sequentially when
-// p follows the previous page) and returns the slotted page. The page stays
-// pinned until the next Seek or Close.
-func (e *PageEditor) Seek(p sim.PageNo) (page.Slotted, error) {
+// Seek positions the editor on data page p and returns the slotted page. A
+// p missing from the pool is read in one chained run with the pages after it
+// through upTo (upTo ≤ p reads p alone), so a caller that will seek those
+// next finds them resident. The page stays pinned until the next Seek or
+// Close.
+func (e *PageEditor) Seek(p, upTo sim.PageNo) (page.Slotted, error) {
 	if p < 1 || p >= e.n {
 		return page.Slotted{}, fmt.Errorf("heap: edit of page %d outside data pages [1,%d): %w", p, e.n, ErrPageRange)
 	}
@@ -409,7 +412,7 @@ func (e *PageEditor) Seek(p sim.PageNo) (page.Slotted, error) {
 		e.fr = nil
 		e.dirt = false
 	}
-	fr, err := e.f.pool.GetForScan(e.f.id, p)
+	fr, err := e.f.pool.GetForScan(e.f.id, p, int(min(upTo, e.n-1))-int(p)+1)
 	if err != nil {
 		return page.Slotted{}, err
 	}

@@ -332,7 +332,7 @@ func TestPageEditor(t *testing.T) {
 	}
 	// Delete slot 0 of every page via the editor.
 	for pg := sim.PageNo(1); pg <= 5; pg++ {
-		if _, err := ed.Seek(pg); err != nil {
+		if _, err := ed.Seek(pg, pg); err != nil {
 			t.Fatal(err)
 		}
 		if err := ed.DeleteSlot(0); err != nil {
@@ -348,10 +348,10 @@ func TestPageEditor(t *testing.T) {
 	}
 	// Seek outside range.
 	ed2, _ := f.EditPages()
-	if _, err := ed2.Seek(0); err == nil {
+	if _, err := ed2.Seek(0, 0); err == nil {
 		t.Fatal("seek to header page should fail")
 	}
-	if _, err := ed2.Seek(99); err == nil {
+	if _, err := ed2.Seek(99, 99); err == nil {
 		t.Fatal("seek past EOF should fail")
 	}
 	if err := ed2.DeleteSlot(1); err == nil {
@@ -466,7 +466,7 @@ func TestEditorInPlaceMutationDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := ed.Seek(rids[0].Page)
+	sp, err := ed.Seek(rids[0].Page, rids[0].Page)
 	if err != nil {
 		t.Fatal(err)
 	}

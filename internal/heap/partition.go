@@ -61,14 +61,14 @@ func SplitPage(p sim.PageNo) (int, sim.PageNo) {
 var ErrPageRange = errors.New("page outside data pages")
 
 // Editor is the page-at-a-time bulk-edit interface over a Store: Seek pins
-// one data page, DeleteSlot/MarkDirty mutate it, the next Seek (or Close)
-// unpins it. *PageEditor implements it for a single file; a partitioned
-// store routes seeks to per-partition editors by the page's partition tag.
+// one data page (reading it, on a miss, in one run with the pages through
+// upTo), DeleteSlot/MarkDirty mutate it, the next Seek (or Close) unpins it.
+// *PageEditor implements it for a single file; a partitioned store routes
+// seeks to per-partition editors by the page's partition tag.
 type Editor interface {
-	Seek(p sim.PageNo) (page.Slotted, error)
+	Seek(p, upTo sim.PageNo) (page.Slotted, error)
 	DeleteSlot(slot int) error
 	MarkDirty()
-	NumDataPages() int
 	Close()
 }
 
@@ -135,7 +135,7 @@ func (f *File) TruncateWith(retain func(rid record.RID, rec []byte)) error {
 			return err
 		}
 		for p := sim.PageNo(1); p < n; p++ {
-			fr, err := f.pool.GetForScan(f.id, p)
+			fr, err := f.pool.GetForScan(f.id, p, buffer.FullRun)
 			if err != nil {
 				return err
 			}
@@ -433,8 +433,14 @@ type partEditor struct {
 	cur int // partition of the last successful Seek
 }
 
-func (e *partEditor) Seek(p sim.PageNo) (page.Slotted, error) {
+// Seek reads ahead through upTo only within p's partition: the next
+// partition's pages live in another file.
+func (e *partEditor) Seek(p, upTo sim.PageNo) (page.Slotted, error) {
 	part, raw := SplitPage(p)
+	upPart, rawUpTo := SplitPage(upTo)
+	if upPart != part {
+		rawUpTo = raw
+	}
 	if part >= len(e.ph.parts) {
 		return page.Slotted{}, fmt.Errorf("heap: seek to page %d names partition %d of %d: %w",
 			p, part, len(e.ph.parts), ErrPageRange)
@@ -446,7 +452,7 @@ func (e *partEditor) Seek(p sim.PageNo) (page.Slotted, error) {
 		}
 		e.eds[part] = ed
 	}
-	sp, err := e.eds[part].Seek(raw)
+	sp, err := e.eds[part].Seek(raw, rawUpTo)
 	if err != nil {
 		return page.Slotted{}, err
 	}
@@ -465,16 +471,6 @@ func (e *partEditor) MarkDirty() {
 	if e.cur >= 0 {
 		e.eds[e.cur].MarkDirty()
 	}
-}
-
-func (e *partEditor) NumDataPages() int {
-	var n int
-	for _, ed := range e.eds {
-		if ed != nil {
-			n += ed.NumDataPages()
-		}
-	}
-	return n
 }
 
 func (e *partEditor) Close() {

@@ -137,6 +137,48 @@ func TestPartitionedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartEditorChainsWithinPartition: a seek reads ahead through upTo when
+// upTo names the same partition, and reads its page alone when upTo lies in
+// the next partition's file.
+func TestPartEditorChainsWithinPartition(t *testing.T) {
+	p := testPool(64)
+	s := partSchema()
+	ph, err := CreatePartitioned(p, s, PartitionSpec{Field: 0, HashParts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 600; i++ { // five data pages per partition
+		if _, err := ph.Insert(partRec(t, s, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ph.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p.InvalidateAll()
+	ed, err := ph.Edit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ed.Close()
+	for _, tc := range []struct {
+		p, upTo sim.PageNo
+		reads   uint64
+	}{
+		{TagPage(0, 1), TagPage(0, 2), 2},
+		{TagPage(0, 3), TagPage(1, 5), 1},
+		{TagPage(1, 2), TagPage(1, 2), 1},
+	} {
+		before := p.Disk().Stats().Reads
+		if _, err := ed.Seek(tc.p, tc.upTo); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Disk().Stats().Reads - before; got != tc.reads {
+			t.Errorf("Seek(%#x, %#x) read %d pages, want %d", tc.p, tc.upTo, got, tc.reads)
+		}
+	}
+}
+
 func TestEmptyPartition(t *testing.T) {
 	// Keys 0..99 all land in partition 0 of [..,1000) [1000,2000) [2000,..):
 	// partitions 1 and 2 stay empty and every operation must cope.
