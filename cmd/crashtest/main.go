@@ -14,6 +14,7 @@
 //	crashtest -rebalance              # crash an online device rebalancing, and a bulk delete on a 4-way partitioned heap
 //	crashtest -lsm                    # crash the LSM delete + compaction sequences, and a heap delete beside an LSM table
 //	crashtest -cancel                 # cancel (not crash) at every ordinal
+//	crashtest -rebalance -cancel      # cancel the partitioned-heap bulk delete at every ordinal
 //	crashtest -reader                 # crash/cancel under a concurrent MVCC snapshot reader
 //	crashtest -metrics-json           # dump the accumulated fault counters
 //
@@ -90,6 +91,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *concurrent:
 		scenarios = []string{"concurrent"}
+	case *rebalance && *cancelMode:
+		scenarios, perMethod = []string{"parted-cancel"}, false
 	case *rebalance:
 		scenarios, perMethod = []string{"rebalance", "parted"}, false
 	case *lsmMode:
@@ -208,6 +211,7 @@ var kinds = map[string]kind{
 	"lsm-heap":      {fired: "crash", digest: true},
 	"concurrent":    {title: "concurrent 2-table batch: ", fired: "crash"},
 	"cancel":        {title: "cancel sweep: ", fired: "cancelled", reference: true},
+	"parted-cancel": {title: "cancel sweep: ", fired: "cancelled", reference: true},
 	"reader":        {title: "reader crash sweep: ", fired: "fired"},
 	"reader-cancel": {title: "reader cancel sweep: ", fired: "fired"},
 }

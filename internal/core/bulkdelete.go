@@ -75,7 +75,8 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 			if err != nil {
 				return err
 			}
-			if victimFile, err = materializeOn(e, it, keyenc.Int64Width, -1); err != nil {
+			defer it.Close()
+			if victimFile, err = materializeOn(e, it.Next, keyenc.Int64Width, -1); err != nil {
 				return err
 			}
 			// Payload: victim row count + delete attribute, so recovery can
@@ -170,7 +171,7 @@ func finishTiming(stats *Stats, disk *sim.Disk) {
 type resumeState struct {
 	st       wal.BulkState
 	ridFile  *rowFile
-	keyFiles map[sim.FileID]*rowFile
+	keyFiles map[sim.FileID][]*rowFile
 }
 
 // run executes the phases: it builds each phase's jobs and hands them to
@@ -285,7 +286,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			if err != nil {
 				return err
 			}
-			if ridFile, err = materializeOn(e, it, record.RIDSize, -1); err != nil {
+			if ridFile, err = materializeOn(e, it.Next, record.RIDSize, -1); err != nil {
 				return err
 			}
 			if err := e.logMaterialized(0, ridFile); err != nil {
@@ -370,85 +371,57 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		}
 	}
 
-	// Per remaining index: the sorter its ⟨key,RID⟩ rows are projected
-	// into, and the row file they are materialized, staged or partitioned
-	// into.
-	sorters := make(map[sim.FileID]*xsort.Sorter, len(rest))
-	keyFiles := make(map[sim.FileID]*rowFile)
-	newSorters := func() error {
-		for _, ix := range rest {
-			srt, err := xsort.New(disk, ix.Tree.KeyLen()+record.RIDSize, o.Memory, nil)
-			if err != nil {
-				return err
-			}
-			sorters[ix.Tree.ID()] = srt
-			sorts = append(sorts, srt)
-		}
-		return nil
+	// ---- Phase 2: the ⋈̸ with the heap. Each heap job deletes its victims
+	// and, in the same visit, projects their ⟨key,RID⟩ rows onto every
+	// remaining index (the π of Figure 3) into sinks of its own: a sorter
+	// per index, or — unlogged hash+partition, whose routing needs no order
+	// — a row file. A partitioned heap runs one job per victim partition;
+	// the hash method keeps its one-scan-probes-all shape; a resumed run
+	// whose key lists are durable projects nothing.
+	keyLists := make(map[sim.FileID][]*rowFile) // per index: one sorted file, or a bucket per heap job
+	if rs != nil && len(rs.keyFiles) == len(rest) {
+		keyLists = rs.keyFiles
 	}
-	toSorter := func(f sim.FileID, row []byte) error { return sorters[f].Add(row) }
-	toSorters := func(rid record.RID, rec []byte) (bool, error) { return false, e.keyRows(rest, rid, rec, toSorter) }
-	// stageKeys moves an index's sorted key list into a row file on the
-	// device stageDev names.
-	stageKeys := func(ix *IndexRef) (*rowFile, error) {
-		it, err := sorters[ix.Tree.ID()].Finish()
+	unsorted := method == HashPartition && !logged
+	projecting := method != Hash && len(rest) > 0 && len(keyLists) == 0
+	sorters := make(map[sim.FileID][]*xsort.Sorter) // per index, one per heap job
+	project := func() (visitFn, error) {
+		if !projecting {
+			return nil, nil
+		}
+		add := make(map[sim.FileID]func([]byte) error, len(rest))
+		for _, ix := range rest {
+			id, size := ix.Tree.ID(), ix.Tree.KeyLen()+record.RIDSize
+			if unsorted {
+				rf, err := newRowFileOn(disk, size, e.stageDev(ix))
+				if err != nil {
+					return nil, err
+				}
+				keyLists[id], add[id] = append(keyLists[id], rf), rf.append
+				continue
+			}
+			srt, err := xsort.New(disk, size, o.Memory, nil)
+			if err != nil {
+				return nil, err
+			}
+			sorts, sorters[id], add[id] = append(sorts, srt), append(sorters[id], srt), srt.Add
+		}
+		return func(rid record.RID, rec []byte) (bool, error) { return false, e.keyRows(rest, rid, rec, add) }, nil
+	}
+	// sortedKeys opens an index's projection as one sorted stream.
+	sortedKeys := func(id sim.FileID) (rowIter, error) {
+		it, err := xsort.Merge(sorters[id])
 		if err != nil {
 			return nil, err
 		}
-		kf, err := materializeOn(e, it, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
-		if err == nil {
-			keyFiles[ix.Tree.ID()] = kf
-		}
-		return kf, err
+		return it.Next, nil
 	}
 
-	// ---- Phase 2a (logged): extraction pass — materialize the ⟨key,RID⟩
-	// list of every remaining index before any record dies.
-	if logged && method != Hash && len(rest) > 0 {
-		if rs != nil && len(rs.keyFiles) == len(rest) {
-			keyFiles = rs.keyFiles
-		} else {
-			// Extract into per-index sorters, then materialize the
-			// *sorted* lists — the paper's "results of the join
-			// variants should be materialized to stable storage".
-			err := e.phase("extract", fmt.Sprintf("π ⟨key,RID⟩ for %d indexes → sorted, stable storage", len(rest)), e.tgt.Name, func() error {
-				if err := newSorters(); err != nil {
-					return err
-				}
-				it, err := ridFile.iterator(0)
-				if err != nil {
-					return err
-				}
-				if _, err := heapPassSortedRIDs(e, it, false, toSorters); err != nil {
-					return err
-				}
-				for _, ix := range rest {
-					kf, err := stageKeys(ix)
-					if err != nil {
-						return err
-					}
-					if err := e.logMaterialized(ix.Tree.ID(), kf); err != nil {
-						return err
-					}
-				}
-				return o.Log.Flush()
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	// ---- Phase 2b: delete from the heap. A partitioned heap runs one pass
-	// per victim partition instead of the single merge. The hash method
-	// keeps its one-scan-probes-all shape, and an unlogged run that must
-	// extract keys inline stays serial too: its sorters and key files are
-	// shared across the whole stream.
 	var heapJobs []passJob
 	var partFiles []*rowFile
 	defer func() { dropLists(&err, partFiles...) }()
 	heapWorkers := 1
-	if len(e.tgt.Heap.Parts()) > 1 && method != Hash && (logged || len(rest) == 0) {
+	if len(e.tgt.Heap.Parts()) > 1 && method != Hash {
 		src := ridIter
 		if logged {
 			it, err := ridFile.iterator(0)
@@ -458,7 +431,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			src = it
 		}
 		var err error
-		if heapJobs, partFiles, err = e.partitionJobs(src, method, rs, maxWorkers > 1); err != nil {
+		if heapJobs, partFiles, err = e.partitionJobs(src, method, rs, maxWorkers > 1, project); err != nil {
 			return err
 		}
 		files := make([]sim.FileID, len(heapJobs))
@@ -467,44 +440,25 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		}
 		heapWorkers = clampWorkers(disk, files, maxWorkers)
 	} else {
+		visit, err := project()
+		if err != nil {
+			return phaseErr("heap-pass", e.tgt.Name, err)
+		}
 		heapJobs = []passJob{e.heapJob(e.tgt, e.tgt.Name, method, func(ce *execCtx) (int64, int, error) {
-			var deleted int64
-			var err error
-			switch {
-			case method == Hash:
-				deleted, err = heapDeleteByRIDProbe(ce, ridSet)
-			case logged:
+			if method == Hash {
+				deleted, err := heapDeleteByRIDProbe(ce, ridSet)
+				return deleted, 0, err
+			}
+			it := ridIter
+			if logged {
 				from := resumeFrom(rs, e.tgt.Heap.ID())
-				it, ierr := ridFile.iterator(from)
-				if ierr != nil {
-					return 0, 0, ierr
-				}
-				ce.applied = from // keep checkpoint progress absolute
-				deleted, err = heapPassSortedRIDs(ce, it, true, nil)
-			default:
-				// Single pass: extract keys for the remaining indexes and
-				// delete in one go.
-				if err := newSorters(); err != nil {
+				var err error
+				if it, err = ridFile.iterator(from); err != nil {
 					return 0, 0, err
 				}
-				var extract visitFn
-				if method == HashPartition {
-					for _, ix := range rest {
-						kf, err := newRowFileOn(disk, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
-						if err != nil {
-							return 0, 0, err
-						}
-						keyFiles[ix.Tree.ID()] = kf
-					}
-					toKeyFile := func(f sim.FileID, row []byte) error { return keyFiles[f].append(row) }
-					extract = func(rid record.RID, rec []byte) (bool, error) {
-						return false, e.keyRows(rest, rid, rec, toKeyFile)
-					}
-				} else if len(rest) > 0 {
-					extract = toSorters
-				}
-				deleted, err = heapPassSortedRIDs(ce, ridIter, true, extract)
+				ce.applied = from // keep checkpoint progress absolute
 			}
+			deleted, err := heapPassSortedRIDs(ce, it, true, visit)
 			return deleted, 0, err
 		})}
 	}
@@ -512,30 +466,42 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		return err
 	}
 
-	// For HashPartition (unlogged), seal the key files written above.
-	if method == HashPartition && !logged {
-		for _, kf := range keyFiles {
-			if err := kf.seal(); err != nil {
-				return phaseErr("heap-pass", e.tgt.Name, err)
-			}
-		}
-	}
-
-	// Parallel sort/merge (unlogged): the per-index sorters were filled
-	// during the heap pass but their spill and in-memory state lives on the
-	// system device, so a concurrent pass draining them would contend for
-	// that arm. Stage each sorted key list onto its index's device now,
-	// serially — the same declustering the logged protocol gets for free
-	// from its materialization pass.
-	if workers > 1 && method == SortMerge && !logged {
-		err := e.phase("stage-keys", fmt.Sprintf("decluster %d sorted key lists onto index devices", len(rest)), e.tgt.Name, func() error {
+	// ---- stage-keys: the projections become the key lists phase 3 reads.
+	// A logged run materializes each sorted list — the paper's "results of
+	// the join variants should be materialized to stable storage" — and
+	// makes them durable together before any index pass starts. A parallel
+	// run stages each list on its index's device, so its pass touches only
+	// its own arm (sorter state lives on the system device). An unlogged
+	// serial sort/merge reads straight out of the sorters in phase 3.
+	if projecting && (logged || unsorted || workers > 1) {
+		err := e.phase("stage-keys", fmt.Sprintf("%d projected key lists → row files", len(rest)), e.tgt.Name, func() error {
 			for _, ix := range rest {
-				if sorters[ix.Tree.ID()] == nil || e.skip(ix.Tree.ID()) {
+				id := ix.Tree.ID()
+				if unsorted {
+					for _, rf := range keyLists[id] {
+						if err := rf.seal(); err != nil {
+							return err
+						}
+					}
 					continue
 				}
-				if _, err := stageKeys(ix); err != nil {
+				rows, err := sortedKeys(id)
+				if err != nil {
 					return err
 				}
+				kf, err := materializeOn(e, rows, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
+				if err != nil {
+					return err
+				}
+				keyLists[id] = []*rowFile{kf}
+				if logged {
+					if err := e.logMaterialized(id, kf); err != nil {
+						return err
+					}
+				}
+			}
+			if logged {
+				return o.Log.Flush()
 			}
 			return nil
 		})
@@ -553,21 +519,21 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	for i, ix := range rest {
 		id := ix.Tree.ID()
 		jobs[i] = e.indexJob(ix, method.String(), func(ce *execCtx) (int64, int, error) {
-			switch method {
-			case Hash:
+			switch {
+			case method == Hash:
 				deleted, err := walkLeaves(ce, ix, nil, nil, &probeMatcher{e: ce, ix: ix, rids: ridSet}, true, nil)
 				return deleted, 0, err
-			case HashPartition:
-				return indexDeletePartitioned(ce, ix, keyFiles[id])
+			case method == HashPartition:
+				return indexDeletePartitioned(ce, ix, keyLists[id])
 			}
 			// Sort/merge reads the key list from its row file — logged, or
-			// staged for the fan-out — or straight out of the sorter.
+			// staged for the fan-out — or straight out of the sorters.
 			var rows rowIter
 			var startKey []byte
-			if kf := keyFiles[id]; kf != nil {
+			var err error
+			if kf := keyLists[id]; kf != nil {
 				from := resumeFrom(rs, id)
-				var err error
-				if rows, err = kf.iterator(from); err != nil {
+				if rows, err = kf[0].iterator(from); err != nil {
 					return 0, 0, err
 				}
 				if from > 0 {
@@ -576,12 +542,8 @@ func (e *execCtx) run(field int, values []int64, method Method,
 					}
 					ce.applied = from // keep checkpoint progress absolute
 				}
-			} else {
-				it, err := sorters[id].Finish()
-				if err != nil {
-					return 0, 0, err
-				}
-				rows = it.Next
+			} else if rows, err = sortedKeys(id); err != nil {
+				return 0, 0, err
 			}
 			deleted, err := ce.indexJoin(ix, rows, startKey, false, true, nil)
 			return deleted, 0, err
@@ -596,8 +558,8 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// them here; a logged one keeps every list recovery would read — victims,
 	// RIDs, keys — until finish has made its commit durable.
 	lists := []*rowFile{victimFile, ridFile}
-	for _, kf := range keyFiles {
-		lists = append(lists, kf)
+	for _, kl := range keyLists {
+		lists = append(lists, kl...)
 	}
 	if logged {
 		e.lists = append(e.lists, lists...)
@@ -621,14 +583,14 @@ func dropLists(err *error, files ...*rowFile) {
 	}
 }
 
-// keyRows hands sink one ⟨key,RID⟩ row per remaining index, keyed by the
-// index's file (the π of Figure 3).
-func (e *execCtx) keyRows(rest []*IndexRef, rid record.RID, rec []byte, sink func(sim.FileID, []byte) error) error {
+// keyRows hands each remaining index's sink, keyed by the index's file, the
+// record's ⟨key,RID⟩ row (the π of Figure 3).
+func (e *execCtx) keyRows(rest []*IndexRef, rid record.RID, rec []byte, sinks map[sim.FileID]func([]byte) error) error {
 	for _, ix := range rest {
 		row := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
 		keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
 		record.PutRID(row[ix.Tree.KeyLen():], rid)
-		if err := sink(ix.Tree.ID(), row); err != nil {
+		if err := sinks[ix.Tree.ID()](row); err != nil {
 			return err
 		}
 	}
@@ -644,16 +606,15 @@ func (e *execCtx) logMaterialized(structure sim.FileID, rf *rowFile) error {
 	return err
 }
 
-// materializeOn drains a sorted iterator into a sealed row file on device
-// dev (dev < 0 = default placement) and closes the iterator.
-func materializeOn(e *execCtx, it *xsort.Iterator, rowSize int, dev int) (*rowFile, error) {
-	defer it.Close()
+// materializeOn drains a sorted stream into a sealed row file on device dev
+// (dev < 0 = default placement).
+func materializeOn(e *execCtx, next rowIter, rowSize int, dev int) (*rowFile, error) {
 	rf, err := newRowFileOn(e.disk(), rowSize, dev)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		row, ok, err := it.Next()
+		row, ok, err := next()
 		if err != nil {
 			return nil, err
 		}

@@ -38,6 +38,12 @@ func makeTarget(t *testing.T, pool *buffer.Pool, n int, fields []int, unique []b
 	if err != nil {
 		t.Fatal(err)
 	}
+	return makeTargetOn(t, pool, h, n, fields, unique)
+}
+
+// makeTargetOn is makeTarget over a given empty heap store.
+func makeTargetOn(t *testing.T, pool *buffer.Pool, h heap.Store, n int, fields []int, unique []bool) *Target {
+	t.Helper()
 	rec := make([]byte, testSchema.Size)
 	rids := make([]record.RID, n)
 	for i := 0; i < n; i++ {

@@ -307,10 +307,11 @@ type visitFn func(rid record.RID, rec []byte) (dirtied bool, err error)
 
 // heapPassSortedRIDs walks the heap in the physical order of the sorted RID
 // rows (skip-sequential merge, the ⋈̸ with R of Figure 3). When visit is
-// non-nil each victim record is handed to it in place; when del is false the
-// pass deletes nothing (the logged extraction pass, a projection, a bulk
-// update). It reads only victim pages, and the pages a chained read passes
-// through on its way from one to the next (ridLookahead.runEnd).
+// non-nil each victim record is handed to it in place — the delete's π of
+// the remaining indexes' keys; when del is false the pass deletes nothing (a
+// read-only projection, a bulk update). It reads only victim pages, and the
+// pages a chained read passes through on its way from one to the next
+// (ridLookahead.runEnd).
 func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool, visit visitFn) (int64, error) {
 	ed, err := e.tgt.Heap.Edit()
 	if err != nil {
@@ -360,12 +361,15 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool, visit visitFn) (int6
 			}
 			return deleted, fmt.Errorf("core: victim %s is not a live record", rid)
 		}
+		// The hooks see the record where it lies on the pinned page, and the
+		// table-level RID a partition job's raw one stands for.
+		tagged := record.RID{Page: heap.TagPage(e.tgt.part, rid.Page), Slot: rid.Slot}
+		rec, err := sp.s.Get(int(rid.Slot))
+		if err != nil {
+			return deleted, err
+		}
 		if visit != nil {
-			rec, err := sp.s.Get(int(rid.Slot))
-			if err != nil {
-				return deleted, err
-			}
-			dirtied, err := visit(rid, rec)
+			dirtied, err := visit(tagged, rec)
 			if err != nil {
 				return deleted, err
 			}
@@ -378,13 +382,8 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool, visit visitFn) (int6
 			// snapshot readers keep seeing the row. Unconditional when the
 			// hook is set: consulting "any snapshot open?" per row would
 			// race a reader registering between the check and the delete.
-			// The page is already pinned, so the extra Get is free.
 			if e.tgt.Retain != nil {
-				rec, err := sp.s.Get(int(rid.Slot))
-				if err != nil {
-					return deleted, err
-				}
-				e.tgt.Retain(rid, rec)
+				e.tgt.Retain(tagged, rec)
 			}
 			if err := ed.DeleteSlot(int(rid.Slot)); err != nil {
 				return deleted, err

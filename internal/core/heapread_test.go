@@ -56,9 +56,9 @@ func (e *countedEditor) Seek(p, upTo sim.PageNo) (page.Slotted, error) {
 }
 
 // heapWalks runs a logged sort/merge delete of victims (field0 values) and
-// returns the I/O of its two heap walks, extract and the heap pass, and the
-// heap's data page count.
-func heapWalks(t *testing.T, victims []int64) (extract, pass walkIO, heapPages uint64) {
+// returns the I/O of its one heap walk — the heap pass, which also projects
+// the remaining index's key list — and the heap's data page count.
+func heapWalks(t *testing.T, victims []int64) (pass walkIO, heapPages uint64) {
 	t.Helper()
 	pool := testPool(64)
 	tgt := makeTarget(t, pool, heapReadRows, []int{0, 1}, []bool{true, false})
@@ -72,28 +72,27 @@ func heapWalks(t *testing.T, victims []int64) (extract, pass walkIO, heapPages u
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Deleted != int64(len(victims)) || len(walks.walks) != 2 {
-		t.Fatalf("deleted %d of %d in %d heap walks, want 2", st.Deleted, len(victims), len(walks.walks))
+	if st.Deleted != int64(len(victims)) || len(walks.walks) != 1 {
+		t.Fatalf("deleted %d of %d in %d heap walks, want 1", st.Deleted, len(victims), len(walks.walks))
 	}
-	return walks.walks[0], walks.walks[1], uint64(n) - 1
+	return walks.walks[0], uint64(n) - 1
 }
 
 // TestSparseHeapPassReadsOnlyVictimPages: sixteen victims, each on its own
-// page and the pages far apart, on a heap five times the pool. Extract and
-// the heap pass each read one page per victim page, not a read-ahead run.
+// page and the pages far apart, on a heap five times the pool. The whole
+// statement reads one heap page per victim page, not a read-ahead run, and
+// no page twice.
 func TestSparseHeapPassReadsOnlyVictimPages(t *testing.T) {
 	var victims []int64
 	for i := int64(0); i < 16; i++ {
 		victims = append(victims, i*heapReadRows/16)
 	}
-	extract, pass, heapPages := heapWalks(t, victims)
+	pass, heapPages := heapWalks(t, victims)
 	if heapPages < 4*64 {
 		t.Fatalf("heap of %d pages is under 4× the pool", heapPages)
 	}
-	for phase, io := range map[string]walkIO{"extract": extract, "heap-pass": pass} {
-		if io.reads != uint64(len(victims)) {
-			t.Errorf("%s read %d heap pages for %d victim pages", phase, io.reads, len(victims))
-		}
+	if pass.reads != uint64(len(victims)) {
+		t.Errorf("the statement read %d heap pages for %d victim pages", pass.reads, len(victims))
 	}
 }
 
@@ -101,7 +100,7 @@ func TestSparseHeapPassReadsOnlyVictimPages(t *testing.T) {
 // pass reads no page twice and still reads in chained runs.
 func TestDenseHeapPassStaysChained(t *testing.T) {
 	victims, _ := pickVictims(heapReadRows, heapReadRows*15/100, 5)
-	_, pass, heapPages := heapWalks(t, victims)
+	pass, heapPages := heapWalks(t, victims)
 	if pass.reads > heapPages || pass.runs == 0 {
 		t.Errorf("heap pass read %d pages of a %d-page heap in %d chained runs; want at most the heap, chained",
 			pass.reads, heapPages, pass.runs)

@@ -24,7 +24,7 @@ func kernelProbeByRID(e *execCtx, ix *IndexRef, set map[record.RID]struct{}) (in
 }
 
 func kernelProbePartitioned(e *execCtx, ix *IndexRef, rows *rowFile) (int64, int, error) {
-	return indexDeletePartitioned(e, ix, rows)
+	return indexDeletePartitioned(e, ix, []*rowFile{rows})
 }
 
 func kernelProbesByKey(e *execCtx, ix *IndexRef, victims rowIter, del bool,

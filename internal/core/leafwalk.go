@@ -311,9 +311,14 @@ const hashOverheadPerEntry = 48
 // the index itself ("I_B and I_C can be range partitioned without any cost
 // because the index is clustered by the key"), four compares charged per
 // routed row; then each non-empty partition probes only its own leaf range.
-func indexDeletePartitioned(e *execCtx, ix *IndexRef, rows *rowFile) (deleted int64, parts int, err error) {
+// The rows arrive in one or more lists (one per heap job).
+func indexDeletePartitioned(e *execCtx, ix *IndexRef, lists []*rowFile) (deleted int64, parts int, err error) {
 	fkLen := ix.Tree.KeyLen() + record.RIDSize
-	need := rows.rows * int64(fkLen+hashOverheadPerEntry)
+	var rows int64
+	for _, rf := range lists {
+		rows += rf.rows
+	}
+	need := rows * int64(fkLen+hashOverheadPerEntry)
 	k := int(need/int64(e.opts.Memory)) + 1
 	boundaries, err := ix.Tree.SeparatorSample(k)
 	if err != nil {
@@ -328,16 +333,18 @@ func indexDeletePartitioned(e *execCtx, ix *IndexRef, rows *rowFile) (deleted in
 			return 0, parts, err
 		}
 	}
-	err = rows.iterate(0, func(row []byte) error {
-		key := row[:ix.Tree.KeyLen()]
-		p := sort.Search(len(boundaries), func(i int) bool {
-			return bytes.Compare(boundaries[i], key) > 0
+	for _, rf := range lists {
+		err = rf.iterate(0, func(row []byte) error {
+			key := row[:ix.Tree.KeyLen()]
+			p := sort.Search(len(boundaries), func(i int) bool {
+				return bytes.Compare(boundaries[i], key) > 0
+			})
+			e.disk().ChargeCompares(4)
+			return partFiles[p].append(row)
 		})
-		e.disk().ChargeCompares(4)
-		return partFiles[p].append(row)
-	})
-	if err != nil {
-		return 0, parts, err
+		if err != nil {
+			return 0, parts, err
+		}
 	}
 	for _, pf := range partFiles {
 		if err := pf.seal(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bulkdel/internal/buffer"
+	"bulkdel/internal/heap"
 	"bulkdel/internal/wal"
 )
 
@@ -175,5 +176,62 @@ func TestChooseParallel(t *testing.T) {
 	}
 	if w := ChooseParallel(tgt, 0, 8); w != 1 {
 		t.Fatalf("single device ChooseParallel = %d, want 1", w)
+	}
+}
+
+// TestPartitionedHeapFanOutWithRemainingIndexes: an unlogged plan on a
+// partitioned heap keeps its per-partition fan-out when index passes remain.
+// Each partition job projects into sinks of its own — a whole-partition
+// victim list through the truncation's per-record hook; the per-partition lists
+// are merged (sort/merge) or read one after another (hash+partition) by
+// phase 3, and the result is the serial run's.
+func TestPartitionedHeapFanOutWithRemainingIndexes(t *testing.T) {
+	const n = 3000
+	for _, m := range []Method{SortMerge, HashPartition} {
+		t.Run(m.String(), func(t *testing.T) {
+			deleted := map[int]int64{}
+			for _, parallel := range []int{0, 4} {
+				pool := testPool(256)
+				pool.Disk().ConfigureDevices(4)
+				h, err := heap.CreatePartitioned(pool, testSchema, heap.PartitionSpec{Field: 0, HashParts: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tgt := makeTargetOn(t, pool, h, n, []int{0, 1, 2}, []bool{true, false, false})
+				for k, f := range tgt.HeapFiles() {
+					if err := pool.Relocate(f, k+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for k, ix := range tgt.Indexes {
+					if err := pool.Relocate(ix.Tree.ID(), k+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Every row of partition 0 (dropped by truncation, projected
+				// through its per-record hook) and a sixth of the rest.
+				victims, set := pickVictims(n, n/6, 19)
+				for v := int64(0); v < n; v++ {
+					if h.PartForKey(v) == 0 && !set[v] {
+						victims, set[v] = append(victims, v), true
+					}
+				}
+				st, err := Execute(tgt, 0, victims, Options{Method: m, Memory: 2048, Parallel: parallel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				verifyTarget(t, tgt, set, n)
+				deleted[parallel] = st.Deleted
+				if fanned := st.HeapSchedule != nil; fanned != (parallel > 1) {
+					t.Fatalf("parallel=%d: heap schedule %+v", parallel, st.HeapSchedule)
+				}
+				if parallel > 1 && len(st.HeapSchedule.Items) != 3 {
+					t.Fatalf("heap fan-out ran %d partition jobs, want 3", len(st.HeapSchedule.Items))
+				}
+			}
+			if deleted[0] != deleted[4] {
+				t.Fatalf("deleted: serial %d, parallel %d", deleted[0], deleted[4])
+			}
+		})
 	}
 }

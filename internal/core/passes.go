@@ -287,17 +287,21 @@ func (e *execCtx) stageDev(ix *IndexRef) int {
 	return e.disk().DeviceOf(ix.Tree.ID())
 }
 
-// partitionJobs builds phase 2b over a partitioned heap: one job per
+// partitionJobs builds the heap phase over a partitioned heap: one job per
 // partition that has victims. The sorted RID list is partition-tagged (the
 // partition ordinal lives in the high page bits, so RID order is
 // partition-major), which makes the split one sequential pass into a row
 // file of raw RIDs — the page numbers a partition's own editor understands
 // — per partition, staged on the partition's device when the jobs may run
 // in parallel. WAL progress is per partition file, so a crash resumes
-// exactly the partitions still open; partition 0 shares the table's heap
-// ID, keeping recovery's "which statement owns this heap" match unchanged.
-// The returned files are the caller's to drop (dropLists).
-func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par bool) ([]passJob, []*rowFile, error) {
+// exactly the partitions still open when nothing is projected (Resume
+// finishes a projecting heap phase on the RID list instead); partition 0
+// shares the table's heap ID, keeping recovery's "which statement owns this
+// heap" match unchanged. Each job gets its own projection from project (a
+// nil visit: none), so no sink is shared between workers. The returned
+// files are the caller's to drop (dropLists), also on error.
+func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par bool,
+	project func() (visitFn, error)) ([]passJob, []*rowFile, error) {
 	disk := e.disk()
 	parts := e.tgt.Heap.Parts()
 	files := make([]*rowFile, len(parts))
@@ -342,7 +346,7 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, files, err
 	}
 
 	var jobs []passJob
@@ -351,15 +355,14 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 		if rids == nil || e.skip(part.ID()) {
 			continue
 		}
-		// The child target's Retain hook hands the version store
-		// table-level (partition-tagged) RIDs even though the pass
-		// addresses the partition file with raw page numbers.
+		// The child target addresses the partition file with raw page
+		// numbers; its part makes the pass hand Retain and the projection
+		// table-level (partition-tagged) RIDs.
 		tgt := *e.tgt
-		tgt.Heap = part
-		if base := tgt.Retain; base != nil {
-			tgt.Retain = func(rid record.RID, rec []byte) {
-				base(record.RID{Page: heap.TagPage(pi, rid.Page), Slot: rid.Slot}, rec)
-			}
+		tgt.Heap, tgt.part = part, pi
+		visit, err := project()
+		if err != nil {
+			return nil, files, err
 		}
 		jobs = append(jobs, e.heapJob(&tgt, PartName(e.tgt.Name, pi), method, func(ce *execCtx) (int64, int, error) {
 			// A first attempt whose victim list covers the whole partition
@@ -369,13 +372,30 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 			// live count no longer says what the victim list covered.
 			if rs == nil && count == part.Count() {
 				// TruncateWith keeps the metadata-only drop when snapshot
-				// reads are off; with MVCC armed it retains every record
-				// before releasing the pages — unconditionally, because a
+				// reads are off and nothing is projected; otherwise its
+				// per-record hook retains and projects every record before
+				// the pages go — retention unconditionally, because a
 				// reader may register a snapshot at any point before the
 				// statement's commit epoch is stamped and is then entitled
 				// to these rows.
-				if err := part.TruncateWith(ce.tgt.Retain); err != nil {
+				var hook func(record.RID, []byte)
+				var verr error
+				if ce.tgt.Retain != nil || visit != nil {
+					hook = func(rid record.RID, rec []byte) {
+						rid.Page = heap.TagPage(pi, rid.Page)
+						if ce.tgt.Retain != nil {
+							ce.tgt.Retain(rid, rec)
+						}
+						if visit != nil && verr == nil {
+							_, verr = visit(rid, rec)
+						}
+					}
+				}
+				if err := part.TruncateWith(hook); err != nil {
 					return 0, 0, err
+				}
+				if verr != nil {
+					return 0, 0, verr
 				}
 				if hook := ce.tgt.Hooks.PostTruncate; hook != nil {
 					hook()
@@ -388,7 +408,7 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 				return 0, 0, err
 			}
 			ce.applied = from // keep checkpoint progress absolute
-			deleted, err := heapPassSortedRIDs(ce, it, true, nil)
+			deleted, err := heapPassSortedRIDs(ce, it, true, visit)
 			return deleted, 0, err
 		}))
 	}

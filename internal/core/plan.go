@@ -135,6 +135,9 @@ type Target struct {
 	// Hooks are the executor's test interception points; the zero value
 	// (every production target) has none.
 	Hooks Hooks
+	// part is the ordinal of the partition a partition job's Heap is: the
+	// tag its raw page numbers carry in table-level RIDs (0 otherwise).
+	part int
 }
 
 // Hooks lets a test stop a statement inside a window no public boundary

@@ -26,13 +26,17 @@ import (
 //   - replays the in-progress structure from its last checkpoint (the
 //     victim-list prefix before the checkpoint is durable; the suffix is
 //     re-applied idempotently thanks to IgnoreMissing),
-//   - re-derives nothing from modified structures: every victim list it
-//     reads was materialized to stable storage before the corresponding
-//     destructive pass started.
+//   - re-derives nothing from modified structures. The victim and RID
+//     lists are durable before the first destructive pass; the key lists
+//     the heap pass projects exist only once the whole heap phase is over.
+//     So a statement interrupted with a heap pass started and a key list
+//     missing finishes the remaining indexes by probing the durable RID
+//     list (the hash method), and a heap pass that projects always starts
+//     from its first row.
 //
-// field must identify the delete attribute (it is needed only when the
-// extraction pass itself has to be re-run, which implies the heap is still
-// untouched).
+// field must identify the delete attribute: it names the access index, and
+// the column a re-run of the collect step reads when the RID list was not
+// yet durable.
 func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, field int, opts Options) (*Stats, error) {
 	if st.Finished {
 		return &Stats{}, nil
@@ -75,7 +79,7 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	}
 	stats.Victims = int(victimRows)
 
-	rs := &resumeState{st: st, keyFiles: make(map[sim.FileID]*rowFile)}
+	rs := &resumeState{st: st, keyFiles: make(map[sim.FileID][]*rowFile)}
 	if rid, ok := st.Materialized[0]; ok {
 		rows, err := materializedRows(recs, st.TxID, wal.TMaterialized, rid)
 		if err != nil {
@@ -163,29 +167,37 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 		if err != nil {
 			return nil, err
 		}
-		rs.keyFiles[ix.Tree.ID()] = kf
+		rs.keyFiles[ix.Tree.ID()] = []*rowFile{kf}
 	}
 	method := SortMerge
 	if len(rs.keyFiles) != len(rest) {
 		// An incomplete set is not used, but it is still this statement's.
 		for _, kf := range rs.keyFiles {
-			e.lists = append(e.lists, kf)
+			e.lists = append(e.lists, kf...)
 		}
 		rs.keyFiles = nil
 		if heapStarted && rs.ridFile != nil {
-			// The destructive passes began without materialized key
-			// lists, so the interrupted statement ran the hash method:
-			// its join result is the RID list alone. Keys cannot be
-			// re-extracted (the heap no longer holds the victims), but
-			// the RID list is durable, so finish the remaining
-			// structures the same way the hash method would — probe
-			// every entry's RID against the set. The probes are
-			// idempotent, so a re-crash during this resume is safe.
+			// The heap phase began but its key lists never all became
+			// durable: the statement ran the hash method, or it was
+			// interrupted before stage-keys logged the lists its heap
+			// pass projected. Keys cannot be re-projected (the heap no
+			// longer holds every victim), but the RID list is durable,
+			// so finish the remaining structures the way the hash
+			// method does — probe every entry's RID against the set.
+			// The probes are idempotent, so a re-crash during this
+			// resume is safe. The hash heap job scans every partition
+			// under partition 0's file, so it must not inherit that
+			// file's done mark while another partition is still open.
 			method = Hash
 			e.probe = nil // the hash plan has no arms
+			if !heapDone {
+				for _, f := range tgt.HeapFiles() {
+					delete(o.SkipStructures, f)
+				}
+			}
 		}
-		// Otherwise the heap is untouched; re-run the extraction from
-		// the RID list inside run() as sort/merge.
+		// Otherwise the heap is untouched; run() re-runs its pass as
+		// sort/merge, projecting the key lists from the start.
 	}
 	stats.Method = method
 	o.Method = method

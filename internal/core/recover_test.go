@@ -74,17 +74,50 @@ func TestLoggedExecuteProtocol(t *testing.T) {
 	}
 }
 
+// partedSetup is loggedSetup on a heap hash-partitioned three ways on field 0.
+func partedSetup(t *testing.T, n, v int) (*buffer.Pool, *Target, []int64, map[int64]bool, *wal.Log) {
+	t.Helper()
+	pool := testPool(2048)
+	h, err := heap.CreatePartitioned(pool, testSchema, heap.PartitionSpec{Field: 0, HashParts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := makeTargetOn(t, pool, h, n, []int{0, 1, 2}, []bool{true, false, false})
+	if err := tgt.Heap.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range tgt.Indexes {
+		if err := ix.Tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victims, set := pickVictims(n, v, 21)
+	return pool, tgt, victims, set, wal.Create(pool.Disk())
+}
+
+// reopenHeap reopens a target's heap store from disk after a crash.
+func reopenHeap(t *testing.T, pool *buffer.Pool, tgt *Target) heap.Store {
+	t.Helper()
+	var h heap.Store
+	var err error
+	if ph, ok := tgt.Heap.(*heap.Partitioned); ok {
+		h, err = heap.OpenPartitioned(pool, tgt.HeapFiles(), tgt.Schema, ph.Spec())
+	} else {
+		h, err = heap.Open(pool, tgt.Heap.ID())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // crashAndRecover simulates a crash: volatile state is discarded, the
 // structures and the log are reopened, and the bulk delete is resumed.
 func crashAndRecover(t *testing.T, pool *buffer.Pool, tgt *Target, log *wal.Log, field int) *Target {
 	t.Helper()
 	pool.InvalidateAll()
 
-	h, err := heap.Open(pool, tgt.Heap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := &Target{Name: tgt.Name, Heap: h, Schema: tgt.Schema, Pool: pool}
+	re := &Target{Name: tgt.Name, Heap: reopenHeap(t, pool, tgt), Schema: tgt.Schema, Pool: pool}
 	for _, ix := range tgt.Indexes {
 		tr, err := btree.Open(pool, ix.Tree.ID())
 		if err != nil {
@@ -329,11 +362,11 @@ func TestRecoveryRebuildsStructurallyDamagedAccessIndex(t *testing.T) {
 func TestRecoveryRebuildsDamagedSecondaryIndex(t *testing.T) {
 	pool, tgt, victims, set, log := loggedSetup(t, 6000, 1000)
 	// Crash during the secondary-index phase (after heap done): collect
-	// ~1000 + access 1000 + extraction 1000 + heap 1000 = 4000; crash at
-	// 4600 lands inside IB's pass.
+	// ~1000 + access 1000 + heap 1000 = 3000; crash at 3600 lands inside
+	// IB's pass.
 	_, err := Execute(tgt, 0, victims, Options{
 		Method: SortMerge, Log: log, TxID: 23, CheckpointRows: 200,
-		failAfterApplied: 4600,
+		failAfterApplied: 3600,
 	})
 	if !errors.Is(err, errInjectedCrash) {
 		t.Fatalf("expected injected crash, got %v", err)
@@ -366,8 +399,75 @@ func TestRecoveryRebuildsDamagedSecondaryIndex(t *testing.T) {
 	if !bs.Done[uint64(tgt.Heap.ID())] {
 		t.Fatalf("test setup: heap should be done before the secondary phase (done=%v)", bs.Done)
 	}
+	if _, ok := bs.Active[uint64(tgt.Indexes[1].Tree.ID())]; !ok || len(bs.Active) != 1 {
+		t.Fatalf("test setup: IB should be the one structure in flight (active=%v)", bs.Active)
+	}
 	if _, err := Resume(re, bs, log2, recs, 0, Options{CheckpointRows: 200}); err != nil {
 		t.Fatal(err)
 	}
+	verifyTarget(t, re, set, 6000)
+}
+
+// loggedRecords reopens the log after an injected crash and distills its bulk
+// delete, as recovery would.
+func loggedRecords(t *testing.T, pool *buffer.Pool, log *wal.Log) wal.BulkState {
+	t.Helper()
+	pool.InvalidateAll()
+	_, recs, err := wal.Open(pool.Disk(), log.FileID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, ok := wal.AnalyzeBulk(recs)
+	if !ok || bs.Finished {
+		t.Fatalf("bulk state: %+v %v", bs, ok)
+	}
+	return bs
+}
+
+// TestCrashBetweenHeapPartitions: a logged sort/merge on a 3-partition heap
+// crashes after partition 0's struct-done record, with the last partition's
+// not yet written. No key list was logged, so Resume finishes the statement
+// on the durable RID list, and its one hash heap scan — keyed by partition
+// 0's file, which the log calls done — must still cover every partition.
+func TestCrashBetweenHeapPartitions(t *testing.T) {
+	pool, tgt, victims, set, log := partedSetup(t, 6000, 1000)
+	// Structures finish IA, R#0, R#1, R#2, IB, IC: stop right after R#0.
+	_, err := Execute(tgt, 0, victims, Options{
+		Method: SortMerge, Log: log, TxID: 31, CheckpointRows: 200,
+		failAfterStructs: 2,
+	})
+	if !errors.Is(err, errInjectedCrash) {
+		t.Fatalf("expected injected crash, got %v", err)
+	}
+	files := tgt.HeapFiles()
+	bs := loggedRecords(t, pool, log)
+	if !bs.Done[uint64(files[0])] || bs.Done[uint64(files[len(files)-1])] || len(bs.Materialized) != 1 {
+		t.Fatalf("test setup: want partition 0 done, the last open, only the RID list logged (done=%v materialized=%v)",
+			bs.Done, bs.Materialized)
+	}
+	re := crashAndRecover(t, pool, tgt, log, 0)
+	verifyTarget(t, re, set, 6000)
+}
+
+// TestCrashBeforeKeyListsAreLogged: the heap phase is done — every victim
+// gone from the heap, its keys projected — but the crash comes before
+// stage-keys logs the key lists. Resume finishes the remaining indexes from
+// the RID list alone.
+func TestCrashBeforeKeyListsAreLogged(t *testing.T) {
+	pool, tgt, victims, set, log := loggedSetup(t, 6000, 1000)
+	// Structures finish IA, R, IB, IC: stop right after R.
+	_, err := Execute(tgt, 0, victims, Options{
+		Method: SortMerge, Log: log, TxID: 33, CheckpointRows: 200,
+		failAfterStructs: 2,
+	})
+	if !errors.Is(err, errInjectedCrash) {
+		t.Fatalf("expected injected crash, got %v", err)
+	}
+	bs := loggedRecords(t, pool, log)
+	if !bs.Done[uint64(tgt.Heap.ID())] || len(bs.Materialized) != 1 {
+		t.Fatalf("test setup: want the heap done and only the RID list logged (done=%v materialized=%v)",
+			bs.Done, bs.Materialized)
+	}
+	re := crashAndRecover(t, pool, tgt, log, 0)
 	verifyTarget(t, re, set, 6000)
 }

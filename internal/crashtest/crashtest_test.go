@@ -68,9 +68,9 @@ func TestSweepEveryOrdinalHash(t *testing.T) {
 }
 
 func TestSweepSingleIndexTable(t *testing.T) {
-	// Only the access index exists: the statement has no extraction or
-	// secondary-index passes, a different protocol shape worth its own
-	// exhaustive sweep.
+	// Only the access index exists: the statement projects no key lists and
+	// has no secondary-index passes, a different protocol shape worth its
+	// own exhaustive sweep.
 	mustRun(t, "bulk", Config{Method: bulkdel.SortMerge, Indexes: 1})
 }
 

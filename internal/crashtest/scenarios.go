@@ -103,6 +103,21 @@ var probe = scenario{
 	fields:        bulk.fields,
 }
 
+// parted is the paper's statement on a partitioned heap: R hash-partitioned
+// 4-way on A, so the sort/merge heap ⋈̸ is one logged pass per partition
+// file (a fan-out over the devices when Config.Devices and Config.Parallel
+// allow), each projecting its own key lists. Those are logged only once every
+// partition is done, so recovery finishes an interrupted heap phase on the
+// durable RID list.
+var parted = scenario{
+	build:         buildHeapParts(4, "R"),
+	run:           runParted,
+	reference:     checkTables,
+	verify:        verifyBulk,
+	deterministic: Config.Deterministic,
+	fields:        bulk.fields,
+}
+
 // probeKeyLen is the probe scenario's index key width, probeLeafCap the
 // entries such keys leave room for in a 4 KB leaf.
 const (
@@ -148,18 +163,8 @@ var scenarios = map[string]scenario{
 		deterministic: always,
 		fields:        []Field{{"replayed", int64(0)}, {"completed", int64(0)}},
 	},
-	// The paper's statement on a partitioned heap: R hash-partitioned 4-way
-	// on A, so the sort/merge heap ⋈̸ is one logged pass per partition file
-	// (a fan-out over the devices when Config.Devices and Config.Parallel
-	// allow) and recovery resumes exactly the partitions still open.
-	"parted": {
-		build:         buildHeapParts(4, "R"),
-		run:           runParted,
-		reference:     checkTables,
-		verify:        verifyBulk,
-		deterministic: Config.Deterministic,
-		fields:        bulk.fields,
-	},
+	"parted":        parted,
+	"parted-cancel": parted.inCancelMode(),
 	// The LSM backend's whole write path — tombstone WAL appends, log
 	// flush, memtable flush, every compaction, and the catalog saves that
 	// commit each manifest: a delete, then CompactLSM to the no-tombstone

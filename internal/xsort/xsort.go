@@ -229,6 +229,72 @@ func (s *Sorter) Finish() (*Iterator, error) {
 	return s.mergeIterator(runs)
 }
 
+// Merge finishes sorters of one row size and order — typically filled by
+// independent workers, one each — and merges their outputs into one sorted
+// stream, charging a compare per head it weighs. A single sorter's stream is
+// its own Finish. Closing the iterator closes every sorter.
+func Merge(srts []*Sorter) (*Iterator, error) {
+	if len(srts) == 1 {
+		return srts[0].Finish()
+	}
+	its := make([]*Iterator, len(srts))
+	for i, s := range srts {
+		it, err := s.Finish()
+		if err != nil {
+			return nil, err
+		}
+		its[i] = it
+	}
+	// heads[i] is stream i's next row (nil once it ran dry). A stream is
+	// pulled again only after its head was copied out, so the row stays
+	// valid while it waits.
+	heads, stale := make([][]byte, len(its)), make([]bool, len(its))
+	for i := range stale {
+		stale[i] = true
+	}
+	var out []byte
+	next := func() ([]byte, bool, error) {
+		best := -1
+		for i, it := range its {
+			if stale[i] {
+				row, ok, err := it.Next()
+				if err != nil {
+					return nil, false, err
+				}
+				heads[i], stale[i] = nil, false
+				if ok {
+					heads[i] = row
+				}
+			}
+			if heads[i] == nil {
+				continue
+			}
+			if best >= 0 {
+				srts[i].disk.ChargeCompares(1)
+				if srts[i].compare(heads[i], heads[best]) >= 0 {
+					continue
+				}
+			}
+			best = i
+		}
+		if best < 0 {
+			return nil, false, nil
+		}
+		out, stale[best] = append(out[:0], heads[best]...), true
+		return out, true, nil
+	}
+	closeAll := func() error {
+		var first error
+		for _, s := range srts {
+			if err := s.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	return &Iterator{next: next, close: closeAll}, nil
+}
+
 // mergeBufPages is the chained-I/O read buffer per run during merges.
 const mergeBufPages = 4
 

@@ -411,3 +411,69 @@ func TestCloseDropsTheSpillFile(t *testing.T) {
 		t.Fatalf("half-read iterator left %d files", n)
 	}
 }
+
+// TestMergeSorters: three sorters filled independently — one spilled, one in
+// memory, one empty — merge into one sorted stream of every row, charging
+// compares for the merge; closing it drops every spill file. One sorter is
+// merged as its own Finish, with no extra compare.
+func TestMergeSorters(t *testing.T) {
+	d := testDisk()
+	rng := rand.New(rand.NewSource(7))
+	var want []uint64
+	var srts []*Sorter
+	for _, n := range []int{5000, 300, 0} {
+		s, err := New(d, 8, 16000, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			v := rng.Uint64()
+			want = append(want, v)
+			if err := s.Add(row8(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srts = append(srts, s)
+	}
+	if !srts[0].Spilled() || srts[1].Spilled() {
+		t.Fatal("want the first sorter spilled and the second in memory")
+	}
+	it, err := Merge(srts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Stats().Compares
+	out := drain(t, it)
+	if got := d.Stats().Compares - before; got < 300 {
+		t.Errorf("the merge charged %d compares; the in-memory sorter's 300 rows each weigh against a live head", got)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if len(out) != len(want) {
+		t.Fatalf("merged %d rows, want %d", len(out), len(want))
+	}
+	for i, r := range out {
+		if got := binary.BigEndian.Uint64(r); got != want[i] {
+			t.Fatalf("row %d = %d, want %d", i, got, want[i])
+		}
+	}
+	if n := len(d.Placements()); n != 0 {
+		t.Fatalf("closing the merge left %d files", n)
+	}
+
+	one, err := New(d, 8, 1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{3, 1, 2} {
+		if err := one.Add(row8(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err = Merge([]*Sorter{one})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := drain(t, it); len(out) != 3 || !bytes.Equal(out[0], row8(1)) || !bytes.Equal(out[2], row8(3)) {
+		t.Fatalf("one sorter merged to %v", out)
+	}
+}

@@ -95,8 +95,8 @@ func TestCancelledDeleteDropsItsLists(t *testing.T) {
 // short of that, or never got as far as Finish, takes its spill file with
 // it. The unlogged statement sorts its victim, RID and key lists at a budget
 // they all overflow; the logged one is cancelled across its whole I/O
-// stream, the read-only ⋈̸ filling the RID sorter and the extraction pass
-// filling the per-index sorters included.
+// stream, the read-only ⋈̸ filling the RID sorter and the heap pass filling
+// the per-index sorters included.
 func TestSortsDropTheirSpillFiles(t *testing.T) {
 	opts := BulkOptions{Method: SortMerge, Memory: 4096}
 	db, tbl, victims := newCancelDB(t, 3000, Options{DisableWAL: true})
