@@ -95,6 +95,46 @@ func TestEvictWriteBackErrorKeepsFrameResident(t *testing.T) {
 	if buf[0] != 0xEE {
 		t.Fatal("dirty page lost by failed eviction")
 	}
+
+	// A write failing in the middle of a sweep: the pages before it are on
+	// disk and clean, the rest — the victim, which sorts last, among them —
+	// stay dirty and resident, and the retry writes every one of them.
+	d = testDisk()
+	f, g, fill := mkFile(t, d, 8), mkFile(t, d, 8), mkFile(t, d, sweepCap)
+	p = New(d, sweepCap*sim.PageSize)
+	refs := []ref{{g, 0, true}, {f, 1, true}, {f, 2, true}, {f, 4, true}}
+	touch(t, p, refs...)
+	next := fillClean(t, p, fill)
+	d.SetFaultPlan(sim.NewFaultPlan().FailWriteAt(2, nil))
+	_, err = p.Get(fill, next)
+	if err == nil || !strings.Contains(err.Error(), "buffer: evicting dirty page 0/2") {
+		t.Fatalf("err = %v, want eviction context naming the failed page 0/2", err)
+	}
+	if p.Resident() != sweepCap {
+		t.Fatalf("resident = %d after failed sweep, want %d", p.Resident(), sweepCap)
+	}
+	for _, r := range refs {
+		written := r.file == f && r.page == 1 // first in (file, page) order
+		fr := frameOf(p, r.file, r.page)
+		if fr == nil || fr.dirty.Load() == written {
+			t.Fatalf("page %d/%d after the failed sweep: resident %v, want resident and dirty = %v",
+				r.file, r.page, fr != nil, !written)
+		}
+	}
+	d.ResetStats()
+	fr, err = p.Get(fill, next)
+	if err != nil {
+		t.Fatalf("retry after failed sweep: %v", err)
+	}
+	p.Unpin(fr, false)
+	if w := d.Stats().Writes; w != 3 {
+		t.Fatalf("retry wrote %d pages, want the 3 left dirty", w)
+	}
+	for i, r := range refs {
+		if got := onDisk(t, d, r.file, r.page); got != mark(i) {
+			t.Errorf("page %d/%d on disk starts %#x, want %#x", r.file, r.page, got, mark(i))
+		}
+	}
 }
 
 func TestFlushFileErrorWrapsFileAndPage(t *testing.T) {

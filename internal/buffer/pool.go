@@ -23,10 +23,11 @@
 package buffer
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,7 +76,8 @@ type Stats struct {
 	Hits        uint64
 	Misses      uint64
 	Evictions   uint64
-	DirtyEvicts uint64
+	DirtyEvicts uint64 // evictions whose victim was dirty: each one sweep
+	Swept       uint64 // pages the eviction sweeps wrote, victims included
 }
 
 func (s *Stats) add(o Stats) {
@@ -83,6 +85,7 @@ func (s *Stats) add(o Stats) {
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
 	s.DirtyEvicts += o.DirtyEvicts
+	s.Swept += o.Swept
 }
 
 // shard is the per-device slice of the pool: one latch, one frame map, one
@@ -253,29 +256,60 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 	}
 }
 
-// evictOne drops the least recently used unpinned frame of the shard,
-// writing it back if dirty. It fails when every frame is pinned. On a
-// write-back error the frame stays resident, dirty, and on the LRU list —
-// the pool remains consistent and the page is not lost, so the caller can
-// retry or the DB can be reopened.
+// sweepShare sets the window a dirty eviction cleans: the victim and the
+// cap/sweepShare next-coldest frames of the shard's LRU list.
+const sweepShare = 16
+
+// evictOne drops the least recently used unpinned frame of the shard. A
+// dirty victim is written back together with every dirty frame of its
+// window, in (file, page) order: one sorted sweep where one random write
+// per evicted page would go, and the cold neighbours stay resident, clean.
+// It fails when every frame is pinned. On a write-back error the frames
+// not yet written stay resident, dirty, and on the LRU list — the pool
+// remains consistent and no page is lost, so the caller can retry or the
+// DB can be reopened.
 func (s *shard) evictOne(disk *sim.Disk, cap int) error {
 	e := s.lru.Back()
 	if e == nil {
 		return fmt.Errorf("buffer: pool exhausted: all %d frames pinned", cap)
 	}
 	f := e.Value.(*Frame)
-	s.lru.Remove(e)
-	f.elem = nil
 	s.stats.Evictions++
 	if f.dirty.Load() {
 		s.stats.DirtyEvicts++
-		if err := disk.WritePage(f.file, f.page, f.buf); err != nil {
-			f.elem = s.lru.PushBack(f)
-			return fmt.Errorf("buffer: evicting dirty page %d/%d: %w", f.file, f.page, err)
+		var dirty []*Frame
+		for w := cap / sweepShare; e != nil && w >= 0; e, w = e.Prev(), w-1 {
+			if g := e.Value.(*Frame); g.dirty.Load() {
+				dirty = append(dirty, g)
+			}
+		}
+		n, err := writeBack(disk, dirty, "evicting")
+		s.stats.Swept += uint64(n)
+		if err != nil {
+			return err
 		}
 	}
+	s.lru.Remove(f.elem)
+	f.elem = nil
 	delete(s.frames, frameKey{f.file, f.page})
 	return nil
+}
+
+// writeBack writes the dirty frames in (file, page) order, so the write-back
+// is as sequential as the set allows, and marks each clean once it is on
+// disk. It returns how many it wrote; on an error the rest stay dirty and
+// the error names the page that failed.
+func writeBack(disk *sim.Disk, dirty []*Frame, op string) (int, error) {
+	slices.SortFunc(dirty, func(a, b *Frame) int {
+		return cmp.Or(cmp.Compare(a.file, b.file), cmp.Compare(a.page, b.page))
+	})
+	for i, f := range dirty {
+		if err := disk.WritePage(f.file, f.page, f.buf); err != nil {
+			return i, fmt.Errorf("buffer: %s dirty page %d/%d: %w", op, f.file, f.page, err)
+		}
+		f.dirty.Store(false)
+	}
+	return len(dirty), nil
 }
 
 // makeRoom ensures at least n more frames can be installed in the shard.
@@ -416,20 +450,20 @@ func (p *Pool) NewPage(file sim.FileID) (*Frame, error) {
 // flushFileLocked writes back the dirty resident pages of one file in one
 // shard, in page order. Caller holds the shard mutex.
 func (s *shard) flushFileLocked(disk *sim.Disk, file sim.FileID) error {
+	return s.flushLocked(disk, func(f *Frame) bool { return f.file == file })
+}
+
+// flushLocked writes back the shard's dirty frames that match, ordered by
+// (file, page). Caller holds the shard mutex.
+func (s *shard) flushLocked(disk *sim.Disk, match func(*Frame) bool) error {
 	var dirty []*Frame
-	for k, f := range s.frames {
-		if k.file == file && f.dirty.Load() {
+	for _, f := range s.frames {
+		if f.dirty.Load() && match(f) {
 			dirty = append(dirty, f)
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].page < dirty[j].page })
-	for _, f := range dirty {
-		if err := disk.WritePage(f.file, f.page, f.buf); err != nil {
-			return fmt.Errorf("buffer: flushing dirty page %d/%d: %w", f.file, f.page, err)
-		}
-		f.dirty.Store(false)
-	}
-	return nil
+	_, err := writeBack(disk, dirty, "flushing")
+	return err
 }
 
 // FlushFile writes back every dirty resident page of the file, in page
@@ -453,26 +487,11 @@ func (p *Pool) FlushFile(file sim.FileID) error {
 func (p *Pool) FlushAll() error {
 	for _, s := range p.allShards() {
 		s.mu.Lock()
-		var dirty []*Frame
-		for _, f := range s.frames {
-			if f.dirty.Load() {
-				dirty = append(dirty, f)
-			}
-		}
-		sort.Slice(dirty, func(i, j int) bool {
-			if dirty[i].file != dirty[j].file {
-				return dirty[i].file < dirty[j].file
-			}
-			return dirty[i].page < dirty[j].page
-		})
-		for _, f := range dirty {
-			if err := p.disk.WritePage(f.file, f.page, f.buf); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("buffer: flushing dirty page %d/%d: %w", f.file, f.page, err)
-			}
-			f.dirty.Store(false)
-		}
+		err := s.flushLocked(p.disk, func(*Frame) bool { return true })
 		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

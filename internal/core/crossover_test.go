@@ -121,8 +121,8 @@ func crossoverCost(t *testing.T, m Method, victims []int64) (time.Duration, *Sta
 // contiguous key range it mixes the arms — probes where the victims are one
 // run of leaves, passes where they are scattered. (There the all-probe plan
 // measured 4 % under the mix: over a freshly loaded leaf level a batch of
-// probes in key order is itself a skip-sequential pass, which the planner's
-// random-read price for a probed leaf does not credit.)
+// probes in key order is itself a skip-sequential pass, and the planner
+// prices each probed leaf a near skip even where most are successors.)
 func TestArmCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	perm := rng.Perm(crossoverRows)

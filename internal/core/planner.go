@@ -103,6 +103,7 @@ func keySpan(values []int64) float64 {
 // pricer prices plan steps with the charges of the simulated disk.
 type pricer struct {
 	disk                   *sim.Disk
+	cm                     sim.CostModel
 	randIO, seqIO, writeIO time.Duration
 	memory                 int
 }
@@ -111,6 +112,7 @@ func newPricer(disk *sim.Disk, memory int) pricer {
 	cm := disk.CostModelInUse()
 	return pricer{
 		disk:   disk,
+		cm:     cm,
 		randIO: cm.Seek + cm.Rotation + cm.TransferPage,
 		seqIO:  cm.TransferPage,
 		// Dirty pages go back in page order: a transfer and half a
@@ -134,27 +136,30 @@ func (p pricer) sort(rows, rowSize float64) time.Duration {
 	return pages(2*pgs/rowFileChunk, p.randIO) + pages(2*pgs, p.seqIO)
 }
 
-// chain prices one chained read of n pages in file order.
+// chain prices one chained read of n pages in file order: a transfer per
+// page and, per read-ahead run, a short skip — each run starts where the
+// last one ended, but the write-back between them moves the head a little.
 func (p pricer) chain(n float64) time.Duration {
-	return pages(n, p.seqIO) + pages(n/32, p.randIO)
+	return pages(n, p.seqIO) + pages(n/32, p.cm.Skip(p.cm.NearDistance))
 }
 
 // leafPass prices the pass arm of an index ⋈̸ over lp leaf pages of which
-// dirty get modified: the chained walk, the write-back, and — rebuild set,
-// a destructive pass that can empty a leaf — RebuildUpper's second walk over
-// the leaf level and its rewrite of the inner one.
-func (p pricer) leafPass(ix *IndexRef, lp, dirty float64, rebuild bool) time.Duration {
+// dirty get modified: the chained walk, the write-back, and — weighted by
+// the chance rebuild that the pass empties a leaf — RebuildUpper's second
+// walk over the leaf level and its rewrite of the inner one.
+func (p pricer) leafPass(ix *IndexRef, lp, dirty, rebuild float64) time.Duration {
 	t := p.chain(lp) + pages(dirty, p.writeIO)
-	if rebuild {
-		t += p.chain(lp) + pages(lp/float64(ix.Tree.InnerCapacity())+1, p.writeIO)
-	}
-	return t
+	upper := p.chain(lp) + pages(lp/float64(ix.Tree.InnerCapacity())+1, p.writeIO)
+	return t + time.Duration(rebuild*float64(upper))
 }
 
-// probes prices the probe arm: every distinct leaf touched is one random
-// read (the upper levels stay resident) and, when deleting, one write-back.
-func (p pricer) probes(touched float64, del bool) time.Duration {
-	t := pages(touched, p.randIO)
+// probes prices the probe arm over lp leaves of which touched hold a victim:
+// the batch reads them in key order, a chain of touched pages each a
+// forward skip of about lp/touched pages priced on the disk's own
+// positioning curve (the upper levels stay resident), and, when deleting,
+// writes each back.
+func (p pricer) probes(lp, touched float64, del bool) time.Duration {
+	t := p.chain(touched) + pages(touched, p.cm.Skip(sim.PageNo(math.Ceil(lp/touched))))
 	if del {
 		t += pages(touched, p.writeIO)
 	}
@@ -175,17 +180,23 @@ func (p pricer) arms(ix *IndexRef, rows, span float64, del bool) (pass, byProbes
 	// unique index holds at most one entry per key value, which bounds a
 	// clustered victim set far below that.
 	touched := lp * (1 - math.Pow(1-1/lp, rows))
-	perLeaf := math.Max(1, float64(ix.Tree.Count())/lp)
-	if span > 0 && ix.Unique {
-		touched = math.Min(touched, span/perLeaf+1)
+	entries := math.Max(1, float64(ix.Tree.Count()))
+	perLeaf := math.Max(1, entries/lp)
+	// A destructive pass rebuilds the inner levels only once it empties a
+	// leaf (passJob.run). Scattered victims do that only if all of some
+	// leaf's entries are victims; a clustered run as long as a leaf does.
+	rebuild := math.Min(1, lp*math.Pow(math.Min(1, rows/entries), perLeaf))
+	if span > 0 && ix.Unique && span/perLeaf+1 < touched {
+		touched = span/perLeaf + 1
+		rebuild = 0
+		if rows >= perLeaf {
+			rebuild = 1
+		}
 	}
-	dirty := 0.0
-	if del {
-		dirty = touched
+	if !del {
+		return p.leafPass(ix, lp, 0, 0), p.probes(lp, touched, false)
 	}
-	// Fewer victims than a leaf holds on average are priced as emptying no
-	// leaf, so the pass keeps the inner levels (passJob.run).
-	return p.leafPass(ix, lp, dirty, del && rows >= perLeaf), p.probes(touched, del)
+	return p.leafPass(ix, lp, touched, rebuild), p.probes(lp, touched, true)
 }
 
 // probeCheaper reports whether one ⋈̸ of ix alone is cheaper by probes than

@@ -82,6 +82,7 @@ func (s Snapshot) Sub(b Snapshot) Delta {
 		Misses:      satSub(s.Pool.Misses, b.Pool.Misses),
 		Evictions:   satSub(s.Pool.Evictions, b.Pool.Evictions),
 		DirtyEvicts: satSub(s.Pool.DirtyEvicts, b.Pool.DirtyEvicts),
+		Swept:       satSub(s.Pool.Swept, b.Pool.Swept),
 		WALBytes:    satSub(s.WALBytes, b.WALBytes),
 		Faults:      satSub(s.Disk.FaultsInjected, b.Disk.FaultsInjected),
 	}
@@ -118,6 +119,7 @@ type Delta struct {
 	Misses      uint64        // buffer-pool misses
 	Evictions   uint64        // frames evicted
 	DirtyEvicts uint64        // evictions that wrote back
+	Swept       uint64        // pages written by those evictions' sweeps
 	WALBytes    uint64        // log bytes made durable
 	Faults      uint64        // injected I/O faults tripped (crash tests)
 }
@@ -138,6 +140,7 @@ func (d *Delta) Add(o Delta) {
 	d.Misses += o.Misses
 	d.Evictions += o.Evictions
 	d.DirtyEvicts += o.DirtyEvicts
+	d.Swept += o.Swept
 	d.WALBytes += o.WALBytes
 	d.Faults += o.Faults
 }

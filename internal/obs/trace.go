@@ -217,6 +217,7 @@ type DeltaWire struct {
 	Misses      uint64 `json:"pool_misses"`
 	Evictions   uint64 `json:"evictions"`
 	DirtyEvicts uint64 `json:"dirty_evicts"`
+	Swept       uint64 `json:"swept,omitempty"`
 	WALBytes    uint64 `json:"wal_bytes"`
 	Faults      uint64 `json:"faults_injected,omitempty"`
 }
@@ -238,6 +239,7 @@ func (d Delta) Wire() DeltaWire {
 		Misses:      d.Misses,
 		Evictions:   d.Evictions,
 		DirtyEvicts: d.DirtyEvicts,
+		Swept:       d.Swept,
 		WALBytes:    d.WALBytes,
 		Faults:      d.Faults,
 	}

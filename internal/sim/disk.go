@@ -256,27 +256,18 @@ func (d *Disk) NumPages(id FileID) (PageNo, error) {
 // the device so the caller can charge transfers to it. Caller holds d.mu.
 func (d *Disk) positionLocked(id FileID, p PageNo) *device {
 	dev := d.devs[d.fileDev[id]]
-	var charge time.Duration
-	switch {
-	case dev.hasLast && dev.lastFile == id && p == dev.lastPage+1:
+	charge, kind := d.cm.Seek+d.cm.Rotation, randomJump
+	if dev.hasLast && dev.lastFile == id {
+		charge, kind = d.cm.jump(dev.lastPage, p)
+	}
+	switch kind {
+	case seqJump:
 		dev.stats.SeqOps++
 		d.stats.SeqOps++
-	case dev.hasLast && dev.lastFile == id && d.cm.NearDistance > 0 &&
-		absDist(p, dev.lastPage) <= d.cm.NearDistance:
-		// Short jump on the same cylinder: no arm seek; a short forward
-		// skip waits only for the sectors to pass under the head while a
-		// short backward skip waits almost a full revolution — half a
-		// rotation on average.
-		charge = d.cm.Rotation / 2
+	case nearJump:
 		dev.stats.NearOps++
 		d.stats.NearOps++
-	case dev.hasLast && dev.lastFile == id && d.cm.SeekSpan > 0:
-		// Same-file jump of known distance: square-root seek curve.
-		charge = d.seekFor(absDist(p, dev.lastPage)) + d.cm.Rotation
-		dev.stats.RandomOps++
-		d.stats.RandomOps++
 	default:
-		charge = d.cm.Seek + d.cm.Rotation
 		dev.stats.RandomOps++
 		d.stats.RandomOps++
 	}
@@ -286,20 +277,57 @@ func (d *Disk) positionLocked(id FileID, p PageNo) *device {
 	return dev
 }
 
+// jumpKind is the tier of a head movement, as Stats counts it.
+type jumpKind int
+
+const (
+	seqJump jumpKind = iota
+	nearJump
+	randomJump
+)
+
+// jump prices an access to page to of a file right after one to page from
+// of the same file. The successor pays transfer only. A short jump on the
+// same cylinder pays no arm seek: a short forward skip waits only for the
+// sectors to pass under the head while a short backward skip waits almost
+// a full revolution — half a rotation on average. A longer jump pays a
+// seek on the square-root curve (the average Seek without one) plus the
+// rotation.
+func (cm CostModel) jump(from, to PageNo) (time.Duration, jumpKind) {
+	dist := absDist(from, to)
+	switch {
+	case to == from+1:
+		return 0, seqJump
+	case cm.NearDistance > 0 && dist <= cm.NearDistance:
+		return cm.Rotation / 2, nearJump
+	case cm.SeekSpan > 0:
+		return cm.seekFor(dist) + cm.Rotation, randomJump
+	}
+	return cm.Seek + cm.Rotation, randomJump
+}
+
+// Skip is the positioning charge for an access gap pages past the previous
+// one in the same file, as the disk makes it — what a planner prices a
+// forward skip at.
+func (cm CostModel) Skip(gap PageNo) time.Duration {
+	charge, _ := cm.jump(0, gap)
+	return charge
+}
+
 // seekFor prices an arm movement of dist pages with the square-root curve:
 // SeekMin + (SeekMax − SeekMin)·sqrt(dist/SeekSpan), with SeekMax chosen as
 // 2·Seek − SeekMin so the configured Seek remains the average over random
 // distances (E[sqrt(U)] = 2/3 ≈ the random-jump expectation with locality).
-func (d *Disk) seekFor(dist PageNo) time.Duration {
-	if dist > d.cm.SeekSpan {
-		dist = d.cm.SeekSpan
+func (cm CostModel) seekFor(dist PageNo) time.Duration {
+	if dist > cm.SeekSpan {
+		dist = cm.SeekSpan
 	}
-	seekMax := 2*d.cm.Seek - d.cm.SeekMin
-	if seekMax < d.cm.SeekMin {
-		seekMax = d.cm.SeekMin
+	seekMax := 2*cm.Seek - cm.SeekMin
+	if seekMax < cm.SeekMin {
+		seekMax = cm.SeekMin
 	}
-	frac := math.Sqrt(float64(dist) / float64(d.cm.SeekSpan))
-	return d.cm.SeekMin + time.Duration(float64(seekMax-d.cm.SeekMin)*frac)
+	frac := math.Sqrt(float64(dist) / float64(cm.SeekSpan))
+	return cm.SeekMin + time.Duration(float64(seekMax-cm.SeekMin)*frac)
 }
 
 func absDist(a, b PageNo) PageNo {
