@@ -48,11 +48,11 @@ func TestLookupInsertInterleaving(t *testing.T) {
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
 	ix := heapOf(tbl).IndexOnField(0)
-	ix.Tree.TestHookMidInsert = func() {
+	ix.Tree.Hooks.MidInsert = func() {
 		close(inWindow)
 		<-release
 	}
-	defer func() { ix.Tree.TestHookMidInsert = nil }()
+	defer func() { ix.Tree.Hooks.MidInsert = nil }()
 
 	insDone := make(chan error, 1)
 	go func() {

@@ -24,7 +24,7 @@
 //	create index <table> <ixname> <field> [unique] [clustered] [keylen <n>]
 //	load <table> <rows>
 //	insert <table> <v0> [v1 ...]
-//	delete <table> <field> <values|lo..hi> [method sort|hash|partition|probe|auto]
+//	delete <table> <field> <values|lo..hi> [method sort|hash|partition|auto]
 //	delete <table> <field> <values|lo..hi> traditional [sorted]
 //	delete <table> <field> <values|lo..hi> dropcreate
 //	lookup <table> <field> <value>
@@ -281,13 +281,13 @@ func (s *shell) help() {
   create index <table> <ixname> <field> [unique] [clustered] [keylen <n>]
   load <table> <rows>                      synthetic rows: field j of row i = (j+1)*i
   insert <table> <v0> [v1 ...]
-  delete <table> <field> <values|lo..hi> [method sort|hash|partition|probe|auto]
+  delete <table> <field> <values|lo..hi> [method sort|hash|partition|auto]
   delete <table> <field> <values|lo..hi> traditional [sorted]
   delete <table> <field> <values|lo..hi> dropcreate
   update <table> <predfield> <values|lo..hi> <setfield> <delta>
   lookup <table> <field> <value>
   count <table> | check <table>
-  explain <table> <field> [sort|hash|partition|probe]
+  explain <table> <field> [sort|hash|partition]
   estimate <table> <field> <victims>
   clock | stats | metrics | layout | inspect | flush | crash | recover | quit
 `)
@@ -530,7 +530,7 @@ func (s *shell) delete(args []string) error {
 		name := ""
 		if mode == "method" {
 			if len(args) < 5 {
-				return fmt.Errorf("delete ... method <sort|hash|partition|probe|auto>")
+				return fmt.Errorf("delete ... method <sort|hash|partition|auto>")
 			}
 			name = args[4]
 		}

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rows := fs.Int("rows", 0, "table rows (default 48)")
 	victims := fs.Int("victims", 0, "victim count (default rows/3)")
 	indexes := fs.Int("indexes", 0, "indexes on the table, 1..3 (default 3)")
-	method := fs.String("method", "all", "join method: sort, hash, partition, probe (Auto on its own small-delete scenario), or all")
+	method := fs.String("method", "all", "join method: sort, hash, partition, auto (the planner on its own sparse-delete scenario), or all")
 	at := fs.Int("at", 0, "run a single ordinal instead of sweeping")
 	from := fs.Int("from", 0, "first swept ordinal (default 1)")
 	to := fs.Int("to", 0, "last swept ordinal (default: the statement's I/O count)")
@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	methods := []string{"sort", "hash", "partition", "probe"}
+	methods := []string{"sort", "hash", "partition", "auto"}
 	if *method != "all" {
 		methods = []string{*method}
 	}
@@ -121,12 +121,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return harness(err)
 			}
-			// The probe arm sweeps its own scenario where it has one: the
-			// bulk scenario's single-leaf trees leave a probe nothing to
-			// descend and no leaf to empty.
+			// Auto sweeps the heap delete's sparse twin: the bulk
+			// scenario's single-leaf trees leave a walk nothing to seek and
+			// no leaf to free. The sweeps with no join method to vary keep
+			// their own scenario.
 			name := base
-			if twin, ok := probeTwins[base]; ok && m == bulkdel.Probe {
-				name = twin
+			if m == bulkdel.Auto && perMethod && base != "concurrent" {
+				name = "sparse"
+				if base != "bulk" {
+					name += "-" + base
+				}
 			}
 			cfg := crashtest.Config{
 				Rows: *rows, Victims: *victims, Indexes: *indexes, Method: m,
@@ -193,13 +197,6 @@ type kind struct {
 	// summary carries the cancelled count and the completed-delete digest
 	// every ordinal's own digest must equal.
 	digest, reference bool
-}
-
-// probeTwins maps a heap-delete scenario to the one -method probe sweeps in
-// its place, worded like it.
-var probeTwins = map[string]string{
-	"bulk": "probe", "cancel": "probe-cancel",
-	"reader": "probe-reader", "reader-cancel": "probe-reader-cancel",
 }
 
 var kinds = map[string]kind{

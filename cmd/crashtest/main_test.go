@@ -61,26 +61,30 @@ func TestSummaryLines(t *testing.T) {
 		"lsm-in: 12 I/Os, swept 12 ordinals, 0 failed, digest ",
 		"lsm-heap: 69 I/Os, swept 69 ordinals, 0 failed, digest ")
 	// rebalance's digest carries the clock of the sort/merge bulk delete its
-	// verify runs after recovery, so it moved with the heap pass (it was
-	// 11d2995e4f436cec with the extraction walk); parted lost that walk's
-	// 5 I/Os (90 before).
+	// verify runs after recovery, so it moves with the kernels' charges, as
+	// parted's does.
 	runCLI(t, 0, []string{"-rebalance"}, "",
-		"rebalance: 31 I/Os, swept 31 ordinals, 0 failed, digest 680c58ecbf124f84",
-		"parted: 85 I/Os, swept 85 ordinals, 0 failed, digest 7832221ac0db82c8")
+		"rebalance: 31 I/Os, swept 31 ordinals, 0 failed, digest 9fe9855e38d7bb4c",
+		"parted: 85 I/Os, swept 85 ordinals, 0 failed, digest 9b65a579e15001de")
 	// -rebalance -cancel cancels the partitioned-heap delete at every
 	// ordinal; an online abort that lands in the heap phase finishes on the
 	// RID list. Its reference is the completed delete's final state, the same
 	// as with the extraction walk.
 	runCLI(t, 0, []string{"-rebalance", "-cancel", "-stride", "9"}, " 0 failed, reference 61a84952e18411ee",
 		"parted-cancel: cancel sweep: 85 I/Os, swept 10 ordinals, ")
+	// A sweep with no join method to vary keeps its scenario under -method
+	// auto.
+	runCLI(t, 0, []string{"-rebalance", "-method", "auto", "-stride", "9"}, "",
+		"rebalance: 31 I/Os, swept 4 ordinals, 0 failed, digest ",
+		"parted: 85 I/Os, swept 10 ordinals, 0 failed, digest ")
 	runCLI(t, 0, []string{"-cancel", "-method", "hash", "-stride", "9"}, "",
 		"hash:     cancel sweep: 62 I/Os, swept 7 ordinals, 7 cancelled, 0 failed, reference d0ec0d93a4ddb929")
-	// -method probe sweeps the probe scenario; its cancelled runs settle on
-	// the digest the parent commit's DeleteTraditional(sorted) left.
-	runCLI(t, 0, []string{"-method", "probe", "-stride", "40"}, "",
-		"probe:    319 I/Os, swept 8 ordinals, 0 failed, digest ")
-	runCLI(t, 0, []string{"-cancel", "-method", "probe", "-stride", "40"}, " 0 failed, reference 442fef5ba8b3ed11",
-		"probe:    cancel sweep: 321 I/Os, swept 9 ordinals, ")
+	// -method auto sweeps the sparse scenario; its cancelled runs settle on
+	// the digest DeleteTraditional(sorted) leaves.
+	runCLI(t, 0, []string{"-method", "auto", "-stride", "40"}, "",
+		"auto:     322 I/Os, swept 9 ordinals, 0 failed, digest ")
+	runCLI(t, 0, []string{"-cancel", "-method", "auto", "-stride", "40"}, " 0 failed, reference 442fef5ba8b3ed11",
+		"auto:     cancel sweep: 324 I/Os, swept 9 ordinals, ")
 	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",
 		"sort:     reader crash sweep: 68 I/Os, swept 4 ordinals, 0 failed")
 	runCLI(t, 0, []string{"-concurrent", "-method", "sort", "-devices", "3", "-parallel", "2", "-rows", "24", "-stride", "25"}, "",

@@ -56,11 +56,6 @@ const (
 	// HashPartition range-partitions oversized victim lists so each
 	// partition fits in memory (Figure 5).
 	HashPartition = core.HashPartition
-	// Probe runs the sorting plan with every index joined by batched
-	// root-to-leaf probes in key order instead of a leaf pass. Auto picks
-	// between the two per index by estimated cost; a result whose Method is
-	// Auto mixed them.
-	Probe = core.Probe
 )
 
 // ParseMethod maps a method name as the shells, SET method and the command
@@ -75,10 +70,8 @@ func ParseMethod(name string) (Method, error) {
 		return Hash, nil
 	case "partition", "hashpart", "hashpartition", "hash+range-partition":
 		return HashPartition, nil
-	case "probe":
-		return Probe, nil
 	default:
-		return Auto, fmt.Errorf("bulkdel: unknown method %q (auto, sort, hash, partition, probe)", name)
+		return Auto, fmt.Errorf("bulkdel: unknown method %q (auto, sort, hash, partition)", name)
 	}
 }
 

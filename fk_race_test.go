@@ -13,7 +13,7 @@ import (
 // the child's own online inserts run concurrently. A leaf insert shifts
 // entries and then writes the new one — mid-shift the leaf is torn — so the
 // probe must serialize against it on the index latch. This test parks a
-// child insert inside exactly that window (btree.Tree.TestHookMidInsert)
+// child insert inside exactly that window (btree.Hooks.MidInsert)
 // and asserts the parent's bulk delete blocks on the probe until the insert
 // lands, then sees it and restricts.
 func TestRestrictProbeWaitsForChildInsert(t *testing.T) {
@@ -52,12 +52,12 @@ func TestRestrictProbeWaitsForChildInsert(t *testing.T) {
 	ix := heapOf(child).FindIndex("fk")
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
-	ix.Tree.TestHookMidInsert = func() {
-		ix.Tree.TestHookMidInsert = nil // the window fires once
+	ix.Tree.Hooks.MidInsert = func() {
+		ix.Tree.Hooks.MidInsert = nil // the window fires once
 		close(inWindow)
 		<-release
 	}
-	defer func() { ix.Tree.TestHookMidInsert = nil }()
+	defer func() { ix.Tree.Hooks.MidInsert = nil }()
 
 	insDone := make(chan error, 1)
 	go func() {

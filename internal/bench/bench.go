@@ -50,10 +50,7 @@ const (
 	BulkHash
 	// BulkPartition is the hash + range-partitioning plan.
 	BulkPartition
-	// BulkProbe is the sorting plan with every index joined by batched
-	// root-to-leaf probes instead of a leaf pass.
-	BulkProbe
-	// BulkAuto lets the planner choose, per index between pass and probes.
+	// BulkAuto lets the planner choose the method.
 	BulkAuto
 	// LSMTombstone issues the delete as a single LSM range tombstone and
 	// stops — the foreground cost of the statement.
@@ -77,8 +74,6 @@ func (a Approach) String() string {
 		return "bulk delete (hash)"
 	case BulkPartition:
 		return "bulk delete (partitioned)"
-	case BulkProbe:
-		return "bulk delete (probe)"
 	case BulkAuto:
 		return "bulk delete (auto)"
 	case LSMTombstone:
@@ -310,12 +305,11 @@ func Run(cfg Config, ap Approach) (Result, error) {
 		sp := tr.Root().Child("statement", "drop indexes, delete, rebuild")
 		res.Deleted, err = tbl.DropCreateDelete(0, victims, true)
 		sp.Finish()
-	case BulkSortMerge, BulkHash, BulkPartition, BulkProbe, BulkAuto:
+	case BulkSortMerge, BulkHash, BulkPartition, BulkAuto:
 		method := map[Approach]core.Method{
 			BulkSortMerge: core.SortMerge,
 			BulkHash:      core.Hash,
 			BulkPartition: core.HashPartition,
-			BulkProbe:     core.Probe,
 			BulkAuto:      core.Auto,
 		}[ap]
 		var st *core.Stats
@@ -468,7 +462,7 @@ func (e Experiment) JSON() ([]byte, error) {
 				Phases:   r.Phases,
 			}
 			switch r.Approach {
-			case BulkSortMerge, BulkHash, BulkPartition, BulkProbe, BulkAuto:
+			case BulkSortMerge, BulkHash, BulkPartition, BulkAuto:
 				pj.Method = r.Method.String()
 			}
 			// Multi-device points carry the wall-clock fields; single-

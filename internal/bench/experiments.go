@@ -443,11 +443,11 @@ func (r *Runner) MethodAblation() (Experiment, error) {
 	return e, nil
 }
 
-// Crossover locates where the leaf pass starts to pay: the paper's
-// three-index table, victims from a handful to a tenth of it on a log axis,
-// every index ⋈̸ by leaf passes, by batched probes, and as the planner picks
-// per index (the result's method says which: sort/merge, probe, or auto for
-// a mix).
+// Crossover sweeps the paper's three-index table from a handful of victims to
+// a tenth of it on a log axis: each of the three methods forced, and the
+// planner's pick (the result's method says which). The sorting plan's index
+// ⋈̸ is the seeking walk, so its curve follows the victims' leaves from a
+// few root-to-leaf descents up to one chained pass.
 func (r *Runner) Crossover() (Experiment, error) {
 	fractions := []float64{0.00005, 0.0002, 0.0005, 0.002, 0.005, 0.01, 0.02, 0.05, 0.10}
 	xs := []string{"0.005%", "0.02%", "0.05%", "0.2%", "0.5%", "1%", "2%", "5%", "10%"}
@@ -457,15 +457,16 @@ func (r *Runner) Crossover() (Experiment, error) {
 	}
 	e := Experiment{
 		ID:     "crossover",
-		Title:  "Pass vs probes: leaf-pass ⋈̸, batched-probe ⋈̸ and the planner's per-index choice (3 indexes, 5 MB)",
+		Title:  "One seeking walk: the three methods forced and the planner's choice (3 indexes, 5 MB)",
 		XLabel: "deleted tuples (% of tuples)",
 	}
 	for _, row := range []struct {
 		label string
 		ap    Approach
 	}{
-		{"sort/merge (passes)", BulkSortMerge},
-		{"probe", BulkProbe},
+		{"sort/merge", BulkSortMerge},
+		{"hash", BulkHash},
+		{"hash+range-partition", BulkPartition},
 		{"auto (planner)", BulkAuto},
 	} {
 		s, err := r.runSeries(row.label, row.ap, cfgs, xs)

@@ -581,7 +581,7 @@ func TestLeafCursorDeleteAndRebuild(t *testing.T) {
 		// shrink to ~1/3 occupancy (so reorganization can merge
 		// neighbors) and the leaves inside the range empty completely
 		// (so free-at-empty reclamation kicks in).
-		cur, err := tr.EditLeaves()
+		cur, err := tr.EditLeavesFrom(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +610,12 @@ func TestLeafCursorDeleteAndRebuild(t *testing.T) {
 				}
 			}
 		}
-		cur.Close()
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The cursor freed the leaves it emptied: the tree is whole before
+		// any rebuild.
+		mustCheck(t, tr)
 		if err := tr.RebuildUpper(reorg); err != nil {
 			t.Fatal(err)
 		}
@@ -683,7 +688,7 @@ func TestRebuildAfterTotalDeletion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cur, err := tr.EditLeaves()
+	cur, err := tr.EditLeavesFrom(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -992,6 +997,37 @@ func TestSeparatorSample(t *testing.T) {
 	}
 }
 
+// TestLeafCursorFind: Find lands on the first entry at or above the key from
+// any start, for keys present, absent, below and above the leaf.
+func TestLeafCursorFind(t *testing.T) {
+	tr, err := Create(testPool(64), 8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 100; i += 2 {
+		if err := tr.Insert(intKey(i), ridFor(int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := tr.EditLeavesFrom(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if ok, err := cur.NextLeaf(); !ok || err != nil {
+		t.Fatalf("NextLeaf: %v %v", ok, err)
+	}
+	n, _ := cur.Count()
+	for from := 0; from <= n; from += 7 {
+		for v := int64(-1); v <= 101; v++ {
+			want := max(from, int(min(max(v+1, 0)/2, int64(n))))
+			if got := cur.Find(tr.minFullKey(intKey(v)), from); got != want {
+				t.Fatalf("Find(%d, from %d) = %d, want %d", v, from, got, want)
+			}
+		}
+	}
+}
+
 func TestEditLeavesFrom(t *testing.T) {
 	p := testPool(512)
 	tr, err := Create(p, 8, false)
@@ -1010,7 +1046,7 @@ func TestEditLeavesFrom(t *testing.T) {
 	}, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := tr.EditLeavesFrom(intKey(5000))
+	cur, err := tr.EditLeavesFrom(tr.minFullKey(intKey(5000)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1034,7 +1070,7 @@ func TestEditLeavesFrom(t *testing.T) {
 	if keyenc.Int64(last) < 5000 {
 		t.Fatalf("cursor leaf ends before the target: last key %d", keyenc.Int64(last))
 	}
-	if _, err := tr.EditLeavesFrom(make([]byte, 4)); err == nil {
+	if _, err := tr.EditLeavesFrom(make([]byte, 4), nil); err == nil {
 		t.Fatal("wrong key width accepted")
 	}
 }

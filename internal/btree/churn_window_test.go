@@ -36,14 +36,14 @@ func TestTornLeafInsertWindow(t *testing.T) {
 	// Mid-insert of key 9, the displaced successor (key 10) is visible
 	// at both its old and shifted positions.
 	var midRIDs []record.RID
-	tr.TestHookMidInsert = func() {
+	tr.Hooks.MidInsert = func() {
 		rids, err := tr.Search(intKey(10))
 		if err != nil {
 			t.Errorf("mid-insert search: %v", err)
 		}
 		midRIDs = rids
 	}
-	defer func() { tr.TestHookMidInsert = nil }()
+	defer func() { tr.Hooks.MidInsert = nil }()
 	if err := tr.Insert(intKey(9), ridFor(9)); err != nil {
 		t.Fatal(err)
 	}

@@ -9,44 +9,51 @@ import (
 	"bulkdel/internal/sim"
 )
 
-// LeafCursor is the bulk-delete operator's window into the tree: a
-// sequential walk over the leaf chain (chained I/O) that can delete entries
-// in place. This is the paper's vertical access path — the whole leaf level
-// is processed "from the beginning to the end" without ever touching the
-// inner nodes, which are rebuilt afterwards by RebuildUpper.
+// LeafCursor is the bulk-delete operator's window into the tree: a walk
+// over the leaf chain that can delete entries in place. This is the paper's
+// vertical access path — the leaf level is processed "from the beginning to
+// the end" without touching the inner nodes — except that Seek may skip
+// ahead to a leaf its caller located (Tree.Locate), so a walk reads only the
+// leaves it needs. A leaf the cursor empties is freed on the spot, the way
+// Delete frees one under FreeAtEmpty, so the inner levels stay exact and no
+// empty leaf ever reaches the disk; only §2.3 reorganization needs
+// RebuildUpper.
 type LeafCursor struct {
-	t       *Tree
-	fr      *buffer.Frame
-	dirty   bool
-	next    sim.PageNo
-	started bool
-	closed  bool
+	t      *Tree
+	fr     *buffer.Frame
+	dirty  bool
+	next   sim.PageNo
+	runEnd func(sim.PageNo) (sim.PageNo, error)
+	closed bool
 }
 
-// EditLeaves opens a cursor positioned before the first leaf.
-func (t *Tree) EditLeaves() (*LeafCursor, error) {
-	leftmost, err := t.leftmostLeaf()
+// EditLeavesFrom opens a cursor positioned before the leaf whose range covers
+// the full key (key ‖ RID) fk — nil: before the first leaf. A leaf NextLeaf
+// finds missing from the pool is read in one chained run with the pages after
+// it through runEnd(leaf); nil runEnd reads as far as the pool reads ahead.
+func (t *Tree) EditLeavesFrom(fk []byte, runEnd func(sim.PageNo) (sim.PageNo, error)) (*LeafCursor, error) {
+	c := &LeafCursor{t: t, runEnd: runEnd}
+	var err error
+	if fk == nil {
+		c.next, err = t.leftmostLeaf()
+	} else if len(fk) != t.keyLen+record.RIDSize {
+		err = fmt.Errorf("btree: seek key is %d bytes, tree uses %d", len(fk), t.keyLen+record.RIDSize)
+	} else {
+		c.next, err = t.locate(fk, nil, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &LeafCursor{t: t, next: leftmost}, nil
+	return c, nil
 }
 
-// EditLeavesFrom opens a cursor positioned before the leaf whose range
-// covers the given key (the lower bound of a range-partitioned bulk delete,
-// paper §2.2.2/Figure 5). The caller stops advancing once it sees keys
-// beyond its partition.
-func (t *Tree) EditLeavesFrom(key []byte) (*LeafCursor, error) {
-	if len(key) != t.keyLen {
-		return nil, fmt.Errorf("btree: key is %d bytes, tree uses %d", len(key), t.keyLen)
+// Seek makes leaf the next one NextLeaf reads — unless it is the current
+// leaf, which the caller has read already: then the next stays its right
+// sibling.
+func (c *LeafCursor) Seek(leaf sim.PageNo) {
+	if c.fr == nil || leaf != c.fr.Page() {
+		c.next = leaf
 	}
-	fr, err := t.descendToLeaf(t.minFullKey(key), nil)
-	if err != nil {
-		return nil, err
-	}
-	pg := fr.Page()
-	t.pool.Unpin(fr, false)
-	return &LeafCursor{t: t, next: pg}, nil
 }
 
 // SeparatorSample returns up to k-1 keys that split the tree's key space
@@ -122,29 +129,95 @@ func (t *Tree) SeparatorSample(k int) ([][]byte, error) {
 	return dedup, nil
 }
 
-// NextLeaf advances to the next leaf in the chain (the leftmost leaf on the
-// first call), releasing the previous one. It returns false at the end.
+// NextLeaf advances to the next leaf — the one the cursor was opened or
+// sought at, else the current leaf's right sibling — releasing the current
+// one. It returns false at the end of the chain.
 func (c *LeafCursor) NextLeaf() (bool, error) {
 	if c.closed {
 		return false, fmt.Errorf("btree: cursor is closed")
 	}
-	if c.fr != nil {
-		n := c.t.node(c.fr.Data())
-		c.next = n.right()
-		c.t.pool.Unpin(c.fr, c.dirty)
-		c.fr = nil
-		c.dirty = false
-	}
-	c.started = true
+	c.release()
 	if c.next == sim.InvalidPage {
 		return false, nil
 	}
-	fr, err := c.t.pool.GetForScan(c.t.id, c.next, buffer.FullRun)
+	run := buffer.FullRun
+	if c.runEnd != nil {
+		upTo, err := c.runEnd(c.next)
+		if err != nil {
+			return false, err
+		}
+		run = int(upTo) - int(c.next) + 1
+	}
+	fr, err := c.t.pool.GetForScan(c.t.id, c.next, run)
 	if err != nil {
 		return false, err
 	}
 	c.fr = fr
+	c.next = c.t.node(fr.Data()).right()
 	return true, nil
+}
+
+// Find returns the position of the first entry, from position from on, whose
+// full key is at least fk. It gallops — compares the entries from, from+1,
+// from+3, from+7, … until one is not below fk — and binary searches the last
+// stride, so a key d entries on costs about 2·log₂ d compares, which are
+// charged. Off a leaf it returns from.
+func (c *LeafCursor) Find(fk []byte, from int) int {
+	n, err := c.current()
+	if err != nil {
+		return from
+	}
+	cmps := 0
+	below := func(i int) bool {
+		cmps++
+		return bytes.Compare(n.fullKey(i), fk) < 0
+	}
+	lo, hi := from, from // the entries before lo are below fk
+	for step := 1; hi < n.count() && below(hi); step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	for hi = min(hi, n.count()); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); below(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	c.t.pool.Disk().ChargeCompares(cmps)
+	return lo
+}
+
+// Rightmost reports whether the current leaf ends the chain.
+func (c *LeafCursor) Rightmost() bool { return c.fr != nil && c.next == sim.InvalidPage }
+
+// release unpins the current leaf.
+func (c *LeafCursor) release() {
+	if c.fr != nil {
+		c.t.pool.Unpin(c.fr, c.dirty)
+		c.fr, c.dirty = nil, false
+	}
+}
+
+// freeEmptied frees the current leaf, which the delete of the entry whose
+// full key is fk just emptied: spliced out of the chain and its separator
+// dropped from the parent along the path a descent by fk takes
+// (handleEmpty). It runs before the delete returns, so a checkpoint flush
+// never writes the leaf empty while its parent still points to it. A root
+// leaf stays. The cursor stays on the freed page until it moves on.
+func (c *LeafCursor) freeEmptied(fk []byte) error {
+	if c.t.height == 1 {
+		return nil
+	}
+	pg := c.fr.Page()
+	var path []pathStep
+	leaf, err := c.t.locate(fk, &path, nil)
+	if err != nil {
+		return err
+	}
+	if leaf != pg {
+		return fmt.Errorf("btree: emptied leaf %d is not where its last key routes (%d)", pg, leaf)
+	}
+	return c.t.handleEmpty(pg, path)
 }
 
 func (c *LeafCursor) current() (node, error) {
@@ -219,11 +292,18 @@ func (c *LeafCursor) Delete(i int) error {
 	if i < 0 || i >= n.count() {
 		return fmt.Errorf("btree: cursor delete %d out of range (%d)", i, n.count())
 	}
+	var last []byte
+	if n.count() == 1 {
+		last = append(last, n.fullKey(i)...)
+	}
 	n.removeAt(i)
 	c.dirty = true
 	c.fr.MarkDirty() // visible to checkpoint flushes while still pinned
 	c.t.count--
 	c.t.pool.Disk().ChargeRecords(1)
+	if last != nil {
+		return c.freeEmptied(last)
+	}
 	return nil
 }
 
@@ -239,22 +319,26 @@ func (c *LeafCursor) DeleteRange(i, j int) error {
 	if i == j {
 		return nil
 	}
+	var last []byte
+	if j-i == n.count() {
+		last = append(last, n.fullKey(j-1)...)
+	}
 	n.removeRange(i, j)
 	c.dirty = true
 	c.fr.MarkDirty() // visible to checkpoint flushes while still pinned
 	c.t.count -= int64(j - i)
 	c.t.pool.Disk().ChargeRecords(j - i)
+	if last != nil {
+		return c.freeEmptied(last)
+	}
 	return nil
 }
 
-// Close releases the cursor. The tree's inner levels may now be stale with
-// respect to emptied leaves; run RebuildUpper to restore full invariants.
-func (c *LeafCursor) Close() {
-	if c.fr != nil {
-		c.t.pool.Unpin(c.fr, c.dirty)
-		c.fr = nil
-	}
+// Close releases the cursor.
+func (c *LeafCursor) Close() error {
 	c.closed = true
+	c.release()
+	return nil
 }
 
 // collectInnerPages gathers every inner page by walking each level's
@@ -294,7 +378,7 @@ func (t *Tree) collectInnerPages() ([]sim.PageNo, error) {
 	}
 }
 
-// RebuildUpper restores the tree after a leaf-level bulk delete, following
+// RebuildUpper reorganizes the tree after a leaf-level bulk delete, following
 // the paper's §2.3: empty leaves are reclaimed (free-at-empty), neighboring
 // underfull leaves are optionally merged (reorg), and the inner levels are
 // rebuilt from the surviving leaf chain, reusing the reclaimed pages.

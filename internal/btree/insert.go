@@ -48,8 +48,8 @@ func (t *Tree) Insert(key []byte, rid record.RID) error {
 
 	if n.count() < n.capacity() {
 		n.insertAt(pos)
-		if t.TestHookMidInsert != nil {
-			t.TestHookMidInsert()
+		if hook := t.Hooks.MidInsert; hook != nil {
+			hook()
 		}
 		n.setLeafEntry(pos, fk)
 		t.pool.Unpin(fr, true)
@@ -93,15 +93,15 @@ func (t *Tree) Insert(key []byte, rid record.RID) error {
 	// Insert the entry into the correct half.
 	if pos <= mid {
 		n.insertAt(pos)
-		if t.TestHookMidInsert != nil {
-			t.TestHookMidInsert()
+		if hook := t.Hooks.MidInsert; hook != nil {
+			hook()
 		}
 		n.setLeafEntry(pos, fk)
 	} else {
 		p := pos - mid
 		nn.insertAt(p)
-		if t.TestHookMidInsert != nil {
-			t.TestHookMidInsert()
+		if hook := t.Hooks.MidInsert; hook != nil {
+			hook()
 		}
 		nn.setLeafEntry(p, fk)
 	}

@@ -79,13 +79,19 @@ type Tree struct {
 	count    int64
 	freeHead sim.PageNo
 
-	// TestHookMidInsert, when non-nil, runs between a leaf's entry shift
-	// (insertAt) and the write of the new entry (setLeafEntry). In that
-	// window the displaced entry transiently appears at two positions, so
-	// an unsynchronized concurrent reader can observe a duplicate. Tests
-	// use the hook to park an insert inside the window deterministically;
-	// production code never sets it.
-	TestHookMidInsert func()
+	// Hooks are the tree's test interception points; the zero value (every
+	// production tree) has none.
+	Hooks Hooks
+}
+
+// Hooks lets a test stop a tree operation inside a window no public boundary
+// exposes.
+type Hooks struct {
+	// MidInsert runs between a leaf's entry shift (insertAt) and the write of
+	// the new entry (setLeafEntry). In that window the displaced entry
+	// transiently appears at two positions, so an unsynchronized concurrent
+	// reader can observe a duplicate.
+	MidInsert func()
 }
 
 // Create makes a new, empty tree with fixed-width keys of keyLen bytes.
@@ -268,35 +274,62 @@ type pathStep struct {
 	idx  int
 }
 
-// descendToLeaf walks from the root to the leaf whose range covers fk,
-// recording the (page, child index) path through the inner nodes when path
-// is non-nil. The returned leaf frame is pinned.
-func (t *Tree) descendToLeaf(fk []byte, path *[]pathStep) (*buffer.Frame, error) {
+// Locate returns the page of the leaf whose range covers the full key fk
+// (key ‖ RID) and the fence that range ends before: every full key from fk
+// up to the fence routes to the same leaf (nil: the rightmost leaf). The
+// descent reads the inner levels only: CPU charges alone while they are
+// resident.
+func (t *Tree) Locate(fk []byte) (leaf sim.PageNo, fence []byte, err error) {
+	leaf, err = t.locate(fk, nil, &fence)
+	return leaf, fence, err
+}
+
+// locate walks the inner levels from the root to the leaf whose range covers
+// fk and returns the leaf's page number without reading the leaf, recording
+// the (page, child index) path through the inner nodes when path is non-nil
+// and the leaf's fence (see Locate) when fence is.
+func (t *Tree) locate(fk []byte, path *[]pathStep, fence *[]byte) (sim.PageNo, error) {
 	pg := t.root
-	for {
+	for level := t.height - 1; level > 0; level-- {
 		fr, err := t.pool.Get(t.id, pg)
 		if err != nil {
-			return nil, err
+			return sim.InvalidPage, err
 		}
 		n := t.node(fr.Data())
-		switch n.typ() {
-		case pageTypeLeaf:
-			return fr, nil
-		case pageTypeInner:
-			idx, cmps := n.searchInner(fk)
-			t.pool.Disk().ChargeCompares(cmps)
-			if path != nil {
-				*path = append(*path, pathStep{page: pg, idx: idx})
-			}
-			child := n.child(idx)
+		if typ := n.typ(); typ != pageTypeInner {
 			t.pool.Unpin(fr, false)
-			pg = child
-		default:
-			typ := n.typ()
-			t.pool.Unpin(fr, false)
-			return nil, fmt.Errorf("btree: page %d has type %q in search path", pg, typ)
+			return sim.InvalidPage, fmt.Errorf("btree: page %d has type %q in search path", pg, typ)
 		}
+		idx, cmps := n.searchInner(fk)
+		t.pool.Disk().ChargeCompares(cmps)
+		if path != nil {
+			*path = append(*path, pathStep{page: pg, idx: idx})
+		}
+		if fence != nil && idx+1 < n.count() {
+			*fence = append((*fence)[:0], n.fullKey(idx+1)...)
+		}
+		child := n.child(idx)
+		t.pool.Unpin(fr, false)
+		pg = child
 	}
+	return pg, nil
+}
+
+// descendToLeaf is locate that also pins and returns the leaf.
+func (t *Tree) descendToLeaf(fk []byte, path *[]pathStep) (*buffer.Frame, error) {
+	pg, err := t.locate(fk, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	fr, err := t.pool.Get(t.id, pg)
+	if err != nil {
+		return nil, err
+	}
+	if n := t.node(fr.Data()); !n.isLeaf() {
+		t.pool.Unpin(fr, false)
+		return nil, fmt.Errorf("btree: page %d has type %q in search path", pg, n.typ())
+	}
+	return fr, nil
 }
 
 // Search returns the RIDs of every entry with exactly this key, in RID

@@ -26,8 +26,8 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	if field < 0 || field >= tgt.Schema.NumFields {
 		return nil, fmt.Errorf("core: field %d out of range", field)
 	}
-	ests, method, probe := planStatement(tgt, field, values, o)
-	e := &execCtx{tgt: tgt, opts: o, probe: probe}
+	ests, method := planStatement(tgt, field, values, o)
+	e := &execCtx{tgt: tgt, opts: o}
 	stats := &Stats{Method: method, Victims: len(values), Estimates: ests}
 	e.stats = stats
 
@@ -59,7 +59,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	access := accessIndex(tgt, field)
 	rest := remainingIndexes(tgt, access)
 	parts := estimatePartitions(tgt, rest, len(values), o.Memory)
-	stats.Plan = buildPlan(tgt, field, method, probe, o.Memory, parts)
+	stats.Plan = BuildPlan(tgt, field, method, o.Memory, parts)
 	stats.PlanText = stats.Plan.String()
 
 	logged := o.Log != nil
@@ -80,16 +80,9 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 				return err
 			}
 			// Payload: victim row count + delete attribute, so recovery can
-			// reconstruct the statement without the catalog's help; then the
-			// file of every index on the probe arm, so a roll-forward
-			// continues each structure with the arm it started with.
+			// reconstruct the statement without the catalog's help.
 			payload := binary.LittleEndian.AppendUint64(nil, uint64(victimFile.rows))
 			payload = binary.LittleEndian.AppendUint64(payload, uint64(field))
-			for i := range tgt.Indexes {
-				if ix := &tgt.Indexes[i]; probe[ix] {
-					payload = binary.LittleEndian.AppendUint64(payload, uint64(ix.Tree.ID()))
-				}
-			}
 			if _, err := o.Log.Append(wal.TBulkStart, o.TxID,
 				uint64(tgt.Heap.ID()), uint64(victimFile.file), payload); err != nil {
 				return err
@@ -102,7 +95,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 		}
 	}
 
-	if err := e.run(field, values, method.family(), access, rest, victimFile, nil); err != nil {
+	if err := e.run(field, values, method, access, rest, victimFile, nil); err != nil {
 		return stats, err
 	}
 	return stats, e.finish(start, ownTrace)
@@ -258,7 +251,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			}
 			return collectVictimRIDsByScan(e, field, vals, emit)
 		}
-		_, err = e.indexJoin(access, vi, nil, true, false, emit)
+		_, err = e.indexJoin(access, vi, true, false, emit)
 		return err
 	}
 	// sortedRIDs runs collectRIDs into a RID list and returns it sorted.
@@ -308,13 +301,13 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			if err != nil {
 				return 0, 0, err
 			}
-			var startKey []byte
-			if from := resumeFrom(rs, access.Tree.ID()); from > 0 {
-				vi, startKey, err = skipRows(vi, uint64(from))
-				if err != nil {
+			// A resumed pass skips its checkpointed prefix; the walk then
+			// seeks the first victim left.
+			from := resumeFrom(rs, access.Tree.ID())
+			for ce.applied = 0; ce.applied < from; ce.applied++ { // keep checkpoint progress absolute
+				if _, ok, err := vi(); err != nil || !ok {
 					return 0, 0, err
 				}
-				ce.applied = from // keep checkpoint progress absolute
 			}
 			var emit func(record.RID) error
 			if !logged {
@@ -329,7 +322,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 					emit = rids.add
 				}
 			}
-			deleted, err := ce.indexJoin(access, vi, startKey, true, true, emit)
+			deleted, err := ce.indexJoin(access, vi, true, true, emit)
 			return deleted, 0, err
 		})
 		if err := e.runPasses("access-pass", []passJob{job}, 1); err != nil {
@@ -529,23 +522,17 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			// Sort/merge reads the key list from its row file — logged, or
 			// staged for the fan-out — or straight out of the sorters.
 			var rows rowIter
-			var startKey []byte
 			var err error
 			if kf := keyLists[id]; kf != nil {
 				from := resumeFrom(rs, id)
 				if rows, err = kf[0].iterator(from); err != nil {
 					return 0, 0, err
 				}
-				if from > 0 {
-					if rows, startKey, err = peekFirst(rows, ix.Tree.KeyLen()); err != nil {
-						return 0, 0, err
-					}
-					ce.applied = from // keep checkpoint progress absolute
-				}
+				ce.applied = from // keep checkpoint progress absolute
 			} else if rows, err = sortedKeys(id); err != nil {
 				return 0, 0, err
 			}
-			deleted, err := ce.indexJoin(ix, rows, startKey, false, true, nil)
+			deleted, err := ce.indexJoin(ix, rows, false, true, nil)
 			return deleted, 0, err
 		})
 		jobs[i].unique = ix.Unique
@@ -629,40 +616,6 @@ func materializeOn(e *execCtx, next rowIter, rowSize int, dev int) (*rowFile, er
 		return nil, err
 	}
 	return rf, nil
-}
-
-// skipRows advances an iterator n rows and returns it along with the first
-// remaining row's 8-byte key prefix (nil when exhausted).
-func skipRows(it rowIter, n uint64) (rowIter, []byte, error) {
-	for i := uint64(0); i < n; i++ {
-		if _, ok, err := it(); err != nil || !ok {
-			return it, nil, err
-		}
-	}
-	return peekFirst(it, keyenc.Int64Width)
-}
-
-// peekFirst pulls one row, remembers its key prefix, and returns an
-// iterator that replays it first.
-func peekFirst(it rowIter, keyLen int) (rowIter, []byte, error) {
-	row, ok, err := it()
-	if err != nil || !ok {
-		return it, nil, err
-	}
-	saved := append([]byte(nil), row...)
-	replayed := false
-	wrapped := func() ([]byte, bool, error) {
-		if !replayed {
-			replayed = true
-			return saved, true, nil
-		}
-		return it()
-	}
-	key := append([]byte(nil), saved[:keyLen]...)
-	if keyLen > keyenc.Int64Width {
-		key = key[:keyenc.Int64Width]
-	}
-	return wrapped, key, nil
 }
 
 // resumeFrom returns the checkpointed progress for a structure (0 outside

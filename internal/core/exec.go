@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"bulkdel/internal/heap"
 	"bulkdel/internal/keyenc"
@@ -32,18 +33,12 @@ type execCtx struct {
 	sinceCkpt int
 	applied   int64 // rows applied to the current structure
 	crash     crashCounters
-	// emptiedLeaf records that a leaf pass deleted the last entry of a leaf,
-	// which only RebuildUpper splices out of the tree.
-	emptiedLeaf bool
 	// parWorkers is the degree of parallelism chosen for phase 3 (1 =
 	// serial); scratchDev is the device scratch row files of this context
 	// must be created on, so a parallel index pass never touches another
 	// pass's arm (0 = the system device, the default placement).
 	parWorkers int
 	scratchDev int
-	// probe holds the indexes whose ⋈̸ runs as batched probes, not as a leaf
-	// pass (indexJoin); nil, every forced pass method, leaves all on the pass.
-	probe map[*IndexRef]bool
 	// lists are the row files a logged statement materialized for recovery;
 	// finish drops them once the commit record is durable.
 	lists []*rowFile
@@ -401,14 +396,31 @@ func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool, visit visitFn) (int6
 	return deleted, nil
 }
 
-// chainGap is how many pages a chained read may pass over to reach the next
-// victim page: reading them costs no more than the seek and rotation a fresh
-// read of that page would pay.
+// chainGap is how many pages the heap ⋈̸'s chained read may pass over to
+// reach the next victim page: reading them costs no more than the seek and
+// rotation a fresh read of that page would pay.
 func chainGap(cm sim.CostModel) sim.PageNo {
 	if cm.TransferPage <= 0 {
 		return math.MaxUint32
 	}
 	return sim.PageNo((cm.Seek + cm.Rotation) / cm.TransferPage)
+}
+
+// leafGap is how many pages the index walk's chained read may pass over to
+// reach the next leaf it needs: no more than a jump over them would cost
+// (CostModel.Skip). On a disk with a near tier that is none: a short jump
+// pays half a rotation, less than one page's transfer. (chainGap would let
+// the walk read past leaves a near jump skips for less, and lose to the
+// root-to-leaf probes it replaced on small deletes.)
+func leafGap(cm sim.CostModel) sim.PageNo {
+	if cm.TransferPage <= 0 {
+		return math.MaxUint32
+	}
+	g := sim.PageNo(0)
+	for time.Duration(g+1)*cm.TransferPage <= cm.Skip(g+2) {
+		g++
+	}
+	return g
 }
 
 // ridLookahead reads a sorted RID list ahead of the heap pass, so that a page

@@ -114,7 +114,7 @@ func sliceRows(rows [][]byte) rowIter {
 
 // leafCase is one row of the kernel table.
 type leafCase struct {
-	kernel string // merge-key, merge-full, probe-rid, probe-full-1, probe-full-k, probes-key, probes-full
+	kernel string // merge-key, merge-full, probe-rid, probe-full-1, probe-full-k
 	keyLen int
 	dups   bool
 	undel  bool
@@ -135,8 +135,8 @@ func (c leafCase) name() string {
 // leafVictims is what a case asks its kernel to delete, in every shape the
 // kernels take it, plus the entries a correct kernel removes.
 type leafVictims struct {
-	keys    [][]byte                // sorted 8-byte keys (merge-key, probes-key)
-	rows    [][]byte                // sorted key‖RID rows (merge-full, probe-full, probes-full)
+	keys    [][]byte                // sorted 8-byte keys (merge-key)
+	rows    [][]byte                // sorted key‖RID rows (merge-full, probe-full)
 	rids    map[record.RID]struct{} // probe-rid
 	undel   *cc.UndeletableSet
 	removed map[int]bool // entry ordinals that must be gone afterwards
@@ -218,9 +218,8 @@ func (r leafRun) String() string {
 
 // runLeafKernel invokes the case's kernel once. from > 0 resumes the way
 // execCtx.run does: the merge kernels skip the checkpointed victim prefix
-// and enter the chain at the first remaining victim's key; the probes start
-// over (they are idempotent). crashAt > 0 injects a crash at that
-// noteApplied; stopAt > 0 makes emit end the walk at that hit.
+// and seek the first remaining victim's leaf. crashAt > 0 injects a crash at
+// that noteApplied; stopAt > 0 makes emit end the walk at that hit.
 func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log *wal.Log,
 	ckptRows int, from int64, crashAt int, stopAt int64) leafRun {
 
@@ -232,10 +231,6 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	if strings.HasSuffix(c.kernel, "-k") {
 		o.Memory = 8000 // four range partitions for the 400-odd victim rows
 	}
-	// The lists name entries that are not there (and a resumed run's suffix
-	// entries that are gone already), which the probes arm, alone among the
-	// kernels, takes for an error unless told it is re-applying.
-	o.IgnoreMissing = strings.HasPrefix(c.kernel, "probes")
 	e := &execCtx{tgt: &Target{Name: "R", Pool: f.pool}, opts: o.withDefaults()}
 	kl := f.ix.Tree.KeyLen()
 
@@ -258,26 +253,15 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	// Everything a kernel is handed is prepared before the counters are
 	// read, so the deltas are the kernel's own.
 	var rows rowIter
-	var startKey []byte
 	var keyFile *rowFile
 	var err error
 	switch c.kernel {
-	case "merge-key", "probes-key":
-		rows = sliceRows(v.keys)
-		if from > 0 {
-			if rows, startKey, err = skipRows(rows, uint64(from)); err != nil {
-				t.Fatal(err)
-			}
-			e.applied = from
-		}
-	case "merge-full", "probes-full":
+	case "merge-key":
+		rows = sliceRows(v.keys[from:])
+		e.applied = from
+	case "merge-full":
 		rows = sliceRows(v.rows[from:])
-		if from > 0 {
-			if rows, startKey, err = peekFirst(rows, kl); err != nil {
-				t.Fatal(err)
-			}
-			e.applied = from
-		}
+		e.applied = from
 	case "probe-full-1", "probe-full-k":
 		if keyFile, err = newRowFileOn(disk, kl+record.RIDSize, -1); err != nil {
 			t.Fatal(err)
@@ -297,15 +281,11 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	s0 := disk.Stats()
 	switch c.kernel {
 	case "merge-key":
-		run.deleted, err = kernelMergeByKey(e, f.ix, rows, del, emit, startKey)
+		run.deleted, err = kernelMergeByKey(e, f.ix, rows, del, emit)
 	case "merge-full":
-		run.deleted, err = kernelMergeByFullKey(e, f.ix, rows, startKey)
+		run.deleted, err = kernelMergeByFullKey(e, f.ix, rows)
 	case "probe-rid":
 		run.deleted, err = kernelProbeByRID(e, f.ix, v.rids)
-	case "probes-key":
-		run.deleted, err = kernelProbesByKey(e, f.ix, rows, del, emit)
-	case "probes-full":
-		run.deleted, err = kernelProbesByFullKey(e, f.ix, rows)
 	default:
 		run.deleted, run.parts, err = kernelProbePartitioned(e, f.ix, keyFile)
 	}
@@ -352,15 +332,7 @@ func checkLeafSurvivors(t *testing.T, f *leafFixture, c leafCase, removed map[in
 	if f.ix.Tree.Count() != int64(len(want)) {
 		t.Fatalf("%s: tree counts %d entries, holds %d", c.name(), f.ix.Tree.Count(), len(want))
 	}
-	if strings.HasPrefix(c.kernel, "probes") {
-		// The probes keep the inner levels themselves.
-		if err := f.ix.Tree.CheckInvariants(); err != nil {
-			t.Fatalf("%s: before any RebuildUpper: %v", c.name(), err)
-		}
-	}
-	if err := f.ix.Tree.RebuildUpper(false); err != nil {
-		t.Fatal(err)
-	}
+	// The walk frees the leaves it empties: no RebuildUpper is needed.
 	if err := f.ix.Tree.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", c.name(), err)
 	}
@@ -368,14 +340,13 @@ func checkLeafSurvivors(t *testing.T, f *leafFixture, c leafCase, removed map[in
 
 // TestLeafKernels pins the index ⋈̸ kernels — merge by key, merge by
 // key‖RID, probe by RID, probe by key‖RID over one and over several range
-// partitions, and the batched root-to-leaf probes by key and by key‖RID —
-// on what they leave in the tree and on what they charge: the
+// partitions — on what they leave in the tree and on what they charge: the
 // simulated disk's read/write/positioning counters, the compare and record
 // charges, the noteApplied count, the leaves counted into the statement's
 // progress and the returned delete count.
 func TestLeafKernels(t *testing.T) {
 	var cases []leafCase
-	for _, kernel := range []string{"merge-key", "merge-full", "probe-rid", "probe-full-1", "probe-full-k", "probes-key", "probes-full"} {
+	for _, kernel := range []string{"merge-key", "merge-full", "probe-rid", "probe-full-1", "probe-full-k"} {
 		for _, keyLen := range []int{8, 16} {
 			for _, dups := range []bool{false, true} {
 				for _, undel := range []bool{false, true} {
@@ -461,27 +432,6 @@ func TestLeafKernels(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("charge model moved:\n got  %s\n want %s", got[i], want[i])
-		}
-	}
-}
-
-// TestProbesMissingEntry: a key‖RID row whose entry is not in the index ends
-// a first attempt — the row came out of the heap, so the index has lost an
-// entry — and is a no-op for a resumed one re-applying its suffix.
-func TestProbesMissingEntry(t *testing.T) {
-	for _, resumed := range []bool{false, true} {
-		f := buildLeafFixture(t, 8, false)
-		absent := f.fullKey(11)
-		record.PutRID(absent[8:], record.RID{Page: 9, Slot: 9}) // entry 11's key under another RID
-		rows := [][]byte{f.fullKey(10), absent, f.fullKey(12)}
-		o := Options{IgnoreMissing: resumed}
-		e := &execCtx{tgt: &Target{Name: "R", Pool: f.pool}, opts: o.withDefaults()}
-		deleted, err := probeIndex(e, f.ix, sliceRows(rows), false, true, nil)
-		switch {
-		case resumed && (err != nil || deleted != 2):
-			t.Errorf("resumed: deleted %d, %v; want the two entries that exist", deleted, err)
-		case !resumed && (!errors.Is(err, btree.ErrNotFound) || deleted != 1):
-			t.Errorf("first attempt: deleted %d, %v; want to stop at the missing entry", deleted, err)
 		}
 	}
 }

@@ -2,12 +2,11 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"sort"
 
-	"bulkdel/internal/btree"
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/record"
+	"bulkdel/internal/sim"
 )
 
 // matcher tells walkLeaves, entry by entry, whether it is looking at a
@@ -23,50 +22,78 @@ type matcher interface {
 	took() (live bool, err error)
 }
 
-// walkLeaves is the index ⋈̸: the one loop over a tree's leaf chain. It
-// enters at the leaf covering from (nil = the leftmost leaf; a resumed pass
-// hands the first remaining victim's key, a range partition its lower
-// boundary), asks m about every entry, and for a hit that no concurrent
-// transaction protected (Options.Undeletable) hands the RID to emit and, if
-// del is set, deletes the entry. It returns the number of hits. The walk
-// ends with the chain, when m runs out of victims, or — upTo non-nil — at the
-// first non-empty leaf whose first key is ≥ upTo, which is still read and
-// counted. A protected entry is skipped, not counted, and m.took is not
-// told, so it does not consume a merge victim.
+// A seeker is a matcher with keys to seek by — a merge. target is the victim
+// the entries are held against, as the smallest full key it matches, and the
+// leaf that key routes to; runEnd is the cursor's run rule.
+type seeker interface {
+	matcher
+	target() (fk []byte, leaf sim.PageNo)
+	runEnd(p sim.PageNo) (sim.PageNo, error)
+}
+
+// walkLeaves is the index ⋈̸: the one loop over a tree's leaf chain. A seeker
+// enters at the first victim's leaf, skips within a leaf to the entry its
+// victim would be, and once its victim lies past the leaf just read, goes
+// on at that victim's leaf; a missed leaf is read in one chained run with
+// the pages after it that the next victims need (mergeMatcher.runEnd). So a
+// merge reads the leaves that hold a victim and the pages such a run passes
+// over, and nothing else. Any other matcher enters at the leaf covering from
+// (nil = the leftmost leaf; a range partition's lower boundary) and reads on
+// to the end of its range. The walk asks m about the entries, and for a hit
+// that no concurrent transaction protected (Options.Undeletable) hands the
+// RID to emit and, if del is set, deletes the entry; a leaf it empties is
+// freed as it moves on (btree.LeafCursor). It returns the number of hits.
+// The walk ends with the chain, when m runs out of victims, or — upTo
+// non-nil — at the first non-empty leaf whose first key is ≥ upTo, which is
+// still read and counted. A protected entry is skipped, not counted, and
+// m.took is not told, so it does not consume a merge victim.
 //
 // The charge model, which TestLeafKernels pins:
 //
-//	matcher  predicate  victims        per entry              checkpoint (noteApplied)     stops
-//	merge    key        sorted 8-byte  1 compare per victim   per victim advanced past     list exhausted: at once
+//	matcher  predicate  victims        per entry               checkpoint (noteApplied)     stops
+//	merge    key        sorted 8-byte  1 compare per victim    per victim advanced past     list exhausted: at once
 //	                    keys           it is held against †
-//	merge    key‖RID    sorted rows    same †                 same, and per hit            same
-//	probe    RID        in-memory set  1 record               per hit                      end of chain
-//	probe    key‖RID    set of one     1 record               per hit                      upTo, end of chain
+//	merge    key‖RID    sorted rows    same †                  same, and per hit            same
+//	probe    RID        in-memory set  1 record                per hit                      end of chain
+//	probe    key‖RID    set of one     1 record                per hit                      upTo, end of chain
 //	                    range partition
 //
-// † advancing the list re-compares the same entry, and that comparison is
-// charged too. Every leaf entered costs its page read and one Stmt.AddPages;
-// every delete costs the record charge btree.LeafCursor.Delete makes.
+// † a merge tests only the entries its victims land on: it gallops from the
+// next entry to its victim's (LeafCursor.Find), one compare when that entry
+// is the victim's, about 2·log₂ d when it is d entries on; advancing the
+// list re-compares the same entry, and that comparison is charged too. Every
+// leaf entered costs its page read and one Stmt.AddPages; every delete
+// costs the record charge btree.LeafCursor.Delete makes. A merge also pays,
+// per leaf it leaves with its victim past the last key, one compare to see
+// that, and per victim one compare with the fence of the leaf the victim
+// before it routes to, or, past that fence, a descent (Tree.Locate).
 func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool,
-	emit func(record.RID) error) (int64, error) {
+	emit func(record.RID) error) (hits int64, err error) {
 
 	if live, err := m.start(); err != nil || !live {
 		return 0, err
 	}
 	keyLen := ix.Tree.KeyLen()
-	var cur *btree.LeafCursor
-	var err error
 	if from != nil {
-		cur, err = ix.Tree.EditLeavesFrom(padKey(from, keyLen))
-	} else {
-		cur, err = ix.Tree.EditLeaves()
+		from = lowerBound(from, keyLen)
 	}
+	s, seeks := m.(seeker)
+	var runEnd func(sim.PageNo) (sim.PageNo, error)
+	if seeks {
+		from, _ = s.target()
+		runEnd = s.runEnd
+	}
+	cur, err := ix.Tree.EditLeavesFrom(from, runEnd)
 	if err != nil {
 		return 0, err
 	}
-	defer cur.Close()
+	defer func() {
+		if cerr := cur.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
-	var hits int64
+	var last []byte // the current leaf's last full key
 	for {
 		more, err := cur.NextLeaf()
 		if err != nil || !more {
@@ -77,16 +104,28 @@ func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool
 		if err != nil {
 			return hits, err
 		}
-		if n > 0 && upTo != nil {
-			first, err := cur.Key(0)
+		last = last[:0]
+		if n > 0 {
+			k0, err := cur.Key(0)
 			if err != nil {
 				return hits, err
 			}
-			if bytes.Compare(first, upTo) >= 0 {
+			if upTo != nil && bytes.Compare(k0, upTo) >= 0 {
 				return hits, nil
 			}
+			lk, err := cur.FullKey(n - 1)
+			if err != nil {
+				return hits, err
+			}
+			last = append(last, lk...)
 		}
 		for i := 0; i < n; {
+			if seeks {
+				v, _ := s.target()
+				if i = cur.Find(v, i); i == n {
+					break
+				}
+			}
 			fk, err := cur.FullKey(i)
 			if err != nil {
 				return hits, err
@@ -114,7 +153,6 @@ func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool
 					return hits, err
 				}
 				n--
-				e.emptiedLeaf = e.emptiedLeaf || n == 0
 			} else {
 				i++
 			}
@@ -123,100 +161,39 @@ func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool
 				return hits, err
 			}
 		}
+		if !seeks || len(last) == 0 || cur.Rightmost() {
+			continue
+		}
+		// A victim at or below the leaf's last key (a key whose duplicates
+		// run on) is in the right sibling, the leaf the cursor reads next
+		// anyway; one past it is at its own leaf.
+		v, leaf := s.target()
+		e.disk().ChargeCompares(1)
+		if bytes.Compare(v, last) > 0 {
+			cur.Seek(leaf)
+		}
 	}
 }
 
 // indexJoin is ix's ⋈̸ with a sorted list — victim keys when byKey, key ‖ RID
-// rows otherwise — on the arm the plan gave the index: the leaf pass entered
-// at from, or the batched probes.
-func (e *execCtx) indexJoin(ix *IndexRef, rows rowIter, from []byte, byKey, del bool,
+// rows otherwise: the seeking leaf walk with a merge matcher.
+func (e *execCtx) indexJoin(ix *IndexRef, rows rowIter, byKey, del bool,
 	emit func(record.RID) error) (int64, error) {
 
-	if e.probe[ix] {
-		return probeIndex(e, ix, rows, byKey, del, emit)
-	}
-	m := e.mergeByFullKey(ix, rows)
+	width := ix.Tree.KeyLen() + record.RIDSize
 	if byKey {
-		m = e.mergeByKey(ix, rows)
+		width = keyenc.Int64Width
 	}
-	return walkLeaves(e, ix, from, nil, m, del, emit)
+	m := &mergeMatcher{e: e, ix: ix, rows: rows, width: width, touched: map[sim.PageNo]int{}, fence: []byte{}}
+	return walkLeaves(e, ix, nil, nil, m, del, emit)
 }
 
-// probeIndex is the probe arm of the index ⋈̸: the list a leaf pass would
-// merge, applied instead as root-to-leaf operations in key order, so the
-// batch shares the resident upper levels and every leaf it revisits and
-// reads no leaf without a victim. A victim key is looked up with Tree.Search
-// and each of its entries (a key ‖ RID row names its one entry itself) that
-// no concurrent transaction protected is handed to emit and, if del is set,
-// removed with Tree.Delete — which frees an emptied leaf and keeps the inner
-// levels itself, so no RebuildUpper follows. It returns the number of hits.
-// An entry already gone is an error unless Options.IgnoreMissing (a resumed
-// run re-applying its suffix) says otherwise.
-//
-// Its row of the charge table above:
-//
-//	probes  key /    sorted list  the descent's and the leaf    per list row  list exhausted
-//	        key‖RID               search's compares per Search
-//	                              and per Delete; 1 record per
-//	                              entry Search visits
-//
-// No leaf is read but by a descent; every delete costs the record charge
-// Tree.Delete makes. (Stmt.AddPages is not called: the batch cannot tell a
-// leaf it revisits from a new one.)
-func probeIndex(e *execCtx, ix *IndexRef, rows rowIter, byKey, del bool,
-	emit func(record.RID) error) (int64, error) {
-
-	keyLen := ix.Tree.KeyLen()
-	var hits int64
-	var one [1]record.RID
-	for {
-		row, ok, err := rows()
-		if err != nil || !ok {
-			return hits, err
-		}
-		key, rids := row[:min(len(row), keyLen)], one[:]
-		if byKey {
-			key = padKey(row, keyLen)
-			if rids, err = ix.Tree.Search(key); err != nil {
-				return hits, err
-			}
-		} else {
-			one[0] = record.GetRID(row[keyLen:])
-		}
-		for _, rid := range rids {
-			if e.undeletable(key, rid) {
-				continue
-			}
-			if emit != nil {
-				if err := emit(rid); err != nil {
-					return hits, err
-				}
-			}
-			if del {
-				err := ix.Tree.Delete(key, rid)
-				if errors.Is(err, btree.ErrNotFound) && e.opts.IgnoreMissing {
-					continue
-				}
-				if err != nil {
-					return hits, err
-				}
-			}
-			hits++
-		}
-		if err := e.noteApplied(ix.Tree.ID(), ix.Tree.Flush); err != nil {
-			return hits, err
-		}
-	}
-}
-
-// padKey widens an 8-byte canonical key to the index's key length.
-func padKey(k []byte, keyLen int) []byte {
-	if len(k) == keyLen {
-		return k
-	}
-	out := make([]byte, keyLen)
-	copy(out, k)
-	return out
+// lowerBound widens a key — 8 canonical bytes, the index's key length, or a
+// whole key ‖ RID row — to the smallest full key it names.
+func lowerBound(k []byte, keyLen int) []byte {
+	fk := make([]byte, keyLen+record.RIDSize)
+	copy(fk, k)
+	return fk
 }
 
 // mergeMatcher merges a sorted victim list with the (equally sorted) leaf
@@ -224,25 +201,86 @@ func padKey(k []byte, keyLen int) []byte {
 // bytes — the access index's ⋈̸ by key, where one victim matches every
 // duplicate — or the whole key ‖ RID, the sort/merge plan's per-index ⋈̸
 // (Figure 3), where a hit is the one entry the victim names.
+//
+// It reads the list ahead of the walk, up to what its share of the memory
+// budget holds, and locates every victim's leaf as it reads it, so it knows
+// which leaves the victims still to come need.
 type mergeMatcher struct {
 	e     *execCtx
 	ix    *IndexRef
 	rows  rowIter
 	width int
-	v     []byte // the victim the entries are held against
+	v     victim   // the victim the entries are held against
+	ahead []victim // victims read past v
+	// touched counts the victims in ahead per leaf they route to.
+	touched map[sim.PageNo]int
+	// tail is the leaf the last victim read routes to and fence the key its
+	// range ends before (nil: the rightmost leaf; empty: none located yet).
+	tail  sim.PageNo
+	fence []byte
+	done  bool // rows ran dry
 }
 
-func (e *execCtx) mergeByKey(ix *IndexRef, keys rowIter) *mergeMatcher {
-	return &mergeMatcher{e: e, ix: ix, rows: keys, width: keyenc.Int64Width}
+// victim is one list row as the smallest full key it matches, and its leaf.
+type victim struct {
+	fk   []byte
+	leaf sim.PageNo
 }
 
-func (e *execCtx) mergeByFullKey(ix *IndexRef, rows rowIter) *mergeMatcher {
-	return &mergeMatcher{e: e, ix: ix, rows: rows, width: ix.Tree.KeyLen() + record.RIDSize}
+// fill reads the list until n victims wait past v or it runs dry, locating
+// each: one compare when it is below the fence of the leaf the victim before
+// it routes to, one descent past it.
+func (m *mergeMatcher) fill(n int) error {
+	for len(m.ahead) < n && !m.done {
+		row, ok, err := m.rows()
+		if err != nil {
+			return err
+		}
+		if m.done = !ok; m.done {
+			break
+		}
+		fk := lowerBound(row, m.ix.Tree.KeyLen())
+		m.e.disk().ChargeCompares(1)
+		if m.fence != nil && bytes.Compare(fk, m.fence) >= 0 {
+			if m.tail, m.fence, err = m.ix.Tree.Locate(fk); err != nil {
+				return err
+			}
+		}
+		m.ahead = append(m.ahead, victim{fk, m.tail})
+		m.touched[m.tail]++
+	}
+	return nil
 }
 
-func (m *mergeMatcher) start() (live bool, err error) {
-	m.v, live, err = m.rows()
-	return live, err
+func (m *mergeMatcher) start() (bool, error) {
+	if err := m.fill(1); err != nil || len(m.ahead) == 0 {
+		return false, err
+	}
+	m.v, m.ahead = m.ahead[0], m.ahead[1:]
+	m.touched[m.v.leaf]--
+	return true, nil
+}
+
+func (m *mergeMatcher) target() ([]byte, sim.PageNo) { return m.v.fk, m.v.leaf }
+
+// runEnd is the last page a read of leaf p chains through: the farthest page
+// that hops of at most leafGap pages reach from p over leaves the victims
+// still to come route to, no farther than the pool reads ahead — the heap
+// ⋈̸'s rule (ridLookahead.runEnd), with those leaves for the victims' pages.
+// The leaves are known as far as the list is read ahead: up to the memory
+// budget's worth of victims.
+func (m *mergeMatcher) runEnd(p sim.PageNo) (sim.PageNo, error) {
+	if err := m.fill(m.e.opts.Memory / (len(m.v.fk) + hashOverheadPerEntry)); err != nil {
+		return p, err
+	}
+	gap, window := leafGap(m.e.disk().CostModelInUse()), sim.PageNo(m.e.tgt.Pool.ReadAhead())
+	upTo := p
+	for q := p + 1; q-p < window && q-upTo-1 <= gap; q++ {
+		if m.touched[q] > 0 {
+			upTo = q
+		}
+	}
+	return upTo, nil
 }
 
 // advance checkpoints the victim just finished and pulls the next one.
@@ -256,7 +294,7 @@ func (m *mergeMatcher) advance() (bool, error) {
 func (m *mergeMatcher) test(fk []byte) (hit, live bool, err error) {
 	for {
 		m.e.disk().ChargeCompares(1)
-		c := bytes.Compare(fk[:m.width], m.v)
+		c := bytes.Compare(fk[:m.width], m.v.fk[:m.width])
 		if c <= 0 {
 			return c == 0, true, nil
 		}
@@ -395,9 +433,6 @@ func probeKeys(e *execCtx, ix *IndexRef, values []int64, emit func(record.RID) e
 	defer it.Close()
 	ix.RLock()
 	defer ix.RUnlock()
-	if probeCheaper(e.tgt, ix, values, false, e.opts.Memory) {
-		e.probe = map[*IndexRef]bool{ix: true}
-	}
-	_, err = e.indexJoin(ix, it.Next, nil, true, false, emit)
+	_, err = e.indexJoin(ix, it.Next, true, false, emit)
 	return err
 }

@@ -28,10 +28,7 @@ type passJob struct {
 	unique bool
 	// tree is the index an index job reorganizes and flushes; nil makes it
 	// a heap job, which flushes tgt.Heap and counts into Stats.Deleted.
-	// probed marks an index job on the probe arm, whose deletes kept the
-	// inner levels: there is nothing to reorganize.
-	tree   *btree.Tree
-	probed bool
+	tree *btree.Tree
 	// tgt is the target the body runs against: the statement's, or for a
 	// partition job a copy whose Heap is the partition file, so checkpoints
 	// and page edits address the partition directly.
@@ -42,16 +39,13 @@ type passJob struct {
 	body func(ce *execCtx) (deleted int64, parts int, err error)
 }
 
-// indexJob is ix's pass; join names the pass arm's ⋈̸ method.
+// indexJob is ix's pass; join names its ⋈̸ method.
 func (e *execCtx) indexJob(ix *IndexRef, join string,
 	body func(*execCtx) (int64, int, error)) passJob {
 
-	if e.probe[ix] {
-		join = "probe"
-	}
 	return passJob{label: ix.Name, detail: fmt.Sprintf("⋈̸[%s] %s (by key)", join, ix.Name),
 		file: ix.Tree.ID(), dev: e.disk().DeviceOf(ix.Tree.ID()),
-		tree: ix.Tree, probed: e.probe[ix], tgt: e.tgt, body: body}
+		tree: ix.Tree, tgt: e.tgt, body: body}
 }
 
 func (e *execCtx) heapJob(tgt *Target, label string, method Method,
@@ -75,12 +69,10 @@ func (j *passJob) run(ce *execCtx) (deleted int64, parts int, err error) {
 	if deleted, parts, err = j.body(ce); err != nil {
 		return deleted, parts, err
 	}
-	// A leaf pass that left no leaf empty kept every separator valid, so the
-	// inner levels stand as they are — unless §2.3 reorganization was asked
-	// for, or this is a resumed run, which cannot tell what its first
-	// attempt emptied.
-	if j.tree != nil && !j.probed && (ce.emptiedLeaf || ce.opts.Reorganize || ce.opts.IgnoreMissing) {
-		if err := j.tree.RebuildUpper(ce.opts.Reorganize); err != nil {
+	// The walk freed every leaf it emptied, so the inner levels are exact;
+	// only §2.3 reorganization rebuilds them.
+	if j.tree != nil && ce.opts.Reorganize {
+		if err := j.tree.RebuildUpper(true); err != nil {
 			return deleted, parts, err
 		}
 	}
@@ -120,7 +112,7 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 		return nil
 	}
 	child := func(j *passJob, scratchDev int) *execCtx {
-		ce := &execCtx{tgt: j.tgt, opts: e.opts, scratchDev: scratchDev, probe: e.probe}
+		ce := &execCtx{tgt: j.tgt, opts: e.opts, scratchDev: scratchDev}
 		if cb := e.opts.OnStructureDone; cb != nil {
 			ce.opts.OnStructureDone = func(f sim.FileID) {
 				e.cbMu.Lock()

@@ -50,11 +50,6 @@ const (
 	Hash
 	// HashPartition is the hash + range-partitioning plan of Figure 5.
 	HashPartition
-	// Probe is the sorting plan with every index ⋈̸ run as batched
-	// root-to-leaf probes in key order instead of a leaf pass: the plan for a
-	// delete too small to pay for reading whole leaf levels. Auto mixes the
-	// two per index; as a result's Method, Auto names such a mixed plan.
-	Probe
 )
 
 func (m Method) String() string {
@@ -67,20 +62,9 @@ func (m Method) String() string {
 		return "hash"
 	case HashPartition:
 		return "hash+range-partition"
-	case Probe:
-		return "probe"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
-}
-
-// family is the plan whose lists and heap pass a statement runs: the probe
-// arms are arms of the sorting plan.
-func (m Method) family() Method {
-	if m == Probe || m == Auto {
-		return SortMerge
-	}
-	return m
 }
 
 // IndexRef is core's view of one index of the target table.
@@ -385,27 +369,10 @@ func bdel(structure, method, pred string) string {
 }
 
 // BuildPlan constructs the explain tree for the given method against the
-// target — the code form of the paper's Figures 3, 4 and 5; Probe is Figure 3
-// with every index ⋈̸ by probes.
+// target — the code form of the paper's Figures 3, 4 and 5.
 func BuildPlan(tgt *Target, field int, method Method, mem int, parts int) *PlanNode {
-	var probe map[*IndexRef]bool
-	if method == Probe {
-		probe = allIndexes(tgt)
-	}
-	return buildPlan(tgt, field, method, probe, mem, parts)
-}
-
-// buildPlan is BuildPlan with the planner's arms: the indexes in probe get a
-// ⋈̸[probe] node where the sorting plan has ⋈̸[merge].
-func buildPlan(tgt *Target, field int, method Method, probe map[*IndexRef]bool, mem int, parts int) *PlanNode {
 	access := accessIndex(tgt, field)
 	rest := remainingIndexes(tgt, access)
-	arm := func(ix *IndexRef) string {
-		if probe[ix] {
-			return "probe"
-		}
-		return "merge"
-	}
 	root := &PlanNode{
 		Op:     "DELETE",
 		Detail: fmt.Sprintf("FROM %s WHERE field%d IN D  —  method=%s, memory=%s", tgt.Name, field, method, fmtBytes(mem)),
@@ -414,7 +381,7 @@ func buildPlan(tgt *Target, field int, method Method, probe map[*IndexRef]bool, 
 	var ridSource *PlanNode
 	if access != nil {
 		ridSource = &PlanNode{
-			Op:       bdel(access.Name, arm(access), "key"),
+			Op:       bdel(access.Name, "merge", "key"),
 			Detail:   "→ RIDs of deleted entries",
 			Children: []*PlanNode{sortD},
 		}
@@ -425,7 +392,7 @@ func buildPlan(tgt *Target, field int, method Method, probe map[*IndexRef]bool, 
 			Children: []*PlanNode{sortD},
 		}
 	}
-	switch method.family() {
+	switch method {
 	case Hash:
 		// The RID hash table is a shared subexpression, split into every
 		// probe — the paper's Figure 4 draws it as a DAG; the explain
@@ -454,7 +421,7 @@ func buildPlan(tgt *Target, field int, method Method, probe map[*IndexRef]bool, 
 				Children: []*PlanNode{part},
 			})
 		}
-	default: // SortMerge
+	default: // SortMerge (and Auto, before the planner has chosen)
 		sortRID := &PlanNode{Op: "sort", Detail: "RIDs by physical position", Children: []*PlanNode{ridSource}}
 		root.Children = append(root.Children,
 			heapDeleteNodes(tgt, "merge", "→ π_{key,RID} per remaining index", "the sorted RID list above", sortRID)...)
@@ -465,7 +432,7 @@ func buildPlan(tgt *Target, field int, method Method, probe map[*IndexRef]bool, 
 				Children: []*PlanNode{{Op: "π", Detail: fmt.Sprintf("{key(%s), RID} from %s deletes", ix.Name, tgt.Name)}},
 			}
 			root.Children = append(root.Children, &PlanNode{
-				Op:       bdel(ix.Name, arm(ix), "key,RID"),
+				Op:       bdel(ix.Name, "merge", "key,RID"),
 				Children: []*PlanNode{sortI},
 			})
 		}

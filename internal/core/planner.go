@@ -12,10 +12,9 @@ import (
 // The planner mirrors the optimizer decisions the paper assigns to the
 // query engine (§2.1): given the table size, the number of victims, the
 // number and shape of the indexes, and the memory budget, estimate the I/O
-// cost of each ⋈̸ method and pick the cheapest — per index, between reading
-// its leaf level and probing it. The estimates use the same cost model the
-// simulated disk charges, so the planner and the execution agree by
-// construction.
+// cost of each ⋈̸ method and pick the cheapest. The estimates use the same
+// cost model the simulated disk charges, so the planner and the execution
+// agree by construction.
 
 // CostEstimate is a simulated-time estimate for one method.
 type CostEstimate struct {
@@ -40,52 +39,20 @@ func bestEstimate(ests []CostEstimate) Method {
 }
 
 // EstimateCosts returns the estimated execution time of every applicable
-// method, in plan order (SortMerge, Hash, HashPartition, Probe), for victims
+// method, in plan order (SortMerge, Hash, HashPartition), for victims
 // scattered over the key space.
 func EstimateCosts(tgt *Target, field int, victims int, memory int) []CostEstimate {
-	ests, _, _ := priceArms(tgt, field, victims, 0, memory)
-	return ests
+	return priceMethods(tgt, field, victims, 0, memory)
 }
 
-// planStatement is the planner's verdict on one statement: the estimates,
-// the method Stats reports, and the indexes whose ⋈̸ runs as batched probes.
-// A forced method has its arms fixed: every index for Probe, none for the
-// paper's three. Auto compares the hash plans with the sorting plan at its
-// per-index best and names the winner SortMerge or Probe when that is what
-// the mix amounts to, Auto (with its own estimate) otherwise. A statement
-// that asks for §2.3 reorganization keeps the passes, which do it.
-func planStatement(tgt *Target, field int, values []int64, o Options) ([]CostEstimate, Method, map[*IndexRef]bool) {
-	ests, mixed, probe := priceArms(tgt, field, len(values), keySpan(values), o.Memory)
-	method := o.Method
-	if method == Auto {
-		cands := ests
-		switch {
-		case o.Reorganize:
-			cands = ests[:len(ests)-1] // all but Probe
-		case len(probe) > 0 && len(probe) < len(tgt.Indexes):
-			// A true mix; otherwise it is SortMerge's or Probe's own plan.
-			ests = append(ests, CostEstimate{Method: Auto, Time: mixed})
-			cands = ests
-		}
-		method = bestEstimate(cands)
+// planStatement is the planner's verdict on one statement: the estimates and
+// the method it runs — the one Options forces, or for Auto the cheapest.
+func planStatement(tgt *Target, field int, values []int64, o Options) ([]CostEstimate, Method) {
+	ests := priceMethods(tgt, field, len(values), keySpan(values), o.Memory)
+	if o.Method != Auto {
+		return ests, o.Method
 	}
-	switch method {
-	case Auto:
-	case Probe:
-		probe = allIndexes(tgt)
-	default:
-		probe = nil
-	}
-	return ests, method, probe
-}
-
-// allIndexes is the forced Probe plan's arm set.
-func allIndexes(tgt *Target) map[*IndexRef]bool {
-	all := make(map[*IndexRef]bool, len(tgt.Indexes))
-	for i := range tgt.Indexes {
-		all[&tgt.Indexes[i]] = true
-	}
-	return all
+	return ests, bestEstimate(ests)
 }
 
 // keySpan is the width of the key interval the victim values come from.
@@ -105,6 +72,7 @@ type pricer struct {
 	disk                   *sim.Disk
 	cm                     sim.CostModel
 	randIO, seqIO, writeIO time.Duration
+	gap                    float64 // leafGap: the pages the walk's chained read passes over
 	memory                 int
 }
 
@@ -118,6 +86,7 @@ func newPricer(disk *sim.Disk, memory int) pricer {
 		// Dirty pages go back in page order: a transfer and half a
 		// positioning each.
 		writeIO: cm.TransferPage + (cm.Seek+cm.Rotation)/2,
+		gap:     float64(leafGap(cm)),
 		memory:  memory,
 	}
 }
@@ -143,75 +112,47 @@ func (p pricer) chain(n float64) time.Duration {
 	return pages(n, p.seqIO) + pages(n/32, p.cm.Skip(p.cm.NearDistance))
 }
 
-// leafPass prices the pass arm of an index ⋈̸ over lp leaf pages of which
-// dirty get modified: the chained walk, the write-back, and — weighted by
-// the chance rebuild that the pass empties a leaf — RebuildUpper's second
-// walk over the leaf level and its rewrite of the inner one.
-func (p pricer) leafPass(ix *IndexRef, lp, dirty, rebuild float64) time.Duration {
-	t := p.chain(lp) + pages(dirty, p.writeIO)
-	upper := p.chain(lp) + pages(lp/float64(ix.Tree.InnerCapacity())+1, p.writeIO)
-	return t + time.Duration(rebuild*float64(upper))
-}
-
-// probes prices the probe arm over lp leaves of which touched hold a victim:
-// the batch reads them in key order, a chain of touched pages each a
-// forward skip of about lp/touched pages priced on the disk's own
-// positioning curve (the upper levels stay resident), and, when deleting,
-// writes each back.
-func (p pricer) probes(lp, touched float64, del bool) time.Duration {
-	t := p.chain(touched) + pages(touched, p.cm.Skip(sim.PageNo(math.Ceil(lp/touched))))
-	if del {
-		t += pages(touched, p.writeIO)
+// seek prices the seeking walk reading touched of lp leaves in file order.
+// Scattered, the gap after a touched leaf is k untouched ones with chance
+// q(1−q)^k (q = touched/lp): a chained read passes over one of at most gap
+// pages, a skip jumps any longer one.
+func (p pricer) seek(lp, touched float64) time.Duration {
+	if touched <= 0 {
+		return 0
 	}
-	return t
+	q := math.Min(1, touched/lp)
+	stride := (1 - q) / q // the mean gap, and past any gap the mean rest
+	jumps := touched * math.Pow(1-q, p.gap+1)
+	passed := math.Max(0, touched*stride-jumps*(p.gap+1+stride))
+	return p.chain(touched+passed) + pages(jumps, p.cm.Skip(sim.PageNo(math.Ceil(p.gap+2+stride))))
 }
 
-// arms prices ix's ⋈̸ with a list of rows entries (victim keys spanning span
-// values, 0 = scattered or unknown) both ways; del says whether it deletes.
-func (p pricer) arms(ix *IndexRef, rows, span float64, del bool) (pass, byProbes time.Duration) {
+// leaves returns ix's leaf count and how many of its leaves hold at least one
+// of rows victim entries (keys spanning span values, 0 = scattered or
+// unknown).
+func (p pricer) leaves(ix *IndexRef, rows, span float64) (lp, touched float64) {
 	// The leaf level is the file less its meta page (the inner levels are
 	// under a hundredth of it), which unlike entries ÷ capacity stays right
 	// once inserts have split the leaves.
-	lp := 1.0
+	lp = 1.0
 	if n, err := p.disk.NumPages(ix.Tree.ID()); err == nil && n > 1 {
 		lp = float64(n - 1)
 	}
-	// Leaves holding at least one of the entries, were they scattered. A
-	// unique index holds at most one entry per key value, which bounds a
+	touched = lp * (1 - math.Pow(1-1/lp, rows))
+	// A unique index holds at most one entry per key value, which bounds a
 	// clustered victim set far below that.
-	touched := lp * (1 - math.Pow(1-1/lp, rows))
-	entries := math.Max(1, float64(ix.Tree.Count()))
-	perLeaf := math.Max(1, entries/lp)
-	// A destructive pass rebuilds the inner levels only once it empties a
-	// leaf (passJob.run). Scattered victims do that only if all of some
-	// leaf's entries are victims; a clustered run as long as a leaf does.
-	rebuild := math.Min(1, lp*math.Pow(math.Min(1, rows/entries), perLeaf))
-	if span > 0 && ix.Unique && span/perLeaf+1 < touched {
-		touched = span/perLeaf + 1
-		rebuild = 0
-		if rows >= perLeaf {
-			rebuild = 1
-		}
+	perLeaf := math.Max(1, float64(ix.Tree.Count())/lp)
+	if span > 0 && ix.Unique {
+		touched = math.Min(touched, span/perLeaf+1)
 	}
-	if !del {
-		return p.leafPass(ix, lp, 0, 0), p.probes(lp, touched, false)
-	}
-	return p.leafPass(ix, lp, touched, rebuild), p.probes(lp, touched, true)
+	return lp, touched
 }
 
-// probeCheaper reports whether one ⋈̸ of ix alone is cheaper by probes than
-// by a leaf pass — the choice of the read-only joins outside a statement's
-// plan.
-func probeCheaper(tgt *Target, ix *IndexRef, values []int64, del bool, memory int) bool {
-	pass, byProbes := newPricer(tgt.Pool.Disk(), memory).arms(ix, float64(len(values)), keySpan(values), del)
-	return byProbes < pass
-}
-
-// priceArms prices a delete of victims records on field, the victim keys
-// spanning span values (0 = scattered). It returns the estimate of every
-// forced method in plan order, the estimate of the sorting plan with each
-// index on its cheaper arm, and the indexes that arm is the probes for.
-func priceArms(tgt *Target, field int, victims int, span float64, memory int) ([]CostEstimate, time.Duration, map[*IndexRef]bool) {
+// priceMethods prices a delete of victims records on field, the victim keys
+// spanning span values (0 = scattered), by every method, in plan order. An
+// index ⋈̸ of the sorting plans is the seeking walk over the leaves holding a
+// victim; the hash plans read every leaf. Either writes back what it touched.
+func priceMethods(tgt *Target, field int, victims int, span float64, memory int) []CostEstimate {
 	p := newPricer(tgt.Pool.Disk(), memory)
 	v := float64(victims)
 	n := math.Max(1, float64(tgt.Heap.Count()))
@@ -219,44 +160,30 @@ func priceArms(tgt *Target, field int, victims int, span float64, memory int) ([
 	heapPages := n / recsPerPage
 	victimPages := heapPages * (1 - math.Pow(1-math.Min(1, v/n), recsPerPage))
 	access := accessIndex(tgt, field)
-	probe := make(map[*IndexRef]bool)
-
-	// arms prices ix's destructive ⋈̸ both ways and notes the cheaper.
-	arms := func(ix *IndexRef, span float64) (pass, byProbes time.Duration) {
-		if pass, byProbes = p.arms(ix, v, span, true); byProbes < pass {
-			probe[ix] = true
-		}
-		return pass, byProbes
-	}
 
 	// Finding the victims is the access index's ⋈̸ by key, or a filter scan.
 	// The sorting plans' heap ⋈̸ is skip-sequential over the victim pages;
 	// the hash plan scans the whole heap.
 	find := p.chain(heapPages)
-	findByProbes := find
 	if access != nil {
-		find, findByProbes = arms(access, span)
+		lp, touched := p.leaves(access, v, span)
+		find = p.seek(lp, touched) + pages(touched, p.writeIO)
 	}
 	heapMerge := min(p.chain(heapPages), pages(victimPages, p.randIO)) + pages(victimPages, p.writeIO)
-	sorts := p.sort(v, 8) + p.sort(v, record.RIDSize)
-	sm := sorts + find + heapMerge
+	sm := p.sort(v, 8) + p.sort(v, record.RIDSize) + find + heapMerge
 	hash := p.sort(v, 8) + find + p.chain(heapPages) + pages(victimPages, p.writeIO)
 	hp := sm
-	pr := sorts + findByProbes + heapMerge
-	mixed := sorts + min(find, findByProbes) + heapMerge
 	for _, ix := range remainingIndexes(tgt, access) {
-		pass, byProbes := arms(ix, 0)
+		lp, touched := p.leaves(ix, v, 0)
+		writes := pages(touched, p.writeIO)
 		rowSize := float64(ix.Tree.KeyLen() + record.RIDSize)
-		sortKeys := p.sort(v, rowSize)
-		sm += sortKeys + pass
-		pr += sortKeys + byProbes
-		mixed += sortKeys + min(pass, byProbes)
+		sm += p.sort(v, rowSize) + p.seek(lp, touched) + writes
 		// Hash probes every entry by RID: a full pass, no list to sort.
-		hash += pass
+		hash += p.chain(lp) + writes
 		// HashPartition writes + reads the ⟨key,RID⟩ list twice (list,
 		// partitions) before its pass.
 		ioPages := 4 * v * rowSize / sim.PageSize
-		hp += pages(ioPages, p.seqIO) + pages(ioPages/rowFileChunk, p.randIO) + pass
+		hp += pages(ioPages, p.seqIO) + pages(ioPages/rowFileChunk, p.randIO) + p.chain(lp) + writes
 	}
 
 	ests := []CostEstimate{{Method: SortMerge, Time: sm}}
@@ -264,8 +191,7 @@ func priceArms(tgt *Target, field int, victims int, span float64, memory int) ([
 	if v*(record.RIDSize+hashOverheadPerEntry) <= float64(memory) {
 		ests = append(ests, CostEstimate{Method: Hash, Time: hash})
 	}
-	ests = append(ests, CostEstimate{Method: HashPartition, Time: hp}, CostEstimate{Method: Probe, Time: pr})
-	return ests, mixed, probe
+	return append(ests, CostEstimate{Method: HashPartition, Time: hp})
 }
 
 // estimatePartitions predicts the partition count the hash+range plan will

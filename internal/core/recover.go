@@ -53,7 +53,7 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	for f := range st.Done {
 		o.SkipStructures[sim.FileID(f)] = true
 	}
-	e := &execCtx{tgt: tgt, opts: o, probe: probeArms(tgt, recs, st.TxID)}
+	e := &execCtx{tgt: tgt, opts: o}
 	stats := &Stats{Method: SortMerge}
 	e.stats = stats
 	tr := o.Trace
@@ -93,8 +93,9 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	access := accessIndex(tgt, field)
 	rest := remainingIndexes(tgt, access)
 
-	// A crash inside an index's reorganization (RebuildUpper) can leave
-	// its on-disk structure untraversable. Detect that per index and fall
+	// A crash inside an index's structural change — the walk freeing a leaf
+	// it emptied, or §2.3 reorganization (RebuildUpper) — can leave its
+	// on-disk structure untraversable. Detect that per index and fall
 	// back to rebuilding the index from the base table — possible exactly
 	// because of the protocol's phase ordering: while the access index is
 	// being processed the heap is still untouched (rebuilding restores
@@ -189,7 +190,6 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 			// under partition 0's file, so it must not inherit that
 			// file's done mark while another partition is still open.
 			method = Hash
-			e.probe = nil // the hash plan has no arms
 			if !heapDone {
 				for _, f := range tgt.HeapFiles() {
 					delete(o.SkipStructures, f)
@@ -203,7 +203,7 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	o.Method = method
 	e.opts = o
 
-	stats.Plan = buildPlan(tgt, field, method, e.probe, o.Memory,
+	stats.Plan = BuildPlan(tgt, field, method, o.Memory,
 		estimatePartitions(tgt, rest, stats.Victims, o.Memory))
 	stats.PlanText = stats.Plan.String()
 
@@ -256,45 +256,17 @@ func rebuildIndexFromHeap(e *execCtx, ix *IndexRef) error {
 	return ix.Tree.Flush()
 }
 
-// bulkStartPayload returns the payload Execute gave the statement's
-// TBulkStart record — victim row count, delete attribute, then the file of
-// every index on the probe arm — or nil when the log holds no such record.
-func bulkStartPayload(recs []wal.Record, txID uint64) []byte {
+// BulkStartField extracts the delete attribute recorded in the TBulkStart
+// payload (victim row count, delete attribute), so an engine can resume
+// without consulting its catalog.
+func BulkStartField(recs []wal.Record, txID uint64) (int, bool) {
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
 		if r.Type == wal.TBulkStart && r.TxID == txID && len(r.Payload) >= 16 {
-			return r.Payload
+			return int(binary.LittleEndian.Uint64(r.Payload[8:])), true
 		}
 	}
-	return nil
-}
-
-// BulkStartField extracts the delete attribute recorded in the TBulkStart
-// payload, so an engine can resume without consulting its catalog.
-func BulkStartField(recs []wal.Record, txID uint64) (int, bool) {
-	p := bulkStartPayload(recs, txID)
-	if p == nil {
-		return 0, false
-	}
-	return int(binary.LittleEndian.Uint64(p[8:])), true
-}
-
-// probeArms returns the indexes the interrupted statement had planned on the
-// probe arm. A roll-forward keeps every structure on the arm it started
-// with — an index a leaf pass left half-way needs the RebuildUpper only a
-// pass ends with — and gives a structure not yet started the arm the
-// statement planned, in crash recovery and in an online abort alike.
-func probeArms(tgt *Target, recs []wal.Record, txID uint64) map[*IndexRef]bool {
-	probe := make(map[*IndexRef]bool)
-	p := bulkStartPayload(recs, txID)
-	for p = p[min(16, len(p)):]; len(p) >= 8; p = p[8:] {
-		for i := range tgt.Indexes {
-			if uint64(tgt.Indexes[i].Tree.ID()) == binary.LittleEndian.Uint64(p) {
-				probe[&tgt.Indexes[i]] = true
-			}
-		}
-	}
-	return probe
+	return 0, false
 }
 
 // materializedRows finds the row count recorded in the payload of the log

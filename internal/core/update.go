@@ -138,13 +138,15 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 		if err != nil {
 			return nil, err
 		}
-		del, err := walkLeaves(e, ix, nil, nil, e.mergeByFullKey(ix, oit.Next), true, nil)
+		del, err := e.indexJoin(ix, oit.Next, false, true, nil)
 		if err != nil {
 			return nil, err
 		}
 		stats.EntriesMoved += del
-		if err := ix.Tree.RebuildUpper(o.Reorganize); err != nil {
-			return nil, err
+		if o.Reorganize {
+			if err := ix.Tree.RebuildUpper(true); err != nil {
+				return nil, err
+			}
 		}
 		nit, err := newSorters[ix.Tree.ID()].Finish()
 		if err != nil {

@@ -77,26 +77,26 @@ func (sc scenario) underReader() scenario {
 	return sc
 }
 
-// probe is the paper's statement where a pass would be waste: a few victims
-// in a table of many leaves, so the planner (Method Auto, whatever the
-// Config says) joins every index by batched root-to-leaf probes instead of
-// a leaf pass. The table has five times Config.Rows rows and indexes with
-// keys wide enough that a leaf holds probeLeafCap entries; the victims are
-// the rows of one whole leaf of IA and IB plus two of the next, so the
-// sweep crosses btree.Tree.Delete freeing an emptied leaf (handleEmpty,
-// spliceOut) — Config.Victims and Config.Seed do not apply.
-var probe = scenario{
+// sparse is the paper's statement where a whole leaf pass would be waste: a
+// few victims in a table of many leaves, joined (Method Auto, whatever the
+// Config says) by walks that seek from victim to victim. The table has five
+// times Config.Rows rows and indexes with keys wide enough that a leaf holds
+// sparseLeafCap entries; the victims are the rows of one whole leaf of IA and
+// IB plus two of the next, so the sweep crosses the walk freeing an emptied
+// leaf (btree.LeafCursor, handleEmpty, spliceOut) — Config.Victims and
+// Config.Seed do not apply.
+var sparse = scenario{
 	config: func(cfg Config) Config {
 		cfg.Rows *= 5
-		cfg.Victims = probeLeafCap + 2
+		cfg.Victims = sparseLeafCap + 2
 		cfg.Method = bulkdel.Auto
 		return cfg
 	},
-	build: buildTables(0, probeKeyLen, func(cfg Config, _ int) []int64 {
-		first := cfg.Rows / 2 / probeLeafCap * probeLeafCap // a leaf's first key
+	build: buildTables(0, sparseKeyLen, func(cfg Config, _ int) []int64 {
+		first := cfg.Rows / 2 / sparseLeafCap * sparseLeafCap // a leaf's first key
 		return keys(first, first+cfg.Victims-1, 1)
 	}, "R"),
-	run:           runProbe,
+	run:           runSparse,
 	reference:     checkTables,
 	verify:        verifyBulk,
 	deterministic: Config.Deterministic,
@@ -118,22 +118,22 @@ var parted = scenario{
 	fields:        bulk.fields,
 }
 
-// probeKeyLen is the probe scenario's index key width, probeLeafCap the
+// sparseKeyLen is the sparse scenario's index key width, sparseLeafCap the
 // entries such keys leave room for in a 4 KB leaf.
 const (
-	probeKeyLen  = 500
-	probeLeafCap = 8
+	sparseKeyLen  = 500
+	sparseLeafCap = 8
 )
 
 var scenarios = map[string]scenario{
-	"bulk":                bulk,
-	"cancel":              bulk.inCancelMode(),
-	"reader":              bulk.underReader(),
-	"reader-cancel":       bulk.inCancelMode().underReader(),
-	"probe":               probe,
-	"probe-cancel":        probe.inCancelMode(),
-	"probe-reader":        probe.underReader(),
-	"probe-reader-cancel": probe.inCancelMode().underReader(),
+	"bulk":                 bulk,
+	"cancel":               bulk.inCancelMode(),
+	"reader":               bulk.underReader(),
+	"reader-cancel":        bulk.inCancelMode().underReader(),
+	"sparse":               sparse,
+	"sparse-cancel":        sparse.inCancelMode(),
+	"sparse-reader":        sparse.underReader(),
+	"sparse-reader-cancel": sparse.inCancelMode().underReader(),
 	// Two bulk deletes on independent tables through DB.RunConcurrent. With
 	// goroutines racing to the fault the crash no longer lands at a
 	// deterministic statement position, so this sweep is invariants-only:
@@ -313,14 +313,18 @@ func runBulk(ctx context.Context, cfg Config, st *state, _ *Result) error {
 	return err
 }
 
-// runProbe fails when a completed statement was not the one the scenario is
-// about: the planner must have put every index on the probe arm.
-func runProbe(ctx context.Context, cfg Config, st *state, _ *Result) error {
+// runSparse fails when a completed statement was not the one the scenario is
+// about: the walk over IA must have sought its victims' leaves, reading
+// fewer pages than IA has leaves.
+func runSparse(ctx context.Context, cfg Config, st *state, _ *Result) error {
 	res, err := deleteVictims(ctx, cfg, st, 0, false)
-	if err == nil && res.Method != bulkdel.Probe {
-		err = fmt.Errorf("planner chose %v, want every index by probes", res.Method)
+	if err != nil {
+		return err
 	}
-	return err
+	if reads, leaves := res.Trace.Find("access-pass").Delta().Reads, cfg.Rows/sparseLeafCap; reads >= uint64(leaves) {
+		return fmt.Errorf("the walk over IA read %d pages, IA has %d leaves", reads, leaves)
+	}
+	return nil
 }
 
 // runParted pins the method: only sort/merge runs the per-partition passes.

@@ -56,6 +56,9 @@ type File struct {
 	// hold it shared per page. Bulk passes' read-only page views skip it —
 	// the exclusive table lock excludes every other writer.
 	latch sync.RWMutex
+	// PageHooks are handed to the page operations of the file's inserts and
+	// updates — test interception points; production files leave them zero.
+	PageHooks page.Hooks
 }
 
 // freeMap is a set of page numbers that can name its lowest member. low is
@@ -207,7 +210,7 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 		if err != nil {
 			return record.NilRID, err
 		}
-		sp := page.Wrap(fr.Data())
+		sp := page.Wrap(fr.Data()).WithHooks(&f.PageHooks)
 		if slot, ok := sp.Insert(rec); ok {
 			rid := record.RID{Page: p, Slot: uint16(slot)}
 			if sp.FreeSpace() < f.recSize {
@@ -305,7 +308,7 @@ func (f *File) Update(rid record.RID, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	sp := page.Wrap(fr.Data())
+	sp := page.Wrap(fr.Data()).WithHooks(&f.PageHooks)
 	if err := sp.Update(int(rid.Slot), rec); err != nil {
 		f.pool.Unpin(fr, false)
 		return fmt.Errorf("heap: %s: %w", rid, err)

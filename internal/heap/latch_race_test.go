@@ -52,12 +52,12 @@ func TestGetBlocksDuringInsertCompaction(t *testing.T) {
 	// Park the inserter inside the page compaction its insert triggers.
 	inCompact := make(chan struct{})
 	release := make(chan struct{})
-	page.TestHookMidCompact = func() {
-		page.TestHookMidCompact = nil // fire once; latch already held
+	f.PageHooks.MidCompact = func() {
+		f.PageHooks.MidCompact = nil // fire once; latch already held
 		close(inCompact)
 		<-release
 	}
-	defer func() { page.TestHookMidCompact = nil }()
+	defer func() { f.PageHooks.MidCompact = nil }()
 
 	insDone := make(chan record.RID, 1)
 	go func() {

@@ -9,7 +9,7 @@ import (
 // slot's directory entry only after its bytes moved, so mid-compaction a
 // not-yet-moved slot can point at a region already overwritten by an
 // earlier laydown. This test freezes a compaction in exactly that window
-// (via TestHookMidCompact) and shows an unlatched Get returning a record
+// (via Hooks.MidCompact) and shows an unlatched Get returning a record
 // that is part old image, part another record's bytes — the hazard the heap
 // file's latch exists to close (heap.File writers hold it exclusively;
 // snapshot readers share it; see internal/heap's latch regression test).
@@ -41,7 +41,7 @@ func TestCompactTornReadWindow(t *testing.T) {
 	}
 
 	var torn []byte
-	TestHookMidCompact = func() {
+	p = p.WithHooks(&Hooks{MidCompact: func() {
 		if torn != nil {
 			return
 		}
@@ -52,8 +52,7 @@ func TestCompactTornReadWindow(t *testing.T) {
 			return
 		}
 		torn = append([]byte(nil), rec...)
-	}
-	defer func() { TestHookMidCompact = nil }()
+	}})
 	p.Compact()
 
 	if torn == nil {

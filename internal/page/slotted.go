@@ -53,7 +53,23 @@ const (
 // state of its own; every operation reads and writes the underlying buffer,
 // so a Slotted may be created on the fly around a buffer-pool frame.
 type Slotted struct {
-	buf []byte
+	buf   []byte
+	hooks *Hooks
+}
+
+// Hooks lets a test stop a page operation inside a window no public boundary
+// exposes; the zero value has none.
+type Hooks struct {
+	// MidCompact runs between record laydowns inside Compact — after at least
+	// one live record has been rewritten but before the rest: the torn-read
+	// window a concurrent unlatched Get would hit (see compact_race_test.go).
+	MidCompact func()
+}
+
+// WithHooks returns the page with h attached to its operations.
+func (p Slotted) WithHooks(h *Hooks) Slotted {
+	p.hooks = h
+	return p
 }
 
 // Wrap interprets buf (which must be sim.PageSize bytes) as a slotted page.
@@ -291,13 +307,6 @@ func (p Slotted) Update(i int, rec []byte) error {
 	return nil
 }
 
-// TestHookMidCompact, when set, is invoked between record laydowns inside
-// Compact — after at least one live record has been rewritten but before
-// the rest. Tests use it to freeze a compaction mid-flight and observe the
-// torn-read window a concurrent unlatched Get would hit (see
-// compact_race_test.go). Never set outside tests.
-var TestHookMidCompact func()
-
 // Compact rewrites the record area so all live records are contiguous at
 // the end of the page, erasing fragmentation left by deletes. Slot numbers
 // are preserved. Trailing dead slots are trimmed from the directory.
@@ -323,8 +332,8 @@ func (p Slotted) Compact() {
 	}
 	freeStart := uint16(len(p.buf))
 	for i := range live {
-		if i > 0 && TestHookMidCompact != nil {
-			TestHookMidCompact()
+		if i > 0 && p.hooks != nil && p.hooks.MidCompact != nil {
+			p.hooks.MidCompact()
 		}
 		rec := scratch[live[i].off : live[i].off+live[i].length]
 		freeStart -= live[i].length

@@ -765,7 +765,7 @@ func (s *Session) set(st *sql.Set) (*Result, error) {
 	case "method":
 		m, err := bulkdel.ParseMethod(val)
 		if err != nil {
-			return fail()
+			return nil, fmt.Errorf("session: %w", err)
 		}
 		s.method = m
 	case "concurrent":

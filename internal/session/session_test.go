@@ -175,6 +175,21 @@ func TestSQLEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSetMethodNamesTheFourMethods: the methods are auto and the paper's
+// three; any other name, "probe" included, is refused with the list.
+func TestSetMethodNamesTheFourMethods(t *testing.T) {
+	s := newFrontend(t, bulkdel.Options{}).NewSession(context.Background())
+	defer s.Close()
+	mustExec(t, s, "SET method = partition")
+	_, err := s.Exec("SET method = probe")
+	if err == nil || !strings.Contains(err.Error(), `unknown method "probe" (auto, sort, hash, partition)`) {
+		t.Fatalf("SET method = probe: %v, want the unknown-method error naming the four methods", err)
+	}
+	if got := mustExec(t, s, "SHOW method").Text; got != "hash+range-partition" {
+		t.Fatalf("SHOW method = %q after the refused SET", got)
+	}
+}
+
 func TestResultFormat(t *testing.T) {
 	r := &Result{Columns: []string{"id", "balance"}, Rows: [][]int64{{1, 100}, {2, -20000}}}
 	got := r.Format()

@@ -252,7 +252,7 @@ func (m *stressModel) keys() []int64 {
 // content, not just presence.
 func stressRow(id int64) []int64 { return []int64{id, 3 * id, id % 7} }
 
-var stressMethods = []bulkdel.Method{bulkdel.Auto, bulkdel.SortMerge, bulkdel.Hash, bulkdel.HashPartition, bulkdel.Probe}
+var stressMethods = []bulkdel.Method{bulkdel.Auto, bulkdel.SortMerge, bulkdel.Hash, bulkdel.HashPartition}
 
 // Stress builds the tables, runs the workers, and verifies the final
 // state. A nil error means every invariant held.
@@ -436,7 +436,7 @@ func Stress(spec StressSpec) (*StressStats, error) {
 					if len(rows) == 1 && rows[0][1] != 3*id {
 						return fail(fmt.Errorf("lookup %d: wrong row %v", id, rows[0]))
 					}
-					// Probe the NON-unique secondary index too: after a
+					// Look up the NON-unique secondary index too: after a
 					// concurrent delete's §3.1 early release this tree may
 					// still be offline mid-pass, so the read path must wait
 					// on its gate (field 1 holds 3*id, injective in id).
