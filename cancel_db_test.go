@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bulkdel/internal/cc"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/sim"
 )
@@ -128,13 +129,13 @@ func TestBulkDeleteDeadline(t *testing.T) {
 func TestBulkDeleteLockWaitTimeout(t *testing.T) {
 	db, tbl, victims := newCancelDB(t, 48, Options{})
 	held := db.cc.Lock("R")
-	held.LockExclusive()
+	held.Lock(cc.Exclusive)
 	_, err := tbl.BulkDelete(0, victims, BulkOptions{LockWait: 5 * time.Millisecond})
 	if !errors.Is(err, ErrLockTimeout) {
-		held.UnlockExclusive()
+		held.Unlock(cc.Exclusive)
 		t.Fatalf("got %v, want ErrLockTimeout", err)
 	}
-	held.UnlockExclusive()
+	held.Unlock(cc.Exclusive)
 	if got := tbl.Count(); got != 48 {
 		t.Fatalf("timed-out statement changed the table: %d rows, want 48", got)
 	}
@@ -159,10 +160,10 @@ func TestRunConcurrentCtxRetries(t *testing.T) {
 	var releaseOnce sync.Once
 	holder := func() error {
 		l := db.cc.Lock("R")
-		l.LockExclusive()
+		l.Lock(cc.Exclusive)
 		close(held)
 		<-release
-		l.UnlockExclusive()
+		l.Unlock(cc.Exclusive)
 		return nil
 	}
 	deleter := func() error {

@@ -184,7 +184,7 @@ type DB struct {
 	opts  Options
 	obs   *obs.Observer
 	// cc owns the per-table locks; every statement acquires its footprint
-	// through cc.Manager.AcquireOrdered (see internal/cc).
+	// through cc.Manager.Acquire (see internal/cc).
 	cc *cc.Manager
 	// sched is the DB-wide worker admission pool shared by concurrent
 	// statements' parallel index passes.
@@ -326,7 +326,7 @@ func (db *DB) beginStatement(kind, table string, claims []cc.Claim) (*obs.Stmt, 
 // caller has no cleanup to do and may simply retry.
 func (db *DB) beginStatementTimeout(kind, table string, claims []cc.Claim, lockWait time.Duration) (*obs.Stmt, *cc.Held, error) {
 	stmt := db.obs.Events().Begin(kind, table)
-	held, err := db.cc.AcquireOrderedTimeoutAs(stmt.ID(), claims, lockWait)
+	held, err := db.cc.Acquire(stmt.ID(), claims, lockWait)
 	if err != nil {
 		stmt.Event(obs.EvCancel, "lock wait timeout")
 		stmt.End()
@@ -366,7 +366,7 @@ func (db *DB) noteRetainedBytes() {
 // deleteFootprint computes the tables a bulk delete on tbl must lock: the
 // target and every table its CASCADE edges can reach, exclusively, plus
 // the RESTRICT children it probes, shared. Acquiring the whole footprint
-// up front (name-ordered, via cc.Manager.AcquireOrdered) is what makes
+// up front (name-ordered, via cc.Manager.Acquire) is what makes
 // concurrent statements deadlock-free — and it also closes the window the
 // serial engine had, where FK probes ran before the target's lock was
 // taken.

@@ -169,7 +169,7 @@ func (db *DB) heapOwning(id uint64) (*heapBackend, bool) {
 // lock already.
 func (h *heapBackend) beginSnapshotRead() uint64 {
 	db := h.tbl.db
-	blocked := h.t.Lock.LockSnapshotRead()
+	blocked := h.t.Lock.Lock(cc.Snapshot)
 	reg := db.obs.Registry()
 	reg.Counter(obs.MetricSnapshotReads).Add(1)
 	if blocked {
@@ -183,7 +183,7 @@ func (h *heapBackend) endSnapshotRead(s uint64) {
 	db.epochs.Release(s)
 	h.t.MVCC.Prune() // versions only this snapshot needed can go now
 	db.noteRetainedBytes()
-	h.t.Lock.UnlockSnapshotRead()
+	h.t.Lock.Unlock(cc.Snapshot)
 }
 
 // lookupAt runs the table's one read function (table.SnapshotLookup: index

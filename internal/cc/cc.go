@@ -60,17 +60,18 @@ func (s IndexState) String() string {
 // systems employing lock escalation would switch to an exclusive lock on
 // the base table".
 //
-// The implementation is a condition-variable reader/writer lock rather
-// than a sync.RWMutex so the Manager can observe contention and so an
-// exclusive acquisition can carry a deadline (LockExclusiveTimeout).
+// It is one state machine over four modes (Mode): acquire is the only
+// place a caller waits, on the one admits predicate, and release is the
+// only way out. A condition variable rather than a sync.RWMutex lets the
+// Manager observe contention and lets an acquisition carry a deadline.
 // Like sync.RWMutex, a waiting writer blocks new readers, so bulk deletes
 // cannot be starved by a stream of scans. The zero value is ready to use.
 type TableLock struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	readers  int
-	writer   bool
-	writersW int // writers currently waiting; gives writers preference
+	readers  int  // Shared holders
+	writer   bool // an Exclusive or Structural holder
+	writersW int  // Exclusive and Structural acquirers waiting; gives writers preference
 
 	// MVCC snapshot readers. A bulk delete's Exclusive lock admits them
 	// (visibility filtering makes that safe); only a Structural pass —
@@ -100,344 +101,130 @@ type LockWaiter struct {
 	tok uint64
 }
 
-// init must be called with mu held.
-func (l *TableLock) init() {
+// admits reports whether mode can be granted now; mu must be held.
+//
+// Snapshot does not wait for a plain Exclusive holder: a bulk delete and
+// any number of snapshot readers coexist. It waits while a Structural pass
+// holds the lock, or while one is queued and could actually acquire it (no
+// plain-exclusive holder in the way): while a plain delete still holds the
+// lock the structural waiter cannot get in regardless of readers, so
+// holding them back then would wait out the whole delete for nothing.
+func (l *TableLock) admits(mode Mode) bool {
+	switch mode {
+	case Shared:
+		return !l.writer && l.writersW == 0
+	case Exclusive:
+		return !l.writer && l.readers == 0
+	case Structural:
+		return !l.writer && l.readers == 0 && l.sreaders == 0
+	default: // Snapshot
+		return !(l.writer && l.structural) && (l.writer || l.structW == 0)
+	}
+}
+
+// acquire takes mode for owner, waiting until admits(mode) or the deadline
+// (zero = none). It reports whether the lock was granted, whether the
+// caller had to wait, the real time it waited (on the timed-out path too —
+// a partial wait is still contention) and the exclusive holder observed
+// when the wait began (0 = anonymous holder or readers). A waiting
+// Exclusive or Structural acquirer counts in writersW, a Structural one
+// also in structW, for as long as it waits; a timed-out waiter leaves the
+// lock as it found it.
+func (l *TableLock) acquire(owner uint64, mode Mode, deadline time.Time) (ok, blocked bool, waited time.Duration, holder uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.cond == nil {
 		l.cond = sync.NewCond(&l.mu)
 	}
-}
-
-// addWaiter/removeWaiter maintain the arrival-ordered waiter queue; both
-// must be called with mu held. addWaiter returns a token naming the new
-// entry; removeWaiter takes that token back out, by identity rather than
-// by (owner, mode) — two anonymous exclusive waiters are indistinguishable
-// by value, and a timed-out one must not take its twin's entry with it.
-func (l *TableLock) addWaiter(owner uint64, mode Mode) uint64 {
-	l.waiterSeq++
-	l.waiters = append(l.waiters, LockWaiter{Owner: owner, Mode: mode, tok: l.waiterSeq})
-	return l.waiterSeq
-}
-
-func (l *TableLock) removeWaiter(tok uint64) {
-	for i := range l.waiters {
-		if l.waiters[i].tok == tok {
-			l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
-			return
+	if !l.admits(mode) {
+		blocked, holder = true, l.writerOwner
+		start := time.Now()
+		l.waiterSeq++
+		tok := l.waiterSeq
+		l.waiters = append(l.waiters, LockWaiter{Owner: owner, Mode: mode, tok: tok})
+		l.queue(mode, 1)
+		if !deadline.IsZero() {
+			// cond.Wait has no deadline; one timer broadcast bounds the wait.
+			t := time.AfterFunc(time.Until(deadline), func() {
+				l.mu.Lock()
+				l.cond.Broadcast()
+				l.mu.Unlock()
+			})
+			defer t.Stop()
 		}
-	}
-}
-
-// LockExclusive blocks until the exclusive (bulk-delete) lock is held.
-func (l *TableLock) LockExclusive() { l.lockExclusiveAs(0) }
-
-// lockExclusiveAs acquires the exclusive lock for a statement, reporting
-// whether the caller had to block and, if it did, the exclusive holder
-// observed when the wait began (0 = anonymous holder or readers).
-func (l *TableLock) lockExclusiveAs(owner uint64) (blocked bool, holder uint64) {
-	l.mu.Lock()
-	l.init()
-	l.writersW++
-	var tok uint64
-	for l.writer || l.readers > 0 {
-		if !blocked {
-			blocked = true
-			holder = l.writerOwner
-			tok = l.addWaiter(owner, Exclusive)
+		for !l.admits(mode) && (deadline.IsZero() || time.Now().Before(deadline)) {
+			l.cond.Wait()
 		}
-		l.cond.Wait()
-	}
-	if blocked {
-		l.removeWaiter(tok)
-	}
-	l.writersW--
-	l.writer = true
-	l.writerOwner = owner
-	l.mu.Unlock()
-	return blocked, holder
-}
-
-// LockExclusiveTimeout acquires the exclusive lock, giving up after d. It
-// returns true if the lock was acquired. A false return leaves the lock
-// untouched; it is the caller's deadlock insurance, not its ordering rule
-// (Manager.AcquireOrdered prevents deadlocks by construction).
-func (l *TableLock) LockExclusiveTimeout(d time.Duration) bool {
-	ok, _, _, _ := l.lockExclusiveTimeoutAs(0, d)
-	return ok
-}
-
-// lockExclusiveTimeoutAs is the owner-attributed timeout acquisition. It
-// reports whether the lock was acquired, whether the caller blocked, the
-// real time it spent blocked (nonzero on both the granted and the timed-out
-// path — a timed-out waiter's partial wait is still contention), and the
-// exclusive holder observed when the wait began.
-func (l *TableLock) lockExclusiveTimeoutAs(owner uint64, d time.Duration) (ok, blocked bool, waited time.Duration, holder uint64) {
-	deadline := time.Now().Add(d)
-	var start time.Time
-	l.mu.Lock()
-	l.init()
-	l.writersW++
-	var tok uint64
-	for l.writer || l.readers > 0 {
-		if !blocked {
-			blocked = true
-			holder = l.writerOwner
-			start = time.Now()
-			tok = l.addWaiter(owner, Exclusive)
+		l.queue(mode, -1)
+		for i := range l.waiters {
+			if l.waiters[i].tok == tok {
+				l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
+				break
+			}
 		}
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			l.writersW--
-			l.removeWaiter(tok)
-			// A reader may be waiting only on us; let it go.
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			return false, true, time.Since(start), holder
-		}
-		// cond.Wait has no deadline; a timer broadcast bounds the wait.
-		t := time.AfterFunc(rem, func() {
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		})
-		l.cond.Wait()
-		t.Stop()
-	}
-	if blocked {
-		l.removeWaiter(tok)
 		waited = time.Since(start)
+		if !l.admits(mode) {
+			// Timed out. A waiter that held others back (a reader behind a
+			// waiting writer) may be waiting only on us; let it go.
+			l.cond.Broadcast()
+			return false, true, waited, holder
+		}
 	}
-	l.writersW--
-	l.writer = true
-	l.writerOwner = owner
-	l.mu.Unlock()
+	switch mode {
+	case Shared:
+		l.readers++
+		if l.readerOwners == nil {
+			l.readerOwners = make(map[uint64]int)
+		}
+		l.readerOwners[owner]++
+	case Snapshot:
+		l.sreaders++
+	default:
+		l.writer, l.structural, l.writerOwner = true, mode == Structural, owner
+	}
 	return true, blocked, waited, holder
 }
 
-// lockSharedTimeoutAs is lockSharedAs with a deadline, mirroring
-// lockExclusiveTimeoutAs: a timed-out waiter removes exactly its own queue
-// entry (by token) and reports its partial wait as real contention.
-func (l *TableLock) lockSharedTimeoutAs(owner uint64, d time.Duration) (ok, blocked bool, waited time.Duration, holder uint64) {
-	deadline := time.Now().Add(d)
-	var start time.Time
-	l.mu.Lock()
-	l.init()
-	var tok uint64
-	for l.writer || l.writersW > 0 {
-		if !blocked {
-			blocked = true
-			holder = l.writerOwner
-			start = time.Now()
-			tok = l.addWaiter(owner, Shared)
-		}
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			l.removeWaiter(tok)
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			return false, true, time.Since(start), holder
-		}
-		t := time.AfterFunc(rem, func() {
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		})
-		l.cond.Wait()
-		t.Stop()
+// queue counts a waiting writer in or out of the preference counters.
+func (l *TableLock) queue(mode Mode, d int) {
+	if mode == Exclusive || mode == Structural {
+		l.writersW += d
 	}
-	if blocked {
-		l.removeWaiter(tok)
-		waited = time.Since(start)
+	if mode == Structural {
+		l.structW += d
 	}
-	l.readers++
-	if l.readerOwners == nil {
-		l.readerOwners = make(map[uint64]int)
-	}
-	l.readerOwners[owner]++
-	l.mu.Unlock()
-	return true, blocked, waited, holder
 }
 
-// UnlockExclusive releases the exclusive lock.
-func (l *TableLock) UnlockExclusive() { l.unlockExclusiveAs() }
-
-func (l *TableLock) unlockExclusiveAs() {
+// release gives back what acquire(owner, mode) granted.
+func (l *TableLock) release(owner uint64, mode Mode) {
 	l.mu.Lock()
-	l.init()
-	l.writer = false
-	l.structural = false
-	l.writerOwner = 0
+	defer l.mu.Unlock()
+	switch mode {
+	case Shared:
+		l.readers--
+		if n := l.readerOwners[owner]; n <= 1 {
+			delete(l.readerOwners, owner)
+		} else {
+			l.readerOwners[owner] = n - 1
+		}
+	case Snapshot:
+		l.sreaders--
+	default:
+		l.writer, l.structural, l.writerOwner = false, false, 0
+	}
 	l.cond.Broadcast()
-	l.mu.Unlock()
 }
 
-// lockStructuralAs acquires the structural-exclusive lock: an Exclusive
-// acquisition that additionally drains and excludes MVCC snapshot readers.
-// Offline rebuilds, repartitioning, rebalancing, and bulk updates take it
-// because they rewrite physical structure — RIDs and page contents change
-// under them, so visibility filtering cannot protect a concurrent reader.
-func (l *TableLock) lockStructuralAs(owner uint64) (blocked bool, holder uint64) {
-	l.mu.Lock()
-	l.init()
-	l.writersW++
-	l.structW++
-	var tok uint64
-	for l.writer || l.readers > 0 || l.sreaders > 0 {
-		if !blocked {
-			blocked = true
-			holder = l.writerOwner
-			tok = l.addWaiter(owner, Structural)
-		}
-		l.cond.Wait()
-	}
-	if blocked {
-		l.removeWaiter(tok)
-	}
-	l.writersW--
-	l.structW--
-	l.writer = true
-	l.structural = true
-	l.writerOwner = owner
-	l.mu.Unlock()
-	return blocked, holder
-}
-
-// lockStructuralTimeoutAs is lockStructuralAs with a deadline, mirroring
-// lockExclusiveTimeoutAs.
-func (l *TableLock) lockStructuralTimeoutAs(owner uint64, d time.Duration) (ok, blocked bool, waited time.Duration, holder uint64) {
-	deadline := time.Now().Add(d)
-	var start time.Time
-	l.mu.Lock()
-	l.init()
-	l.writersW++
-	l.structW++
-	var tok uint64
-	for l.writer || l.readers > 0 || l.sreaders > 0 {
-		if !blocked {
-			blocked = true
-			holder = l.writerOwner
-			start = time.Now()
-			tok = l.addWaiter(owner, Structural)
-		}
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			l.writersW--
-			l.structW--
-			l.removeWaiter(tok)
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			return false, true, time.Since(start), holder
-		}
-		t := time.AfterFunc(rem, func() {
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		})
-		l.cond.Wait()
-		t.Stop()
-	}
-	if blocked {
-		l.removeWaiter(tok)
-		waited = time.Since(start)
-	}
-	l.writersW--
-	l.structW--
-	l.writer = true
-	l.structural = true
-	l.writerOwner = owner
-	l.mu.Unlock()
-	return true, blocked, waited, holder
-}
-
-// LockSnapshotRead admits an MVCC snapshot reader. Unlike LockShared it
-// does NOT queue behind a bulk delete's exclusive lock — epoch visibility
-// makes reading under an in-flight delete safe. It waits while a
-// structural pass holds the lock, or while one is queued and could
-// actually acquire it (no plain-exclusive holder in the way). Queueing
-// new readers behind a queued structural statement is pure
-// anti-starvation — but while a plain bulk delete still holds the lock
-// the structural waiter cannot get in regardless of readers, so blocking
-// them then would silently wait out the whole delete and lose the
-// headline non-blocking property. It reports whether it had to block
-// (the stress smoke asserts this stays zero during plain bulk deletes).
-func (l *TableLock) LockSnapshotRead() (blocked bool) {
-	l.mu.Lock()
-	l.init()
-	for (l.writer && l.structural) || (!l.writer && l.structW > 0) {
-		blocked = true
-		l.cond.Wait()
-	}
-	l.sreaders++
-	l.mu.Unlock()
+// Lock takes mode anonymously and without a deadline — the table's own
+// read and update paths, which run under no statement — and reports
+// whether it had to wait.
+func (l *TableLock) Lock(mode Mode) (blocked bool) {
+	_, blocked, _, _ = l.acquire(0, mode, time.Time{})
 	return blocked
 }
 
-// UnlockSnapshotRead retires a snapshot reader.
-func (l *TableLock) UnlockSnapshotRead() {
-	l.mu.Lock()
-	l.init()
-	l.sreaders--
-	l.cond.Broadcast()
-	l.mu.Unlock()
-}
-
-// LockShared blocks until a shared (reader/updater) lock is held.
-func (l *TableLock) LockShared() { l.lockSharedAs(0) }
-
-// lockSharedAs acquires a shared lock for a statement, reporting whether
-// the caller had to block and the exclusive holder observed at that point.
-func (l *TableLock) lockSharedAs(owner uint64) (blocked bool, holder uint64) {
-	l.mu.Lock()
-	l.init()
-	var tok uint64
-	for l.writer || l.writersW > 0 {
-		if !blocked {
-			blocked = true
-			holder = l.writerOwner
-			tok = l.addWaiter(owner, Shared)
-		}
-		l.cond.Wait()
-	}
-	if blocked {
-		l.removeWaiter(tok)
-	}
-	l.readers++
-	if l.readerOwners == nil {
-		l.readerOwners = make(map[uint64]int)
-	}
-	l.readerOwners[owner]++
-	l.mu.Unlock()
-	return blocked, holder
-}
-
-// UnlockShared releases a shared lock.
-func (l *TableLock) UnlockShared() { l.unlockSharedAs(0) }
-
-func (l *TableLock) unlockSharedAs(owner uint64) {
-	l.mu.Lock()
-	l.init()
-	l.readers--
-	if n := l.readerOwners[owner]; n <= 1 {
-		delete(l.readerOwners, owner)
-	} else {
-		l.readerOwners[owner] = n - 1
-	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
-}
-
-// TryLockExclusive acquires the exclusive lock without blocking.
-func (l *TableLock) TryLockExclusive() bool {
-	l.mu.Lock()
-	l.init()
-	if l.writer || l.readers > 0 {
-		l.mu.Unlock()
-		return false
-	}
-	l.writer = true
-	l.writerOwner = 0
-	l.mu.Unlock()
-	return true
-}
+// Unlock releases an anonymous Lock.
+func (l *TableLock) Unlock(mode Mode) { l.release(0, mode) }
 
 // OpKind distinguishes side-file operations.
 type OpKind uint8

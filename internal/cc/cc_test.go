@@ -1,43 +1,190 @@
 package cc
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bulkdel/internal/record"
 )
 
 func rid(i int) record.RID { return record.RID{Page: 1, Slot: uint16(i)} }
 
+// tryLock takes mode anonymously only if the lock admits it at once.
+func tryLock(l *TableLock, mode Mode) bool {
+	ok, _, _, _ := l.acquire(0, mode, time.Now())
+	return ok
+}
+
+// waitFor polls the lock's state until cond holds.
+func waitFor(t *testing.T, l *TableLock, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		done := cond()
+		l.mu.Unlock()
+		if done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestTableLockExclusion(t *testing.T) {
 	var l TableLock
-	l.LockExclusive()
-	if l.TryLockExclusive() {
+	l.Lock(Exclusive)
+	if tryLock(&l, Exclusive) {
 		t.Fatal("second exclusive lock acquired")
 	}
-	l.UnlockExclusive()
-	if !l.TryLockExclusive() {
+	l.Unlock(Exclusive)
+	if !tryLock(&l, Exclusive) {
 		t.Fatal("lock not released")
 	}
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 
 	// Shared locks coexist, exclusive waits.
-	l.LockShared()
-	l.LockShared()
+	l.Lock(Shared)
+	l.Lock(Shared)
 	acquired := make(chan struct{})
 	go func() {
-		l.LockExclusive()
+		l.Lock(Exclusive)
 		close(acquired)
-		l.UnlockExclusive()
+		l.Unlock(Exclusive)
 	}()
 	select {
 	case <-acquired:
 		t.Fatal("exclusive acquired while shared held")
 	default:
 	}
-	l.UnlockShared()
-	l.UnlockShared()
+	l.Unlock(Shared)
+	l.Unlock(Shared)
 	<-acquired
+}
+
+// TestTableLockModes is the admission table: each mode against each holder
+// state, admitted at once or blocked. A blocked attempt under a deadline
+// times out with nothing granted, a positive wait, and the waiter queue and
+// the writer-preference counters exactly as it found them.
+func TestTableLockModes(t *testing.T) {
+	// Each state sets up a fresh lock and returns its teardown.
+	states := []struct {
+		name  string
+		setup func(t *testing.T, l *TableLock) func()
+	}{
+		{"free", func(*testing.T, *TableLock) func() { return func() {} }},
+		{"shared", holdMode(Shared)},
+		{"snapshot", holdMode(Snapshot)},
+		{"exclusive", holdMode(Exclusive)},
+		{"structural", holdMode(Structural)},
+		{"structural-queued-behind-exclusive", func(t *testing.T, l *TableLock) func() {
+			l.Lock(Exclusive)
+			granted := make(chan struct{})
+			go func() {
+				l.acquire(7, Structural, time.Time{})
+				close(granted)
+			}()
+			waitFor(t, l, "the structural waiter", func() bool { return l.structW == 1 })
+			return func() {
+				l.Unlock(Exclusive)
+				<-granted
+				l.release(7, Structural)
+			}
+		}},
+	}
+	// admitted[mode][state], states in the order above.
+	admitted := map[Mode][]bool{
+		Shared:     {true, true, true, false, false, false},
+		Exclusive:  {true, false, true, false, false, false},
+		Structural: {true, false, false, false, false, false},
+		Snapshot:   {true, true, true, true, false, true},
+	}
+	for _, mode := range []Mode{Shared, Exclusive, Structural, Snapshot} {
+		for si, st := range states {
+			t.Run(mode.String()+"/"+st.name, func(t *testing.T) {
+				var l TableLock
+				teardown := st.setup(t, &l)
+				defer teardown()
+				l.mu.Lock()
+				waiters, writersW, structW := len(l.waiters), l.writersW, l.structW
+				l.mu.Unlock()
+
+				ok, blocked, waited, _ := l.acquire(5, mode, time.Now().Add(5*time.Millisecond))
+				if want := admitted[mode][si]; want {
+					if !ok || blocked {
+						t.Fatalf("ok=%v blocked=%v, want admitted at once", ok, blocked)
+					}
+					l.release(5, mode)
+					return
+				}
+				if ok || !blocked || waited <= 0 {
+					t.Fatalf("ok=%v blocked=%v waited=%v, want a timed-out wait", ok, blocked, waited)
+				}
+				l.mu.Lock()
+				defer l.mu.Unlock()
+				if len(l.waiters) != waiters || l.writersW != writersW || l.structW != structW {
+					t.Fatalf("timed-out %s left waiters=%d writersW=%d structW=%d, want %d/%d/%d",
+						mode, len(l.waiters), l.writersW, l.structW, waiters, writersW, structW)
+				}
+			})
+		}
+	}
+}
+
+// holdMode is a TestTableLockModes state: one anonymous holder of mode.
+func holdMode(mode Mode) func(*testing.T, *TableLock) func() {
+	return func(_ *testing.T, l *TableLock) func() {
+		l.Lock(mode)
+		return func() { l.Unlock(mode) }
+	}
+}
+
+// TestStructuralTimeoutWakesQueuedReaders: a Structural acquisition waiting
+// on a shared holder holds new snapshot readers and new shared readers back.
+// When it times out it must wake them; otherwise they would sleep until some
+// unrelated release.
+func TestStructuralTimeoutWakesQueuedReaders(t *testing.T) {
+	var l TableLock
+	l.Lock(Shared)
+	structDone := make(chan bool, 1)
+	go func() {
+		ok, _, _, _ := l.acquire(7, Structural, time.Now().Add(300*time.Millisecond))
+		structDone <- ok
+	}()
+	waitFor(t, &l, "the structural waiter", func() bool { return l.structW == 1 })
+
+	snap := make(chan bool, 1)
+	shared := make(chan bool, 1)
+	go func() { snap <- l.Lock(Snapshot) }()
+	go func() { shared <- l.Lock(Shared) }()
+	waitFor(t, &l, "both readers to queue", func() bool { return len(l.waiters) == 3 })
+	if s := l.info("T").String(); !strings.Contains(s, "anon snapshot") || !strings.Contains(s, "stmt 7 structural") {
+		t.Fatalf("wait graph misses a waiter: %s", s)
+	}
+
+	if ok := <-structDone; ok {
+		t.Fatal("structural lock acquired over a shared holder")
+	}
+	for name, ch := range map[string]chan bool{"snapshot": snap, "shared": shared} {
+		select {
+		case blocked := <-ch:
+			if !blocked {
+				t.Fatalf("%s reader queued behind the structural waiter did not report blocking", name)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s reader not woken when the structural waiter timed out", name)
+		}
+	}
+	l.Unlock(Snapshot)
+	l.Unlock(Shared)
+	l.Unlock(Shared)
+	if in := l.info("T"); in.Readers != 0 || in.SnapshotReaders != 0 || in.WritersWaiting != 0 || len(in.Waiters) != 0 || l.structW != 0 {
+		t.Fatalf("lock not idle: %+v structW=%d", in, l.structW)
+	}
 }
 
 func TestSideFileAppendDrain(t *testing.T) {
@@ -217,6 +364,12 @@ func TestStrings(t *testing.T) {
 	}
 	if IndexState(9).String() == "" {
 		t.Fatal("unknown state string")
+	}
+	for m, want := range map[Mode]string{Shared: "shared", Exclusive: "exclusive",
+		Structural: "structural", Snapshot: "snapshot", Mode(9): "Mode(9)"} {
+		if got := m.String(); got != want {
+			t.Fatalf("Mode(%d).String() = %q, want %q", int(m), got, want)
+		}
 	}
 }
 

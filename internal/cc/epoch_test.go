@@ -78,9 +78,9 @@ func TestEpochClockSetCurrentNeverRewinds(t *testing.T) {
 // snapshot readers without blocking them.
 func TestSnapshotReadAdmittedUnderExclusive(t *testing.T) {
 	var l TableLock
-	l.LockExclusive()
+	l.Lock(Exclusive)
 	got := make(chan bool, 1)
-	go func() { got <- l.LockSnapshotRead() }()
+	go func() { got <- l.Lock(Snapshot) }()
 	select {
 	case blocked := <-got:
 		if blocked {
@@ -89,20 +89,20 @@ func TestSnapshotReadAdmittedUnderExclusive(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("snapshot read queued behind the exclusive lock")
 	}
-	l.UnlockSnapshotRead()
-	l.UnlockExclusive()
+	l.Unlock(Snapshot)
+	l.Unlock(Exclusive)
 }
 
 // A structural pass both drains open snapshot readers and holds new ones
 // back while it waits, so it cannot be starved by a read stream.
 func TestSnapshotReadersDrainForStructuralPass(t *testing.T) {
 	var l TableLock
-	if blocked := l.LockSnapshotRead(); blocked {
+	if blocked := l.Lock(Snapshot); blocked {
 		t.Fatal("uncontended snapshot read blocked")
 	}
 	acquired := make(chan struct{})
 	go func() {
-		l.lockStructuralAs(7)
+		l.acquire(7, Structural, time.Time{})
 		close(acquired)
 	}()
 	select {
@@ -111,20 +111,20 @@ func TestSnapshotReadersDrainForStructuralPass(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	second := make(chan bool, 1)
-	go func() { second <- l.LockSnapshotRead() }()
+	go func() { second <- l.Lock(Snapshot) }()
 	select {
 	case <-second:
 		t.Fatal("new snapshot reader admitted past a waiting structural pass")
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	l.UnlockSnapshotRead() // drain: the structural pass gets the lock
+	l.Unlock(Snapshot) // drain: the structural pass gets the lock
 	<-acquired
-	l.UnlockExclusive() // and once it is done, the queued reader proceeds
+	l.release(7, Structural) // and once it is done, the queued reader proceeds
 	if blocked := <-second; !blocked {
 		t.Fatal("reader queued behind a structural pass did not report blocking")
 	}
-	l.UnlockSnapshotRead()
+	l.Unlock(Snapshot)
 }
 
 // A structural statement queued behind a plain bulk delete's exclusive
@@ -135,10 +135,10 @@ func TestSnapshotReadersDrainForStructuralPass(t *testing.T) {
 // of the previous test).
 func TestSnapshotReadAdmittedPastStructuralWaiterBehindPlainDelete(t *testing.T) {
 	var l TableLock
-	l.LockExclusive() // the plain bulk delete
+	l.Lock(Exclusive) // the plain bulk delete
 	structAcq := make(chan struct{})
 	go func() {
-		l.lockStructuralAs(7)
+		l.acquire(7, Structural, time.Time{})
 		close(structAcq)
 	}()
 	for { // wait for the structural statement to queue
@@ -152,7 +152,7 @@ func TestSnapshotReadAdmittedPastStructuralWaiterBehindPlainDelete(t *testing.T)
 	}
 
 	got := make(chan bool, 1)
-	go func() { got <- l.LockSnapshotRead() }()
+	go func() { got <- l.Lock(Snapshot) }()
 	select {
 	case blocked := <-got:
 		if blocked {
@@ -164,9 +164,9 @@ func TestSnapshotReadAdmittedPastStructuralWaiterBehindPlainDelete(t *testing.T)
 
 	// The delete releases: the structural waiter now has priority — the
 	// open reader drains, new readers queue behind it.
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 	second := make(chan bool, 1)
-	go func() { second <- l.LockSnapshotRead() }()
+	go func() { second <- l.Lock(Snapshot) }()
 	select {
 	case <-structAcq:
 		t.Fatal("structural lock acquired over an open snapshot reader")
@@ -174,11 +174,11 @@ func TestSnapshotReadAdmittedPastStructuralWaiterBehindPlainDelete(t *testing.T)
 		t.Fatal("new snapshot reader admitted past the waiting structural pass after the delete released")
 	case <-time.After(50 * time.Millisecond):
 	}
-	l.UnlockSnapshotRead()
+	l.Unlock(Snapshot)
 	<-structAcq
-	l.UnlockExclusive()
+	l.release(7, Structural)
 	if blocked := <-second; !blocked {
 		t.Fatal("reader queued behind the structural pass did not report blocking")
 	}
-	l.UnlockSnapshotRead()
+	l.Unlock(Snapshot)
 }

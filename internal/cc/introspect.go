@@ -1,6 +1,6 @@
 // Lock-manager introspection: point-in-time snapshots of who holds and who
-// waits on every table lock, for DB.Inspect, the stress tool's live view,
-// and the deadlock watchdog's blocked-statement dump.
+// waits on every table lock, for DB.Inspect and the stress tool's live
+// view.
 //
 // Each table's snapshot is internally consistent (taken under that lock's
 // mutex); the set of tables is collected under the manager mutex first, so
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // TableLockInfo is a snapshot of one table's lock state.
@@ -40,9 +39,6 @@ type TableLockInfo struct {
 	// Waiters is the blocked-acquisition queue in arrival order.
 	Waiters []LockWaiter
 }
-
-// QueueDepth is the number of blocked acquisitions on the table.
-func (i TableLockInfo) QueueDepth() int { return len(i.Waiters) }
 
 // String renders one who-holds / who-waits line.
 func (i TableLockInfo) String() string {
@@ -159,7 +155,7 @@ func (g WaitGraph) Idle() bool {
 func (g WaitGraph) Blocked() []TableLockInfo {
 	var out []TableLockInfo
 	for _, t := range g.Tables {
-		if t.QueueDepth() > 0 {
+		if len(t.Waiters) > 0 {
 			out = append(out, t)
 		}
 	}
@@ -174,51 +170,4 @@ func (g WaitGraph) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// DumpBlocked renders only the contended part of the wait graph — the
-// blocked-statement dump the deadlock watchdog prints when an acquisition
-// times out. Empty when nothing waits.
-func (m *Manager) DumpBlocked() string {
-	var b strings.Builder
-	for _, t := range m.WaitGraph().Blocked() {
-		b.WriteString(t.String())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// AcquireExclusiveTimeout is LockExclusiveTimeout routed through the
-// manager: on timeout it returns false plus the blocked-statement dump, so
-// a watchdog can report who holds what instead of a bare hang.
-func (m *Manager) AcquireExclusiveTimeout(table string, d time.Duration) (bool, string) {
-	return m.AcquireExclusiveTimeoutAs(0, table, d)
-}
-
-// AcquireExclusiveTimeoutAs is AcquireExclusiveTimeout attributed to a
-// statement ID. Blocked time is reported through OnWait/OnLock exactly
-// once per acquisition — including the partial wait of a timed-out
-// attempt, which is real contention even though no lock was granted.
-func (m *Manager) AcquireExclusiveTimeoutAs(owner uint64, table string, d time.Duration) (bool, string) {
-	l := m.Lock(table)
-	ok, blocked, waited, holder := l.lockExclusiveTimeoutAs(owner, d)
-	if blocked && m.OnWait != nil {
-		m.OnWait(table, waited)
-	}
-	if ok {
-		if m.OnLock != nil {
-			m.OnLock(LockEvent{Table: table, Owner: owner, Mode: Exclusive,
-				Blocked: blocked, Waited: waited, Holder: holder})
-		}
-		return true, ""
-	}
-	// The timed-out waiter already left the queue, so lead with the
-	// contested table's holder, then whatever else is still blocked.
-	dump := l.info(table).String() + "\n"
-	for _, t := range m.WaitGraph().Blocked() {
-		if t.Table != table {
-			dump += t.String() + "\n"
-		}
-	}
-	return false, dump
 }

@@ -13,8 +13,8 @@ func TestWaitGraphOwnerAttribution(t *testing.T) {
 	m := NewManager()
 
 	// Statement 7 holds A exclusive; statement 9 holds B shared.
-	h7 := m.AcquireOrderedAs(7, []Claim{{Table: "A", Mode: Exclusive}})
-	h9 := m.AcquireOrderedAs(9, []Claim{{Table: "B", Mode: Shared}})
+	h7 := hold(m, 7, Claim{Table: "A", Mode: Exclusive})
+	h9 := hold(m, 9, Claim{Table: "B", Mode: Shared})
 
 	g := m.WaitGraph()
 	if len(g.Tables) != 2 {
@@ -31,13 +31,13 @@ func TestWaitGraphOwnerAttribution(t *testing.T) {
 		t.Fatalf("B: got %+v, want one shared reader, stmt 9", b)
 	}
 
-	// Statement 11 blocks on A; once it appears in the queue the dump must
-	// name both sides.
+	// Statement 11 blocks on A; once it appears in the queue the blocked
+	// part of the graph must name both sides.
 	started := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		close(started)
-		h := m.AcquireOrderedAs(11, []Claim{{Table: "A", Mode: Exclusive}})
+		h := hold(m, 11, Claim{Table: "A", Mode: Exclusive})
 		h.ReleaseAll()
 		close(done)
 	}()
@@ -45,7 +45,7 @@ func TestWaitGraphOwnerAttribution(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var dump string
 	for {
-		dump = m.DumpBlocked()
+		dump = blockedDump(m)
 		if dump != "" {
 			break
 		}
@@ -63,20 +63,21 @@ func TestWaitGraphOwnerAttribution(t *testing.T) {
 	h9.ReleaseAll()
 
 	// Idle again: nothing blocked, everything free.
-	if d := m.DumpBlocked(); d != "" {
+	if d := blockedDump(m); d != "" {
 		t.Fatalf("idle manager still reports blocked statements:\n%s", d)
 	}
 	for _, ti := range m.WaitGraph().Tables {
-		if ti.Exclusive || ti.Readers != 0 || ti.QueueDepth() != 0 {
+		if ti.Exclusive || ti.Readers != 0 || len(ti.Waiters) != 0 {
 			t.Fatalf("lock %s not free after release: %+v", ti.Table, ti)
 		}
 	}
 }
 
 // TestWaitGraphConsistencyUnderRace hammers the manager from writer,
-// reader, and snapshot goroutines; under -race this checks the snapshot
-// path is safe, and every snapshot must be internally consistent (never an
-// exclusive holder and readers on the same table at once).
+// reader, snapshot-reader and wait-graph goroutines; under -race this
+// checks the wait-graph path is safe, and every graph must be internally
+// consistent (never an exclusive holder and readers, or a structural
+// holder and snapshot readers, on the same table at once).
 func TestWaitGraphConsistencyUnderRace(t *testing.T) {
 	m := NewManager()
 	stop := make(chan struct{})
@@ -92,7 +93,11 @@ func TestWaitGraphConsistencyUnderRace(t *testing.T) {
 					return
 				default:
 				}
-				h := m.AcquireOrderedAs(owner, []Claim{{Table: "T", Mode: Exclusive}})
+				mode := Exclusive
+				if owner == 1 {
+					mode = Structural
+				}
+				h := hold(m, owner, Claim{Table: "T", Mode: mode})
 				h.ReleaseAll()
 			}
 		}(uint64(w + 1))
@@ -107,10 +112,26 @@ func TestWaitGraphConsistencyUnderRace(t *testing.T) {
 					return
 				default:
 				}
-				h := m.AcquireOrderedAs(owner, []Claim{{Table: "T", Mode: Shared}})
+				h := hold(m, owner, Claim{Table: "T", Mode: Shared})
 				h.ReleaseAll()
 			}
 		}(uint64(w + 10))
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l := m.Lock("T")
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				l.Lock(Snapshot)
+				l.Unlock(Snapshot)
+			}
+		}()
 	}
 
 	deadline := time.Now().Add(200 * time.Millisecond)
@@ -120,9 +141,12 @@ func TestWaitGraphConsistencyUnderRace(t *testing.T) {
 			if ti.Exclusive && ti.Readers > 0 {
 				t.Errorf("torn snapshot: exclusive holder and %d readers at once: %+v", ti.Readers, ti)
 			}
+			if ti.Structural && ti.SnapshotReaders > 0 {
+				t.Errorf("torn snapshot: structural holder and %d snapshot readers at once: %+v", ti.SnapshotReaders, ti)
+			}
 		}
 		_ = g.String()
-		_ = m.DumpBlocked()
+		_ = blockedDump(m)
 	}
 	close(stop)
 	wg.Wait()
@@ -140,7 +164,7 @@ func TestOnLockHook(t *testing.T) {
 		mu.Unlock()
 	}
 
-	h1 := m.AcquireOrderedAs(1, []Claim{{Table: "A", Mode: Exclusive}, {Table: "B", Mode: Shared}})
+	h1 := hold(m, 1, Claim{Table: "A", Mode: Exclusive}, Claim{Table: "B", Mode: Shared})
 	mu.Lock()
 	if len(events) != 2 {
 		t.Fatalf("got %d lock events, want 2", len(events))
@@ -156,7 +180,7 @@ func TestOnLockHook(t *testing.T) {
 	// Statement 2 must block on A and, once granted, report holder 1.
 	done := make(chan struct{})
 	go func() {
-		h := m.AcquireOrderedAs(2, []Claim{{Table: "A", Mode: Exclusive}})
+		h := hold(m, 2, Claim{Table: "A", Mode: Exclusive})
 		h.ReleaseAll()
 		close(done)
 	}()
@@ -182,17 +206,17 @@ func TestOnLockHook(t *testing.T) {
 // uncontended, positive after a blocked acquisition.
 func TestHeldWaitTotal(t *testing.T) {
 	m := NewManager()
-	h1 := m.AcquireOrderedAs(1, []Claim{{Table: "T", Mode: Exclusive}})
+	h1 := hold(m, 1, Claim{Table: "T", Mode: Exclusive})
 	if h1.WaitTotal() != 0 {
 		t.Fatalf("uncontended statement reports wait %v", h1.WaitTotal())
 	}
-	if h1.Owner() != 1 {
-		t.Fatalf("owner = %d, want 1", h1.Owner())
+	if w := m.WaitGraph().Tables[0].HolderWriter; w != 1 {
+		t.Fatalf("holder = %d, want 1", w)
 	}
 
 	got := make(chan time.Duration, 1)
 	go func() {
-		h := m.AcquireOrderedAs(2, []Claim{{Table: "T", Mode: Exclusive}})
+		h := hold(m, 2, Claim{Table: "T", Mode: Exclusive})
 		got <- h.WaitTotal()
 		h.ReleaseAll()
 	}()
@@ -208,22 +232,11 @@ func TestHeldWaitTotal(t *testing.T) {
 	}
 }
 
-// TestAcquireExclusiveTimeoutDump checks the watchdog entry point: a timed-
-// out acquisition returns the blocked dump naming the holder.
-func TestAcquireExclusiveTimeoutDump(t *testing.T) {
-	m := NewManager()
-	h := m.AcquireOrderedAs(3, []Claim{{Table: "T", Mode: Exclusive}})
-	ok, dump := m.AcquireExclusiveTimeout("T", 10*time.Millisecond)
-	if ok {
-		t.Fatal("acquired exclusive over a holder")
+// blockedDump renders the contended part of the wait graph.
+func blockedDump(m *Manager) string {
+	var b strings.Builder
+	for _, t := range m.WaitGraph().Blocked() {
+		b.WriteString(t.String() + "\n")
 	}
-	if !strings.Contains(dump, "T: exclusive stmt=3") {
-		t.Fatalf("timeout dump misses the holder:\n%s", dump)
-	}
-	h.ReleaseAll()
-	ok, dump = m.AcquireExclusiveTimeout("T", time.Second)
-	if !ok || dump != "" {
-		t.Fatalf("post-release timed acquire: ok=%v dump=%q", ok, dump)
-	}
-	m.Lock("T").UnlockExclusive()
+	return b.String()
 }

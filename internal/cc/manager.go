@@ -19,7 +19,7 @@ import (
 	"time"
 )
 
-// ErrLockTimeout is returned (wrapped) by AcquireOrderedTimeoutAs when the
+// ErrLockTimeout is returned (wrapped) by Manager.Acquire when the
 // footprint could not be acquired within its deadline. The failing statement
 // is the protocol's timeout victim: ordered acquisition keeps the wait graph
 // acyclic, so backing off the timed-out statement (and retrying it later)
@@ -40,16 +40,24 @@ const (
 	// via bulk update, repartitioning, rebalancing), where RIDs and page
 	// contents change and visibility filtering cannot protect a reader.
 	Structural
+	// Snapshot is an MVCC snapshot read: admitted beside every mode but
+	// Structural. It is taken by the table's read paths, never claimed by
+	// a statement footprint.
+	Snapshot
 )
 
 func (m Mode) String() string {
 	switch m {
+	case Shared:
+		return "shared"
 	case Exclusive:
 		return "exclusive"
 	case Structural:
 		return "structural"
+	case Snapshot:
+		return "snapshot"
 	default:
-		return "shared"
+		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
 
@@ -59,9 +67,9 @@ type Claim struct {
 	Mode  Mode
 }
 
-// Manager owns the per-table locks of one database. Statements must route
-// multi-table acquisitions through AcquireOrdered; single-table users may
-// take Lock(name) directly.
+// Manager owns the per-table locks of one database. Statements acquire
+// their footprint through Acquire; a table's own read and update paths take
+// Lock(name) anonymously.
 type Manager struct {
 	mu    sync.Mutex
 	locks map[string]*TableLock
@@ -108,14 +116,6 @@ func (m *Manager) Lock(table string) *TableLock {
 	return l
 }
 
-// Forget drops a table's lock (after DROP TABLE). Safe to call for a
-// table that was never locked.
-func (m *Manager) Forget(table string) {
-	m.mu.Lock()
-	delete(m.locks, table)
-	m.mu.Unlock()
-}
-
 // heldLock is one acquired entry of a Held set.
 type heldLock struct {
 	table    string
@@ -134,13 +134,6 @@ type Held struct {
 	locks     []heldLock
 }
 
-// Owner returns the statement ID the footprint was acquired for.
-func (h *Held) Owner() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.owner
-}
-
 // WaitTotal returns the real time the acquisition spent blocked, summed
 // over the footprint's locks.
 func (h *Held) WaitTotal() time.Duration {
@@ -149,17 +142,20 @@ func (h *Held) WaitTotal() time.Duration {
 	return h.waitTotal
 }
 
-// AcquireOrdered deduplicates the claims (Exclusive wins over Shared for
-// the same table), sorts them by table name, and acquires each lock in
-// that order, blocking as needed. The deterministic order is the deadlock
-// freedom argument: all statements acquire along the same global sequence.
-func (m *Manager) AcquireOrdered(claims []Claim) *Held {
-	return m.AcquireOrderedAs(0, claims)
-}
-
-// AcquireOrderedAs is AcquireOrdered attributed to a statement ID, so
-// lock-state snapshots and lock events name their holders and waiters.
-func (m *Manager) AcquireOrderedAs(owner uint64, claims []Claim) *Held {
+// Acquire takes a statement's whole lock footprint: it deduplicates the
+// claims (the stronger mode wins for the same table), sorts them by table
+// name, and acquires each lock in that order. The deterministic order is
+// the deadlock-freedom argument: all statements acquire along the same
+// global sequence. No more than d of real time is spent blocked in total
+// (d <= 0 = no deadline); on expiry every lock already acquired is
+// released and a wrapped ErrLockTimeout is returned. OnWait sees every
+// blocked wait, the timed-out partial one included (it was real
+// contention); OnLock fires only for granted locks.
+func (m *Manager) Acquire(owner uint64, claims []Claim, d time.Duration) (*Held, error) {
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
 	modes := make(map[string]Mode, len(claims))
 	for _, c := range claims {
 		if cur, ok := modes[c.Table]; !ok || c.Mode > cur {
@@ -174,79 +170,8 @@ func (m *Manager) AcquireOrderedAs(owner uint64, claims []Claim) *Held {
 
 	h := &Held{owner: owner, locks: make([]heldLock, 0, len(names))}
 	for _, n := range names {
-		l := m.Lock(n)
-		mode := modes[n]
-		start := time.Now()
-		var blocked bool
-		var holder uint64
-		switch mode {
-		case Structural:
-			blocked, holder = l.lockStructuralAs(owner)
-		case Exclusive:
-			blocked, holder = l.lockExclusiveAs(owner)
-		default:
-			blocked, holder = l.lockSharedAs(owner)
-		}
-		var waited time.Duration
-		if blocked {
-			waited = time.Since(start)
-			h.waitTotal += waited
-			if m.OnWait != nil {
-				m.OnWait(n, waited)
-			}
-		}
-		if m.OnLock != nil {
-			m.OnLock(LockEvent{Table: n, Owner: owner, Mode: mode,
-				Blocked: blocked, Waited: waited, Holder: holder})
-		}
-		h.locks = append(h.locks, heldLock{table: n, mode: mode, lock: l})
-	}
-	return h
-}
-
-// AcquireOrderedTimeoutAs is AcquireOrderedAs under a whole-footprint
-// deadline: the claims are deduplicated, sorted, and acquired in the global
-// order, but no more than d of real time is spent blocked in total. On
-// expiry every lock already acquired is released and a wrapped
-// ErrLockTimeout is returned; the timed-out partial wait is still reported
-// through OnWait (it was real contention), while OnLock fires only for
-// granted locks. d <= 0 means no deadline (plain AcquireOrderedAs).
-func (m *Manager) AcquireOrderedTimeoutAs(owner uint64, claims []Claim, d time.Duration) (*Held, error) {
-	if d <= 0 {
-		return m.AcquireOrderedAs(owner, claims), nil
-	}
-	deadline := time.Now().Add(d)
-	modes := make(map[string]Mode, len(claims))
-	for _, c := range claims {
-		if cur, ok := modes[c.Table]; !ok || c.Mode > cur {
-			modes[c.Table] = c.Mode
-		}
-	}
-	names := make([]string, 0, len(modes))
-	for n := range modes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	h := &Held{owner: owner, locks: make([]heldLock, 0, len(names))}
-	for _, n := range names {
-		l := m.Lock(n)
-		mode := modes[n]
-		rem := time.Until(deadline)
-		if rem < 0 {
-			rem = 0
-		}
-		var ok, blocked bool
-		var waited time.Duration
-		var holder uint64
-		switch mode {
-		case Structural:
-			ok, blocked, waited, holder = l.lockStructuralTimeoutAs(owner, rem)
-		case Exclusive:
-			ok, blocked, waited, holder = l.lockExclusiveTimeoutAs(owner, rem)
-		default:
-			ok, blocked, waited, holder = l.lockSharedTimeoutAs(owner, rem)
-		}
+		l, mode := m.Lock(n), modes[n]
+		ok, blocked, waited, holder := l.acquire(owner, mode, deadline)
 		if blocked {
 			h.waitTotal += waited
 			if m.OnWait != nil {
@@ -275,13 +200,8 @@ func (h *Held) ReleaseTable(table string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i := range h.locks {
-		if h.locks[i].table == table && !h.locks[i].released {
-			h.locks[i].released = true
-			if h.locks[i].mode >= Exclusive {
-				h.locks[i].lock.unlockExclusiveAs()
-			} else {
-				h.locks[i].lock.unlockSharedAs(h.owner)
-			}
+		if h.locks[i].table == table {
+			h.release(i)
 		}
 	}
 }
@@ -291,15 +211,16 @@ func (h *Held) ReleaseAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i := len(h.locks) - 1; i >= 0; i-- {
-		if h.locks[i].released {
-			continue
-		}
-		h.locks[i].released = true
-		if h.locks[i].mode >= Exclusive {
-			h.locks[i].lock.unlockExclusiveAs()
-		} else {
-			h.locks[i].lock.unlockSharedAs(h.owner)
-		}
+		h.release(i)
+	}
+}
+
+// release gives back entry i unless it is already released; h.mu must be
+// held.
+func (h *Held) release(i int) {
+	if e := &h.locks[i]; !e.released {
+		e.released = true
+		e.lock.release(h.owner, e.mode)
 	}
 }
 
@@ -314,15 +235,4 @@ func (h *Held) Holds(table string) (Mode, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Tables returns the footprint's table names in acquisition order.
-func (h *Held) Tables() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, len(h.locks))
-	for i := range h.locks {
-		out[i] = h.locks[i].table
-	}
-	return out
 }

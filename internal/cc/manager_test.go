@@ -6,26 +6,41 @@ import (
 	"time"
 )
 
+// hold acquires a footprint with no deadline, which cannot fail.
+func hold(m *Manager, owner uint64, claims ...Claim) *Held {
+	h, err := m.Acquire(owner, claims, 0)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// lockWithin takes the exclusive lock anonymously, giving up after d.
+func lockWithin(l *TableLock, d time.Duration) bool {
+	ok, _, _, _ := l.acquire(0, Exclusive, time.Now().Add(d))
+	return ok
+}
+
 func TestLockExclusiveTimeout(t *testing.T) {
 	var l TableLock
 
 	// Uncontended: acquires immediately.
-	if !l.LockExclusiveTimeout(time.Second) {
+	if !lockWithin(&l, time.Second) {
 		t.Fatal("uncontended timeout-acquire failed")
 	}
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 
 	// Held shared: the attempt must give up and leave the lock untouched.
-	l.LockShared()
-	if l.LockExclusiveTimeout(10 * time.Millisecond) {
+	l.Lock(Shared)
+	if lockWithin(&l, 10*time.Millisecond) {
 		t.Fatal("acquired exclusive over a shared holder")
 	}
 	// The failed attempt must not leave a phantom waiting writer that
 	// blocks new readers forever.
 	done := make(chan struct{})
 	go func() {
-		l.LockShared()
-		l.UnlockShared()
+		l.Lock(Shared)
+		l.Unlock(Shared)
 		close(done)
 	}()
 	select {
@@ -33,31 +48,31 @@ func TestLockExclusiveTimeout(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("failed timeout-acquire still blocks readers")
 	}
-	l.UnlockShared()
+	l.Unlock(Shared)
 
 	// Held exclusive: same story.
-	l.LockExclusive()
-	if l.LockExclusiveTimeout(10 * time.Millisecond) {
+	l.Lock(Exclusive)
+	if lockWithin(&l, 10*time.Millisecond) {
 		t.Fatal("acquired exclusive over an exclusive holder")
 	}
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 
 	// After release the timed acquire succeeds and the lock still works.
-	if !l.LockExclusiveTimeout(time.Second) {
+	if !lockWithin(&l, time.Second) {
 		t.Fatal("timeout-acquire after release failed")
 	}
-	l.UnlockExclusive()
-	l.LockExclusive()
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
+	l.Lock(Exclusive)
+	l.Unlock(Exclusive)
 }
 
 func TestLockExclusiveTimeoutWakesOnRelease(t *testing.T) {
 	var l TableLock
-	l.LockExclusive()
+	l.Lock(Exclusive)
 	got := make(chan bool, 1)
-	go func() { got <- l.LockExclusiveTimeout(5 * time.Second) }()
+	go func() { got <- lockWithin(&l, 5*time.Second) }()
 	time.Sleep(20 * time.Millisecond) // let the waiter park
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 	select {
 	case ok := <-got:
 		if !ok {
@@ -66,34 +81,13 @@ func TestLockExclusiveTimeoutWakesOnRelease(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter never woke after release")
 	}
-	l.UnlockExclusive()
-}
-
-func TestTryLockExclusive(t *testing.T) {
-	var l TableLock
-	if !l.TryLockExclusive() {
-		t.Fatal("try on a free lock failed")
-	}
-	if l.TryLockExclusive() {
-		t.Fatal("try succeeded over an exclusive holder")
-	}
-	l.UnlockExclusive()
-
-	l.LockShared()
-	if l.TryLockExclusive() {
-		t.Fatal("try succeeded over a shared holder")
-	}
-	l.UnlockShared()
-	if !l.TryLockExclusive() {
-		t.Fatal("try after release failed")
-	}
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 }
 
 // TestAcquireOrderedOppositeClaims is the unit-level deadlock regression:
 // two statements name the same two tables in opposite textual orders —
 // the shape that deadlocks under naive as-written acquisition. Because
-// AcquireOrdered sorts the footprint, both goroutines collide on the
+// Acquire sorts the footprint, both goroutines collide on the
 // first shared table and the pair must always finish.
 func TestAcquireOrderedOppositeClaims(t *testing.T) {
 	m := NewManager()
@@ -106,18 +100,12 @@ func TestAcquireOrderedOppositeClaims(t *testing.T) {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				h := m.AcquireOrdered([]Claim{
-					{Table: "parent", Mode: Exclusive},
-					{Table: "child", Mode: Exclusive},
-				})
+				h := hold(m, 0, Claim{Table: "parent", Mode: Exclusive}, Claim{Table: "child", Mode: Exclusive})
 				h.ReleaseAll()
 			}()
 			go func() {
 				defer wg.Done()
-				h := m.AcquireOrdered([]Claim{
-					{Table: "child", Mode: Exclusive},
-					{Table: "parent", Mode: Exclusive},
-				})
+				h := hold(m, 0, Claim{Table: "child", Mode: Exclusive}, Claim{Table: "parent", Mode: Exclusive})
 				h.ReleaseAll()
 			}()
 			wg.Wait()
@@ -132,14 +120,15 @@ func TestAcquireOrderedOppositeClaims(t *testing.T) {
 
 func TestAcquireOrderedDedup(t *testing.T) {
 	m := NewManager()
-	h := m.AcquireOrdered([]Claim{
-		{Table: "b", Mode: Shared},
-		{Table: "a", Mode: Shared},
-		{Table: "b", Mode: Exclusive}, // exclusive must win the dedup
-		{Table: "a", Mode: Shared},    // duplicate shared claim collapses
-	})
-	if got := h.Tables(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("footprint = %v, want [a b]", got)
+	h := hold(m, 0,
+		Claim{Table: "b", Mode: Shared},
+		Claim{Table: "a", Mode: Shared},
+		Claim{Table: "b", Mode: Exclusive}, // exclusive must win the dedup
+		Claim{Table: "a", Mode: Shared},    // duplicate shared claim collapses
+	)
+	if g := m.WaitGraph(); len(g.Tables) != 2 || g.Tables[0].Table != "a" || g.Tables[1].Table != "b" ||
+		g.Tables[0].Readers != 1 {
+		t.Fatalf("footprint = %s, want a (one reader) and b", g)
 	}
 	if mode, ok := h.Holds("a"); !ok || mode != Shared {
 		t.Fatalf("a held as %v,%v, want shared", mode, ok)
@@ -149,7 +138,7 @@ func TestAcquireOrderedDedup(t *testing.T) {
 	}
 	// b is exclusively held: a second shared claim on it must block, so a
 	// try-lock through the manager's shared *TableLock instance fails.
-	if m.Lock("b").TryLockExclusive() {
+	if tryLock(m.Lock("b"), Exclusive) {
 		t.Fatal("manager returned a lock instance the Held set is not holding")
 	}
 	h.ReleaseAll()
@@ -160,10 +149,7 @@ func TestAcquireOrderedDedup(t *testing.T) {
 
 func TestReleaseTableIdempotent(t *testing.T) {
 	m := NewManager()
-	h := m.AcquireOrdered([]Claim{
-		{Table: "t", Mode: Exclusive},
-		{Table: "u", Mode: Shared},
-	})
+	h := hold(m, 0, Claim{Table: "t", Mode: Exclusive}, Claim{Table: "u", Mode: Shared})
 	// The §3.1 early release fires once from the executor and possibly
 	// again from the statement's own defer; double release must not
 	// corrupt the lock, and ReleaseAll afterwards must only release u.
@@ -176,16 +162,16 @@ func TestReleaseTableIdempotent(t *testing.T) {
 		t.Fatal("early release of t dropped u")
 	}
 	// t is free again: an independent statement can take it immediately.
-	if !m.Lock("t").TryLockExclusive() {
+	if !tryLock(m.Lock("t"), Exclusive) {
 		t.Fatal("t not reacquirable after early release")
 	}
-	m.Lock("t").UnlockExclusive()
+	m.Lock("t").Unlock(Exclusive)
 	h.ReleaseAll()
 	h.ReleaseAll() // idempotent too
-	if !m.Lock("u").TryLockExclusive() {
+	if !tryLock(m.Lock("u"), Exclusive) {
 		t.Fatal("u not reacquirable after ReleaseAll")
 	}
-	m.Lock("u").UnlockExclusive()
+	m.Lock("u").Unlock(Exclusive)
 }
 
 func TestManagerOnWait(t *testing.T) {
@@ -199,7 +185,7 @@ func TestManagerOnWait(t *testing.T) {
 	}
 
 	// Uncontended acquisition must not report a wait.
-	h := m.AcquireOrdered([]Claim{{Table: "q", Mode: Exclusive}})
+	h := hold(m, 0, Claim{Table: "q", Mode: Exclusive})
 	mu.Lock()
 	if len(waits) != 0 {
 		t.Fatalf("uncontended acquisition reported waits: %v", waits)
@@ -213,7 +199,7 @@ func TestManagerOnWait(t *testing.T) {
 		h.ReleaseAll()
 		close(released)
 	}()
-	h2 := m.AcquireOrdered([]Claim{{Table: "q", Mode: Exclusive}})
+	h2 := hold(m, 0, Claim{Table: "q", Mode: Exclusive})
 	<-released
 	h2.ReleaseAll()
 	mu.Lock()
@@ -221,19 +207,6 @@ func TestManagerOnWait(t *testing.T) {
 	if waits["q"] != 1 {
 		t.Fatalf("waits = %v, want q:1", waits)
 	}
-}
-
-func TestManagerForget(t *testing.T) {
-	m := NewManager()
-	l := m.Lock("gone")
-	if m.Lock("gone") != l {
-		t.Fatal("manager must hand out one lock instance per table")
-	}
-	m.Forget("gone")
-	if m.Lock("gone") == l {
-		t.Fatal("Forget did not drop the lock")
-	}
-	m.Forget("never-locked") // must not panic
 }
 
 // TestAppendIfOffline pins the atomicity contract updaters rely on: the

@@ -16,7 +16,7 @@ import (
 // holder the waiter queue never knew about.
 func TestTimeoutWaiterLeavesQueueByIdentity(t *testing.T) {
 	var l TableLock
-	l.LockExclusive()
+	l.Lock(Exclusive)
 
 	// Twin A blocks without a deadline; twin B times out quickly. Both are
 	// anonymous (owner 0), so only token identity can tell them apart.
@@ -24,7 +24,7 @@ func TestTimeoutWaiterLeavesQueueByIdentity(t *testing.T) {
 	granted := make(chan struct{})
 	go func() {
 		close(started)
-		l.LockExclusive()
+		l.Lock(Exclusive)
 		close(granted)
 	}()
 	<-started
@@ -39,7 +39,7 @@ func TestTimeoutWaiterLeavesQueueByIdentity(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if ok := l.LockExclusiveTimeout(5 * time.Millisecond); ok {
+	if ok, _, _, _ := l.acquire(0, Exclusive, time.Now().Add(5*time.Millisecond)); ok {
 		t.Fatal("twin B acquired a lock an exclusive holder still owns")
 	}
 	// B is gone; A must still be queued.
@@ -47,7 +47,7 @@ func TestTimeoutWaiterLeavesQueueByIdentity(t *testing.T) {
 		t.Fatalf("after twin B timed out, waiter queue has %d entries, want 1 (twin A)", got)
 	}
 
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 	select {
 	case <-granted:
 	case <-time.After(time.Second):
@@ -56,16 +56,16 @@ func TestTimeoutWaiterLeavesQueueByIdentity(t *testing.T) {
 	if got := len(l.info("T").Waiters); got != 0 {
 		t.Fatalf("after the grant, waiter queue has %d entries, want 0", got)
 	}
-	l.UnlockExclusive()
+	l.Unlock(Exclusive)
 }
 
-// TestSharedTimeoutRespectsWriterPreference exercises lockSharedTimeoutAs:
+// TestSharedTimeoutRespectsWriterPreference exercises a Shared acquire:
 // a reader with a budget gives up while a writer holds the lock, reports its
 // partial wait, and leaves no queue entry behind.
 func TestSharedTimeoutRespectsWriterPreference(t *testing.T) {
 	var l TableLock
-	l.LockExclusive()
-	ok, blocked, waited, holder := l.lockSharedTimeoutAs(7, 3*time.Millisecond)
+	l.Lock(Exclusive)
+	ok, blocked, waited, holder := l.acquire(7, Shared, time.Now().Add(3*time.Millisecond))
 	if ok || !blocked {
 		t.Fatalf("shared acquire under an exclusive holder: ok=%v blocked=%v", ok, blocked)
 	}
@@ -76,12 +76,12 @@ func TestSharedTimeoutRespectsWriterPreference(t *testing.T) {
 	if got := len(l.info("T").Waiters); got != 0 {
 		t.Fatalf("timed-out reader left %d queue entries", got)
 	}
-	l.UnlockExclusive()
-	ok, _, _, _ = l.lockSharedTimeoutAs(7, time.Second)
+	l.Unlock(Exclusive)
+	ok, _, _, _ = l.acquire(7, Shared, time.Now().Add(time.Second))
 	if !ok {
 		t.Fatal("free lock refused a shared acquisition")
 	}
-	l.unlockSharedAs(7)
+	l.release(7, Shared)
 }
 
 // TestAcquireOrderedTimeoutReleasesPartialFootprint verifies the manager's
@@ -91,10 +91,10 @@ func TestSharedTimeoutRespectsWriterPreference(t *testing.T) {
 func TestAcquireOrderedTimeoutReleasesPartialFootprint(t *testing.T) {
 	m := NewManager()
 	blocker := m.Lock("B")
-	blocker.LockExclusive()
+	blocker.Lock(Exclusive)
 
 	claims := []Claim{{Table: "A", Mode: Exclusive}, {Table: "B", Mode: Exclusive}}
-	h, err := m.AcquireOrderedTimeoutAs(9, claims, 5*time.Millisecond)
+	h, err := m.Acquire(9, claims, 5*time.Millisecond)
 	if err == nil {
 		h.ReleaseAll()
 		t.Fatal("footprint acquisition succeeded past an exclusive holder")
@@ -104,14 +104,14 @@ func TestAcquireOrderedTimeoutReleasesPartialFootprint(t *testing.T) {
 	}
 	// A must have been released on the way out: a fresh exclusive
 	// acquisition succeeds immediately.
-	if ok := m.Lock("A").TryLockExclusive(); !ok {
+	if !tryLock(m.Lock("A"), Exclusive) {
 		t.Fatal("lock A leaked from the timed-out footprint")
 	}
-	m.Lock("A").UnlockExclusive()
-	blocker.UnlockExclusive()
+	m.Lock("A").Unlock(Exclusive)
+	blocker.Unlock(Exclusive)
 
 	// And with the holder gone the same footprint acquires cleanly.
-	h, err = m.AcquireOrderedTimeoutAs(9, claims, time.Second)
+	h, err = m.Acquire(9, claims, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,19 +133,19 @@ func TestWaitGraphIdle(t *testing.T) {
 	if !m.WaitGraph().Idle() {
 		t.Fatal("free handed-out lock not idle")
 	}
-	l.LockShared()
+	l.Lock(Shared)
 	if m.WaitGraph().Idle() {
 		t.Fatal("held shared lock reported idle")
 	}
-	l.UnlockShared()
-	l.LockExclusive()
+	l.Unlock(Shared)
+	l.Lock(Exclusive)
 	if m.WaitGraph().Idle() {
 		t.Fatal("held exclusive lock reported idle")
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); l.LockShared(); l.UnlockShared() }()
-	l.UnlockExclusive()
+	go func() { defer wg.Done(); l.Lock(Shared); l.Unlock(Shared) }()
+	l.Unlock(Exclusive)
 	wg.Wait()
 	if !m.WaitGraph().Idle() {
 		t.Fatal("fully released lock not idle")

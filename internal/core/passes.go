@@ -187,7 +187,7 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 	if e.opts.Log != nil {
 		ctx = e.opts.Ctx
 	}
-	sc, err := sched.ExecutePoolCtx(ctx, e.opts.Sched, disk, workers, nodes)
+	sc, err := sched.Execute(ctx, e.opts.Sched, disk, workers, nodes)
 	if err != nil {
 		if ctx != nil && ctx.Err() != nil && !errors.Is(err, ErrCancelled) {
 			// The scheduler reports a bare ctx error for nodes it never

@@ -77,31 +77,22 @@ type Schedule struct {
 // as its device's busy-time delta, and returns the deterministic virtual
 // schedule. On error the first failing node's error (in plan order) is
 // returned; nodes not yet started are skipped.
-func Execute(disk *sim.Disk, workers int, nodes []Node) (*Schedule, error) {
-	return ExecutePool(nil, disk, workers, nodes)
-}
-
-// ExecutePool is Execute under a shared admission pool: in addition to the
+//
+// A non-nil pool is the DB-wide admission pool: in addition to the
 // statement-local `workers` semaphore, each node takes a pool slot (so
 // concurrent statements split the DB-wide budget rather than each using
 // their own) and the pool's per-device mutex (so device exclusivity — and
 // the exactness of the busy-delta measurement — survives other statements
-// running at the same time). A nil pool is plain Execute.
+// running at the same time). Lock order is fixed everywhere: local slot,
+// then pool slot, then device mutex. A node holding all three never waits
+// on anything but its own I/O, so the layered acquisition cannot deadlock.
 //
-// Lock order is fixed everywhere: local slot, then pool slot, then device
-// mutex. A node holding all three never waits on anything but its own
-// I/O, so the layered acquisition cannot deadlock.
-func ExecutePool(pool *Pool, disk *sim.Disk, workers int, nodes []Node) (*Schedule, error) {
-	return ExecutePoolCtx(context.Background(), pool, disk, workers, nodes)
-}
-
-// ExecutePoolCtx is ExecutePool under an external cancellation signal: a
-// DAG-node boundary is a cancel checkpoint, so when ctx is done no further
-// node starts (nodes already running finish — their Run closures observe
-// the same ctx at their own page-I/O checkpoints) and the section returns
-// ctx.Err(). A node's own error still wins over the cancellation, since it
-// is what forced the abort in the first place.
-func ExecutePoolCtx(ctx context.Context, pool *Pool, disk *sim.Disk, workers int, nodes []Node) (*Schedule, error) {
+// A DAG-node boundary is a cancel checkpoint: when ctx (nil = never) is
+// done no further node starts (nodes already running finish — their Run
+// closures observe the same ctx at their own page-I/O checkpoints) and the
+// section returns ctx.Err(). A node's own error still wins over the
+// cancellation, since it is what forced the abort in the first place.
+func Execute(ctx context.Context, pool *Pool, disk *sim.Disk, workers int, nodes []Node) (*Schedule, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -59,7 +60,7 @@ func TestExecuteDeterministicSchedule(t *testing.T) {
 			ioNode(d, "d", 3, files[3], 5),
 			ioNode(d, "e", 0, files[0], 8), // second node on device 0
 		}
-		sc, err := Execute(d, 4, nodes)
+		sc, err := Execute(context.Background(), nil, d, 4, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestExecuteParallelSpeedup(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		nodes = append(nodes, ioNode(d, "n", i, files[i], 25))
 	}
-	sc, err := Execute(d, 4, nodes)
+	sc, err := Execute(context.Background(), nil, d, 4, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestExecuteWorkerLimit(t *testing.T) {
 		}
 	}
 	nodes := []Node{mk(0), mk(1), mk(2), mk(3)}
-	if _, err := Execute(d, 2, nodes); err != nil {
+	if _, err := Execute(context.Background(), nil, d, 2, nodes); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
@@ -142,7 +143,7 @@ func TestExecuteError(t *testing.T) {
 		ioNode(d, "ok", 0, files[0], 3),
 		{Label: "bad", Device: 1, Run: func() error { return boom }},
 	}
-	if _, err := Execute(d, 2, nodes); !errors.Is(err, boom) {
+	if _, err := Execute(context.Background(), nil, d, 2, nodes); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }

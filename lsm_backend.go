@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"bulkdel/internal/cc"
 	"bulkdel/internal/lsm"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
@@ -198,8 +199,8 @@ func (l *lsmBackend) insert(fields []int64) (RID, error) {
 
 // count counts visible rows via a merged scan; a scan error reports -1.
 func (l *lsmBackend) count() int64 {
-	l.tbl.lock.LockShared()
-	defer l.tbl.lock.UnlockShared()
+	l.tbl.lock.Lock(cc.Shared)
+	defer l.tbl.lock.Unlock(cc.Shared)
 	n, err := l.tree.Count()
 	if err != nil {
 		return -1
@@ -216,22 +217,22 @@ type lsmReader interface {
 
 // lookup serves Table.Lookup under the shared table lock.
 func (l *lsmBackend) lookup(field int, v int64) ([][]int64, error) {
-	l.tbl.lock.LockShared()
-	defer l.tbl.lock.UnlockShared()
+	l.tbl.lock.Lock(cc.Shared)
+	defer l.tbl.lock.Unlock(cc.Shared)
 	return l.lookupIn(l.tree, field, v)
 }
 
 // lookupRange serves Table.LookupRange under the shared table lock.
 func (l *lsmBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
-	l.tbl.lock.LockShared()
-	defer l.tbl.lock.UnlockShared()
+	l.tbl.lock.Lock(cc.Shared)
+	defer l.tbl.lock.Unlock(cc.Shared)
 	return l.lookupRangeIn(l.tree, field, lo, hi)
 }
 
 // scan serves Table.Scan under the shared table lock.
 func (l *lsmBackend) scan(fn func(rid RID, fields []int64) error) error {
-	l.tbl.lock.LockShared()
-	defer l.tbl.lock.UnlockShared()
+	l.tbl.lock.Lock(cc.Shared)
+	defer l.tbl.lock.Unlock(cc.Shared)
 	return l.scanIn(l.tree, fn)
 }
 
@@ -297,8 +298,8 @@ func (l *lsmBackend) hasIndexOnField(field int) bool { return field == 0 }
 // a time under the exclusive lock, so a capture without it could see half a
 // delete.
 func (l *lsmBackend) view() *View {
-	l.tbl.lock.LockShared()
-	defer l.tbl.lock.UnlockShared()
+	l.tbl.lock.Lock(cc.Shared)
+	defer l.tbl.lock.Unlock(cc.Shared)
 	return &View{r: lsmView{l: l, s: l.tree.Snapshot()}, epoch: l.tbl.db.epochs.Current()}
 }
 

@@ -112,13 +112,13 @@ func (tbl *Table) liveHeap() (*heapBackend, error) {
 // lockUpdater takes what every updater of the table holds: the shared table
 // lock, then updMu.
 func (tbl *Table) lockUpdater() {
-	tbl.lock.LockShared()
+	tbl.lock.Lock(cc.Shared)
 	tbl.updMu.Lock()
 }
 
 func (tbl *Table) unlockUpdater() {
 	tbl.updMu.Unlock()
-	tbl.lock.UnlockShared()
+	tbl.lock.Unlock(cc.Shared)
 }
 
 // Name returns the table name.
@@ -374,8 +374,8 @@ func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
 // agreement and the trees; the LSM levels and their manifest). Like the
 // other lock-based read entry points it takes the shared table lock.
 func (tbl *Table) Check() error {
-	tbl.lock.LockShared()
-	defer tbl.lock.UnlockShared()
+	tbl.lock.Lock(cc.Shared)
+	defer tbl.lock.Unlock(cc.Shared)
 	return tbl.b.check()
 }
 
