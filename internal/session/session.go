@@ -101,6 +101,7 @@ type Session struct {
 	id     uint64
 	ctx    context.Context
 	cancel context.CancelFunc
+	watch  func() (stop func()) // see SetWatch; nil in-process
 
 	// Knobs (SET name = value).
 	timeout        time.Duration
@@ -122,6 +123,12 @@ func (s *Session) Context() context.Context { return s.ctx }
 // Close cancels the session context: the in-flight statement (if any)
 // aborts at its next recoverable boundary and later Exec calls fail.
 func (s *Session) Close() { s.cancel() }
+
+// SetWatch installs a front door's watch for a reason to cancel the session
+// (a client disconnect): it starts watching and returns how to stop. Only
+// the statements that check the context mid-flight arm it: a DELETE (and
+// EXPLAIN ANALYZE DELETE) and a multi-row INSERT.
+func (s *Session) SetWatch(watch func() (stop func())) { s.watch = watch }
 
 // Result is the outcome of one statement. Row-returning statements fill
 // Columns/Rows; DML fills Affected; EXPLAIN/SHOW and messages fill Text.
@@ -371,6 +378,9 @@ func (s *Session) addForeignKey(st *sql.AddForeignKey) (*Result, error) {
 func (s *Session) insert(st *sql.Insert) (*Result, error) {
 	end := s.begin("insert", st.Table)
 	defer end()
+	if len(st.Rows) > 1 && s.watch != nil {
+		defer s.watch()()
+	}
 	tbl, err := s.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -636,6 +646,9 @@ func (s *Session) bulkOptions() bulkdel.BulkOptions {
 func (s *Session) delete(st *sql.Delete, analyzing bool) (*Result, error) {
 	end := s.begin("delete", st.Table)
 	defer end()
+	if s.watch != nil {
+		defer s.watch()()
+	}
 	tbl, err := s.table(st.Table)
 	if err != nil {
 		return nil, err

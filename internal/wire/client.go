@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -12,6 +13,7 @@ import (
 // at a time, like a SQL session. Not safe for concurrent use.
 type Client struct {
 	conn net.Conn
+	r    *bufio.Reader
 }
 
 // Dial connects to a wire server.
@@ -20,7 +22,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Exec sends one statement and waits for its result. Engine sentinel
@@ -31,7 +33,7 @@ func (c *Client) Exec(sql string) (*session.Result, error) {
 		return nil, err
 	}
 	var resp Response
-	if err := readFrame(c.conn, &resp); err != nil {
+	if err := readFrame(c.r, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Error != "" {
@@ -50,5 +52,5 @@ func (c *Client) Exec(sql string) (*session.Result, error) {
 }
 
 // Close terminates the connection; the server cancels the session,
-// aborting any statement still in flight.
+// aborting a DELETE or multi-row INSERT still in flight.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"bulkdel/internal/session"
 )
@@ -26,6 +30,7 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	shutdown bool
 	wg       sync.WaitGroup
+	watches  atomic.Int64 // disconnect watchers armed, for tests
 }
 
 // NewServer wraps a session frontend.
@@ -66,16 +71,13 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// serveConn runs the per-connection statement loop. The connection owns
-// one session. A dedicated reader goroutine watches the socket, so a
-// client disconnect is noticed even while a statement executes — it
-// cancels the session context and the in-flight statement aborts to
-// consistency at its next recoverable boundary.
+// serveConn runs the connection's session on the goroutine that reads the
+// socket: read a frame, execute it, write the response, loop. Only a
+// statement that can act on a cancel mid-flight arms a disconnect watcher
+// (the session calls watch); a cheap one has no second goroutine on its path.
 func (s *Server) serveConn(conn net.Conn) {
 	sess := s.frontend.NewSession(s.base)
-	done := make(chan struct{})
 	defer func() {
-		close(done)
 		sess.Close()
 		conn.Close()
 		s.mu.Lock()
@@ -83,51 +85,40 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-
-	reqC := make(chan Request)
-	go func() {
-		for {
-			var req Request
-			if err := readFrame(conn, &req); err != nil {
-				// Client went away (or sent garbage): abort whatever is
-				// in flight and stop the statement loop.
-				sess.Close()
-				close(reqC)
-				return
-			}
-			select {
-			case reqC <- req:
-			case <-done:
-				return
-			}
-		}
-	}()
-
+	r := bufio.NewReader(conn)
+	sess.SetWatch(func() func() { return s.watch(conn, r, sess) })
 	for {
-		select {
-		case req, ok := <-reqC:
-			if !ok {
-				return
-			}
-			res, err := sess.Exec(req.SQL)
-			if werr := writeFrame(conn, responseFor(res, err)); werr != nil {
-				return
-			}
-		case <-s.base.Done():
-			// Force shutdown: the deferred conn.Close unblocks the reader.
+		var req Request
+		if err := readFrame(r, &req); err != nil {
+			return // client gone or garbage, or force shutdown closed conn
+		}
+		res, err := sess.Exec(req.SQL)
+		if err := writeFrame(conn, responseFor(res, err)); err != nil {
 			return
 		}
 	}
 }
 
-// Addr returns the listener address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
+// watch arms a disconnect watcher for one statement: a goroutine blocked
+// in a one-byte Peek of the connection's reader. EOF or a hard error closes
+// the session, so the statement aborts to consistency at its next
+// checkpoint; a pipelined frame's bytes stay buffered for the loop. stop
+// ends the Peek with a past deadline and waits, so r is the loop's again.
+func (s *Server) watch(conn net.Conn, r *bufio.Reader, sess *session.Session) (stop func()) {
+	s.watches.Add(1)
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		if _, err := r.Peek(1); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+			sess.Close()
+		}
+	}()
+	return func() {
+		// SetReadDeadline fails only on a closed conn, whose Peek returns.
+		conn.SetReadDeadline(time.Unix(1, 0))
+		<-exited
+		conn.SetReadDeadline(time.Time{})
 	}
-	return s.ln.Addr().String()
 }
 
 // Shutdown stops accepting, then waits for every connection to finish its
@@ -155,6 +146,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 		s.cancel() // force: abort in-flight statements
+		s.mu.Lock()
+		for conn := range s.conns {
+			conn.Close() // and end every loop blocked in readFrame
+		}
+		s.mu.Unlock()
 		<-done
 	}
 	s.cancel()

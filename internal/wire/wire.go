@@ -5,8 +5,8 @@
 // Framing: every message is a 4-byte big-endian length followed by that
 // many bytes of JSON. Requests carry one SQL statement; responses carry
 // the session Result or an error. Closing the connection cancels the
-// session context, which aborts any in-flight statement through the
-// engine's abort-to-consistency path.
+// session context, which aborts an in-flight DELETE or multi-row INSERT
+// (the statements that check it mid-flight) to consistency.
 package wire
 
 import (
@@ -96,7 +96,7 @@ func responseFor(res *session.Result, err error) Response {
 	}
 }
 
-// writeFrame marshals v and writes one length-prefixed frame.
+// writeFrame marshals v and writes one length-prefixed frame in one Write.
 func writeFrame(w io.Writer, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -105,12 +105,8 @@ func writeFrame(w io.Writer, v any) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
+	_, err = w.Write(append(frame, payload...))
 	return err
 }
 

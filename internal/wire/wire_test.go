@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,7 +22,12 @@ import (
 // loopback port, and tears everything down when the test ends.
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	db, err := bulkdel.Open(bulkdel.Options{})
+	return startServerWith(t, bulkdel.Options{})
+}
+
+func startServerWith(t *testing.T, opts bulkdel.Options) (*Server, string) {
+	t.Helper()
+	db, err := bulkdel.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,5 +507,145 @@ func TestWireForceShutdown(t *testing.T) {
 	}
 	if rep := db.Inspect(); len(rep.Statements) != 0 {
 		t.Fatalf("leaked statements after force shutdown: %+v", rep.Statements)
+	}
+}
+
+// TestWirePipelined writes a DELETE frame and a SELECT frame back to back
+// without waiting for the first answer, once in one write and once with
+// the SELECT sent while the DELETE is parked inside the engine, where the
+// DELETE's disconnect watcher reads ahead into it. Both statements are
+// answered, in order, and correctly.
+func TestWirePipelined(t *testing.T) {
+	srv, addr := startServer(t)
+	db := srv.Frontend().DB()
+	admin, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExecWire(t, admin, "CREATE TABLE R (id, v)")
+	mustExecWire(t, admin, "CREATE UNIQUE INDEX pk ON R (id)")
+	for i := int64(0); i < 400; i += 4 {
+		mustExecWire(t, admin, fmt.Sprintf("INSERT INTO R VALUES (%d, 0), (%d, 0), (%d, 0), (%d, 0)", i, i+1, i+2, i+3))
+	}
+	admin.Close()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, parked := range []bool{false, true} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := int64(0)
+		if parked {
+			lo = 200
+		}
+		var del, sel bytes.Buffer
+		writeFrame(&del, Request{SQL: fmt.Sprintf("DELETE FROM R WHERE id BETWEEN %d AND %d", lo, lo+99)})
+		writeFrame(&sel, Request{SQL: "SELECT COUNT(*) FROM R"})
+		if parked {
+			db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(1, func() {
+				conn.Write(sel.Bytes())
+				time.Sleep(20 * time.Millisecond)
+			}))
+			_, err = conn.Write(del.Bytes())
+		} else {
+			_, err = conn.Write(append(del.Bytes(), sel.Bytes()...))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		r := bufio.NewReader(conn)
+		var delResp, selResp Response
+		if err := readFrame(r, &delResp); err != nil {
+			t.Fatal(err)
+		}
+		if err := readFrame(r, &selResp); err != nil {
+			t.Fatal(err)
+		}
+		db.Disk().SetFaultPlan(nil)
+		conn.Close()
+		want := int64(300)
+		if parked {
+			want = 200
+		}
+		if delResp.Error != "" || delResp.Affected != 100 {
+			t.Fatalf("parked=%v: DELETE answered %+v, want 100 rows", parked, delResp)
+		}
+		if selResp.Error != "" || len(selResp.Rows) != 1 || selResp.Rows[0][0] != want {
+			t.Fatalf("parked=%v: SELECT answered %+v, want count %d", parked, selResp, want)
+		}
+	}
+}
+
+// TestWireConnCloseAbortsMultiRowInsert closes a client's connection while
+// its multi-row INSERT is parked inside the engine. The statement's
+// disconnect watcher cancels the session and the INSERT stops between rows:
+// some rows in, not all, no leaked statement, invariants intact.
+func TestWireConnCloseAbortsMultiRowInsert(t *testing.T) {
+	// A 64 KB pool under 1 KB records: the INSERT evicts, so it does I/O.
+	srv, addr := startServerWith(t, bulkdel.Options{BufferBytes: 64 << 10})
+	db := srv.Frontend().DB()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustExecWire(t, c, "CREATE TABLE R (id, v) RECORD SIZE 1024")
+	const rows = 2000
+	vals := make([]string, rows)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d)", i, 2*i)
+	}
+
+	db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(40, func() {
+		c.Close()
+		time.Sleep(50 * time.Millisecond)
+	}))
+	_, err = c.Exec("INSERT INTO R VALUES " + strings.Join(vals, ", "))
+	if err == nil {
+		t.Fatal("Exec on severed connection succeeded")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(db.Inspect().Statements) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("statement still in flight after conn close: %+v", db.Inspect().Statements)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	db.Disk().SetFaultPlan(nil)
+	tbl := db.Table("R")
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tbl.Count(); n == 0 || n >= rows {
+		t.Fatalf("severed INSERT left %d of %d rows, want it stopped between rows", n, rows)
+	}
+}
+
+// TestWireWatchesOnlyCancellableStatements: point SELECTs and single-row
+// INSERTs put no disconnect watcher on their path; a DELETE arms one.
+func TestWireWatchesOnlyCancellableStatements(t *testing.T) {
+	srv, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustExecWire(t, c, "CREATE TABLE R (id, v)")
+	mustExecWire(t, c, "CREATE UNIQUE INDEX pk ON R (id)")
+	before := srv.watches.Load()
+	for i := 0; i < 500; i++ {
+		mustExecWire(t, c, fmt.Sprintf("INSERT INTO R VALUES (%d, %d)", i, i))
+		mustExecWire(t, c, fmt.Sprintf("SELECT v FROM R WHERE id = %d", i))
+	}
+	if n := srv.watches.Load() - before; n != 0 {
+		t.Fatalf("1000 point statements armed %d watchers, want 0", n)
+	}
+	mustExecWire(t, c, "DELETE FROM R WHERE id = 7")
+	if n := srv.watches.Load() - before; n != 1 {
+		t.Fatalf("one DELETE armed %d watchers, want 1", n)
 	}
 }

@@ -52,7 +52,11 @@ type Table struct {
 	// concurrent bulk delete it only touches offline index trees, which
 	// updaters reach exclusively through their (thread-safe) side-files.
 	updMu sync.Mutex
-	b     backend
+	// row is Insert's copy of its arguments, reused under updMu: passed
+	// through the backend interface, the variadic slice itself would
+	// escape and cost every insert an allocation.
+	row []int64
+	b   backend
 }
 
 // backend is the storage seam: the operations both the heap and the LSM
@@ -63,7 +67,7 @@ type Table struct {
 // deleteStatement opened.
 type backend interface {
 	kind() string
-	insert(fields []int64) (RID, error)
+	insert(fields []int64) (RID, error) // must not retain fields
 	count() int64
 	lookup(field int, v int64) ([][]int64, error)
 	lookupRange(field int, lo, hi int64) ([][]int64, error)
@@ -212,7 +216,8 @@ func (tbl *Table) Insert(fields ...int64) (RID, error) {
 	}
 	tbl.lockUpdater()
 	defer tbl.unlockUpdater()
-	return tbl.b.insert(fields)
+	tbl.row = append(tbl.row[:0], fields...)
+	return tbl.b.insert(tbl.row)
 }
 
 // InsertDirect adds a row using direct propagation when indexes are
