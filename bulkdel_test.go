@@ -1,6 +1,7 @@
 package bulkdel
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -8,6 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"bulkdel/internal/btree"
+	"bulkdel/internal/cc"
+	"bulkdel/internal/record"
 	"bulkdel/internal/table"
 )
 
@@ -355,6 +359,44 @@ func TestConcurrentBulkDeleteWithUpdaters(t *testing.T) {
 		t.Fatalf("count %d with %d inserts", tbl.Count(), len(inserted))
 	}
 	t.Logf("concurrent inserts: %d, side-file ops replayed: %d", len(inserted), res.SideFileOps)
+}
+
+// TestSideFileReplayReportsAFailedOp: a side-file op the index refuses — an
+// insert of a key its unique tree already holds — comes back as the
+// replay's error, counted with the ops around it, instead of vanishing.
+func TestSideFileReplayReportsAFailedOp(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("R", 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex(IndexOptions{Name: "IA", Field: 0, Unique: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Insert(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	ix := heapOf(tbl).IndexOnField(0)
+	ix.Gate.TakeOffline()
+	for _, op := range []cc.Op{
+		{Kind: cc.OpInsert, Key: ix.EncodeKey(1), RID: record.RID{Page: 7, Slot: 3}},
+		{Kind: cc.OpInsert, Key: ix.EncodeKey(2), RID: record.RID{Page: 7, Slot: 4}},
+	} {
+		if queued, err := ix.Gate.AppendIfOffline(op); !queued || err != nil {
+			t.Fatalf("append %v: queued=%v err=%v", op, queued, err)
+		}
+	}
+	n, err := drainSideFile(ix)
+	ix.Gate.BringOnline()
+	if n != 2 || !errors.Is(err, btree.ErrDuplicateKey) {
+		t.Fatalf("replayed %d ops, error %v; want 2 and %v", n, err, btree.ErrDuplicateKey)
+	}
+	if rids, err := ix.Tree.Search(ix.EncodeKey(2)); err != nil || len(rids) != 1 {
+		t.Fatalf("the op after the failed one was not applied: %v %v", rids, err)
+	}
 }
 
 func TestBulkDeleteWithReorganize(t *testing.T) {

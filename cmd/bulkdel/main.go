@@ -459,16 +459,28 @@ func (s *shell) insert(args []string) error {
 	return nil
 }
 
+// parseRange parses "lo..hi" (inclusive); ok is false when s is no range.
+func parseRange(s string) (lo, hi int64, ok bool, err error) {
+	a, b, ok := strings.Cut(s, "..")
+	if !ok {
+		return 0, 0, false, nil
+	}
+	lo, err1 := strconv.ParseInt(a, 10, 64)
+	hi, err2 := strconv.ParseInt(b, 10, 64)
+	if err1 != nil || err2 != nil || hi < lo {
+		return 0, 0, true, fmt.Errorf("bad range %q", s)
+	}
+	return lo, hi, true, nil
+}
+
 // parseValues accepts "1,2,3" or "lo..hi" (inclusive).
 func parseValues(s string) ([]int64, error) {
-	if lo, hi, ok := strings.Cut(s, ".."); ok {
-		a, err1 := strconv.ParseInt(lo, 10, 64)
-		b, err2 := strconv.ParseInt(hi, 10, 64)
-		if err1 != nil || err2 != nil || b < a {
-			return nil, fmt.Errorf("bad range %q", s)
+	if lo, hi, ok, err := parseRange(s); ok {
+		if err != nil {
+			return nil, err
 		}
-		out := make([]int64, 0, b-a+1)
-		for v := a; v <= b; v++ {
+		out := make([]int64, 0, hi-lo+1)
+		for v := lo; v <= hi; v++ {
 			out = append(out, v)
 		}
 		return out, nil
@@ -502,13 +514,21 @@ func (s *shell) delete(args []string) error {
 	if err != nil {
 		return fmt.Errorf("field must be an integer")
 	}
-	values, err := parseValues(args[2])
-	if err != nil {
-		return err
-	}
 	mode := ""
 	if len(args) > 3 {
 		mode = args[3]
+	}
+	// A bulk method hands a range to DeleteRange, which resolves it to the
+	// values present; everything else takes the value list.
+	lo, hi, isRange, err := parseRange(args[2])
+	if err != nil {
+		return err
+	}
+	var values []int64
+	if !isRange || mode == "traditional" || mode == "dropcreate" {
+		if values, err = parseValues(args[2]); err != nil {
+			return err
+		}
 	}
 	switch mode {
 	case "traditional":
@@ -538,9 +558,14 @@ func (s *shell) delete(args []string) error {
 		if err != nil {
 			return err
 		}
+		opts := bulkdel.BulkOptions{Method: m, Parallel: s.parallel, Timeout: s.timeout}
 		stop := s.watchProgress()
-		res, err := tbl.BulkDelete(field, values, bulkdel.BulkOptions{
-			Method: m, Parallel: s.parallel, Timeout: s.timeout})
+		var res *bulkdel.BulkResult
+		if isRange {
+			res, err = tbl.DeleteRange(field, lo, hi, opts)
+		} else {
+			res, err = tbl.BulkDelete(field, values, opts)
+		}
 		stop()
 		if err != nil {
 			if errors.Is(err, bulkdel.ErrCancelled) {

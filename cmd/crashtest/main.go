@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rows := fs.Int("rows", 0, "table rows (default 48)")
 	victims := fs.Int("victims", 0, "victim count (default rows/3)")
 	indexes := fs.Int("indexes", 0, "indexes on the table, 1..3 (default 3)")
-	method := fs.String("method", "all", "join method: sort, hash, partition, auto (the planner on its own sparse-delete scenario), or all")
+	method := fs.String("method", "all", "join method: sort, hash, partition, auto (the planner on its own sparse-delete scenario), or all;\nor range (the planner on a DeleteRange of a key range)")
 	at := fs.Int("at", 0, "run a single ordinal instead of sweeping")
 	from := fs.Int("from", 0, "first swept ordinal (default 1)")
 	to := fs.Int("to", 0, "last swept ordinal (default: the statement's I/O count)")
@@ -117,17 +117,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reached := false
 	for _, base := range scenarios {
 		for _, mname := range methods {
-			m, err := bulkdel.ParseMethod(mname)
-			if err != nil {
-				return harness(err)
+			m := bulkdel.Auto
+			if mname != "range" {
+				var err error
+				if m, err = bulkdel.ParseMethod(mname); err != nil {
+					return harness(err)
+				}
 			}
-			// Auto sweeps the heap delete's sparse twin: the bulk
-			// scenario's single-leaf trees leave a walk nothing to seek and
-			// no leaf to free. The sweeps with no join method to vary keep
-			// their own scenario.
+			// auto and range sweep twins of the heap delete: sparse, since
+			// the bulk scenario's single-leaf trees leave a walk nothing to
+			// seek and no leaf to free, and range, a key range the backend
+			// resolves. The sweeps with no join method to vary keep their
+			// own scenario.
 			name := base
 			if m == bulkdel.Auto && perMethod && base != "concurrent" {
 				name = "sparse"
+				if mname == "range" {
+					name = "range"
+				}
 				if base != "bulk" {
 					name += "-" + base
 				}

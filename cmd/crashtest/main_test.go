@@ -43,6 +43,7 @@ func TestAtReproducesOneOrdinalInEveryScenario(t *testing.T) {
 	// Past the rebalancing's last I/O, inside the partitioned-heap delete.
 	runCLI(t, 0, []string{"-rebalance", "-at", "45"}, " ok", "parted: io=45   crash=")
 	runCLI(t, 0, []string{"-at", "37", "-method", "hash"}, " ok", "hash:     io=37   crash=")
+	runCLI(t, 0, []string{"-at", "40", "-method", "range"}, " ok", "range:    io=40   crash=")
 	runCLI(t, 0, []string{"-reader", "-cancel", "-at", "12", "-method", "sort"}, " ok", "sort:     io=12   fired=")
 	// An ordinal past the statement's last I/O is a usage error, not an
 	// empty success.
@@ -85,6 +86,13 @@ func TestSummaryLines(t *testing.T) {
 		"auto:     322 I/Os, swept 9 ordinals, 0 failed, digest ")
 	runCLI(t, 0, []string{"-cancel", "-method", "auto", "-stride", "40"}, " 0 failed, reference 442fef5ba8b3ed11",
 		"auto:     cancel sweep: 324 I/Os, swept 9 ordinals, ")
+	// -method range sweeps Table.DeleteRange of a key range: the backend
+	// resolves it off IA's leaves under the statement's lock, the planner
+	// joins the keys.
+	runCLI(t, 0, []string{"-method", "range"}, "",
+		"range:    75 I/Os, swept 75 ordinals, 0 failed, digest d437ee3a9257153a")
+	runCLI(t, 0, []string{"-cancel", "-method", "range", "-stride", "9"}, " 0 failed, reference 2abd5124e1c63f92",
+		"range:    cancel sweep: 75 I/Os, swept 9 ordinals, 9 cancelled, ")
 	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",
 		"sort:     reader crash sweep: 68 I/Os, swept 4 ordinals, 0 failed")
 	runCLI(t, 0, []string{"-concurrent", "-method", "sort", "-devices", "3", "-parallel", "2", "-rows", "24", "-stride", "25"}, "",

@@ -114,14 +114,9 @@ type Options struct {
 	// BufferBytes is the buffer-pool budget (default 8 MB — comfortably
 	// above the paper's largest experiment setting).
 	BufferBytes int
-	// CostModel overrides the simulated disk's charges (nil = the
-	// calibrated default).
-	CostModel *sim.CostModel
 	// DisableWAL turns off write-ahead logging; bulk deletes then run
 	// without checkpoints and cannot be recovered after a crash.
 	DisableWAL bool
-	// ReadAhead overrides the chained-I/O run length in pages.
-	ReadAhead int
 	// Devices sizes the simulated disk array for parallel bulk deletes:
 	// device 0 is the system spindle (catalog, WAL, heap, scratch) and
 	// indexes are placed round-robin on devices 1..Devices. 0 or 1 keeps
@@ -205,11 +200,7 @@ type DB struct {
 // Open creates a fresh database on a new simulated disk.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	cm := sim.DefaultCostModel()
-	if opts.CostModel != nil {
-		cm = *opts.CostModel
-	}
-	db := newDB(sim.NewDisk(cm), opts)
+	db := newDB(sim.NewDisk(sim.DefaultCostModel()), opts)
 	// The catalog always occupies file 0 so recovery can find it.
 	db.catalog = db.disk.CreateFile()
 	if db.catalog != 0 {
@@ -244,9 +235,6 @@ func newDB(disk *sim.Disk, opts Options) *DB {
 		db.obs = obs.NewObserver()
 	}
 	db.initConcurrency()
-	if opts.ReadAhead > 0 {
-		db.pool.SetReadAhead(opts.ReadAhead)
-	}
 	return db
 }
 

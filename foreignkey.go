@@ -2,6 +2,7 @@ package bulkdel
 
 import (
 	"fmt"
+	"slices"
 
 	"bulkdel/internal/cc"
 	"bulkdel/internal/core"
@@ -177,11 +178,15 @@ func (db *DB) enforceForeignKeys(h *heapBackend, field int, values []int64, opts
 		if err != nil {
 			return 0, err
 		}
-		ixRef, err := child.indexRefOnField(fk.ChildField)
-		if err != nil {
-			return 0, err
+		// The probe walks the child's leaf chain while the child is at most
+		// share-locked; the ref's latch closes the torn-leaf window against
+		// the child's own online updaters (see the FK probe race audit test).
+		tgt := child.target()
+		i := slices.IndexFunc(tgt.Indexes, func(ix core.IndexRef) bool { return ix.Field == fk.ChildField })
+		if i < 0 {
+			return 0, fmt.Errorf("bulkdel: table %s lost its index on field %d", fk.Child.Name(), fk.ChildField)
 		}
-		hit, _, err := core.AnyKeyMatch(child.target(), ixRef, keysFor(fk), opts.Memory)
+		hit, err := core.AnyKeyMatch(tgt, &tgt.Indexes[i], keysFor(fk), opts.Memory)
 		if err != nil {
 			return 0, err
 		}
@@ -220,7 +225,7 @@ func (db *DB) enforceForeignKeys(h *heapBackend, field int, values []int64, opts
 	return cascaded, nil
 }
 
-// dedupInt64 sorts-and-compacts a value list in place.
+// dedupInt64 drops repeated values in place, keeping first-seen order.
 func dedupInt64(vals []int64) []int64 {
 	if len(vals) < 2 {
 		return vals
@@ -234,23 +239,6 @@ func dedupInt64(vals []int64) []int64 {
 		}
 	}
 	return out
-}
-
-// indexRefOnField builds core's view of the index over the field.
-func (h *heapBackend) indexRefOnField(field int) (*core.IndexRef, error) {
-	ix := h.t.IndexOnField(field)
-	if ix == nil {
-		return nil, fmt.Errorf("bulkdel: table %s lost its index on field %d", h.t.Name, field)
-	}
-	return &core.IndexRef{
-		Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
-		Unique: ix.Def.Unique, Clustered: ix.Def.Clustered, Gate: ix.Gate,
-		// The RESTRICT probe walks the child's leaf chain while the child
-		// is at most share-locked; the latch closes the torn-leaf window
-		// against the child's own online updaters (see the FK probe race
-		// audit test).
-		Latch: &ix.Latch,
-	}, nil
 }
 
 // fkByNames resolves a catalog foreign key after recovery.

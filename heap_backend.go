@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -11,6 +12,7 @@ import (
 	"bulkdel/internal/cc"
 	"bulkdel/internal/core"
 	"bulkdel/internal/heap"
+	"bulkdel/internal/keyenc"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
@@ -309,21 +311,39 @@ func (h *heapBackend) deleteIn(st *statement, field int, values []int64) (*BulkR
 	return h.bulkDeleteWithDepth(field, values, st.opts, 0, st.stmt, st.held, st.fks)
 }
 
-// deleteRange resolves the range to its distinct field values and hands them
-// to the regular ⋈̸ machinery. The read runs at the current epoch under the
-// statement's exclusive lock: no delete of this table can commit beside it,
-// so it registers no snapshot.
+// deleteRange is the one heap resolver of a range predicate: the distinct
+// field values in [lo, hi], read off the field's index leaf keys (no heap
+// fetch) or, with no index on the field, off one heap scan, handed sorted to
+// the regular ⋈̸ machinery. It reads the live table under the statement's
+// exclusive lock once every index is online, so no updater can add a row to
+// the range between the read and the delete, and no snapshot is registered.
 func (h *heapBackend) deleteRange(st *statement, field int, lo, hi int64) (*BulkResult, error) {
 	h.waitIndexesOnline()
 	var vals []int64
-	_, err := h.t.SnapshotLookup(field, lo, hi, h.tbl.db.epochs.Current(), func(_ RID, row []int64) error {
-		vals = append(vals, row[field])
-		return nil
-	})
+	var err error
+	if ix := h.t.IndexOnField(field); ix != nil {
+		// SearchRange's hi bound is exclusive; hi+1 would overflow at the
+		// top of the key space, so MaxInt64 becomes an open-ended walk.
+		var hiKey []byte
+		if hi < math.MaxInt64 {
+			hiKey = ix.EncodeKey(hi + 1)
+		}
+		err = ix.Tree.SearchRange(ix.EncodeKey(lo), hiKey, func(k []byte, _ RID) error {
+			vals = append(vals, keyenc.Int64(k))
+			return nil
+		})
+	} else {
+		err = h.t.Heap.Scan(func(_ RID, rec []byte) error {
+			if v := h.t.Schema.Field(rec, field); lo <= v && v <= hi {
+				vals = append(vals, v)
+			}
+			return nil
+		})
+		slices.Sort(vals)
+	}
 	if err != nil {
 		return nil, err
 	}
-	slices.Sort(vals)
 	if vals = slices.Compact(vals); len(vals) == 0 {
 		return &BulkResult{}, nil
 	}
@@ -336,7 +356,7 @@ func (h *heapBackend) deleteRange(st *statement, field int, lo, hi int64) (*Bulk
 // the FK snapshot the footprint was computed from — every level enforces
 // this snapshot, never a re-read of the live list, so the cascade graph
 // cannot outgrow the locks.
-func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (*BulkResult, error) {
+func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (out *BulkResult, err error) {
 	db, name := h.tbl.db, h.t.Name
 	if db.crashed.Load() {
 		return nil, errCrashed
@@ -417,8 +437,18 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 	defer mv.EndDelete()
 
 	// Parallel passes invoke OnStructureDone from concurrent goroutines;
-	// the side-file replay below mutates res, so serialize it.
+	// the side-file replay below mutates res and sideErr, so serialize it.
+	// sideErr is the first failed replay: the statement returns it (in the
+	// gate cleanup below, the last thing to replay).
 	var sfMu sync.Mutex
+	var sideErr error
+	replay := func(ix *table.Index) {
+		n, rerr := drainSideFile(ix)
+		res.SideFileOps += n
+		if sideErr == nil {
+			sideErr = rerr
+		}
+	}
 
 	if opts.Concurrent {
 		byFile := make(map[sim.FileID]*table.Index, len(h.t.Idx))
@@ -443,21 +473,8 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 				return // the heap: nothing to reopen
 			}
 			reopened[file] = true
-			// Apply the side-file: drain in batches while appends
-			// continue, then quiesce for the final batch and bring
-			// the index online (§3.1.1).
 			before := res.SideFileOps
-			sf := ix.Gate.SideFile()
-			for sf.Len() > 64 {
-				for _, op := range sf.Drain(64) {
-					res.SideFileOps++
-					_ = applySideOp(ix, op)
-				}
-			}
-			for _, op := range sf.Quiesce() {
-				res.SideFileOps++
-				_ = applySideOp(ix, op)
-			}
+			replay(ix)
 			ix.Gate.BringOnline()
 			stmt.Event(obs.EvGateOnline,
 				fmt.Sprintf("%s side-ops=%d", ix.Def.Name, res.SideFileOps-before))
@@ -481,13 +498,13 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 			defer sfMu.Unlock()
 			for _, ix := range h.t.Idx {
 				if !reopened[ix.Tree.ID()] {
-					for _, op := range ix.Gate.SideFile().Quiesce() {
-						res.SideFileOps++
-						_ = applySideOp(ix, op)
-					}
+					replay(ix)
 					ix.Gate.BringOnline()
 					stmt.Event(obs.EvGateOnline, ix.Def.Name+" (cleanup)")
 				}
+			}
+			if err == nil && sideErr != nil {
+				out, err = nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", name, sideErr)
 			}
 		}()
 	}
@@ -573,6 +590,28 @@ func (h *heapBackend) waitIndexesOnline() {
 	for _, ix := range h.t.Idx {
 		ix.Gate.WaitOnline()
 	}
+}
+
+// drainSideFile replays ix's side-file: in batches while updaters keep
+// appending, then the final batch with appends quiesced (§3.1.1). It returns
+// how many ops it applied and the first that failed; it applies the rest
+// regardless, and the statement reports the failure, because the index now
+// lacks an entry.
+func drainSideFile(ix *table.Index) (n int, err error) {
+	sf := ix.Gate.SideFile()
+	apply := func(ops []cc.Op) {
+		for _, op := range ops {
+			n++
+			if e := applySideOp(ix, op); e != nil && err == nil {
+				err = fmt.Errorf("side-file replay into %s: %w", ix.Def.Name, e)
+			}
+		}
+	}
+	for sf.Len() > 64 {
+		apply(sf.Drain(64))
+	}
+	apply(sf.Quiesce())
+	return n, err
 }
 
 // applySideOp replays one deferred index operation.

@@ -562,27 +562,14 @@ func waitOnline(ix *IndexRef) {
 // integrity constraints in such a vertical way as early as possible":
 // a RESTRICT foreign key runs this against the child's index before any
 // structure is modified.
-func AnyKeyMatch(tgt *Target, ix *IndexRef, values []int64, memory int) (bool, int64, error) {
+func AnyKeyMatch(tgt *Target, ix *IndexRef, values []int64, memory int) (bool, error) {
 	o := Options{Memory: memory}
 	e := &execCtx{tgt: tgt, opts: o.withDefaults()}
 	err := probeKeys(e, ix, values, func(record.RID) error { return errFoundMatch })
 	if errors.Is(err, errFoundMatch) {
-		return true, 1, nil
+		return true, nil
 	}
-	return false, 0, err
-}
-
-// CountKeyMatches counts the child entries referencing any victim value —
-// the cascade planner uses it for reporting.
-func CountKeyMatches(tgt *Target, ix *IndexRef, values []int64, memory int) (int64, error) {
-	o := Options{Memory: memory}
-	e := &execCtx{tgt: tgt, opts: o.withDefaults()}
-	var n int64
-	err := probeKeys(e, ix, values, func(record.RID) error {
-		n++
-		return nil
-	})
-	return n, err
+	return false, err
 }
 
 // CollectVictimFieldValues performs the read-only half of a bulk delete to

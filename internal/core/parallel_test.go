@@ -155,18 +155,25 @@ func TestParallelLoggedProtocol(t *testing.T) {
 	}
 }
 
-func TestChooseParallel(t *testing.T) {
+// TestClampWorkers: the remaining-index passes of a delete get as many
+// workers as the cap allows, but no more than there are passes and distinct
+// devices under them.
+func TestClampWorkers(t *testing.T) {
 	pool := testPool(256)
 	tgt := parallelTarget(t, pool, 500)
+	workers := func(limit int) int {
+		rest := remainingIndexes(tgt, accessIndex(tgt, 0))
+		return clampWorkers(pool.Disk(), indexFiles(rest), limit)
+	}
 	// Two remaining indexes on two distinct devices: degree 2 whatever the cap.
-	if w := ChooseParallel(tgt, 0, 8); w != 2 {
-		t.Fatalf("ChooseParallel cap 8 = %d, want 2", w)
+	if w := workers(8); w != 2 {
+		t.Fatalf("cap 8: %d workers, want 2", w)
 	}
-	if w := ChooseParallel(tgt, 0, 2); w != 2 {
-		t.Fatalf("ChooseParallel cap 2 = %d, want 2", w)
+	if w := workers(2); w != 2 {
+		t.Fatalf("cap 2: %d workers, want 2", w)
 	}
-	if w := ChooseParallel(tgt, 0, 1); w != 1 {
-		t.Fatalf("ChooseParallel cap 1 = %d, want 1", w)
+	if w := workers(1); w != 1 {
+		t.Fatalf("cap 1: %d workers, want 1", w)
 	}
 	// Collapse every tree onto one device: nothing to overlap.
 	for _, ix := range tgt.Indexes {
@@ -174,8 +181,8 @@ func TestChooseParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w := ChooseParallel(tgt, 0, 8); w != 1 {
-		t.Fatalf("single device ChooseParallel = %d, want 1", w)
+	if w := workers(8); w != 1 {
+		t.Fatalf("one device: %d workers, want 1", w)
 	}
 }
 

@@ -240,16 +240,6 @@ func (e *execCtx) criticalDone(counted bool) {
 	}
 }
 
-// ChooseParallel picks the effective degree of parallelism for the
-// remaining-index passes of a delete on field, given the caller's cap
-// (Options.Parallel). The planner's reasoning is structural: every pass
-// scans roughly the same victim count, so the passes are balanced and the
-// best schedule is simply as wide as the hardware allows.
-func ChooseParallel(tgt *Target, field int, max int) int {
-	rest := remainingIndexes(tgt, accessIndex(tgt, field))
-	return clampWorkers(tgt.Pool.Disk(), indexFiles(rest), max)
-}
-
 func indexFiles(rest []*IndexRef) []sim.FileID {
 	files := make([]sim.FileID, len(rest))
 	for i, ix := range rest {

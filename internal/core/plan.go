@@ -194,7 +194,7 @@ type Options struct {
 	// Parallel caps the number of workers for the remaining-index passes
 	// (phase 3). 0 or 1 runs them serially; >1 runs independent ⋈̸ passes
 	// concurrently, at most one per device of the disk array (the effective
-	// degree is ChooseParallel of this cap). Recovery always runs serially.
+	// degree is clampWorkers of this cap). Recovery always runs serially.
 	Parallel int
 	// Sched, when set, is the DB-wide admission pool shared by concurrent
 	// statements: every parallel index-pass node takes a pool slot and the

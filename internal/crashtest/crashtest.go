@@ -414,7 +414,10 @@ func (sc scenario) crashCycle(cfg Config, k int, ref reference) (Result, error) 
 // crash, no restart, same process. Roll-forward finishes the delete, so a
 // cancelled statement and a completed one must converge on ref.post; the
 // crash cycle at the same ordinal must land there too whenever its
-// boundary is one the cancel path can also stop at.
+// boundary is one the cancel path can also stop at. A cancel that comes
+// before the executor's admission checkpoint (I/Os spent resolving a range,
+// or the reader's) stops the statement untouched, on ref.pre, and then the
+// crash at that ordinal must have found nothing in the WAL either.
 func (sc scenario) cancelCycle(cfg Config, k int, ref reference) (Result, error) {
 	res := Result{Ordinal: k}
 	if !sc.reader {
@@ -466,9 +469,9 @@ func (sc scenario) cancelCycle(cfg Config, k int, ref reference) (Result, error)
 	}
 	switch {
 	case res.Digest == ref.post:
-	case sc.reader && res.Fired && res.Digest == ref.pre:
-		// Zero-effect abort: the reader's I/Os burned the ordinal before the
-		// bulk-start record was durable. Atomic, just the other boundary.
+	case res.Fired && res.Digest == ref.pre:
+		// Zero-effect abort: the ordinal came before the bulk-start record
+		// was durable. Atomic, just the other boundary.
 	default:
 		res.failf("structure digest %s != completed-delete reference %s", res.Digest, ref.post)
 	}
@@ -503,6 +506,8 @@ func (sc scenario) cancelCycle(cfg Config, k int, ref reference) (Result, error)
 	}
 	if crash.Digest != want {
 		res.failf("crash+recover digest %s at ordinal %d, want %s (bulkInWAL=%v)", crash.Digest, k, want, inWAL)
+	} else if res.Digest == ref.pre && want != ref.pre {
+		res.failf("cancel at ordinal %d left the table untouched, but the crash there found the delete in the WAL", k)
 	}
 	return res, nil
 }

@@ -103,6 +103,26 @@ var sparse = scenario{
 	fields:        bulk.fields,
 }
 
+// rangeDel is the statement every heap range DELETE is: Table.DeleteRange
+// over Config.Victims contiguous keys in the middle of R. The backend
+// resolves the range to its keys off IA's leaves under the statement's lock,
+// and the planner (Method Auto, whatever the Config says) joins them.
+var rangeDel = scenario{
+	config: func(cfg Config) Config {
+		cfg.Method = bulkdel.Auto
+		return cfg
+	},
+	build: buildTables(0, 0, func(cfg Config, _ int) []int64 {
+		lo := (cfg.Rows - cfg.Victims) / 2
+		return keys(lo, lo+cfg.Victims-1, 1)
+	}, "R"),
+	run:           runRange,
+	reference:     checkTables,
+	verify:        verifyBulk,
+	deterministic: Config.Deterministic,
+	fields:        bulk.fields,
+}
+
 // parted is the paper's statement on a partitioned heap: R hash-partitioned
 // 4-way on A, so the sort/merge heap ⋈̸ is one logged pass per partition
 // file (a fan-out over the devices when Config.Devices and Config.Parallel
@@ -134,6 +154,10 @@ var scenarios = map[string]scenario{
 	"sparse-cancel":        sparse.inCancelMode(),
 	"sparse-reader":        sparse.underReader(),
 	"sparse-reader-cancel": sparse.inCancelMode().underReader(),
+	"range":                rangeDel,
+	"range-cancel":         rangeDel.inCancelMode(),
+	"range-reader":         rangeDel.underReader(),
+	"range-reader-cancel":  rangeDel.inCancelMode().underReader(),
 	// Two bulk deletes on independent tables through DB.RunConcurrent. With
 	// goroutines racing to the fault the crash no longer lands at a
 	// deterministic statement position, so this sweep is invariants-only:
@@ -291,26 +315,43 @@ func buildTables(hashParts, keyLen int, pick func(cfg Config, ti int) []int64, n
 	}
 }
 
-// deleteVictims bulk-deletes table i's victim list and fails unless every
-// victim was deleted.
-func deleteVictims(ctx context.Context, cfg Config, st *state, i int, concurrent bool) (*bulkdel.BulkResult, error) {
-	res, err := st.tables[i].BulkDelete(0, st.victims[i], bulkdel.BulkOptions{
+// bulkOptions are the options of every heap scenario's delete.
+func bulkOptions(ctx context.Context, cfg Config, concurrent bool) bulkdel.BulkOptions {
+	return bulkdel.BulkOptions{
 		Method:         cfg.Method,
 		Memory:         cfg.Memory,
 		CheckpointRows: cfg.CheckpointRows,
 		Parallel:       cfg.Parallel,
 		Concurrent:     concurrent,
 		Ctx:            ctx,
-	})
-	if err == nil && res.Deleted != int64(len(st.victims[i])) {
-		err = fmt.Errorf("deleted %d of %d victims", res.Deleted, len(st.victims[i]))
 	}
-	return res, err
+}
+
+// allDeleted fails a delete of victims that did not delete every one.
+func allDeleted(res *bulkdel.BulkResult, err error, victims []int64) error {
+	if err == nil && res.Deleted != int64(len(victims)) {
+		err = fmt.Errorf("deleted %d of %d victims", res.Deleted, len(victims))
+	}
+	return err
+}
+
+// deleteVictims bulk-deletes table i's victim list and fails unless every
+// victim was deleted.
+func deleteVictims(ctx context.Context, cfg Config, st *state, i int, concurrent bool) (*bulkdel.BulkResult, error) {
+	res, err := st.tables[i].BulkDelete(0, st.victims[i], bulkOptions(ctx, cfg, concurrent))
+	return res, allDeleted(res, err, st.victims[i])
 }
 
 func runBulk(ctx context.Context, cfg Config, st *state, _ *Result) error {
 	_, err := deleteVictims(ctx, cfg, st, 0, false)
 	return err
+}
+
+// runRange deletes R's victims, a contiguous key range, by its bounds.
+func runRange(ctx context.Context, cfg Config, st *state, _ *Result) error {
+	v := st.victims[0]
+	res, err := st.tables[0].DeleteRange(0, v[0], v[len(v)-1], bulkOptions(ctx, cfg, false))
+	return allDeleted(res, err, v)
 }
 
 // runSparse fails when a completed statement was not the one the scenario is

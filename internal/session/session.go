@@ -586,49 +586,6 @@ func (s *Session) selectStmt(st *sql.Select, analyzing bool) (*Result, error) {
 	return &Result{Columns: outCols, Rows: out}, nil
 }
 
-// deleteVictims binds a DELETE's predicate to (field, victim values) for
-// the bulk-delete planner. Equality/IN predicates pass their values
-// straight through; range predicates and full-table deletes collect the
-// distinct field values in range (a covering range over a partitioned
-// heap then triggers the whole-partition truncate fast path inside the
-// executor).
-func (s *Session) deleteVictims(st *sql.Delete, tbl *bulkdel.Table) (int, []int64, error) {
-	p, err := s.bind(st.Table, tbl, st.Where)
-	if err != nil {
-		return 0, nil, err
-	}
-	if p != nil && p.eqVals != nil {
-		seen := make(map[int64]bool, len(p.eqVals))
-		vals := make([]int64, 0, len(p.eqVals))
-		for _, v := range p.eqVals {
-			if !seen[v] {
-				seen[v] = true
-				vals = append(vals, v)
-			}
-		}
-		return p.field, vals, nil
-	}
-	field := 0
-	if p != nil {
-		field = p.field
-	}
-	rows, err := s.rowsMatching(tbl, p)
-	if err != nil {
-		return 0, nil, err
-	}
-	seen := make(map[int64]bool, len(rows))
-	vals := make([]int64, 0, len(rows))
-	for _, row := range rows {
-		v := row[field]
-		if !seen[v] {
-			seen[v] = true
-			vals = append(vals, v)
-		}
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return field, vals, nil
-}
-
 // bulkOptions builds the BulkOptions for this session's knob state.
 func (s *Session) bulkOptions() bulkdel.BulkOptions {
 	return bulkdel.BulkOptions{
@@ -643,6 +600,10 @@ func (s *Session) bulkOptions() bulkdel.BulkOptions {
 	}
 }
 
+// delete binds the predicate and makes one engine call: = and IN hand their
+// distinct values, in first-seen order, to BulkDelete; a range, or no WHERE
+// (every value of field 0), is DeleteRange, whose backend resolves the
+// victims under the statement's lock.
 func (s *Session) delete(st *sql.Delete, analyzing bool) (*Result, error) {
 	end := s.begin("delete", st.Table)
 	defer end()
@@ -653,42 +614,33 @@ func (s *Session) delete(st *sql.Delete, analyzing bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tbl.Backend() == bulkdel.BackendLSM {
-		// LSM range and full-table deletes lower onto DeleteRange — one
-		// range tombstone, no scan to enumerate victims. Equality/IN
-		// predicates fall through to the shared BulkDelete path.
-		p, err := s.bind(st.Table, tbl, st.Where)
-		if err != nil {
-			return nil, err
-		}
-		if p == nil || p.eqVals == nil {
-			field, lo, hi := 0, int64(minInt64), int64(maxInt64)
-			if p != nil {
-				field, lo, hi = p.field, p.lo, p.hi
-			}
-			res, err := tbl.DeleteRange(field, lo, hi, s.bulkOptions())
-			if err != nil {
-				return nil, err
-			}
-			out := &Result{Affected: res.Deleted}
-			if res.Deleted < 0 {
-				// A blind range tombstone doesn't count victims.
-				out.Affected = 0
-				out.Text = fmt.Sprintf("range tombstone [%d, %d] on field %d (victims uncounted)\n", lo, hi, field)
-			}
-			return out, nil
-		}
-	}
-	field, vals, err := s.deleteVictims(st, tbl)
+	p, err := s.bind(st.Table, tbl, st.Where)
 	if err != nil {
 		return nil, err
 	}
-	if len(vals) == 0 {
-		return &Result{Affected: 0}, nil
+	if p == nil {
+		p = &pred{lo: minInt64, hi: maxInt64}
 	}
-	res, err := tbl.BulkDelete(field, vals, s.bulkOptions())
+	var res *bulkdel.BulkResult
+	if p.eqVals != nil {
+		seen := make(map[int64]bool, len(p.eqVals))
+		vals := make([]int64, 0, len(p.eqVals))
+		for _, v := range p.eqVals {
+			if !seen[v] {
+				seen[v] = true
+				vals = append(vals, v)
+			}
+		}
+		res, err = tbl.BulkDelete(p.field, vals, s.bulkOptions())
+	} else {
+		res, err = tbl.DeleteRange(p.field, p.lo, p.hi, s.bulkOptions())
+	}
 	if err != nil {
 		return nil, err
+	}
+	if res.Deleted < 0 {
+		// A blind LSM range tombstone doesn't count victims.
+		return &Result{Text: fmt.Sprintf("range tombstone [%d, %d] on field %d (victims uncounted)\n", p.lo, p.hi, p.field)}, nil
 	}
 	out := &Result{Affected: res.Deleted}
 	if analyzing {

@@ -407,3 +407,55 @@ func TestSQLRejectedDuplicateInsert(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHeapRangeDeleteOpensNoSnapshot: a heap range DELETE, and one with no
+// WHERE, hand the predicate to Table.DeleteRange, whose backend resolves
+// the victims under the statement's own lock: no snapshot read is taken
+// first, and exactly the rows the range covers go, through the index or, on
+// an unindexed column, a heap scan.
+func TestHeapRangeDeleteOpensNoSnapshot(t *testing.T) {
+	f := newFrontend(t, bulkdel.Options{})
+	s := f.NewSession(context.Background())
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE r (k, v)")
+	mustExec(t, s, "CREATE UNIQUE INDEX rk ON r (k)")
+	for i := int64(0); i < 100; i++ {
+		mustExec(t, s, sqlf("INSERT INTO r VALUES (%d, %d)", i, i%10))
+	}
+	tbl := f.DB().Table("r")
+	reads := f.DB().Observer().Registry().Counter(obs.MetricSnapshotReads)
+	for _, c := range []struct {
+		src      string
+		affected int64
+		covers   func(k, v int64) bool
+	}{
+		{"DELETE FROM r WHERE k BETWEEN 10 AND 29", 20, func(k, _ int64) bool { return 10 <= k && k <= 29 }},
+		{"DELETE FROM r WHERE k > 89", 10, func(k, _ int64) bool { return k > 89 }},
+		{"DELETE FROM r WHERE v >= 7", 21, func(_, v int64) bool { return v >= 7 }},
+		{"DELETE FROM r WHERE k BETWEEN 200 AND 300", 0, func(k, _ int64) bool { return false }},
+		{"DELETE FROM r", 49, func(int64, int64) bool { return true }},
+	} {
+		before, count := reads.Value(), tbl.Count()
+		if got := mustExec(t, s, c.src).Affected; got != c.affected {
+			t.Errorf("%s: %d rows affected, want %d", c.src, got, c.affected)
+		}
+		if n := reads.Value() - before; n != 0 {
+			t.Errorf("%s opened %d snapshot reads, want 0", c.src, n)
+		}
+		if got := tbl.Count(); got != count-c.affected {
+			t.Errorf("%s left %d rows, want %d", c.src, got, count-c.affected)
+		}
+		err := tbl.Scan(func(_ bulkdel.RID, f []int64) error {
+			if c.covers(f[0], f[1]) {
+				return fmt.Errorf("row %v survives", f)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+		}
+		if err := tbl.Check(); err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+	}
+}

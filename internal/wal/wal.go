@@ -468,20 +468,10 @@ type BulkState struct {
 	// Done lists structures fully processed (TStructDone seen).
 	Done map[uint64]bool
 	// Active maps every structure with a TStructStart but no TStructDone
-	// to its latest checkpointed victim-row count, and Kinds to its kind
-	// (0 heap, 1 index). A serial statement has at most one active
-	// structure; a parallel one may have been interrupted with several
-	// index passes mid-flight.
+	// to its latest checkpointed victim-row count. A serial statement has
+	// at most one active structure; a parallel one may have been
+	// interrupted with several index passes mid-flight.
 	Active map[uint64]uint64
-	Kinds  map[uint64]uint64
-	// InProgress mirrors the most recently started active structure, with
-	// its Progress and Kind — the legacy single-pass view, still exact for
-	// serial logs.
-	InProgress    uint64
-	HasInProgress bool
-	Progress      uint64
-	// Kind of the in-progress structure (0 heap, 1 index).
-	Kind uint64
 	// Finished reports whether TBulkEnd was reached (nothing to redo).
 	Finished bool
 	// Materialized maps a structure file to the row file holding its
@@ -504,11 +494,6 @@ func (st *BulkState) ProgressOf(file uint64) (uint64, bool) {
 // into the damaged incarnation must not be skipped.
 func (st *BulkState) ClearActive(file uint64) {
 	delete(st.Active, file)
-	delete(st.Kinds, file)
-	if st.HasInProgress && st.InProgress == file {
-		st.HasInProgress = false
-		st.Progress = 0
-	}
 }
 
 // AnalyzeBulk scans recovered records and returns the state of the most
@@ -542,7 +527,6 @@ func AnalyzeBulks(recs []Record) []BulkState {
 				VictimFile:   r.B,
 				Done:         make(map[uint64]bool),
 				Active:       make(map[uint64]uint64),
-				Kinds:        make(map[uint64]uint64),
 				Materialized: make(map[uint64]uint64),
 			}
 			continue
@@ -556,26 +540,13 @@ func AnalyzeBulks(recs []Record) []BulkState {
 			st.Materialized[r.A] = r.B
 		case TStructStart:
 			st.Active[r.A] = 0
-			st.Kinds[r.A] = r.B
-			st.InProgress = r.A
-			st.Kind = r.B
-			st.HasInProgress = true
-			st.Progress = 0
 		case TCheckpoint:
 			if _, ok := st.Active[r.A]; ok {
 				st.Active[r.A] = r.B
 			}
-			if st.HasInProgress && r.A == st.InProgress {
-				st.Progress = r.B
-			}
 		case TStructDone:
 			st.Done[r.A] = true
 			delete(st.Active, r.A)
-			delete(st.Kinds, r.A)
-			if st.HasInProgress && st.InProgress == r.A {
-				st.HasInProgress = false
-				st.Progress = 0
-			}
 		case TBulkEnd:
 			st.Finished = true
 		}

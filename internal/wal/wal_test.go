@@ -172,7 +172,7 @@ func TestAnalyzeBulkInterrupted(t *testing.T) {
 	if !st.Done[101] || st.Done[100] {
 		t.Fatalf("done set wrong: %+v", st.Done)
 	}
-	if !st.HasInProgress || st.InProgress != 100 || st.Progress != 3000 || st.Kind != 0 {
+	if p, ok := st.ProgressOf(100); !ok || p != 3000 || len(st.Active) != 1 {
 		t.Fatalf("in-progress wrong: %+v", st)
 	}
 	if st.Finished {
@@ -191,7 +191,7 @@ func TestAnalyzeBulkFinished(t *testing.T) {
 	if !ok || !st.Finished {
 		t.Fatalf("finished bulk delete not recognized: %+v", st)
 	}
-	if st.HasInProgress {
+	if _, ok := st.ProgressOf(100); ok || len(st.Active) != 0 {
 		t.Fatal("no structure should be in progress")
 	}
 }
@@ -251,7 +251,7 @@ func TestAnalyzeBulksInterleaved(t *testing.T) {
 	if two.Finished || two.Table != 300 || two.VictimFile != 400 {
 		t.Fatalf("tx 2 state wrong: %+v", two)
 	}
-	if !two.Done[301] || !two.HasInProgress || two.InProgress != 300 || two.Progress != 900 {
+	if p, ok := two.ProgressOf(300); !two.Done[301] || !ok || p != 900 || len(two.Active) != 1 {
 		t.Fatalf("tx 2 progress wrong: %+v", two)
 	}
 	// The single-statement wrapper keeps its pick-the-latest contract.

@@ -574,8 +574,10 @@ func (tbl *Table) BulkDelete(field int, values []int64, opts BulkOptions) (*Bulk
 // reclaimed by delete-aware compaction within TombstoneTTL flushes).
 // Non-key fields fall back to a merged scan issuing point tombstones.
 //
-// On a heap table the range is resolved to its distinct field values and
-// handed to the regular ⋈̸ BulkDelete machinery.
+// On a heap table the backend resolves the range to its distinct field
+// values under the statement's lock — off the field's index leaf keys, or one
+// heap scan when the field has no index — and hands them to the regular ⋈̸
+// BulkDelete machinery.
 func (tbl *Table) DeleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error) {
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
