@@ -1,314 +1,38 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// plus the ablations called out in DESIGN.md. Each benchmark iteration
-// builds a fresh database at 1/50 of the paper's scale (with the memory
-// budget scaled along) and executes one DELETE statement; the reported
-// custom metric `sim-min` is the simulated statement time in minutes — the
-// paper's unit and the number to compare against the paper's plots. Run
-// `cmd/bulkbench -rows 1000000` for the full-scale reproduction.
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation plus the ablations — one sub-benchmark per row of bench.Specs.
+// Each iteration builds a fresh database per point at 1/50 of the paper's
+// scale (with the memory budget scaled along) and executes one statement
+// there; every point is reported as a `sim-min` metric, the simulated
+// statement time in minutes — the paper's unit and the number to compare
+// against its plots. Run `cmd/bulkbench -rows 1000000` for the full-scale
+// reproduction.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Experiments .
 package bulkdel_test
 
 import (
+	"strings"
 	"testing"
 
-	"bulkdel"
 	"bulkdel/internal/bench"
-	"bulkdel/internal/btree"
 )
 
-const benchRows = 20000
-
-func runCase(b *testing.B, cfg bench.Config, ap bench.Approach) {
-	b.Helper()
-	cfg.Seed = 1
-	var last bench.Result
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Run(cfg, ap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Minutes, "sim-min")
-	b.ReportMetric(float64(last.Deleted), "deleted")
-}
-
-// BenchmarkFigure1 — the introduction's motivating experiment: 3 unclustered
-// indexes, traditional vs drop&create across delete fractions.
-func BenchmarkFigure1(b *testing.B) {
-	for _, f := range []float64{0.01, 0.05, 0.10, 0.15} {
-		cfg := bench.Config{Rows: benchRows, Fraction: f, MemoryMB: 5, NumIndexes: 3}
-		for _, row := range []struct {
-			name string
-			ap   bench.Approach
-		}{
-			{"traditional", bench.NotSortedTrad},
-			{"drop-create", bench.DropCreate},
-		} {
-			b.Run(row.name+"/"+pct(f), func(b *testing.B) { runCase(b, cfg, row.ap) })
-		}
-	}
-}
-
-// BenchmarkFigure7 — Experiment 1: vary the number of deleted records
-// (1 unclustered index, 5 MB memory).
-func BenchmarkFigure7(b *testing.B) {
-	for _, f := range []float64{0.05, 0.10, 0.15, 0.20} {
-		cfg := bench.Config{Rows: benchRows, Fraction: f, MemoryMB: 5, NumIndexes: 1}
-		for _, row := range []struct {
-			name string
-			ap   bench.Approach
-		}{
-			{"sorted-trad", bench.SortedTrad},
-			{"not-sorted-trad", bench.NotSortedTrad},
-			{"bulk-delete", bench.BulkSortMerge},
-		} {
-			b.Run(row.name+"/"+pct(f), func(b *testing.B) { runCase(b, cfg, row.ap) })
-		}
-	}
-}
-
-// BenchmarkFigure8 — Experiment 2: vary the number of indexes (15% deletes).
-func BenchmarkFigure8(b *testing.B) {
-	for _, n := range []int{1, 2, 3} {
-		cfg := bench.Config{Rows: benchRows, Fraction: 0.15, MemoryMB: 5, NumIndexes: n}
-		for _, row := range []struct {
-			name string
-			ap   bench.Approach
-		}{
-			{"sorted-trad", bench.SortedTrad},
-			{"not-sorted-trad", bench.NotSortedTrad},
-			{"drop-create", bench.DropCreate},
-			{"bulk-delete", bench.BulkSortMerge},
-		} {
-			b.Run(row.name+"/"+idx(n), func(b *testing.B) { runCase(b, cfg, row.ap) })
-		}
-	}
-}
-
-// BenchmarkTable1 — Experiment 3: vary the index height by widening the
-// inner keys (the paper's 512 → 100 keys per node).
-func BenchmarkTable1(b *testing.B) {
-	for _, kl := range []int{8, 48} {
-		cfg := bench.Config{Rows: benchRows, Fraction: 0.15, MemoryMB: 5, NumIndexes: 1, KeyLen: kl}
-		name := map[int]string{8: "height-lo", 48: "height-hi"}[kl]
-		for _, row := range []struct {
-			name string
-			ap   bench.Approach
-		}{
-			{"sorted-bulk", bench.BulkSortMerge},
-			{"sorted-trad", bench.SortedTrad},
-			{"not-sorted-trad", bench.NotSortedTrad},
-		} {
-			b.Run(row.name+"/"+name, func(b *testing.B) { runCase(b, cfg, row.ap) })
-		}
-	}
-}
-
-// BenchmarkFigure9 — Experiment 4: vary the available memory.
-func BenchmarkFigure9(b *testing.B) {
-	for _, mb := range []float64{2, 6, 10} {
-		cfg := bench.Config{Rows: benchRows, Fraction: 0.15, MemoryMB: mb, NumIndexes: 1}
-		name := map[float64]string{2: "2MB", 6: "6MB", 10: "10MB"}[mb]
-		for _, row := range []struct {
-			name string
-			ap   bench.Approach
-		}{
-			{"sorted-trad", bench.SortedTrad},
-			{"not-sorted-trad", bench.NotSortedTrad},
-			{"bulk-delete", bench.BulkSortMerge},
-		} {
-			b.Run(row.name+"/"+name, func(b *testing.B) { runCase(b, cfg, row.ap) })
-		}
-	}
-}
-
-// BenchmarkFigure10 — Experiment 5: the clustered-index case.
-func BenchmarkFigure10(b *testing.B) {
-	for _, f := range []float64{0.06, 0.15, 0.20} {
-		for _, row := range []struct {
-			name      string
-			ap        bench.Approach
-			clustered bool
-		}{
-			{"sorted-trad-clust", bench.SortedTrad, true},
-			{"sorted-trad-unclust", bench.SortedTrad, false},
-			{"not-sorted-trad-clust", bench.NotSortedTrad, true},
-			{"bulk-delete", bench.BulkSortMerge, true},
-		} {
-			cfg := bench.Config{Rows: benchRows, Fraction: f, MemoryMB: 5,
-				NumIndexes: 1, Clustered: row.clustered}
-			b.Run(row.name+"/"+pct(f), func(b *testing.B) { runCase(b, cfg, row.ap) })
-		}
-	}
-}
-
-// BenchmarkReorgAblation — §2.3 leaf reorganization on/off at high delete
-// fractions (the mechanism of Figure 6).
-func BenchmarkReorgAblation(b *testing.B) {
-	for _, reorg := range []bool{false, true} {
-		cfg := bench.Config{Rows: benchRows, Fraction: 0.50, MemoryMB: 5,
-			NumIndexes: 1, Reorganize: reorg}
-		name := map[bool]string{false: "no-reorg", true: "reorg"}[reorg]
-		b.Run(name, func(b *testing.B) { runCase(b, cfg, bench.BulkSortMerge) })
-	}
-}
-
-// BenchmarkBDELMethods — the ⋈̸ method choice (sort/merge vs hash vs
-// hash+range-partition; hash probes by RID — the "primary predicate"
-// decision of §2.1) across memory budgets.
-func BenchmarkBDELMethods(b *testing.B) {
-	for _, mb := range []float64{2, 10} {
-		name := map[float64]string{2: "2MB", 10: "10MB"}[mb]
-		cfg := bench.Config{Rows: benchRows, Fraction: 0.15, MemoryMB: mb, NumIndexes: 3}
-		for _, row := range []struct {
-			name string
-			ap   bench.Approach
-		}{
-			{"sort-merge", bench.BulkSortMerge},
-			{"hash-by-rid", bench.BulkHash},
-			{"hash-partition", bench.BulkPartition},
-			{"auto", bench.BulkAuto},
-		} {
-			b.Run(row.name+"/"+name, func(b *testing.B) { runCase(b, cfg, row.ap) })
-		}
-	}
-}
-
-// BenchmarkDeletePolicy — free-at-empty (the paper's choice, after Johnson
-// & Shasha) vs merge-at-half for the traditional delete.
-func BenchmarkDeletePolicy(b *testing.B) {
-	for _, row := range []struct {
-		name   string
-		policy btree.Policy
-	}{
-		{"free-at-empty", btree.FreeAtEmpty},
-		{"merge-at-half", btree.MergeAtHalf},
-	} {
-		cfg := bench.Config{Rows: benchRows, Fraction: 0.15, MemoryMB: 5,
-			NumIndexes: 1, Policy: row.policy}
-		b.Run(row.name, func(b *testing.B) { runCase(b, cfg, bench.SortedTrad) })
-	}
-}
-
-// BenchmarkChainedIO — the chained-I/O width the paper's prototype uses to
-// "read chunks of several pages from disk".
-func BenchmarkChainedIO(b *testing.B) {
-	for _, ra := range []int{1, 8, 32} {
-		cfg := bench.Config{Rows: benchRows, Fraction: 0.15, MemoryMB: 5,
-			NumIndexes: 1, ReadAhead: ra}
-		name := map[int]string{1: "1-page", 8: "8-pages", 32: "32-pages"}[ra]
-		b.Run(name, func(b *testing.B) { runCase(b, cfg, bench.BulkSortMerge) })
-	}
-}
-
-func pct(f float64) string {
-	switch f {
-	case 0.01:
-		return "1pct"
-	case 0.05:
-		return "5pct"
-	case 0.06:
-		return "6pct"
-	case 0.10:
-		return "10pct"
-	case 0.15:
-		return "15pct"
-	case 0.20:
-		return "20pct"
-	case 0.50:
-		return "50pct"
-	default:
-		return "pct"
-	}
-}
-
-func idx(n int) string {
-	return map[int]string{1: "1idx", 2: "2idx", 3: "3idx"}[n]
-}
-
-// BenchmarkBulkUpdate — the UPDATE extension the paper's introduction
-// sketches: vertical update vs a row-at-a-time loop, via the public API.
-func BenchmarkBulkUpdate(b *testing.B) {
-	build := func(b *testing.B) (*bulkdel.DB, *bulkdel.Table, []int64) {
-		b.Helper()
-		db, err := bulkdel.Open(bulkdel.Options{BufferBytes: 1 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl, err := db.CreateTable("emp", 2, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < benchRows; i++ {
-			if _, err := tbl.Insert(int64(i), int64(30000+i%50000)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := tbl.CreateIndex(bulkdel.IndexOptions{Name: "id", Field: 0, Unique: true}); err != nil {
-			b.Fatal(err)
-		}
-		if err := tbl.CreateIndex(bulkdel.IndexOptions{Name: "salary", Field: 1}); err != nil {
-			b.Fatal(err)
-		}
-		victims := make([]int64, benchRows/10)
-		for i := range victims {
-			victims[i] = int64(i * 7 % benchRows)
-		}
-		if err := db.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		return db, tbl, victims
-	}
-	b.Run("vertical", func(b *testing.B) {
-		var mins float64
-		for i := 0; i < b.N; i++ {
-			db, tbl, victims := build(b)
-			db.ResetDiskStats()
-			start := db.Clock()
-			res, err := tbl.BulkUpdate(0, victims, 1,
-				func(s int64) int64 { return s + 1000 }, bulkdel.BulkOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tbl.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			if res.Updated != int64(len(victims)) {
-				b.Fatalf("updated %d", res.Updated)
-			}
-			mins = (db.Clock() - start).Minutes()
-		}
-		b.ReportMetric(mins, "sim-min")
-	})
-	b.Run("row-at-a-time", func(b *testing.B) {
-		var mins float64
-		for i := 0; i < b.N; i++ {
-			db, tbl, victims := build(b)
-			db.ResetDiskStats()
-			start := db.Clock()
-			for _, v := range victims {
-				rows, err := tbl.Lookup(0, v)
-				if err != nil || len(rows) != 1 {
-					b.Fatalf("lookup %d: %v", v, err)
-				}
-				rids, err := tbl.LookupRIDs(0, v)
-				if err != nil || len(rids) != 1 {
-					b.Fatalf("rid %d: %v", v, err)
-				}
-				if err := tbl.DeleteRow(rids[0]); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tbl.Insert(rows[0][0], rows[0][1]+1000); err != nil {
+func BenchmarkExperiments(b *testing.B) {
+	for _, s := range bench.Specs {
+		b.Run(s.Name(), func(b *testing.B) {
+			var e bench.Experiment
+			for i := 0; i < b.N; i++ {
+				var err error
+				if e, err = (&bench.Runner{Rows: 20000, Seed: 1}).Run(s); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if err := tbl.Flush(); err != nil {
-				b.Fatal(err)
+			for _, ser := range e.Series {
+				for _, p := range ser.Points {
+					unit := strings.Join(strings.Fields(ser.Label+" @"+p.X+" sim-min"), "_")
+					b.ReportMetric(p.Result.Minutes, unit)
+				}
 			}
-			mins = (db.Clock() - start).Minutes()
-		}
-		b.ReportMetric(mins, "sim-min")
-	})
+		})
+	}
 }

@@ -259,19 +259,10 @@ func (v heapView) scan(fn func(rid RID, fields []int64) error) error {
 
 func (v heapView) close() { v.h.endSnapshotRead(v.s) }
 
-// target builds core's view of the table.
+// target builds core's view of the table, with the engine's hooks.
 func (h *heapBackend) target() *core.Target {
-	tgt := &core.Target{
-		Name: h.t.Name, Heap: h.t.Heap, Schema: h.t.Schema, Pool: h.tbl.db.pool,
-		Hooks: h.tbl.db.coreHooks,
-	}
-	for _, ix := range h.t.Idx {
-		tgt.Indexes = append(tgt.Indexes, core.IndexRef{
-			Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
-			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
-			Priority: ix.Def.Priority, Gate: ix.Gate, Latch: &ix.Latch,
-		})
-	}
+	tgt := h.t.Target()
+	tgt.Hooks = h.tbl.db.coreHooks
 	return tgt
 }
 

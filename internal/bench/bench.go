@@ -3,10 +3,12 @@
 // the evaluation (§4).
 //
 // Each run builds a fresh database (deterministic in the seed), executes
-// exactly one DELETE statement with one approach, and reports the simulated
+// exactly one statement with one approach, and reports the simulated
 // time the statement took — including the final write-back of dirty pages,
-// so every approach pays for the I/O it caused. The experiment functions
-// (Figure1, Experiment1..5) assemble the same series the paper plots.
+// so every approach pays for the I/O it caused. Specs declares every
+// experiment once — the paper's Figure 1, Figures 7–10, Table 1 and the
+// ablations — and Runner.Run measures one, assembling the series the paper
+// plots.
 //
 // Scaling: the paper's full configuration is 1,000,000 × 512 B tuples with
 // 2–10 MB of buffer memory. Runs at a smaller row count scale the memory
@@ -58,31 +60,34 @@ const (
 	// LSMReclaim issues the tombstone and then compacts the tree to the
 	// tombstone-free fixpoint — foreground plus full space reclamation.
 	LSMReclaim
+	// BulkUpdate updates attribute 1 of the victims (predicate on
+	// attribute 0) vertically: one heap pass, then a bulk delete and a bulk
+	// insert on each index over the updated attribute.
+	BulkUpdate
+	// RowUpdate updates the same rows one at a time: lookup, heap update,
+	// and an index delete plus insert per record.
+	RowUpdate
 )
 
+var approachNames = [...]string{
+	NotSortedTrad: "not sorted/trad",
+	SortedTrad:    "sorted/trad",
+	DropCreate:    "drop&create",
+	BulkSortMerge: "bulk delete",
+	BulkHash:      "bulk delete (hash)",
+	BulkPartition: "bulk delete (partitioned)",
+	BulkAuto:      "bulk delete (auto)",
+	LSMTombstone:  "lsm tombstone",
+	LSMReclaim:    "lsm tombstone+compact",
+	BulkUpdate:    "bulk update",
+	RowUpdate:     "row-at-a-time update",
+}
+
 func (a Approach) String() string {
-	switch a {
-	case NotSortedTrad:
-		return "not sorted/trad"
-	case SortedTrad:
-		return "sorted/trad"
-	case DropCreate:
-		return "drop&create"
-	case BulkSortMerge:
-		return "bulk delete"
-	case BulkHash:
-		return "bulk delete (hash)"
-	case BulkPartition:
-		return "bulk delete (partitioned)"
-	case BulkAuto:
-		return "bulk delete (auto)"
-	case LSMTombstone:
-		return "lsm tombstone"
-	case LSMReclaim:
-		return "lsm tombstone+compact"
-	default:
-		return fmt.Sprintf("Approach(%d)", int(a))
+	if a >= 0 && int(a) < len(approachNames) {
+		return approachNames[a]
 	}
+	return fmt.Sprintf("Approach(%d)", int(a))
 }
 
 // Config describes one benchmark case.
@@ -152,7 +157,7 @@ type Result struct {
 	Minutes float64
 	// Workers that executed the remaining-index passes (1 = serial).
 	Workers int
-	// Deleted records.
+	// Deleted records (updated ones for the update approaches).
 	Deleted int64
 	// Heights of the indexes before the delete (Experiment 3 reports it).
 	Heights []int
@@ -217,23 +222,13 @@ func (c Config) spec() workload.Spec {
 	return s
 }
 
-// Target converts a catalog table into core's execution view.
-func Target(tbl *table.Table) *core.Target {
-	tgt := &core.Target{Name: tbl.Name, Heap: tbl.Heap, Schema: tbl.Schema, Pool: tbl.Pool()}
-	for _, ix := range tbl.Idx {
-		tgt.Indexes = append(tgt.Indexes, core.IndexRef{
-			Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
-			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
-			Priority: ix.Def.Priority, Gate: ix.Gate,
-		})
-	}
-	return tgt
-}
-
 // Run executes one benchmark case with one approach on a fresh database.
 func Run(cfg Config, ap Approach) (Result, error) {
 	if cfg.Rows <= 0 {
 		return Result{}, fmt.Errorf("bench: rows must be positive")
+	}
+	if ap == LSMTombstone || ap == LSMReclaim {
+		return runLSM(cfg, ap)
 	}
 	mem := cfg.scaledMemory()
 	disk := sim.NewDisk(sim.DefaultCostModel())
@@ -292,28 +287,26 @@ func Run(cfg Config, ap Approach) (Result, error) {
 	res.Workers = 1
 	tr := obs.NewTrace("bench", fmt.Sprintf("%v rows=%d fraction=%g", ap, cfg.Rows, cfg.Fraction),
 		obs.Source{Disk: disk, Pool: pool})
+	method, bulk := map[Approach]core.Method{
+		BulkSortMerge: core.SortMerge,
+		BulkHash:      core.Hash,
+		BulkPartition: core.HashPartition,
+		BulkAuto:      core.Auto,
+	}[ap]
+	// The bulk deletes trace their own phases; every other approach runs
+	// as one statement span.
+	var stmt *obs.Span
+	if !bulk {
+		stmt = tr.Root().Child("statement", ap.String())
+	}
 	switch ap {
-	case NotSortedTrad:
-		sp := tr.Root().Child("statement", "record-at-a-time delete")
-		res.Deleted, err = tbl.TraditionalDelete(0, victims, false)
-		sp.Finish()
-	case SortedTrad:
-		sp := tr.Root().Child("statement", "record-at-a-time delete, sorted victims")
-		res.Deleted, err = tbl.TraditionalDelete(0, victims, true)
-		sp.Finish()
+	case NotSortedTrad, SortedTrad:
+		res.Deleted, err = tbl.TraditionalDelete(0, victims, ap == SortedTrad)
 	case DropCreate:
-		sp := tr.Root().Child("statement", "drop indexes, delete, rebuild")
 		res.Deleted, err = tbl.DropCreateDelete(0, victims, true)
-		sp.Finish()
 	case BulkSortMerge, BulkHash, BulkPartition, BulkAuto:
-		method := map[Approach]core.Method{
-			BulkSortMerge: core.SortMerge,
-			BulkHash:      core.Hash,
-			BulkPartition: core.HashPartition,
-			BulkAuto:      core.Auto,
-		}[ap]
 		var st *core.Stats
-		st, err = core.Execute(Target(tbl), 0, victims, core.Options{
+		st, err = core.Execute(tbl.Target(), 0, victims, core.Options{
 			Method: method, Memory: mem, Reorganize: cfg.Reorganize, Trace: tr,
 			Parallel: cfg.Parallel,
 		})
@@ -327,8 +320,19 @@ func Run(cfg Config, ap Approach) (Result, error) {
 				res.Workers = st.Workers
 			}
 		}
+	case BulkUpdate:
+		var st *core.UpdateStats
+		st, err = core.ExecuteUpdate(tbl.Target(), 0, victims, 1, bumped, core.Options{Memory: mem})
+		if st != nil {
+			res.Deleted = st.Updated
+		}
+	case RowUpdate:
+		res.Deleted, err = rowUpdate(tbl, victims)
 	default:
 		return Result{}, fmt.Errorf("bench: unknown approach %v", ap)
+	}
+	if stmt != nil {
+		stmt.Finish()
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: %v: %w", ap, err)
@@ -389,8 +393,7 @@ func (e Experiment) Format() string {
 	if len(e.Series) == 0 || len(e.Series[0].Points) == 0 {
 		return b.String()
 	}
-	label := e.XLabel
-	fmt.Fprintf(&b, "%-28s", label)
+	fmt.Fprintf(&b, "%-28s", e.XLabel)
 	for _, p := range e.Series[0].Points {
 		fmt.Fprintf(&b, "%12s", p.X)
 	}
@@ -477,57 +480,4 @@ func (e Experiment) JSON() ([]byte, error) {
 		out.Series = append(out.Series, sj)
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// Runner executes experiments at a given scale, reporting progress.
-type Runner struct {
-	// Rows scales every experiment (FullScaleRows = the paper's setup).
-	Rows int
-	// Seed for data generation.
-	Seed int64
-	// Devices, when > 1, runs every experiment on a simulated disk array
-	// of that width (configs that set their own width keep it).
-	Devices int
-	// Parallel caps the bulk deletes' index-pass workers (see Config).
-	Parallel int
-	// Progress, when non-nil, receives one line per completed run.
-	Progress func(string)
-}
-
-func (r *Runner) rows() int {
-	if r.Rows > 0 {
-		return r.Rows
-	}
-	return FullScaleRows
-}
-
-func (r *Runner) seed() int64 {
-	if r.Seed != 0 {
-		return r.Seed
-	}
-	return 1
-}
-
-func (r *Runner) report(format string, args ...any) {
-	if r.Progress != nil {
-		r.Progress(fmt.Sprintf(format, args...))
-	}
-}
-
-// runSeries measures one approach across a parameter sweep.
-func (r *Runner) runSeries(label string, ap Approach, cfgs []Config, xs []string) (Series, error) {
-	s := Series{Label: label}
-	for i, cfg := range cfgs {
-		if cfg.Devices == 0 && r.Devices > 1 {
-			cfg.Devices = r.Devices
-			cfg.Parallel = r.Parallel
-		}
-		res, err := Run(cfg, ap)
-		if err != nil {
-			return s, err
-		}
-		r.report("  %-28s %-10s %8.2f min  (deleted %d)", label, xs[i], res.Minutes, res.Deleted)
-		s.Points = append(s.Points, Point{X: xs[i], Result: res})
-	}
-	return s, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -22,10 +23,7 @@ func TestAllApproachesVerify(t *testing.T) {
 	fraction := 0.15
 	for _, n := range []int{1, 3} {
 		cfg := Config{Rows: testRows, Fraction: fraction, MemoryMB: 5, NumIndexes: n, Seed: 1}
-		for _, ap := range []Approach{
-			NotSortedTrad, SortedTrad, DropCreate,
-			BulkSortMerge, BulkHash, BulkPartition, BulkAuto,
-		} {
+		for ap := NotSortedTrad; ap <= RowUpdate; ap++ {
 			res := run(t, cfg, ap)
 			want := int64(float64(testRows)*fraction + 0.5)
 			if res.Deleted != want {
@@ -198,46 +196,87 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestExperimentFunctions runs every spec verified at half the test scale:
+// each curve is measured at every point, every run checks its database and
+// victim count, the row's claim holds, and each point's BENCH JSON names
+// the approach its curve ran.
 func TestExperimentFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	r := &Runner{Rows: 10000, Seed: 1}
-	for _, fn := range []struct {
-		name string
-		f    func() (Experiment, error)
-	}{
-		{"fig1", r.Figure1},
-		{"exp1", r.Experiment1},
-		{"exp2", r.Experiment2},
-		{"exp3", r.Experiment3},
-		{"exp4", r.Experiment4},
-		{"exp5", r.Experiment5},
-		{"reorg", r.ReorgAblation},
-		{"methods", r.MethodAblation},
-		{"update", r.UpdateAblation},
-	} {
-		e, err := fn.f()
+	r := &Runner{Rows: 10000, Seed: 1, verify: true}
+	for _, s := range Specs {
+		e, err := r.Run(s)
 		if err != nil {
-			t.Fatalf("%s: %v", fn.name, err)
+			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if len(e.Series) < 2 {
-			t.Fatalf("%s: only %d series", fn.name, len(e.Series))
+		if len(e.Series) != len(s.Curves) || len(e.Series) < 2 {
+			t.Fatalf("%s: %d series", s.Name(), len(e.Series))
 		}
 		out := e.Format()
 		if !strings.Contains(out, e.ID) {
-			t.Fatalf("%s: format lacks the experiment id:\n%s", fn.name, out)
+			t.Fatalf("%s: format lacks the experiment id:\n%s", s.Name(), out)
 		}
-		for _, s := range e.Series {
-			if len(s.Points) != len(e.Series[0].Points) {
-				t.Fatalf("%s: ragged series", fn.name)
+		raw, err := e.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ej experimentJSON
+		if err := json.Unmarshal(raw, &ej); err != nil {
+			t.Fatal(err)
+		}
+		for i, sj := range ej.Series {
+			if len(sj.Points) != len(s.Axis) {
+				t.Fatalf("%s: %s has %d points, want %d", s.Name(), sj.Label, len(sj.Points), len(s.Axis))
 			}
-			for _, p := range s.Points {
-				if p.Result.SimTime <= 0 {
-					t.Fatalf("%s: empty measurement at %s/%s", fn.name, s.Label, p.X)
+			for j, p := range sj.Points {
+				if p.SimUS <= 0 {
+					t.Fatalf("%s: empty measurement at %s/%s", s.Name(), sj.Label, p.X)
+				}
+				if want := s.Curves[i].Approach.String(); p.Approach != want {
+					t.Errorf("%s: %s at %s reports approach %q, want %q", s.Name(), sj.Label, p.X, p.Approach, want)
+				}
+				if p.X != e.Series[0].Points[j].X {
+					t.Fatalf("%s: ragged series", s.Name())
 				}
 			}
 		}
+	}
+}
+
+// TestRunnerArrayReachesEveryCurve: a runner's array reaches the update
+// and LSM curves too, and the LSM table's SSTables sit on its data devices.
+func TestRunnerArrayReachesEveryCurve(t *testing.T) {
+	r := &Runner{Rows: 4000, Seed: 1, Devices: 2, Parallel: 2}
+	for _, s := range Specs {
+		if s.Name() != "update" && s.Name() != "lsm" {
+			continue
+		}
+		e, err := r.Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		for _, ser := range e.Series {
+			for _, p := range ser.Points {
+				if p.Result.Config.Devices != 2 {
+					t.Fatalf("%s: %s at %s ran on %d devices, want 2", s.Name(), ser.Label, p.X, p.Result.Config.Devices)
+				}
+			}
+		}
+	}
+	db, _, err := loadLSM(Config{Rows: 4000, MemoryMB: 5, Seed: 1, Devices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, _ := db.WALFile()
+	lay := db.Layout()
+	for _, f := range lay[0].ByFile {
+		if f.File != 0 && f.File != wal { // file 0 is the catalog
+			t.Fatalf("file %d of the LSM table on the system device: %+v", f.File, lay)
+		}
+	}
+	if lay[1].Files+lay[2].Files == 0 {
+		t.Fatalf("no SSTable on the data devices: %+v", lay)
 	}
 }
 
@@ -261,7 +300,7 @@ func TestScaledMemoryFloor(t *testing.T) {
 }
 
 func TestApproachStrings(t *testing.T) {
-	for ap := NotSortedTrad; ap <= BulkAuto; ap++ {
+	for ap := NotSortedTrad; ap <= RowUpdate; ap++ {
 		if ap.String() == "" {
 			t.Fatalf("approach %d has empty string", ap)
 		}
@@ -274,19 +313,38 @@ func TestApproachStrings(t *testing.T) {
 // TestUpdateAblationShape: the vertical update must beat the row-at-a-time
 // loop clearly, and both must leave a consistent database.
 func TestUpdateAblationShape(t *testing.T) {
-	cfg := Config{Rows: testRows, Fraction: 0.10, MemoryMB: 5, NumIndexes: 2, Seed: 1, Verify: true}
-	vert, err := runUpdate(cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowwise, err := runUpdate(cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Rows: testRows, Fraction: 0.10, MemoryMB: 5, NumIndexes: 2, Seed: 1}
+	vert, rowwise := run(t, cfg, BulkUpdate), run(t, cfg, RowUpdate)
 	if vert.Deleted != rowwise.Deleted {
 		t.Fatalf("update counts differ: %d vs %d", vert.Deleted, rowwise.Deleted)
 	}
 	if vert.SimTime*2 > rowwise.SimTime {
 		t.Fatalf("vertical update should win clearly: %v vs %v", vert.SimTime, rowwise.SimTime)
+	}
+}
+
+// TestCheckHeapScaleFindsPointsByLabel: the heapscale claim compares the
+// serial point labelled 1 with the parallel point labelled 4 wherever they
+// sit on the axis, and fails when either is missing.
+func TestCheckHeapScaleFindsPointsByLabel(t *testing.T) {
+	mk := func(xs []string, ms ...time.Duration) Series {
+		var s Series
+		for i, x := range xs {
+			s.Points = append(s.Points, Point{X: x, Result: Result{Makespan: ms[i]}})
+		}
+		return s
+	}
+	xs := []string{"8", "4", "2", "1"}
+	e := Experiment{Series: []Series{mk(xs, 1, 1, 1, 100), mk(xs, 1, 30, 1, 1)}}
+	if err := checkHeapScale(e); err != nil {
+		t.Fatalf("3.3x speedup rejected: %v", err)
+	}
+	e.Series[1].Points[1].Result.Makespan = 50
+	if err := checkHeapScale(e); err == nil {
+		t.Fatal("2x speedup accepted")
+	}
+	e = Experiment{Series: []Series{mk(xs[:3], 1, 1, 1), mk(xs[:3], 1, 1, 1)}}
+	if err := checkHeapScale(e); err == nil {
+		t.Fatal("missing single-device point accepted")
 	}
 }

@@ -2,48 +2,28 @@ package bench
 
 import "testing"
 
-// TestLSMHeadToHeadShape verifies the head-to-head's core claims at 1/4
-// of the usual test scale (the LSM side loads through the public API):
-// the tombstone statement's I/O is identical across selectivities, and
-// the ⋈̸-over-B-trees side grows with the deleted fraction.
+// TestLSMHeadToHeadShape runs the lsm spec verified at 1/4 of the usual
+// test scale (the LSM side loads through the public API): every run checks
+// its database and the rows it deleted, and Run asserts the row's check —
+// tombstone I/O identical across selectivities, the ⋈̸-over-B-trees side
+// growing with the deleted fraction. Reclaiming also costs more than the
+// bare tombstone.
 func TestLSMHeadToHeadShape(t *testing.T) {
-	rows := testRows / 4
-	mk := func(f float64) Config {
-		return Config{Rows: rows, Fraction: f, MemoryMB: 5, NumIndexes: 3,
-			Seed: 1, ContiguousVictims: true, Verify: true}
-	}
-	var tombIOs []uint64
-	for _, f := range []float64{0.05, 0.20, 0.50} {
-		res, err := runLSM(mk(f), false)
-		if err != nil {
-			t.Fatalf("tombstone at %g: %v", f, err)
-		}
-		if want := int64(float64(rows) * f); res.Deleted != want {
-			t.Fatalf("tombstone at %g deleted %d, want %d", f, res.Deleted, want)
-		}
-		tombIOs = append(tombIOs, res.Disk.Reads+res.Disk.Writes)
-
-		rec, err := runLSM(mk(f), true)
-		if err != nil {
-			t.Fatalf("reclaim at %g: %v", f, err)
-		}
-		if rec.SimTime <= res.SimTime {
-			t.Fatalf("reclaim at %g not slower than the bare tombstone (%v vs %v)",
-				f, rec.SimTime, res.SimTime)
+	var spec Spec
+	for _, s := range Specs {
+		if s.Name() == "lsm" {
+			spec = s
 		}
 	}
-	for i, ios := range tombIOs {
-		if ios != tombIOs[0] {
-			t.Fatalf("tombstone I/O varies with selectivity: %v", tombIOs)
-		}
-		if ios > 8 {
-			t.Fatalf("tombstone statement %d cost %d I/Os, want O(1)", i, ios)
-		}
+	e, err := (&Runner{Rows: testRows / 4, Seed: 1, verify: true}).Run(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lo := run(t, mk(0.05), BulkSortMerge)
-	hi := run(t, mk(0.50), BulkSortMerge)
-	if hi.SimTime <= lo.SimTime {
-		t.Fatalf("B-tree side did not grow with selectivity: %v at 5%%, %v at 50%%",
-			lo.SimTime, hi.SimTime)
+	tomb, reclaim := e.Series[1].Points, e.Series[2].Points
+	for i := range tomb {
+		if reclaim[i].Result.SimTime <= tomb[i].Result.SimTime {
+			t.Fatalf("reclaim at %s not slower than the bare tombstone (%v vs %v)",
+				tomb[i].X, reclaim[i].Result.SimTime, tomb[i].Result.SimTime)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"bulkdel/internal/btree"
 	"bulkdel/internal/buffer"
 	"bulkdel/internal/cc"
+	"bulkdel/internal/core"
 	"bulkdel/internal/heap"
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/record"
@@ -138,6 +139,20 @@ func newTable(pool *buffer.Pool, name string, schema record.Schema, h heap.Store
 
 // Pool returns the table's buffer pool.
 func (t *Table) Pool() *buffer.Pool { return t.pool }
+
+// Target builds the bulk-delete executor's view of the table: its heap,
+// schema and pool, and every index with its gate and latch.
+func (t *Table) Target() *core.Target {
+	tgt := &core.Target{Name: t.Name, Heap: t.Heap, Schema: t.Schema, Pool: t.pool}
+	for _, ix := range t.Idx {
+		tgt.Indexes = append(tgt.Indexes, core.IndexRef{
+			Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
+			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
+			Priority: ix.Def.Priority, Gate: ix.Gate, Latch: &ix.Latch,
+		})
+	}
+	return tgt
+}
 
 // ReattachForRecovery rebuilds a Table around an already-opened heap store
 // during crash recovery; the caller attaches the reopened indexes to Idx.
