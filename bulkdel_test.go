@@ -385,8 +385,8 @@ func TestSideFileReplayReportsAFailedOp(t *testing.T) {
 		{Kind: cc.OpInsert, Key: ix.EncodeKey(1), RID: record.RID{Page: 7, Slot: 3}},
 		{Kind: cc.OpInsert, Key: ix.EncodeKey(2), RID: record.RID{Page: 7, Slot: 4}},
 	} {
-		if queued, err := ix.Gate.AppendIfOffline(op); !queued || err != nil {
-			t.Fatalf("append %v: queued=%v err=%v", op, queued, err)
+		if err := ix.Gate.SideFile().Append(op); err != nil {
+			t.Fatalf("append %v: %v", op, err)
 		}
 	}
 	n, err := drainSideFile(ix)

@@ -10,20 +10,20 @@ import (
 //
 // Findings: the window is NOT the hypothesized tombstone-write vs
 // concurrent index-add lost update — side-file appends are atomic
-// (Gate.AppendIfOffline), inserts use fresh keys, and a quiesced side-file
+// (Gate.Update), inserts use fresh keys, and a quiesced side-file
 // rejects appends instead of dropping them. The real window is a torn leaf
 // read: a B-link leaf insert shifts entries right (insertAt) before
 // writing the new entry (setLeafEntry), so between the two steps the
 // displaced entry exists at both positions. Lookups run under a shared
 // table lock only (they don't take updMu), so a reader scanning the same
 // leaf during an insert could observe the displaced key twice — a
-// unique-index lookup returning 2 rows. The fix is the per-index
-// reader/writer latch (table.Index.Latch): updaters hold it exclusively
-// across each online tree mutation, index reads hold it shared.
+// unique-index lookup returning 2 rows. The fix is the index's gate
+// (cc.Gate): an updater holds it exclusively across each online tree
+// mutation, index reads enter it as readers.
 //
 // The test parks an insert inside the window via the btree mid-insert test
 // hook and issues a unique-index lookup for the displaced key. With the
-// latch the lookup blocks until the insert completes and sees exactly one
+// gate the lookup blocks until the insert completes and sees exactly one
 // row; without it, it deterministically saw two.
 func TestLookupInsertInterleaving(t *testing.T) {
 	db, err := Open(Options{})
@@ -62,7 +62,7 @@ func TestLookupInsertInterleaving(t *testing.T) {
 	<-inWindow
 
 	// The lookup for the displaced key must not see it twice. With the
-	// latch it blocks behind the parked insert; give it time to be
+	// gate it blocks behind the parked insert; give it time to be
 	// genuinely concurrent before releasing the window.
 	type lookupRes struct {
 		rows [][]int64
@@ -76,13 +76,13 @@ func TestLookupInsertInterleaving(t *testing.T) {
 	select {
 	case res := <-lookDone:
 		// Lookup finished while the insert was parked mid-leaf: the
-		// latch is not being honored.
+		// gate is not being honored.
 		if res.err == nil && len(res.rows) != 1 {
 			t.Fatalf("unlatched lookup during insert window: %d rows for unique key 10", len(res.rows))
 		}
-		t.Fatalf("lookup completed inside the insert window (latch not held), rows=%v err=%v", res.rows, res.err)
+		t.Fatalf("lookup completed inside the insert window (gate not held), rows=%v err=%v", res.rows, res.err)
 	case <-time.After(100 * time.Millisecond):
-		// Blocked on the latch, as required.
+		// Blocked on the gate, as required.
 	}
 	close(release)
 	if err := <-insDone; err != nil {

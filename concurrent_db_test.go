@@ -176,9 +176,12 @@ func TestConcurrentFKOppositeOrderNoDeadlock(t *testing.T) {
 // release, its non-unique secondary index passes keep rebuilding trees
 // offline, and a Check admitted by the released table lock must wait on the
 // index gate before it scans the tree. (Lookups do not: they run on a
-// snapshot, which BeginDelete sends to the heap while a pass is in flight.)
+// snapshot, which a refused try-read sends to the heap while a pass is in
+// flight.)
 // The test stages the window directly: it takes a secondary gate offline and
-// asserts Check did not return before the gate came back online.
+// asserts Check did not return before the gate came back online, and that an
+// insert beside the waiting Check still went to the side-file (Check takes
+// updMu only once the gates are online).
 func TestCheckWaitsForOfflineIndex(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -207,12 +210,28 @@ func TestCheckWaitsForOfflineIndex(t *testing.T) {
 	// correctly waited on the gate must observe it as true.
 	var reopened atomic.Bool
 	ix.Gate.TakeOffline()
+	checked := make(chan error, 1)
+	go func() { checked <- tbl.Check() }()
+	time.Sleep(20 * time.Millisecond)
+	inserted := make(chan error, 1)
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		reopened.Store(true)
-		ix.Gate.BringOnline()
+		_, err := tbl.Insert(50, 150, 1)
+		inserted <- err
 	}()
-	if err := tbl.Check(); err != nil {
+	select {
+	case err := <-inserted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an insert queued behind a Check waiting for an offline index")
+	}
+	if _, err := drainSideFile(ix); err != nil {
+		t.Fatal(err)
+	}
+	reopened.Store(true)
+	ix.Gate.BringOnline()
+	if err := <-checked; err != nil {
 		t.Fatal(err)
 	}
 	if !reopened.Load() {

@@ -12,7 +12,7 @@ import (
 // child's index leaf chain while the child table is only share-locked, so
 // the child's own online inserts run concurrently. A leaf insert shifts
 // entries and then writes the new one — mid-shift the leaf is torn — so the
-// probe must serialize against it on the index latch. This test parks a
+// probe must serialize against it through the index gate. This test parks a
 // child insert inside exactly that window (btree.Hooks.MidInsert)
 // and asserts the parent's bulk delete blocks on the probe until the insert
 // lands, then sees it and restricts.
@@ -48,7 +48,7 @@ func TestRestrictProbeWaitsForChildInsert(t *testing.T) {
 	}
 
 	// Park the next child insert between the leaf's entry shift and the new
-	// entry's write. The inserter holds the index latch across the window.
+	// entry's write. The inserter holds the index gate across the window.
 	ix := heapOf(child).FindIndex("fk")
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
@@ -99,7 +99,7 @@ func TestRestrictProbeWaitsForChildInsert(t *testing.T) {
 // RESTRICT child race the child's own insert/delete churn. Every delete
 // must either restrict cleanly or remove exactly its victims; the trees
 // stay consistent throughout. Run with -race (the mvcc CI job does): a
-// probe reading a leaf without the latch is a data race against the
+// probe reading a leaf outside the gate is a data race against the
 // inserter before it is ever a wrong answer.
 func TestRestrictProbeUnderChildChurn(t *testing.T) {
 	db, err := Open(Options{})

@@ -46,11 +46,14 @@ func (h *heapBackend) count() int64 { return h.t.Heap.Count() }
 
 func (h *heapBackend) flush() error { return h.t.Flush() }
 
-// check additionally waits for every index gate: a previous statement's
-// early-released index passes must finish before the trees can be scanned
-// (or judged).
+// check first waits out a previous statement's early-released index passes
+// (no new bulk delete can take a gate offline under the shared lock), then
+// holds updMu, so no insert or row delete is half applied while the heap and
+// trees are compared.
 func (h *heapBackend) check() error {
 	h.waitIndexesOnline()
+	h.tbl.updMu.Lock()
+	defer h.tbl.updMu.Unlock()
 	return h.t.CheckConsistency()
 }
 
@@ -409,11 +412,6 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 	// MVCC: open this level's retain token, and stamp its versions with one
 	// commit epoch exactly once — at §3.1 early release in concurrent mode
 	// (the statement's logical commit point), at level end otherwise.
-	// BeginDelete runs before any gate goes offline: it drains snapshot
-	// readers out of the index trees, then sends new ones to the
-	// visibility-filtered heap scan until EndDelete — which is deferred
-	// FIRST so it runs after the gate-cleanup defer below brings every tree
-	// back online.
 	mv := h.t.MVCC
 	token := mv.NewToken()
 	var commitOnce sync.Once
@@ -424,81 +422,89 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 		})
 	}
 	defer levelCommit()
-	mv.BeginDelete()
-	defer mv.EndDelete()
 
-	// Parallel passes invoke OnStructureDone from concurrent goroutines;
-	// the side-file replay below mutates res and sideErr, so serialize it.
-	// sideErr is the first failed replay: the statement returns it (in the
-	// gate cleanup below, the last thing to replay).
-	var sfMu sync.Mutex
+	// §3.1 index ownership: every gate goes offline before the executor's
+	// first pass changes a structure (TakeOffline waits out the readers and
+	// updaters inside) and comes back online, its side-file drained, once
+	// its pass is done. Until then the statement only reads, and snapshot
+	// readers keep the index arm.
+	// A pass done before the critical point — the access index, a unique
+	// index — reopens at it: the access pass removes the victims' entries
+	// before the heap pass retains their rows, so a snapshot reader let into
+	// that tree earlier would miss them.
+	//
+	// owned holds the gates this statement took offline and has not brought
+	// back yet. The cleanup must consult it, not Gate.State(): once every
+	// pass is done the next statement may acquire the lock, pass
+	// waitIndexesOnline, and take the gates offline again before our
+	// deferred cleanup runs — quiescing that statement's side-file and
+	// reopening its gates mid-pass would corrupt its trees. The executor
+	// never runs its callbacks concurrently, nor after Execute returns.
+	// sideErr is the first failed replay: the statement returns it.
 	var sideErr error
-	replay := func(ix *table.Index) {
+	owned := make(map[sim.FileID]*table.Index, len(h.t.Idx))
+	var early []*table.Index // passes done before the critical point
+	critical := false
+	reopen := func(ix *table.Index, why string) {
+		delete(owned, ix.Tree.ID())
 		n, rerr := drainSideFile(ix)
 		res.SideFileOps += n
 		if sideErr == nil {
 			sideErr = rerr
 		}
+		ix.Gate.BringOnline()
+		stmt.Event(obs.EvGateOnline, fmt.Sprintf("%s side-ops=%d%s", ix.Def.Name, n, why))
 	}
-
-	if opts.Concurrent {
-		byFile := make(map[sim.FileID]*table.Index, len(h.t.Idx))
-		// reopened tracks the gates this statement has already brought back
-		// online. The cleanup below must consult it, not Gate.State(): once
-		// every pass is done the next statement may acquire the lock, pass
-		// waitIndexesOnline, and take the gates offline again before our
-		// deferred cleanup runs — quiescing that statement's side-file and
-		// reopening its gates mid-pass would corrupt its trees.
-		reopened := make(map[sim.FileID]bool, len(h.t.Idx))
-		for _, ix := range h.t.Idx {
-			ix.Gate.TakeOffline()
-			stmt.Event(obs.EvGateOffline, ix.Def.Name)
-			byFile[ix.Tree.ID()] = ix
-		}
-		coreOpts.Undeletable = h.t.Undeletable
-		coreOpts.OnStructureDone = func(file sim.FileID) {
-			sfMu.Lock()
-			defer sfMu.Unlock()
-			ix, ok := byFile[file]
-			if !ok {
-				return // the heap: nothing to reopen
-			}
-			reopened[file] = true
-			before := res.SideFileOps
-			replay(ix)
-			ix.Gate.BringOnline()
-			stmt.Event(obs.EvGateOnline,
-				fmt.Sprintf("%s side-ops=%d", ix.Def.Name, res.SideFileOps-before))
-		}
-		coreOpts.OnCriticalDone = func() {
-			// Table and unique indexes durable: this is the statement's
-			// commit point. Stamp the retained versions before releasing
-			// the lock, so no reader starting after the release can still
-			// see the deleted rows (§3.1).
-			levelCommit()
-			if depth == 0 {
-				stmt.Event(obs.EvEarlyRelease, name)
-			}
-			unlock()
-		}
-		defer func() {
-			// Whatever happens, no gate WE took offline stays offline. Only
-			// not-yet-reopened gates are ours — an offline gate whose pass
-			// completed belongs to the next statement (see reopened above).
-			sfMu.Lock()
-			defer sfMu.Unlock()
+	var takeOnce sync.Once
+	takeGates := func() {
+		takeOnce.Do(func() {
 			for _, ix := range h.t.Idx {
-				if !reopened[ix.Tree.ID()] {
-					replay(ix)
-					ix.Gate.BringOnline()
-					stmt.Event(obs.EvGateOnline, ix.Def.Name+" (cleanup)")
-				}
+				ix.Gate.TakeOffline()
+				stmt.Event(obs.EvGateOffline, ix.Def.Name)
+				owned[ix.Tree.ID()] = ix
 			}
-			if err == nil && sideErr != nil {
-				out, err = nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", name, sideErr)
-			}
-		}()
+		})
 	}
+	coreOpts.OnPassesStart = takeGates
+	coreOpts.OnStructureDone = func(file sim.FileID) {
+		if ix, ok := owned[file]; ok && critical {
+			reopen(ix, "")
+		} else if ok {
+			early = append(early, ix)
+		}
+	}
+	coreOpts.OnCriticalDone = func() {
+		critical = true
+		for _, ix := range early {
+			reopen(ix, "")
+		}
+		if !opts.Concurrent {
+			return
+		}
+		// Table and unique indexes durable: this is the statement's commit
+		// point. Stamp the retained versions before releasing the lock, so
+		// no reader starting after the release can still see the deleted
+		// rows (§3.1).
+		levelCommit()
+		if depth == 0 {
+			stmt.Event(obs.EvEarlyRelease, name)
+		}
+		unlock()
+	}
+	if opts.Concurrent {
+		coreOpts.Undeletable = h.t.Undeletable
+	}
+	defer func() {
+		// Whatever happens, no gate WE took offline stays offline.
+		for _, ix := range h.t.Idx {
+			if owned[ix.Tree.ID()] != nil {
+				reopen(ix, " (cleanup)")
+			}
+		}
+		if err == nil && sideErr != nil {
+			out, err = nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", name, sideErr)
+		}
+	}()
 
 	tgt := h.target()
 	h.retainTarget(tgt, token)
@@ -514,7 +520,9 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 			// side-files and reopens the gates on the now-final trees —
 			// the same epilogue as the success path. The replay retains
 			// under this level's token, so the deferred levelCommit stamps
-			// its versions too.
+			// its versions too. A cancel before the first pass took no gate
+			// yet; the replay changes structures, so it takes them here.
+			takeGates()
 			if aerr := h.abortToConsistency(stmt, opts.Ctx, coreOpts.TxID, field, token); aerr != nil {
 				return nil, fmt.Errorf("bulkdel: bulk delete on %s: abort-to-consistency failed: %v (statement error: %w)",
 					name, aerr, err)
@@ -532,10 +540,7 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 	res.Partitions = st.Partitions
 	res.Elapsed = st.Elapsed
 	res.Makespan = st.Makespan
-	res.Workers = st.Workers
-	if res.Workers == 0 {
-		res.Workers = 1
-	}
+	res.Workers = max(st.Workers, 1)
 	res.PlanText = st.PlanText
 	res.stats = st
 	return res, nil
@@ -593,7 +598,7 @@ func drainSideFile(ix *table.Index) (n int, err error) {
 	apply := func(ops []cc.Op) {
 		for _, op := range ops {
 			n++
-			if e := applySideOp(ix, op); e != nil && err == nil {
+			if e := table.ApplyOp(ix.Tree, op); e != nil && err == nil {
 				err = fmt.Errorf("side-file replay into %s: %w", ix.Def.Name, e)
 			}
 		}
@@ -603,18 +608,6 @@ func drainSideFile(ix *table.Index) (n int, err error) {
 	}
 	apply(sf.Quiesce())
 	return n, err
-}
-
-// applySideOp replays one deferred index operation.
-func applySideOp(ix *table.Index, op cc.Op) error {
-	if op.Kind == cc.OpInsert {
-		return ix.Tree.Insert(op.Key, op.RID)
-	}
-	err := ix.Tree.Delete(op.Key, op.RID)
-	if err == btree.ErrNotFound {
-		return nil // already removed by the bulk delete
-	}
-	return err
 }
 
 // structural opens a statement holding the table's Structural claim — the

@@ -13,14 +13,14 @@ import (
 // at two positions and a Search on its key returns it twice.
 //
 // The test is skipped on purpose: Tree is documented as not safe for
-// concurrent use, and the fix lives one layer up — table.Index.Latch
+// concurrent use, and the fix lives one layer up — the index's cc.Gate
 // serializes online tree mutations against index reads (regression test:
 // TestLookupInsertInterleaving at the repo root). This repro stays as the
 // executable record of what the window actually is, and would start
 // failing (and should then be deleted) if the tree ever became internally
 // latched.
 func TestTornLeafInsertWindow(t *testing.T) {
-	t.Skip("documents the torn-leaf window; fixed one layer up by table.Index.Latch")
+	t.Skip("documents the torn-leaf window; fixed one layer up by the index's cc.Gate")
 
 	p := testPool(64)
 	tr, err := Create(p, 8, true)

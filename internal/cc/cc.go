@@ -410,12 +410,17 @@ func ProcessingOrder(indexes []IndexInfo) []int {
 	return order
 }
 
-// Gate tracks one index's availability. It is safe for concurrent use.
+// Gate is the one owner of an index tree (§3.1). Online, it admits readers
+// and one updater at a time, never both; offline, the bulk pass owns the
+// tree and updaters queue in the side-file. It is safe for concurrent use.
 type Gate struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	state IndexState
-	side  *SideFile
+	mu       sync.Mutex
+	cond     *sync.Cond
+	state    IndexState
+	side     *SideFile
+	readers  int  // readers inside the tree
+	writing  bool // an updater inside the tree
+	writersW int  // updaters waiting to enter; holds new readers back
 }
 
 // NewGate returns an online gate with an empty side-file.
@@ -435,15 +440,18 @@ func (g *Gate) State() IndexState {
 // SideFile returns the gate's side-file.
 func (g *Gate) SideFile() *SideFile { return g.side }
 
-// TakeOffline switches the index offline for bulk processing.
+// TakeOffline switches the index offline for bulk processing, then waits
+// until every reader and updater inside the tree has left: from its return
+// the caller owns the tree.
 func (g *Gate) TakeOffline() {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.state = Offline
-	g.mu.Unlock()
+	g.wait(func() bool { return g.readers == 0 && !g.writing })
 }
 
 // BringOnline switches the index back online, reopens its side-file, and
-// wakes updaters blocked in WaitOnline.
+// wakes everyone waiting for it.
 func (g *Gate) BringOnline() {
 	g.mu.Lock()
 	g.state = Online
@@ -452,26 +460,75 @@ func (g *Gate) BringOnline() {
 	g.mu.Unlock()
 }
 
-// AppendIfOffline queues op in the side-file iff the index is offline,
-// atomically with the state check. queued=false means the index is online
-// and the caller must apply the op directly. Without the atomicity an
-// updater that saw the index offline could append after BringOnline has
-// reopened the side-file, leaving an op nobody will ever drain.
-func (g *Gate) AppendIfOffline(op Op) (queued bool, err error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.state == Online {
-		return false, nil
-	}
-	return true, g.side.Append(op)
-}
-
-// WaitOnline blocks until the index is online. An updater that hits a
-// quiesced side-file waits here, then applies its change directly.
+// WaitOnline blocks until the index is online.
 func (g *Gate) WaitOnline() {
 	g.mu.Lock()
-	for g.state != Online {
+	g.wait(func() bool { return g.state == Online })
+	g.mu.Unlock()
+}
+
+// TryRead enters the tree as a reader if the index is online, waiting out
+// an updater's one mutation, and reports whether it did. A snapshot reader
+// refused here reads the heap instead. ExitRead retires a true result.
+func (g *Gate) TryRead() bool { return g.enterRead(false) }
+
+// Read enters the tree as a reader, waiting for the index to come online.
+// ExitRead retires it.
+func (g *Gate) Read() { g.enterRead(true) }
+
+func (g *Gate) enterRead(wait bool) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.wait(func() bool {
+		return (g.state == Offline && !wait) || (g.state == Online && !g.writing && g.writersW == 0)
+	})
+	if g.state == Offline {
+		return false
+	}
+	g.readers++
+	return true
+}
+
+// ExitRead leaves the tree after TryRead or Read.
+func (g *Gate) ExitRead() {
+	g.mu.Lock()
+	g.readers--
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// Update is an updater's one index mutation. Offline, op is queued in the
+// side-file — the state check and the append are one step, so an op can
+// never land in a side-file BringOnline has already reopened. Otherwise
+// apply runs with the gate held exclusively: online, or once the index is
+// back online when the side-file is quiesced (the bulk pass is replaying
+// its final batch). direct applies op to an offline tree at once instead
+// (direct propagation, §3.1.2), still excluding any reader a BringOnline
+// lets in meanwhile.
+func (g *Gate) Update(op Op, direct bool, apply func() error) error {
+	g.mu.Lock()
+	if g.state == Offline && !direct {
+		if err := g.side.Append(op); err != ErrQuiesced {
+			g.mu.Unlock()
+			return err
+		}
+	}
+	g.writersW++
+	g.wait(func() bool { return (g.state == Online || direct) && !g.writing && g.readers == 0 })
+	g.writersW--
+	g.writing = true
+	g.mu.Unlock()
+	err := apply()
+	g.mu.Lock()
+	g.writing = false
+	g.cond.Broadcast()
+	g.mu.Unlock()
+	return err
+}
+
+// wait blocks until ok holds; g.mu is held. It is the gate's one wait.
+func (g *Gate) wait(ok func() bool) {
+	for !ok() {
 		g.cond.Wait()
 	}
-	g.mu.Unlock()
 }

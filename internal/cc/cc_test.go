@@ -391,3 +391,129 @@ func TestGateWaitOnline(t *testing.T) {
 	// Waiting on an online gate returns immediately.
 	g.WaitOnline()
 }
+
+// returnsWithin reports whether done closes within d.
+func returnsWithin(done <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// TestGateTakeOfflineWaitsForReaders: TakeOffline returns only once the
+// reader inside the tree has left; while offline a try-read is refused and
+// BringOnline admits it again.
+func TestGateTakeOfflineWaitsForReaders(t *testing.T) {
+	g := NewGate()
+	if !g.TryRead() {
+		t.Fatal("read refused on an online gate")
+	}
+	offline := make(chan struct{})
+	go func() {
+		g.TakeOffline()
+		close(offline)
+	}()
+	if returnsWithin(offline, 50*time.Millisecond) {
+		t.Fatal("TakeOffline returned over a reader inside the tree")
+	}
+	if g.State() != Offline {
+		t.Fatal("TakeOffline did not mark the gate offline before waiting")
+	}
+	g.ExitRead()
+	if !returnsWithin(offline, 2*time.Second) {
+		t.Fatal("TakeOffline never returned after the reader left")
+	}
+	if g.TryRead() {
+		t.Fatal("try-read admitted while offline")
+	}
+	g.BringOnline()
+	if !g.TryRead() {
+		t.Fatal("try-read refused after BringOnline")
+	}
+	g.ExitRead()
+}
+
+// TestGateUpdate pins what updaters rely on: online, the op is applied with
+// the gate held; offline, it is queued in the side-file in the same step as
+// the state check; with the side-file quiesced the updater waits for the
+// index to come online and applies the op then; direct propagation applies
+// to an offline tree at once.
+func TestGateUpdate(t *testing.T) {
+	g := NewGate()
+	applied := 0
+	apply := func() error { applied++; return nil }
+	if err := g.Update(Op{Kind: OpDelete, Key: []byte{1}, RID: rid(1)}, false, apply); err != nil || applied != 1 {
+		t.Fatalf("online gate: err=%v applied=%d, want nil,1", err, applied)
+	}
+	g.TakeOffline()
+	if err := g.Update(Op{Kind: OpDelete, Key: []byte{2}, RID: rid(2)}, false, apply); err != nil || applied != 1 {
+		t.Fatalf("offline gate: err=%v applied=%d, want nil,1", err, applied)
+	}
+	if ops := g.SideFile().Quiesce(); len(ops) != 1 || ops[0].RID != rid(2) {
+		t.Fatalf("side-file holds %v, want the one queued op", ops)
+	}
+	done := make(chan struct{})
+	go func() {
+		if err := g.Update(Op{Kind: OpDelete, Key: []byte{3}, RID: rid(3)}, false, apply); err != nil {
+			t.Error(err)
+		}
+		close(done)
+	}()
+	if returnsWithin(done, 50*time.Millisecond) {
+		t.Fatal("update returned while the side-file is quiesced and the index offline")
+	}
+	g.BringOnline()
+	if !returnsWithin(done, 2*time.Second) || applied != 2 {
+		t.Fatalf("quiesced update: applied=%d after BringOnline, want 2", applied)
+	}
+	g.TakeOffline()
+	if err := g.Update(Op{Kind: OpInsert, Key: []byte{4}, RID: rid(4)}, true, apply); err != nil || applied != 3 {
+		t.Fatalf("direct update: err=%v applied=%d, want nil,3", err, applied)
+	}
+	if g.SideFile().Len() != 0 {
+		t.Fatal("direct update queued in the side-file")
+	}
+}
+
+// TestGateUpdaterExcludesReaders: a reader waits out an online updater's
+// mutation, and Read (unlike TryRead) waits for an offline index.
+func TestGateUpdaterExcludesReaders(t *testing.T) {
+	g := NewGate()
+	inside, release := make(chan struct{}), make(chan struct{})
+	go g.Update(Op{Kind: OpInsert, Key: []byte{1}, RID: rid(1)}, false, func() error {
+		close(inside)
+		<-release
+		return nil
+	})
+	<-inside
+	read := make(chan struct{})
+	go func() {
+		if g.TryRead() {
+			g.ExitRead()
+		}
+		close(read)
+	}()
+	if returnsWithin(read, 50*time.Millisecond) {
+		t.Fatal("reader entered the tree beside an updater")
+	}
+	close(release)
+	if !returnsWithin(read, 2*time.Second) {
+		t.Fatal("reader never entered after the updater left")
+	}
+	g.TakeOffline()
+	read = make(chan struct{})
+	go func() {
+		g.Read()
+		g.ExitRead()
+		close(read)
+	}()
+	if returnsWithin(read, 50*time.Millisecond) {
+		t.Fatal("Read entered an offline tree")
+	}
+	g.BringOnline()
+	if !returnsWithin(read, 2*time.Second) {
+		t.Fatal("Read never entered after BringOnline")
+	}
+}

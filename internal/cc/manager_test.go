@@ -208,31 +208,3 @@ func TestManagerOnWait(t *testing.T) {
 		t.Fatalf("waits = %v, want q:1", waits)
 	}
 }
-
-// TestAppendIfOffline pins the atomicity contract updaters rely on: the
-// state check and the side-file append are one step, and a quiesced
-// side-file is reported distinctly so the updater can wait and apply
-// directly.
-func TestAppendIfOffline(t *testing.T) {
-	g := NewGate()
-	if queued, err := g.AppendIfOffline(Op{Kind: OpDelete, Key: []byte{1}, RID: rid(1)}); queued || err != nil {
-		t.Fatalf("online gate: queued=%v err=%v, want false,nil", queued, err)
-	}
-	g.TakeOffline()
-	if queued, err := g.AppendIfOffline(Op{Kind: OpDelete, Key: []byte{2}, RID: rid(2)}); !queued || err != nil {
-		t.Fatalf("offline gate: queued=%v err=%v, want true,nil", queued, err)
-	}
-	ops := g.SideFile().Quiesce()
-	if len(ops) != 1 || ops[0].RID != rid(2) {
-		t.Fatalf("side-file holds %v, want the one queued op", ops)
-	}
-	// Quiesced but still offline: queued with ErrQuiesced tells the
-	// updater to WaitOnline and apply directly.
-	if queued, err := g.AppendIfOffline(Op{Kind: OpDelete, Key: []byte{3}, RID: rid(3)}); !queued || err != ErrQuiesced {
-		t.Fatalf("quiesced gate: queued=%v err=%v, want true,ErrQuiesced", queued, err)
-	}
-	g.BringOnline()
-	if queued, err := g.AppendIfOffline(Op{Kind: OpDelete, Key: []byte{4}, RID: rid(4)}); queued || err != nil {
-		t.Fatalf("reopened gate: queued=%v err=%v, want false,nil", queued, err)
-	}
-}

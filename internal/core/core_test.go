@@ -17,6 +17,7 @@ import (
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
+	"bulkdel/internal/wal"
 )
 
 var testSchema = record.Schema{NumFields: 3, Size: 64}
@@ -457,6 +458,45 @@ func TestPlannerChoosesSensibly(t *testing.T) {
 		t.Fatal("stats must report the resolved method")
 	}
 	verifyTarget(t, tgt, set, 20000)
+}
+
+// TestOnPassesStartPrecedesEveryChange: the hook fires once, after the
+// logged statement's read-only prework and before its first pass changes a
+// structure — the access pass, or the heap pass when no index covers the
+// field.
+func TestOnPassesStartPrecedesEveryChange(t *testing.T) {
+	for _, field := range []int{0, 2} { // no index on field 2
+		t.Run(fmt.Sprintf("field=%d", field), func(t *testing.T) {
+			pool := testPool(2048)
+			tgt := makeTarget(t, pool, 3000, []int{0, 1}, []bool{true, false})
+			victims := []int64{5, 17, 40}
+			if field == 0 {
+				victims, _ = pickVictims(3000, 300, 7)
+			}
+			starts, done := 0, 0
+			_, err := Execute(tgt, field, victims, Options{
+				Method: SortMerge, Log: wal.Create(pool.Disk()), TxID: 7,
+				OnPassesStart: func() {
+					starts++
+					if done > 0 || tgt.Heap.Count() != 3000 {
+						t.Errorf("hook after a change: %d structures done, %d rows", done, tgt.Heap.Count())
+					}
+					for _, ix := range tgt.Indexes {
+						if n := ix.Tree.Count(); n != 3000 {
+							t.Errorf("hook after a change: %s holds %d entries", ix.Name, n)
+						}
+					}
+				},
+				OnStructureDone: func(sim.FileID) { done++ },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if starts != 1 || done != 3 || tgt.Heap.Count() == 3000 {
+				t.Fatalf("hook fired %d times, %d structures done, %d rows left", starts, done, tgt.Heap.Count())
+			}
+		})
+	}
 }
 
 // TestOnStructureDoneAndCriticalHooks: the callbacks mutate unsynchronized

@@ -241,6 +241,9 @@ func (e *execCtx) structDone(file sim.FileID, flush func() error) error {
 	if e.opts.OnStructureDone != nil {
 		e.opts.OnStructureDone(file)
 	}
+	if hook := e.tgt.Hooks.StructDone; hook != nil {
+		hook(file)
+	}
 	if err := e.maybeCrashStruct(); err != nil {
 		return err
 	}
@@ -544,17 +547,6 @@ func heapDeleteByRIDProbe(e *execCtx, ridSet map[record.RID]struct{}) (int64, er
 
 // errFoundMatch stops a read-only probe as soon as one match appears.
 var errFoundMatch = fmt.Errorf("core: match found")
-
-// waitOnline blocks a read-only probe until the index is back online. A
-// previous statement's §3.1 early release admits readers while its
-// non-unique index passes are still rebuilding the trees offline; traversing
-// such a tree mid-pass is a data race. Updaters route through the side-file
-// instead; read probes have no side-file, so they wait for the gate.
-func waitOnline(ix *IndexRef) {
-	if ix != nil && ix.Gate != nil {
-		ix.Gate.WaitOnline()
-	}
-}
 
 // AnyKeyMatch reports whether the index holds an entry for any of the
 // victim values — a read-only vertical probe (sorted victims merged with

@@ -420,19 +420,20 @@ func indexDeletePartitioned(e *execCtx, ix *IndexRef, lists []*rowFile) (deleted
 
 // probeKeys is the read-only ⋈̸ by key: the victim values, sorted, merged
 // with ix's leaf chain, every matching entry's RID handed to emit. The walk
-// waits for the index to come back online and holds its latch shared — it
-// may run while the index's table is at most share-locked, and the latch
-// keeps concurrent row inserts from splitting leaves under the cursor (the
-// FK-probe race audit test).
+// enters the tree through its gate, waiting for a bulk pass that still owns
+// it: the probe may run while the index's table is at most share-locked, and
+// the gate keeps concurrent row inserts from splitting leaves under the
+// cursor (the FK-probe race audit test).
 func probeKeys(e *execCtx, ix *IndexRef, values []int64, emit func(record.RID) error) error {
-	waitOnline(ix)
 	it, err := sortedVictims(e, values)
 	if err != nil {
 		return err
 	}
 	defer it.Close()
-	ix.RLock()
-	defer ix.RUnlock()
+	if ix.Gate != nil {
+		ix.Gate.Read()
+		defer ix.Gate.ExitRead()
+	}
 	_, err = e.indexJoin(ix, it.Next, true, false, emit)
 	return err
 }

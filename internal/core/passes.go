@@ -99,6 +99,10 @@ func (j *passJob) run(ce *execCtx) (deleted int64, parts int, err error) {
 // order-independent CPU clock, so per-job costs stay deterministic (see
 // the internal/sched package comment).
 func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
+	if cb := e.opts.OnPassesStart; cb != nil {
+		e.opts.OnPassesStart = nil
+		cb()
+	}
 	disk, pool, stats := e.disk(), e.tgt.Pool, e.stats
 	var live []*passJob
 	for i := range jobs {

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"bulkdel/internal/btree"
@@ -67,7 +66,9 @@ func (m Method) String() string {
 	}
 }
 
-// IndexRef is core's view of one index of the target table.
+// IndexRef is core's view of one index of the target table. Gate, when
+// set, owns the tree: a read-only probe enters it as a reader
+// (probeKeys); the bulk passes run while the engine holds it offline.
 type IndexRef struct {
 	Name      string
 	Tree      *btree.Tree
@@ -76,26 +77,6 @@ type IndexRef struct {
 	Clustered bool
 	Priority  int
 	Gate      *cc.Gate
-	// Latch, when set, is the index's reader/updater latch. Cascade probes
-	// and merge walks over a *child* table's index run while that table is
-	// only share-locked, so concurrent row inserts mutate the tree under
-	// them; such walks take the latch shared. Bulk passes over the target's
-	// own indexes never take it (the gate protocol excludes other writers).
-	Latch *sync.RWMutex
-}
-
-// RLock takes the index latch shared, if the ref carries one.
-func (ix *IndexRef) RLock() {
-	if ix.Latch != nil {
-		ix.Latch.RLock()
-	}
-}
-
-// RUnlock releases RLock.
-func (ix *IndexRef) RUnlock() {
-	if ix.Latch != nil {
-		ix.Latch.RUnlock()
-	}
 }
 
 // Target is core's view of the table a bulk delete operates on. Heap is
@@ -137,6 +118,10 @@ type Hooks struct {
 	// heap pass: the partition's pages are already released, the statement's
 	// commit epoch is not yet stamped.
 	PostTruncate func()
+	// StructDone runs once a structure's pass is complete, on the pass's
+	// goroutine, after the engine's OnStructureDone callback has reopened
+	// what it owns.
+	StructDone func(file sim.FileID)
 }
 
 // HeapFiles returns the file IDs of the heap's partitions in ordinal order
@@ -203,6 +188,11 @@ type Options struct {
 	// worker budget and never co-occupy a device. Nil keeps the
 	// single-statement behavior.
 	Sched *sched.Pool
+	// OnPassesStart is invoked once, before the first pass that changes a
+	// structure; what precedes it (materializing and sorting the victims,
+	// the read-only collect) only reads the table. The engine takes its
+	// index gates offline here.
+	OnPassesStart func()
 	// OnStructureDone is invoked after each structure (heap or index) is
 	// fully processed — the hook where the engine applies side-files and
 	// brings index gates back online. From passes running in parallel it

@@ -253,22 +253,26 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 	return rid, nil
 }
 
-// Get returns a copy of the record at rid.
+// Get returns a copy of the record at rid; ErrNoRecord if it holds none.
 func (f *File) Get(rid record.RID) ([]byte, error) {
 	f.latch.RLock()
 	defer f.latch.RUnlock()
 	fr, err := f.pool.Get(f.id, rid.Page)
 	if err != nil {
+		// The latch keeps a truncate out, so the size is the one the read saw.
+		if n, nerr := f.NumPages(); nerr == nil && rid.Page >= n {
+			return nil, fmt.Errorf("heap: %s past the end of the file: %w", rid, ErrNoRecord)
+		}
 		return nil, err
 	}
 	defer f.pool.Unpin(fr, false)
 	sp := page.Wrap(fr.Data())
 	if sp.Type() != PageTypeData {
-		return nil, fmt.Errorf("heap: page %d is not a data page", rid.Page)
+		return nil, fmt.Errorf("heap: page %d is not a data page: %w", rid.Page, ErrNoRecord)
 	}
 	rec, err := sp.Get(int(rid.Slot))
 	if err != nil {
-		return nil, fmt.Errorf("heap: %s: %w", rid, err)
+		return nil, fmt.Errorf("heap: %s: %v: %w", rid, err, ErrNoRecord)
 	}
 	out := make([]byte, len(rec))
 	copy(out, rec)

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -494,4 +495,46 @@ func TestEditorInPlaceMutationDurability(t *testing.T) {
 	ed2, _ := f.EditPages()
 	ed2.MarkDirty()
 	ed2.Close()
+}
+
+// TestGetReportsNoRecord: Get of a dead slot, of a page past the end and of
+// a truncated page is ErrNoRecord; a read the disk fails is not.
+func TestGetReportsNoRecord(t *testing.T) {
+	p := testPool(16)
+	f, err := Create(p, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := f.Insert(rec(100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := f.Insert(rec(100, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Delete(r1); err != nil {
+		t.Fatal(err)
+	}
+	past := record.RID{Page: r2.Page + 5}
+	for _, rid := range []record.RID{r1, past} {
+		if _, err := f.Get(rid); !errors.Is(err, ErrNoRecord) {
+			t.Fatalf("Get(%s) = %v, want ErrNoRecord", rid, err)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p.Invalidate(f.ID())
+	p.Disk().SetFaultPlan(sim.NewFaultPlan().CrashAtIO(1))
+	if _, err := f.Get(r2); !sim.IsCrash(err) || errors.Is(err, ErrNoRecord) {
+		t.Fatalf("Get on a failed disk = %v, want the crash alone", err)
+	}
+	p.Disk().SetFaultPlan(nil)
+	if err := f.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Get(r2); !errors.Is(err, ErrNoRecord) {
+		t.Fatalf("Get after Truncate = %v, want ErrNoRecord", err)
+	}
 }

@@ -60,6 +60,11 @@ func SplitPage(p sim.PageNo) (int, sim.PageNo) {
 // sentinel.
 var ErrPageRange = errors.New("page outside data pages")
 
+// ErrNoRecord reports a Get of a RID that holds no record: a dead or
+// never-used slot, or a page a truncate released. Any other Get error is a
+// failed read, not an answer.
+var ErrNoRecord = errors.New("no record at RID")
+
 // Editor is the page-at-a-time bulk-edit interface over a Store: Seek pins
 // one data page (reading it, on a miss, in one run with the pages through
 // upTo), DeleteSlot/MarkDirty mutate it, the next Seek (or Close) unpins it.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -390,4 +391,30 @@ func TestGaugeSetMax(t *testing.T) {
 	if got := g.Value(); got != 64 {
 		t.Fatalf("concurrent SetMax peak = %d, want 64", got)
 	}
+}
+
+// TestFinishedTraceReleasesItsDisk: a finished trace kept alive no longer
+// reaches the disk (and pool) it measured, so a retained result does not pin
+// its whole simulated database.
+func TestFinishedTraceReleasesItsDisk(t *testing.T) {
+	collected := make(chan struct{})
+	tr := func() *Trace {
+		disk := sim.NewDisk(sim.DefaultCostModel())
+		runtime.SetFinalizer(disk, func(*sim.Disk) { close(collected) })
+		tr := NewTrace("stmt", "", Source{Disk: disk, Pool: buffer.New(disk, 4*sim.PageSize)})
+		tr.Root().Child("phase", "").Finish()
+		tr.Finish()
+		return tr
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(tr)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(tr)
+	t.Fatal("a finished trace still reaches its disk")
 }

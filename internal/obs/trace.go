@@ -40,7 +40,9 @@ func (t *Trace) Root() *Span {
 	return t.root
 }
 
-// Finish closes the root span (and any still-open descendants).
+// Finish closes the root span (and any still-open descendants) and drops
+// the counter source: a kept finished trace holds its spans, not the disk
+// and pool it measured.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
@@ -48,6 +50,7 @@ func (t *Trace) Finish() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.root.finishLocked(t.src.Capture())
+	t.src = Source{}
 }
 
 // Span is one node of the trace tree.

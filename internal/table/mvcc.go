@@ -27,11 +27,13 @@
 package table
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"sync"
 
 	"bulkdel/internal/cc"
+	"bulkdel/internal/heap"
 	"bulkdel/internal/record"
 )
 
@@ -49,7 +51,6 @@ type MVCC struct {
 	Clock *cc.EpochClock
 
 	mu       sync.Mutex
-	cond     *sync.Cond
 	versions map[record.RID][]version
 	births   map[record.RID]uint64
 	pending  map[uint64][]record.RID // retain token → rids retained under it
@@ -57,28 +58,16 @@ type MVCC struct {
 	retained int64 // lifetime retained-version count, for metrics
 	liveByte int64 // bytes held by currently retained versions
 
-	// Reader/bulk-pass coordination over the index trees: bulk passes
-	// mutate trees latch-free (the gate protocol excludes gate-respecting
-	// readers), so a snapshot reader may walk a tree only while no bulk
-	// delete is in flight on the table. inflight counts statements between
-	// BeginDelete and EndDelete; ireaders counts readers inside an index
-	// walk. BeginDelete waits for ireaders to drain before the statement
-	// may take gates offline; TryEnterIndexRead fails (sending the reader
-	// to the visibility-filtered heap scan) while inflight > 0.
-	ireaders int
-	inflight int
 }
 
 // NewMVCC returns empty snapshot state bound to a clock.
 func NewMVCC(clock *cc.EpochClock) *MVCC {
-	m := &MVCC{
+	return &MVCC{
 		Clock:    clock,
 		versions: make(map[record.RID][]version),
 		births:   make(map[record.RID]uint64),
 		pending:  make(map[uint64][]record.RID),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 // RecordBirth stamps a freshly inserted row with the current epoch. The
@@ -283,81 +272,30 @@ func (m *MVCC) Reset() {
 	m.mu.Unlock()
 }
 
-// BeginDelete marks a bulk delete in flight and waits for index readers to
-// drain. Must be called before the statement takes any gate offline; from
-// then until EndDelete, snapshot readers fall back to the heap scan.
-func (m *MVCC) BeginDelete() {
-	m.mu.Lock()
-	m.inflight++
-	for m.ireaders > 0 {
-		m.cond.Wait()
-	}
-	m.mu.Unlock()
-}
-
-// EndDelete retires BeginDelete. Deferred to the very end of the
-// statement — after every index pass and side-file drain, when all gates
-// are online again.
-func (m *MVCC) EndDelete() {
-	m.mu.Lock()
-	m.inflight--
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// TryEnterIndexRead admits a snapshot reader to the index trees unless a
-// bulk delete is in flight. The caller must ExitIndexRead after its tree
-// walk. While any reader is inside, BeginDelete blocks, so the invariant
-// "ireaders > 0 ⇒ every gate online and no bulk pass mutating a tree"
-// holds without the reader ever waiting on a gate.
-func (m *MVCC) TryEnterIndexRead() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.inflight > 0 {
-		return false
-	}
-	m.ireaders++
-	return true
-}
-
-// ExitIndexRead retires TryEnterIndexRead.
-func (m *MVCC) ExitIndexRead() {
-	m.mu.Lock()
-	m.ireaders--
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
 // ---- Snapshot read paths ----
 
 // SnapshotRow resolves one RID for snapshot s: the retained version if the
 // row was deleted after the snapshot, the physical row if its birth
-// predates it, nothing otherwise. Heap errors for vanished slots resolve
-// through the version store (retention runs before tombstoning, so a
-// visible row is always in one of the two places).
+// predates it, nothing otherwise. A slot that vanished resolves through the
+// version store (retention runs before tombstoning, so a visible row is
+// always in one of the two places); a failed read is returned.
 func (t *Table) SnapshotRow(rid record.RID, s uint64) ([]int64, bool, error) {
 	m := t.MVCC
-	if rec, ok := m.VisibleVersion(rid, s); ok {
-		row, err := t.Schema.Decode(rec)
-		return row, err == nil, err
-	}
-	rec, err := t.Heap.Get(rid)
-	if err != nil {
-		// The slot vanished (or was truncated) between the version check
-		// and the read; whatever this snapshot may see is a version now.
-		if rec2, ok := m.VisibleVersion(rid, s); ok {
-			row, derr := t.Schema.Decode(rec2)
-			return row, derr == nil, derr
+	rec, ok := m.VisibleVersion(rid, s)
+	if !ok {
+		var err error
+		if rec, err = t.Heap.Get(rid); err != nil && !errors.Is(err, heap.ErrNoRecord) {
+			return nil, false, err
 		}
-		return nil, false, nil
-	}
-	// Birth is checked after the read: if an insert reused the slot in
-	// between, the new birth postdates s and the stale bytes are rejected.
-	if !m.BirthVisible(rid, s) {
-		if rec2, ok := m.VisibleVersion(rid, s); ok {
-			row, derr := t.Schema.Decode(rec2)
-			return row, derr == nil, derr
+		// The slot vanished (or was truncated) between the version check and
+		// the read, or an insert reused it (birth is checked after the read,
+		// so the new birth postdates s): whatever this snapshot may see is a
+		// version now.
+		if ok = err == nil && m.BirthVisible(rid, s); !ok {
+			rec, ok = m.VisibleVersion(rid, s)
 		}
+	}
+	if !ok {
 		return nil, false, nil
 	}
 	row, err := t.Schema.Decode(rec)
@@ -368,10 +306,11 @@ func (t *Table) SnapshotRow(rid record.RID, s uint64) ([]int64, bool, error) {
 // point form) that snapshot s sees, as (rid, row). It is the one place a read
 // chooses between the table's index and its heap:
 //
-//   - the index arm, when an index covers the field and no bulk delete is in
-//     flight: search the tree, resolve each RID with SnapshotRow, then add the
-//     rows whose delete postdates the snapshot — their index entries are
-//     already gone, only the version store has them. Key order, then those.
+//   - the index arm, when an index covers the field and its gate admits the
+//     reader (no bulk pass owns the tree): search the tree, resolve each RID
+//     with SnapshotRow, then add the rows whose delete postdates the
+//     snapshot — their index entries are already gone, only the version
+//     store has them. Key order, then those.
 //   - the scan arm otherwise: SnapshotScan, filtered.
 //
 // usedIndex reports the arm. An emitted RID names the snapshot's image of
@@ -380,21 +319,17 @@ func (t *Table) SnapshotLookup(field int, lo, hi int64, s uint64, emit func(rid 
 	if lo > hi {
 		return true, nil
 	}
-	m := t.MVCC
+	in := func(row []int64) bool { return lo <= row[field] && row[field] <= hi }
 	ix := t.IndexOnField(field)
-	if ix == nil || !m.TryEnterIndexRead() {
+	if ix == nil || !ix.Gate.TryRead() {
 		return false, t.SnapshotScan(s, func(rid record.RID, row []int64) error {
-			if row[field] < lo || row[field] > hi {
+			if !in(row) {
 				return nil
 			}
 			return emit(rid, row)
 		})
 	}
-	// No gate wait: ireaders > 0 keeps every gate online (BeginDelete drains
-	// readers before any gate goes offline). The latch closes the torn-leaf
-	// window against concurrent online updaters.
 	var rids []record.RID
-	ix.Latch.RLock()
 	if lo == hi {
 		rids, err = ix.Tree.Search(ix.EncodeKey(lo))
 	} else {
@@ -409,8 +344,7 @@ func (t *Table) SnapshotLookup(field int, lo, hi int64, s uint64, emit func(rid 
 			return nil
 		})
 	}
-	ix.Latch.RUnlock()
-	m.ExitIndexRead()
+	ix.Gate.ExitRead()
 	if err != nil {
 		return true, err
 	}
@@ -421,13 +355,15 @@ func (t *Table) SnapshotLookup(field int, lo, hi int64, s uint64, emit func(rid 
 			return true, err
 		}
 		seen[rid] = true
-		if ok {
+		// A slot a deleted row left may already hold a new row with a key
+		// in range; the snapshot's image is the old row, checked here.
+		if ok && in(row) {
 			if err := emit(rid, row); err != nil {
 				return true, err
 			}
 		}
 	}
-	m.visibleDeleted(s, func(rid record.RID, rec []byte) {
+	t.MVCC.visibleDeleted(s, func(rid record.RID, rec []byte) {
 		if v := t.Schema.Field(rec, field); err != nil || seen[rid] || v < lo || v > hi {
 			return
 		}
@@ -452,14 +388,8 @@ func (t *Table) SnapshotScan(s uint64, fn func(rid record.RID, row []int64) erro
 		// retains before it tombstones, so every visible row is observed
 		// in at least one of its two homes; emitted dedupes the overlap.
 		if vrec, ok := m.VisibleVersion(rid, s); ok {
-			emitted[rid] = true
-			row, err := t.Schema.Decode(vrec)
-			if err != nil {
-				return err
-			}
-			return fn(rid, row)
-		}
-		if !m.BirthVisible(rid, s) {
+			rec = vrec
+		} else if !m.BirthVisible(rid, s) {
 			return nil
 		}
 		emitted[rid] = true

@@ -5,15 +5,15 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"bulkdel/internal/cc"
 	"bulkdel/internal/record"
+	"bulkdel/internal/sim"
 )
 
 // Unit tests for the volatile version store, exercised directly: retain →
-// commit/abort visibility, horizon-driven pruning, birth stamping, and the
-// index-reader/bulk-delete exclusion handshake. The integration behaviour
+// commit/abort visibility, horizon-driven pruning and birth stamping. The
+// integration behaviour
 // (full read paths during a parked delete) lives in the root package's
 // reads-during-delete smoke test.
 
@@ -115,43 +115,6 @@ func TestMVCCBirthFiltersYoungRows(t *testing.T) {
 	}
 }
 
-// The index trees are safe for snapshot readers only while no bulk delete
-// is mid-statement: BeginDelete drains readers before gates go offline,
-// and TryEnterIndexRead diverts late readers to the heap-scan fallback.
-func TestMVCCIndexReadersExcludeBulkDelete(t *testing.T) {
-	m := NewMVCC(cc.NewEpochClock())
-	if !m.TryEnterIndexRead() {
-		t.Fatal("index read refused on an idle table")
-	}
-	started := make(chan struct{})
-	entered := make(chan struct{})
-	go func() {
-		close(started)
-		m.BeginDelete()
-		close(entered)
-	}()
-	<-started
-	select {
-	case <-entered:
-		t.Fatal("BeginDelete proceeded over an open index reader")
-	case <-time.After(50 * time.Millisecond):
-	}
-	m.ExitIndexRead()
-	select {
-	case <-entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("BeginDelete never admitted after the reader drained")
-	}
-	if m.TryEnterIndexRead() {
-		t.Fatal("index read admitted while a bulk delete is in flight")
-	}
-	m.EndDelete()
-	if !m.TryEnterIndexRead() {
-		t.Fatal("index read refused after the delete retired")
-	}
-	m.ExitIndexRead()
-}
-
 func TestMVCCRetainedBytesAccounting(t *testing.T) {
 	clock := cc.NewEpochClock()
 	m := NewMVCC(clock)
@@ -219,8 +182,10 @@ func has(t *testing.T, tbl *Table, field int, v int64) bool {
 // TestSnapshotLookupArmsAgree: the index arm and the scan arm of the one read
 // function return the same rows under the same RIDs as a map model, for point
 // and range predicates, at a snapshot taken before a committed delete (the
-// victims live on as retained versions) and at one taken after it. Every
-// emitted RID resolves through SnapshotRow to the emitted row.
+// victims live on as retained versions) and at one taken after it and after
+// inserts that reuse victims' slots. Every emitted RID resolves through
+// SnapshotRow to the emitted row. The arm follows the field's gate: the
+// scan arm while it is offline, per field when only one gate is.
 func TestSnapshotLookupArmsAgree(t *testing.T) {
 	tbl := newTestTable(t, 300) // field0 = i (IA), field1 = 2i (IB), field2 = i%97 (no index)
 	clock := tbl.MVCC.Clock
@@ -244,11 +209,28 @@ func TestSnapshotLookupArmsAgree(t *testing.T) {
 			survivors[rid] = row
 		}
 	}
-	after := clock.Snapshot()
-	defer clock.Release(after)
 	if tbl.MVCC.LiveVersions() != 20 {
 		t.Fatalf("%d versions retained, want the 20 victims", tbl.MVCC.LiveVersions())
 	}
+	// Refill until two new rows sit in victims' slots: their index entries
+	// name RIDs whose image at `before` is the deleted row.
+	reused := 0
+	for v := int64(1000); reused < 2; v++ {
+		if v == 1400 {
+			t.Fatal("no insert reused a victim's slot")
+		}
+		row := []int64{v, 2 * v, v % 97}
+		rid, err := tbl.Insert(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := model[rid]; ok {
+			reused++
+		}
+		survivors[rid] = row
+	}
+	after := clock.Snapshot()
+	defer clock.Release(after)
 
 	preds := []struct {
 		field  int
@@ -258,17 +240,20 @@ func TestSnapshotLookupArmsAgree(t *testing.T) {
 		{1, 246, 246}, {1, 247, 247}, {1, 90, 90}, // present, absent, victim
 		{2, 96, 96}, {2, 45, 45}, // unindexed: a scan on either arm
 		{0, 30, 70}, {0, 250, math.MaxInt64}, {0, math.MinInt64, 41}, {0, 70, 30},
-		{1, 80, 121}, {2, 10, 12},
+		{1, 80, 121}, {2, 10, 12}, {0, 1000, 1400}, {1, 2000, 2800},
 	}
 	snaps := []struct {
 		name string
 		s    uint64
 		want map[record.RID][]int64
 	}{{"before", before, model}, {"after", after, survivors}}
-	for _, forceScan := range []bool{false, true} {
-		if forceScan {
-			tbl.MVCC.BeginDelete() // as while a bulk delete is in flight
-			defer tbl.MVCC.EndDelete()
+	ia, ib := tbl.FindIndex("IA"), tbl.FindIndex("IB")
+	for _, arm := range []struct {
+		name    string
+		offline []*Index
+	}{{"index", nil}, {"scan", []*Index{ia, ib}}, {"mixed", []*Index{ia}}} {
+		for _, ix := range arm.offline {
+			ix.Gate.TakeOffline() // as while a bulk pass owns the tree
 		}
 		for _, sn := range snaps {
 			for _, p := range preds {
@@ -279,11 +264,13 @@ func TestSnapshotLookupArmsAgree(t *testing.T) {
 					}
 				}
 				got, usedIndex := lookupAt(t, tbl, p.field, p.lo, p.hi, sn.s)
-				name := fmt.Sprintf("scan=%v %s field %d in [%d, %d]", forceScan, sn.name, p.field, p.lo, p.hi)
+				name := fmt.Sprintf("%s arm, %s, field %d in [%d, %d]", arm.name, sn.name, p.field, p.lo, p.hi)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: %d rows, model has %d:\n got %v\nwant %v", name, len(got), len(want), got, want)
 				}
-				if wantIndex := p.lo > p.hi || (!forceScan && p.field != 2); usedIndex != wantIndex {
+				ix := tbl.IndexOnField(p.field)
+				online := ix != nil && ix.Gate.State() == cc.Online
+				if wantIndex := p.lo > p.hi || online; usedIndex != wantIndex {
 					t.Errorf("%s: usedIndex = %v, want %v", name, usedIndex, wantIndex)
 				}
 				for rid, row := range got {
@@ -293,5 +280,37 @@ func TestSnapshotLookupArmsAgree(t *testing.T) {
 				}
 			}
 		}
+		for _, ix := range arm.offline {
+			ix.Gate.BringOnline()
+		}
+	}
+}
+
+// TestSnapshotRowReturnsReadErrors: a slot that holds no record resolves
+// through the version store, but a heap read that fails — here the power —
+// is the caller's error, not a row that is gone.
+func TestSnapshotRowReturnsReadErrors(t *testing.T) {
+	tbl := newTestTable(t, 50)
+	rids := make(map[int64]record.RID)
+	if err := tbl.Heap.Scan(func(rid record.RID, rec []byte) error {
+		rids[tbl.Schema.Field(rec, 0)] = rid
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.DeleteRow(rids[7]); err != nil {
+		t.Fatal(err)
+	}
+	s := tbl.MVCC.Clock.Current()
+	if row, ok, err := tbl.SnapshotRow(rids[7], s); err != nil || ok {
+		t.Fatalf("deleted row at a later snapshot = %v, %v, %v; want nothing", row, ok, err)
+	}
+	if err := tbl.Heap.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tbl.pool.Invalidate(tbl.Heap.ID())
+	tbl.pool.Disk().SetFaultPlan(sim.NewFaultPlan().CrashAtIO(1))
+	if row, ok, err := tbl.SnapshotRow(rids[8], s); !sim.IsCrash(err) {
+		t.Fatalf("read on a failed disk = %v, %v, %v; want the crash", row, ok, err)
 	}
 }

@@ -14,7 +14,6 @@ package table
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/buffer"
@@ -50,21 +49,12 @@ type IndexDef struct {
 	Priority int
 }
 
-// Index is one secondary or primary access path.
+// Index is one secondary or primary access path. Gate owns Tree: readers,
+// updaters and the bulk pass enter only through it.
 type Index struct {
 	Def  IndexDef
 	Tree *btree.Tree
 	Gate *cc.Gate
-	// Latch serializes online tree mutations against point/range reads
-	// that run under a shared table lock. A B-link leaf insert shifts
-	// entries before writing the new one, so an unlatched reader scanning
-	// the same leaf can transiently see the displaced entry twice — a
-	// duplicate row from a unique-index lookup (the ROADMAP churn issue).
-	// Updaters (applyOpToTree) take it exclusively; index readers take it
-	// shared. Bulk-delete passes never take it: they mutate trees only
-	// while the gate protocol (offline gates + the exclusive table lock)
-	// excludes gate-respecting readers.
-	Latch sync.RWMutex
 }
 
 // EncodeKey encodes an attribute value for this index's key width.
@@ -141,14 +131,14 @@ func newTable(pool *buffer.Pool, name string, schema record.Schema, h heap.Store
 func (t *Table) Pool() *buffer.Pool { return t.pool }
 
 // Target builds the bulk-delete executor's view of the table: its heap,
-// schema and pool, and every index with its gate and latch.
+// schema and pool, and every index with its gate.
 func (t *Table) Target() *core.Target {
 	tgt := &core.Target{Name: t.Name, Heap: t.Heap, Schema: t.Schema, Pool: t.pool}
 	for _, ix := range t.Idx {
 		tgt.Indexes = append(tgt.Indexes, core.IndexRef{
 			Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
 			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
-			Priority: ix.Def.Priority, Gate: ix.Gate, Latch: &ix.Latch,
+			Priority: ix.Def.Priority, Gate: ix.Gate,
 		})
 	}
 	return tgt
@@ -231,48 +221,27 @@ func (t *Table) insert(fields []int64, direct bool) (record.RID, error) {
 	return rid, nil
 }
 
-// applyIndexOp routes one index maintenance operation according to the
-// index's gate state. direct selects direct propagation over the side-file.
+// applyIndexOp routes one index maintenance operation through the index's
+// gate (cc.Gate.Update). direct selects direct propagation over the
+// side-file: an insert into an offline index is then marked undeletable
+// before it is installed.
 func (t *Table) applyIndexOp(ix *Index, op cc.Op, direct bool) error {
-	if ix.Gate == nil {
-		return t.applyOpToTree(ix, op)
+	if direct && op.Kind == cc.OpInsert && ix.Gate.State() == cc.Offline {
+		t.Undeletable.Mark(op.Key, op.RID)
 	}
-	if direct {
-		if ix.Gate.State() == cc.Offline && op.Kind == cc.OpInsert {
-			t.Undeletable.Mark(op.Key, op.RID)
-		}
-		return t.applyOpToTree(ix, op)
-	}
-	// The state check and the append must be one atomic step: checking
-	// State() first and appending after would let the bulk pass quiesce,
-	// apply the final batch, and reopen the side-file in between — the
-	// appended op would sit in the reopened side-file forever.
-	queued, err := ix.Gate.AppendIfOffline(op)
-	if !queued {
-		return t.applyOpToTree(ix, op)
-	}
-	if err == cc.ErrQuiesced {
-		// The bulk deleter is applying the final batch; wait for the
-		// index to come online and update it directly.
-		ix.Gate.WaitOnline()
-		return t.applyOpToTree(ix, op)
-	}
-	return err
+	return ix.Gate.Update(op, direct, func() error { return ApplyOp(ix.Tree, op) })
 }
 
-func (t *Table) applyOpToTree(ix *Index, op cc.Op) error {
-	ix.Latch.Lock()
-	defer ix.Latch.Unlock()
+// ApplyOp applies one index maintenance operation to tree. Deleting an
+// absent entry is a no-op: the bulk delete may have removed it already.
+func ApplyOp(tree *btree.Tree, op cc.Op) error {
 	if op.Kind == cc.OpInsert {
-		return ix.Tree.Insert(op.Key, op.RID)
+		return tree.Insert(op.Key, op.RID)
 	}
-	err := ix.Tree.Delete(op.Key, op.RID)
-	if err == btree.ErrNotFound {
-		// The bulk delete may have removed the entry already; a
-		// side-file delete of such an entry is a no-op.
-		return nil
+	if err := tree.Delete(op.Key, op.RID); err != btree.ErrNotFound {
+		return err
 	}
-	return err
+	return nil
 }
 
 // DeleteRow removes one row by RID, maintaining all indexes (side-file
@@ -450,18 +419,21 @@ func (t *Table) Flush() error {
 
 // CheckConsistency verifies that the heap and every index agree exactly:
 // each live record has one entry per index and no index holds extras. It is
-// the integration-test oracle after bulk deletes.
+// the integration-test oracle after bulk deletes. It reads each tree through
+// its gate, waiting for an index a bulk pass still owns; the caller keeps
+// updaters out of the heap.
 func (t *Table) CheckConsistency() error {
 	for _, ix := range t.Idx {
-		ix.Latch.RLock()
+		ix.Gate.Read()
 		err := ix.Tree.CheckInvariants()
-		ix.Latch.RUnlock()
+		n := ix.Tree.Count()
+		ix.Gate.ExitRead()
 		if err != nil {
 			return fmt.Errorf("table %s index %s: %w", t.Name, ix.Def.Name, err)
 		}
-		if ix.Tree.Count() != t.Heap.Count() {
+		if n != t.Heap.Count() {
 			return fmt.Errorf("table %s index %s: %d entries for %d records",
-				t.Name, ix.Def.Name, ix.Tree.Count(), t.Heap.Count())
+				t.Name, ix.Def.Name, n, t.Heap.Count())
 		}
 	}
 	// Collect heap contents once.
@@ -488,7 +460,7 @@ func (t *Table) CheckConsistency() error {
 			return want[a].rid.Less(want[b].rid)
 		})
 		j := 0
-		ix.Latch.RLock()
+		ix.Gate.Read()
 		err := ix.Tree.ScanAll(func(k []byte, rid record.RID) error {
 			if j >= len(want) {
 				return fmt.Errorf("index %s has extra entry %d/%s", ix.Def.Name, keyenc.Int64(k), rid)
@@ -500,7 +472,7 @@ func (t *Table) CheckConsistency() error {
 			j++
 			return nil
 		})
-		ix.Latch.RUnlock()
+		ix.Gate.ExitRead()
 		if err != nil {
 			return fmt.Errorf("table %s: %w", t.Name, err)
 		}

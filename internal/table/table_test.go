@@ -250,7 +250,7 @@ func TestSideFileFlow(t *testing.T) {
 	}
 	// Apply the side-file like the bulk deleter would.
 	for _, op := range ib.Gate.SideFile().Quiesce() {
-		if err := tbl.applyOpToTree(ib, op); err != nil {
+		if err := ApplyOp(ib.Tree, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func TestSideFileDeleteOfBulkDeletedEntryIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := cc.Op{Kind: cc.OpDelete, Key: ib.EncodeKey(84), RID: rids[0]}
-	if err := tbl.applyOpToTree(ib, op); err != nil {
+	if err := ApplyOp(ib.Tree, op); err != nil {
 		t.Fatalf("replaying delete of already-deleted entry: %v", err)
 	}
 }

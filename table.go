@@ -47,7 +47,7 @@ type Table struct {
 	// multi-table acquisition and the DML entry points contend on it.
 	lock *cc.TableLock
 	// updMu serializes updater DML (Insert/DeleteRow) against each
-	// other. It stands in for the fine-grained page latches a production
+	// other and against a heap Check. It stands in for the fine-grained page latches a production
 	// engine would take; the bulk deleter does not take it — during a
 	// concurrent bulk delete it only touches offline index trees, which
 	// updaters reach exclusively through their (thread-safe) side-files.
@@ -376,8 +376,8 @@ func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
 }
 
 // Check verifies every structural invariant of the backend (heap/index
-// agreement and the trees; the LSM levels and their manifest). Like the
-// other lock-based read entry points it takes the shared table lock.
+// agreement and the trees; the LSM levels and their manifest) under the
+// shared table lock.
 func (tbl *Table) Check() error {
 	tbl.lock.Lock(cc.Shared)
 	defer tbl.lock.Unlock(cc.Shared)
