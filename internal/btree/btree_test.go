@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -1230,4 +1231,52 @@ func TestRecomputeCountRepairsDrift(t *testing.T) {
 	if re2.Count() != 500 {
 		t.Fatalf("count after flush+reopen = %d, want 500", re2.Count())
 	}
+}
+
+// TestKeysSurviveFrameRecycling: the fence Locate returns and the keys
+// SeparatorSample returns stay intact while a second tree's inserts on a
+// 4-frame pool recycle the frames of the inner nodes they were read from.
+func TestKeysSurviveFrameRecycling(t *testing.T) {
+	p := testPool(4)
+	tr, err := Create(p, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := tr.Insert(intKey(int64(i)), ridFor(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, fence, err := tr.Locate(tr.fullKey(intKey(10), ridFor(10)))
+	if err != nil || fence == nil {
+		t.Fatalf("Locate: fence %x, err %v", fence, err)
+	}
+	seps, err := tr.SeparatorSample(4)
+	if err != nil || len(seps) == 0 {
+		t.Fatalf("SeparatorSample: %d keys, err %v", len(seps), err)
+	}
+	held := append([][]byte{fence}, seps...)
+	var want [][]byte
+	for _, k := range held {
+		want = append(want, bytes.Clone(k))
+	}
+	evictions := p.Stats().Evictions
+	other, err := Create(p, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := other.Insert(intKey(int64(-i)), ridFor(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Stats().Evictions-evictions < 4 {
+		t.Fatal("the storm did not cycle the pool")
+	}
+	for i := range held {
+		if !bytes.Equal(held[i], want[i]) {
+			t.Fatalf("key %d changed from %x to %x when its frame was recycled", i, want[i], held[i])
+		}
+	}
+	mustCheck(t, tr)
 }

@@ -20,11 +20,15 @@
 // device 2 cannot evict device 1's hot pages). With a single device there
 // is a single shard holding the whole budget, which is exactly the
 // original pool.
+//
+// A shard's frames are made on demand, up to its share of the budget, and
+// then recycled: an evicted or discarded frame, buffer included, goes on the
+// shard's free list and the next miss reuses it, so a warm pool allocates
+// nothing. The LRU list is linked through the frames themselves.
 package buffer
 
 import (
 	"cmp"
-	"container/list"
 	"fmt"
 	"math"
 	"slices"
@@ -40,15 +44,19 @@ const DefaultReadAhead = 32
 
 // Frame is a resident page. A Frame handed out by Get/NewPage is pinned;
 // the caller must Unpin it exactly once. The Data slice aliases pool
-// memory and must not be used after the unpin.
+// memory and must not be used after the unpin: the frame may by then hold
+// another page.
 type Frame struct {
 	file  sim.FileID
 	page  sim.PageNo
 	buf   []byte
 	pins  int
 	dirty atomic.Bool
-	elem  *list.Element // position in the LRU list when unpinned
-	sh    *shard        // owning shard (set at install)
+	// prev and next link the frame into its shard's LRU list while it is
+	// resident and unpinned (prev nil: not on the list); next also links
+	// the shard's free list.
+	prev, next *Frame
+	sh         *shard // owning shard
 }
 
 // File returns the file the frame caches.
@@ -89,16 +97,58 @@ func (s *Stats) add(o Stats) {
 }
 
 // shard is the per-device slice of the pool: one latch, one frame map, one
-// LRU list.
+// LRU list, one free list.
 type shard struct {
 	mu     sync.Mutex
 	frames map[frameKey]*Frame
-	lru    *list.List // of *Frame; front = most recently used
+	lru    Frame  // list head: lru.next is the most recently used frame, lru.prev the least
+	free   *Frame // frames holding no page, linked through next
 	stats  Stats
+
+	// Scratch reused under mu: an eviction sweep's dirty frames, a chained
+	// read's frames and their buffers.
+	sweep []*Frame
+	run   []*Frame
+	bufs  [][]byte
 }
 
 func newShard() *shard {
-	return &shard{frames: make(map[frameKey]*Frame), lru: list.New()}
+	s := &shard{frames: make(map[frameKey]*Frame)}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
+}
+
+// pushFront puts an unpinned frame at the most recently used end of the LRU
+// list. Caller holds the shard mutex.
+func (s *shard) pushFront(f *Frame) {
+	f.prev, f.next = &s.lru, s.lru.next
+	f.next.prev = f
+	s.lru.next = f
+}
+
+// unlink takes a frame off the LRU list. Caller holds the shard mutex.
+func (s *shard) unlink(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// take returns a frame holding no page: a recycled one, else a new one.
+// makeRoom has run first, so the shard never makes more frames than its
+// budget. Caller holds the shard mutex.
+func (s *shard) take() *Frame {
+	f := s.free
+	if f == nil {
+		return &Frame{buf: make([]byte, sim.PageSize), sh: s}
+	}
+	s.free, f.next = f.next, nil
+	return f
+}
+
+// release puts a frame that holds no page (off the map and the LRU list,
+// unpinned) on the free list. Caller holds the shard mutex.
+func (s *shard) release(f *Frame) {
+	f.dirty.Store(false)
+	f.next, s.free = s.free, f
 }
 
 // Pool is an LRU buffer pool with a fixed frame budget, sharded by device.
@@ -231,9 +281,8 @@ func (p *Pool) ResetStats() {
 
 // pin marks a frame in use. Caller holds the shard mutex.
 func (s *shard) pin(f *Frame) {
-	if f.pins == 0 && f.elem != nil {
-		s.lru.Remove(f.elem)
-		f.elem = nil
+	if f.pins == 0 && f.prev != nil {
+		s.unlink(f)
 	}
 	f.pins++
 }
@@ -252,7 +301,7 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.elem = s.lru.PushFront(f)
+		s.pushFront(f)
 	}
 }
 
@@ -267,31 +316,31 @@ const sweepShare = 16
 // It fails when every frame is pinned. On a write-back error the frames
 // not yet written stay resident, dirty, and on the LRU list — the pool
 // remains consistent and no page is lost, so the caller can retry or the
-// DB can be reopened.
+// DB can be reopened. The victim's frame goes on the free list.
 func (s *shard) evictOne(disk *sim.Disk, cap int) error {
-	e := s.lru.Back()
-	if e == nil {
+	f := s.lru.prev
+	if f == &s.lru {
 		return fmt.Errorf("buffer: pool exhausted: all %d frames pinned", cap)
 	}
-	f := e.Value.(*Frame)
 	s.stats.Evictions++
 	if f.dirty.Load() {
 		s.stats.DirtyEvicts++
-		var dirty []*Frame
-		for w := cap / sweepShare; e != nil && w >= 0; e, w = e.Prev(), w-1 {
-			if g := e.Value.(*Frame); g.dirty.Load() {
+		dirty := s.sweep[:0]
+		for g, w := f, cap/sweepShare; g != &s.lru && w >= 0; g, w = g.prev, w-1 {
+			if g.dirty.Load() {
 				dirty = append(dirty, g)
 			}
 		}
+		s.sweep = dirty
 		n, err := writeBack(disk, dirty, "evicting")
 		s.stats.Swept += uint64(n)
 		if err != nil {
 			return err
 		}
 	}
-	s.lru.Remove(f.elem)
-	f.elem = nil
+	s.unlink(f)
 	delete(s.frames, frameKey{f.file, f.page})
+	s.release(f)
 	return nil
 }
 
@@ -322,10 +371,11 @@ func (s *shard) makeRoom(disk *sim.Disk, cap, n int) error {
 	return nil
 }
 
-func (s *shard) install(file sim.FileID, page sim.PageNo, buf []byte) *Frame {
-	f := &Frame{file: file, page: page, buf: buf, sh: s}
+// install maps (file, page) to a frame from take. Caller holds the shard
+// mutex.
+func (s *shard) install(f *Frame, file sim.FileID, page sim.PageNo) {
+	f.file, f.page = file, page
 	s.frames[frameKey{file, page}] = f
-	return f
 }
 
 // Get pins and returns the frame for (file, page), reading it from disk on
@@ -343,11 +393,12 @@ func (p *Pool) Get(file sim.FileID, page sim.PageNo) (*Frame, error) {
 	if err := s.makeRoom(p.disk, p.shardCap(), 1); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, sim.PageSize)
-	if err := p.disk.ReadPage(file, page, buf); err != nil {
+	f := s.take()
+	if err := p.disk.ReadPage(file, page, f.buf); err != nil {
+		s.release(f)
 		return nil, fmt.Errorf("buffer: reading page %d/%d: %w", file, page, err)
 	}
-	f := s.install(file, page, buf)
+	s.install(f, file, page)
 	s.pin(f)
 	return f, nil
 }
@@ -403,45 +454,53 @@ func (p *Pool) GetForScan(file sim.FileID, page sim.PageNo, run int) (*Frame, er
 		}
 		n = 1
 	}
-	bufs := make([][]byte, n)
-	for i := range bufs {
-		bufs[i] = make([]byte, sim.PageSize)
+	frs, bufs := s.run[:0], s.bufs[:0]
+	for range n {
+		f := s.take()
+		frs, bufs = append(frs, f), append(bufs, f.buf)
 	}
+	s.run, s.bufs = frs, bufs
 	if n == 1 {
-		if err := p.disk.ReadPage(file, page, bufs[0]); err != nil {
-			return nil, fmt.Errorf("buffer: reading page %d/%d: %w", file, page, err)
+		if err = p.disk.ReadPage(file, page, bufs[0]); err != nil {
+			err = fmt.Errorf("buffer: reading page %d/%d: %w", file, page, err)
 		}
-	} else if err := p.disk.ReadRun(file, page, bufs); err != nil {
-		return nil, fmt.Errorf("buffer: chained read of pages %d/[%d,%d): %w",
+	} else if err = p.disk.ReadRun(file, page, bufs); err != nil {
+		err = fmt.Errorf("buffer: chained read of pages %d/[%d,%d): %w",
 			file, page, page+sim.PageNo(n), err)
 	}
-	var first *Frame
-	for i := 0; i < n; i++ {
-		f := s.install(file, page+sim.PageNo(i), bufs[i])
-		if i == 0 {
-			first = f
-			s.pin(f)
-		} else {
-			f.elem = s.lru.PushFront(f)
+	if err != nil {
+		for _, f := range frs {
+			s.release(f)
+		}
+		return nil, err
+	}
+	for i, f := range frs {
+		s.install(f, file, page+sim.PageNo(i))
+		if i > 0 {
+			s.pushFront(f)
 		}
 	}
-	return first, nil
+	s.pin(frs[0])
+	return frs[0], nil
 }
 
 // NewPage allocates a fresh page in the file and returns its pinned,
-// zeroed, dirty frame. The page is not read from disk.
+// zeroed, dirty frame. The page is not read from disk. It makes room first,
+// so a pool whose frames are all pinned fails without growing the file.
 func (p *Pool) NewPage(file sim.FileID) (*Frame, error) {
 	s := p.shardOf(file)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.makeRoom(p.disk, p.shardCap(), 1); err != nil {
+		return nil, err
+	}
 	page, err := p.disk.Allocate(file)
 	if err != nil {
 		return nil, fmt.Errorf("buffer: allocating page in file %d: %w", file, err)
 	}
-	if err := s.makeRoom(p.disk, p.shardCap(), 1); err != nil {
-		return nil, err
-	}
-	f := s.install(file, page, make([]byte, sim.PageSize))
+	f := s.take()
+	clear(f.buf)
+	s.install(f, file, page)
 	f.dirty.Store(true)
 	s.pin(f)
 	return f, nil
@@ -496,6 +555,14 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
+// discard drops a resident, unpinned frame onto the free list without
+// write-back. Caller holds the shard mutex.
+func (s *shard) discard(k frameKey, f *Frame) {
+	s.unlink(f)
+	delete(s.frames, k)
+	s.release(f)
+}
+
 // discardFile drops the file's frames from one shard without write-back.
 // Pinned frames are a caller bug. Caller holds the shard mutex.
 func (s *shard) discardFile(file sim.FileID, op string) {
@@ -506,10 +573,7 @@ func (s *shard) discardFile(file sim.FileID, op string) {
 		if f.pins > 0 {
 			panic(fmt.Sprintf("buffer: %s %d with pinned frame %d", op, file, f.page))
 		}
-		if f.elem != nil {
-			s.lru.Remove(f.elem)
-		}
-		delete(s.frames, k)
+		s.discard(k, f)
 	}
 }
 
@@ -544,10 +608,7 @@ func (p *Pool) InvalidateAll() {
 			if f.pins > 0 {
 				panic(fmt.Sprintf("buffer: InvalidateAll with pinned frame %d/%d", f.file, f.page))
 			}
-			if f.elem != nil {
-				s.lru.Remove(f.elem)
-			}
-			delete(s.frames, k)
+			s.discard(k, f)
 		}
 		s.mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -536,5 +537,40 @@ func TestGetReportsNoRecord(t *testing.T) {
 	}
 	if _, err := f.Get(r2); !errors.Is(err, ErrNoRecord) {
 		t.Fatalf("Get after Truncate = %v, want ErrNoRecord", err)
+	}
+}
+
+// TestGetSurvivesFrameRecycling: a record Get returned stays intact while
+// an eviction storm on a 4-frame pool recycles every frame, the one its page
+// was read into included.
+func TestGetSurvivesFrameRecycling(t *testing.T) {
+	p := testPool(4)
+	f, err := Create(p, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []record.RID
+	for i := 0; i < 400; i++ {
+		rid, err := f.Insert(rec(100, byte(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	got, err := f.Get(rids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	evictions := p.Stats().Evictions
+	for i, rid := range rids {
+		if err := f.Update(rid, rec(100, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Stats().Evictions-evictions < 4 {
+		t.Fatal("the storm did not cycle the pool")
+	}
+	if !bytes.Equal(got, rec(100, 0)) {
+		t.Fatal("a record returned by Get changed when its frame was recycled")
 	}
 }

@@ -526,3 +526,38 @@ func TestGetAllocsFlatInRangeTombs(t *testing.T) {
 		t.Fatalf("Get allocates %v times with 1 range tombstone, %v with 64", one, many)
 	}
 }
+
+// TestGetSurvivesFrameRecycling: a record Get returned from an SSTable stays
+// intact while flushes, compactions and reads on a 4-frame pool recycle
+// every frame, the one its block was read into included.
+func TestGetSurvivesFrameRecycling(t *testing.T) {
+	disk := sim.NewDisk(sim.DefaultCostModel())
+	pool := buffer.New(disk, 4*sim.PageSize)
+	tr := New(pool, 16, Options{MemLimit: 64})
+	for k := int64(0); k < 256; k++ {
+		put(tr, k)
+	}
+	if err := tr.FlushMem(); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := tr.Get(7)
+	if err != nil || !ok {
+		t.Fatalf("Get(7): found %v, err %v", ok, err)
+	}
+	evictions := pool.Stats().Evictions
+	for k := int64(256); k < 2048; k++ {
+		put(tr, k)
+		if err := tr.MaybeFlush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tr.Get(k / 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pool.Stats().Evictions-evictions < 4 {
+		t.Fatal("the storm did not cycle the pool")
+	}
+	if string(got) != string(rec(7)) {
+		t.Fatal("a record returned by Get changed when its frame was recycled")
+	}
+}

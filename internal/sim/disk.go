@@ -132,8 +132,26 @@ type Stats struct {
 }
 
 type file struct {
-	pages   [][]byte
+	pages   [][]byte // nil: allocated, never written (reads as zeros)
 	dropped bool
+}
+
+// read copies page p into buf.
+func (f *file) read(p PageNo, buf []byte) {
+	if f.pages[p] == nil {
+		clear(buf)
+		return
+	}
+	copy(buf, f.pages[p])
+}
+
+// platter returns page p's stored bytes for a write, making them on the
+// page's first write.
+func (f *file) platter(p PageNo) []byte {
+	if f.pages[p] == nil {
+		f.pages[p] = make([]byte, PageSize)
+	}
+	return f.pages[p]
 }
 
 // Disk is a simulated disk array: a set of files made of fixed-size pages
@@ -225,6 +243,7 @@ func (d *Disk) fileLocked(id FileID) (*file, error) {
 
 // Allocate appends a zeroed page to the file and returns its page number.
 // Allocation itself is free; the first write to the page pays I/O cost.
+// The page takes no memory until that write.
 func (d *Disk) Allocate(id FileID) (PageNo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -235,7 +254,7 @@ func (d *Disk) Allocate(id FileID) (PageNo, error) {
 	if len(f.pages) >= int(InvalidPage) {
 		return 0, fmt.Errorf("sim: file %d is full", id)
 	}
-	f.pages = append(f.pages, make([]byte, PageSize))
+	f.pages = append(f.pages, nil)
 	d.stats.Allocated++
 	return PageNo(len(f.pages) - 1), nil
 }
@@ -359,7 +378,7 @@ func (d *Disk) ReadPage(id FileID, p PageNo, buf []byte) error {
 	dev.busy += d.cm.TransferPage
 	dev.stats.Reads++
 	d.stats.Reads++
-	copy(buf, f.pages[p])
+	f.read(p, buf)
 	return nil
 }
 
@@ -377,7 +396,8 @@ func (d *Disk) WritePage(id FileID, p PageNo, data []byte) error {
 	if int(p) >= len(f.pages) {
 		return fmt.Errorf("sim: write past end of file %d: page %d of %d", id, p, len(f.pages))
 	}
-	if err := d.faultLocked(opWrite, id, p, data, f.pages[p]); err != nil {
+	dst := f.platter(p)
+	if err := d.faultLocked(opWrite, id, p, data, dst); err != nil {
 		return err
 	}
 	dev := d.positionLocked(id, p)
@@ -385,7 +405,7 @@ func (d *Disk) WritePage(id FileID, p PageNo, data []byte) error {
 	dev.busy += d.cm.TransferPage
 	dev.stats.Writes++
 	d.stats.Writes++
-	copy(f.pages[p], data)
+	copy(dst, data)
 	return nil
 }
 
@@ -421,7 +441,7 @@ func (d *Disk) ReadRun(id FileID, p PageNo, bufs [][]byte) error {
 		dev.busy += d.cm.TransferPage
 		dev.stats.Reads++
 		d.stats.Reads++
-		copy(buf, f.pages[int(p)+i])
+		f.read(p+PageNo(i), buf)
 	}
 	dev.lastPage = p + PageNo(len(bufs)) - 1
 	return nil
@@ -452,14 +472,15 @@ func (d *Disk) WriteRun(id FileID, p PageNo, data [][]byte) error {
 		}
 		// Pages before the crash point persisted; the crashing page may
 		// persist a torn prefix (see faultLocked); later pages are lost.
-		if err := d.faultLocked(opWrite, id, p+PageNo(i), buf, f.pages[int(p)+i]); err != nil {
+		dst := f.platter(p + PageNo(i))
+		if err := d.faultLocked(opWrite, id, p+PageNo(i), buf, dst); err != nil {
 			return err
 		}
 		d.clock += d.cm.TransferPage
 		dev.busy += d.cm.TransferPage
 		dev.stats.Writes++
 		d.stats.Writes++
-		copy(f.pages[int(p)+i], buf)
+		copy(dst, buf)
 	}
 	dev.lastPage = p + PageNo(len(data)) - 1
 	return nil
