@@ -219,7 +219,11 @@ func (db *DB) saveCatalog() error {
 	db.catPtr.live = target
 	ptr := make([]byte, sim.PageSize)
 	db.catPtr.encode(ptr)
-	return db.disk.WritePage(db.catalog, 0, ptr)
+	if err := db.disk.WritePage(db.catalog, 0, ptr); err != nil {
+		return err
+	}
+	db.catEpoch, db.catTx = root.Epoch, root.TxSeq
+	return nil
 }
 
 // loadCatalog reads the catalog from file 0: pointer page, then the live
@@ -310,6 +314,7 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 	db := newDB(disk, opts)
 	db.txSeq.Store(root.TxSeq)
 	db.catPtr = ptr
+	db.catEpoch, db.catTx = root.Epoch, root.TxSeq
 	// Epochs are volatile; restart the clock at the catalog's floor. With a
 	// WAL present it is fast-forwarded further below once the records are in
 	// hand, so no epoch is ever handed out twice across a restart.

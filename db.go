@@ -174,6 +174,10 @@ type DB struct {
 	// catPtr mirrors the catalog pointer page (guarded by catMu): which of
 	// the two payload slots is live and both slots' extents.
 	catPtr catalogPtr
+	// catEpoch and catTx are the epoch and TxID floors the last catalog
+	// save made durable (guarded by catMu); restartWAL compares them with
+	// the clocks.
+	catEpoch, catTx uint64
 
 	txSeq atomic.Uint64
 	opts  Options
@@ -709,7 +713,7 @@ func (db *DB) Inspect() *InspectReport {
 func (db *DB) obsSource() obs.Source {
 	src := obs.Source{Disk: db.disk, Pool: db.pool}
 	if db.log != nil {
-		src.WALBytes = func() uint64 { return uint64(db.log.FlushedLSN()) }
+		src.WALBytes = func() uint64 { return db.log.QueueStats().FlushBytes }
 	}
 	return src
 }
@@ -843,6 +847,44 @@ func (db *DB) SimulateCrash() *sim.Disk {
 	db.mu.Unlock()
 	db.obs.Registry().Counter("crashes_simulated").Add(1)
 	return db.disk
+}
+
+// restartWAL restarts the log in place (wal.Log.Restart) when no record in
+// it is live. The log itself knows its open bulk deletes and file moves;
+// the rest is the engine's: every LSM table's memtable must be flushed
+// through its last seq, and the last catalog save must hold the epoch and
+// TxID floors recovery would otherwise count from the log's records. LSM
+// flushes call it, being what drains the last live records of an LSM
+// workload. The table list is copied before any tree is asked, so no tree
+// latch is taken under db.mu (a flush holds its tree's latch while the
+// catalog save takes db.mu). A heap delete advances the epoch just after
+// its commit record; a restart in between leaves the floor one epoch
+// short, which only a crash before the next catalog save could expose, and
+// no durable structure stores an epoch.
+func (db *DB) restartWAL() error {
+	if db.log == nil {
+		return nil
+	}
+	return db.log.Restart(func() bool {
+		db.catMu.Lock()
+		floors := db.epochs.Current() <= db.catEpoch && db.txSeq.Load() <= db.catTx
+		db.catMu.Unlock()
+		if !floors {
+			return false
+		}
+		db.mu.Lock()
+		tbls := make([]*Table, 0, len(db.tables))
+		for _, tbl := range db.tables {
+			tbls = append(tbls, tbl)
+		}
+		db.mu.Unlock()
+		for _, tbl := range tbls {
+			if l, ok := tbl.b.(*lsmBackend); ok && !l.tree.Drained() {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // nextTx hands out transaction IDs for logged bulk deletes.

@@ -90,7 +90,7 @@ func (e *execCtx) child(name, detail string) *obs.Span {
 func traceSource(tgt *Target, log *wal.Log) obs.Source {
 	src := obs.Source{Disk: tgt.Pool.Disk(), Pool: tgt.Pool}
 	if log != nil {
-		src.WALBytes = func() uint64 { return uint64(log.FlushedLSN()) }
+		src.WALBytes = func() uint64 { return log.QueueStats().FlushBytes }
 	}
 	return src
 }

@@ -47,6 +47,27 @@ func TestLSMSweepAllOrdinals(t *testing.T) {
 	}
 }
 
+// TestLSMGrowSweepCrossesMemtables: crashes inside the insert stream recover
+// whole memtables of it — every flush commits 256 inserts, and the WAL
+// restarts after each one — and the late ordinals, inside the compaction,
+// keep all of them.
+func TestLSMGrowSweepCrossesMemtables(t *testing.T) {
+	sw := mustRun(t, "lsm-grow", Config{Stride: 7})
+	seen := make(map[int64]bool)
+	for _, r := range sw.Ordinals {
+		n := r.Field("inserted").(int64)
+		if n%256 != 0 {
+			t.Fatalf("ordinal %d recovered %d inserts, not whole memtables", r.Ordinal, n)
+		}
+		seen[n] = true
+	}
+	for _, n := range []int64{0, 256, 1024} {
+		if !seen[n] {
+			t.Fatalf("no ordinal recovered %d inserts (saw %v)", n, seen)
+		}
+	}
+}
+
 // TestLSMHeapSweepAllOrdinals crashes a heap bulk delete at every I/O while
 // an LSM table lives beside it in the WAL only: each recovery must bring
 // the LSM rows back by replay, and the ones that find the delete in the log

@@ -207,6 +207,21 @@ var scenarios = map[string]scenario{
 			_, err := tbl.BulkDelete(0, v, bulkdel.BulkOptions{})
 			return err
 		}),
+	// Inserts alone drive the LSM write path: on a durable base of one
+	// full-sized L1 table, lsmGrowInserts random-order inserts fill four
+	// memtables; every flush leaves nothing live in the WAL and restarts it
+	// in place, and the L0 compaction the fourth one triggers merges past
+	// the table bound into two L1 tables. Inserts are durable once their
+	// memtable's flush commits, so recovery must land on the base plus a
+	// prefix of the inserts, whole memtables at a time.
+	"lsm-grow": {
+		build:         buildLSMGrow,
+		run:           runLSMGrow,
+		reference:     referenceLSMGrow,
+		verify:        verifyLSMGrow,
+		deterministic: always,
+		fields:        []Field{{"inserted", int64(0)}},
+	},
 	// Recovery with mixed backends: the paper's statement on heap table R
 	// while LSM table S sits beside it with rows durable only as WAL records
 	// (an unflushed memtable). One recovery must replay S's records into
@@ -508,6 +523,12 @@ func verifyLSMHeap(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.Recovery
 	if res.Err != "" {
 		return
 	}
+	// S's records and the open delete keep the log live the whole time: the
+	// crashed instance never restarted it.
+	if n := st.db.Inspect().WAL.Restarts; n != 0 {
+		res.failf("the WAL restarted %d times under S's records and the open delete", n)
+		return
+	}
 	total, _, msg := atomicState(rdb, "S", lsmHeapRows(cfg), nil, true)
 	res.Survivors += total
 	switch {
@@ -515,6 +536,123 @@ func verifyLSMHeap(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.Recovery
 		res.Err = "S: " + msg
 	case rep.LSMReplayed == 0:
 		res.failf("S: recovery replayed no LSM record")
+	}
+}
+
+// The lsm-grow scenario's sizes: the base is one full-sized table at the
+// engine's default LSM options, the inserts four memtables' worth.
+const (
+	lsmGrowBase    = 4096
+	lsmGrowInserts = 1024
+)
+
+// buildLSMGrow loads R with the base rows, A = 0, 2, 4, …, compacted into
+// one L1 table; its victim list is the insert order: odd keys spread over
+// the base's key range, shuffled by cfg.Seed.
+func buildLSMGrow(cfg Config) (*state, error) {
+	opts := options(cfg)
+	opts.Devices = cfg.Devices
+	db, err := bulkdel.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	tbl, err := db.CreateTableLSM("R", 3, 64)
+	if err != nil {
+		return nil, err
+	}
+	for i := int64(0); i < lsmGrowBase; i++ {
+		if _, err := tbl.Insert(2*i, 6*i, 2*i%7); err != nil {
+			return nil, err
+		}
+	}
+	if err := tbl.CompactLSM(); err != nil {
+		return nil, err
+	}
+	order := make([]int64, lsmGrowInserts)
+	for i, p := range rand.New(rand.NewSource(cfg.Seed)).Perm(lsmGrowInserts) {
+		order[i] = int64(2*p*(lsmGrowBase/lsmGrowInserts) + 1)
+	}
+	return &state{db: db, tables: []*bulkdel.Table{tbl}, victims: [][]int64{order}}, db.Flush()
+}
+
+func runLSMGrow(_ context.Context, _ Config, st *state, _ *Result) error {
+	for _, a := range st.victims[0] {
+		if _, err := st.tables[0].Insert(a, 3*a, a%7); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// referenceLSMGrow makes sure the fault-free run crossed what the sweep is
+// for: a compaction with several outputs, and a WAL restart that discarded
+// the inserts' buffered records.
+func referenceLSMGrow(_ Config, st *state) error {
+	tbl := st.tables[0]
+	if got, want := tbl.Count(), int64(lsmGrowBase+lsmGrowInserts); got != want {
+		return fmt.Errorf("holds %d rows, want %d", got, want)
+	}
+	if lv := tbl.LSMManifest().Levels; len(lv) < 2 || len(lv[1]) < 2 {
+		return fmt.Errorf("levels %d deep, no multi-table L1: the compaction emitted one table", len(lv))
+	}
+	if q := st.db.Inspect().WAL.Queued; q != 0 {
+		return fmt.Errorf("%d log bytes still buffered: the WAL did not restart", q)
+	}
+	return tbl.Check()
+}
+
+// verifyLSMGrow checks R holds every base row and a prefix of the insert
+// order, each row by the base formula, before and after draining the
+// recovered tree.
+func verifyLSMGrow(_ Config, st *state, rdb *bulkdel.DB, _ *bulkdel.RecoveryReport, res *Result) {
+	tbl := rdb.Table("R")
+	if tbl == nil {
+		res.failf("table R missing after recovery")
+		return
+	}
+	inserted := func() (int64, string) {
+		if err := tbl.Check(); err != nil {
+			return 0, fmt.Sprintf("consistency check: %v", err)
+		}
+		var base, ins int64
+		have := make(map[int64]bool)
+		err := tbl.Scan(func(_ bulkdel.RID, f []int64) error {
+			if f[1] != 3*f[0] || f[2] != f[0]%7 {
+				return fmt.Errorf("row %v does not match the base formula", f)
+			}
+			if f[0]%2 == 0 {
+				base++
+			} else {
+				have[f[0]] = true
+				ins++
+			}
+			return nil
+		})
+		switch {
+		case err != nil:
+			return 0, err.Error()
+		case base != lsmGrowBase:
+			return 0, fmt.Sprintf("%d base rows, want %d", base, lsmGrowBase)
+		}
+		for _, a := range st.victims[0][:ins] {
+			if !have[a] {
+				return 0, fmt.Sprintf("%d inserts survive, but not a prefix of the insert order (%d missing)", ins, a)
+			}
+		}
+		return ins, ""
+	}
+	ins, msg := inserted()
+	res.set("inserted", ins)
+	res.Survivors, res.Err = lsmGrowBase+ins, msg
+	if msg != "" {
+		return
+	}
+	if err := tbl.CompactLSM(); err != nil {
+		res.failf("post-recovery compaction failed: %v", err)
+		return
+	}
+	if again, msg := inserted(); msg != "" || again != ins {
+		res.failf("post-recovery compaction changed state: %d inserts -> %d %s", ins, again, msg)
 	}
 }
 

@@ -324,6 +324,15 @@ func (t *Tree) MemLen() int {
 	return t.mem.len()
 }
 
+// Drained reports whether nothing of the tree lives only in the log: the
+// memtable is empty, no seq is pending, and the manifest's flushed horizon
+// covers every seq handed out.
+func (t *Tree) Drained() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.mem.len() == 0 && len(t.pending) == 0 && t.flushedSeq == t.seq
+}
+
 // FlushedSeq returns the highest sequence number durable in SSTables.
 func (t *Tree) FlushedSeq() uint64 {
 	t.mu.Lock()

@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -29,11 +30,32 @@ func put(tr *Tree, key int64) {
 }
 
 // model-checked random workload: puts, point deletes, range deletes,
-// interleaved with flushes and compactions, against a map model.
+// interleaved with flushes and compactions, against a map model — once with
+// tables of up to 192 entries, once with 32, so levels hold many tables and
+// range tombstones are clipped at output cuts.
 func TestTreeMatchesModel(t *testing.T) {
-	tr, _ := newTree(t, Options{MemLimit: 32, L0Limit: 3, LevelBase: 2, LevelRatio: 2, TombstoneTTL: 2})
+	for _, c := range []struct {
+		opts   Options
+		widest int // tables some level >= 1 must reach
+	}{
+		{Options{MemLimit: 32, L0Limit: 3, LevelBase: 2, LevelRatio: 2, TombstoneTTL: 2}, 1},
+		{Options{MemLimit: 8, L0Limit: 2, LevelBase: 2, LevelRatio: 2, TombstoneTTL: 2}, 3},
+	} {
+		tr, _ := newTree(t, c.opts)
+		t.Run(fmt.Sprintf("tables=%d", tr.tableEntries()), func(t *testing.T) {
+			if widest := modelRun(t, tr); widest < c.widest {
+				t.Fatalf("the widest level held %d tables, want >= %d", widest, c.widest)
+			}
+		})
+	}
+}
+
+// modelRun drives tr against the model and returns the most tables a level
+// >= 1 held at a checkpoint.
+func modelRun(t *testing.T, tr *Tree) int {
 	model := make(map[int64][]byte)
 	rng := rand.New(rand.NewSource(7))
+	widest := 0
 	for step := 0; step < 2000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 6:
@@ -67,6 +89,9 @@ func TestTreeMatchesModel(t *testing.T) {
 			if err := tr.Check(); err != nil {
 				t.Fatalf("step %d: check: %v", step, err)
 			}
+			for _, n := range tr.Levels()[1:] {
+				widest = max(widest, n)
+			}
 		}
 	}
 	if err := tr.DrainTombstones(); err != nil {
@@ -82,6 +107,7 @@ func TestTreeMatchesModel(t *testing.T) {
 			}
 		}
 	}
+	return widest
 }
 
 func checkAgainstModel(t *testing.T, tr *Tree, model map[int64][]byte, step int) {
@@ -559,5 +585,154 @@ func TestGetSurvivesFrameRecycling(t *testing.T) {
 	}
 	if string(got) != string(rec(7)) {
 		t.Fatal("a record returned by Get changed when its frame was recycled")
+	}
+}
+
+// build writes one table for a merge test: puts for keys, point tombstones
+// for dels, range tombstones rts, all under seq.
+func build(t *testing.T, pool *buffer.Pool, seq uint64, keys, dels []int64, rts ...RangeTomb) *SSTable {
+	t.Helper()
+	var es []entry
+	for _, k := range keys {
+		es = append(es, entry{key: k, seq: seq, kind: kindPut, val: rec(k)})
+	}
+	for _, k := range dels {
+		es = append(es, entry{key: k, seq: seq, kind: kindDel})
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
+	sst, err := buildSSTable(pool, 0, 16, es, rts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sst
+}
+
+// A merge cuts its output into tables of at most tableEntries entries,
+// key-disjoint and in key order, and clips a range tombstone that spans a
+// cut to each side; a tombstone survives only while a table outside the
+// inputs, at the output level or below, overlaps it.
+func TestMergeCutsBoundedTablesAndDropsOnlyUnneededTombstones(t *testing.T) {
+	tr, pool := newTree(t, Options{MemLimit: 2, L0Limit: 2, LevelRatio: 2}) // 8 entries a table
+	var keys []int64
+	for k := int64(0); k < 20; k++ {
+		keys = append(keys, 10*k)
+	}
+	newer := build(t, pool, 2, nil, []int64{15, 500}, RangeTomb{Lo: 55, Hi: 125, Seq: 2}, RangeTomb{Lo: 900, Hi: 950, Seq: 2})
+	older := build(t, pool, 1, keys, nil)
+	below := build(t, pool, 0, []int64{14, 15, 16, 60, 120}, nil) // overlaps 15 and [55,125], not 500 or [900,950]
+	tr.mu.Lock()
+	outs, err := tr.mergeLocked([][]*SSTable{{newer}, {older}}, [][]*SSTable{nil, {below}})
+	tr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Survivors: 20 puts minus 60..120 (7 hidden) = 13, plus the tombstone
+	// at 15 that below still needs; 500's has nothing to hide.
+	var got []string
+	var entries int64
+	for i, o := range outs {
+		if o.Entries > int64(tr.tableEntries()) {
+			t.Fatalf("output %d holds %d entries, bound %d", i, o.Entries, tr.tableEntries())
+		}
+		if i > 0 && outs[i-1].MaxKey >= o.MinKey {
+			t.Fatalf("outputs %d and %d overlap: [%d,%d] then [%d,%d]", i-1, i, outs[i-1].MinKey, outs[i-1].MaxKey, o.MinKey, o.MaxKey)
+		}
+		entries += o.Entries
+		for _, rt := range o.rtombs {
+			got = append(got, fmt.Sprintf("%d:[%d,%d]", i, rt.Lo, rt.Hi))
+		}
+		if err := o.check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(outs) != 2 || entries != 14 {
+		t.Fatalf("merge emitted %d tables, %d entries; want 2, 14", len(outs), entries)
+	}
+	// The first table ends at the eighth survivor (130), so [55,125] stays
+	// whole in it; [900,950] overlaps nothing below and drops.
+	if want := []string{"0:[55,125]"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("range tombstones %v, want %v", got, want)
+	}
+
+	// With a cut inside the tombstone's span, each side keeps its share.
+	tr.mu.Lock()
+	outs, err = tr.mergeLocked([][]*SSTable{{build(t, pool, 4, nil, nil, RangeTomb{Lo: 35, Hi: 185, Seq: 3})}, {build(t, pool, 5, keys, nil)}}, [][]*SSTable{{below}})
+	tr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for i, o := range outs {
+		for _, rt := range o.rtombs {
+			got = append(got, fmt.Sprintf("%d:[%d,%d]", i, rt.Lo, rt.Hi))
+		}
+	}
+	if want := []string{"0:[35,79]", "1:[80,159]", "2:[160,185]"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("clipped range tombstones %v, want %v", got, want)
+	}
+}
+
+// A merge input whose every entry a newer range tombstone of the same merge
+// hides is dropped without reading one of its blocks.
+func TestCoveredTableDroppedUnread(t *testing.T) {
+	tr, pool := newTree(t, Options{MemLimit: 1 << 20, L0Limit: 2})
+	for k := int64(100); k < 400; k++ {
+		put(tr, k)
+	}
+	if err := tr.FlushMem(); err != nil {
+		t.Fatal(err)
+	}
+	covered := tr.Manifest().Levels[0][0]
+	if covered.Blocks < 2 {
+		t.Fatalf("covered table has %d blocks; the test wants several", covered.Blocks)
+	}
+	tr.DeleteRange(0, 1000, tr.NextSeq())
+	if err := tr.FlushMem(); err != nil { // a tombstone-only table: no blocks
+		t.Fatal(err)
+	}
+	pool.InvalidateAll() // nothing cached: any block read reaches the disk
+	disk := pool.Disk()
+	reads := disk.Stats().Reads
+	if err := tr.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := disk.Stats().Reads - reads; got != 0 {
+		t.Fatalf("the compaction read %d pages; the covered table needs none", got)
+	}
+	if _, err := disk.NumPages(sim.FileID(covered.File)); err == nil {
+		t.Fatal("the covered table's file survived the compaction")
+	}
+	if n, err := tr.Count(); err != nil || n != 0 {
+		t.Fatalf("Count = %d, %v; want 0", n, err)
+	}
+}
+
+// A level >= 1 is key-disjoint, so a Get reads at most one table of it:
+// with a level of many tables, every lookup costs one page reference.
+func TestGetProbesOneTablePerLevel(t *testing.T) {
+	tr, pool := newTree(t, Options{MemLimit: 8, L0Limit: 2, LevelRatio: 2, LevelBase: 1000}) // 32 entries a table
+	for k := int64(0); k < 1024; k += 2 {                                                    // 64 memtables: L0 ends empty
+		put(tr, k)
+		if err := tr.MaybeFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	lv := tr.Levels()
+	if len(lv) != 2 || lv[0] != 0 || lv[1] < 8 {
+		t.Fatalf("levels %v; want an empty L0 and >= 8 tables in L1", lv)
+	}
+	for k := int64(-1); k <= 1024; k++ {
+		before := pool.Stats()
+		_, ok, err := tr.Get(k)
+		after := pool.Stats()
+		if err != nil || ok != (k >= 0 && k < 1024 && k%2 == 0) {
+			t.Fatalf("Get(%d) = %v, %v", k, ok, err)
+		}
+		if refs := after.Hits + after.Misses - before.Hits - before.Misses; refs > 1 {
+			t.Fatalf("Get(%d) referenced %d pages in a one-level tree", k, refs)
+		}
 	}
 }

@@ -28,42 +28,36 @@ func maxCoveringSeq(rts []RangeTomb, key int64) uint64 {
 // getIn is the one point lookup: the first entry for key in mem (sorted by
 // key), then L0 newest→oldest, then each deeper level, is the winner, and it
 // is visible when it is a put newer than rseq, the highest range tombstone
-// covering key.
+// covering key. A level >= 1 is key-disjoint and sorted, so a binary search
+// names its one table that can hold key.
 func getIn(mem []entry, levels [][]*SSTable, rseq uint64, key int64) ([]byte, bool, error) {
-	settle := func(e entry) ([]byte, bool, error) {
-		if e.kind == kindPut && e.seq > rseq {
-			return e.val, true, nil
-		}
-		return nil, false, nil
-	}
 	if i := sort.Search(len(mem), func(i int) bool { return mem[i].key >= key }); i < len(mem) && mem[i].key == key {
-		return settle(mem[i])
+		return settle(mem[i], rseq)
 	}
-	if len(levels) > 0 {
-		l0 := levels[0]
-		for i := len(l0) - 1; i >= 0; i-- {
-			e, ok, err := l0[i].get(key)
+	for li, lvl := range levels {
+		lo, hi := 0, len(lvl) // L0: every table, newest first
+		if li > 0 {
+			lo = sort.Search(len(lvl), func(i int) bool { return lvl[i].MaxKey >= key })
+			hi = min(lo+1, len(lvl))
+		}
+		for i := hi - 1; i >= lo; i-- {
+			e, ok, err := lvl[i].get(key)
 			if err != nil {
 				return nil, false, err
 			}
 			if ok {
-				return settle(e)
+				return settle(e, rseq)
 			}
 		}
 	}
-	for li := 1; li < len(levels); li++ {
-		for _, sst := range levels[li] {
-			if key < sst.MinKey || key > sst.MaxKey {
-				continue
-			}
-			e, ok, err := sst.get(key)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return settle(e)
-			}
-		}
+	return nil, false, nil
+}
+
+// settle judges the winning entry: visible when it is a put newer than
+// rseq.
+func settle(e entry, rseq uint64) ([]byte, bool, error) {
+	if e.kind == kindPut && e.seq > rseq {
+		return e.val, true, nil
 	}
 	return nil, false, nil
 }
@@ -149,8 +143,36 @@ func (s *mergeSrc) advance() error {
 	return err
 }
 
+// chain walks a run of tables — key-disjoint and sorted by key, as a level
+// >= 1 is — as one merge source from the first entry >= lo; a table's
+// blocks are read only when the walk reaches it.
+func chain(run []*SSTable, lo int64) func() (entry, bool, error) {
+	var it *sstIter
+	return func() (entry, bool, error) {
+		for {
+			if it != nil {
+				if e, ok, err := it.next(); ok || err != nil {
+					return e, ok, err
+				}
+			}
+			if len(run) == 0 {
+				return entry{}, false, nil
+			}
+			first := it == nil
+			it, run = run[0].iter(), run[1:]
+			if first {
+				if err := it.seek(lo); err != nil {
+					return entry{}, false, err
+				}
+			}
+		}
+	}
+}
+
 // ScanRange calls fn for every record visible in the snapshot with
-// lo <= key <= hi, in key order, by a k-way merge of a head per run.
+// lo <= key <= hi, in key order, by a k-way merge of a head per run: the
+// memtable, each L0 table, and each deeper level's tables overlapping the
+// range.
 func (s *Snapshot) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) error {
 	mem := s.mem
 	i := sort.Search(len(mem), func(i int) bool { return mem[i].key >= lo })
@@ -162,16 +184,22 @@ func (s *Snapshot) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error)
 		i++
 		return e, true, nil
 	}}}
-	for _, lvl := range s.levels {
-		for _, sst := range lvl {
-			if sst.Blocks == 0 || sst.MaxKey < lo {
-				continue
+	for li, lvl := range s.levels {
+		if li == 0 {
+			for _, sst := range lvl {
+				if sst.Blocks > 0 && overlaps(sst.Meta, lo, hi) {
+					srcs = append(srcs, &mergeSrc{next: chain([]*SSTable{sst}, lo)})
+				}
 			}
-			it := sst.iter()
-			if err := it.seek(lo); err != nil {
-				return err
-			}
-			srcs = append(srcs, &mergeSrc{next: it.next})
+			continue
+		}
+		first := sort.Search(len(lvl), func(i int) bool { return lvl[i].MaxKey >= lo })
+		end := first
+		for end < len(lvl) && lvl[end].MinKey <= hi {
+			end++
+		}
+		if end > first {
+			srcs = append(srcs, &mergeSrc{next: chain(lvl[first:end], lo)})
 		}
 	}
 	for _, src := range srcs {

@@ -137,7 +137,7 @@ func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtom
 		binary.LittleEndian.PutUint32(pg[blkCRC:], crc32.Checksum(pg[blkUsed:blkHdrSize+len(cur)], crcTable))
 		blocks = append(blocks, pg)
 		sst.firstKeys = append(sst.firstKeys, curFirst)
-		cur, curCount = nil, 0
+		cur, curCount = cur[:0], 0
 	}
 	for _, e := range entries {
 		sz := entrySize(e, recSize)
@@ -332,49 +332,73 @@ func (s *SSTable) readFramed(p sim.PageNo) ([]byte, error) {
 	return append([]byte(nil), data[blkHdrSize:blkHdrSize+used]...), nil
 }
 
-// readBlock decodes data block b (0-based).
-func (s *SSTable) readBlock(b int) ([]entry, error) {
+// pinBlock pins data block b (0-based), verifies its framing and CRC, and
+// returns its frame, payload and entry count; the caller unpins the frame.
+func (s *SSTable) pinBlock(b int) (*buffer.Frame, []byte, int, error) {
 	fr, err := s.pool.Get(sim.FileID(s.File), sim.PageNo(1+b))
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	defer s.pool.Unpin(fr, false)
 	data := fr.Data()
 	used := int(binary.LittleEndian.Uint16(data[blkUsed:]))
 	count := int(binary.LittleEndian.Uint16(data[blkCount:]))
-	if used > blkPayload {
-		return nil, fmt.Errorf("block %d: used %d out of range", b, used)
+	switch {
+	case used > blkPayload:
+		err = fmt.Errorf("block %d: used %d out of range", b, used)
+	case binary.LittleEndian.Uint32(data[blkCRC:]) != crc32.Checksum(data[blkUsed:blkHdrSize+used], crcTable):
+		err = fmt.Errorf("block %d: crc mismatch", b)
 	}
-	if binary.LittleEndian.Uint32(data[blkCRC:]) != crc32.Checksum(data[blkUsed:blkHdrSize+used], crcTable) {
-		return nil, fmt.Errorf("block %d: crc mismatch", b)
+	if err != nil {
+		s.pool.Unpin(fr, false)
+		return nil, nil, 0, err
 	}
-	payload := data[blkHdrSize : blkHdrSize+used]
-	out := make([]entry, 0, count)
+	return fr, data[blkHdrSize : blkHdrSize+used], count, nil
+}
+
+// decodeEntry parses the entry at off of a block payload and returns it
+// with the offset of the next; its val aliases payload.
+func (s *SSTable) decodeEntry(payload []byte, off int) (entry, int, error) {
+	if off+17 > len(payload) {
+		return entry{}, 0, fmt.Errorf("truncated entry at %d", off)
+	}
+	e := entry{
+		key:  int64(binary.LittleEndian.Uint64(payload[off:])),
+		seq:  binary.LittleEndian.Uint64(payload[off+8:]),
+		kind: payload[off+16],
+	}
+	off += 17
+	if e.kind == kindPut {
+		if off+s.recSize > len(payload) {
+			return entry{}, 0, fmt.Errorf("truncated record at %d", off)
+		}
+		e.val = payload[off : off+s.recSize : off+s.recSize]
+		off += s.recSize
+	}
+	return e, off, nil
+}
+
+// readBlock decodes data block b (0-based). One copy of the payload backs
+// every value it returns: the frame is recycled once unpinned, and the
+// values must outlive it.
+func (s *SSTable) readBlock(b int) ([]entry, error) {
+	fr, payload, count, err := s.pinBlock(b)
+	if err != nil {
+		return nil, err
+	}
+	payload = append([]byte(nil), payload...)
+	s.pool.Unpin(fr, false)
+	out := make([]entry, count)
 	off := 0
-	for i := 0; i < count; i++ {
-		if off+17 > len(payload) {
-			return nil, fmt.Errorf("block %d: truncated entry %d", b, i)
+	for i := range out {
+		if out[i], off, err = s.decodeEntry(payload, off); err != nil {
+			return nil, fmt.Errorf("block %d: %w", b, err)
 		}
-		e := entry{
-			key:  int64(binary.LittleEndian.Uint64(payload[off:])),
-			seq:  binary.LittleEndian.Uint64(payload[off+8:]),
-			kind: payload[off+16],
-		}
-		off += 17
-		if e.kind == kindPut {
-			if off+s.recSize > len(payload) {
-				return nil, fmt.Errorf("block %d: truncated record %d", b, i)
-			}
-			e.val = append([]byte(nil), payload[off:off+s.recSize]...)
-			off += s.recSize
-		}
-		out = append(out, e)
 	}
 	return out, nil
 }
 
 // get returns the table's point entry for key, if any: one sparse-index
-// probe, at most one data page read.
+// probe, at most one data page read, and only the found value copied.
 func (s *SSTable) get(key int64) (entry, bool, error) {
 	if s.Blocks == 0 || key < s.MinKey || key > s.MaxKey {
 		return entry{}, false, nil
@@ -394,12 +418,19 @@ func (s *SSTable) get(key int64) (entry, bool, error) {
 	if b < 0 {
 		return entry{}, false, nil
 	}
-	entries, err := s.readBlock(b)
+	fr, payload, count, err := s.pinBlock(b)
 	if err != nil {
 		return entry{}, false, err
 	}
-	for _, e := range entries {
+	defer s.pool.Unpin(fr, false)
+	off := 0
+	for i := 0; i < count; i++ {
+		var e entry
+		if e, off, err = s.decodeEntry(payload, off); err != nil {
+			return entry{}, false, fmt.Errorf("block %d: %w", b, err)
+		}
 		if e.key == key {
+			e.val = append([]byte(nil), e.val...)
 			return e, true, nil
 		}
 		if e.key > key {

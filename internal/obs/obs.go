@@ -32,8 +32,9 @@ import (
 type Source struct {
 	Disk *sim.Disk
 	Pool *buffer.Pool
-	// WALBytes returns the bytes durably appended to the write-ahead log
-	// (nil when logging is off).
+	// WALBytes returns the bytes made durable in the write-ahead log so far:
+	// a count that never rewinds, unlike the log's stream offset, which a
+	// restart resets (nil when logging is off).
 	WALBytes func() uint64
 }
 

@@ -33,7 +33,7 @@ func TestTornTailInsideHeader(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	base := int(l.flushed % sim.PageSize)
+	base := int(l.off % sim.PageSize)
 	// The tear lands 10 bytes into the 35-byte header of the new record:
 	// its type byte and generation persist, the length and crc do not.
 	if _, err := l.Append(TCommit, 1, 0, 0, nil); err != nil {
@@ -62,7 +62,7 @@ func TestTornTailInsidePayload(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	base := int(l.flushed % sim.PageSize)
+	base := int(l.off % sim.PageSize)
 	payload := make([]byte, 64)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -169,7 +169,7 @@ func TestFlushZeroFillsRewrittenTail(t *testing.T) {
 	if err := d.ReadPage(l.FileID(), 0, raw); err != nil {
 		t.Fatal(err)
 	}
-	for i := int(l.flushed); i < sim.PageSize; i++ {
+	for i := int(l.off); i < sim.PageSize; i++ {
 		raw[i] = 0xFF
 	}
 	if err := d.WritePage(l.FileID(), 0, raw); err != nil {
@@ -184,7 +184,7 @@ func TestFlushZeroFillsRewrittenTail(t *testing.T) {
 	if err := d.ReadPage(l.FileID(), 0, raw); err != nil {
 		t.Fatal(err)
 	}
-	for i := int(l.flushed); i < sim.PageSize; i++ {
+	for i := int(l.off); i < sim.PageSize; i++ {
 		if raw[i] != 0 {
 			t.Fatalf("byte %d past the tail = %x, want zero", i, raw[i])
 		}

@@ -21,7 +21,9 @@
 // The log itself is a byte stream packed into pages of a dedicated file on
 // the simulated disk; appends are buffered and Flush forces full pages out
 // sequentially. Recovery reads back only what was flushed — exactly what a
-// crash would leave behind.
+// crash would leave behind. Once nothing in the log is live any more, the
+// owner restarts it in place (Restart): the file is truncated to zero pages
+// and the next record opens a new generation at offset 0.
 package wal
 
 import (
@@ -141,10 +143,10 @@ type Record struct {
 //	[1B type][4B gen][8B txID][8B A][8B B][2B payload len][4B crc][payload]
 //
 // gen is the log generation: it starts at 1 and is bumped every time the
-// log is reopened after a crash, so a torn tail overwritten by a new
-// generation can never resurrect records of an old one — generations are
-// nondecreasing along the stream and the recovery scan stops when they go
-// backwards. crc is CRC-32C over the header (crc field zeroed) and the
+// log is reopened after a crash or restarted in place, so a torn tail
+// overwritten by a new generation can never resurrect records of an old
+// one — generations are nondecreasing along the stream and the recovery
+// scan stops when they go backwards. crc is CRC-32C over the header (crc field zeroed) and the
 // payload; it rejects torn records whether the tear landed inside the
 // header, inside the payload, or left a misaligned remnant of an earlier
 // flush image of the same page.
@@ -170,14 +172,17 @@ func recCRC(hdr []byte, payload []byte) uint32 {
 // start → checkpoint → done sequence is program-ordered by its goroutine,
 // which is all the §3.2 roll-forward protocol needs).
 type Log struct {
-	mu      sync.Mutex
-	disk    *sim.Disk
-	file    sim.FileID
-	gen     uint32 // generation stamped on appended records
-	buf     []byte // unflushed bytes (tail of the stream)
-	off     uint64 // stream offset of buf[0]
-	flushed uint64 // bytes durably on disk
-	pages   sim.PageNo
+	mu    sync.Mutex
+	disk  *sim.Disk
+	file  sim.FileID
+	gen   uint32 // generation stamped on appended records
+	buf   []byte // unflushed bytes (tail of the stream)
+	off   uint64 // stream offset of buf[0]
+	pages sim.PageNo
+	// open holds the records that keep the log live whatever the rest of
+	// the engine has made durable: a bulk delete's bulk-start until its
+	// bulk-end, and a file move's move-start until its move-done.
+	open map[opener]bool
 
 	// Appender-queue counters, maintained under mu (see QueueStats).
 	appends      uint64
@@ -187,6 +192,7 @@ type Log struct {
 	flushBytes   uint64
 	queuePeak    int
 	appendWaitNS int64 // real time blocked on the appender mutex
+	restarts     uint64
 
 	// OnAppend/OnFlush, when set, observe the appender queue: OnAppend
 	// fires after every accepted record with the record size, the queued
@@ -201,8 +207,10 @@ type Log struct {
 
 // QueueStats is a snapshot of the appender-queue counters: cumulative
 // appends/flushes, bytes and pages moved, the current and peak unflushed
-// queue depth in bytes, and total real time spent blocked on the appender
-// mutex. The wait figure is wall-clock (the appender serializes concurrent
+// queue depth in bytes, in-place restarts, and total real time spent
+// blocked on the appender mutex. The counters never rewind, restarts
+// included, so FlushBytes is what statements meter as durable WAL bytes.
+// The wait figure is wall-clock (the appender serializes concurrent
 // statements), so it is the one nondeterministic field.
 type QueueStats struct {
 	Appends      uint64
@@ -212,6 +220,7 @@ type QueueStats struct {
 	FlushBytes   uint64
 	Queued       int
 	QueuePeak    int
+	Restarts     uint64
 	AppendWaitNS int64
 }
 
@@ -227,6 +236,7 @@ func (l *Log) QueueStats() QueueStats {
 		FlushBytes:   l.flushBytes,
 		Queued:       len(l.buf),
 		QueuePeak:    l.queuePeak,
+		Restarts:     l.restarts,
 		AppendWaitNS: l.appendWaitNS,
 	}
 }
@@ -236,11 +246,41 @@ func Create(disk *sim.Disk) *Log {
 	return &Log{disk: disk, file: disk.CreateFile(), gen: 1}
 }
 
+// opener names a record that keeps the log live until its closing record:
+// the record type that opened it and the transaction (bulk delete) or file
+// (move) it is about.
+type opener struct {
+	t  Type
+	id uint64
+}
+
+// note tracks the records that open and close a live span; mu held (or the
+// Log not yet shared).
+func (l *Log) note(t Type, txID, a uint64) {
+	if l.open == nil {
+		l.open = make(map[opener]bool)
+	}
+	switch t {
+	case TBulkStart:
+		l.open[opener{TBulkStart, txID}] = true
+	case TBulkEnd:
+		delete(l.open, opener{TBulkStart, txID})
+	case TMoveStart:
+		l.open[opener{TMoveStart, a}] = true
+	case TMoveDone:
+		delete(l.open, opener{TMoveStart, a})
+	}
+}
+
 // FileID returns the log's file.
 func (l *Log) FileID() sim.FileID { return l.file }
 
 // Generation returns the generation stamped on records this Log appends.
-func (l *Log) Generation() uint32 { return l.gen }
+func (l *Log) Generation() uint32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.gen
+}
 
 // Append adds a record and returns its LSN. The record is durable only
 // after the next Flush.
@@ -262,6 +302,7 @@ func (l *Log) Append(t Type, txID, a, b uint64, payload []byte) (LSN, error) {
 	binary.LittleEndian.PutUint32(hdr[crcOff:], recCRC(hdr[:], payload))
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
+	l.note(t, txID, a)
 	rec := recHeaderSize + len(payload)
 	queued := len(l.buf)
 	l.appends++
@@ -346,18 +387,33 @@ func (l *Log) flushLocked() (flushedBytes, pagesWritten int, err error) {
 	pagesWritten = len(pages)
 	l.off = endOff
 	l.buf = l.buf[:0]
-	l.flushed = endOff
 	l.flushes++
 	l.flushPages += uint64(pagesWritten)
 	l.flushBytes += uint64(flushedBytes)
 	return flushedBytes, pagesWritten, nil
 }
 
-// FlushedLSN returns the first LSN not yet guaranteed durable.
-func (l *Log) FlushedLSN() LSN {
+// Restart empties the log in place when nothing in it is live: no bulk
+// delete or file move it holds is still open, and dead — called under the
+// appender mutex, so no record can slip in between the check and the
+// truncation — reports that the caller has made every other record's effect
+// durable elsewhere. The file is truncated to zero pages, buffered records
+// are discarded unwritten, and the generation is bumped, so the next record
+// starts a new stream at offset 0 (QueueStats counts the restarts). An
+// empty log is left alone.
+func (l *Log) Restart(dead func() bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return LSN(l.flushed)
+	if len(l.open) > 0 || (l.off == 0 && len(l.buf) == 0) || !dead() {
+		return nil
+	}
+	if err := l.disk.TruncateFile(l.file, 0); err != nil {
+		return err
+	}
+	l.gen++
+	l.buf, l.off, l.pages = l.buf[:0], 0, 0
+	l.restarts++
+	return nil
 }
 
 // readStream reads every page of a log file into one byte stream.
@@ -435,7 +491,10 @@ func Open(disk *sim.Disk, file sim.FileID) (*Log, []Record, error) {
 	// The new incarnation writes a strictly larger generation, so records
 	// it appends over a torn tail can never be confused with what the old
 	// incarnation left behind.
-	l := &Log{disk: disk, file: file, gen: maxGen + 1, off: off, flushed: off, pages: n}
+	l := &Log{disk: disk, file: file, gen: maxGen + 1, off: off, pages: n}
+	for _, r := range recs {
+		l.note(r.Type, r.TxID, r.A)
+	}
 	return l, recs, nil
 }
 

@@ -194,7 +194,20 @@ func (l *lsmBackend) insert(fields []int64) (RID, error) {
 		return record.NilRID, err
 	}
 	l.tree.Put(key, rec, seq)
-	return record.NilRID, l.tree.MaybeFlush()
+	return record.NilRID, l.maybeFlush()
+}
+
+// maybeFlush lets the tree flush and compact if its thresholds say so; a
+// flush that emptied the memtable may have left nothing live in the log, so
+// the log is offered a restart.
+func (l *lsmBackend) maybeFlush() error {
+	if err := l.tree.MaybeFlush(); err != nil {
+		return err
+	}
+	if l.tree.MemLen() > 0 {
+		return nil
+	}
+	return l.tbl.db.restartWAL()
 }
 
 // count counts visible rows via a merged scan; a scan error reports -1.
@@ -430,7 +443,7 @@ func (l *lsmBackend) commitDelete(res *BulkResult, keys []int64) (*BulkResult, e
 		}
 	}
 	db.epochs.Commit()
-	if err := l.tree.MaybeFlush(); err != nil {
+	if err := l.maybeFlush(); err != nil {
 		return nil, err
 	}
 	res.Deleted = int64(len(keys))
@@ -454,7 +467,10 @@ func (tbl *Table) CompactLSM() error {
 	if err := l.tree.FlushMem(); err != nil {
 		return err
 	}
-	return l.tree.DrainTombstones()
+	if err := l.tree.DrainTombstones(); err != nil {
+		return err
+	}
+	return tbl.db.restartWAL()
 }
 
 // LSMManifest returns the table's current LSM manifest (zero value for
