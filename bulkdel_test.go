@@ -309,7 +309,7 @@ func TestConcurrentBulkDeleteWithUpdaters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Concurrent updater: inserts brand-new rows while the bulk
-		// delete runs. Shared lock blocks it until the critical
+		// delete runs. The table lock blocks it until the critical
 		// structures are done; offline-index updates go through
 		// side-files.
 		for i := 0; ; i++ {

@@ -176,7 +176,7 @@ func TestRunConcurrentCtxRetries(t *testing.T) {
 		return err
 	}
 	_, err := db.RunConcurrentCtx(context.Background(),
-		RetryPolicy{MaxRetries: 5, Backoff: time.Millisecond, Seed: 42}, holder, deleter)
+		RetryPolicy{MaxRetries: 5, Seed: 42}, holder, deleter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 // rejects appends instead of dropping them. The real window is a torn leaf
 // read: a B-link leaf insert shifts entries right (insertAt) before
 // writing the new entry (setLeafEntry), so between the two steps the
-// displaced entry exists at both positions. Lookups run under a shared
-// table lock only (they don't take updMu), so a reader scanning the same
+// displaced entry exists at both positions. Lookups do not exclude
+// inserts at the table lock, so a reader scanning the same
 // leaf during an insert could observe the displaced key twice — a
 // unique-index lookup returning 2 rows. The fix is the index's gate
 // (cc.Gate): an updater holds it exclusively across each online tree

@@ -181,7 +181,7 @@ func TestConcurrentFKOppositeOrderNoDeadlock(t *testing.T) {
 // The test stages the window directly: it takes a secondary gate offline and
 // asserts Check did not return before the gate came back online, and that an
 // insert beside the waiting Check still went to the side-file (Check takes
-// updMu only once the gates are online).
+// its shared claim only once the gates are online).
 func TestCheckWaitsForOfflineIndex(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {

@@ -5,7 +5,7 @@
 // baselines, and the paper's contribution — the vertical, set-oriented bulk
 // delete operator with sort/merge, hash, and hash+range-partitioning plans,
 // §3's concurrency protocol (exclusive table lock, offline indexes,
-// side-files, undeletable markers), and §3.2's roll-forward crash recovery.
+// side-files), and §3.2's roll-forward crash recovery.
 //
 // A DB lives on a deterministic simulated disk whose clock prices every
 // I/O, so experiments are exactly reproducible; see DB.Clock.
@@ -139,12 +139,6 @@ type Options struct {
 	// Observer receives every statement's trace and aggregates engine-wide
 	// metrics (nil = the DB creates its own; see DB.Observer).
 	Observer *obs.Observer
-	// Backend selects the default storage backend CreateTable uses: ""
-	// or "heap" for the B-tree-indexed heap tables the paper studies,
-	// BackendLSM ("lsm") for the log-structured backend with delete-aware
-	// compaction. CreateTableLSM and the SQL BACKEND clause select it per
-	// table regardless of this default.
-	Backend string
 }
 
 func (o Options) withDefaults() Options {
@@ -431,20 +425,19 @@ type RetryPolicy struct {
 	// and with it the batch's retry event stream, keeping non-retrying
 	// batches byte-identical to the pre-policy engine).
 	MaxRetries int
-	// Backoff is the base delay before the first retry, doubled each
-	// further attempt (default 1ms). Real time: the simulated clock only
-	// advances on I/O, so backing off costs nothing on the virtual clock.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 100ms).
-	MaxBackoff time.Duration
 	// Seed derives each retry's deterministic jitter: the delay for
 	// (statement index, attempt) is a pure function of Seed, so a re-run
 	// of the same batch backs off identically.
 	Seed int64
-	// Retryable overrides the retryable-error predicate (nil = the
-	// ErrOverloaded / ErrLockTimeout default).
-	Retryable func(error) bool
 }
+
+// The retry backoff: retryBackoff before the first retry, doubled each
+// further attempt up to maxRetryBackoff. Real time: the simulated clock only
+// advances on I/O, so backing off costs nothing on the virtual clock.
+const (
+	retryBackoff    = time.Millisecond
+	maxRetryBackoff = 100 * time.Millisecond
+)
 
 // RunConcurrent executes the statements in concurrent goroutines and
 // reports the batch's device-level timing. Statements on different tables
@@ -488,20 +481,6 @@ func (db *DB) RunConcurrentCtx(ctx context.Context, policy RetryPolicy, stmts ..
 		batch = db.obs.Events().Begin("concurrent-batch", "*")
 		defer batch.End()
 	}
-	retryable := policy.Retryable
-	if retryable == nil {
-		retryable = func(err error) bool {
-			return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrLockTimeout)
-		}
-	}
-	base := policy.Backoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	maxBackoff := policy.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 100 * time.Millisecond
-	}
 	reg := db.obs.Registry()
 
 	ndev := db.disk.NumDevices()
@@ -517,8 +496,8 @@ func (db *DB) RunConcurrentCtx(ctx context.Context, policy RetryPolicy, stmts ..
 			defer wg.Done()
 			for attempt := 0; ; attempt++ {
 				err := fn()
-				if err == nil || attempt >= policy.MaxRetries ||
-					!retryable(err) || ctx.Err() != nil {
+				if err == nil || attempt >= policy.MaxRetries || ctx.Err() != nil ||
+					!(errors.Is(err, ErrOverloaded) || errors.Is(err, ErrLockTimeout)) {
 					errs[i] = err
 					return
 				}
@@ -527,10 +506,7 @@ func (db *DB) RunConcurrentCtx(ctx context.Context, policy RetryPolicy, stmts ..
 				if blocked > 0 {
 					steps++
 				}
-				delay := base << steps
-				if delay > maxBackoff {
-					delay = maxBackoff
-				}
+				delay := min(retryBackoff<<steps, maxRetryBackoff)
 				delay = delay/2 + time.Duration(jitter64(uint64(policy.Seed),
 					uint64(i), uint64(attempt))%uint64(delay/2+1))
 				reg.Counter(obs.MetricRetries).Add(1)
@@ -607,7 +583,7 @@ func (db *DB) rollForwardOnline(h *heapBackend, txID uint64, field int, token ui
 		// attempts' versions together.
 		tgt := h.target()
 		h.retainTarget(tgt, token)
-		return db.resume(tgt, bs, recs, field, core.Options{Undeletable: h.t.Undeletable})
+		return db.resume(tgt, bs, recs, field, core.Options{})
 	}
 	return 0, nil
 }
@@ -740,12 +716,9 @@ func (db *DB) WALFile() (id sim.FileID, ok bool) {
 	return db.log.FileID(), true
 }
 
-// CreateTable adds a table of numFields int64 attributes padded to
-// recordSize bytes, on the backend Options.Backend selects.
+// CreateTable adds a heap table of numFields int64 attributes padded to
+// recordSize bytes; CreateTableLSM makes an LSM one.
 func (db *DB) CreateTable(name string, numFields, recordSize int) (*Table, error) {
-	if db.opts.Backend == BackendLSM {
-		return db.CreateTableLSM(name, numFields, recordSize)
-	}
 	schema := record.Schema{NumFields: numFields, Size: recordSize}
 	return db.created(db.addTable(name, schema, func(tbl *Table) (backend, error) {
 		t, err := table.Create(db.pool, name, schema)

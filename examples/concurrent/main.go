@@ -62,7 +62,7 @@ func main() {
 	}
 
 	// Updaters insert new events while the bulk delete runs. Their
-	// first insert blocks on the shared table lock until the bulk
+	// first insert blocks on the table lock until the bulk
 	// deleter releases it (after the heap and the unique id index); the
 	// rest land in the side-files of the still-offline kind and shard
 	// indexes.

@@ -46,14 +46,23 @@ func (h *heapBackend) count() int64 { return h.t.Heap.Count() }
 
 func (h *heapBackend) flush() error { return h.t.Flush() }
 
-// check first waits out a previous statement's early-released index passes
-// (no new bulk delete can take a gate offline under the shared lock), then
-// holds updMu, so no insert or row delete is half applied while the heap and
-// trees are compared.
+// check compares the heap and trees under the shared table lock, so no
+// updater or delete is half applied meanwhile. It waits out a previous
+// statement's early-released index passes before it takes the claim — an
+// updater queued behind a claim that itself waits on an offline index would
+// stall for the whole pass — then re-checks the gates under it, where no
+// bulk delete can take one offline again.
 func (h *heapBackend) check() error {
-	h.waitIndexesOnline()
-	h.tbl.updMu.Lock()
-	defer h.tbl.updMu.Unlock()
+	lock := h.tbl.lock
+	for {
+		h.waitIndexesOnline()
+		lock.Lock(cc.Shared)
+		if !slices.ContainsFunc(h.t.Idx, func(ix *table.Index) bool { return ix.Gate.State() == cc.Offline }) {
+			break
+		}
+		lock.Unlock(cc.Shared)
+	}
+	defer lock.Unlock(cc.Shared)
 	return h.t.CheckConsistency()
 }
 
@@ -202,42 +211,14 @@ func (h *heapBackend) lookupAt(field int, lo, hi int64, s uint64, emit func(RID,
 	return err
 }
 
-// rowsAt collects lookupAt's rows: key order on the index arm, physical
-// order on the scan arm, either followed by the snapshot's retained rows.
-func (h *heapBackend) rowsAt(field int, lo, hi int64, s uint64) ([][]int64, error) {
-	var rows [][]int64
-	err := h.lookupAt(field, lo, hi, s, func(_ RID, row []int64) error {
-		rows = append(rows, row)
-		return nil
-	})
-	return rows, err
-}
-
-// lookup, lookupRange and scan serve the Table methods of the same names
-// against a commit-epoch snapshot of their own: they never block behind a
-// bulk delete.
-func (h *heapBackend) lookup(field int, v int64) ([][]int64, error) {
-	return h.lookupRange(field, v, v)
-}
-
-func (h *heapBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
-	s := h.beginSnapshotRead()
-	defer h.endSnapshotRead(s)
-	return h.rowsAt(field, lo, hi, s)
-}
-
-func (h *heapBackend) scan(fn func(rid RID, fields []int64) error) error {
-	s := h.beginSnapshotRead()
-	defer h.endSnapshotRead(s)
-	return h.t.SnapshotScan(s, fn)
-}
-
 func (h *heapBackend) hasIndexOnField(field int) bool { return h.t.IndexOnField(field) != nil }
 
-// view opens a snapshot read that stays registered until the View closes.
-func (h *heapBackend) view() *View {
+// view opens a snapshot read that stays registered until the View closes:
+// it never blocks behind a bulk delete, and holds only the Snapshot mode,
+// which admits writers, while caller code runs.
+func (h *heapBackend) view() View {
 	s := h.beginSnapshotRead()
-	return &View{r: heapView{h: h, s: s}, epoch: s}
+	return View{r: heapView{h: h, s: s}, epoch: s}
 }
 
 // heapView serves a View's reads at its snapshot epoch s.
@@ -249,11 +230,18 @@ type heapView struct {
 func (v heapView) get(rid RID) ([]int64, bool, error) { return v.h.t.SnapshotRow(rid, v.s) }
 
 func (v heapView) lookup(field int, val int64) ([][]int64, error) {
-	return v.h.rowsAt(field, val, val, v.s)
+	return v.lookupRange(field, val, val)
 }
 
+// lookupRange collects lookupAt's rows: key order on the index arm, physical
+// order on the scan arm, either followed by the snapshot's retained rows.
 func (v heapView) lookupRange(field int, lo, hi int64) ([][]int64, error) {
-	return v.h.rowsAt(field, lo, hi, v.s)
+	var rows [][]int64
+	err := v.h.lookupAt(field, lo, hi, v.s, func(_ RID, row []int64) error {
+		rows = append(rows, row)
+		return nil
+	})
+	return rows, err
 }
 
 func (v heapView) scan(fn func(rid RID, fields []int64) error) error {
@@ -490,9 +478,6 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 			stmt.Event(obs.EvEarlyRelease, name)
 		}
 		unlock()
-	}
-	if opts.Concurrent {
-		coreOpts.Undeletable = h.t.Undeletable
 	}
 	defer func() {
 		// Whatever happens, no gate WE took offline stays offline.

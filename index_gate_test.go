@@ -59,9 +59,9 @@ func rowsFor(lo, hi, skipLo, skipHi int64) [][]int64 {
 	return out
 }
 
-// TestCheckDuringInserts: Check holds what an updater holds, so an insert
-// that has written its heap row but not yet its index entries is never
-// judged half done.
+// TestCheckDuringInserts: Check's Shared claim excludes an updater's
+// Exclusive one, so an insert that has written its heap row but not yet its
+// index entries is never judged half done.
 func TestCheckDuringInserts(t *testing.T) {
 	_, tbl := gateTable(t, 100)
 	stop := make(chan struct{})

@@ -542,11 +542,11 @@ func loadLSM(cfg Config) (*bulkdel.DB, *bulkdel.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := bulkdel.Open(bulkdel.Options{BufferBytes: cfg.scaledMemory(), Backend: bulkdel.BackendLSM, Devices: cfg.Devices})
+	db, err := bulkdel.Open(bulkdel.Options{BufferBytes: cfg.scaledMemory(), Devices: cfg.Devices})
 	if err != nil {
 		return nil, nil, err
 	}
-	tbl, err := db.CreateTable("R", spec.Fields, spec.TupleSize)
+	tbl, err := db.CreateTableLSM("R", spec.Fields, spec.TupleSize)
 	if err != nil {
 		return nil, nil, err
 	}

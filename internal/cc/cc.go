@@ -1,22 +1,19 @@
 // Package cc implements the concurrency-control machinery of the paper's
 // §3: coarse table locking, per-index online/offline states, side-files,
-// undeletable markers for direct propagation, and the index processing
-// order.
+// and the index processing order.
 //
 // The paper's scheme: the bulk deleter takes an exclusive lock on the base
 // table and switches every index offline. As soon as the table and all
 // *unique* indexes are processed (and the deletion committed), the table
 // lock is released and the unique indexes come back online; the remaining
 // indexes stay offline while deletions are propagated to them. Updates by
-// concurrent transactions reach the offline indexes through one of two
-// mechanisms borrowed from online index construction (Mohan & Narang):
-//
-//   - Side-file: each offline index accumulates the updates in a queue;
-//     the bulk deleter applies the queue after processing the index,
-//     quiescing appends for the final batch before bringing it online.
-//   - Direct propagation: updates latch index pages and install entries
-//     directly; inserted entries are marked *undeletable* so the bulk
-//     deleter does not remove a re-used RID it still has in its victim set.
+// concurrent transactions reach an offline index through its side-file, one
+// of the two mechanisms the paper borrows from online index construction
+// (Mohan & Narang): the index accumulates the updates in a queue, and the
+// bulk deleter applies the queue after processing the index, quiescing
+// appends for the final batch before bringing it online. (The other, direct
+// propagation, installs entries in the offline tree under page latches; the
+// B-link trees here take none, so it is not offered.)
 //
 // Unique indexes must be processed first: while a unique index is offline
 // no uniqueness check can be enforced ("trying to ensure the uniqueness
@@ -39,8 +36,8 @@ const (
 	// Online means the index is usable as an access path and directly
 	// updatable.
 	Online IndexState = iota
-	// Offline means the index is being bulk-processed; updates must go
-	// through a side-file or direct propagation with latches.
+	// Offline means the index is being bulk-processed; updates go through
+	// its side-file.
 	Offline
 )
 
@@ -314,63 +311,6 @@ func (s *SideFile) Reopen() {
 	s.mu.Unlock()
 }
 
-// UndeletableSet marks entries inserted by concurrent transactions via
-// direct propagation. A RID freed by the bulk delete can be re-used by an
-// insert before the bulk deleter reaches some index; without the marker the
-// deleter — whose victim set still contains the RID — would remove the new
-// entry ("an inserted entry (key, RID) has to be marked as undeletable").
-type UndeletableSet struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-// NewUndeletableSet returns an empty set.
-func NewUndeletableSet() *UndeletableSet {
-	return &UndeletableSet{m: make(map[string]int)}
-}
-
-func undelKey(key []byte, rid record.RID) string {
-	return string(record.AppendRID(append([]byte(nil), key...), rid))
-}
-
-// Mark flags (key, rid) as undeletable. Marks nest: a mark added twice
-// needs two removals, mirroring two inserting transactions.
-func (u *UndeletableSet) Mark(key []byte, rid record.RID) {
-	u.mu.Lock()
-	u.m[undelKey(key, rid)]++
-	u.mu.Unlock()
-}
-
-// Unmark removes one nesting level of the flag. It is called during
-// rollback of the inserting transaction ("an undeletable entry can be
-// removed as part of rollback processing for the transaction that inserted
-// it") or when the bulk delete finishes.
-func (u *UndeletableSet) Unmark(key []byte, rid record.RID) {
-	u.mu.Lock()
-	k := undelKey(key, rid)
-	if u.m[k] > 1 {
-		u.m[k]--
-	} else {
-		delete(u.m, k)
-	}
-	u.mu.Unlock()
-}
-
-// Contains reports whether (key, rid) is currently undeletable.
-func (u *UndeletableSet) Contains(key []byte, rid record.RID) bool {
-	u.mu.Lock()
-	_, ok := u.m[undelKey(key, rid)]
-	u.mu.Unlock()
-	return ok
-}
-
-// Len returns the number of marked entries.
-func (u *UndeletableSet) Len() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.m)
-}
-
 // IndexInfo describes an index for ordering decisions.
 type IndexInfo struct {
 	Name string
@@ -502,19 +442,17 @@ func (g *Gate) ExitRead() {
 // never land in a side-file BringOnline has already reopened. Otherwise
 // apply runs with the gate held exclusively: online, or once the index is
 // back online when the side-file is quiesced (the bulk pass is replaying
-// its final batch). direct applies op to an offline tree at once instead
-// (direct propagation, §3.1.2), still excluding any reader a BringOnline
-// lets in meanwhile.
-func (g *Gate) Update(op Op, direct bool, apply func() error) error {
+// its final batch).
+func (g *Gate) Update(op Op, apply func() error) error {
 	g.mu.Lock()
-	if g.state == Offline && !direct {
+	if g.state == Offline {
 		if err := g.side.Append(op); err != ErrQuiesced {
 			g.mu.Unlock()
 			return err
 		}
 	}
 	g.writersW++
-	g.wait(func() bool { return (g.state == Online || direct) && !g.writing && g.readers == 0 })
+	g.wait(func() bool { return g.state == Online && !g.writing && g.readers == 0 })
 	g.writersW--
 	g.writing = true
 	g.mu.Unlock()

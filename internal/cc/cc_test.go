@@ -264,34 +264,6 @@ func TestSideFileConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestUndeletableSet(t *testing.T) {
-	u := NewUndeletableSet()
-	k := []byte("key1")
-	if u.Contains(k, rid(1)) {
-		t.Fatal("empty set contains entry")
-	}
-	u.Mark(k, rid(1))
-	if !u.Contains(k, rid(1)) {
-		t.Fatal("marked entry missing")
-	}
-	if u.Contains(k, rid(2)) {
-		t.Fatal("different RID matched")
-	}
-	if u.Contains([]byte("key2"), rid(1)) {
-		t.Fatal("different key matched")
-	}
-	// Nesting: two marks need two unmarks.
-	u.Mark(k, rid(1))
-	u.Unmark(k, rid(1))
-	if !u.Contains(k, rid(1)) {
-		t.Fatal("nested mark removed too early")
-	}
-	u.Unmark(k, rid(1))
-	if u.Contains(k, rid(1)) || u.Len() != 0 {
-		t.Fatal("unmark did not remove entry")
-	}
-}
-
 func TestProcessingOrderUniqueFirst(t *testing.T) {
 	idx := []IndexInfo{
 		{Name: "IB", Unique: false, Priority: 5},
@@ -438,17 +410,16 @@ func TestGateTakeOfflineWaitsForReaders(t *testing.T) {
 // TestGateUpdate pins what updaters rely on: online, the op is applied with
 // the gate held; offline, it is queued in the side-file in the same step as
 // the state check; with the side-file quiesced the updater waits for the
-// index to come online and applies the op then; direct propagation applies
-// to an offline tree at once.
+// index to come online and applies the op then.
 func TestGateUpdate(t *testing.T) {
 	g := NewGate()
 	applied := 0
 	apply := func() error { applied++; return nil }
-	if err := g.Update(Op{Kind: OpDelete, Key: []byte{1}, RID: rid(1)}, false, apply); err != nil || applied != 1 {
+	if err := g.Update(Op{Kind: OpDelete, Key: []byte{1}, RID: rid(1)}, apply); err != nil || applied != 1 {
 		t.Fatalf("online gate: err=%v applied=%d, want nil,1", err, applied)
 	}
 	g.TakeOffline()
-	if err := g.Update(Op{Kind: OpDelete, Key: []byte{2}, RID: rid(2)}, false, apply); err != nil || applied != 1 {
+	if err := g.Update(Op{Kind: OpDelete, Key: []byte{2}, RID: rid(2)}, apply); err != nil || applied != 1 {
 		t.Fatalf("offline gate: err=%v applied=%d, want nil,1", err, applied)
 	}
 	if ops := g.SideFile().Quiesce(); len(ops) != 1 || ops[0].RID != rid(2) {
@@ -456,7 +427,7 @@ func TestGateUpdate(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		if err := g.Update(Op{Kind: OpDelete, Key: []byte{3}, RID: rid(3)}, false, apply); err != nil {
+		if err := g.Update(Op{Kind: OpDelete, Key: []byte{3}, RID: rid(3)}, apply); err != nil {
 			t.Error(err)
 		}
 		close(done)
@@ -468,13 +439,6 @@ func TestGateUpdate(t *testing.T) {
 	if !returnsWithin(done, 2*time.Second) || applied != 2 {
 		t.Fatalf("quiesced update: applied=%d after BringOnline, want 2", applied)
 	}
-	g.TakeOffline()
-	if err := g.Update(Op{Kind: OpInsert, Key: []byte{4}, RID: rid(4)}, true, apply); err != nil || applied != 3 {
-		t.Fatalf("direct update: err=%v applied=%d, want nil,3", err, applied)
-	}
-	if g.SideFile().Len() != 0 {
-		t.Fatal("direct update queued in the side-file")
-	}
 }
 
 // TestGateUpdaterExcludesReaders: a reader waits out an online updater's
@@ -482,7 +446,7 @@ func TestGateUpdate(t *testing.T) {
 func TestGateUpdaterExcludesReaders(t *testing.T) {
 	g := NewGate()
 	inside, release := make(chan struct{}), make(chan struct{})
-	go g.Update(Op{Kind: OpInsert, Key: []byte{1}, RID: rid(1)}, false, func() error {
+	go g.Update(Op{Kind: OpInsert, Key: []byte{1}, RID: rid(1)}, func() error {
 		close(inside)
 		<-release
 		return nil

@@ -103,7 +103,7 @@ func NewManager() *Manager {
 
 // Lock returns the lock for a table, creating it on first use. The same
 // *TableLock is returned for the life of the manager, so a table's
-// DML-path shared locks and the manager's ordered exclusive locks always
+// DML-path locks and the manager's ordered statement locks always
 // contend on one object.
 func (m *Manager) Lock(table string) *TableLock {
 	m.mu.Lock()

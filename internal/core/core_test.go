@@ -12,7 +12,6 @@ import (
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/buffer"
-	"bulkdel/internal/cc"
 	"bulkdel/internal/heap"
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/record"
@@ -362,37 +361,6 @@ func TestReorganizeShrinksLeafLevel(t *testing.T) {
 	freeYes, _ := countLeafPages(true)
 	if freeYes <= freeNo {
 		t.Fatalf("reorganization freed %d pages vs %d without: expected more", freeYes, freeNo)
-	}
-}
-
-func TestUndeletableEntriesSurvive(t *testing.T) {
-	pool := testPool(1024)
-	tgt := makeTarget(t, pool, 2000, []int{0, 1}, []bool{false, false})
-	// Protect the IB entry of victim 100 (as if a concurrent transaction
-	// re-inserted it via direct propagation).
-	undel := cc.NewUndeletableSet()
-	ib := &tgt.Indexes[1]
-	rids, err := ib.Tree.Search(keyenc.Int64Key(300, 8)) // field1 = 3*100
-	if err != nil || len(rids) != 1 {
-		t.Fatalf("setup: %v %v", rids, err)
-	}
-	undel.Mark(keyenc.Int64Key(300, 8), rids[0])
-	victims, _ := pickVictims(2000, 0, 0)
-	victims = append(victims, 100, 101)
-	_, err = Execute(tgt, 0, victims, Options{Method: SortMerge, Undeletable: undel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Victim 101 fully gone; victim 100 gone from heap and IA, but its
-	// protected IB entry survives.
-	if got, _ := tgt.Indexes[0].Tree.Search(keyenc.Int64Key(100, 8)); len(got) != 0 {
-		t.Fatal("IA entry of victim 100 survived")
-	}
-	if got, _ := ib.Tree.Search(keyenc.Int64Key(300, 8)); len(got) != 1 {
-		t.Fatal("undeletable IB entry was deleted")
-	}
-	if got, _ := ib.Tree.Search(keyenc.Int64Key(303, 8)); len(got) != 0 {
-		t.Fatal("IB entry of victim 101 survived")
 	}
 }
 

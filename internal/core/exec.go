@@ -255,11 +255,6 @@ func (e *execCtx) skip(file sim.FileID) bool {
 	return e.opts.SkipStructures != nil && e.opts.SkipStructures[file]
 }
 
-// undeletable reports whether a concurrent transaction protected the entry.
-func (e *execCtx) undeletable(key []byte, rid record.RID) bool {
-	return e.opts.Undeletable != nil && e.opts.Undeletable.Contains(key, rid)
-}
-
 // sortedVictims sorts the victim values and returns an iterator over them
 // as canonical 8-byte order-preserving keys.
 func sortedVictims(e *execCtx, values []int64) (*xsort.Iterator, error) {

@@ -13,7 +13,6 @@ import (
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/buffer"
-	"bulkdel/internal/cc"
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
@@ -117,19 +116,16 @@ type leafCase struct {
 	kernel string // merge-key, merge-full, probe-rid, probe-full-1, probe-full-k
 	keyLen int
 	dups   bool
-	undel  bool
 	mode   string // fresh, resumed, readonly, readonly-stop
 }
 
 func (c leafCase) name() string {
-	d, u := "unique", "plain"
+	d := "unique"
 	if c.dups {
 		d = "dups"
 	}
-	if c.undel {
-		u = "undel"
-	}
-	return fmt.Sprintf("%s/k%d/%s/%s/%s", c.kernel, c.keyLen, d, u, c.mode)
+	// "plain" keeps the names of the committed golden rows.
+	return fmt.Sprintf("%s/k%d/%s/plain/%s", c.kernel, c.keyLen, d, c.mode)
 }
 
 // leafVictims is what a case asks its kernel to delete, in every shape the
@@ -138,8 +134,7 @@ type leafVictims struct {
 	keys    [][]byte                // sorted 8-byte keys (merge-key)
 	rows    [][]byte                // sorted key‖RID rows (merge-full, probe-full)
 	rids    map[record.RID]struct{} // probe-rid
-	undel   *cc.UndeletableSet
-	removed map[int]bool // entry ordinals that must be gone afterwards
+	removed map[int]bool            // entry ordinals that must be gone afterwards
 }
 
 func pickLeafVictims(f *leafFixture, c leafCase) leafVictims {
@@ -187,14 +182,7 @@ func pickLeafVictims(f *leafFixture, c leafCase) leafVictims {
 		sort.Slice(v.rows, func(a, b int) bool { return bytes.Compare(v.rows[a], v.rows[b]) < 0 })
 		v.rids[record.RID{Page: 1 << 20, Slot: 1}] = struct{}{}
 	}
-	if c.undel {
-		v.undel = cc.NewUndeletableSet()
-	}
-	for n, i := range hit {
-		if c.undel && n%5 == 2 {
-			v.undel.Mark(f.ents[i].Key, f.ents[i].RID)
-			continue
-		}
+	for _, i := range hit {
 		v.removed[i] = true
 	}
 	return v
@@ -226,7 +214,7 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	t.Helper()
 	disk := f.pool.Disk()
 	stmt := obs.NewEventLog().Begin("leaf-kernel", "IX")
-	o := Options{Log: log, TxID: 7, CheckpointRows: ckptRows, Undeletable: v.undel,
+	o := Options{Log: log, TxID: 7, CheckpointRows: ckptRows,
 		Stmt: stmt, failAfterApplied: crashAt}
 	if strings.HasSuffix(c.kernel, "-k") {
 		o.Memory = 8000 // four range partitions for the 400-odd victim rows
@@ -349,15 +337,13 @@ func TestLeafKernels(t *testing.T) {
 	for _, kernel := range []string{"merge-key", "merge-full", "probe-rid", "probe-full-1", "probe-full-k"} {
 		for _, keyLen := range []int{8, 16} {
 			for _, dups := range []bool{false, true} {
-				for _, undel := range []bool{false, true} {
-					modes := []string{"fresh", "resumed"}
-					if strings.HasSuffix(kernel, "-key") {
-						// The kernels with a read-only form.
-						modes = append(modes, "readonly", "readonly-stop")
-					}
-					for _, mode := range modes {
-						cases = append(cases, leafCase{kernel, keyLen, dups, undel, mode})
-					}
+				modes := []string{"fresh", "resumed"}
+				if strings.HasSuffix(kernel, "-key") {
+					// The kernels with a read-only form.
+					modes = append(modes, "readonly", "readonly-stop")
+				}
+				for _, mode := range modes {
+					cases = append(cases, leafCase{kernel, keyLen, dups, mode})
 				}
 			}
 		}

@@ -40,13 +40,11 @@ type seeker interface {
 // over, and nothing else. Any other matcher enters at the leaf covering from
 // (nil = the leftmost leaf; a range partition's lower boundary) and reads on
 // to the end of its range. The walk asks m about the entries, and for a hit
-// that no concurrent transaction protected (Options.Undeletable) hands the
-// RID to emit and, if del is set, deletes the entry; a leaf it empties is
-// freed as it moves on (btree.LeafCursor). It returns the number of hits.
-// The walk ends with the chain, when m runs out of victims, or — upTo
-// non-nil — at the first non-empty leaf whose first key is ≥ upTo, which is
-// still read and counted. A protected entry is skipped, not counted, and
-// m.took is not told, so it does not consume a merge victim.
+// hands the RID to emit and, if del is set, deletes the entry; a leaf it
+// empties is freed as it moves on (btree.LeafCursor). It returns the number
+// of hits. The walk ends with the chain, when m runs out of victims, or —
+// upTo non-nil — at the first non-empty leaf whose first key is ≥ upTo,
+// which is still read and counted.
 //
 // The charge model, which TestLeafKernels pins:
 //
@@ -138,13 +136,8 @@ func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool
 				i++
 				continue
 			}
-			rid := record.GetRID(fk[keyLen:])
-			if e.undeletable(fk[:keyLen], rid) {
-				i++
-				continue
-			}
 			if emit != nil {
-				if err := emit(rid); err != nil {
+				if err := emit(record.GetRID(fk[keyLen:])); err != nil {
 					return hits, err
 				}
 			}

@@ -173,9 +173,6 @@ type Options struct {
 	// SkipStructures lists structure files already fully processed
 	// (recovery).
 	SkipStructures map[sim.FileID]bool
-	// Undeletable entries are skipped by the index passes (direct
-	// propagation by concurrent transactions, §3.1.2).
-	Undeletable *cc.UndeletableSet
 	// Parallel caps the number of workers for the remaining-index passes
 	// (phase 3). 0 or 1 runs them serially; >1 runs independent ⋈̸ passes
 	// concurrently, at most one per device of the disk array (the effective

@@ -734,12 +734,12 @@ func lsmScenario(survived string, pick func(rows int) []int64, del func(*bulkdel
 	return scenario{
 		build: func(cfg Config) (*state, error) {
 			opts := options(cfg)
-			opts.Devices, opts.Backend = cfg.Devices, bulkdel.BackendLSM
+			opts.Devices = cfg.Devices
 			db, err := bulkdel.Open(opts)
 			if err != nil {
 				return nil, err
 			}
-			tbl, err := db.CreateTable("R", 3, 64)
+			tbl, err := db.CreateTableLSM("R", 3, 64)
 			if err != nil {
 				return nil, err
 			}

@@ -55,6 +55,18 @@ func (t *Tree) score(m Meta) float64 {
 	return t.opts.TombWeight*tomb + 0.05*age + float64(m.Entries)*1e-6
 }
 
+// pickLocked returns the highest-scoring table of level li that eligible
+// admits (the first on a tie), or -1 when it admits none; mu held.
+func (t *Tree) pickLocked(li int, eligible func(Meta) bool) int {
+	best, bestScore := -1, 0.0
+	for i, sst := range t.levels[li] {
+		if s := t.score(sst.Meta); eligible(sst.Meta) && (best == -1 || s > bestScore) {
+			best, bestScore = i, s
+		}
+	}
+	return best
+}
+
 // CompactNow runs at most one triggered compaction; did reports whether
 // anything ran. Exported for tests and the crash sweep.
 func (t *Tree) CompactNow() (did bool, err error) {
@@ -82,7 +94,7 @@ func (t *Tree) DrainTombstones() error {
 		if err := t.compactAllLocked(); err != nil {
 			return err
 		}
-		victim := -1
+		victim := -1 // the deepest level holding a tombstone
 		for li := len(t.levels) - 1; li >= 0; li-- {
 			for _, sst := range t.levels[li] {
 				if hasTombs(sst.Meta) {
@@ -103,13 +115,7 @@ func (t *Tree) DrainTombstones() error {
 			}
 			continue
 		}
-		best, bestScore := -1, 0.0
-		for i, sst := range t.levels[victim] {
-			if s := t.score(sst.Meta); hasTombs(sst.Meta) && (best == -1 || s > bestScore) {
-				best, bestScore = i, s
-			}
-		}
-		if err := t.compactTableLocked(victim, best); err != nil {
+		if err := t.compactTableLocked(victim, t.pickLocked(victim, hasTombs)); err != nil {
 			return err
 		}
 	}
@@ -139,13 +145,7 @@ func (t *Tree) compactOnceLocked() (bool, error) {
 		if len(t.levels[li]) <= t.maxTables(li) {
 			continue
 		}
-		best, bestScore := -1, 0.0
-		for i, sst := range t.levels[li] {
-			if s := t.score(sst.Meta); best == -1 || s > bestScore {
-				best, bestScore = i, s
-			}
-		}
-		return true, t.compactTableLocked(li, best)
+		return true, t.compactTableLocked(li, t.pickLocked(li, func(Meta) bool { return true }))
 	}
 	// 3. Tombstone TTL (Lethe's delete-aware trigger).
 	for li := range t.levels {
@@ -344,7 +344,7 @@ func (t *Tree) mergeLocked(runs, others [][]*SSTable) ([]*SSTable, error) {
 		}
 	}
 	var rtombs []RangeTomb // the surviving inputs' tombstones
-	srcs := make([]*mergeSrc, 0, len(runs))
+	srcs := make([]func() (entry, bool, error), 0, len(runs))
 	for _, run := range runs {
 		var live []*SSTable
 		for _, sst := range run {
@@ -353,14 +353,13 @@ func (t *Tree) mergeLocked(runs, others [][]*SSTable) ([]*SSTable, error) {
 				rtombs = append(rtombs, sst.rtombs...)
 			}
 		}
-		if len(live) == 0 {
-			continue
+		if len(live) > 0 {
+			srcs = append(srcs, chain(live, math.MinInt64))
 		}
-		s := &mergeSrc{next: chain(live, math.MinInt64)}
-		if err := s.advance(); err != nil {
-			return nil, err
-		}
-		srcs = append(srcs, s)
+	}
+	m, err := newMerge(t.pool.Disk(), srcs)
+	if err != nil {
+		return nil, err
 	}
 	var kept []RangeTomb
 	for _, rt := range rtombs {
@@ -391,31 +390,13 @@ func (t *Tree) mergeLocked(runs, others [][]*SSTable) ([]*SSTable, error) {
 		t.dropAllLocked(outs)
 		return nil, err
 	}
-	disk := t.pool.Disk()
 	for {
-		best := -1
-		live := 0
-		for i, s := range srcs {
-			if !s.ok {
-				continue
-			}
-			live++
-			if best == -1 || s.cur.key < srcs[best].cur.key ||
-				(s.cur.key == srcs[best].cur.key && s.cur.seq > srcs[best].cur.seq) {
-				best = i
-			}
-		}
-		if best == -1 {
+		win, ok := m.peek()
+		if !ok {
 			break
 		}
-		disk.ChargeCompares(live)
-		win := srcs[best].cur
-		for _, s := range srcs {
-			for s.ok && s.cur.key == win.key {
-				if err := s.advance(); err != nil {
-					return fail(err)
-				}
-			}
+		if err := m.skip(win.key); err != nil {
+			return fail(err)
 		}
 		if coveredBy(rtombs, win.key, win.seq) {
 			continue // shadowed by a range delete in this same merge

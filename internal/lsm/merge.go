@@ -143,6 +143,64 @@ func (s *mergeSrc) advance() error {
 	return err
 }
 
+// kmerge is the one k-way merge, shared by reads and compaction: a head per
+// source, each yielding its run in key order. The winner is the smallest
+// key among the heads, in its highest-seq version.
+type kmerge struct {
+	disk  *sim.Disk
+	heads []mergeSrc
+}
+
+// newMerge primes one head per source, in order.
+func newMerge(disk *sim.Disk, srcs []func() (entry, bool, error)) (*kmerge, error) {
+	m := &kmerge{disk: disk, heads: make([]mergeSrc, len(srcs))}
+	for i, next := range srcs {
+		m.heads[i].next = next
+		if err := m.heads[i].advance(); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// peek returns the next winner, charging one compare per live head; ok is
+// false once every head is spent. The winner stays at its head until skip,
+// so a caller that stops at it reads no further block.
+func (m *kmerge) peek() (win entry, ok bool) {
+	best := -1
+	live := 0
+	for i := range m.heads {
+		h := &m.heads[i]
+		if !h.ok {
+			continue
+		}
+		live++
+		if best == -1 || h.cur.key < m.heads[best].cur.key ||
+			(h.cur.key == m.heads[best].cur.key && h.cur.seq > m.heads[best].cur.seq) {
+			best = i
+		}
+	}
+	if best == -1 {
+		return entry{}, false
+	}
+	m.disk.ChargeCompares(live)
+	return m.heads[best].cur, true
+}
+
+// skip advances every head past key: the winner and every older version of
+// it.
+func (m *kmerge) skip(key int64) error {
+	for i := range m.heads {
+		h := &m.heads[i]
+		for h.ok && h.cur.key == key {
+			if err := h.advance(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // chain walks a run of tables — key-disjoint and sorted by key, as a level
 // >= 1 is — as one merge source from the first entry >= lo; a table's
 // blocks are read only when the walk reaches it.
@@ -176,19 +234,19 @@ func chain(run []*SSTable, lo int64) func() (entry, bool, error) {
 func (s *Snapshot) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) error {
 	mem := s.mem
 	i := sort.Search(len(mem), func(i int) bool { return mem[i].key >= lo })
-	srcs := []*mergeSrc{{next: func() (entry, bool, error) {
+	srcs := []func() (entry, bool, error){func() (entry, bool, error) {
 		if i >= len(mem) {
 			return entry{}, false, nil
 		}
 		e := mem[i]
 		i++
 		return e, true, nil
-	}}}
+	}}
 	for li, lvl := range s.levels {
 		if li == 0 {
 			for _, sst := range lvl {
 				if sst.Blocks > 0 && overlaps(sst.Meta, lo, hi) {
-					srcs = append(srcs, &mergeSrc{next: chain([]*SSTable{sst}, lo)})
+					srcs = append(srcs, chain([]*SSTable{sst}, lo))
 				}
 			}
 			continue
@@ -199,45 +257,23 @@ func (s *Snapshot) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error)
 			end++
 		}
 		if end > first {
-			srcs = append(srcs, &mergeSrc{next: chain(lvl[first:end], lo)})
+			srcs = append(srcs, chain(lvl[first:end], lo))
 		}
 	}
-	for _, src := range srcs {
-		if err := src.advance(); err != nil {
+	m, err := newMerge(s.t.pool.Disk(), srcs)
+	if err != nil {
+		return err
+	}
+	for {
+		win, ok := m.peek()
+		if !ok || win.key > hi {
+			return nil
+		}
+		if err := m.skip(win.key); err != nil {
 			return err
 		}
-	}
-	disk := s.t.pool.Disk()
-	for {
-		best := -1
-		live := 0
-		for i, src := range srcs {
-			if !src.ok {
-				continue
-			}
-			live++
-			if best == -1 || src.cur.key < srcs[best].cur.key ||
-				(src.cur.key == srcs[best].cur.key && src.cur.seq > srcs[best].cur.seq) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return nil
-		}
-		disk.ChargeCompares(live)
-		win := srcs[best].cur
-		if win.key > hi {
-			return nil
-		}
-		for _, src := range srcs { // drop every (older) version of this key
-			for src.ok && src.cur.key == win.key {
-				if err := src.advance(); err != nil {
-					return err
-				}
-			}
-		}
 		if win.kind == kindPut && win.seq > maxCoveringSeq(s.rtombs, win.key) {
-			disk.ChargeRecords(1)
+			m.disk.ChargeRecords(1)
 			if err := fn(win.key, win.val); err != nil {
 				return err
 			}

@@ -75,9 +75,6 @@ type Table struct {
 	// the shared instance from its cc.Manager so ordered multi-table
 	// acquisition and the DML entry points contend on one object.
 	Lock *cc.TableLock
-	// Undeletable marks entries installed by concurrent transactions via
-	// direct propagation during a bulk delete.
-	Undeletable *cc.UndeletableSet
 	// SortBudget is the working memory for index builds and victim sorts.
 	SortBudget int
 	// MVCC is the table's volatile snapshot-read state, never nil; a DB
@@ -116,14 +113,13 @@ func CreatePartitioned(pool *buffer.Pool, name string, schema record.Schema, spe
 // to the table; a DB swaps in its manager's lock and its shared clock.
 func newTable(pool *buffer.Pool, name string, schema record.Schema, h heap.Store) *Table {
 	return &Table{
-		Name:        name,
-		Schema:      schema,
-		Heap:        h,
-		Lock:        &cc.TableLock{},
-		Undeletable: cc.NewUndeletableSet(),
-		SortBudget:  DefaultSortBudget,
-		MVCC:        NewMVCC(cc.NewEpochClock()),
-		pool:        pool,
+		Name:       name,
+		Schema:     schema,
+		Heap:       h,
+		Lock:       &cc.TableLock{},
+		SortBudget: DefaultSortBudget,
+		MVCC:       NewMVCC(cc.NewEpochClock()),
+		pool:       pool,
 	}
 }
 
@@ -170,25 +166,13 @@ func (t *Table) IndexOnField(field int) *Index {
 	return nil
 }
 
-// Insert adds a row and maintains every online index; offline indexes
-// receive the change through their side-file (blocking briefly when the
-// side-file is quiesced).
+// Insert puts the record in the heap and an entry in every index: an online
+// index directly, an offline one through its side-file (blocking briefly
+// when the side-file is quiesced). An index that refuses its entry — a
+// unique index the key is already in — fails the insert as a whole: the
+// entries made so far, the birth stamp and the heap record are taken back
+// before the error is returned.
 func (t *Table) Insert(fields []int64) (record.RID, error) {
-	return t.insert(fields, false)
-}
-
-// InsertDirect adds a row using direct propagation for offline indexes:
-// the entry is installed immediately and marked undeletable so the running
-// bulk delete cannot remove it (paper §3.1.2).
-func (t *Table) InsertDirect(fields []int64) (record.RID, error) {
-	return t.insert(fields, true)
-}
-
-// insert puts the record in the heap and an entry in every index. An index
-// that refuses its entry — a unique index the key is already in — fails the
-// insert as a whole: the entries made so far, the birth stamp and the heap
-// record are taken back before the error is returned.
-func (t *Table) insert(fields []int64, direct bool) (record.RID, error) {
 	rec, err := t.Schema.Encode(fields)
 	if err != nil {
 		return record.NilRID, err
@@ -202,13 +186,13 @@ func (t *Table) insert(fields []int64, direct bool) (record.RID, error) {
 	// filter the row by.
 	t.MVCC.RecordBirth(rid)
 	for i, ix := range t.Idx {
-		err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpInsert, Key: ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field)), RID: rid}, direct)
+		err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpInsert, Key: ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field)), RID: rid})
 		if err == nil {
 			continue
 		}
 		for _, done := range t.Idx[:i] {
 			key := done.EncodeKey(t.Schema.Field(rec, done.Def.Field))
-			if uerr := t.applyIndexOp(done, cc.Op{Kind: cc.OpDelete, Key: key, RID: rid}, direct); uerr != nil {
+			if uerr := t.applyIndexOp(done, cc.Op{Kind: cc.OpDelete, Key: key, RID: rid}); uerr != nil {
 				return record.NilRID, fmt.Errorf("%w (and removing the entry from index %s failed: %v)", err, done.Def.Name, uerr)
 			}
 		}
@@ -222,14 +206,10 @@ func (t *Table) insert(fields []int64, direct bool) (record.RID, error) {
 }
 
 // applyIndexOp routes one index maintenance operation through the index's
-// gate (cc.Gate.Update). direct selects direct propagation over the
-// side-file: an insert into an offline index is then marked undeletable
-// before it is installed.
-func (t *Table) applyIndexOp(ix *Index, op cc.Op, direct bool) error {
-	if direct && op.Kind == cc.OpInsert && ix.Gate.State() == cc.Offline {
-		t.Undeletable.Mark(op.Key, op.RID)
-	}
-	return ix.Gate.Update(op, direct, func() error { return ApplyOp(ix.Tree, op) })
+// gate (cc.Gate.Update): applied to an online tree, queued in an offline
+// one's side-file.
+func (t *Table) applyIndexOp(ix *Index, op cc.Op) error {
+	return ix.Gate.Update(op, func() error { return ApplyOp(ix.Tree, op) })
 }
 
 // ApplyOp applies one index maintenance operation to tree. Deleting an
@@ -267,7 +247,7 @@ func (t *Table) DeleteRow(rid record.RID) error {
 	defer t.MVCC.CommitToken(token)
 	for _, ix := range t.Idx {
 		key := ix.EncodeKey(t.Schema.Field(rec, ix.Def.Field))
-		if err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpDelete, Key: key, RID: rid}, false); err != nil {
+		if err := t.applyIndexOp(ix, cc.Op{Kind: cc.OpDelete, Key: key, RID: rid}); err != nil {
 			return err
 		}
 	}

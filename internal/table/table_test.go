@@ -260,28 +260,6 @@ func TestSideFileFlow(t *testing.T) {
 	}
 }
 
-func TestDirectPropagationMarksUndeletable(t *testing.T) {
-	tbl := newTestTable(t, 100)
-	ib := tbl.FindIndex("IB")
-	ib.Gate.TakeOffline()
-	if _, err := tbl.InsertDirect([]int64{900, 1800, 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Direct propagation updated the offline index immediately...
-	if rids, _ := ib.Tree.Search(ib.EncodeKey(1800)); len(rids) != 1 {
-		t.Fatal("direct propagation missed the offline index")
-	}
-	// ...and marked the new entry undeletable.
-	rids, _ := ib.Tree.Search(ib.EncodeKey(1800))
-	if !tbl.Undeletable.Contains(ib.EncodeKey(1800), rids[0]) {
-		t.Fatal("entry not marked undeletable")
-	}
-	ib.Gate.BringOnline()
-	if err := tbl.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSideFileDeleteOfBulkDeletedEntryIsNoop(t *testing.T) {
 	tbl := newTestTable(t, 100)
 	ib := tbl.FindIndex("IB")

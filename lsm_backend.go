@@ -26,22 +26,21 @@ import (
 // What LSM tables do not have: RIDs (rows are addressed by key),
 // secondary indexes, and the ⋈̸ bulk-delete planner (tombstones make it
 // unnecessary). The key is their one access path: a lookup on field 0 is a
-// Get, a range on it a key-range merge. Readers merge the memtable and
-// SSTables (a one-off Get under the tree's own latch; everything else on an
-// lsm.Snapshot that reads latch-free, so scan callbacks may re-enter the
-// table, and a View holds one snapshot across its reads); deletes still
-// take the engine's exclusive table lock and advance the commit epoch, so
-// the statement lifecycle, observability, and locking semantics match the
-// heap backend. Mutations under the shared lock (inserts, forced
-// compaction) additionally serialize on the table's updMu, exactly like
-// heap inserts: seq allocation, the WAL append, the memtable apply, and any
-// flush the mutation triggers must form one atomic unit, or a concurrent
-// mutation's flush could publish a flushed-seq horizon covering a seq whose
-// record is not yet in the memtable — WAL replay would then skip it and the
-// write would vanish after a crash.
+// Get, a range on it a key-range merge. Every read merges the memtable and
+// SSTables of one lsm.Snapshot, captured under the shared table lock and
+// read latch-free with no lock held, so a scan callback may write to the
+// table and a View holds one snapshot across its reads. Deletes take the
+// engine's exclusive table lock and advance the commit epoch, so the
+// statement lifecycle, observability, and locking semantics match the heap
+// backend. The other mutations (inserts, forced compaction) hold the table
+// lock exclusively too, exactly like heap inserts: seq allocation, the WAL
+// append, the memtable apply, and any flush the mutation triggers must form
+// one atomic unit, or a concurrent mutation's flush could publish a
+// flushed-seq horizon covering a seq whose record is not yet in the
+// memtable — WAL replay would then skip it and the write would vanish after
+// a crash.
 
-// BackendLSM is the Options.Backend / Table.Backend() name of the LSM
-// storage backend; the zero value selects the heap backend.
+// BackendLSM is the Table.Backend() name of the LSM storage backend.
 const BackendLSM = "lsm"
 
 // lsmBackend owns the table's tree. The statement layer's shared fields
@@ -175,10 +174,8 @@ func (l *lsmBackend) log(t wal.Type, tx, a, b uint64, rest []byte) error {
 }
 
 // insert adds (or overwrites) the row keyed on fields[0]. The statement
-// layer's updMu makes NextSeq → WAL append → Put → MaybeFlush one atomic
-// unit against the other shared-lock mutators (inserts, CompactLSM); see
-// the file comment. Delete statements hold the table exclusively, so they
-// cannot interleave here either.
+// layer's exclusive lock makes NextSeq → WAL append → Put → MaybeFlush one
+// atomic unit against every other mutator; see the file comment.
 func (l *lsmBackend) insert(fields []int64) (RID, error) {
 	if len(fields) == 0 {
 		return record.NilRID, fmt.Errorf("bulkdel: LSM table %s: insert needs at least the key field", l.tbl.name)
@@ -221,88 +218,6 @@ func (l *lsmBackend) count() int64 {
 	return n
 }
 
-// lsmReader is what the read paths need of the tree: the live *lsm.Tree for
-// a one-off read, or the *lsm.Snapshot a View pins.
-type lsmReader interface {
-	Get(key int64) ([]byte, bool, error)
-	ScanRange(lo, hi int64, fn func(key int64, rec []byte) error) error
-}
-
-// lookup serves Table.Lookup under the shared table lock.
-func (l *lsmBackend) lookup(field int, v int64) ([][]int64, error) {
-	l.tbl.lock.Lock(cc.Shared)
-	defer l.tbl.lock.Unlock(cc.Shared)
-	return l.lookupIn(l.tree, field, v)
-}
-
-// lookupRange serves Table.LookupRange under the shared table lock.
-func (l *lsmBackend) lookupRange(field int, lo, hi int64) ([][]int64, error) {
-	l.tbl.lock.Lock(cc.Shared)
-	defer l.tbl.lock.Unlock(cc.Shared)
-	return l.lookupRangeIn(l.tree, field, lo, hi)
-}
-
-// scan serves Table.Scan under the shared table lock.
-func (l *lsmBackend) scan(fn func(rid RID, fields []int64) error) error {
-	l.tbl.lock.Lock(cc.Shared)
-	defer l.tbl.lock.Unlock(cc.Shared)
-	return l.scanIn(l.tree, fn)
-}
-
-// lookupIn is a Get on field 0, a filtered merged scan on any other field.
-func (l *lsmBackend) lookupIn(r lsmReader, field int, v int64) ([][]int64, error) {
-	if field != 0 {
-		return l.lookupRangeIn(r, field, v, v)
-	}
-	rec, ok, err := r.Get(v)
-	if err != nil || !ok {
-		return nil, err
-	}
-	vals, err := l.tbl.schema.Decode(rec)
-	if err != nil {
-		return nil, err
-	}
-	return [][]int64{vals}, nil
-}
-
-// lookupRangeIn is a key-range merge on field 0, a filtered merged scan
-// otherwise. Results arrive in key order.
-func (l *lsmBackend) lookupRangeIn(r lsmReader, field int, lo, hi int64) ([][]int64, error) {
-	if lo > hi {
-		return nil, nil
-	}
-	var out [][]int64
-	emit := func(_ int64, rec []byte) error {
-		if v := l.tbl.schema.Field(rec, field); v < lo || v > hi {
-			return nil
-		}
-		vals, err := l.tbl.schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, vals)
-		return nil
-	}
-	klo, khi := int64(math.MinInt64), int64(math.MaxInt64)
-	if field == 0 {
-		klo, khi = lo, hi
-	}
-	err := r.ScanRange(klo, khi, emit)
-	return out, err
-}
-
-// scanIn visits every row in key order. LSM rows have no RIDs; fn receives
-// record.NilRID.
-func (l *lsmBackend) scanIn(r lsmReader, fn func(rid RID, fields []int64) error) error {
-	return r.ScanRange(math.MinInt64, math.MaxInt64, func(_ int64, rec []byte) error {
-		vals, err := l.tbl.schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		return fn(record.NilRID, vals)
-	})
-}
-
 // hasIndexOnField: the key is the one access path.
 func (l *lsmBackend) hasIndexOnField(field int) bool { return field == 0 }
 
@@ -310,10 +225,10 @@ func (l *lsmBackend) hasIndexOnField(field int) bool { return field == 0 }
 // while capturing: a delete applies its point tombstones one DeletePoint at
 // a time under the exclusive lock, so a capture without it could see half a
 // delete.
-func (l *lsmBackend) view() *View {
+func (l *lsmBackend) view() View {
 	l.tbl.lock.Lock(cc.Shared)
 	defer l.tbl.lock.Unlock(cc.Shared)
-	return &View{r: lsmView{l: l, s: l.tree.Snapshot()}, epoch: l.tbl.db.epochs.Current()}
+	return View{r: lsmView{l: l, s: l.tree.Snapshot()}, epoch: l.tbl.db.epochs.Current()}
 }
 
 // lsmView serves a View's reads from its pinned snapshot s.
@@ -324,15 +239,60 @@ type lsmView struct {
 
 func (v lsmView) get(RID) ([]int64, bool, error) { return nil, false, notOnLSM(v.l.tbl.name) }
 
+// lookup is a Get on field 0, a filtered merged scan on any other field.
 func (v lsmView) lookup(field int, val int64) ([][]int64, error) {
-	return v.l.lookupIn(v.s, field, val)
+	if field != 0 {
+		return v.lookupRange(field, val, val)
+	}
+	rec, ok, err := v.s.Get(val)
+	if err != nil || !ok {
+		return nil, err
+	}
+	vals, err := v.l.tbl.schema.Decode(rec)
+	if err != nil {
+		return nil, err
+	}
+	return [][]int64{vals}, nil
 }
 
+// lookupRange is a key-range merge on field 0, a filtered merged scan
+// otherwise. Results arrive in key order.
 func (v lsmView) lookupRange(field int, lo, hi int64) ([][]int64, error) {
-	return v.l.lookupRangeIn(v.s, field, lo, hi)
+	if lo > hi {
+		return nil, nil
+	}
+	schema := v.l.tbl.schema
+	var out [][]int64
+	emit := func(_ int64, rec []byte) error {
+		if f := schema.Field(rec, field); f < lo || f > hi {
+			return nil
+		}
+		vals, err := schema.Decode(rec)
+		if err != nil {
+			return err
+		}
+		out = append(out, vals)
+		return nil
+	}
+	klo, khi := int64(math.MinInt64), int64(math.MaxInt64)
+	if field == 0 {
+		klo, khi = lo, hi
+	}
+	err := v.s.ScanRange(klo, khi, emit)
+	return out, err
 }
 
-func (v lsmView) scan(fn func(rid RID, fields []int64) error) error { return v.l.scanIn(v.s, fn) }
+// scan visits every row in key order. LSM rows have no RIDs; fn receives
+// record.NilRID.
+func (v lsmView) scan(fn func(rid RID, fields []int64) error) error {
+	return v.s.ScanRange(math.MinInt64, math.MaxInt64, func(_ int64, rec []byte) error {
+		vals, err := v.l.tbl.schema.Decode(rec)
+		if err != nil {
+			return err
+		}
+		return fn(record.NilRID, vals)
+	})
+}
 
 func (v lsmView) close() { v.s.Close() }
 
@@ -462,8 +422,8 @@ func (tbl *Table) CompactLSM() error {
 	// Like Insert: the forced flush must not interleave with a concurrent
 	// insert's NextSeq → Put window, or the published flush horizon could
 	// cover a not-yet-applied seq.
-	tbl.lockUpdater()
-	defer tbl.unlockUpdater()
+	tbl.lock.Lock(cc.Exclusive)
+	defer tbl.lock.Unlock(cc.Exclusive)
 	if err := l.tree.FlushMem(); err != nil {
 		return err
 	}

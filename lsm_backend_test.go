@@ -14,15 +14,14 @@ import (
 )
 
 // newLSMDB builds an LSM-backed table R(A,B,C) of n rows (A=i, B=3i,
-// C=i%97) through the Options.Backend routing.
+// C=i%97).
 func newLSMDB(t *testing.T, n int, opts Options) (*DB, *Table) {
 	t.Helper()
-	opts.Backend = BackendLSM
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable("R", 3, 64)
+	tbl, err := db.CreateTableLSM("R", 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,12 +442,11 @@ func TestLSMBackendSQLRouting(t *testing.T) {
 // that row's WAL record is skipped on replay and the row vanishes after
 // a crash. Default MemLimit (256) guarantees many flushes during the run.
 func TestLSMConcurrentInsertsRecoverIntact(t *testing.T) {
-	opts := Options{Backend: BackendLSM}
-	db, err := Open(opts)
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable("R", 3, 64)
+	tbl, err := db.CreateTableLSM("R", 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,12 +584,11 @@ func TestHeapOnlyOpsOnLSMTable(t *testing.T) {
 
 	id := func(v int64) int64 { return v }
 	refused := map[string]func() error{
-		"CreateIndex":  func() error { return s.CreateIndex(IndexOptions{Name: "IA", Field: 0}) },
-		"DropIndex":    func() error { return s.DropIndex("IA") },
-		"InsertDirect": func() error { _, err := s.InsertDirect(1, 2, 3); return err },
-		"DeleteRow":    func() error { return s.DeleteRow(RID{}) },
-		"Get":          func() error { _, err := s.Get(RID{}); return err },
-		"LookupRIDs":   func() error { _, err := s.LookupRIDs(0, 1); return err },
+		"CreateIndex": func() error { return s.CreateIndex(IndexOptions{Name: "IA", Field: 0}) },
+		"DropIndex":   func() error { return s.DropIndex("IA") },
+		"DeleteRow":   func() error { return s.DeleteRow(RID{}) },
+		"Get":         func() error { _, err := s.Get(RID{}); return err },
+		"LookupRIDs":  func() error { _, err := s.LookupRIDs(0, 1); return err },
 		"View.Get": func() error {
 			v, err := s.View()
 			if err != nil {

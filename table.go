@@ -3,7 +3,6 @@ package bulkdel
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"bulkdel/internal/btree"
@@ -36,47 +35,43 @@ type IndexOptions struct {
 
 // Table is a base table: the statement layer over one storage backend. It
 // owns what every backend shares — the name, the schema, the §3 coarse table
-// lock, updater serialization — and runs each statement's lifecycle (crashed
-// check, admission, lock footprint, event stream) once; the rows live
-// behind b. See DESIGN.md §4.9.
+// lock — and runs each statement's lifecycle (crashed check, admission, lock
+// footprint, event stream) once; the rows live behind b. See DESIGN.md §4.9.
 type Table struct {
 	db     *DB
 	name   string
 	schema record.Schema
 	// lock is the manager's shared lock for this table name: ordered
-	// multi-table acquisition and the DML entry points contend on it.
+	// multi-table acquisition and the DML entry points contend on it. An
+	// updater (Insert, DeleteRow, CompactLSM) holds it Exclusive, which
+	// makes it the table's one writer while snapshot readers go on; during
+	// a concurrent bulk delete's early-released index passes it reaches the
+	// offline trees only through their side-files.
 	lock *cc.TableLock
-	// updMu serializes updater DML (Insert/DeleteRow) against each
-	// other and against a heap Check. It stands in for the fine-grained page latches a production
-	// engine would take; the bulk deleter does not take it — during a
-	// concurrent bulk delete it only touches offline index trees, which
-	// updaters reach exclusively through their (thread-safe) side-files.
-	updMu sync.Mutex
-	// row is Insert's copy of its arguments, reused under updMu: passed
-	// through the backend interface, the variadic slice itself would
-	// escape and cost every insert an allocation.
+	// row is Insert's copy of its arguments, reused under the exclusive
+	// lock: passed through the backend interface, the variadic slice itself
+	// would escape and cost every insert an allocation.
 	row []int64
 	b   backend
 }
 
 // backend is the storage seam: the operations both the heap and the LSM
 // implementation really perform. Everything else on Table is heap-only and
-// goes through Table.heap. Reads take whatever table lock their backend's
-// read protocol needs; insert and check run under the statement layer's
-// shared lock (insert also under updMu), the deletes inside the statement
+// goes through Table.heap. Every read runs on a view, which takes whatever
+// table lock its backend's read protocol needs and holds none while caller
+// code runs; insert runs under the statement layer's exclusive lock, check
+// takes its own shared one, the deletes run inside the statement
 // deleteStatement opened.
 type backend interface {
 	kind() string
 	insert(fields []int64) (RID, error) // must not retain fields
 	count() int64
-	lookup(field int, v int64) ([][]int64, error)
-	lookupRange(field int, lo, hi int64) ([][]int64, error)
-	scan(fn func(rid RID, fields []int64) error) error
 	// hasIndexOnField reports whether field has an access path: an index
 	// on the heap, the key (field 0) on LSM.
 	hasIndexOnField(field int) bool
-	// view pins one read state for Table.View.
-	view() *View
+	// view pins one read state: a View, or the one-off read a Table read
+	// method runs on (a value, so that read allocates no View).
+	view() View
 	deleteIn(st *statement, field int, values []int64) (*BulkResult, error)
 	deleteRange(st *statement, field int, lo, hi int64) (*BulkResult, error)
 	check() error
@@ -111,18 +106,6 @@ func (tbl *Table) liveHeap() (*heapBackend, error) {
 		return nil, errCrashed
 	}
 	return tbl.heap()
-}
-
-// lockUpdater takes what every updater of the table holds: the shared table
-// lock, then updMu.
-func (tbl *Table) lockUpdater() {
-	tbl.lock.Lock(cc.Shared)
-	tbl.updMu.Lock()
-}
-
-func (tbl *Table) unlockUpdater() {
-	tbl.updMu.Unlock()
-	tbl.lock.Unlock(cc.Shared)
 }
 
 // Name returns the table name.
@@ -206,31 +189,18 @@ func (tbl *Table) IndexHeight(name string) int {
 // Insert adds one row (values for the leading fields; the rest zero) and
 // maintains every index. It returns the new record's RID (record.NilRID on
 // an LSM table, whose rows are addressed by key: field 0, upsert
-// semantics). Inserts take a shared table lock, so they block while a bulk
-// delete holds the table exclusively and resume once the lock is released
-// (after the heap and the unique indexes are processed); updates to
-// still-offline indexes go through their side-files.
+// semantics). Inserts take the table lock exclusively, so they block while
+// a bulk delete holds it and resume once the lock is released (after the
+// heap and the unique indexes are processed); updates to still-offline
+// indexes go through their side-files.
 func (tbl *Table) Insert(fields ...int64) (RID, error) {
 	if tbl.db.crashed.Load() {
 		return record.NilRID, errCrashed
 	}
-	tbl.lockUpdater()
-	defer tbl.unlockUpdater()
+	tbl.lock.Lock(cc.Exclusive)
+	defer tbl.lock.Unlock(cc.Exclusive)
 	tbl.row = append(tbl.row[:0], fields...)
 	return tbl.b.insert(tbl.row)
-}
-
-// InsertDirect adds a row using direct propagation when indexes are
-// offline during a concurrent bulk delete: entries are installed
-// immediately and marked undeletable (paper §3.1.2). Heap tables only.
-func (tbl *Table) InsertDirect(fields ...int64) (RID, error) {
-	h, err := tbl.liveHeap()
-	if err != nil {
-		return record.NilRID, err
-	}
-	tbl.lockUpdater()
-	defer tbl.unlockUpdater()
-	return h.t.InsertDirect(fields)
 }
 
 // DeleteRow removes one record by RID. Heap tables only.
@@ -239,21 +209,17 @@ func (tbl *Table) DeleteRow(rid RID) error {
 	if err != nil {
 		return err
 	}
-	tbl.lockUpdater()
-	defer tbl.unlockUpdater()
+	tbl.lock.Lock(cc.Exclusive)
+	defer tbl.lock.Unlock(cc.Exclusive)
 	return h.t.DeleteRow(rid)
 }
 
 // Get decodes the record at rid as of a commit-epoch snapshot; it does not
 // block behind a concurrent bulk delete's exclusive lock. Heap tables only.
 func (tbl *Table) Get(rid RID) ([]int64, error) {
-	h, err := tbl.heap()
-	if err != nil {
-		return nil, err
-	}
-	s := h.beginSnapshotRead()
-	defer h.endSnapshotRead(s)
-	row, ok, err := h.t.SnapshotRow(rid, s)
+	v := tbl.b.view()
+	defer v.Close()
+	row, ok, err := v.Get(rid)
 	if err != nil {
 		return nil, err
 	}
@@ -268,10 +234,14 @@ func (tbl *Table) Get(rid RID) ([]int64, error) {
 func (tbl *Table) HasIndexOnField(field int) bool { return tbl.b.hasIndexOnField(field) }
 
 // Lookup returns all rows whose field equals v: on a heap table via an
-// index on the field (see heapBackend.lookup for the snapshot semantics), on
-// an LSM table by a point read on field 0 or a filtered merged scan.
+// index on the field, on an LSM table by a point read on field 0 or a
+// filtered merged scan. Like every one-off read it runs on a view pinned for
+// the call, so it never blocks behind a bulk delete and holds no table lock
+// while it runs.
 func (tbl *Table) Lookup(field int, v int64) ([][]int64, error) {
-	return tbl.b.lookup(field, v)
+	view := tbl.b.view()
+	defer view.Close()
+	return view.Lookup(field, v)
 }
 
 // LookupRIDs returns the RIDs of all rows whose field equals v, via an
@@ -300,14 +270,18 @@ func (tbl *Table) LookupRIDs(field int, v int64) ([]RID, error) {
 // inclusive). Heap tables use an index on the field when one exists (key
 // order), else a heap scan (physical order); LSM tables merge in key order.
 func (tbl *Table) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	return tbl.b.lookupRange(field, lo, hi)
+	view := tbl.b.view()
+	defer view.Close()
+	return view.LookupRange(field, lo, hi)
 }
 
-// Scan calls fn for every row: physical order on a heap table (see
-// heapBackend.scan for the snapshot semantics), key order with
-// record.NilRID on an LSM table.
+// Scan calls fn for every row of a view pinned for the call: physical order
+// on a heap table, key order with record.NilRID on an LSM table. fn may
+// write to the table it scans.
 func (tbl *Table) Scan(fn func(rid RID, fields []int64) error) error {
-	return tbl.b.scan(fn)
+	view := tbl.b.view()
+	defer view.Close()
+	return view.Scan(fn)
 }
 
 // View opens a stable read view: one state of the table held across calls,
@@ -316,13 +290,14 @@ func (tbl *Table) Scan(fn func(rid RID, fields []int64) error) error {
 // bulk delete's exclusive lock (it blocks only behind Structural passes),
 // pins retained versions, and holds a snapshot-reader registration that
 // Structural claims drain. On an LSM table it is one source snapshot of the
-// tree, captured under the shared table lock so no delete is half-applied
+// tree, captured under the shared table lock so no write is half-applied
 // in it. Either way the view must be Closed.
 func (tbl *Table) View() (*View, error) {
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
 	}
-	return tbl.b.view(), nil
+	v := tbl.b.view()
+	return &v, nil
 }
 
 // View is a stable read view over one table. Its read methods mirror the
@@ -377,12 +352,8 @@ func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
 
 // Check verifies every structural invariant of the backend (heap/index
 // agreement and the trees; the LSM levels and their manifest) under the
-// shared table lock.
-func (tbl *Table) Check() error {
-	tbl.lock.Lock(cc.Shared)
-	defer tbl.lock.Unlock(cc.Shared)
-	return tbl.b.check()
-}
+// shared table lock, so no updater or delete is half applied meanwhile.
+func (tbl *Table) Check() error { return tbl.b.check() }
 
 // Flush forces the table's pages to disk. LSM tables are a no-op: the
 // memtable's durability comes from the WAL, and SSTables are flushed as
