@@ -97,6 +97,22 @@ func TestOpenCreateInsertLookup(t *testing.T) {
 	}
 }
 
+// TestHeapLookupAllocs pins a heap Lookup's allocations: the view it reads
+// on passes its epoch to the reader instead of boxing a (backend, epoch)
+// pair into the View, so a point lookup through the index costs 10, one
+// fewer than with the box.
+func TestHeapLookupAllocs(t *testing.T) {
+	_, tbl := newBenchDB(t, 5000, Options{})
+	got := testing.AllocsPerRun(100, func() {
+		if rows, err := tbl.Lookup(0, 1234); err != nil || len(rows) != 1 {
+			t.Fatalf("Lookup = %v, %v", rows, err)
+		}
+	})
+	if got > 10 {
+		t.Fatalf("a heap Lookup allocates %v times, want <= 10", got)
+	}
+}
+
 // TestInsertArgumentsStayOnTheStack pins that Table.Insert's variadic
 // arguments do not escape through the backend seam: tbl.Insert(a, b, c)
 // costs one allocation fewer than when the slice went to the interface

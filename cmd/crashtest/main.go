@@ -12,7 +12,7 @@
 //	crashtest -from 10 -to 60 -stride 5
 //	crashtest -tear 100 -tear-wal     # additionally tear crashing WAL writes
 //	crashtest -rebalance              # crash an online device rebalancing, and a bulk delete on a 4-way partitioned heap
-//	crashtest -lsm                    # crash the LSM delete + compaction sequences, an insert stream across compaction and WAL restarts, and a heap delete beside an LSM table
+//	crashtest -lsm                    # crash the LSM delete + compaction sequences, an insert stream across compaction and WAL restarts, a tenant drop reclaimed at its TTL, and a heap delete beside an LSM table
 //	crashtest -cancel                 # cancel (not crash) at every ordinal
 //	crashtest -rebalance -cancel      # cancel the partitioned-heap bulk delete at every ordinal
 //	crashtest -reader                 # crash/cancel under a concurrent MVCC snapshot reader
@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "worker cap for the remaining-index passes (makes the crash point nondeterministic; invariants still checked)")
 	concurrent := fs.Bool("concurrent", false, "two-table scenario: crash a concurrent two-statement batch (invariants only, no digest)")
 	rebalance := fs.Bool("rebalance", false, "partitioned-table scenarios: crash an online device rebalancing (rebalance:) and a sort/merge bulk delete on a hash-partitioned 4-way heap (parted:)")
-	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, inserts driving a multi-table compaction and WAL restarts (lsm-grow:), and a heap bulk delete beside an LSM table living in the WAL (lsm-heap:)")
+	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, inserts driving a multi-table compaction and WAL restarts (lsm-grow:), a tenant drop applied in place at its TTL (lsm-drop:), and a heap bulk delete beside an LSM table living in the WAL (lsm-heap:); with -rows, the fixed-size lsm-grow and lsm-drop are left out")
 	cancelMode := fs.Bool("cancel", false, "cancel scenario: cooperatively cancel at every ordinal and compare the online abort against crash+recover")
 	reader := fs.Bool("reader", false, "attach a concurrent MVCC snapshot reader to the crash (or, with -cancel, the cancel) sweep; the pinned view must stay repeatable throughout")
 	verifyDigest := fs.Bool("verify-digest", true, "re-run deterministic sweeps and require identical digests")
@@ -96,7 +96,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *rebalance:
 		scenarios, perMethod = []string{"rebalance", "parted"}, false
 	case *lsmMode:
-		scenarios, perMethod = []string{"lsm", "lsm-in", "lsm-grow", "lsm-heap"}, false
+		scenarios, perMethod = []string{"lsm", "lsm-in", "lsm-grow", "lsm-drop", "lsm-heap"}, false
+		// lsm-grow and lsm-drop have a fixed size: with -rows they would
+		// repeat the default run's sweep, so only the sized ones run.
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "rows" {
+				scenarios = []string{"lsm", "lsm-in", "lsm-heap"}
+			}
+		})
 	case *reader && *cancelMode:
 		scenarios = []string{"reader-cancel"}
 	case *reader:
@@ -213,6 +220,7 @@ var kinds = map[string]kind{
 	"lsm":           {fired: "crash", digest: true},
 	"lsm-in":        {fired: "crash", digest: true},
 	"lsm-grow":      {fired: "crash", digest: true},
+	"lsm-drop":      {fired: "crash", digest: true},
 	"lsm-heap":      {fired: "crash", digest: true},
 	"concurrent":    {title: "concurrent 2-table batch: ", fired: "crash"},
 	"cancel":        {title: "cancel sweep: ", fired: "cancelled", reference: true},

@@ -35,10 +35,10 @@ func runCLI(t *testing.T, status int, args []string, suffix string, prefixes ...
 // cancel and reader sweeps used to ignore it and run the whole range.
 func TestAtReproducesOneOrdinalInEveryScenario(t *testing.T) {
 	runCLI(t, 0, []string{"-cancel", "-at", "37", "-method", "sort"}, " ok", "sort:     io=37   cancelled=")
-	runCLI(t, 0, []string{"-lsm", "-at", "5"}, " ok", "lsm: io=5    crash=", "lsm-in: io=5    crash=", "lsm-grow: io=5    crash=", "lsm-heap: io=5    crash=")
-	// Past the two short LSM statements, inside the insert stream and the
+	runCLI(t, 0, []string{"-lsm", "-at", "5"}, " ok", "lsm: io=5    crash=", "lsm-in: io=5    crash=", "lsm-grow: io=5    crash=", "lsm-drop: io=5    crash=", "lsm-heap: io=5    crash=")
+	// Past the two short LSM statements, inside the insert streams and the
 	// heap delete: the sweeps the ordinal is past are skipped, not an error.
-	runCLI(t, 0, []string{"-lsm", "-at", "37"}, " ok", "lsm-grow: io=37   crash=", "lsm-heap: io=37   crash=")
+	runCLI(t, 0, []string{"-lsm", "-at", "37"}, " ok", "lsm-grow: io=37   crash=", "lsm-drop: io=37   crash=", "lsm-heap: io=37   crash=")
 	runCLI(t, 0, []string{"-rebalance", "-at", "9"}, " ok", "rebalance: io=9    crash=", "parted: io=9    crash=")
 	// Past the rebalancing's last I/O, inside the partitioned-heap delete.
 	runCLI(t, 0, []string{"-rebalance", "-at", "45"}, " ok", "parted: io=45   crash=")
@@ -59,11 +59,13 @@ func TestSummaryLines(t *testing.T) {
 		"sort:     68 I/Os, swept 8 ordinals, 0 failed, digest ")
 	// The LSM deletes run on a base whose CompactLSM restarted the drained
 	// WAL, so their log flush starts a fresh page and reads no tail back.
-	// lsm-grow's sweep crosses a two-output compaction and four restarts.
+	// lsm-grow's sweep crosses a two-output compaction and eight restarts;
+	// lsm-drop's, a tenant drop applied in place at its TTL.
 	runCLI(t, 0, []string{"-lsm"}, "",
 		"lsm: 10 I/Os, swept 10 ordinals, 0 failed, digest d3fba8c1d06a4750",
 		"lsm-in: 11 I/Os, swept 11 ordinals, 0 failed, digest ",
-		"lsm-grow: 460 I/Os, swept 460 ordinals, 0 failed, digest 882361dda057c5c2",
+		"lsm-grow: 702 I/Os, swept 702 ordinals, 0 failed, digest cb7d19ced8d6c78e",
+		"lsm-drop: 250 I/Os, swept 250 ordinals, 0 failed, digest 584ce0c3a09ec354",
 		"lsm-heap: 69 I/Os, swept 69 ordinals, 0 failed, digest 4cca06efc7eca313")
 	// rebalance's digest carries the clock of the sort/merge bulk delete its
 	// verify runs after recovery, so it moves with the kernels' charges, as

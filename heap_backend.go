@@ -217,38 +217,36 @@ func (h *heapBackend) hasIndexOnField(field int) bool { return h.t.IndexOnField(
 // it never blocks behind a bulk delete, and holds only the Snapshot mode,
 // which admits writers, while caller code runs.
 func (h *heapBackend) view() View {
-	s := h.beginSnapshotRead()
-	return View{r: heapView{h: h, s: s}, epoch: s}
+	return View{r: (*heapView)(h), epoch: h.beginSnapshotRead()}
 }
 
-// heapView serves a View's reads at its snapshot epoch s.
-type heapView struct {
-	h *heapBackend
-	s uint64
-}
+// heapView serves a View's reads at the View's snapshot epoch. It is the
+// backend itself under another name, so a View holds it without an
+// allocation.
+type heapView heapBackend
 
-func (v heapView) get(rid RID) ([]int64, bool, error) { return v.h.t.SnapshotRow(rid, v.s) }
+func (v *heapView) get(rid RID, s uint64) ([]int64, bool, error) { return v.t.SnapshotRow(rid, s) }
 
-func (v heapView) lookup(field int, val int64) ([][]int64, error) {
-	return v.lookupRange(field, val, val)
+func (v *heapView) lookup(field int, val int64, s uint64) ([][]int64, error) {
+	return v.lookupRange(field, val, val, s)
 }
 
 // lookupRange collects lookupAt's rows: key order on the index arm, physical
 // order on the scan arm, either followed by the snapshot's retained rows.
-func (v heapView) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+func (v *heapView) lookupRange(field int, lo, hi int64, s uint64) ([][]int64, error) {
 	var rows [][]int64
-	err := v.h.lookupAt(field, lo, hi, v.s, func(_ RID, row []int64) error {
+	err := (*heapBackend)(v).lookupAt(field, lo, hi, s, func(_ RID, row []int64) error {
 		rows = append(rows, row)
 		return nil
 	})
 	return rows, err
 }
 
-func (v heapView) scan(fn func(rid RID, fields []int64) error) error {
-	return v.h.t.SnapshotScan(v.s, fn)
+func (v *heapView) scan(fn func(rid RID, fields []int64) error, s uint64) error {
+	return v.t.SnapshotScan(s, fn)
 }
 
-func (v heapView) close() { v.h.endSnapshotRead(v.s) }
+func (v *heapView) close(s uint64) { (*heapBackend)(v).endSnapshotRead(s) }
 
 // target builds core's view of the table, with the engine's hooks.
 func (h *heapBackend) target() *core.Target {

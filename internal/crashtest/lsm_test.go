@@ -61,10 +61,26 @@ func TestLSMGrowSweepCrossesMemtables(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for _, n := range []int64{0, 256, 1024} {
+	for _, n := range []int64{0, 256, lsmGrowInserts} {
 		if !seen[n] {
 			t.Fatalf("no ordinal recovered %d inserts (saw %v)", n, seen)
 		}
+	}
+}
+
+// TestLSMDropSweep crashes the filler flush that ages a tenant drop to its
+// TTL, and the in-place reclamation it triggers, at every fifth I/O
+// (`crashtest -lsm` sweeps them all): no dropped row may come back, and the
+// sweep must cross both outcomes of the filler — rows recovered from the
+// log before their hiding tombstone was durable, and none after.
+func TestLSMDropSweep(t *testing.T) {
+	sw := mustRun(t, "lsm-drop", Config{Stride: 5})
+	seen := make(map[bool]bool)
+	for _, r := range sw.Ordinals {
+		seen[r.Field("filler").(int64) > 0] = true
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("filler recovered in some ordinals: %v, in none: %v", seen[true], seen[false])
 	}
 }
 

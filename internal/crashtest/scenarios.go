@@ -208,10 +208,11 @@ var scenarios = map[string]scenario{
 			return err
 		}),
 	// Inserts alone drive the LSM write path: on a durable base of one
-	// full-sized L1 table, lsmGrowInserts random-order inserts fill four
+	// full-sized table, lsmGrowInserts random-order inserts fill eight
 	// memtables; every flush leaves nothing live in the WAL and restarts it
-	// in place, and the L0 compaction the fourth one triggers merges past
-	// the table bound into two L1 tables. Inserts are durable once their
+	// in place, and the second L0 compaction leaves level 1 over its
+	// target, so its push into the base's level merges past the table
+	// bound into two tables. Inserts are durable once their
 	// memtable's flush commits, so recovery must land on the base plus a
 	// prefix of the inserts, whole memtables at a time.
 	"lsm-grow": {
@@ -221,6 +222,19 @@ var scenarios = map[string]scenario{
 		verify:        verifyLSMGrow,
 		deterministic: always,
 		fields:        []Field{{"inserted", int64(0)}},
+	},
+	// A tenant drop meets its TTL: on a base spanning levels 1 and 2, a
+	// range tombstone sitting in level 1 one tick short of TombstoneTTL; the
+	// swept filler's flush ages it, and its in-place application rewrites
+	// one table at each level and drops a third unread, in one manifest
+	// commit. Recovery must never bring a dropped row back.
+	"lsm-drop": {
+		build:         buildLSMDrop,
+		run:           runLSMDrop,
+		reference:     referenceLSMDrop,
+		verify:        verifyLSMDrop,
+		deterministic: always,
+		fields:        []Field{{"filler", int64(0)}},
 	},
 	// Recovery with mixed backends: the paper's statement on heap table R
 	// while LSM table S sits beside it with rows durable only as WAL records
@@ -540,14 +554,15 @@ func verifyLSMHeap(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.Recovery
 }
 
 // The lsm-grow scenario's sizes: the base is one full-sized table at the
-// engine's default LSM options, the inserts four memtables' worth.
+// engine's default LSM options, the inserts eight memtables' worth — two
+// L0 batches, one more than level 1's target above that base.
 const (
 	lsmGrowBase    = 4096
-	lsmGrowInserts = 1024
+	lsmGrowInserts = 2048
 )
 
 // buildLSMGrow loads R with the base rows, A = 0, 2, 4, …, compacted into
-// one L1 table; its victim list is the insert order: odd keys spread over
+// one table; its victim list is the insert order: odd keys spread over
 // the base's key range, shuffled by cfg.Seed.
 func buildLSMGrow(cfg Config) (*state, error) {
 	opts := options(cfg)
@@ -585,15 +600,22 @@ func runLSMGrow(_ context.Context, _ Config, st *state, _ *Result) error {
 }
 
 // referenceLSMGrow makes sure the fault-free run crossed what the sweep is
-// for: a compaction with several outputs, and a WAL restart that discarded
-// the inserts' buffered records.
+// for: a compaction with several outputs at some level >= 1 (two tables of
+// one level born at one flush tick), and a WAL restart that discarded the
+// inserts' buffered records.
 func referenceLSMGrow(_ Config, st *state) error {
 	tbl := st.tables[0]
 	if got, want := tbl.Count(), int64(lsmGrowBase+lsmGrowInserts); got != want {
 		return fmt.Errorf("holds %d rows, want %d", got, want)
 	}
-	if lv := tbl.LSMManifest().Levels; len(lv) < 2 || len(lv[1]) < 2 {
-		return fmt.Errorf("levels %d deep, no multi-table L1: the compaction emitted one table", len(lv))
+	multi := false
+	for _, lvl := range tbl.LSMManifest().Levels[1:] {
+		for i := 1; i < len(lvl); i++ {
+			multi = multi || lvl[i].Born == lvl[i-1].Born
+		}
+	}
+	if !multi {
+		return fmt.Errorf("no level >= 1 holds two tables born at one tick: no compaction emitted several outputs")
 	}
 	if q := st.db.Inspect().WAL.Queued; q != 0 {
 		return fmt.Errorf("%d log bytes still buffered: the WAL did not restart", q)
@@ -653,6 +675,171 @@ func verifyLSMGrow(_ Config, st *state, rdb *bulkdel.DB, _ *bulkdel.RecoveryRepo
 	}
 	if again, msg := inserted(); msg != "" || again != ins {
 		res.failf("post-recovery compaction changed state: %d inserts -> %d %s", ins, again, msg)
+	}
+}
+
+// The lsm-drop scenario's shape: ascending base rows leave level 2 five
+// tables of 1,024 rows, [0, 1023] … [4096, 5119], and level 1 one,
+// [5120, 6143]; the tenant drop hides [lsmDropLo, lsmDropHi], which
+// overlaps level 1's table and the last two of level 2.
+// Filler rows live at lsmDropFar and above, past every base key.
+const (
+	lsmDropBase = 6144
+	lsmDropLo   = 4000
+	lsmDropHi   = 5500
+	lsmDropFar  = 1 << 20
+)
+
+// lsmDropFill fills one memtable with filler: 255 - taken rows from
+// lsmDropFar + 256*n up, then one range tombstone hiding them, the 256th
+// entry, whose statement flushes the memtable into an L0 table that holds
+// only that tombstone (the rows it hides never reach disk). The next L0
+// compaction drops it: nothing below overlaps its span. Returns the rows
+// in insert order.
+func lsmDropFill(tbl *bulkdel.Table, n, taken int) ([]int64, error) {
+	lo := int64(lsmDropFar + 256*n)
+	var rows []int64
+	for a := lo; a < lo+int64(255-taken); a++ {
+		if _, err := tbl.Insert(a, 3*a, a%7); err != nil {
+			return nil, err
+		}
+		rows = append(rows, a)
+	}
+	_, err := tbl.DeleteRange(0, lo, lo+255, bulkdel.BulkOptions{})
+	return rows, err
+}
+
+// buildLSMDrop loads R with the base rows, A = 0 … lsmDropBase-1 in order,
+// then drops the tenant [lsmDropLo, lsmDropHi] with one range tombstone
+// and fills four memtables behind it: the L0 compaction the fourth one
+// triggers takes the tombstone into level 1, rewriting the level-1 table
+// without the rows it hides and keeping the tombstone for level 2 below.
+// Three more filler flushes age it to one tick short of TombstoneTTL. The
+// victim list is the run's filler insert order.
+func buildLSMDrop(cfg Config) (*state, error) {
+	opts := options(cfg)
+	opts.Devices = cfg.Devices
+	db, err := bulkdel.Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	tbl, err := db.CreateTableLSM("R", 3, 64)
+	if err != nil {
+		return nil, err
+	}
+	for a := int64(0); a < lsmDropBase; a++ {
+		if _, err := tbl.Insert(a, 3*a, a%7); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := tbl.DeleteRange(0, lsmDropLo, lsmDropHi, bulkdel.BulkOptions{}); err != nil {
+		return nil, err
+	}
+	for n := 0; n < 7; n++ {
+		taken := 0
+		if n == 0 {
+			taken = 1 // the tenant drop's tombstone
+		}
+		if _, err := lsmDropFill(tbl, n, taken); err != nil {
+			return nil, err
+		}
+	}
+	return &state{db: db, tables: []*bulkdel.Table{tbl}, victims: [][]int64{keys(lsmDropFar+256*7, lsmDropFar+256*7+254, 1)}}, db.Flush()
+}
+
+// runLSMDrop fills the memtable that ages the tenant drop to TombstoneTTL:
+// its flush piles L0 up, the L0 compaction drops the filler, and the TTL
+// trigger then applies the drop in place — level 1's table and level 2's
+// [3072, 4095] rewritten without it, [4096, 5119] dropped unread, the rest
+// untouched — in one manifest commit.
+func runLSMDrop(_ context.Context, _ Config, st *state, _ *Result) error {
+	_, err := lsmDropFill(st.tables[0], 7, 0)
+	return err
+}
+
+// referenceLSMDrop makes sure the fault-free run applied the drop in place:
+// no range tombstone is left, level 1 holds its table's rows above the
+// drop, and level 2 ends with [3072, 3999], rewritten with its birth tick
+// kept, older than level 1's — a push-down would have stamped its output
+// with the compaction's tick.
+func referenceLSMDrop(_ Config, st *state) error {
+	tbl := st.tables[0]
+	if got, want := tbl.Count(), int64(lsmDropBase-(lsmDropHi-lsmDropLo+1)); got != want {
+		return fmt.Errorf("holds %d rows, want %d", got, want)
+	}
+	lv := tbl.LSMManifest().Levels
+	if len(lv) != 3 || len(lv[1]) != 1 || len(lv[2]) != 4 {
+		return fmt.Errorf("levels %v, want one table at level 1 and four at level 2", lv)
+	}
+	for _, lvl := range lv {
+		for _, m := range lvl {
+			if m.RangeTombs != 0 {
+				return fmt.Errorf("a range tombstone survived the TTL: %+v", m)
+			}
+		}
+	}
+	l1, l2 := lv[1][0], lv[2][3]
+	switch {
+	case l1.MinKey != lsmDropHi+1 || l1.MaxKey != lsmDropBase-1 || l2.MinKey != 3072 || l2.MaxKey != lsmDropLo-1:
+		return fmt.Errorf("level 1 holds [%d, %d], level 2 ends with [%d, %d]", l1.MinKey, l1.MaxKey, l2.MinKey, l2.MaxKey)
+	case l2.Born >= l1.Born:
+		return fmt.Errorf("level 2's last table was born at tick %d, level 1's at %d: pushed, not rewritten in place", l2.Born, l1.Born)
+	}
+	return tbl.Check()
+}
+
+// verifyLSMDrop checks R holds every base row outside the dropped tenant,
+// none inside it, no filler the build hid, and a prefix of the run's filler
+// rows — all of them or none once its hiding tombstone is in — before and
+// after draining the recovered tree.
+func verifyLSMDrop(_ Config, st *state, rdb *bulkdel.DB, _ *bulkdel.RecoveryReport, res *Result) {
+	tbl := rdb.Table("R")
+	if tbl == nil {
+		res.failf("table R missing after recovery")
+		return
+	}
+	filler := st.victims[0]
+	settled := func() (int64, string) {
+		if err := tbl.Check(); err != nil {
+			return 0, fmt.Sprintf("consistency check: %v", err)
+		}
+		var base, fill int64
+		err := tbl.Scan(func(_ bulkdel.RID, f []int64) error {
+			a := f[0]
+			switch {
+			case f[1] != 3*a || f[2] != a%7:
+				return fmt.Errorf("row %v does not match the base formula", f)
+			case a >= lsmDropLo && a <= lsmDropHi:
+				return fmt.Errorf("dropped row %d came back", a)
+			case a < lsmDropBase:
+				base++
+			case int(fill) < len(filler) && a == filler[fill]:
+				fill++
+			default:
+				return fmt.Errorf("row %d is no base row and no prefix of the run's filler", a)
+			}
+			return nil
+		})
+		switch {
+		case err != nil:
+			return 0, err.Error()
+		case base != lsmDropBase-(lsmDropHi-lsmDropLo+1):
+			return 0, fmt.Sprintf("%d base rows, want %d", base, lsmDropBase-(lsmDropHi-lsmDropLo+1))
+		}
+		return fill, ""
+	}
+	fill, msg := settled()
+	res.set("filler", fill)
+	res.Survivors, res.Err = lsmDropBase-(lsmDropHi-lsmDropLo+1)+fill, msg
+	if msg != "" {
+		return
+	}
+	if err := tbl.CompactLSM(); err != nil {
+		res.failf("post-recovery compaction failed: %v", err)
+		return
+	}
+	if again, msg := settled(); msg != "" || again != fill {
+		res.failf("post-recovery compaction changed state: %d filler rows -> %d %s", fill, again, msg)
 	}
 }
 

@@ -3,32 +3,45 @@ package lsm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Leveled compaction with delete-aware scheduling.
 //
+// Level targets are entry counts set from the bottom up (dynamic level
+// sizing): the deepest level holds what it holds, and each level above it
+// targets 1/LevelRatio of the level below, floored at one L0 batch
+// (MemLimit·L0Limit entries). Once level 1's target reaches LevelRatio
+// batches an empty level enters at the top, so no data moves to make room.
+// The targets are a pure function of the level set, so a reopened tree
+// computes the ones its manifest was committed under.
+//
 // Three triggers, checked in order:
 //
 //  1. L0 pile-up: L0Limit tables in L0 merge (with every overlapping L1
 //     table) into L1 — the classic size trigger.
-//  2. Level overflow: level i holding more than LevelBase·LevelRatio^(i-1)
-//     tables pushes one victim (plus the overlapping slice of level i+1)
-//     down. The victim is chosen by a score that weighs tombstone density
-//     (Lethe's delete-awareness) alongside size and age, so a
-//     delete-laden table goes first.
+//  2. Level overflow: a level holding more entries than its target pushes
+//     one victim (plus the overlapping slice of the level below) down. The
+//     victim is the table whose push rewrites the fewest entries per entry
+//     it moves, with tombstone density (Lethe's delete-awareness) as a
+//     discount, so a delete-laden table goes first among equals.
 //  3. Tombstone TTL: any table carrying a point or range tombstone that
-//     is TombstoneTTL flush ticks old is force-compacted even if no size
-//     trigger fires. This bounds reclamation latency: the space a bulk
-//     delete frees is physically recovered within a fixed number of
-//     flushes, not "when the size triggers get around to it" (Lethe §4).
+//     is TombstoneTTL flush ticks old is reclaimed even if no size trigger
+//     fires (reclaimLocked, which DrainTombstones shares). This bounds
+//     reclamation latency: the space a bulk delete frees is physically
+//     recovered within a fixed number of flushes, not "when the size
+//     triggers get around to it" (Lethe §4). A table below L0 whose only
+//     tombstones are range tombstones has them applied in place: only the
+//     deeper tables their spans overlap are rewritten, so a range delete
+//     costs the data it covers, not the levels it sits above.
 //
 // A merge streams its surviving entries into tables of at most
 // tableEntries entries each, cut at key boundaries, so every level >= 1 is
-// a run of key-disjoint tables sorted by key, and the count budgets above
-// move one bounded table at a time into only the slice of the next level
-// it overlaps. A range tombstone that spans a cut is clipped to each
-// output's share of the key space.
+// a run of key-disjoint tables sorted by key, and an overflow moves one
+// bounded table into only the slice of the next level it overlaps. A range
+// tombstone that spans a cut is clipped to each output's share of the key
+// space.
 //
 // Every compaction is atomic through the manifest: the merged outputs are
 // written and flushed first, the manifest commit swaps the level sets,
@@ -36,32 +49,59 @@ import (
 // old manifest (inputs intact, outputs orphans) or the new one (inputs
 // orphaned) — never a mix.
 
-// maxTables returns level li's table allowance (li >= 1).
-func (t *Tree) maxTables(li int) int {
-	n := t.opts.LevelBase
-	for i := 1; i < li; i++ {
-		n *= t.opts.LevelRatio
+// batch is one L0 compaction's worth of entries, the floor of every
+// level's target.
+func (t *Tree) batch() int64 { return int64(t.opts.MemLimit * t.opts.L0Limit) }
+
+// levelEntries sums a level's entries.
+func levelEntries(lvl []*SSTable) int64 {
+	var n int64
+	for _, sst := range lvl {
+		n += sst.Entries
 	}
 	return n
+}
+
+// targets returns each level's entry target (index 0, L0, unused): the
+// deepest level's own entries, and for each level above it 1/LevelRatio of
+// the target below, floored at one batch.
+func (t *Tree) targets(levels [][]*SSTable) []int64 {
+	tg := make([]int64, len(levels))
+	for li := len(levels) - 1; li >= 1; li-- {
+		if li == len(levels)-1 {
+			tg[li] = levelEntries(levels[li])
+		} else {
+			tg[li] = max(tg[li+1]/int64(t.opts.LevelRatio), t.batch())
+		}
+	}
+	return tg
 }
 
 // hasTombs reports whether a table carries any tombstone.
 func hasTombs(m Meta) bool { return m.Tombs > 0 || m.RangeTombs > 0 }
 
-// score ranks compaction victims: tombstone-dense, old, large first.
-func (t *Tree) score(m Meta) float64 {
+// cost ranks the tables of level li as push-down victims: the entries a
+// push rewrites per entry it moves down — the table plus the slice of level
+// li+1 it overlaps — discounted by tombstone density (Lethe's
+// delete-awareness: a delete-laden table's push also reclaims what its
+// tombstones hide). Lowest first.
+func (t *Tree) cost(li int, m Meta) float64 {
+	var over int64
+	if li+1 < len(t.levels) {
+		in, _ := split(t.levels[li+1], m.MinKey, m.MaxKey)
+		over = levelEntries(in)
+	}
 	tomb := (float64(m.Tombs) + 8*float64(m.RangeTombs)) / (float64(m.Entries) + 1)
-	age := float64(t.tick - m.Born)
-	return t.opts.TombWeight*tomb + 0.05*age + float64(m.Entries)*1e-6
+	return float64(m.Entries+over) / float64(m.Entries+1) / (1 + t.opts.TombWeight*tomb)
 }
 
-// pickLocked returns the highest-scoring table of level li that eligible
-// admits (the first on a tie), or -1 when it admits none; mu held.
+// pickLocked returns the cheapest table of level li that eligible admits
+// (the first on a tie), or -1 when it admits none; mu held.
 func (t *Tree) pickLocked(li int, eligible func(Meta) bool) int {
-	best, bestScore := -1, 0.0
+	best, bestCost := -1, 0.0
 	for i, sst := range t.levels[li] {
-		if s := t.score(sst.Meta); eligible(sst.Meta) && (best == -1 || s > bestScore) {
-			best, bestScore = i, s
+		if c := t.cost(li, sst.Meta); eligible(sst.Meta) && (best == -1 || c < bestCost) {
+			best, bestCost = i, c
 		}
 	}
 	return best
@@ -82,11 +122,15 @@ func (t *Tree) CompactAll() error {
 	return t.compactAllLocked()
 }
 
-// DrainTombstones compacts until no SSTable carries any tombstone — the
-// benchmark's "space fully reclaimed" fixpoint. Each forced round pushes
-// the offending table one level down (or rewrites it in place once
-// nothing below overlaps it, and its tombstones drop), so the loop
-// terminates.
+// DrainTombstones compacts until no SSTable carries any tombstone and no
+// trigger fires — the benchmark's "space fully reclaimed" fixpoint. Each
+// round runs the triggered compactions, then reclaims a table of the
+// deepest level holding a tombstone (reclaimLocked): its range tombstones
+// are applied in place and drop, or a table with point tombstones is
+// pushed one level down (rewritten in place, its tombstones dropped, once
+// nothing below overlaps it), so the loop terminates. The next round's
+// triggers push what a reclamation left over target by shrinking the
+// deepest level, and with it every target above.
 func (t *Tree) DrainTombstones() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -115,7 +159,7 @@ func (t *Tree) DrainTombstones() error {
 			}
 			continue
 		}
-		if err := t.compactTableLocked(victim, t.pickLocked(victim, hasTombs)); err != nil {
+		if err := t.reclaimLocked(victim, t.pickLocked(victim, hasTombs)); err != nil {
 			return err
 		}
 	}
@@ -140,9 +184,10 @@ func (t *Tree) compactOnceLocked() (bool, error) {
 	if len(t.levels) > 0 && len(t.levels[0]) >= t.opts.L0Limit {
 		return true, t.compactL0Locked()
 	}
-	// 2. Level overflow.
+	// 2. Level overflow (never the deepest level: its target is its size).
+	tg := t.targets(t.levels)
 	for li := 1; li < len(t.levels); li++ {
-		if len(t.levels[li]) <= t.maxTables(li) {
+		if levelEntries(t.levels[li]) <= tg[li] {
 			continue
 		}
 		return true, t.compactTableLocked(li, t.pickLocked(li, func(Meta) bool { return true }))
@@ -156,16 +201,15 @@ func (t *Tree) compactOnceLocked() (bool, error) {
 			if li == 0 {
 				return true, t.compactL0Locked()
 			}
-			return true, t.compactTableLocked(li, i)
+			return true, t.reclaimLocked(li, i)
 		}
 	}
 	return false, nil
 }
 
-// tableEntries bounds the entries one compaction output holds. A level-1
-// table takes LevelRatio L0 compactions' worth of memtables
-// (MemLimit·L0Limit·LevelRatio, 4,096 entries at the defaults), so level i
-// holds at most LevelBase·LevelRatio^(i-1) tables of at most this size.
+// tableEntries bounds the entries one compaction output holds: LevelRatio
+// L0 batches (MemLimit·L0Limit·LevelRatio, 4,096 entries at the defaults),
+// the most level 1 holds before a level enters above it.
 func (t *Tree) tableEntries() int { return t.opts.MemLimit * t.opts.L0Limit * t.opts.LevelRatio }
 
 // overlaps reports whether a table's key range intersects [lo, hi].
@@ -222,9 +266,9 @@ func (t *Tree) compactL0Locked() error {
 // compactTableLocked pushes levels[li][vi] (plus the overlapping slice of
 // li+1) into li+1. A tombstone-bearing victim that no deeper table overlaps
 // is rewritten in place instead: every tombstone it carries has done its
-// work and drops. Only such victims take that path — it leaves the level's
-// table count unchanged, so a size-triggered compaction must push down
-// instead (or the trigger would re-fire forever); mu held.
+// work and drops. Only such victims take that path — it shrinks the level
+// by no more than its tombstones, so an overflow fires again and pushes
+// the next victim, now without tombstones, down; mu held.
 func (t *Tree) compactTableLocked(li, vi int) error {
 	if li <= 0 || li >= len(t.levels) || vi < 0 || vi >= len(t.levels[li]) {
 		return fmt.Errorf("lsm: bad compaction victim level=%d index=%d", li, vi)
@@ -242,6 +286,95 @@ func (t *Tree) compactTableLocked(li, vi int) error {
 	in, keep := split(t.levels[li+1], victim.MinKey, victim.MaxKey)
 	t.levels[li] = rest
 	return t.compactLocked(prev, [][]*SSTable{{victim}, in}, append([][]*SSTable{keep}, t.levels[li+2:]...), li+1, keep)
+}
+
+// reclaimLocked reclaims the tombstones of levels[li][vi], li >= 1 — the
+// TTL trigger's and DrainTombstones' one path. A table carrying point
+// tombstones is pushed down (compactTableLocked); one carrying only range
+// tombstones has them applied in place (applyRangeLocked). mu held.
+func (t *Tree) reclaimLocked(li, vi int) error {
+	if li > 0 && li < len(t.levels) && vi >= 0 && vi < len(t.levels[li]) && t.levels[li][vi].Tombs == 0 {
+		return t.applyRangeLocked(li, vi)
+	}
+	return t.compactTableLocked(li, vi) // which rejects a bad victim
+}
+
+// applyRangeLocked applies the range tombstones of levels[li][vi] where
+// they can still hide anything and drops them, in one commit: every deeper
+// table their spans overlap is rewritten without the entries they hide (or
+// dropped unread when they hide all of it), and the victim is rewritten
+// without them. Nothing above needs them, by the invariant Check verifies:
+// no entry lies above a range tombstone that hides it, so every entry
+// above level li inside a victim tombstone's span is newer than the
+// tombstone; and level li being key-disjoint, the victim holds the level's
+// only entries in those spans, none of them hidden. mu held.
+func (t *Tree) applyRangeLocked(li, vi int) error {
+	victim := t.levels[li][vi]
+	rts := victim.rtombs
+	prev := t.captureLocked()
+	var outs, inputs []*SSTable
+	for lj := li; lj < len(t.levels); lj++ {
+		var lvl []*SSTable
+		for _, sst := range t.levels[lj] {
+			if sst != victim && (lj == li || len(clip(rts, sst.MinKey, sst.MaxKey)) == 0) {
+				lvl = append(lvl, sst)
+				continue
+			}
+			if sst == victim || !hiddenBy(rts, sst.Meta) {
+				out, err := t.rewriteLocked(sst, rts, sst == victim)
+				if err != nil {
+					t.dropAllLocked(outs)
+					t.restoreLocked(prev)
+					return err
+				}
+				if out == sst {
+					lvl = append(lvl, sst)
+					continue
+				}
+				if out != nil {
+					outs = append(outs, out)
+					lvl = append(lvl, out)
+				}
+			}
+			inputs = append(inputs, sst)
+		}
+		t.levels[lj] = lvl
+	}
+	return t.swapCommitLocked(prev, outs, inputs)
+}
+
+// rewriteLocked rebuilds sst without the entries rts hide, on a fresh file
+// with sst's birth tick. The victim of applyRangeLocked (victim set) loses
+// its own range tombstones and is always rebuilt; a deeper table keeps its
+// own and comes back unchanged when rts hide none of its entries. Returns
+// nil when nothing would be left. mu held.
+func (t *Tree) rewriteLocked(sst *SSTable, rts []RangeTomb, victim bool) (*SSTable, error) {
+	var live []entry
+	it, n := sst.iter(), 0
+	for ; ; n++ {
+		e, ok, err := it.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if !coveredBy(rts, e.key, e.seq) {
+			live = append(live, e)
+		}
+	}
+	t.pool.Disk().ChargeCompares(n)
+	own := sst.rtombs
+	switch {
+	case victim:
+		own = nil
+	case len(live) == n:
+		return sst, nil
+	}
+	if len(live) == 0 && len(own) == 0 {
+		return nil, nil
+	}
+	return buildSSTable(t.pool, t.pickDeviceLocked(), t.recSize, live, own, sst.Born)
 }
 
 // compactLocked merges runs into level out, which becomes keep plus the
@@ -269,14 +402,18 @@ func insertSorted(keep, outs []*SSTable) []*SSTable {
 	return lvl
 }
 
-// swapCommitLocked trims empty trailing levels, rebuilds the range-tombstone
-// union (a merge drops the tombstones nothing below needs), commits the
-// manifest, and drops the input files (parked while a snapshot is open); a
-// failed commit rolls the swap back to prev so the in-memory tree keeps
-// matching the durable manifest. mu held.
+// swapCommitLocked trims empty trailing levels, lets an empty level enter
+// at the top while level 1's target reaches LevelRatio L0 batches, rebuilds
+// the range-tombstone union (a merge drops the tombstones nothing below
+// needs), commits the manifest, and drops the input files (parked while a
+// snapshot is open); a failed commit rolls the swap back to prev so the
+// in-memory tree keeps matching the durable manifest. mu held.
 func (t *Tree) swapCommitLocked(prev treeState, outs, inputs []*SSTable) error {
 	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
 		t.levels = t.levels[:len(t.levels)-1]
+	}
+	for len(t.levels) > 1 && t.targets(t.levels)[1] >= int64(t.opts.LevelRatio)*t.batch() {
+		t.levels = slices.Insert(t.levels, 1, nil)
 	}
 	t.rtombs = rtombUnion(t.mem.rtombs, t.levels)
 	if err := t.commitLocked(); err != nil {

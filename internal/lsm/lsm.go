@@ -47,19 +47,21 @@ type Options struct {
 	// range tombstones count too) that triggers a flush (default 256).
 	MemLimit int
 	// L0Limit is the number of L0 SSTables that triggers an L0→L1
-	// compaction (default 4).
+	// compaction (default 4). MemLimit·L0Limit entries are one L0 batch,
+	// the floor of every level's entry target.
 	L0Limit int
-	// LevelBase is the number of SSTables level 1 may hold before it
-	// spills into level 2 (default 4).
-	LevelBase int
-	// LevelRatio multiplies the table allowance per level (default 4).
+	// LevelRatio is the fan-out between levels (default 4): each level
+	// above the deepest targets 1/LevelRatio of the entries of the level
+	// below it, an empty level enters at the top once level 1's target
+	// reaches LevelRatio L0 batches, and a compaction cuts its outputs at
+	// that size.
 	LevelRatio int
 	// TombstoneTTL bounds reclamation latency: an SSTable carrying any
 	// tombstone is force-compacted once it is this many flush ticks old
 	// (default 4). This is the Lethe-style delete-aware trigger.
 	TombstoneTTL uint64
-	// TombWeight scales tombstone density in the victim-selection score
-	// for ordinary size-triggered compactions (default 4).
+	// TombWeight scales the discount tombstone density earns a table in
+	// the choice of a size-triggered push-down victim (default 4).
 	TombWeight float64
 	// Devices lists the spindles SSTable files are placed on, round-robin
 	// (default: device 0 only).
@@ -72,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.L0Limit <= 0 {
 		o.L0Limit = 4
-	}
-	if o.LevelBase <= 0 {
-		o.LevelBase = 4
 	}
 	if o.LevelRatio <= 0 {
 		o.LevelRatio = 4
@@ -251,6 +250,14 @@ func (t *Tree) publishLocked() { t.manifest.Store(t.manifestLocked()) }
 // NextSeq allocates the next sequence number. The caller logs the mutation
 // under it before applying it to the tree; until the apply (or AbandonSeq
 // on a log failure) the seq is pending and pins the flush horizon.
+//
+// Precondition, not checked: a seq is applied before any later seq's
+// mutation is flushed. Compaction drops a tombstone once nothing below it
+// is left for it to hide — a due range tombstone is applied in place and
+// gone within TombstoneTTL flushes — so an older seq applied after that
+// would escape the newer tombstone and its row would come back. The
+// engine meets this by holding the table lock Exclusive from NextSeq to
+// the apply.
 func (t *Tree) NextSeq() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -289,7 +296,8 @@ func (t *Tree) NoteReplayedSeq(seq uint64) {
 	}
 }
 
-// Put installs (or overwrites) the record for key under seq.
+// Put installs (or overwrites) the record for key under seq, which must
+// meet NextSeq's precondition.
 func (t *Tree) Put(key int64, rec []byte, seq uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -516,13 +524,31 @@ func coveredBy(rts []RangeTomb, key int64, seq uint64) bool {
 
 // Check verifies the tree's structural invariants: levels ≥1 sorted by min
 // key and non-overlapping, every SSTable's block CRCs valid and entries
-// sorted, metadata consistent with block contents.
+// sorted, metadata consistent with block contents — and the invariant
+// in-place range reclamation rests on: no entry lies above a range
+// tombstone that hides it. A merge drops every entry its own tombstones
+// hide, and a compaction takes a tombstone down only together with every
+// table below it that its span overlaps (L0 merges all its tables, a
+// push-down the whole overlapping slice), so an older entry inside a
+// tombstone's span can sit below it but never beside it at a level >= 1
+// (one key-disjoint run) or above it.
 func (t *Tree) Check() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// hide[li]: the range tombstones of level max(li, 1) and below. The
+	// tables are still read top-down, the order the sim clock has seen.
+	hide := make([][]RangeTomb, len(t.levels)+1)
+	for li := len(t.levels) - 1; li >= 0; li-- {
+		hide[li] = hide[li+1]
+		if li > 0 {
+			for _, sst := range t.levels[li] {
+				hide[li] = append(hide[li][:len(hide[li]):len(hide[li])], sst.rtombs...)
+			}
+		}
+	}
 	for li, lvl := range t.levels {
 		for i, sst := range lvl {
-			if err := sst.check(); err != nil {
+			if err := sst.check(hide[li]); err != nil {
 				return fmt.Errorf("lsm: level %d sstable %d (file %d): %w", li, i, sst.File, err)
 			}
 			if li == 0 {
@@ -535,6 +561,17 @@ func (t *Tree) Check() error {
 						li, prev.MinKey, prev.MaxKey, sst.MinKey, sst.MaxKey)
 				}
 			}
+		}
+	}
+	memHide := hide[0]
+	if len(t.levels) > 0 {
+		for _, sst := range t.levels[0] {
+			memHide = append(memHide[:len(memHide):len(memHide)], sst.rtombs...)
+		}
+	}
+	for _, e := range t.mem.entries {
+		if coveredBy(memHide, e.key, e.seq) {
+			return fmt.Errorf("lsm: memtable key %d (seq %d) lies above a range tombstone that hides it", e.key, e.seq)
 		}
 	}
 	return nil

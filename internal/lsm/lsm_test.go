@@ -33,32 +33,66 @@ func put(tr *Tree, key int64) {
 // interleaved with flushes and compactions, against a map model — once with
 // tables of up to 192 entries, once with 32, so levels hold many tables and
 // range tombstones are clipped at output cuts.
+//
+// A third run deletes by range only, so its tombstone-bearing tables reach
+// the in-place range reclamation (a table with point tombstones is pushed
+// down instead). Check, run after every flush, verifies the invariant that
+// reclamation rests on: no entry lies above a range tombstone hiding it.
 func TestTreeMatchesModel(t *testing.T) {
 	for _, c := range []struct {
-		opts   Options
-		widest int // tables some level >= 1 must reach
+		opts       Options
+		pointDels  bool
+		widest     int // tables some level >= 1 must reach
+		inPlaceMin int // in-place range reclamations the run must reach
 	}{
-		{Options{MemLimit: 32, L0Limit: 3, LevelBase: 2, LevelRatio: 2, TombstoneTTL: 2}, 1},
-		{Options{MemLimit: 8, L0Limit: 2, LevelBase: 2, LevelRatio: 2, TombstoneTTL: 2}, 3},
+		{Options{MemLimit: 32, L0Limit: 3, LevelRatio: 2, TombstoneTTL: 2}, true, 1, 0},
+		{Options{MemLimit: 8, L0Limit: 2, LevelRatio: 2, TombstoneTTL: 2}, true, 3, 0},
+		{Options{MemLimit: 8, L0Limit: 2, LevelRatio: 2, TombstoneTTL: 2}, false, 3, 1},
 	} {
 		tr, _ := newTree(t, c.opts)
-		t.Run(fmt.Sprintf("tables=%d", tr.tableEntries()), func(t *testing.T) {
-			if widest := modelRun(t, tr); widest < c.widest {
+		name := fmt.Sprintf("tables=%d", tr.tableEntries())
+		if !c.pointDels {
+			name = "rangeOnly/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			widest, inPlace := modelRun(t, tr, c.pointDels)
+			if widest < c.widest {
 				t.Fatalf("the widest level held %d tables, want >= %d", widest, c.widest)
+			}
+			if inPlace < c.inPlaceMin {
+				t.Fatalf("%d in-place range reclamations, want >= %d", inPlace, c.inPlaceMin)
 			}
 		})
 	}
 }
 
-// modelRun drives tr against the model and returns the most tables a level
-// >= 1 held at a checkpoint.
-func modelRun(t *testing.T, tr *Tree) int {
+// modelRun drives tr against the model, with point deletes or without, and
+// returns the most tables a level >= 1 held at a checkpoint and how many
+// commits rewrote a table keeping its birth tick, which only the in-place
+// range reclamation does.
+func modelRun(t *testing.T, tr *Tree, pointDels bool) (widest, inPlace int) {
 	model := make(map[int64][]byte)
 	rng := rand.New(rand.NewSource(7))
-	widest := 0
+	born := make(map[uint32]uint64) // file -> birth tick, of every table seen
+	tr.SetPersist(func() error {
+		m := tr.Manifest()
+		kept := false
+		for _, lvl := range m.Levels[min(1, len(m.Levels)):] {
+			for _, meta := range lvl {
+				if _, seen := born[meta.File]; !seen && meta.Born < m.Tick {
+					kept = true
+				}
+				born[meta.File] = meta.Born
+			}
+		}
+		if kept {
+			inPlace++
+		}
+		return nil
+	})
 	for step := 0; step < 2000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 6:
+		case op < 6 || op < 8 && !pointDels:
 			k := int64(rng.Intn(500))
 			tr.Put(k, rec(k), tr.NextSeq())
 			model[k] = rec(k)
@@ -76,6 +110,9 @@ func modelRun(t *testing.T, tr *Tree) int {
 		default:
 			if err := tr.MaybeFlush(); err != nil {
 				t.Fatalf("step %d: flush: %v", step, err)
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatalf("step %d: check: %v", step, err)
 			}
 		}
 		if step%500 == 499 {
@@ -107,7 +144,7 @@ func modelRun(t *testing.T, tr *Tree) int {
 			}
 		}
 	}
-	return widest
+	return widest, inPlace
 }
 
 func checkAgainstModel(t *testing.T, tr *Tree, model map[int64][]byte, step int) {
@@ -229,7 +266,7 @@ func TestManifestReopen(t *testing.T) {
 // TombstoneTTL flushes even with no size trigger firing.
 func TestTombstoneTTLTrigger(t *testing.T) {
 	ttl := uint64(3)
-	tr, _ := newTree(t, Options{MemLimit: 16, L0Limit: 100, LevelBase: 100, TombstoneTTL: ttl})
+	tr, _ := newTree(t, Options{MemLimit: 16, L0Limit: 100, TombstoneTTL: ttl})
 	for i := int64(0); i < 200; i++ {
 		put(tr, i)
 		if err := tr.MaybeFlush(); err != nil {
@@ -384,7 +421,7 @@ func TestScanCallbackReentry(t *testing.T) {
 // advanced flushedSeq + uncleaned memtable) and no half-committed
 // compaction.
 func TestPersistFailureRollsBack(t *testing.T) {
-	tr, _ := newTree(t, Options{MemLimit: 16, L0Limit: 2, LevelBase: 100})
+	tr, _ := newTree(t, Options{MemLimit: 16, L0Limit: 2})
 	persistErr := error(nil)
 	tr.SetPersist(func() error { return persistErr })
 	for i := int64(0); i < 40; i++ {
@@ -459,7 +496,7 @@ func TestOversizedRecordErrors(t *testing.T) {
 // pending-seq backstop keeps the flush horizon safe while a writer sits
 // between NextSeq and Put.
 func TestConcurrentScansAndMutations(t *testing.T) {
-	tr, _ := newTree(t, Options{MemLimit: 32, L0Limit: 2, LevelBase: 2, LevelRatio: 2, TombstoneTTL: 2})
+	tr, _ := newTree(t, Options{MemLimit: 32, L0Limit: 2, LevelRatio: 2, TombstoneTTL: 2})
 	const writers, perWriter = 4, 300
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -641,7 +678,7 @@ func TestMergeCutsBoundedTablesAndDropsOnlyUnneededTombstones(t *testing.T) {
 		for _, rt := range o.rtombs {
 			got = append(got, fmt.Sprintf("%d:[%d,%d]", i, rt.Lo, rt.Hi))
 		}
-		if err := o.check(); err != nil {
+		if err := o.check(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -708,10 +745,12 @@ func TestCoveredTableDroppedUnread(t *testing.T) {
 }
 
 // A level >= 1 is key-disjoint, so a Get reads at most one table of it:
-// with a level of many tables, every lookup costs one page reference.
+// ascending inserts leave every level a key range of its own, so each
+// lookup reaches one table of one level — of the deepest, of many tables,
+// for most keys — and costs at most one page reference.
 func TestGetProbesOneTablePerLevel(t *testing.T) {
-	tr, pool := newTree(t, Options{MemLimit: 8, L0Limit: 2, LevelRatio: 2, LevelBase: 1000}) // 32 entries a table
-	for k := int64(0); k < 1024; k += 2 {                                                    // 64 memtables: L0 ends empty
+	tr, pool := newTree(t, Options{MemLimit: 8, L0Limit: 2, LevelRatio: 2}) // 32 entries a table
+	for k := int64(0); k < 1024; k += 2 {                                   // 64 memtables: L0 ends empty
 		put(tr, k)
 		if err := tr.MaybeFlush(); err != nil {
 			t.Fatal(err)
@@ -721,8 +760,8 @@ func TestGetProbesOneTablePerLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := tr.Levels()
-	if len(lv) != 2 || lv[0] != 0 || lv[1] < 8 {
-		t.Fatalf("levels %v; want an empty L0 and >= 8 tables in L1", lv)
+	if lv[0] != 0 || lv[len(lv)-1] < 8 {
+		t.Fatalf("levels %v; want an empty L0 and >= 8 tables in the deepest level", lv)
 	}
 	for k := int64(-1); k <= 1024; k++ {
 		before := pool.Stats()
@@ -732,7 +771,229 @@ func TestGetProbesOneTablePerLevel(t *testing.T) {
 			t.Fatalf("Get(%d) = %v, %v", k, ok, err)
 		}
 		if refs := after.Hits + after.Misses - before.Hits - before.Misses; refs > 1 {
-			t.Fatalf("Get(%d) referenced %d pages in a one-level tree", k, refs)
+			t.Fatalf("Get(%d) referenced %d pages in levels %v", k, refs, lv)
+		}
+	}
+}
+
+// tenantReplay replays the lsm_tenant benchmark's write stream on a bare
+// tree at the default options: 100 tenants of 400 rows each, key =
+// tenant<<20 + a random item, preloaded in shuffled order, then rounds of
+// 400 inserts into random live tenants, each round ending by dropping the
+// oldest tenant with one range tombstone and starting a new one. after runs
+// after every MaybeFlush. Returns the rows inserted and the entries
+// compaction wrote (outputs at levels >= 1, counted at their commit).
+func tenantReplay(t *testing.T, rounds int, after func(tr *Tree)) (inserts, written int64) {
+	tr, _ := newTree(t, Options{})
+	seen := make(map[uint32]bool)
+	tr.SetPersist(func() error {
+		for li, lvl := range tr.Manifest().Levels {
+			for _, m := range lvl {
+				if li > 0 && !seen[m.File] {
+					seen[m.File] = true
+					written += m.Entries
+				}
+			}
+		}
+		return nil
+	})
+	rng := rand.New(rand.NewSource(1))
+	const tenants, perTenant, perRound = 100, 400, 400
+	type tenant struct {
+		id  int64
+		has map[int64]bool
+	}
+	var live []*tenant
+	next := int64(1)
+	newTenant := func() *tenant {
+		tn := &tenant{id: next, has: make(map[int64]bool)}
+		next++
+		live = append(live, tn)
+		return tn
+	}
+	newKey := func(tn *tenant) int64 {
+		for {
+			if it := rng.Int63n(1 << 20); !tn.has[it] {
+				tn.has[it] = true
+				return tn.id<<20 + it
+			}
+		}
+	}
+	step := func(apply func(seq uint64)) {
+		apply(tr.NextSeq())
+		if err := tr.MaybeFlush(); err != nil {
+			t.Fatal(err)
+		}
+		after(tr)
+	}
+	var keys []int64
+	for i := 0; i < tenants; i++ {
+		tn := newTenant()
+		for j := 0; j < perTenant; j++ {
+			keys = append(keys, newKey(tn))
+		}
+	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys {
+		step(func(seq uint64) { tr.Put(k, rec(k), seq) })
+	}
+	inserts = int64(len(keys))
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			k := newKey(live[rng.Intn(len(live))])
+			step(func(seq uint64) { tr.Put(k, rec(k), seq) })
+		}
+		inserts += perRound
+		old := live[0]
+		live = live[1:]
+		newTenant()
+		step(func(seq uint64) { tr.DeleteRange(old.id<<20, old.id<<20+1<<20-1, seq) })
+	}
+	return inserts, written
+}
+
+// TestTenantDropReplayWriteAmp pins the compaction cost of the lsm_tenant
+// stream: level targets sized from the bottom up, L0 batches merged past a
+// full level 1, pushes that move the victim rewriting the fewest entries,
+// and tenant drops applied in place to only the tables they overlap keep
+// compaction at <= 8 entries written per
+// row inserted (5.8; table-count level budgets wrote 15.7). Every level >= 1
+// is within its target whenever the tree is quiescent.
+func TestTenantDropReplayWriteAmp(t *testing.T) {
+	inserts, written := tenantReplay(t, 20, func(tr *Tree) {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		tg := tr.targets(tr.levels)
+		for li := 1; li < len(tr.levels); li++ {
+			if n := levelEntries(tr.levels[li]); n > tg[li] {
+				t.Fatalf("level %d holds %d entries, target %d (levels %v)", li, n, tg[li], tg)
+			}
+		}
+	})
+	perInsert := float64(written) / float64(inserts)
+	t.Logf("%d inserts, compaction wrote %d entries: %.2f per insert", inserts, written, perInsert)
+	if perInsert > 8 {
+		t.Fatalf("compaction wrote %.2f entries per insert, want <= 8", perInsert)
+	}
+}
+
+// A due range tombstone is applied in place, in one manifest commit: the
+// deeper tables its span overlaps are rewritten without what it hides, one
+// it hides wholly is dropped unread, the rest are left alone, and its own
+// table is rewritten without it.
+func TestRangeTombstoneAppliedInPlace(t *testing.T) {
+	tr, pool := newTree(t, Options{MemLimit: 1 << 20})
+	victim := build(t, pool, 10, []int64{50, 60}, nil, RangeTomb{Lo: 100, Hi: 300, Seq: 10})
+	beside := build(t, pool, 9, []int64{400, 500}, nil)
+	l2 := []*SSTable{
+		build(t, pool, 5, []int64{10, 20}, nil),        // outside the span: untouched
+		build(t, pool, 5, []int64{150, 200, 250}, nil), // wholly hidden: dropped unread
+		build(t, pool, 5, []int64{290, 310, 320}, nil), // straddles hi: rewritten
+	}
+	l3 := []*SSTable{
+		build(t, pool, 2, []int64{90, 100, 110}, nil), // straddles lo: rewritten
+		build(t, pool, 2, []int64{700}, nil),          // outside: untouched
+	}
+	for i, sst := range append(append([]*SSTable{victim, beside}, l2...), l3...) {
+		sst.Born = uint64(i) // tell the tables apart by birth tick
+	}
+	tr.levels = [][]*SSTable{nil, {victim, beside}, l2, l3}
+	tr.rtombs = rtombUnion(nil, tr.levels)
+	tr.tick = 20
+	commits := 0
+	tr.SetPersist(func() error { commits++; return nil })
+	pool.InvalidateAll()
+	disk := pool.Disk()
+	reads := disk.Stats().Reads
+	tr.mu.Lock()
+	err := tr.reclaimLocked(1, 0)
+	tr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commits != 1 {
+		t.Fatalf("%d manifest commits, want 1", commits)
+	}
+	// One data block each from the victim, l2[2] and l3[0]; none from l2[1].
+	if got := disk.Stats().Reads - reads; got != 3 {
+		t.Fatalf("the reclamation read %d pages, want 3", got)
+	}
+	if _, err := disk.NumPages(sim.FileID(l2[1].File)); err == nil {
+		t.Fatal("the wholly hidden table's file survived")
+	}
+	var got []string
+	for li, lvl := range tr.Manifest().Levels {
+		for _, m := range lvl {
+			got = append(got, fmt.Sprintf("L%d:[%d,%d]x%d/r%d/b%d", li, m.MinKey, m.MaxKey, m.Entries, m.RangeTombs, m.Born))
+		}
+	}
+	want := []string{
+		"L1:[50,60]x2/r0/b0", "L1:[400,500]x2/r0/b1",
+		"L2:[10,20]x2/r0/b2", "L2:[310,320]x2/r0/b4",
+		"L3:[90,90]x1/r0/b5", "L3:[700,700]x1/r0/b6",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("levels after reclamation\n got %v\nwant %v", got, want)
+	}
+	if m := tr.Manifest(); m.Levels[1][1].File != beside.File || m.Levels[2][0].File != l2[0].File || m.Levels[3][1].File != l3[1].File {
+		t.Fatal("a table outside the tombstone's span was rewritten")
+	}
+	if len(tr.rtombs) != 0 {
+		t.Fatalf("range tombstones left in the union: %v", tr.rtombs)
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Check rejects an entry lying above a range tombstone that hides it: the
+// state in-place reclamation would wrongly resurrect by dropping the
+// tombstone.
+func TestCheckRejectsEntryAboveItsRangeTombstone(t *testing.T) {
+	tr, pool := newTree(t, Options{})
+	older := build(t, pool, 3, []int64{150}, nil)
+	tomb := build(t, pool, 5, []int64{50}, nil, RangeTomb{Lo: 100, Hi: 200, Seq: 5})
+	tr.levels = [][]*SSTable{nil, {older}, {tomb}}
+	if err := tr.Check(); err == nil {
+		t.Fatal("Check accepted key 150 (seq 3) above the tombstone [100,200]@5 that hides it")
+	}
+	tr.levels = [][]*SSTable{nil, {tomb}, {older}}
+	if err := tr.Check(); err != nil {
+		t.Fatalf("Check rejected the entry below its tombstone: %v", err)
+	}
+}
+
+// DrainTombstones leaves no trigger armed: a range delete over most of a
+// randomly loaded tree shrinks the deepest level, and with it every target
+// above, so the drain must go on to push what that leaves over target
+// rather than hand the pushes to the next writer's flush.
+func TestDrainLeavesTreeQuiescent(t *testing.T) {
+	for _, frac := range []int64{5, 20, 50, 80} {
+		tr, _ := newTree(t, Options{})
+		const n = 40000
+		rng := rand.New(rand.NewSource(1))
+		for _, k := range rng.Perm(n) {
+			put(tr, int64(k))
+			if err := tr.MaybeFlush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.DeleteRange(0, n*frac/100-1, tr.NextSeq())
+		if err := tr.FlushMem(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.DrainTombstones(); err != nil {
+			t.Fatal(err)
+		}
+		did, err := tr.CompactNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if did {
+			t.Fatalf("%d%%: a compaction was still due after the drain (levels %v)", frac, tr.Levels())
+		}
+		if got, err := tr.Count(); err != nil || got != n-n*frac/100 {
+			t.Fatalf("%d%%: count %d (%v), want %d", frac, got, err, n-n*frac/100)
 		}
 	}
 }

@@ -440,8 +440,9 @@ func (s *SSTable) get(key int64) (entry, bool, error) {
 	return entry{}, false, nil
 }
 
-// check verifies every block's CRC and sortedness against the metadata.
-func (s *SSTable) check() error {
+// check verifies every block's CRC and sortedness against the metadata,
+// and that no entry is one a range tombstone of hide hides.
+func (s *SSTable) check(hide []RangeTomb) error {
 	var n int64
 	var tombs int64
 	last := int64(0)
@@ -460,6 +461,9 @@ func (s *SSTable) check() error {
 		for _, e := range entries {
 			if haveLast && e.key <= last {
 				return fmt.Errorf("keys out of order at %d", e.key)
+			}
+			if coveredBy(hide, e.key, e.seq) {
+				return fmt.Errorf("key %d (seq %d) lies above a range tombstone that hides it", e.key, e.seq)
 			}
 			last, haveLast = e.key, true
 			n++

@@ -237,12 +237,12 @@ type lsmView struct {
 	s *lsm.Snapshot
 }
 
-func (v lsmView) get(RID) ([]int64, bool, error) { return nil, false, notOnLSM(v.l.tbl.name) }
+func (v lsmView) get(RID, uint64) ([]int64, bool, error) { return nil, false, notOnLSM(v.l.tbl.name) }
 
 // lookup is a Get on field 0, a filtered merged scan on any other field.
-func (v lsmView) lookup(field int, val int64) ([][]int64, error) {
+func (v lsmView) lookup(field int, val int64, _ uint64) ([][]int64, error) {
 	if field != 0 {
-		return v.lookupRange(field, val, val)
+		return v.lookupRange(field, val, val, 0)
 	}
 	rec, ok, err := v.s.Get(val)
 	if err != nil || !ok {
@@ -257,7 +257,7 @@ func (v lsmView) lookup(field int, val int64) ([][]int64, error) {
 
 // lookupRange is a key-range merge on field 0, a filtered merged scan
 // otherwise. Results arrive in key order.
-func (v lsmView) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+func (v lsmView) lookupRange(field int, lo, hi int64, _ uint64) ([][]int64, error) {
 	if lo > hi {
 		return nil, nil
 	}
@@ -284,7 +284,7 @@ func (v lsmView) lookupRange(field int, lo, hi int64) ([][]int64, error) {
 
 // scan visits every row in key order. LSM rows have no RIDs; fn receives
 // record.NilRID.
-func (v lsmView) scan(fn func(rid RID, fields []int64) error) error {
+func (v lsmView) scan(fn func(rid RID, fields []int64) error, _ uint64) error {
 	return v.s.ScanRange(math.MinInt64, math.MaxInt64, func(_ int64, rec []byte) error {
 		vals, err := v.l.tbl.schema.Decode(rec)
 		if err != nil {
@@ -294,7 +294,7 @@ func (v lsmView) scan(fn func(rid RID, fields []int64) error) error {
 	})
 }
 
-func (v lsmView) close() { v.s.Close() }
+func (v lsmView) close(uint64) { v.s.Close() }
 
 // keysWhere collects, by one merged scan, the keys of the rows whose field
 // value satisfies match — the victims of a delete on a non-key field.

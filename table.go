@@ -284,14 +284,17 @@ func (tbl *Table) Scan(fn func(rid RID, fields []int64) error) error {
 	return view.Scan(fn)
 }
 
-// View opens a stable read view: one state of the table held across calls,
-// so a sequence of reads observes it regardless of concurrent writes. On a
-// heap table that is an MVCC snapshot epoch: the view admits alongside a
-// bulk delete's exclusive lock (it blocks only behind Structural passes),
-// pins retained versions, and holds a snapshot-reader registration that
-// Structural claims drain. On an LSM table it is one source snapshot of the
-// tree, captured under the shared table lock so no write is half-applied
-// in it. Either way the view must be Closed.
+// View opens a read view held across calls. On an LSM table it is one
+// source snapshot of the tree, captured under the shared table lock so no
+// write is half-applied in it: later writes of any kind stay out of it. On
+// a heap table it is an MVCC snapshot epoch, stable against deletes only:
+// RecordBirth stamps an insert with the current epoch, which only a
+// committed delete advances, so the view sees rows inserted after it
+// opened (birth-stamped inserts are parked in ROADMAP). The heap view
+// admits alongside a bulk delete's exclusive lock (it blocks only behind
+// Structural passes), pins retained versions, and holds a snapshot-reader
+// registration that Structural claims drain. Either way the view must be
+// Closed.
 func (tbl *Table) View() (*View, error) {
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
@@ -310,12 +313,14 @@ type View struct {
 }
 
 // viewReader is one backend's pinned read state behind a View.
+// Every method takes the View's epoch, so a heap reader needs no state of
+// its own beyond the backend.
 type viewReader interface {
-	get(rid RID) ([]int64, bool, error)
-	lookup(field int, v int64) ([][]int64, error)
-	lookupRange(field int, lo, hi int64) ([][]int64, error)
-	scan(fn func(rid RID, fields []int64) error) error
-	close()
+	get(rid RID, epoch uint64) ([]int64, bool, error)
+	lookup(field int, v int64, epoch uint64) ([][]int64, error)
+	lookupRange(field int, lo, hi int64, epoch uint64) ([][]int64, error)
+	scan(fn func(rid RID, fields []int64) error, epoch uint64) error
+	close(epoch uint64)
 }
 
 // Epoch returns the commit epoch the view reads at.
@@ -325,29 +330,29 @@ func (v *View) Epoch() uint64 { return v.epoch }
 func (v *View) Close() {
 	if !v.closed {
 		v.closed = true
-		v.r.close()
+		v.r.close(v.epoch)
 	}
 }
 
 // Get decodes the record at rid as of the view's snapshot; ok is false when
 // the snapshot holds no such row. Heap tables only: LSM rows have no RID.
 func (v *View) Get(rid RID) (fields []int64, ok bool, err error) {
-	return v.r.get(rid)
+	return v.r.get(rid, v.epoch)
 }
 
 // Lookup returns all rows whose field equals val, as of the snapshot.
 func (v *View) Lookup(field int, val int64) ([][]int64, error) {
-	return v.r.lookup(field, val)
+	return v.r.lookup(field, val, v.epoch)
 }
 
 // LookupRange returns all rows with lo <= field <= hi, as of the snapshot.
 func (v *View) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	return v.r.lookupRange(field, lo, hi)
+	return v.r.lookupRange(field, lo, hi, v.epoch)
 }
 
 // Scan calls fn for every row visible to the snapshot.
 func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
-	return v.r.scan(fn)
+	return v.r.scan(fn, v.epoch)
 }
 
 // Check verifies every structural invariant of the backend (heap/index
