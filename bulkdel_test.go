@@ -12,6 +12,7 @@ import (
 	"bulkdel/internal/btree"
 	"bulkdel/internal/cc"
 	"bulkdel/internal/record"
+	"bulkdel/internal/sim"
 	"bulkdel/internal/table"
 )
 
@@ -296,19 +297,16 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRecoverWithoutCatalogFails: a disk without a catalog in file 0, or
+// with an empty one, is refused rather than opened as an empty database.
 func TestRecoverWithoutCatalogFails(t *testing.T) {
-	db, _ := newBenchDB(t, 10, Options{DisableWAL: true})
-	disk := db.SimulateCrash()
-	// Recovery works from the catalog even without a WAL.
-	db2, rep, err := Recover(disk, Options{})
-	if err != nil {
-		t.Fatal(err)
+	disk := sim.NewDisk(sim.DefaultCostModel())
+	if _, _, err := Recover(disk, Options{}); err == nil {
+		t.Fatal("recovered a disk with no catalog file")
 	}
-	if rep.BulkInProgress || db2.WALEnabled() {
-		t.Fatal("no WAL expected")
-	}
-	if db2.Table("R") == nil {
-		t.Fatal("table lost")
+	disk.CreateFile()
+	if _, _, err := Recover(disk, Options{}); err == nil {
+		t.Fatal("recovered a disk with an empty catalog file")
 	}
 }
 
@@ -453,20 +451,6 @@ func TestDropIndexPublicAPI(t *testing.T) {
 	}
 	if err := tbl.DropIndex("IB"); err == nil {
 		t.Fatal("double drop accepted")
-	}
-}
-
-func TestWALDisabledBulkDelete(t *testing.T) {
-	db, tbl := newBenchDB(t, 1000, Options{DisableWAL: true})
-	if db.WALEnabled() {
-		t.Fatal("WAL should be disabled")
-	}
-	res, err := tbl.BulkDelete(0, victims(1000, 150, 17), BulkOptions{})
-	if err != nil || res.Deleted != 150 {
-		t.Fatalf("bulk delete without WAL: %d, %v", res.Deleted, err)
-	}
-	if err := tbl.Check(); err != nil {
-		t.Fatal(err)
 	}
 }
 

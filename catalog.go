@@ -67,7 +67,6 @@ type catalogRoot struct {
 	Tables  []catalogTable `json:"tables"`
 	FKs     []catalogFK    `json:"fks"`
 	WALFile uint32         `json:"walFile"`
-	HasWAL  bool           `json:"hasWAL"`
 	TxSeq   uint64         `json:"txSeq"`
 	Devices int            `json:"devices,omitempty"`
 	IxSeq   int            `json:"ixSeq,omitempty"`
@@ -153,11 +152,7 @@ func (db *DB) saveCatalog() error {
 	defer db.catMu.Unlock()
 	db.mu.Lock()
 	root := catalogRoot{TxSeq: db.txSeq.Load(), Devices: db.opts.Devices,
-		Epoch: db.epochs.Current()}
-	if db.log != nil {
-		root.HasWAL = true
-		root.WALFile = uint32(db.log.FileID())
-	}
+		Epoch: db.epochs.Current(), WALFile: uint32(db.log.FileID())}
 	for _, tbl := range db.tables {
 		// The backend describes its layout; what every table shares is ours.
 		ct := tbl.b.catalogEntry()
@@ -315,10 +310,6 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 	db.txSeq.Store(root.TxSeq)
 	db.catPtr = ptr
 	db.catEpoch, db.catTx = root.Epoch, root.TxSeq
-	// Epochs are volatile; restart the clock at the catalog's floor. With a
-	// WAL present it is fast-forwarded further below once the records are in
-	// hand, so no epoch is ever handed out twice across a restart.
-	db.epochs.SetCurrent(root.Epoch)
 	db.obs.Registry().Counter("recoveries_run").Add(1)
 	for _, ct := range root.Tables {
 		_, err := db.addTable(ct.Name, record.Schema{NumFields: ct.NumFields, Size: ct.Size},
@@ -347,20 +338,18 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 	}
 
 	report := &RecoveryReport{}
-	if !root.HasWAL {
-		return db, report, nil
-	}
 	log, recs, err := wal.Open(disk, sim.FileID(root.WALFile))
 	if err != nil {
 		return nil, nil, err
 	}
 	db.log = log
 	db.wireWAL()
-	// Fast-forward the epoch clock past every epoch the crashed instance
-	// could have allocated: the catalog floor plus one per logged commit is
-	// a safe upper bound (only committed statements advance the clock, and
-	// the floor already covers commits before the last catalog save — over-
-	// counting those merely skips epochs, which is harmless).
+	// Epochs are volatile; fast-forward the clock past every epoch the
+	// crashed instance could have allocated: the catalog floor plus one per
+	// logged commit is a safe upper bound (only committed statements advance
+	// the clock, and the floor already covers commits before the last
+	// catalog save — over-counting those merely skips epochs, which is
+	// harmless).
 	db.epochs.SetCurrent(root.Epoch + wal.CountCommits(recs))
 	// The catalog's TxID floor can lag the log the same way. Commit records
 	// gate LSM replay by TxID, so a TxID handed out twice would let a later

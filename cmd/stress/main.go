@@ -98,7 +98,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "per-statement worker cap for the remaining-index passes")
 	budget := flag.Int("budget", 0, "DB-wide admission budget shared by all statements (0 = unbounded)")
 	concurrent := flag.Bool("concurrent", false, "run bulk deletes under the §3.1 protocol (early lock release)")
-	noWAL := flag.Bool("no-wal", false, "disable write-ahead logging")
 	chaosCancel := flag.Int("chaos-cancel", 0, "percent of bulk deletes issued with an already-cancelled context")
 	chaosDeadline := flag.Int("chaos-deadline", 0, "percent of bulk deletes issued with a tiny random deadline")
 	chaosLockWait := flag.Int("chaos-lockwait", 0, "percent of bulk deletes issued with a tiny random lock-wait budget")
@@ -114,7 +113,7 @@ func main() {
 	spec := workload.StressSpec{
 		Tables: *tables, Rows: *rows, Workers: *workers, Ops: *ops,
 		Devices: *devices, Parallel: *parallel, Budget: *budget,
-		Seed: *seed, Concurrent: *concurrent, DisableWAL: *noWAL,
+		Seed: *seed, Concurrent: *concurrent,
 		CancelPct: *chaosCancel, DeadlinePct: *chaosDeadline,
 		LockWaitPct: *chaosLockWait, AdmissionQueue: *admissionQueue,
 		SQLPct: *sqlPct,

@@ -114,9 +114,6 @@ type Options struct {
 	// BufferBytes is the buffer-pool budget (default 8 MB — comfortably
 	// above the paper's largest experiment setting).
 	BufferBytes int
-	// DisableWAL turns off write-ahead logging; bulk deletes then run
-	// without checkpoints and cannot be recovered after a crash.
-	DisableWAL bool
 	// Devices sizes the simulated disk array for parallel bulk deletes:
 	// device 0 is the system spindle (catalog, WAL, heap, scratch) and
 	// indexes are placed round-robin on devices 1..Devices. 0 or 1 keeps
@@ -204,10 +201,8 @@ func Open(opts Options) (*DB, error) {
 	if db.catalog != 0 {
 		return nil, fmt.Errorf("bulkdel: catalog must be file 0, got %d", db.catalog)
 	}
-	if !opts.DisableWAL {
-		db.log = wal.Create(db.disk)
-		db.wireWAL()
-	}
+	db.log = wal.Create(db.disk)
+	db.wireWAL()
 	if err := db.saveCatalog(); err != nil {
 		return nil, err
 	}
@@ -277,9 +272,6 @@ func (db *DB) initConcurrency() {
 // counters and histograms. Called once from Open/Recover right after the
 // log is created or replayed, before any statement can append.
 func (db *DB) wireWAL() {
-	if db.log == nil {
-		return
-	}
 	reg := db.obs.Registry()
 	db.log.OnAppend = func(bytes, queued int, waited time.Duration) {
 		reg.Counter(obs.MetricWALAppends).Add(1)
@@ -637,8 +629,8 @@ type InspectReport struct {
 	Statements []obs.StmtStatus
 	// WaitGraph is the lock manager's snapshot: who holds, who waits.
 	WaitGraph cc.WaitGraph
-	// WAL reports the appender-queue counters; nil when logging is off.
-	WAL *wal.QueueStats
+	// WAL reports the appender-queue counters.
+	WAL wal.QueueStats
 }
 
 // String renders the report as the `stress -top` / `bulkdel inspect` view.
@@ -659,12 +651,10 @@ func (r *InspectReport) String() string {
 			b.WriteString("  " + line + "\n")
 		}
 	}
-	if r.WAL != nil {
-		fmt.Fprintf(&b, "wal: appends=%d queued=%s peak=%s flushes=%d flushed=%s\n",
-			r.WAL.Appends, obs.FmtBytes(uint64(r.WAL.Queued)),
-			obs.FmtBytes(uint64(r.WAL.QueuePeak)), r.WAL.Flushes,
-			obs.FmtBytes(r.WAL.FlushBytes))
-	}
+	fmt.Fprintf(&b, "wal: appends=%d queued=%s peak=%s flushes=%d flushed=%s\n",
+		r.WAL.Appends, obs.FmtBytes(uint64(r.WAL.Queued)),
+		obs.FmtBytes(uint64(r.WAL.QueuePeak)), r.WAL.Flushes,
+		obs.FmtBytes(r.WAL.FlushBytes))
 	return b.String()
 }
 
@@ -673,25 +663,18 @@ func (r *InspectReport) String() string {
 // deleted), the lock wait graph, and the WAL appender queue. Safe to call
 // from any goroutine while statements run.
 func (db *DB) Inspect() *InspectReport {
-	r := &InspectReport{
+	return &InspectReport{
 		Clock:      db.disk.Clock(),
 		Statements: db.obs.Events().InFlight(),
 		WaitGraph:  db.cc.WaitGraph(),
+		WAL:        db.log.QueueStats(),
 	}
-	if db.log != nil {
-		qs := db.log.QueueStats()
-		r.WAL = &qs
-	}
-	return r
 }
 
 // obsSource describes where this DB's counters live, for snapshotting.
 func (db *DB) obsSource() obs.Source {
-	src := obs.Source{Disk: db.disk, Pool: db.pool}
-	if db.log != nil {
-		src.WALBytes = func() uint64 { return db.log.QueueStats().FlushBytes }
-	}
-	return src
+	return obs.Source{Disk: db.disk, Pool: db.pool,
+		WALBytes: func() uint64 { return db.log.QueueStats().FlushBytes }}
 }
 
 // Metrics captures a point-in-time snapshot of the simulated clock, the
@@ -699,22 +682,13 @@ func (db *DB) obsSource() obs.Source {
 // Subtract two snapshots (Snapshot.Sub) to attribute work to a scope.
 func (db *DB) Metrics() obs.Snapshot { return db.obsSource().Capture() }
 
-// WALEnabled reports whether bulk deletes are logged and recoverable.
-func (db *DB) WALEnabled() bool { return db.log != nil }
-
 // Epoch returns the current commit epoch — the snapshot a reader starting
 // now would capture. It advances once per committed delete statement.
 func (db *DB) Epoch() uint64 { return db.epochs.Current() }
 
 // WALFile returns the file holding the write-ahead log, for fault plans
 // that target the log specifically (e.g. sim.FaultPlan.TearFileWrite).
-// ok is false when logging is off.
-func (db *DB) WALFile() (id sim.FileID, ok bool) {
-	if db.log == nil {
-		return 0, false
-	}
-	return db.log.FileID(), true
-}
+func (db *DB) WALFile() sim.FileID { return db.log.FileID() }
 
 // CreateTable adds a heap table of numFields int64 attributes padded to
 // recordSize bytes; CreateTableLSM makes an LSM one.
@@ -799,12 +773,7 @@ func (db *DB) Flush() error {
 			return err
 		}
 	}
-	if db.log != nil {
-		if err := db.log.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.log.Flush()
 }
 
 var errCrashed = fmt.Errorf("bulkdel: database crashed; call Recover on its disk")
@@ -835,9 +804,6 @@ func (db *DB) SimulateCrash() *sim.Disk {
 // short, which only a crash before the next catalog save could expose, and
 // no durable structure stores an epoch.
 func (db *DB) restartWAL() error {
-	if db.log == nil {
-		return nil
-	}
 	return db.log.Restart(func() bool {
 		db.catMu.Lock()
 		floors := db.epochs.Current() <= db.catEpoch && db.txSeq.Load() <= db.catTx

@@ -363,10 +363,8 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 		Parallel:       opts.Parallel,
 		Sched:          db.sched,
 		Stmt:           stmt,
-	}
-	if db.log != nil {
-		coreOpts.Log = db.log
-		coreOpts.TxID = db.nextTx()
+		Log:            db.log,
+		TxID:           db.nextTx(),
 	}
 
 	// The statement trace: core fills in the phase spans; we own the root.
@@ -545,12 +543,6 @@ func (h *heapBackend) abortToConsistency(stmt *obs.Stmt, ctx context.Context, tx
 		detail = "deadline exceeded"
 	}
 	stmt.Event(obs.EvCancel, detail)
-	if db.log == nil {
-		// No WAL: the executor only honors cancellation before any
-		// structure was modified, so there is nothing to roll forward.
-		stmt.Event(obs.EvAbort, "no wal: zero-effect abort")
-		return nil
-	}
 	deleted, err := db.rollForwardOnline(h, txID, field, token)
 	if err != nil {
 		return err

@@ -268,7 +268,7 @@ func TestRunnerArrayReachesEveryCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, _ := db.WALFile()
+	wal := db.WALFile()
 	lay := db.Layout()
 	for _, f := range lay[0].ByFile {
 		if f.File != 0 && f.File != wal { // file 0 is the catalog

@@ -32,9 +32,8 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	e.stats = stats
 
 	// Cancel checkpoint before any work: stopping here is free (nothing
-	// was touched), so it is the one boundary that is recoverable even
-	// without a WAL. All later checkpoints require a log.
-	if err := e.cancelPoint(); err != nil {
+	// was touched).
+	if err := e.checkCancel(); err != nil {
 		return nil, phaseErr("admit", tgt.Name, err)
 	}
 

@@ -100,33 +100,17 @@ func traceSource(tgt *Target, log *wal.Log) obs.Source {
 var errInjectedCrash = fmt.Errorf("core: injected crash")
 
 // ErrCancelled reports that the run observed its context's cancellation at
-// a recoverable boundary and stopped. The WAL (when logging) holds every
-// record needed to roll the statement forward with Resume; the structures
-// are in exactly the state a crash at the same point would leave durable,
-// plus idempotent-to-reapply in-memory progress past the last checkpoint.
+// a recoverable boundary and stopped. The WAL holds every record needed to
+// roll the statement forward with Resume; the structures are in exactly the
+// state a crash at the same point would leave durable, plus
+// idempotent-to-reapply in-memory progress past the last checkpoint.
 var ErrCancelled = errors.New("core: statement cancelled")
 
-// checkCancel is the executor's cancel checkpoint. It is called at every
-// noteApplied (page-I/O granularity), structure boundary, and phase
-// transition; a logged run stops anywhere, an unlogged run only before its
-// first destructive pass (enforced by the caller checking cancelPoint at
-// the one boundary that is recoverable without a log).
+// checkCancel is the executor's cancel checkpoint. It is called at
+// admission, every noteApplied (page-I/O granularity), structure boundary,
+// and phase transition. Only a logged run has a context (withDefaults drops
+// one given without a Log), so every stop is recoverable by Resume.
 func (e *execCtx) checkCancel() error {
-	ctx := e.opts.Ctx
-	if ctx == nil || e.opts.Log == nil {
-		return nil
-	}
-	select {
-	case <-ctx.Done():
-		return fmt.Errorf("%w: %v", ErrCancelled, ctx.Err())
-	default:
-		return nil
-	}
-}
-
-// cancelPoint checks the context regardless of logging — for boundaries
-// where stopping is safe even without a WAL (nothing modified yet).
-func (e *execCtx) cancelPoint() error {
 	ctx := e.opts.Ctx
 	if ctx == nil {
 		return nil

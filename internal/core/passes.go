@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -184,13 +183,9 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 			return err
 		}}
 	}
-	// Node boundaries are cancel checkpoints — a done context stops further
-	// nodes from dispatching — under checkCancel's rule: only a logged run
-	// may stop once a structure has been modified.
-	var ctx context.Context
-	if e.opts.Log != nil {
-		ctx = e.opts.Ctx
-	}
+	// Node boundaries are cancel checkpoints: a done context stops further
+	// nodes from dispatching.
+	ctx := e.opts.Ctx
 	sc, err := sched.Execute(ctx, e.opts.Sched, disk, workers, nodes)
 	if err != nil {
 		if ctx != nil && ctx.Err() != nil && !errors.Is(err, ErrCancelled) {

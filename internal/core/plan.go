@@ -142,10 +142,10 @@ type Options struct {
 	// the pass loops, structure starts/completions, and phase transitions —
 	// and stops with ErrCancelled when it is done. The stop point is always
 	// WAL-consistent, so the caller can roll the statement forward with
-	// Resume (abort-to-consistency). Without a Log the only recoverable
-	// boundary is "before any structure was modified": a cancellation
-	// observed later is ignored and the run completes. Nil disables
-	// cancellation entirely. Recovery (Resume) never takes the cancel path.
+	// Resume (abort-to-consistency). A Ctx given without a Log is dropped:
+	// the unlogged run (the paper experiments' direct calls) always
+	// completes. Nil disables cancellation entirely. Recovery (Resume)
+	// never takes the cancel path.
 	Ctx context.Context
 	// Method selects the strategy; Auto picks by estimated cost.
 	Method Method
@@ -227,6 +227,9 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.CheckpointRows <= 0 {
 		out.CheckpointRows = 100000
+	}
+	if out.Log == nil {
+		out.Ctx = nil // only a logged run can stop where Resume picks up
 	}
 	return out
 }

@@ -358,10 +358,10 @@ func (sc scenario) crashCycle(cfg Config, k int, ref reference) (Result, error) 
 	}
 	plan := sim.NewFaultPlan().CrashAtIO(uint64(k))
 	if cfg.TearBytes > 0 {
-		if !cfg.TearWALOnly {
+		if cfg.TearWALOnly {
+			plan = plan.TearFileWrite(st.db.WALFile(), cfg.TearBytes)
+		} else {
 			plan = plan.TearWrite(cfg.TearBytes)
-		} else if wf, ok := st.db.WALFile(); ok {
-			plan = plan.TearFileWrite(wf, cfg.TearBytes)
 		}
 	}
 	st.db.Disk().SetFaultPlan(plan)

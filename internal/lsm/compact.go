@@ -84,7 +84,7 @@ func hasTombs(m Meta) bool { return m.Tombs > 0 || m.RangeTombs > 0 }
 // push rewrites per entry it moves down — the table plus the slice of level
 // li+1 it overlaps — discounted by tombstone density (Lethe's
 // delete-awareness: a delete-laden table's push also reclaims what its
-// tombstones hide). Lowest first.
+// tombstones hide), tombWeight scaling the discount. Lowest first.
 func (t *Tree) cost(li int, m Meta) float64 {
 	var over int64
 	if li+1 < len(t.levels) {
@@ -92,8 +92,10 @@ func (t *Tree) cost(li int, m Meta) float64 {
 		over = levelEntries(in)
 	}
 	tomb := (float64(m.Tombs) + 8*float64(m.RangeTombs)) / (float64(m.Entries) + 1)
-	return float64(m.Entries+over) / float64(m.Entries+1) / (1 + t.opts.TombWeight*tomb)
+	return float64(m.Entries+over) / float64(m.Entries+1) / (1 + tombWeight*tomb)
 }
+
+const tombWeight = 4
 
 // pickLocked returns the cheapest table of level li that eligible admits
 // (the first on a tie), or -1 when it admits none; mu held.

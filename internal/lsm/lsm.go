@@ -60,9 +60,6 @@ type Options struct {
 	// tombstone is force-compacted once it is this many flush ticks old
 	// (default 4). This is the Lethe-style delete-aware trigger.
 	TombstoneTTL uint64
-	// TombWeight scales the discount tombstone density earns a table in
-	// the choice of a size-triggered push-down victim (default 4).
-	TombWeight float64
 	// Devices lists the spindles SSTable files are placed on, round-robin
 	// (default: device 0 only).
 	Devices []int
@@ -80,9 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TombstoneTTL == 0 {
 		o.TombstoneTTL = 4
-	}
-	if o.TombWeight == 0 {
-		o.TombWeight = 4
 	}
 	if len(o.Devices) == 0 {
 		o.Devices = []int{0}

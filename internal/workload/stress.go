@@ -57,8 +57,6 @@ type StressSpec struct {
 	// indexes + side-files + early lock release) instead of holding the
 	// exclusive lock for the whole statement.
 	Concurrent bool
-	// DisableWAL turns logging off (the WAL path is the default).
-	DisableWAL bool
 	// OnOpen, when set, receives the DB right after it is opened and
 	// loaded — before the workers start — so callers can watch the run
 	// live (DB.Inspect) or export its event log afterwards.
@@ -261,7 +259,6 @@ func Stress(spec StressSpec) (*StressStats, error) {
 	db, err := bulkdel.Open(bulkdel.Options{
 		Devices:        spec.Devices,
 		Parallel:       spec.Budget,
-		DisableWAL:     spec.DisableWAL,
 		AdmissionQueue: spec.AdmissionQueue,
 	})
 	if err != nil {

@@ -18,7 +18,6 @@ func TestStress(t *testing.T) {
 		{"serial-protocol", StressSpec{Seed: 1}},
 		{"concurrent-protocol", StressSpec{Seed: 2, Concurrent: true}},
 		{"device-array", StressSpec{Seed: 3, Devices: 4, Parallel: 3, Budget: 4, Concurrent: true}},
-		{"no-wal", StressSpec{Seed: 4, DisableWAL: true}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -52,7 +51,6 @@ func TestStressChaos(t *testing.T) {
 		{"serial", StressSpec{Seed: 11, CancelPct: 25, DeadlinePct: 25, LockWaitPct: 30}},
 		{"concurrent-array", StressSpec{Seed: 12, Devices: 4, Parallel: 3, Budget: 2,
 			AdmissionQueue: 1, Concurrent: true, CancelPct: 20, DeadlinePct: 20, LockWaitPct: 25}},
-		{"no-wal", StressSpec{Seed: 13, DisableWAL: true, CancelPct: 25, DeadlinePct: 25}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

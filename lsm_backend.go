@@ -159,16 +159,13 @@ func splitLSMPayload(p []byte) (name string, rest []byte, ok bool) {
 	return string(p[1 : 1+n]), p[1+n:], true
 }
 
-// log appends one LSM mutation record when the WAL is on. The record
+// log appends one LSM mutation record. The record
 // is replayed into the memtable by Recover when its seq is newer than the
 // manifest's flushed horizon. A single-record statement logs under tx 0
 // and is atomic by itself; a record of a multi-record statement carries
 // the statement's TxID and is replayed only if that TxID's commit record
 // is durable too (see deleteKeys).
 func (l *lsmBackend) log(t wal.Type, tx, a, b uint64, rest []byte) error {
-	if l.tbl.db.log == nil {
-		return nil
-	}
 	_, err := l.tbl.db.log.Append(t, tx, a, b, lsmPayload(l.tbl.name, rest))
 	return err
 }
@@ -379,10 +376,7 @@ func (l *lsmBackend) deleteRange(_ *statement, field int, lo, hi int64) (*BulkRe
 func (l *lsmBackend) commitDelete(res *BulkResult, keys []int64) (*BulkResult, error) {
 	db := l.tbl.db
 	if len(keys) > 0 {
-		var tx uint64
-		if db.log != nil {
-			tx = db.nextTx()
-		}
+		tx := db.nextTx()
 		for _, k := range keys {
 			seq := l.tree.NextSeq()
 			if err := l.log(wal.TLSMDel, tx, uint64(k), seq, nil); err != nil {
@@ -391,16 +385,12 @@ func (l *lsmBackend) commitDelete(res *BulkResult, keys []int64) (*BulkResult, e
 			}
 			l.tree.DeletePoint(k, seq)
 		}
-		if db.log != nil {
-			if _, err := db.log.Append(wal.TCommit, tx, 0, 0, nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if db.log != nil {
-		if err := db.log.Flush(); err != nil {
+		if _, err := db.log.Append(wal.TCommit, tx, 0, 0, nil); err != nil {
 			return nil, err
 		}
+	}
+	if err := db.log.Flush(); err != nil {
+		return nil, err
 	}
 	db.epochs.Commit()
 	if err := l.maybeFlush(); err != nil {

@@ -127,25 +127,3 @@ func TestObserverOption(t *testing.T) {
 		t.Errorf("kept %d traces, want 3", got)
 	}
 }
-
-// TestUnloggedTraceHasNoWAL: with the WAL disabled the trace still forms,
-// without materialization phases and with zero WAL bytes.
-func TestUnloggedTraceHasNoWAL(t *testing.T) {
-	_, tbl := newBenchDB(t, 2000, Options{DisableWAL: true})
-	res, err := tbl.BulkDelete(0, []int64{5, 6, 7, 8}, BulkOptions{Method: SortMerge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil {
-		t.Fatal("trace missing")
-	}
-	if res.Trace.Root().IO.WALBytes != 0 {
-		t.Errorf("unlogged statement charged WAL bytes")
-	}
-	if res.Trace.Find("materialize-victims") != nil {
-		t.Errorf("unlogged statement materialized victims")
-	}
-	if res.Trace.Find("heap-pass") == nil || res.Trace.Find("access-pass") == nil {
-		t.Errorf("phases missing:\n%s", res.Trace.Format())
-	}
-}

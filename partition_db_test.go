@@ -44,7 +44,6 @@ func TestPartitionedBulkDelete(t *testing.T) {
 	}{
 		{"serial-wal", Options{Devices: 4}, BulkOptions{Method: SortMerge}},
 		{"parallel-wal", Options{Devices: 4}, BulkOptions{Method: SortMerge, Parallel: 4}},
-		{"serial-nowal", Options{Devices: 4, DisableWAL: true}, BulkOptions{Method: SortMerge}},
 		{"hash-method", Options{Devices: 4}, BulkOptions{Method: Hash}},
 		{"single-device", Options{}, BulkOptions{Method: SortMerge}},
 	} {
@@ -117,7 +116,7 @@ func TestRangePartitionTruncateFastPath(t *testing.T) {
 	// middle partition must truncate it rather than scan it, and the
 	// neighbours must be untouched.
 	spec := PartitionSpec{Field: 0, RangeBounds: []int64{1000, 2000}}
-	db, tbl := newPartitionedDB(t, 3000, Options{Devices: 3, DisableWAL: true}, spec)
+	db, tbl := newPartitionedDB(t, 3000, Options{Devices: 3}, spec)
 	vs := make([]int64, 0, 1000)
 	for i := int64(1000); i < 2000; i++ {
 		vs = append(vs, i)

@@ -279,15 +279,12 @@ func (db *DB) RebalanceCtx(ctx context.Context) (*RebalanceResult, error) {
 // sequence after a crash is idempotent: the pages' content never changes,
 // only the arm they live on.
 func (db *DB) migrateFile(id sim.FileID, dev int) error {
-	var tx uint64
-	if db.log != nil {
-		tx = db.nextTx()
-		if _, err := db.log.Append(wal.TMoveStart, tx, uint64(id), uint64(dev), nil); err != nil {
-			return err
-		}
-		if err := db.log.Flush(); err != nil {
-			return err
-		}
+	tx := db.nextTx()
+	if _, err := db.log.Append(wal.TMoveStart, tx, uint64(id), uint64(dev), nil); err != nil {
+		return err
+	}
+	if err := db.log.Flush(); err != nil {
+		return err
 	}
 	if err := db.pool.FlushFile(id); err != nil {
 		return err
@@ -312,15 +309,10 @@ func (db *DB) migrateFile(id sim.FileID, dev int) error {
 	if err := db.disk.WriteRun(id, 0, bufs); err != nil {
 		return err
 	}
-	if db.log != nil {
-		if _, err := db.log.Append(wal.TMoveDone, tx, uint64(id), uint64(dev), nil); err != nil {
-			return err
-		}
-		if err := db.log.Flush(); err != nil {
-			return err
-		}
+	if _, err := db.log.Append(wal.TMoveDone, tx, uint64(id), uint64(dev), nil); err != nil {
+		return err
 	}
-	return nil
+	return db.log.Flush()
 }
 
 // FileLayout is one live file's row in a DeviceLayout: its identity,

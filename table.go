@@ -387,7 +387,7 @@ type BulkOptions struct {
 	// Reorganize enables §2.3 leaf reorganization during the passes.
 	Reorganize bool
 	// CheckpointRows overrides the number of deletions between
-	// mid-structure WAL checkpoints (default 100000; only with the WAL).
+	// mid-structure WAL checkpoints (default 100000).
 	// Crash tests set it low to exercise checkpoint replay.
 	CheckpointRows int
 	// Concurrent enables the §3.1 protocol: exclusive table lock,
@@ -403,17 +403,15 @@ type BulkOptions struct {
 	// Ctx, when set, makes the statement cooperatively cancellable: the
 	// executor polls it at recoverable boundaries (page-I/O checkpoints in
 	// the pass loops, structure starts/completions, DAG-node dispatch) and
-	// stops with ErrCancelled when it is done. With the WAL enabled the
-	// engine then runs abort-to-consistency — the §3.2 roll-forward is
+	// stops with ErrCancelled when it is done. The engine then runs
+	// abort-to-consistency — the §3.2 roll-forward is
 	// replayed online, while the statement still holds its locks and gates,
 	// so the structures end in the exact state a crash at that boundary
 	// followed by Recover would produce. Because recovery is roll-forward-
 	// only, that state is "the delete completed": a cancel can only stop a
 	// statement before its first durable record (zero effect) or after it
-	// (full effect, reached via replay) — never half-way. Without a WAL the
-	// only recoverable boundary is before any structure was modified, so
-	// cancellation is ignored once work begins. Cascades inherit the
-	// context.
+	// (full effect, reached via replay) — never half-way. Cascades inherit
+	// the context.
 	Ctx context.Context
 	// Timeout, when > 0, is the statement's real-time deadline: shorthand
 	// for wrapping Ctx (or Background) in context.WithTimeout for this

@@ -9,11 +9,7 @@ import (
 // walState reports the log's restart count and its file's page count.
 func walState(t *testing.T, db *DB) (restarts uint64, pages sim.PageNo) {
 	t.Helper()
-	f, ok := db.WALFile()
-	if !ok {
-		t.Fatal("no WAL")
-	}
-	n, err := db.Disk().NumPages(f)
+	n, err := db.Disk().NumPages(db.WALFile())
 	if err != nil {
 		t.Fatal(err)
 	}
