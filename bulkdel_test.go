@@ -519,10 +519,17 @@ func TestBulkDeleteWithoutAccessIndexPublicAPI(t *testing.T) {
 func TestRecoverRejectsCorruptCatalog(t *testing.T) {
 	db, _ := newBenchDB(t, 10, Options{})
 	disk := db.SimulateCrash()
-	// Scribble over the catalog header.
-	junk := make([]byte, 4096)
-	if err := disk.WritePage(0, 0, junk); err != nil {
+	// Scribble over every slot of the catalog: with no valid generation
+	// left there is nothing to fall back to.
+	n, err := disk.NumPages(0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	junk := make([]byte, 4096)
+	for p := sim.PageNo(0); p < n; p++ {
+		if err := disk.WritePage(0, p, junk); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, _, err := Recover(disk, Options{}); err == nil {
 		t.Fatal("corrupt catalog accepted")

@@ -51,8 +51,51 @@ type catalogTable struct {
 	// the durable level layout. A flush or compaction commits by saving the
 	// catalog; the manifest swap in that single save is what makes it
 	// atomic (the inputs and the output are never both referenced).
-	Backend string        `json:"backend,omitempty"`
-	LSM     *lsm.Manifest `json:"lsm,omitempty"`
+	Backend string      `json:"backend,omitempty"`
+	LSM     *catalogLSM `json:"lsm,omitempty"`
+}
+
+// catalogLSM is an LSM tree's manifest as the catalog persists it: the
+// tree's clocks and, per table, only what its trailer cannot say — the
+// file, its device and its page count (lsm.Open reads the rest back).
+type catalogLSM struct {
+	Seq        uint64         `json:"seq"`
+	FlushedSeq uint64         `json:"flushedSeq"`
+	Tick       uint64         `json:"tick"`
+	Created    uint64         `json:"created"`
+	Levels     [][]catalogSST `json:"levels"`
+}
+
+type catalogSST struct {
+	File   uint32 `json:"file"`
+	Device int    `json:"device,omitempty"`
+	Pages  int64  `json:"pages"`
+}
+
+// toCatalogLSM keeps what the catalog persists of a manifest.
+func toCatalogLSM(m lsm.Manifest) *catalogLSM {
+	c := &catalogLSM{Seq: m.Seq, FlushedSeq: m.FlushedSeq, Tick: m.Tick, Created: m.Created}
+	for _, lvl := range m.Levels {
+		out := make([]catalogSST, len(lvl))
+		for i, meta := range lvl {
+			out[i] = catalogSST{File: meta.File, Device: meta.Device, Pages: meta.Pages}
+		}
+		c.Levels = append(c.Levels, out)
+	}
+	return c
+}
+
+// manifest is the lsm.Manifest lsm.Open reopens the tree from.
+func (c *catalogLSM) manifest() lsm.Manifest {
+	m := lsm.Manifest{Seq: c.Seq, FlushedSeq: c.FlushedSeq, Tick: c.Tick, Created: c.Created}
+	for _, lvl := range c.Levels {
+		out := make([]lsm.Meta, len(lvl))
+		for i, sst := range lvl {
+			out[i] = lsm.Meta{File: sst.File, Device: sst.Device, Pages: sst.Pages}
+		}
+		m.Levels = append(m.Levels, out)
+	}
+	return m
 }
 
 type catalogFK struct {
@@ -78,71 +121,114 @@ type catalogRoot struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// The catalog's on-disk layout is crash-atomic: page 0 of file 0 is a
-// pointer page naming one of two payload regions; a save writes the full
-// JSON blob (CRC-protected) into the region the pointer does NOT
-// currently reference, then flips the pointer with a single page write.
-// A crash at any I/O boundary leaves either the old pointer (old catalog,
-// new blob an unreferenced scribble) or the new one — never a torn mix.
-// This matters beyond DDL: LSM flushes and compactions commit their
-// manifests through catalog saves, so the crash sweep drives saves at
-// every fault ordinal. Page writes are assumed atomic (the classic
-// sector-write assumption; the simulator's tear faults target multi-page
-// runs).
-const catMagic uint64 = 0x3242444c43415432
+// The catalog's on-disk layout is crash-atomic with one write per save:
+// file 0 holds two slot regions, and a save writes the whole catalog into
+// the region that does not hold the newest one, as one chained run. A slot
+// starts with a header — magic, generation, blob size, both regions'
+// extents — and a CRC-32C over that header and the blob; loadCatalog takes
+// the valid slot of the highest generation. A save interrupted at any page,
+// torn mid-page included (the simulator's tear faults cut WritePage and
+// every page of a WriteRun), leaves its slot failing the CRC, and recovery
+// falls back to the catalog before it, which the save never touched. This
+// matters beyond DDL: LSM flushes and compactions commit their manifests
+// through catalog saves, so the crash sweep drives saves at every fault
+// ordinal.
+const catMagic uint64 = 0x3242444c434154ff // a 0xff byte never starts a page of JSON
 
-// catCRC is the catalog blob checksum polynomial (CRC-32C).
+// slot header layout.
+const (
+	catHdrMagic      = 0
+	catHdrGen        = 8
+	catHdrSize       = 16 // blob bytes
+	catHdrCap        = 20 // pages of this slot's region
+	catHdrOtherStart = 24 // the other region, so a reopened DB knows
+	catHdrOtherCap   = 28 // where its next save goes
+	catHdrCRC        = 32
+	catHdrLen        = 36
+)
+
+// catCRC is the catalog slot checksum polynomial (CRC-32C).
 var catCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// catalogSlot is one payload region of the double-buffered catalog.
-type catalogSlot struct {
-	start uint64 // first page (0 = never allocated; page 0 is the pointer)
-	cap   uint64 // pages reserved
-	size  uint64 // live blob bytes
-	crc   uint32 // CRC-32C over the blob
+// catalogRegion is a run of file-0 pages one slot is written into (cap 0:
+// not allocated yet).
+type catalogRegion struct{ start, cap uint32 }
+
+func (r catalogRegion) overlaps(o catalogRegion) bool {
+	return r.cap > 0 && o.cap > 0 && r.start < o.start+o.cap && o.start < r.start+r.cap
 }
 
-// catalogPtr mirrors the pointer page: which slot is live, and both
-// slots' extents (so the next save can reuse the dead region).
-type catalogPtr struct {
-	live  int
-	slots [2]catalogSlot
+// catalogSlots is the double-buffered catalog's state: the generation and
+// region of the newest slot, and the other region, which the next save
+// overwrites.
+type catalogSlots struct {
+	gen         uint64
+	live, other catalogRegion
 }
 
-func (p *catalogPtr) encode(pg []byte) {
-	binary.LittleEndian.PutUint64(pg[0:], catMagic)
-	binary.LittleEndian.PutUint32(pg[8:], uint32(p.live))
-	for i, s := range p.slots {
-		off := 16 + 32*i
-		binary.LittleEndian.PutUint64(pg[off:], s.start)
-		binary.LittleEndian.PutUint64(pg[off+8:], s.cap)
-		binary.LittleEndian.PutUint64(pg[off+16:], s.size)
-		binary.LittleEndian.PutUint32(pg[off+24:], s.crc)
-	}
+// catalogPages returns the pages a slot of blob bytes spans.
+func catalogPages(blob int) uint32 {
+	return uint32((catHdrLen + blob + sim.PageSize - 1) / sim.PageSize)
 }
 
-func (p *catalogPtr) decode(pg []byte) error {
-	if binary.LittleEndian.Uint64(pg) != catMagic {
-		return fmt.Errorf("bulkdel: corrupt catalog pointer page (bad magic)")
+// encodeSlot frames blob as generation gen of a slot written into region
+// self, naming other as the region the save after it goes to. It returns
+// the pages the slot spans, which may be fewer than the region holds.
+func encodeSlot(blob []byte, gen uint64, self, other catalogRegion) [][]byte {
+	buf := make([]byte, int(catalogPages(len(blob)))*sim.PageSize)
+	binary.LittleEndian.PutUint64(buf[catHdrMagic:], catMagic)
+	binary.LittleEndian.PutUint64(buf[catHdrGen:], gen)
+	binary.LittleEndian.PutUint32(buf[catHdrSize:], uint32(len(blob)))
+	binary.LittleEndian.PutUint32(buf[catHdrCap:], self.cap)
+	binary.LittleEndian.PutUint32(buf[catHdrOtherStart:], other.start)
+	binary.LittleEndian.PutUint32(buf[catHdrOtherCap:], other.cap)
+	copy(buf[catHdrLen:], blob)
+	crc := crc32.Update(crc32.Checksum(buf[:catHdrCRC], catCRC), catCRC, blob)
+	binary.LittleEndian.PutUint32(buf[catHdrCRC:], crc)
+	pages := make([][]byte, len(buf)/sim.PageSize)
+	for i := range pages {
+		pages[i] = buf[i*sim.PageSize : (i+1)*sim.PageSize]
 	}
-	p.live = int(binary.LittleEndian.Uint32(pg[8:]))
-	if p.live != 0 && p.live != 1 {
-		return fmt.Errorf("bulkdel: corrupt catalog pointer page (live slot %d)", p.live)
-	}
-	for i := range p.slots {
-		off := 16 + 32*i
-		p.slots[i] = catalogSlot{
-			start: binary.LittleEndian.Uint64(pg[off:]),
-			cap:   binary.LittleEndian.Uint64(pg[off+8:]),
-			size:  binary.LittleEndian.Uint64(pg[off+16:]),
-			crc:   binary.LittleEndian.Uint32(pg[off+24:]),
-		}
-	}
-	return nil
+	return pages
 }
 
-// saveCatalog serializes the catalog and commits it to file 0 with the
-// write-then-flip protocol above.
+// decodeSlot parses the slot starting at pages[p]: its generation, regions
+// and blob, or ok=false when no valid slot starts there.
+func decodeSlot(pages [][]byte, p int) (slots catalogSlots, blob []byte, ok bool) {
+	hdr := pages[p]
+	if binary.LittleEndian.Uint64(hdr[catHdrMagic:]) != catMagic {
+		return slots, nil, false
+	}
+	size := int(binary.LittleEndian.Uint32(hdr[catHdrSize:]))
+	slots.gen = binary.LittleEndian.Uint64(hdr[catHdrGen:])
+	slots.live = catalogRegion{start: uint32(p), cap: binary.LittleEndian.Uint32(hdr[catHdrCap:])}
+	slots.other = catalogRegion{
+		start: binary.LittleEndian.Uint32(hdr[catHdrOtherStart:]),
+		cap:   binary.LittleEndian.Uint32(hdr[catHdrOtherCap:]),
+	}
+	n := uint64(len(pages))
+	switch {
+	case size > len(pages)*sim.PageSize:
+		return slots, nil, false
+	case slots.live.cap < catalogPages(size) || uint64(p)+uint64(slots.live.cap) > n:
+		return slots, nil, false
+	case uint64(slots.other.start)+uint64(slots.other.cap) > n || slots.live.overlaps(slots.other):
+		return slots, nil, false
+	}
+	body := make([]byte, 0, int(slots.live.cap)*sim.PageSize)
+	for _, pg := range pages[p : p+int(slots.live.cap)] {
+		body = append(body, pg...)
+	}
+	blob = body[catHdrLen : catHdrLen+size]
+	crc := crc32.Update(crc32.Checksum(hdr[:catHdrCRC], catCRC), catCRC, blob)
+	if binary.LittleEndian.Uint32(hdr[catHdrCRC:]) != crc {
+		return slots, nil, false
+	}
+	return slots, blob, true
+}
+
+// saveCatalog serializes the catalog and commits it to file 0 with one
+// chained write into the slot region not holding the newest generation.
 func (db *DB) saveCatalog() error {
 	// catMu spans the snapshot AND the file-0 rewrite, and is acquired
 	// before db.mu (lock order: catMu > db.mu). Serializing only the write
@@ -150,6 +236,39 @@ func (db *DB) saveCatalog() error {
 	// last, durably dropping the newer table/FK until the next DDL.
 	db.catMu.Lock()
 	defer db.catMu.Unlock()
+	root, blob, err := db.catalogBlob()
+	if err != nil {
+		return err
+	}
+	// A region too small for the blob is abandoned for a fresh one at the
+	// file's end (growth is rare and logarithmic, not per save).
+	slots := &db.catSlots
+	target := slots.other
+	if need := catalogPages(len(blob)); target.cap < need {
+		have, err := db.disk.NumPages(db.catalog)
+		if err != nil {
+			return err
+		}
+		target = catalogRegion{start: uint32(have), cap: need}
+		for i := uint32(0); i < need; i++ {
+			if _, err := db.disk.Allocate(db.catalog); err != nil {
+				return err
+			}
+		}
+		slots.other = target
+	}
+	pages := encodeSlot(blob, slots.gen+1, target, slots.live)
+	if err := db.disk.WriteRun(db.catalog, sim.PageNo(target.start), pages); err != nil {
+		return err
+	}
+	slots.gen++
+	slots.live, slots.other = target, slots.live
+	db.catEpoch, db.catTx = root.Epoch, root.TxSeq
+	return nil
+}
+
+// catalogBlob snapshots the catalog and encodes it.
+func (db *DB) catalogBlob() (catalogRoot, []byte, error) {
 	db.mu.Lock()
 	root := catalogRoot{TxSeq: db.txSeq.Load(), Devices: db.opts.Devices,
 		Epoch: db.epochs.Current(), WALFile: uint32(db.log.FileID())}
@@ -168,100 +287,42 @@ func (db *DB) saveCatalog() error {
 	}
 	db.mu.Unlock()
 	blob, err := json.Marshal(root)
-	if err != nil {
-		return err
-	}
-	need := uint64((len(blob) + sim.PageSize - 1) / sim.PageSize)
-	if need == 0 {
-		need = 1
-	}
-	have, err := db.disk.NumPages(db.catalog)
-	if err != nil {
-		return err
-	}
-	if have == 0 {
-		if _, err := db.disk.Allocate(db.catalog); err != nil {
-			return err // the pointer page
-		}
-		have = 1
-	}
-	// Write into the slot the pointer does not reference; grow it at the
-	// file's end when the blob outgrew its reserved region (the old region
-	// is abandoned — growth is rare and logarithmic, not per save).
-	target := 1 - db.catPtr.live
-	slot := &db.catPtr.slots[target]
-	if slot.start == 0 || slot.cap < need {
-		slot.start, slot.cap = uint64(have), need
-		for uint64(have) < slot.start+need {
-			if _, err := db.disk.Allocate(db.catalog); err != nil {
-				return err
-			}
-			have++
-		}
-	}
-	bufs := make([][]byte, need)
-	for i := range bufs {
-		bufs[i] = make([]byte, sim.PageSize)
-		if off := i * sim.PageSize; off < len(blob) {
-			copy(bufs[i], blob[off:])
-		}
-	}
-	if err := db.disk.WriteRun(db.catalog, sim.PageNo(slot.start), bufs); err != nil {
-		return err
-	}
-	slot.size = uint64(len(blob))
-	slot.crc = crc32.Checksum(blob, catCRC)
-	db.catPtr.live = target
-	ptr := make([]byte, sim.PageSize)
-	db.catPtr.encode(ptr)
-	if err := db.disk.WritePage(db.catalog, 0, ptr); err != nil {
-		return err
-	}
-	db.catEpoch, db.catTx = root.Epoch, root.TxSeq
-	return nil
+	return root, blob, err
 }
 
-// loadCatalog reads the catalog from file 0: pointer page, then the live
-// slot's blob, CRC-checked. The returned catalogPtr seeds the reopened
-// DB's slot state so its next save alternates correctly.
-func loadCatalog(disk *sim.Disk) (catalogRoot, catalogPtr, error) {
+// loadCatalog reads file 0 in one chained run and decodes the valid slot
+// of the highest generation. The returned catalogSlots seeds the reopened
+// DB's slot state, so its next save overwrites the older region.
+func loadCatalog(disk *sim.Disk) (catalogRoot, catalogSlots, error) {
 	var root catalogRoot
-	var ptr catalogPtr
+	var best catalogSlots
 	n, err := disk.NumPages(0)
 	if err != nil {
-		return root, ptr, fmt.Errorf("bulkdel: no catalog on this disk: %w", err)
+		return root, best, fmt.Errorf("bulkdel: no catalog on this disk: %w", err)
 	}
 	if n == 0 {
-		return root, ptr, fmt.Errorf("bulkdel: catalog file is empty")
+		return root, best, fmt.Errorf("bulkdel: catalog file is empty")
 	}
-	pg := make([]byte, sim.PageSize)
-	if err := disk.ReadPage(0, 0, pg); err != nil {
-		return root, ptr, err
+	pages := make([][]byte, n)
+	for i := range pages {
+		pages[i] = make([]byte, sim.PageSize)
 	}
-	if err := ptr.decode(pg); err != nil {
-		return root, ptr, err
+	if err := disk.ReadRun(0, 0, pages); err != nil {
+		return root, best, err
 	}
-	slot := ptr.slots[ptr.live]
-	pages := (slot.size + uint64(sim.PageSize) - 1) / uint64(sim.PageSize)
-	if slot.start == 0 || slot.size == 0 || slot.start+pages > uint64(n) {
-		return root, ptr, fmt.Errorf("bulkdel: corrupt catalog pointer (slot %d: start=%d size=%d file=%d pages)",
-			ptr.live, slot.start, slot.size, n)
-	}
-	blob := make([]byte, 0, pages*uint64(sim.PageSize))
-	for p := slot.start; p < slot.start+pages; p++ {
-		if err := disk.ReadPage(0, sim.PageNo(p), pg); err != nil {
-			return root, ptr, err
+	var blob []byte
+	for p := range pages {
+		if s, b, ok := decodeSlot(pages, p); ok && (blob == nil || s.gen > best.gen) {
+			best, blob = s, b
 		}
-		blob = append(blob, pg...)
 	}
-	blob = blob[:slot.size]
-	if crc32.Checksum(blob, catCRC) != slot.crc {
-		return root, ptr, fmt.Errorf("bulkdel: corrupt catalog (checksum mismatch)")
+	if blob == nil {
+		return root, best, fmt.Errorf("bulkdel: corrupt catalog (no valid slot in %d pages)", n)
 	}
 	if err := json.Unmarshal(blob, &root); err != nil {
-		return root, ptr, fmt.Errorf("bulkdel: corrupt catalog: %w", err)
+		return root, best, fmt.Errorf("bulkdel: corrupt catalog: %w", err)
 	}
-	return root, ptr, nil
+	return root, best, nil
 }
 
 // RecoveryReport describes what Recover found and did.
@@ -299,7 +360,7 @@ type RecoveryReport struct {
 // instead of rolling it back.
 func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 	opts = opts.withDefaults()
-	root, ptr, err := loadCatalog(disk)
+	root, slots, err := loadCatalog(disk)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -308,7 +369,7 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 	}
 	db := newDB(disk, opts)
 	db.txSeq.Store(root.TxSeq)
-	db.catPtr = ptr
+	db.catSlots = slots
 	db.catEpoch, db.catTx = root.Epoch, root.TxSeq
 	db.obs.Registry().Counter("recoveries_run").Add(1)
 	for _, ct := range root.Tables {

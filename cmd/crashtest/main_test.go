@@ -60,19 +60,20 @@ func TestSummaryLines(t *testing.T) {
 	// The LSM deletes run on a base whose CompactLSM restarted the drained
 	// WAL, so their log flush starts a fresh page and reads no tail back.
 	// lsm-grow's sweep crosses a two-output compaction and eight restarts;
-	// lsm-drop's, a tenant drop applied in place at its TTL.
+	// lsm-drop's, a tenant drop applied in place at its TTL. Every SSTable
+	// has one trailer page and every catalog save is one page write.
 	runCLI(t, 0, []string{"-lsm"}, "",
-		"lsm: 10 I/Os, swept 10 ordinals, 0 failed, digest d3fba8c1d06a4750",
-		"lsm-in: 11 I/Os, swept 11 ordinals, 0 failed, digest ",
-		"lsm-grow: 702 I/Os, swept 702 ordinals, 0 failed, digest cb7d19ced8d6c78e",
-		"lsm-drop: 250 I/Os, swept 250 ordinals, 0 failed, digest 584ce0c3a09ec354",
-		"lsm-heap: 69 I/Os, swept 69 ordinals, 0 failed, digest 4cca06efc7eca313")
+		"lsm: 6 I/Os, swept 6 ordinals, 0 failed, digest 6e7950983b505717",
+		"lsm-in: 7 I/Os, swept 7 ordinals, 0 failed, digest ",
+		"lsm-grow: 481 I/Os, swept 481 ordinals, 0 failed, digest 52027df7b2e9f774",
+		"lsm-drop: 180 I/Os, swept 180 ordinals, 0 failed, digest adbe850e9195d922",
+		"lsm-heap: 69 I/Os, swept 69 ordinals, 0 failed, digest 609e12d3f1970beb")
 	// rebalance's digest carries the clock of the sort/merge bulk delete its
 	// verify runs after recovery, so it moves with the kernels' charges, as
-	// parted's does.
+	// parted's does. The rebalancing commits with one catalog save.
 	runCLI(t, 0, []string{"-rebalance"}, "",
-		"rebalance: 31 I/Os, swept 31 ordinals, 0 failed, digest 9fe9855e38d7bb4c",
-		"parted: 85 I/Os, swept 85 ordinals, 0 failed, digest 9b65a579e15001de")
+		"rebalance: 30 I/Os, swept 30 ordinals, 0 failed, digest 14628c88bc2e9d9a",
+		"parted: 85 I/Os, swept 85 ordinals, 0 failed, digest c3c79afc286ff01b")
 	// -rebalance -cancel cancels the partitioned-heap delete at every
 	// ordinal; an online abort that lands in the heap phase finishes on the
 	// RID list. Its reference is the completed delete's final state, the same
@@ -82,7 +83,7 @@ func TestSummaryLines(t *testing.T) {
 	// A sweep with no join method to vary keeps its scenario under -method
 	// auto.
 	runCLI(t, 0, []string{"-rebalance", "-method", "auto", "-stride", "9"}, "",
-		"rebalance: 31 I/Os, swept 4 ordinals, 0 failed, digest ",
+		"rebalance: 30 I/Os, swept 4 ordinals, 0 failed, digest ",
 		"parted: 85 I/Os, swept 10 ordinals, 0 failed, digest ")
 	runCLI(t, 0, []string{"-cancel", "-method", "hash", "-stride", "9"}, "",
 		"hash:     cancel sweep: 62 I/Os, swept 7 ordinals, 7 cancelled, 0 failed, reference d0ec0d93a4ddb929")
@@ -96,7 +97,7 @@ func TestSummaryLines(t *testing.T) {
 	// resolves it off IA's leaves under the statement's lock, the planner
 	// joins the keys.
 	runCLI(t, 0, []string{"-method", "range"}, "",
-		"range:    75 I/Os, swept 75 ordinals, 0 failed, digest d437ee3a9257153a")
+		"range:    75 I/Os, swept 75 ordinals, 0 failed, digest 3b289868a1419125")
 	runCLI(t, 0, []string{"-cancel", "-method", "range", "-stride", "9"}, " 0 failed, reference 2abd5124e1c63f92",
 		"range:    cancel sweep: 75 I/Os, swept 9 ordinals, 9 cancelled, ")
 	runCLI(t, 0, []string{"-reader", "-method", "sort", "-stride", "20"}, "",

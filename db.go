@@ -162,9 +162,9 @@ type DB struct {
 	// so concurrent DDLs can neither interleave page writes nor durably
 	// write an older snapshot after a newer one. Acquired before mu.
 	catMu sync.Mutex
-	// catPtr mirrors the catalog pointer page (guarded by catMu): which of
-	// the two payload slots is live and both slots' extents.
-	catPtr catalogPtr
+	// catSlots is the double-buffered catalog's slot state (guarded by
+	// catMu): the newest generation, its region and the one written next.
+	catSlots catalogSlots
 	// catEpoch and catTx are the epoch and TxID floors the last catalog
 	// save made durable (guarded by catMu); restartWAL compares them with
 	// the clocks.

@@ -192,8 +192,9 @@ func New(pool *buffer.Pool, recSize int, opts Options) *Tree {
 }
 
 // Open rebuilds a tree from its manifest after a crash or restart: every
-// referenced SSTable is reopened (header + sparse index read back, CRCs
-// verified). The memtable starts empty; the caller replays the WAL suffix
+// referenced SSTable is reopened from its File, Device and Pages (the
+// trailer, CRC-verified, supplies the rest of its Meta and the sparse
+// index). The memtable starts empty; the caller replays the WAL suffix
 // into it.
 func Open(pool *buffer.Pool, recSize int, opts Options, m Manifest) (*Tree, error) {
 	t := &Tree{pool: pool, recSize: recSize, opts: opts.withDefaults(), mem: &memtable{}}

@@ -11,16 +11,20 @@ import (
 
 // SSTable on-disk format, all pages served through the buffer pool:
 //
-//	page 0                  header (fixed fields + CRC, see below)
-//	pages 1 … Blocks        data blocks: [4B crc][2B used][2B count][entries]
-//	pages Blocks+1 … Pages-1 index pages, same framing, carrying one byte
-//	                        stream: Blocks × firstKey(8), then RangeTombs ×
-//	                        (lo 8, hi 8, seq 8)
+//	pages 0 … Blocks-1      data blocks: [4B crc][2B used][2B count][entries]
+//	pages Blocks … Pages-1  trailer, same framing (count = trailer pages),
+//	                        carrying one byte stream: the table's fixed
+//	                        fields (trailer layout below), Blocks ×
+//	                        firstKey(8), then RangeTombs × (lo 8, hi 8, seq 8)
 //
-// A data-block entry is key(8) seq(8) kind(1), followed by the record
-// bytes for kindPut. The per-block CRC-32C covers the used payload, so a
-// torn or stale block is detected on read instead of silently merged. The
-// sparse index (first key per block) is read once at open and kept in
+// A data-block entry is its key — the block's first in full (8 bytes),
+// each later one as the uvarint delta from the key before it — then
+// uvarint(seq<<1 | tombstone), then, for a put, the recSize value bytes.
+// The per-page CRC-32C covers the used payload, so a torn or stale page is
+// detected on read instead of silently merged. The catalog names only a
+// table's file and page count: open reads the last page, whose count says
+// how many trailer pages end the file, and takes every other field of Meta
+// and the sparse index (first key per block) from the trailer, kept in
 // memory; point lookups touch exactly one data page.
 
 const (
@@ -36,27 +40,25 @@ type entry struct {
 	val  []byte // kindPut only
 }
 
-const sstMagic uint64 = 0x4c534d5353544231 // "LSMSSTB1"
+const sstMagic uint64 = 0x4c534d5353544232 // "LSMSSTB2"
 
-// header layout on page 0.
+// trailer layout: the fixed fields at the head of the trailer stream.
 const (
-	hdrMagic   = 0
-	hdrEntries = 8
-	hdrBlocks  = 16
-	hdrIdx     = 20
-	hdrRecSize = 24
-	hdrNRange  = 28
-	hdrMinKey  = 32
-	hdrMaxKey  = 40
-	hdrMinSeq  = 48
-	hdrMaxSeq  = 56
-	hdrTombs   = 64
-	hdrBorn    = 72
-	hdrCRC     = 80
-	hdrSize    = 84
+	trMagic   = 0
+	trEntries = 8
+	trTombs   = 16
+	trMinKey  = 24
+	trMaxKey  = 32
+	trMinSeq  = 40
+	trMaxSeq  = 48
+	trBorn    = 56
+	trBlocks  = 64
+	trRecSize = 68
+	trNRange  = 72
+	trFixed   = 76
 )
 
-// block framing: crc(4) | used(2) | count(2) | payload.
+// page framing: crc(4) | used(2) | count(2) | payload.
 const (
 	blkCRC     = 0
 	blkUsed    = 4
@@ -65,15 +67,20 @@ const (
 	blkPayload = sim.PageSize - blkHdrSize
 )
 
+// firstHdrMax is the worst-case header of a block's first entry: the whole
+// key and the longest seq/kind uvarint. Every block holds at least its
+// first entry, so a record this header leaves room for always fits.
+const firstHdrMax = 8 + binary.MaxVarintLen64
+
 // MaxRecordSize is the largest record the backend can store: one encoded
-// entry (17-byte key/seq/kind header plus the record) must fit a data
-// block's payload. Table creation rejects larger schemas up front.
-const MaxRecordSize = blkPayload - 17
+// entry (its worst-case first-entry header plus the record) must fit a
+// data block's payload. Table creation rejects larger schemas up front.
+const MaxRecordSize = blkPayload - firstHdrMax
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Meta is one SSTable's catalog-persisted description; everything needed
-// to reopen it without trusting the (CRC-checked anyway) header.
+// Meta is one SSTable's description. The catalog persists File, Device and
+// Pages; open reads the rest back from the CRC-checked trailer.
 type Meta struct {
 	File       uint32 `json:"file"`
 	Device     int    `json:"device,omitempty"`
@@ -100,12 +107,33 @@ type SSTable struct {
 	rtombs    []RangeTomb
 }
 
-// entrySize returns the encoded size of e.
-func entrySize(e entry, recSize int) int {
-	if e.kind == kindPut {
-		return 17 + recSize
+// appendEntry encodes e after a block's entries, prev being the key of the
+// entry before it, or in full as the block's first when first is set.
+func appendEntry(dst []byte, e entry, prev int64, first bool, recSize int) []byte {
+	if first {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.key))
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(e.key-prev))
 	}
-	return 17
+	tag := e.seq << 1
+	if e.kind == kindDel {
+		tag |= 1
+	}
+	dst = binary.AppendUvarint(dst, tag)
+	if e.kind == kindPut {
+		dst = append(dst, e.val[:recSize]...)
+	}
+	return dst
+}
+
+// framePage returns a fresh page carrying payload under the crc framing.
+func framePage(payload []byte, count int) []byte {
+	pg := make([]byte, sim.PageSize)
+	binary.LittleEndian.PutUint16(pg[blkUsed:], uint16(len(payload)))
+	binary.LittleEndian.PutUint16(pg[blkCount:], uint16(count))
+	copy(pg[blkHdrSize:], payload)
+	binary.LittleEndian.PutUint32(pg[blkCRC:], crc32.Checksum(pg[blkUsed:blkHdrSize+len(payload)], crcTable))
+	return pg
 }
 
 // buildSSTable writes entries (sorted by key, at most one per key) and
@@ -121,45 +149,35 @@ func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtom
 	sst.Meta = Meta{File: uint32(file), Device: dev, Born: born}
 	sst.rtombs = append(sst.rtombs, rtombs...)
 
-	// Pack entries into data blocks.
-	var blocks [][]byte
-	var cur []byte
-	var curCount int
-	var curFirst int64
+	// Pack entries into data blocks: an entry that does not fit after the
+	// block's last one starts the next block, with its key in full.
+	var pages [][]byte
+	cur := make([]byte, 0, blkPayload)
+	var count int
+	var prev int64
 	flushBlock := func() {
-		if curCount == 0 {
-			return
+		if count > 0 {
+			pages = append(pages, framePage(cur, count))
+			cur, count = cur[:0], 0
 		}
-		pg := make([]byte, sim.PageSize)
-		binary.LittleEndian.PutUint16(pg[blkUsed:], uint16(len(cur)))
-		binary.LittleEndian.PutUint16(pg[blkCount:], uint16(curCount))
-		copy(pg[blkHdrSize:], cur)
-		binary.LittleEndian.PutUint32(pg[blkCRC:], crc32.Checksum(pg[blkUsed:blkHdrSize+len(cur)], crcTable))
-		blocks = append(blocks, pg)
-		sst.firstKeys = append(sst.firstKeys, curFirst)
-		cur, curCount = cur[:0], 0
 	}
 	for _, e := range entries {
-		sz := entrySize(e, recSize)
-		if sz > blkPayload {
-			return nil, fmt.Errorf("lsm: entry for key %d needs %d bytes, exceeds the %d-byte block payload (record size %d > MaxRecordSize %d)",
-				e.key, sz, blkPayload, recSize, MaxRecordSize)
+		if e.kind == kindPut && recSize > MaxRecordSize {
+			return nil, fmt.Errorf("lsm: entry for key %d needs up to %d bytes, exceeds the %d-byte block payload (record size %d > MaxRecordSize %d)",
+				e.key, firstHdrMax+recSize, blkPayload, recSize, MaxRecordSize)
 		}
-		if len(cur)+sz > blkPayload {
-			flushBlock()
+		if n := len(cur); count > 0 {
+			if cur = appendEntry(cur, e, prev, false, recSize); len(cur) > blkPayload {
+				cur = cur[:n]
+				flushBlock()
+			}
 		}
-		if curCount == 0 {
-			curFirst = e.key
+		if count == 0 {
+			sst.firstKeys = append(sst.firstKeys, e.key)
+			cur = appendEntry(cur, e, 0, true, recSize)
 		}
-		var hdr [17]byte
-		binary.LittleEndian.PutUint64(hdr[0:], uint64(e.key))
-		binary.LittleEndian.PutUint64(hdr[8:], e.seq)
-		hdr[16] = e.kind
-		cur = append(cur, hdr[:]...)
-		if e.kind == kindPut {
-			cur = append(cur, e.val[:recSize]...)
-		}
-		curCount++
+		prev = e.key
+		count++
 		sst.Entries++
 		if e.kind == kindDel {
 			sst.Tombs++
@@ -178,7 +196,7 @@ func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtom
 		}
 	}
 	flushBlock()
-	sst.Blocks = len(blocks)
+	sst.Blocks = len(pages)
 	sst.RangeTombs = len(rtombs)
 	// Key range covers the range tombstones too, so compaction input
 	// selection by key overlap never misses a tombstone's span.
@@ -202,61 +220,17 @@ func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtom
 		}
 	}
 
-	// Index stream: sparse index then range tombstones.
-	idx := make([]byte, 0, 8*len(sst.firstKeys)+24*len(rtombs))
-	var b8 [8]byte
-	for _, k := range sst.firstKeys {
-		binary.LittleEndian.PutUint64(b8[:], uint64(k))
-		idx = append(idx, b8[:]...)
+	// Trailer: the fixed fields, the sparse index, the range tombstones,
+	// cut into as many framed pages as it needs.
+	tr := sst.encodeTrailer()
+	n := (len(tr) + blkPayload - 1) / blkPayload
+	for off := 0; off < len(tr); off += blkPayload {
+		pages = append(pages, framePage(tr[off:min(off+blkPayload, len(tr))], n))
 	}
-	for _, rt := range rtombs {
-		binary.LittleEndian.PutUint64(b8[:], uint64(rt.Lo))
-		idx = append(idx, b8[:]...)
-		binary.LittleEndian.PutUint64(b8[:], uint64(rt.Hi))
-		idx = append(idx, b8[:]...)
-		binary.LittleEndian.PutUint64(b8[:], rt.Seq)
-		idx = append(idx, b8[:]...)
-	}
-	var idxPages [][]byte
-	for off := 0; off < len(idx) || (off == 0 && len(idx) == 0); off += blkPayload {
-		n := len(idx) - off
-		if n > blkPayload {
-			n = blkPayload
-		}
-		pg := make([]byte, sim.PageSize)
-		binary.LittleEndian.PutUint16(pg[blkUsed:], uint16(n))
-		copy(pg[blkHdrSize:], idx[off:off+n])
-		binary.LittleEndian.PutUint32(pg[blkCRC:], crc32.Checksum(pg[blkUsed:blkHdrSize+n], crcTable))
-		idxPages = append(idxPages, pg)
-		if len(idx) == 0 {
-			break
-		}
-	}
-	sst.Pages = int64(1 + len(blocks) + len(idxPages))
+	sst.Pages = int64(len(pages))
 
-	// Header.
-	hdr := make([]byte, sim.PageSize)
-	binary.LittleEndian.PutUint64(hdr[hdrMagic:], sstMagic)
-	binary.LittleEndian.PutUint64(hdr[hdrEntries:], uint64(sst.Entries))
-	binary.LittleEndian.PutUint32(hdr[hdrBlocks:], uint32(sst.Blocks))
-	binary.LittleEndian.PutUint32(hdr[hdrIdx:], uint32(len(idxPages)))
-	binary.LittleEndian.PutUint32(hdr[hdrRecSize:], uint32(recSize))
-	binary.LittleEndian.PutUint32(hdr[hdrNRange:], uint32(len(rtombs)))
-	binary.LittleEndian.PutUint64(hdr[hdrMinKey:], uint64(sst.MinKey))
-	binary.LittleEndian.PutUint64(hdr[hdrMaxKey:], uint64(sst.MaxKey))
-	binary.LittleEndian.PutUint64(hdr[hdrMinSeq:], sst.MinSeq)
-	binary.LittleEndian.PutUint64(hdr[hdrMaxSeq:], sst.MaxSeq)
-	binary.LittleEndian.PutUint64(hdr[hdrTombs:], uint64(sst.Tombs))
-	binary.LittleEndian.PutUint64(hdr[hdrBorn:], born)
-	binary.LittleEndian.PutUint32(hdr[hdrCRC:], crc32.Checksum(hdr[:hdrCRC], crcTable))
-
-	// Write everything through the pool and force it out: header, data
-	// blocks, index pages, in file order.
-	all := make([][]byte, 0, 1+len(blocks)+len(idxPages))
-	all = append(all, hdr)
-	all = append(all, blocks...)
-	all = append(all, idxPages...)
-	for _, pg := range all {
+	// Write everything through the pool and force it out in file order.
+	for _, pg := range pages {
 		fr, err := pool.NewPage(file)
 		if err != nil {
 			return nil, err
@@ -270,72 +244,120 @@ func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtom
 	return sst, nil
 }
 
-// openSSTable reattaches to a table described by the manifest, reading the
-// header and index pages back and verifying their CRCs.
-func openSSTable(pool *buffer.Pool, recSize int, meta Meta) (*SSTable, error) {
-	sst := &SSTable{Meta: meta, pool: pool, recSize: recSize}
-	fr, err := pool.Get(sim.FileID(meta.File), 0)
-	if err != nil {
-		return nil, err
+// encodeTrailer returns the trailer stream of a built table.
+func (s *SSTable) encodeTrailer() []byte {
+	tr := make([]byte, trFixed, trFixed+8*len(s.firstKeys)+24*len(s.rtombs))
+	binary.LittleEndian.PutUint64(tr[trMagic:], sstMagic)
+	binary.LittleEndian.PutUint64(tr[trEntries:], uint64(s.Entries))
+	binary.LittleEndian.PutUint64(tr[trTombs:], uint64(s.Tombs))
+	binary.LittleEndian.PutUint64(tr[trMinKey:], uint64(s.MinKey))
+	binary.LittleEndian.PutUint64(tr[trMaxKey:], uint64(s.MaxKey))
+	binary.LittleEndian.PutUint64(tr[trMinSeq:], s.MinSeq)
+	binary.LittleEndian.PutUint64(tr[trMaxSeq:], s.MaxSeq)
+	binary.LittleEndian.PutUint64(tr[trBorn:], s.Born)
+	binary.LittleEndian.PutUint32(tr[trBlocks:], uint32(s.Blocks))
+	binary.LittleEndian.PutUint32(tr[trRecSize:], uint32(s.recSize))
+	binary.LittleEndian.PutUint32(tr[trNRange:], uint32(len(s.rtombs)))
+	for _, k := range s.firstKeys {
+		tr = binary.LittleEndian.AppendUint64(tr, uint64(k))
 	}
-	hdr := append([]byte(nil), fr.Data()[:hdrSize]...)
-	pool.Unpin(fr, false)
-	if binary.LittleEndian.Uint64(hdr[hdrMagic:]) != sstMagic {
-		return nil, fmt.Errorf("bad magic")
+	for _, rt := range s.rtombs {
+		tr = binary.LittleEndian.AppendUint64(tr, uint64(rt.Lo))
+		tr = binary.LittleEndian.AppendUint64(tr, uint64(rt.Hi))
+		tr = binary.LittleEndian.AppendUint64(tr, rt.Seq)
 	}
-	if binary.LittleEndian.Uint32(hdr[hdrCRC:]) != crc32.Checksum(hdr[:hdrCRC], crcTable) {
-		return nil, fmt.Errorf("header crc mismatch")
+	return tr
+}
+
+// decodeTrailer fills the table's Meta (past File, Device and Pages), its
+// sparse index and its range tombstones from a trailer stream n pages long.
+func (s *SSTable) decodeTrailer(tr []byte, n int) error {
+	if len(tr) < trFixed {
+		return fmt.Errorf("trailer %d bytes, shorter than its fixed fields", len(tr))
 	}
-	idxPages := int(binary.LittleEndian.Uint32(hdr[hdrIdx:]))
-	var idx []byte
-	for p := 0; p < idxPages; p++ {
-		pg, err := sst.readFramed(sim.PageNo(1 + meta.Blocks + p))
-		if err != nil {
-			return nil, fmt.Errorf("index page %d: %w", p, err)
-		}
-		idx = append(idx, pg...)
+	if binary.LittleEndian.Uint64(tr[trMagic:]) != sstMagic {
+		return fmt.Errorf("bad magic")
 	}
-	want := 8*meta.Blocks + 24*meta.RangeTombs
-	if len(idx) != want {
-		return nil, fmt.Errorf("index stream %d bytes, want %d", len(idx), want)
+	if rs := int(binary.LittleEndian.Uint32(tr[trRecSize:])); rs != s.recSize {
+		return fmt.Errorf("record size %d, tree's is %d", rs, s.recSize)
 	}
-	for b := 0; b < meta.Blocks; b++ {
-		sst.firstKeys = append(sst.firstKeys, int64(binary.LittleEndian.Uint64(idx[8*b:])))
+	blocks := int64(binary.LittleEndian.Uint32(tr[trBlocks:]))
+	nrange := int64(binary.LittleEndian.Uint32(tr[trNRange:]))
+	if blocks+int64(n) != s.Pages {
+		return fmt.Errorf("%d blocks and %d trailer pages, catalog says %d pages", blocks, n, s.Pages)
 	}
-	off := 8 * meta.Blocks
-	for r := 0; r < meta.RangeTombs; r++ {
-		sst.rtombs = append(sst.rtombs, RangeTomb{
-			Lo:  int64(binary.LittleEndian.Uint64(idx[off:])),
-			Hi:  int64(binary.LittleEndian.Uint64(idx[off+8:])),
-			Seq: binary.LittleEndian.Uint64(idx[off+16:]),
+	if want := trFixed + 8*blocks + 24*nrange; int64(len(tr)) != want {
+		return fmt.Errorf("trailer %d bytes, want %d", len(tr), want)
+	}
+	s.Blocks, s.RangeTombs = int(blocks), int(nrange)
+	s.Entries = int64(binary.LittleEndian.Uint64(tr[trEntries:]))
+	s.Tombs = int64(binary.LittleEndian.Uint64(tr[trTombs:]))
+	s.MinKey = int64(binary.LittleEndian.Uint64(tr[trMinKey:]))
+	s.MaxKey = int64(binary.LittleEndian.Uint64(tr[trMaxKey:]))
+	s.MinSeq = binary.LittleEndian.Uint64(tr[trMinSeq:])
+	s.MaxSeq = binary.LittleEndian.Uint64(tr[trMaxSeq:])
+	s.Born = binary.LittleEndian.Uint64(tr[trBorn:])
+	off := trFixed
+	s.firstKeys = make([]int64, s.Blocks)
+	for b := range s.firstKeys {
+		s.firstKeys[b] = int64(binary.LittleEndian.Uint64(tr[off:]))
+		off += 8
+	}
+	for r := 0; r < s.RangeTombs; r++ {
+		s.rtombs = append(s.rtombs, RangeTomb{
+			Lo:  int64(binary.LittleEndian.Uint64(tr[off:])),
+			Hi:  int64(binary.LittleEndian.Uint64(tr[off+8:])),
+			Seq: binary.LittleEndian.Uint64(tr[off+16:]),
 		})
 		off += 24
+	}
+	return nil
+}
+
+// openSSTable reattaches to a table the manifest names by file and page
+// count: the last page says how many trailer pages end the file, and the
+// trailer, CRC-checked page by page, fills in the rest.
+func openSSTable(pool *buffer.Pool, recSize int, meta Meta) (*SSTable, error) {
+	sst := &SSTable{Meta: Meta{File: meta.File, Device: meta.Device, Pages: meta.Pages}, pool: pool, recSize: recSize}
+	if meta.Pages < 1 {
+		return nil, fmt.Errorf("catalog says %d pages", meta.Pages)
+	}
+	tail, n, err := sst.readFramed(sim.PageNo(meta.Pages - 1))
+	if err != nil {
+		return nil, fmt.Errorf("trailer: %w", err)
+	}
+	if n < 1 || int64(n) > meta.Pages {
+		return nil, fmt.Errorf("trailer of %d pages in a %d-page table", n, meta.Pages)
+	}
+	var tr []byte
+	for p := meta.Pages - int64(n); p < meta.Pages-1; p++ {
+		pg, _, err := sst.readFramed(sim.PageNo(p))
+		if err != nil {
+			return nil, fmt.Errorf("trailer: %w", err)
+		}
+		tr = append(tr, pg...)
+	}
+	if err := sst.decodeTrailer(append(tr, tail...), n); err != nil {
+		return nil, err
 	}
 	return sst, nil
 }
 
-// readFramed reads one crc-framed page and returns its used payload.
-func (s *SSTable) readFramed(p sim.PageNo) ([]byte, error) {
-	fr, err := s.pool.Get(sim.FileID(s.File), p)
+// readFramed reads one crc-framed page and returns its used payload and
+// its count field.
+func (s *SSTable) readFramed(p sim.PageNo) ([]byte, int, error) {
+	fr, payload, count, err := s.pinFramed(p)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer s.pool.Unpin(fr, false)
-	data := fr.Data()
-	used := int(binary.LittleEndian.Uint16(data[blkUsed:]))
-	if used > blkPayload {
-		return nil, fmt.Errorf("framed page %d: used %d out of range", p, used)
-	}
-	if binary.LittleEndian.Uint32(data[blkCRC:]) != crc32.Checksum(data[blkUsed:blkHdrSize+used], crcTable) {
-		return nil, fmt.Errorf("framed page %d: crc mismatch", p)
-	}
-	return append([]byte(nil), data[blkHdrSize:blkHdrSize+used]...), nil
+	return append([]byte(nil), payload...), count, nil
 }
 
-// pinBlock pins data block b (0-based), verifies its framing and CRC, and
-// returns its frame, payload and entry count; the caller unpins the frame.
-func (s *SSTable) pinBlock(b int) (*buffer.Frame, []byte, int, error) {
-	fr, err := s.pool.Get(sim.FileID(s.File), sim.PageNo(1+b))
+// pinFramed pins page p, verifies its framing and CRC, and returns its
+// frame, payload and count field; the caller unpins the frame.
+func (s *SSTable) pinFramed(p sim.PageNo) (*buffer.Frame, []byte, int, error) {
+	fr, err := s.pool.Get(sim.FileID(s.File), p)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -344,9 +366,9 @@ func (s *SSTable) pinBlock(b int) (*buffer.Frame, []byte, int, error) {
 	count := int(binary.LittleEndian.Uint16(data[blkCount:]))
 	switch {
 	case used > blkPayload:
-		err = fmt.Errorf("block %d: used %d out of range", b, used)
+		err = fmt.Errorf("page %d: used %d out of range", p, used)
 	case binary.LittleEndian.Uint32(data[blkCRC:]) != crc32.Checksum(data[blkUsed:blkHdrSize+used], crcTable):
-		err = fmt.Errorf("block %d: crc mismatch", b)
+		err = fmt.Errorf("page %d: crc mismatch", p)
 	}
 	if err != nil {
 		s.pool.Unpin(fr, false)
@@ -355,50 +377,91 @@ func (s *SSTable) pinBlock(b int) (*buffer.Frame, []byte, int, error) {
 	return fr, data[blkHdrSize : blkHdrSize+used], count, nil
 }
 
-// decodeEntry parses the entry at off of a block payload and returns it
-// with the offset of the next; its val aliases payload.
-func (s *SSTable) decodeEntry(payload []byte, off int) (entry, int, error) {
-	if off+17 > len(payload) {
-		return entry{}, 0, fmt.Errorf("truncated entry at %d", off)
-	}
-	e := entry{
-		key:  int64(binary.LittleEndian.Uint64(payload[off:])),
-		seq:  binary.LittleEndian.Uint64(payload[off+8:]),
-		kind: payload[off+16],
-	}
-	off += 17
-	if e.kind == kindPut {
-		if off+s.recSize > len(payload) {
-			return entry{}, 0, fmt.Errorf("truncated record at %d", off)
+// uvarint reads the uvarint at off of b and returns it with the offset
+// past it, or next -1 when b holds no whole uvarint there.
+func uvarint(b []byte, off int) (v uint64, next int) {
+	for shift := uint(0); off < len(b) && shift < 64; shift += 7 {
+		c := b[off]
+		off++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v, off
 		}
-		e.val = payload[off : off+s.recSize : off+s.recSize]
-		off += s.recSize
 	}
-	return e, off, nil
+	return 0, -1
+}
+
+// scanKey decodes the key and the seq<<1|tombstone tag of the entry at off
+// of a block payload, prev being the key of the entry before it (unused at
+// off 0), and returns the offset of what follows: the value of a put, the
+// next entry after a tombstone.
+func scanKey(payload []byte, off int, prev int64) (key int64, tag uint64, next int, err error) {
+	if off == 0 {
+		if len(payload) < 8 {
+			return 0, 0, 0, fmt.Errorf("truncated first key")
+		}
+		key, next = int64(binary.LittleEndian.Uint64(payload)), 8
+	} else {
+		d, n := uvarint(payload, off)
+		if n < 0 {
+			return 0, 0, 0, fmt.Errorf("bad key delta at %d", off)
+		}
+		if key = prev + int64(d); key <= prev {
+			return 0, 0, 0, fmt.Errorf("key delta at %d does not ascend", off)
+		}
+		next = n
+	}
+	if tag, next = uvarint(payload, next); next < 0 {
+		return 0, 0, 0, fmt.Errorf("bad seq of key %d", key)
+	}
+	return key, tag, next, nil
+}
+
+// decodeEntry parses the entry at off of a block payload, prev being the
+// key of the entry before it (unused at off 0), and returns it with the
+// offset of the next; its val aliases payload.
+func (s *SSTable) decodeEntry(payload []byte, off int, prev int64) (entry, int, error) {
+	key, tag, off, err := scanKey(payload, off, prev)
+	if err != nil {
+		return entry{}, 0, err
+	}
+	e := entry{key: key, seq: tag >> 1, kind: kindPut}
+	if tag&1 != 0 {
+		e.kind = kindDel
+		return e, off, nil
+	}
+	if off+s.recSize > len(payload) {
+		return entry{}, 0, fmt.Errorf("truncated record at %d", off)
+	}
+	e.val = payload[off : off+s.recSize : off+s.recSize]
+	return e, off + s.recSize, nil
 }
 
 // readBlock decodes data block b (0-based). One copy of the payload backs
 // every value it returns: the frame is recycled once unpinned, and the
 // values must outlive it.
 func (s *SSTable) readBlock(b int) ([]entry, error) {
-	fr, payload, count, err := s.pinBlock(b)
+	payload, count, err := s.readFramed(sim.PageNo(b))
 	if err != nil {
 		return nil, err
 	}
-	payload = append([]byte(nil), payload...)
-	s.pool.Unpin(fr, false)
 	out := make([]entry, count)
-	off := 0
+	off, prev := 0, int64(0)
 	for i := range out {
-		if out[i], off, err = s.decodeEntry(payload, off); err != nil {
+		if out[i], off, err = s.decodeEntry(payload, off, prev); err != nil {
 			return nil, fmt.Errorf("block %d: %w", b, err)
 		}
+		prev = out[i].key
+	}
+	if off != len(payload) {
+		return nil, fmt.Errorf("block %d: %d bytes after its %d entries", b, len(payload)-off, count)
 	}
 	return out, nil
 }
 
 // get returns the table's point entry for key, if any: one sparse-index
-// probe, at most one data page read, and only the found value copied.
+// probe, at most one data page read, keys decoded and values skipped, and
+// only the found value copied.
 func (s *SSTable) get(key int64) (entry, bool, error) {
 	if s.Blocks == 0 || key < s.MinKey || key > s.MaxKey {
 		return entry{}, false, nil
@@ -418,23 +481,29 @@ func (s *SSTable) get(key int64) (entry, bool, error) {
 	if b < 0 {
 		return entry{}, false, nil
 	}
-	fr, payload, count, err := s.pinBlock(b)
+	fr, payload, count, err := s.pinFramed(sim.PageNo(b))
 	if err != nil {
 		return entry{}, false, err
 	}
 	defer s.pool.Unpin(fr, false)
-	off := 0
+	off, prev := 0, int64(0)
 	for i := 0; i < count; i++ {
-		var e entry
-		if e, off, err = s.decodeEntry(payload, off); err != nil {
+		k, tag, next, err := scanKey(payload, off, prev)
+		switch {
+		case err != nil:
 			return entry{}, false, fmt.Errorf("block %d: %w", b, err)
-		}
-		if e.key == key {
+		case k == key:
+			e, _, err := s.decodeEntry(payload, off, prev)
+			if err != nil {
+				return entry{}, false, fmt.Errorf("block %d: %w", b, err)
+			}
 			e.val = append([]byte(nil), e.val...)
 			return e, true, nil
+		case k > key:
+			return entry{}, false, nil
 		}
-		if e.key > key {
-			break
+		if off, prev = next, k; tag&1 == 0 {
+			off += s.recSize
 		}
 	}
 	return entry{}, false, nil

@@ -80,8 +80,9 @@ const (
 	// TMoveDone marks the migration of A as complete on device B.
 	TMoveDone
 	// TLSMPut logs a put into an LSM table's memtable: A = key, B = seq,
-	// payload = [1B name length][table name][record bytes]. Replayed into
-	// the memtable when seq is newer than the manifest's flushed horizon.
+	// payload = [1B name length][table name][record minus its key field].
+	// Replayed into the memtable when seq is newer than the manifest's
+	// flushed horizon.
 	TLSMPut
 	// TLSMDel logs a point delete on an LSM table: A = key, B = seq,
 	// payload = [1B name length][table name].

@@ -43,6 +43,15 @@ import (
 // BackendLSM is the Table.Backend() name of the LSM storage backend.
 const BackendLSM = "lsm"
 
+// The tree holds a row's key field as the entry key, so the value it
+// stores — in the memtable, in SSTables and in the WAL payload — is the
+// rest of the row, and the key is written once. lsmKeyLen is the width of
+// that leading field, maxLSMRecordSize the largest row a data block holds.
+const (
+	lsmKeyLen        = 8
+	maxLSMRecordSize = lsm.MaxRecordSize + lsmKeyLen
+)
+
 // lsmBackend owns the table's tree. The statement layer's shared fields
 // (name for the WAL frame, schema, lock, db) are reached through tbl.
 type lsmBackend struct {
@@ -79,8 +88,28 @@ func (l *lsmBackend) explain(field int, _ Method, _ int) string {
 // published under the tree mutex, so a flush that calls back into
 // saveCatalog while holding that mutex cannot deadlock here.
 func (l *lsmBackend) catalogEntry() catalogTable {
-	m := l.tree.Manifest()
-	return catalogTable{Backend: BackendLSM, LSM: &m}
+	return catalogTable{Backend: BackendLSM, LSM: toCatalogLSM(l.tree.Manifest())}
+}
+
+// row rebuilds a row's fields from its key and the rest the tree stores.
+func (l *lsmBackend) row(key int64, rest []byte) []int64 {
+	out := make([]int64, l.tbl.schema.NumFields)
+	out[0] = key
+	for i := 1; i < len(out); i++ {
+		out[i] = int64(binary.LittleEndian.Uint64(rest[(i-1)*8:]))
+	}
+	return out
+}
+
+// field returns field f of the row stored as key and rest.
+func (l *lsmBackend) field(key int64, rest []byte, f int) int64 {
+	if f == 0 {
+		return key
+	}
+	if n := l.tbl.schema.NumFields; f < 0 || f >= n {
+		panic(fmt.Sprintf("record: field %d out of range (%d fields)", f, n))
+	}
+	return int64(binary.LittleEndian.Uint64(rest[(f-1)*8:]))
 }
 
 // lsmDevices returns the data devices SSTables round-robin over: the
@@ -96,6 +125,13 @@ func (db *DB) lsmDevices() []int {
 	return []int{0}
 }
 
+// newLSMTree creates the empty tree of an LSM table whose rows are
+// recordSize bytes.
+func (db *DB) newLSMTree(recordSize int, opts lsm.Options) *lsm.Tree {
+	opts.Devices = db.lsmDevices()
+	return lsm.New(db.pool, recordSize-lsmKeyLen, opts)
+}
+
 // CreateTableLSM adds an LSM-backed table of numFields int64 attributes
 // padded to recordSize bytes, keyed on field 0.
 func (db *DB) CreateTableLSM(name string, numFields, recordSize int) (*Table, error) {
@@ -106,14 +142,14 @@ func (db *DB) CreateTableLSM(name string, numFields, recordSize int) (*Table, er
 	// Backend-specific bounds Schema.Validate has no business knowing:
 	// one encoded entry must fit an SSTable data block, and LSM WAL
 	// payloads frame the table name with a one-byte length.
-	if recordSize > lsm.MaxRecordSize {
-		return nil, fmt.Errorf("bulkdel: LSM record size %d exceeds the backend maximum %d", recordSize, lsm.MaxRecordSize)
+	if recordSize > maxLSMRecordSize {
+		return nil, fmt.Errorf("bulkdel: LSM record size %d exceeds the backend maximum %d", recordSize, maxLSMRecordSize)
 	}
 	if len(name) > 255 {
 		return nil, fmt.Errorf("bulkdel: LSM table name is %d bytes; the WAL frame caps names at 255", len(name))
 	}
 	return db.created(db.addTable(name, schema, func(tbl *Table) (backend, error) {
-		return newLSMBackend(tbl, lsm.New(db.pool, recordSize, lsm.Options{Devices: db.lsmDevices()})), nil
+		return newLSMBackend(tbl, db.newLSMTree(recordSize, lsm.Options{})), nil
 	}))
 }
 
@@ -123,9 +159,9 @@ func openLSMBackend(tbl *Table, ct catalogTable) (backend, error) {
 	db := tbl.db
 	var m lsm.Manifest
 	if ct.LSM != nil {
-		m = *ct.LSM
+		m = ct.LSM.manifest()
 	}
-	tree, err := lsm.Open(db.pool, ct.Size, lsm.Options{Devices: db.lsmDevices()}, m)
+	tree, err := lsm.Open(db.pool, ct.Size-lsmKeyLen, lsm.Options{Devices: db.lsmDevices()}, m)
 	if err != nil {
 		return nil, fmt.Errorf("bulkdel: reopening LSM table %s: %w", ct.Name, err)
 	}
@@ -181,13 +217,13 @@ func (l *lsmBackend) insert(fields []int64) (RID, error) {
 	if err != nil {
 		return record.NilRID, err
 	}
-	key := fields[0]
+	key, rest := fields[0], rec[lsmKeyLen:]
 	seq := l.tree.NextSeq()
-	if err := l.log(wal.TLSMPut, 0, uint64(key), seq, rec); err != nil {
+	if err := l.log(wal.TLSMPut, 0, uint64(key), seq, rest); err != nil {
 		l.tree.AbandonSeq(seq)
 		return record.NilRID, err
 	}
-	l.tree.Put(key, rec, seq)
+	l.tree.Put(key, rest, seq)
 	return record.NilRID, l.maybeFlush()
 }
 
@@ -241,15 +277,11 @@ func (v lsmView) lookup(field int, val int64, _ uint64) ([][]int64, error) {
 	if field != 0 {
 		return v.lookupRange(field, val, val, 0)
 	}
-	rec, ok, err := v.s.Get(val)
+	rest, ok, err := v.s.Get(val)
 	if err != nil || !ok {
 		return nil, err
 	}
-	vals, err := v.l.tbl.schema.Decode(rec)
-	if err != nil {
-		return nil, err
-	}
-	return [][]int64{vals}, nil
+	return [][]int64{v.l.row(val, rest)}, nil
 }
 
 // lookupRange is a key-range merge on field 0, a filtered merged scan
@@ -258,17 +290,11 @@ func (v lsmView) lookupRange(field int, lo, hi int64, _ uint64) ([][]int64, erro
 	if lo > hi {
 		return nil, nil
 	}
-	schema := v.l.tbl.schema
 	var out [][]int64
-	emit := func(_ int64, rec []byte) error {
-		if f := schema.Field(rec, field); f < lo || f > hi {
-			return nil
+	emit := func(key int64, rest []byte) error {
+		if f := v.l.field(key, rest, field); f >= lo && f <= hi {
+			out = append(out, v.l.row(key, rest))
 		}
-		vals, err := schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, vals)
 		return nil
 	}
 	klo, khi := int64(math.MinInt64), int64(math.MaxInt64)
@@ -282,12 +308,8 @@ func (v lsmView) lookupRange(field int, lo, hi int64, _ uint64) ([][]int64, erro
 // scan visits every row in key order. LSM rows have no RIDs; fn receives
 // record.NilRID.
 func (v lsmView) scan(fn func(rid RID, fields []int64) error, _ uint64) error {
-	return v.s.ScanRange(math.MinInt64, math.MaxInt64, func(_ int64, rec []byte) error {
-		vals, err := v.l.tbl.schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		return fn(record.NilRID, vals)
+	return v.s.ScanRange(math.MinInt64, math.MaxInt64, func(key int64, rest []byte) error {
+		return fn(record.NilRID, v.l.row(key, rest))
 	})
 }
 
@@ -297,8 +319,8 @@ func (v lsmView) close(uint64) { v.s.Close() }
 // value satisfies match — the victims of a delete on a non-key field.
 func (l *lsmBackend) keysWhere(field int, match func(v int64) bool) ([]int64, error) {
 	var keys []int64
-	err := l.tree.Scan(func(key int64, rec []byte) error {
-		if match(l.tbl.schema.Field(rec, field)) {
+	err := l.tree.Scan(func(key int64, rest []byte) error {
+		if match(l.field(key, rest, field)) {
 			keys = append(keys, key)
 		}
 		return nil
@@ -472,12 +494,12 @@ func (db *DB) replayLSMRecords(recs []wal.Record) int {
 		tree := l.tree
 		switch r.Type {
 		case wal.TLSMPut:
-			if len(rest) != l.tbl.schema.Size {
+			if len(rest) != l.tbl.schema.Size-lsmKeyLen {
 				continue
 			}
 			tree.NoteReplayedSeq(r.B)
 			if live && r.B > tree.FlushedSeq() {
-				tree.Put(int64(r.A), append([]byte(nil), rest...), r.B)
+				tree.Put(int64(r.A), rest, r.B)
 				applied++
 			}
 		case wal.TLSMDel:

@@ -503,14 +503,14 @@ func TestLSMCreateTableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateTableLSM("big", 3, lsm.MaxRecordSize+1); err == nil {
-		t.Fatalf("record size %d accepted; max is %d", lsm.MaxRecordSize+1, lsm.MaxRecordSize)
+	if _, err := db.CreateTableLSM("big", 3, maxLSMRecordSize+1); err == nil {
+		t.Fatalf("record size %d accepted; max is %d", maxLSMRecordSize+1, maxLSMRecordSize)
 	}
 	if _, err := db.CreateTableLSM(strings.Repeat("n", 256), 2, 16); err == nil {
 		t.Fatal("256-byte table name accepted; WAL frames cap names at 255")
 	}
 	// The boundary cases stay usable end to end.
-	tbl, err := db.CreateTableLSM(strings.Repeat("n", 255), 2, lsm.MaxRecordSize-lsm.MaxRecordSize%8)
+	tbl, err := db.CreateTableLSM(strings.Repeat("n", 255), 2, maxLSMRecordSize-maxLSMRecordSize%8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,6 +524,58 @@ func TestLSMCreateTableValidation(t *testing.T) {
 	}
 	if got := tbl.Count(); got != 300 {
 		t.Fatalf("count = %d", got)
+	}
+}
+
+// TestLSMMaxRecordSize: the largest row CREATE TABLE accepts is the one
+// whose worst-case entry — the whole first key, the longest seq uvarint,
+// the row minus its key field — fills a data block. At exactly that size a
+// table round-trips through flushes, compaction and Recover; a byte more
+// is refused up front.
+func TestLSMMaxRecordSize(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTableLSM("over", 2, maxLSMRecordSize+1); err == nil {
+		t.Fatalf("record size %d accepted; max is %d", maxLSMRecordSize+1, maxLSMRecordSize)
+	}
+	tbl, err := db.CreateTableLSM("max", 2, maxLSMRecordSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 1100 // four flushes, so L0 compacts into L1
+	key := func(i int64) int64 { return (i - rows/2) << 52 }
+	for i := int64(0); i < rows; i++ {
+		if _, err := tbl.Insert(key(i), -i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.CompactLSM(); err != nil {
+		t.Fatal(err)
+	}
+	if m := tbl.LSMManifest(); len(m.Levels) < 2 || len(m.Levels[1]) == 0 {
+		t.Fatalf("no compaction ran: %d levels", len(m.Levels))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _, err := Recover(db.SimulateCrash(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl2 := db2.Table("max")
+	if err := tbl2.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tbl2.Count(); n != rows {
+		t.Fatalf("count after recovery = %d, want %d", n, rows)
+	}
+	for _, i := range []int64{0, 1, rows / 2, rows - 1} {
+		got, err := tbl2.Lookup(0, key(i))
+		if err != nil || len(got) != 1 || got[0][0] != key(i) || got[0][1] != -i {
+			t.Fatalf("lookup %d: %v %v", key(i), got, err)
+		}
 	}
 }
 
@@ -686,7 +738,7 @@ func TestViewOnLSMPinsItsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.b = newLSMBackend(tbl, lsm.New(db.pool, 64, lsm.Options{MemLimit: 8, Devices: db.lsmDevices()}))
+	tbl.b = newLSMBackend(tbl, db.newLSMTree(64, lsm.Options{MemLimit: 8}))
 	for i := int64(0); i < 40; i++ {
 		if _, err := tbl.Insert(i, 3*i, i%7); err != nil {
 			t.Fatal(err)
