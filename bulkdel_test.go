@@ -11,6 +11,7 @@ import (
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/cc"
+	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
 	"bulkdel/internal/table"
@@ -413,11 +414,18 @@ func TestSideFileReplayReportsAFailedOp(t *testing.T) {
 	}
 }
 
+// TestBulkDeleteWithReorganize: the engine's bulk delete always merges as
+// its leaf walks go (§2.3). With 70 % of the rows gone every index leaf is
+// under half full, so each index ends with fewer leaves than it had, and
+// the pass stats, EXPLAIN ANALYZE and the btree_leaves_merged counter all
+// show the merges.
 func TestBulkDeleteWithReorganize(t *testing.T) {
-	_, tbl := newBenchDB(t, 4000, Options{})
-	res, err := tbl.BulkDelete(0, victims(4000, 2800, 13), BulkOptions{
-		Method: SortMerge, Reorganize: true,
-	})
+	db, tbl := newBenchDB(t, 4000, Options{})
+	before := map[string]int64{}
+	for _, ix := range heapOf(tbl).Idx {
+		before[ix.Def.Name] = ix.Tree.Leaves()
+	}
+	res, err := tbl.BulkDelete(0, victims(4000, 2800, 13), BulkOptions{Method: SortMerge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,6 +434,19 @@ func TestBulkDeleteWithReorganize(t *testing.T) {
 	}
 	if err := tbl.Check(); err != nil {
 		t.Fatal(err)
+	}
+	var merged int64
+	for _, ss := range res.stats.PerStructure {
+		if was, ok := before[ss.Name]; ok && (ss.LeavesMerged == 0 || ss.Leaves >= was) {
+			t.Errorf("%s: %d leaves merged, %d → %d leaves", ss.Name, ss.LeavesMerged, was, ss.Leaves)
+		}
+		merged += ss.LeavesMerged
+	}
+	if got := db.Observer().Registry().Counter(obs.MetricLeavesMerged).Value(); got != merged {
+		t.Errorf("btree_leaves_merged = %d, passes merged %d", got, merged)
+	}
+	if !strings.Contains(res.ExplainAnalyze(), " merged=") {
+		t.Errorf("EXPLAIN ANALYZE reports no merges:\n%s", res.ExplainAnalyze())
 	}
 }
 

@@ -16,6 +16,7 @@
 //	crashtest -cancel                 # cancel (not crash) at every ordinal
 //	crashtest -rebalance -cancel      # cancel the partitioned-heap bulk delete at every ordinal
 //	crashtest -reader                 # crash/cancel under a concurrent MVCC snapshot reader
+//	crashtest -merge [-cancel]        # a delete whose leaf walks merge underfull leaves (sort, hash, partition)
 //	crashtest -metrics-json           # dump the accumulated fault counters
 //
 // The sweep is deterministic: the same flags visit the same I/Os and
@@ -68,6 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rebalance := fs.Bool("rebalance", false, "partitioned-table scenarios: crash an online device rebalancing (rebalance:) and a sort/merge bulk delete on a hash-partitioned 4-way heap (parted:)")
 	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, inserts driving a multi-table compaction and WAL restarts (lsm-grow:), a tenant drop applied in place at its TTL (lsm-drop:), and a heap bulk delete beside an LSM table living in the WAL (lsm-heap:); with -rows, the fixed-size lsm-grow and lsm-drop are left out")
 	cancelMode := fs.Bool("cancel", false, "cancel scenario: cooperatively cancel at every ordinal and compare the online abort against crash+recover")
+	merge := fs.Bool("merge", false, "merge scenario: a delete of 60% of the rows on wide-keyed indexes, so the leaf walks merge the underfull leaves they leave (sort, hash and partition; with -cancel, the cancel sweep)")
 	reader := fs.Bool("reader", false, "attach a concurrent MVCC snapshot reader to the crash (or, with -cancel, the cancel) sweep; the pinned view must stay repeatable throughout")
 	verifyDigest := fs.Bool("verify-digest", true, "re-run deterministic sweeps and require identical digests")
 	verbose := fs.Bool("v", false, "print every ordinal's outcome")
@@ -82,6 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	methods := []string{"sort", "hash", "partition", "auto"}
+	if *merge {
+		methods = methods[:3]
+	}
 	if *method != "all" {
 		methods = []string{*method}
 	}
@@ -95,6 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scenarios, perMethod = []string{"parted-cancel"}, false
 	case *rebalance:
 		scenarios, perMethod = []string{"rebalance", "parted"}, false
+	case *merge && *cancelMode:
+		scenarios = []string{"merge-cancel"}
+	case *merge:
+		scenarios = []string{"merge"}
 	case *lsmMode:
 		scenarios, perMethod = []string{"lsm", "lsm-in", "lsm-grow", "lsm-drop", "lsm-heap"}, false
 		// lsm-grow and lsm-drop have a fixed size: with -rows they would
@@ -137,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// resolves. The sweeps with no join method to vary keep their
 			// own scenario.
 			name := base
-			if m == bulkdel.Auto && perMethod && base != "concurrent" {
+			if m == bulkdel.Auto && perMethod && base != "concurrent" && !*merge {
 				name = "sparse"
 				if mname == "range" {
 					name = "range"
@@ -215,6 +224,7 @@ type kind struct {
 
 var kinds = map[string]kind{
 	"bulk":          {fired: "crash", digest: true},
+	"merge":         {fired: "crash", digest: true},
 	"rebalance":     {fired: "crash", digest: true},
 	"parted":        {fired: "crash", digest: true},
 	"lsm":           {fired: "crash", digest: true},
@@ -225,6 +235,7 @@ var kinds = map[string]kind{
 	"concurrent":    {title: "concurrent 2-table batch: ", fired: "crash"},
 	"cancel":        {title: "cancel sweep: ", fired: "cancelled", reference: true},
 	"parted-cancel": {title: "cancel sweep: ", fired: "cancelled", reference: true},
+	"merge-cancel":  {title: "cancel sweep: ", fired: "cancelled", reference: true},
 	"reader":        {title: "reader crash sweep: ", fired: "fired"},
 	"reader-cancel": {title: "reader cancel sweep: ", fired: "fired"},
 }

@@ -584,7 +584,9 @@ func (db *DB) rollForwardOnline(h *heapBackend, txID uint64, field int, token ui
 // shared by crash recovery and the online abort — and returns the rows it
 // completed.
 func (db *DB) resume(tgt *core.Target, bs wal.BulkState, recs []wal.Record, field int, opts core.Options) (int64, error) {
+	opts.Reorganize = true
 	st, err := core.Resume(tgt, bs, db.log, recs, field, opts)
+	db.countMerged(st)
 	if err != nil {
 		return 0, err
 	}
@@ -592,6 +594,19 @@ func (db *DB) resume(tgt *core.Target, bs wal.BulkState, recs []wal.Record, fiel
 		db.obs.OnTrace(st.Trace)
 	}
 	return st.Deleted, nil
+}
+
+// countMerged adds the leaves a bulk delete's walks merged (st may be nil) to
+// the btree_leaves_merged counter.
+func (db *DB) countMerged(st *core.Stats) {
+	if st == nil {
+		return
+	}
+	var n int64
+	for _, ss := range st.PerStructure {
+		n += ss.LeavesMerged
+	}
+	db.obs.Registry().Counter(obs.MetricLeavesMerged).Add(n)
 }
 
 // Disk exposes the simulated disk (for cost-model inspection and tests).
@@ -703,8 +718,13 @@ func (db *DB) CreateTable(name string, numFields, recordSize int) (*Table, error
 	}))
 }
 
-// created finishes a CREATE TABLE: the catalog save that makes it durable.
+// created finishes a CREATE TABLE: the new table's files are written first,
+// so that the catalog save that makes it durable never names a file a crash
+// would leave without its header.
 func (db *DB) created(tbl *Table, err error) (*Table, error) {
+	if err == nil {
+		err = tbl.b.flush()
+	}
 	if err == nil {
 		err = db.saveCatalog()
 	}

@@ -358,7 +358,7 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 		Ctx:            opts.Ctx,
 		Method:         opts.Method,
 		Memory:         opts.Memory,
-		Reorganize:     opts.Reorganize,
+		Reorganize:     true,
 		CheckpointRows: opts.CheckpointRows,
 		Parallel:       opts.Parallel,
 		Sched:          db.sched,
@@ -492,6 +492,7 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 	st, err := core.Execute(tgt, field, values, coreOpts)
 	tr.Finish()
 	db.obs.OnTrace(tr)
+	db.countMerged(st)
 	if err != nil {
 		if errors.Is(err, core.ErrCancelled) {
 			// Abort-to-consistency runs HERE, inside the statement: the

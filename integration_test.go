@@ -125,7 +125,7 @@ func TestRandomizedEngineAgainstModel(t *testing.T) {
 				vs = append(vs, nextKey+100, nextKey+101) // absent
 				m := methods[rng.Intn(len(methods))]
 				res, err := tbl.BulkDelete(0, vs, BulkOptions{
-					Method: m, Memory: 64 << 10, Reorganize: rng.Intn(2) == 0,
+					Method: m, Memory: 64 << 10,
 				})
 				if err != nil {
 					t.Logf("bulk delete (%v): %v", m, err)

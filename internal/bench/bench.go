@@ -123,7 +123,8 @@ type Config struct {
 	HeapParts int
 	// Clustered loads the table sorted by field 0 (Experiment 5).
 	Clustered bool
-	// Reorganize enables §2.3 leaf reorganization in bulk deletes.
+	// Reorganize makes the bulk deletes' leaf walks merge underfull
+	// neighbours as they go (§2.3); off, the paper's free-at-empty.
 	Reorganize bool
 	// Policy selects the traditional-delete page reclamation policy.
 	Policy btree.Policy

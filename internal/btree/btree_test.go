@@ -586,6 +586,9 @@ func TestLeafCursorDeleteAndRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if reorg {
+			cur.Reorganize()
+		}
 		for {
 			ok, err := cur.NextLeaf()
 			if err != nil {
@@ -614,13 +617,12 @@ func TestLeafCursorDeleteAndRebuild(t *testing.T) {
 		if err := cur.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// The cursor freed the leaves it emptied: the tree is whole before
-		// any rebuild.
+		// The cursor freed the leaves it emptied and merged the ones that
+		// fit their neighbours: the tree is whole with no rebuild.
 		mustCheck(t, tr)
-		if err := tr.RebuildUpper(reorg); err != nil {
-			t.Fatal(err)
+		if got := cur.Merged(); (got > 0) != reorg {
+			t.Fatalf("reorg=%v: merged %d leaves", reorg, got)
 		}
-		mustCheck(t, tr)
 		// Verify contents.
 		want := int64(0)
 		for v := 0; v < n; v++ {
@@ -693,6 +695,7 @@ func TestRebuildAfterTotalDeletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cur.Reorganize()
 	for {
 		ok, err := cur.NextLeaf()
 		if err != nil {
@@ -707,9 +710,6 @@ func TestRebuildAfterTotalDeletion(t *testing.T) {
 		}
 	}
 	cur.Close()
-	if err := tr.RebuildUpper(true); err != nil {
-		t.Fatal(err)
-	}
 	if tr.Count() != 0 || tr.Height() != 1 {
 		t.Fatalf("count=%d height=%d after total deletion", tr.Count(), tr.Height())
 	}

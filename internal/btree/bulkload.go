@@ -106,6 +106,7 @@ func (t *Tree) BulkLoad(next func() (Entry, bool, error), fill float64) error {
 	flushLeaf()
 	t.pool.Unpin(curFr, true)
 	t.count = n
+	t.leaves = int64(len(leaves))
 
 	refs := make([]innerRef, len(leaves))
 	for i, l := range leaves {
@@ -129,6 +130,7 @@ func (t *Tree) ResetEmpty() error {
 	t.root = fr.Page()
 	t.height = 1
 	t.count = 0
+	t.leaves = 1
 	t.freeHead = sim.InvalidPage
 	t.pool.Unpin(fr, true)
 	return t.writeMeta()

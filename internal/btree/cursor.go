@@ -16,8 +16,9 @@ import (
 // ahead to a leaf its caller located (Tree.Locate), so a walk reads only the
 // leaves it needs. A leaf the cursor empties is freed on the spot, the way
 // Delete frees one under FreeAtEmpty, so the inner levels stay exact and no
-// empty leaf ever reaches the disk; only §2.3 reorganization needs
-// RebuildUpper.
+// empty leaf ever reaches the disk. With Reorganize the cursor also merges
+// as it goes, the §2.3 reorganization: a leaf it leaves folds into the leaf
+// it read just before (see mergeIntoPrev).
 type LeafCursor struct {
 	t      *Tree
 	fr     *buffer.Frame
@@ -25,6 +26,13 @@ type LeafCursor struct {
 	next   sim.PageNo
 	runEnd func(sim.PageNo) (sim.PageNo, error)
 	closed bool
+	// merge is Reorganize's switch. prev is the leaf the walk left last
+	// (InvalidPage: none) and prevCount its entries, so the next leaf can
+	// fold into it; merged counts the leaves that did.
+	merge     bool
+	prev      sim.PageNo
+	prevCount int
+	merged    int
 }
 
 // EditLeavesFrom opens a cursor positioned before the leaf whose range covers
@@ -32,7 +40,7 @@ type LeafCursor struct {
 // finds missing from the pool is read in one chained run with the pages after
 // it through runEnd(leaf); nil runEnd reads as far as the pool reads ahead.
 func (t *Tree) EditLeavesFrom(fk []byte, runEnd func(sim.PageNo) (sim.PageNo, error)) (*LeafCursor, error) {
-	c := &LeafCursor{t: t, runEnd: runEnd}
+	c := &LeafCursor{t: t, runEnd: runEnd, prev: sim.InvalidPage}
 	var err error
 	if fk == nil {
 		c.next, err = t.leftmostLeaf()
@@ -46,6 +54,16 @@ func (t *Tree) EditLeavesFrom(fk []byte, runEnd func(sim.PageNo) (sim.PageNo, er
 	}
 	return c, nil
 }
+
+// Reorganize makes the walk merge underfull leaves as it leaves them: a leaf
+// whose entries fit in its left neighbour under the same parent, when the
+// walk read that neighbour just before it and reads its right neighbour
+// next, is appended to it and freed. A walk that seeks past the leaves
+// between its victims meets no such run and reads nothing extra.
+func (c *LeafCursor) Reorganize() { c.merge = true }
+
+// Merged returns how many leaves the walk has merged into their neighbours.
+func (c *LeafCursor) Merged() int { return c.merged }
 
 // Seek makes leaf the next one NextLeaf reads — unless it is the current
 // leaf, which the caller has read already: then the next stays its right
@@ -130,31 +148,116 @@ func (t *Tree) SeparatorSample(k int) ([][]byte, error) {
 }
 
 // NextLeaf advances to the next leaf — the one the cursor was opened or
-// sought at, else the current leaf's right sibling — releasing the current
-// one. It returns false at the end of the chain.
+// sought at, else the current leaf's right sibling — leaving the current
+// one. It returns false at the end of the chain. A leaf that folds into the
+// one before it stays pinned until the next is read, so the merge's sibling
+// update finds that leaf in the pool instead of reading it alone; any other
+// leaf is let go first, as a walk that does not merge lets it go.
 func (c *LeafCursor) NextLeaf() (bool, error) {
 	if c.closed {
 		return false, fmt.Errorf("btree: cursor is closed")
 	}
-	c.release()
-	if c.next == sim.InvalidPage {
-		return false, nil
-	}
-	run := buffer.FullRun
-	if c.runEnd != nil {
-		upTo, err := c.runEnd(c.next)
-		if err != nil {
-			return false, err
-		}
-		run = int(upTo) - int(c.next) + 1
-	}
-	fr, err := c.t.pool.GetForScan(c.t.id, c.next, run)
+	path, err := c.mergePath()
 	if err != nil {
 		return false, err
+	}
+	if path == nil {
+		c.leave()
+	}
+	var fr *buffer.Frame
+	if c.next != sim.InvalidPage {
+		run := buffer.FullRun
+		if c.runEnd != nil {
+			upTo, err := c.runEnd(c.next)
+			if err != nil {
+				return false, err
+			}
+			run = int(upTo) - int(c.next) + 1
+		}
+		if fr, err = c.t.pool.GetForScan(c.t.id, c.next, run); err != nil {
+			return false, err
+		}
+	}
+	if path != nil {
+		if err := c.mergeIntoPrev(path); err != nil {
+			if fr != nil {
+				c.t.pool.Unpin(fr, false)
+			}
+			return false, err
+		}
+	}
+	if fr == nil {
+		return false, nil
 	}
 	c.fr = fr
 	c.next = c.t.node(fr.Data()).right()
 	return true, nil
+}
+
+// leave unpins the current leaf. A merging walk remembers it as the leaf to
+// fold the next one into, unless the walk emptied and freed it: then the
+// leaf before it, whose right link now skips it, stays that leaf.
+func (c *LeafCursor) leave() {
+	if c.fr == nil {
+		return
+	}
+	if n := c.t.node(c.fr.Data()); c.merge && n.isLeaf() {
+		c.prev, c.prevCount = c.fr.Page(), n.count()
+	}
+	c.release()
+}
+
+// mergePath returns the descent path to the current leaf when it folds into
+// prev — prev is its left neighbour under the same parent, its entries fit
+// there, and the walk goes on to its right neighbour (or it ends the chain)
+// — and nil when it does not. So a merge touches only leaves the walk reads
+// anyway, and a walk that seeks past the leaves between its victims merges
+// nothing and reads what it reads without merging. The descent runs only
+// for such a pair.
+func (c *LeafCursor) mergePath() ([]pathStep, error) {
+	if !c.merge || c.fr == nil || c.prev == sim.InvalidPage {
+		return nil, nil
+	}
+	l := c.t.node(c.fr.Data())
+	if l.count() == 0 || l.left() != c.prev || l.right() != c.next || c.prevCount+l.count() > l.capacity() {
+		return nil, nil
+	}
+	var path []pathStep
+	leaf, err := c.t.locate(l.fullKey(0), &path, nil)
+	if err != nil {
+		return nil, err
+	}
+	if leaf != c.fr.Page() {
+		return nil, fmt.Errorf("btree: leaf %d is not where its first key routes (%d)", c.fr.Page(), leaf)
+	}
+	// The first child of its parent has its left neighbour under another.
+	if len(path) == 0 || path[len(path)-1].idx == 0 {
+		return nil, nil
+	}
+	return path, nil
+}
+
+// mergeIntoPrev appends the current leaf's entries to prev and frees the
+// emptied leaf by the free-at-empty path (handleEmpty): spliced out of the
+// chain, its separator dropped from the parent path names, so the inner
+// levels stay exact with no rebuild.
+func (c *LeafCursor) mergeIntoPrev(path []pathStep) error {
+	pf, err := c.t.pool.Get(c.t.id, c.prev)
+	if err != nil {
+		return err
+	}
+	l := c.t.node(c.fr.Data())
+	moved := l.count()
+	c.t.node(pf.Data()).appendFrom(l, 0, moved)
+	c.t.pool.Unpin(pf, true)
+	l.setCount(0)
+	c.dirty = true
+	c.prevCount += moved
+	c.merged++
+	c.t.pool.Disk().ChargeRecords(moved)
+	err = c.t.handleEmpty(c.fr.Page(), path)
+	c.release()
+	return err
 }
 
 // Find returns the position of the first entry, from position from on, whose
@@ -339,157 +442,4 @@ func (c *LeafCursor) Close() error {
 	c.closed = true
 	c.release()
 	return nil
-}
-
-// collectInnerPages gathers every inner page by walking each level's
-// sibling chain top-down. Must be called while the inner structure is
-// still consistent.
-func (t *Tree) collectInnerPages() ([]sim.PageNo, error) {
-	var out []sim.PageNo
-	pg := t.root
-	for {
-		fr, err := t.pool.Get(t.id, pg)
-		if err != nil {
-			return nil, err
-		}
-		n := t.node(fr.Data())
-		if n.isLeaf() {
-			t.pool.Unpin(fr, false)
-			return out, nil
-		}
-		if n.count() == 0 {
-			t.pool.Unpin(fr, false)
-			return nil, fmt.Errorf("btree: empty inner node %d while collecting levels", pg)
-		}
-		nextLevel := n.child(0)
-		t.pool.Unpin(fr, false)
-		// Walk this whole level via right links.
-		for p := pg; p != sim.InvalidPage; {
-			f2, err := t.pool.Get(t.id, p)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, p)
-			nxt := t.node(f2.Data()).right()
-			t.pool.Unpin(f2, false)
-			p = nxt
-		}
-		pg = nextLevel
-	}
-}
-
-// RebuildUpper reorganizes the tree after a leaf-level bulk delete, following
-// the paper's §2.3: empty leaves are reclaimed (free-at-empty), neighboring
-// underfull leaves are optionally merged (reorg), and the inner levels are
-// rebuilt from the surviving leaf chain, reusing the reclaimed pages.
-func (t *Tree) RebuildUpper(reorg bool) error {
-	oldInner, err := t.collectInnerPages()
-	if err != nil {
-		return err
-	}
-	leftmost, err := t.leftmostLeaf()
-	if err != nil {
-		return err
-	}
-
-	var refs []innerRef
-	fkLen := t.keyLen + record.RIDSize
-	pg := leftmost
-	var total int64
-	for pg != sim.InvalidPage {
-		fr, err := t.pool.GetForScan(t.id, pg, buffer.FullRun)
-		if err != nil {
-			return err
-		}
-		n := t.node(fr.Data())
-		next := n.right()
-		total += int64(n.count())
-
-		if n.count() == 0 {
-			// Free-at-empty: splice the page out and reclaim it.
-			left, right := n.left(), n.right()
-			t.pool.Unpin(fr, false)
-			if err := t.spliceOut(left, right); err != nil {
-				return err
-			}
-			if err := t.freeNode(pg); err != nil {
-				return err
-			}
-			pg = next
-			continue
-		}
-
-		if reorg && len(refs) > 0 {
-			// Merge this leaf into its (surviving) left neighbor when
-			// the union fits — the "compact and merge with neighbor
-			// pages" clustering of §2.3.
-			prevPg := refs[len(refs)-1].page
-			pf, err := t.pool.Get(t.id, prevPg)
-			if err != nil {
-				t.pool.Unpin(fr, false)
-				return err
-			}
-			pn := t.node(pf.Data())
-			if pn.count()+n.count() <= pn.capacity() {
-				moved := n.count()
-				pn.appendFrom(n, 0, moved)
-				right := n.right()
-				pn.setRight(right)
-				t.pool.Unpin(fr, false)
-				t.pool.Unpin(pf, true)
-				if right != sim.InvalidPage {
-					rf, err := t.pool.Get(t.id, right)
-					if err != nil {
-						return err
-					}
-					t.node(rf.Data()).setLeft(prevPg)
-					t.pool.Unpin(rf, true)
-				}
-				if err := t.freeNode(pg); err != nil {
-					return err
-				}
-				t.pool.Disk().ChargeRecords(moved)
-				pg = next
-				continue
-			}
-			t.pool.Unpin(pf, false)
-		}
-
-		sep := make([]byte, fkLen)
-		copy(sep, n.fullKey(0))
-		refs = append(refs, innerRef{sep: sep, page: pg})
-		t.pool.Unpin(fr, false)
-		pg = next
-	}
-
-	// The walk counted the surviving entries authoritatively; adopt that
-	// count. (After a crash the cached count can drift because evicted
-	// leaf writes may outrun the flushed meta page; recovery repairs any
-	// surviving tree's count with RecomputeCount.)
-	t.count = total
-
-	// Build the new inner levels *before* reclaiming the old ones: a
-	// crash mid-rebuild then leaves the old (stale but traversable)
-	// structure in place instead of a root pointing at freed pages. The
-	// old pages are reclaimed afterwards; core.Resume additionally
-	// carries a rebuild-from-heap fallback for the residual window.
-	if len(refs) == 0 {
-		// Every leaf was emptied: the tree is empty again.
-		fr, err := t.allocNode()
-		if err != nil {
-			return err
-		}
-		t.node(fr.Data()).init(pageTypeLeaf, 0)
-		t.root = fr.Page()
-		t.height = 1
-		t.pool.Unpin(fr, true)
-	} else if err := t.buildInnerLevels(refs, 1, 1.0); err != nil {
-		return err
-	}
-	for _, p := range oldInner {
-		if err := t.freeNode(p); err != nil {
-			return err
-		}
-	}
-	return t.writeMeta()
 }

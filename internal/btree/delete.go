@@ -83,6 +83,9 @@ func (t *Tree) handleEmpty(pg sim.PageNo, path []pathStep) error {
 		}
 		n := t.node(fr.Data())
 		left, right := n.left(), n.right()
+		if n.isLeaf() {
+			t.leaves--
+		}
 		t.pool.Unpin(fr, false)
 
 		if err := t.spliceOut(left, right); err != nil {
@@ -168,6 +171,9 @@ func (t *Tree) rebalance(pg sim.PageNo, path []pathStep) error {
 		s := t.node(sf.Data())
 		if n.count()+s.count() <= cap {
 			// Merge the sibling into n and drop the sibling.
+			if n.isLeaf() {
+				t.leaves--
+			}
 			moved := s.count()
 			n.appendFrom(s, 0, moved)
 			right := s.right()
@@ -216,6 +222,9 @@ func (t *Tree) rebalance(pg sim.PageNo, path []pathStep) error {
 		s := t.node(sf.Data())
 		if s.count()+n.count() <= cap {
 			// Merge n into the left sibling and drop n.
+			if n.isLeaf() {
+				t.leaves--
+			}
 			moved := n.count()
 			s.appendFrom(n, 0, moved)
 			right := n.right()
@@ -315,6 +324,7 @@ func (t *Tree) maybeCollapseRoot() error {
 			t.node(nf.Data()).init(pageTypeLeaf, 0)
 			t.root = nf.Page()
 			t.height = 1
+			t.leaves = 1
 			t.pool.Unpin(nf, true)
 			return t.freeNode(old)
 		default:

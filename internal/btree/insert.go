@@ -67,6 +67,7 @@ func (t *Tree) Insert(key []byte, rid record.RID) error {
 	}
 	nn := t.node(newFr.Data())
 	nn.init(pageTypeLeaf, 0)
+	t.leaves++
 	mid := n.count() / 2
 	moved := n.count() - mid
 	copy(nn.buf[nodeHeaderSize:], n.buf[n.entryOff(mid):n.entryOff(n.count())])

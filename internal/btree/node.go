@@ -5,8 +5,10 @@
 //
 // The leaf chain is what makes the paper's vertical bulk delete possible:
 // "the leaf pages are scanned from the beginning to the end", deleting
-// entries in bulk and reorganizing as the scan goes, with the inner levels
-// rebuilt afterwards (paper §2.3 / Figure 6). The traditional root-to-leaf
+// entries in bulk and reorganizing as the scan goes (paper §2.3 / Figure 6):
+// a leaf the scan empties is freed, and one whose survivors fit in the leaf
+// before it is merged into it, each through the parent's separator, so the
+// inner levels stay exact without a rebuild. The traditional root-to-leaf
 // record-at-a-time delete — the baseline the paper beats — is implemented
 // here too, with the free-at-empty reclamation policy of Johnson & Shasha
 // that the paper adopts, and merge-at-half as an ablation alternative.

@@ -55,6 +55,7 @@ const metaMagic = 0x42545245 // "BTRE"
 //	offset 12 : uint16 height
 //	offset 16 : uint32 free-list head
 //	offset 20 : uint64 entry count
+//	offset 28 : uint64 leaf count
 const (
 	offMetaMagic  = 0
 	offMetaKeyLen = 4
@@ -63,6 +64,7 @@ const (
 	offMetaHeight = 12
 	offMetaFree   = 16
 	offMetaCount  = 20
+	offMetaLeaves = 28
 )
 
 // Tree is a B-link tree over a buffer pool. A Tree is not safe for
@@ -77,6 +79,7 @@ type Tree struct {
 	root     sim.PageNo
 	height   int // number of levels; 1 = root is a leaf
 	count    int64
+	leaves   int64
 	freeHead sim.PageNo
 
 	// Hooks are the tree's test interception points; the zero value (every
@@ -112,6 +115,7 @@ func Create(pool *buffer.Pool, keyLen int, unique bool) (*Tree, error) {
 		unique:   unique,
 		root:     sim.InvalidPage,
 		height:   0,
+		leaves:   1,
 		freeHead: sim.InvalidPage,
 	}
 	// Start with an empty root leaf so the tree is never rootless.
@@ -149,6 +153,7 @@ func Open(pool *buffer.Pool, id sim.FileID) (*Tree, error) {
 		height:   int(binary.LittleEndian.Uint16(b[offMetaHeight:])),
 		freeHead: sim.PageNo(binary.LittleEndian.Uint32(b[offMetaFree:])),
 		count:    int64(binary.LittleEndian.Uint64(b[offMetaCount:])),
+		leaves:   int64(binary.LittleEndian.Uint64(b[offMetaLeaves:])),
 	}, nil
 }
 
@@ -169,6 +174,7 @@ func (t *Tree) writeMeta() error {
 	binary.LittleEndian.PutUint16(b[offMetaHeight:], uint16(t.height))
 	binary.LittleEndian.PutUint32(b[offMetaFree:], uint32(t.freeHead))
 	binary.LittleEndian.PutUint64(b[offMetaCount:], uint64(t.count))
+	binary.LittleEndian.PutUint64(b[offMetaLeaves:], uint64(t.leaves))
 	t.pool.Unpin(fr, true)
 	return nil
 }
@@ -191,6 +197,9 @@ func (t *Tree) RootPage() sim.PageNo { return t.root }
 
 // Count returns the number of entries.
 func (t *Tree) Count() int64 { return t.count }
+
+// Leaves returns the number of leaf pages.
+func (t *Tree) Leaves() int64 { return t.leaves }
 
 // Policy returns the active deletion policy.
 func (t *Tree) Policy() Policy { return t.policy }

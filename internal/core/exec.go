@@ -33,6 +33,8 @@ type execCtx struct {
 	sinceCkpt int
 	applied   int64 // rows applied to the current structure
 	crash     crashCounters
+	// merged counts the leaves this context's walks merged (Reorganize).
+	merged int64
 	// parWorkers is the degree of parallelism chosen for phase 3 (1 =
 	// serial); scratchDev is the device scratch row files of this context
 	// must be created on, so a parallel index pass never touches another

@@ -75,6 +75,9 @@ func structAnnot(ss *StructStats) string {
 	if ss.WALBytes > 0 {
 		s += " wal=" + obs.FmtBytes(ss.WALBytes)
 	}
+	if ss.Leaves > 0 {
+		s += fmt.Sprintf(" merged=%d leaves=%d", ss.LeavesMerged, ss.Leaves)
+	}
 	return s
 }
 
@@ -168,16 +171,19 @@ func (st *Stats) StructTable() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %6s %10s %14s %8s %8s %8s %7s %9s\n",
-		"structure", "file", "rows", "time", "reads", "writes", "seeks", "hit%", "wal")
+	fmt.Fprintf(&b, "%-16s %6s %10s %14s %8s %8s %8s %7s %9s %7s %7s\n",
+		"structure", "file", "rows", "time", "reads", "writes", "seeks", "hit%", "wal", "merged", "leaves")
 	for _, ss := range st.PerStructure {
-		hit := "-"
+		hit, merged, leaves := "-", "-", "-"
 		if hr := ss.HitRatio(); hr >= 0 {
 			hit = fmt.Sprintf("%.1f", hr*100)
 		}
-		fmt.Fprintf(&b, "%-16s %6d %10d %14v %8d %8d %8d %7s %9s\n",
+		if ss.Leaves > 0 {
+			merged, leaves = fmt.Sprint(ss.LeavesMerged), fmt.Sprint(ss.Leaves)
+		}
+		fmt.Fprintf(&b, "%-16s %6d %10d %14v %8d %8d %8d %7s %9s %7s %7s\n",
 			ss.Name, ss.File, ss.Deleted, ss.Elapsed,
-			ss.Reads, ss.Writes, ss.Seeks, hit, obs.FmtBytes(ss.WALBytes))
+			ss.Reads, ss.Writes, ss.Seeks, hit, obs.FmtBytes(ss.WALBytes), merged, leaves)
 	}
 	return b.String()
 }
@@ -238,6 +244,10 @@ type structJSON struct {
 	Hits      uint64 `json:"pool_hits"`
 	Misses    uint64 `json:"pool_misses"`
 	WALBytes  uint64 `json:"wal_bytes"`
+	// An index pass's leaf level; absent for a heap pass.
+
+	LeavesMerged int64 `json:"leaves_merged,omitempty"`
+	Leaves       int64 `json:"leaves,omitempty"`
 }
 
 // MetricsJSON encodes the statement's metrics — method, estimates, per-
@@ -261,16 +271,18 @@ func (st *Stats) MetricsJSON() ([]byte, error) {
 	}
 	for _, ss := range st.PerStructure {
 		out.Structures = append(out.Structures, structJSON{
-			Name:      ss.Name,
-			File:      uint32(ss.File),
-			Deleted:   ss.Deleted,
-			ElapsedUS: ss.Elapsed.Microseconds(),
-			Reads:     ss.Reads,
-			Writes:    ss.Writes,
-			Seeks:     ss.Seeks,
-			Hits:      ss.Hits,
-			Misses:    ss.Misses,
-			WALBytes:  ss.WALBytes,
+			Name:         ss.Name,
+			File:         uint32(ss.File),
+			Deleted:      ss.Deleted,
+			ElapsedUS:    ss.Elapsed.Microseconds(),
+			Reads:        ss.Reads,
+			Writes:       ss.Writes,
+			Seeks:        ss.Seeks,
+			Hits:         ss.Hits,
+			Misses:       ss.Misses,
+			WALBytes:     ss.WALBytes,
+			LeavesMerged: ss.LeavesMerged,
+			Leaves:       ss.Leaves,
 		})
 	}
 	if sc := st.Schedule; sc != nil {

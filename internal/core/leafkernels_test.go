@@ -320,7 +320,7 @@ func checkLeafSurvivors(t *testing.T, f *leafFixture, c leafCase, removed map[in
 	if f.ix.Tree.Count() != int64(len(want)) {
 		t.Fatalf("%s: tree counts %d entries, holds %d", c.name(), f.ix.Tree.Count(), len(want))
 	}
-	// The walk frees the leaves it empties: no RebuildUpper is needed.
+	// The walk frees the leaves it empties: the inner levels stay exact.
 	if err := f.ix.Tree.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", c.name(), err)
 	}

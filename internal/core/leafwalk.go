@@ -41,7 +41,9 @@ type seeker interface {
 // (nil = the leftmost leaf; a range partition's lower boundary) and reads on
 // to the end of its range. The walk asks m about the entries, and for a hit
 // hands the RID to emit and, if del is set, deletes the entry; a leaf it
-// empties is freed as it moves on (btree.LeafCursor). It returns the number
+// empties is freed as it moves on, and under Options.Reorganize a leaf that
+// fits in the one read just before it is merged into it (btree.LeafCursor),
+// which e.merged counts. It returns the number
 // of hits. The walk ends with the chain, when m runs out of victims, or —
 // upTo non-nil — at the first non-empty leaf whose first key is ≥ upTo,
 // which is still read and counted.
@@ -85,7 +87,11 @@ func walkLeaves(e *execCtx, ix *IndexRef, from, upTo []byte, m matcher, del bool
 	if err != nil {
 		return 0, err
 	}
+	if del && e.opts.Reorganize {
+		cur.Reorganize()
+	}
 	defer func() {
+		e.merged += int64(cur.Merged())
 		if cerr := cur.Close(); err == nil {
 			err = cerr
 		}

@@ -25,8 +25,8 @@ type passJob struct {
 	// unique marks a remaining unique index, one of the structures the
 	// §3.1 critical point waits for; run sets it on phase 3's jobs.
 	unique bool
-	// tree is the index an index job reorganizes and flushes; nil makes it
-	// a heap job, which flushes tgt.Heap and counts into Stats.Deleted.
+	// tree is the index an index job walks and flushes; nil makes it a heap
+	// job, which flushes tgt.Heap and counts into Stats.Deleted.
 	tree *btree.Tree
 	// tgt is the target the body runs against: the statement's, or for a
 	// partition job a copy whose Heap is the partition file, so checkpoints
@@ -68,13 +68,8 @@ func (j *passJob) run(ce *execCtx) (deleted int64, parts int, err error) {
 	if deleted, parts, err = j.body(ce); err != nil {
 		return deleted, parts, err
 	}
-	// The walk freed every leaf it emptied, so the inner levels are exact;
-	// only §2.3 reorganization rebuilds them.
-	if j.tree != nil && ce.opts.Reorganize {
-		if err := j.tree.RebuildUpper(true); err != nil {
-			return deleted, parts, err
-		}
-	}
+	// The walk freed every leaf it emptied or merged, so the inner levels
+	// are exact as they stand.
 	return deleted, parts, ce.structDone(j.file, flush)
 }
 
@@ -125,9 +120,12 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 		}
 		return ce
 	}
-	emit := func(j *passJob, deleted int64, parts int, io obs.Delta) {
+	emit := func(j *passJob, deleted, merged int64, parts int, io obs.Delta) {
+		var leaves int64
 		if j.tree == nil {
 			stats.Deleted += deleted
+		} else {
+			leaves = j.tree.Leaves()
 		}
 		if parts > stats.Partitions {
 			stats.Partitions = parts
@@ -136,6 +134,7 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 			Name: j.label, File: j.file, Deleted: deleted, Elapsed: io.Elapsed,
 			Reads: io.Reads, Writes: io.Writes, Seeks: io.Seeks,
 			Hits: io.Hits, Misses: io.Misses, WALBytes: io.WALBytes,
+			LeavesMerged: merged, Leaves: leaves,
 		})
 	}
 
@@ -154,17 +153,17 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 			sp.Finish()
 			io := sp.Delta()
 			io.Elapsed = disk.Clock() - t0
-			emit(j, deleted, parts, io)
+			emit(j, deleted, ce.merged, parts, io)
 			e.criticalDone(j.unique)
 		}
 		return nil
 	}
 
 	type result struct {
-		deleted int64
-		parts   int
-		d0, d1  sim.Stats
-		h0, h1  buffer.Stats
+		deleted, merged int64
+		parts           int
+		d0, d1          sim.Stats
+		h0, h1          buffer.Stats
 	}
 	results := make([]result, len(live))
 	nodes := make([]sched.Node, len(live))
@@ -175,6 +174,7 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 			r.d0, r.h0 = disk.DeviceStats(j.dev), pool.ShardStats(j.dev)
 			var err error
 			r.deleted, r.parts, err = j.run(ce)
+			r.merged = ce.merged
 			r.d1, r.h1 = disk.DeviceStats(j.dev), pool.ShardStats(j.dev)
 			e.opts.Stmt.EventDev(obs.EvNodeFinish, j.label, j.dev)
 			if err == nil {
@@ -204,7 +204,7 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 	stats.AdmissionWait += sc.AdmissionWait
 	for i, j := range live {
 		r, it := results[i], sc.Items[i]
-		emit(j, r.deleted, r.parts, obs.Delta{
+		emit(j, r.deleted, r.merged, r.parts, obs.Delta{
 			Elapsed: it.Duration,
 			Reads:   r.d1.Reads - r.d0.Reads,
 			Writes:  r.d1.Writes - r.d0.Writes,

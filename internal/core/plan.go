@@ -152,10 +152,13 @@ type Options struct {
 	// Memory is the working-memory budget in bytes for sorts and hash
 	// tables (default table.DefaultSortBudget = 5 MB).
 	Memory int
-	// Reorganize enables leaf compaction/merging during the index passes
-	// (paper §2.3). The paper's experiments run without it ("we only
-	// reorganize and garbage collect an index page if it is totally
-	// empty"), so it defaults off.
+	// Reorganize makes every deleting leaf walk merge as it goes (paper
+	// §2.3): a leaf whose survivors fit in the leaf the walk read just
+	// before it, under the same parent, is appended to it and freed when
+	// the walk reads on to its right neighbour (btree.LeafCursor). The
+	// engine's statements always set it; the paper's experiments run
+	// without it ("we only reorganize and garbage collect an index page if
+	// it is totally empty"), so it defaults off.
 	Reorganize bool
 	// Log enables the paper's §3.2 recovery protocol: victim lists are
 	// materialized to stable storage, progress is checkpointed, and an
@@ -248,6 +251,10 @@ type StructStats struct {
 	Hits     uint64 // buffer-pool hits
 	Misses   uint64 // buffer-pool misses
 	WALBytes uint64 // log bytes made durable during the pass
+	// An index pass's leaf level: leaves its walk merged into their
+	// neighbours (Options.Reorganize) and leaves the tree has after it.
+	LeavesMerged int64
+	Leaves       int64
 }
 
 // HitRatio returns the pass's buffer hit ratio in [0,1] (-1 when the pass

@@ -94,8 +94,9 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	rest := remainingIndexes(tgt, access)
 
 	// A crash inside an index's structural change — the walk freeing a leaf
-	// it emptied, or §2.3 reorganization (RebuildUpper) — can leave its
-	// on-disk structure untraversable. Detect that per index and fall
+	// it emptied, or merging one into its neighbour (§2.3) — can leave its
+	// on-disk structure untraversable or torn (a leaf's entries both in it
+	// and in the neighbour it merged into). Detect that per index and fall
 	// back to rebuilding the index from the base table — possible exactly
 	// because of the protocol's phase ordering: while the access index is
 	// being processed the heap is still untouched (rebuilding restores

@@ -289,8 +289,8 @@ func TestCrashBeforeAnyDestructiveWork(t *testing.T) {
 }
 
 // corruptTree scribbles over the root page on disk and in the pool,
-// simulating the window where a crash interrupts RebuildUpper after some
-// freed/rebuilt pages were written out.
+// simulating the window where a crash interrupts a walk's leaf free or merge
+// after some of the pages it changed were written out.
 func corruptTree(t *testing.T, pool *buffer.Pool, tr *btree.Tree) {
 	t.Helper()
 	// Find the root via the meta page and overwrite it with junk typed as

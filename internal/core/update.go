@@ -143,11 +143,6 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 			return nil, err
 		}
 		stats.EntriesMoved += del
-		if o.Reorganize {
-			if err := ix.Tree.RebuildUpper(true); err != nil {
-				return nil, err
-			}
-		}
 		nit, err := newSorters[ix.Tree.ID()].Finish()
 		if err != nil {
 			return nil, err

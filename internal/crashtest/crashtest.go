@@ -145,9 +145,12 @@ type Result struct {
 	Fired bool
 	// Fields are the scenario's own columns, in a fixed order: what
 	// recovery did (bulk-in-wal, rolled-forward, replayed, …), which legal
-	// state it landed on, and what the decorators saw (reader-scans,
-	// crash-comparable).
+	// state it landed on, and what the cancel cycle saw (crash-comparable).
 	Fields []Field
+	// ReaderScans counts the scans a reader scenario's snapshot reader
+	// completed. It depends on goroutine scheduling, so it is kept out of
+	// Fields, which a sweep prints and digests.
+	ReaderScans int
 	// Survivors is the row count after the cycle settled.
 	Survivors int64
 	// ClockUS is the simulated clock after the cycle, in microseconds —

@@ -24,15 +24,14 @@ import (
 // (like parallel sweeps do).
 
 // withReader decorates a scenario's statement with the snapshot reader and
-// records how many scans it completed in the reader-scans column; a reader
-// failure becomes the ordinal's Err. final asks for one more scan of the
+// records how many scans it completed in res.ReaderScans; a reader failure
+// becomes the ordinal's Err. final asks for one more scan of the
 // pinned view after the statement settled — the cancel path, where the
 // database outlives the statement.
 func withReader(run runFunc, final bool) runFunc {
 	return func(ctx context.Context, cfg Config, st *state, res *Result) error {
 		rd, err := startSnapReader(st, int64(cfg.Rows))
 		if sim.IsCrash(err) {
-			res.set("reader-scans", int64(0))
 			return err // the power failed before the statement began
 		}
 		if err != nil {
@@ -41,7 +40,7 @@ func withReader(run runFunc, final bool) runFunc {
 		}
 		derr := run(ctx, cfg, st, res)
 		scans, err := rd.stop(final)
-		res.set("reader-scans", int64(scans))
+		res.ReaderScans = scans
 		if err != nil {
 			res.Err = err.Error()
 		}

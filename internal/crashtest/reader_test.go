@@ -29,9 +29,9 @@ func requireReaderScans(t *testing.T, sw *SweepResult) {
 	if sw.Deterministic {
 		t.Fatal("a reader sweep reports a comparable digest")
 	}
-	var scans int64
+	scans := 0
 	for _, r := range sw.Ordinals {
-		scans += r.Field("reader-scans").(int64)
+		scans += r.ReaderScans
 	}
 	if scans == 0 {
 		t.Fatal("the snapshot reader never completed a scan across the whole sweep")

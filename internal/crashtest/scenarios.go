@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"bulkdel"
+	"bulkdel/internal/obs"
 )
 
 // state is one freshly built scenario database plus what running and
@@ -103,6 +104,27 @@ var sparse = scenario{
 	fields:        bulk.fields,
 }
 
+// merge is the paper's statement with the walks reorganizing as they go: R
+// has twice Config.Rows rows, its indexes sparse's wide keys (sparseLeafCap
+// entries a leaf, so each tree has a dozen leaves under two parents), and
+// 60 % of the rows are seeded victims, so the leaves a walk leaves behind
+// are under half full and fold into their left neighbours (btree.LeafCursor:
+// the appended leaf, the freed one, the parent's separator, the right
+// sibling's link) all through the sweep. Config.Victims does not apply.
+var merge = scenario{
+	config: func(cfg Config) Config {
+		cfg.Rows *= 2
+		cfg.Victims = cfg.Rows * 3 / 5
+		return cfg
+	},
+	build:         buildTables(0, sparseKeyLen, seeded, "R"),
+	run:           runMerge,
+	reference:     checkTables,
+	verify:        verifyBulk,
+	deterministic: Config.Deterministic,
+	fields:        bulk.fields,
+}
+
 // rangeDel is the statement every heap range DELETE is: Table.DeleteRange
 // over Config.Victims contiguous keys in the middle of R. The backend
 // resolves the range to its keys off IA's leaves under the statement's lock,
@@ -154,6 +176,8 @@ var scenarios = map[string]scenario{
 	"sparse-cancel":        sparse.inCancelMode(),
 	"sparse-reader":        sparse.underReader(),
 	"sparse-reader-cancel": sparse.inCancelMode().underReader(),
+	"merge":                merge,
+	"merge-cancel":         merge.inCancelMode(),
 	"range":                rangeDel,
 	"range-cancel":         rangeDel.inCancelMode(),
 	"range-reader":         rangeDel.underReader(),
@@ -301,14 +325,18 @@ func buildHeap(names ...string) func(Config) (*state, error) {
 // buildHeapParts is buildHeap with every heap hash-partitioned hashParts
 // ways on A (0 = a single heap file).
 func buildHeapParts(hashParts int, names ...string) func(Config) (*state, error) {
-	return buildTables(hashParts, 0, func(cfg Config, ti int) []int64 {
-		perm := rand.New(rand.NewSource(cfg.Seed + int64(ti))).Perm(cfg.Rows)
-		victims := make([]int64, cfg.Victims)
-		for i := range victims {
-			victims[i] = int64(perm[i])
-		}
-		return victims
-	}, names...)
+	return buildTables(hashParts, 0, seeded, names...)
+}
+
+// seeded picks table ti's victims: the first Config.Victims rows of a
+// permutation seeded by Config.Seed + ti.
+func seeded(cfg Config, ti int) []int64 {
+	perm := rand.New(rand.NewSource(cfg.Seed + int64(ti))).Perm(cfg.Rows)
+	victims := make([]int64, cfg.Victims)
+	for i := range victims {
+		victims[i] = int64(perm[i])
+	}
+	return victims
 }
 
 // buildTables is the build of every heap scenario: per name one table,
@@ -393,6 +421,20 @@ func runSparse(ctx context.Context, cfg Config, st *state, _ *Result) error {
 	}
 	if reads, leaves := res.Trace.Find("access-pass").Delta().Reads, cfg.Rows/sparseLeafCap; reads >= uint64(leaves) {
 		return fmt.Errorf("the walk over IA read %d pages, IA has %d leaves", reads, leaves)
+	}
+	return nil
+}
+
+// runMerge fails when a completed statement was not the one the scenario is
+// about: its walks must have merged leaves.
+func runMerge(ctx context.Context, cfg Config, st *state, _ *Result) error {
+	merged := st.db.Observer().Registry().Counter(obs.MetricLeavesMerged)
+	before := merged.Value()
+	if _, err := deleteVictims(ctx, cfg, st, 0, false); err != nil {
+		return err
+	}
+	if merged.Value() == before {
+		return fmt.Errorf("no walk merged a leaf")
 	}
 	return nil
 }

@@ -86,3 +86,8 @@ const HistWALAppendWait = "wal_append_wait"
 // HistTableWaitPrefix prefixes the per-table lock wait-time histograms fed
 // by the lock manager's OnWait hook ("cc_table_wait:" + table).
 const HistTableWaitPrefix = "cc_table_wait:"
+
+// MetricLeavesMerged counts the index leaves bulk-delete walks merged into
+// their neighbours (§2.3 reorganization): the repair of the fill that
+// free-at-empty lets decline under churn.
+const MetricLeavesMerged = "btree_leaves_merged"

@@ -384,8 +384,6 @@ type BulkOptions struct {
 	Method Method
 	// Memory is the sort/hash working budget in bytes (default 5 MB).
 	Memory int
-	// Reorganize enables §2.3 leaf reorganization during the passes.
-	Reorganize bool
 	// CheckpointRows overrides the number of deletions between
 	// mid-structure WAL checkpoints (default 100000).
 	// Crash tests set it low to exercise checkpoint replay.
@@ -601,7 +599,7 @@ func (tbl *Table) BulkUpdate(predField int, values []int64, setField int,
 	defer tbl.db.endStatement(stmt, held)
 	st, err := core.ExecuteUpdate(h.target(), predField, values, setField, transform, core.Options{
 		Memory:     opts.Memory,
-		Reorganize: opts.Reorganize,
+		Reorganize: true,
 		Stmt:       stmt,
 	})
 	if err != nil {
