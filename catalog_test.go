@@ -211,3 +211,45 @@ func TestCreateTableSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A CREATE INDEX is durable once it returns: the table, the new tree with
+// its meta page included, is on disk before the catalog save that names the
+// tree, so a crash right after it recovers the index, and its entries name
+// rows on disk whether or not they were flushed before (it used to name a
+// file that was not yet an index: "btree: file 3 is not an index file").
+func TestCreateIndexSurvivesCrash(t *testing.T) {
+	for _, flushed := range []bool{true, false} {
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("A", 2, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range int64(100) {
+			if _, err := tbl.Insert(i, 2*i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if flushed {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tbl.CreateIndex(IndexOptions{Name: "IA", Field: 0, Unique: true}); err != nil {
+			t.Fatal(err)
+		}
+		db2, _, err := Recover(db.SimulateCrash(), Options{})
+		if err != nil {
+			t.Fatalf("flushed=%v: %v", flushed, err)
+		}
+		tbl = db2.Table("A")
+		if tbl == nil || tbl.Count() != 100 || len(tbl.IndexNames()) != 1 {
+			t.Fatalf("flushed=%v: recovered table %v", flushed, tbl)
+		}
+		if err := tbl.Check(); err != nil {
+			t.Fatalf("flushed=%v: %v", flushed, err)
+		}
+	}
+}

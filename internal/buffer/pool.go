@@ -8,7 +8,9 @@
 // — and rely on two behaviours this pool reproduces:
 //
 //   - LRU replacement with pinning: hot inner B-tree nodes stay cached
-//     while a random leaf/heap workload thrashes (the traditional delete),
+//     while a random leaf/heap workload thrashes (the traditional delete);
+//     the one exception is UnpinCold, which puts a page its caller is done
+//     with (a heap page an insert filled) at the cold end instead,
 //   - chained I/O: sequential scans read runs of pages with a single
 //     positioning charge (the vertical bulk delete), as the paper's
 //     prototype does with "chunks of several pages from disk".
@@ -124,6 +126,14 @@ func (s *shard) pushFront(f *Frame) {
 	f.prev, f.next = &s.lru, s.lru.next
 	f.next.prev = f
 	s.lru.next = f
+}
+
+// pushBack puts an unpinned frame at the least recently used end of the LRU
+// list, so the shard's next eviction takes it. Caller holds the shard mutex.
+func (s *shard) pushBack(f *Frame) {
+	f.prev, f.next = s.lru.prev, &s.lru
+	f.prev.next = f
+	s.lru.prev = f
 }
 
 // unlink takes a frame off the LRU list. Caller holds the shard mutex.
@@ -289,8 +299,16 @@ func (s *shard) pin(f *Frame) {
 
 // Unpin releases one pin. dirty=true records that the caller mutated the
 // page; it is written back at eviction or flush time.
-func (p *Pool) Unpin(f *Frame, dirty bool) {
-	s := f.sh
+func (p *Pool) Unpin(f *Frame, dirty bool) { f.sh.unpin(f, dirty, false) }
+
+// UnpinCold is Unpin for a page the caller is done with for good — a heap
+// page an insert just filled: when the last pin goes, the frame goes to the
+// least recently used end of its shard's list, so the next eviction takes it.
+func (p *Pool) UnpinCold(f *Frame, dirty bool) { f.sh.unpin(f, dirty, true) }
+
+// unpin releases one pin; the last puts the frame on the LRU list, at the
+// cold end if cold, else at the hot end.
+func (s *shard) unpin(f *Frame, dirty, cold bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f.pins <= 0 {
@@ -300,7 +318,11 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 		f.dirty.Store(true)
 	}
 	f.pins--
-	if f.pins == 0 {
+	switch {
+	case f.pins > 0:
+	case cold:
+		s.pushBack(f)
+	default:
 		s.pushFront(f)
 	}
 }

@@ -19,9 +19,9 @@
 package heap
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"bulkdel/internal/buffer"
@@ -61,48 +61,51 @@ type File struct {
 	PageHooks page.Hooks
 }
 
-// freeMap is a set of page numbers that can name its lowest member. low is
-// a min-heap over the members and over pages removed since they were pushed,
-// which lowest discards as they surface.
+// freeMap is a set of page numbers, one bit per page, that can name its
+// lowest member and count a run of consecutive members. Every word below lo
+// is zero.
 type freeMap struct {
-	set map[sim.PageNo]struct{}
-	low pageHeap
+	words []uint64
+	lo    int
+}
+
+func (m *freeMap) has(p sim.PageNo) bool {
+	w := int(p / 64)
+	return w < len(m.words) && m.words[w]&(1<<(p%64)) != 0
 }
 
 func (m *freeMap) add(p sim.PageNo) {
-	if _, ok := m.set[p]; ok {
-		return
+	w := int(p / 64)
+	for len(m.words) <= w {
+		m.words = append(m.words, 0)
 	}
-	if m.set == nil {
-		m.set = make(map[sim.PageNo]struct{})
-	}
-	m.set[p] = struct{}{}
-	heap.Push(&m.low, p)
+	m.words[w] |= 1 << (p % 64)
+	m.lo = min(m.lo, w)
 }
 
-func (m *freeMap) remove(p sim.PageNo) { delete(m.set, p) }
+func (m *freeMap) remove(p sim.PageNo) {
+	if w := int(p / 64); w < len(m.words) {
+		m.words[w] &^= 1 << (p % 64)
+	}
+}
 
 func (m *freeMap) lowest() (sim.PageNo, bool) {
-	for len(m.low) > 0 {
-		if _, ok := m.set[m.low[0]]; ok {
-			return m.low[0], true
+	for ; m.lo < len(m.words); m.lo++ {
+		if w := m.words[m.lo]; w != 0 {
+			return sim.PageNo(m.lo*64 + bits.TrailingZeros64(w)), true
 		}
-		heap.Pop(&m.low)
 	}
 	return 0, false
 }
 
-type pageHeap []sim.PageNo
-
-func (h pageHeap) Len() int           { return len(h) }
-func (h pageHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h pageHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pageHeap) Push(x any)        { *h = append(*h, x.(sim.PageNo)) }
-func (h *pageHeap) Pop() any {
-	old := *h
-	p := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return p
+// run counts the members p, p+1, ... up to the first page not in the map,
+// at most max.
+func (m *freeMap) run(p sim.PageNo, max int) int {
+	n := 1
+	for n < max && m.has(p+sim.PageNo(n)) {
+		n++
+	}
+	return n
 }
 
 // Create makes a new heap file for records of recSize bytes.
@@ -206,29 +209,9 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 		try = append(try, p)
 	}
 	for _, p := range try {
-		fr, err := f.pool.Get(f.id, p)
-		if err != nil {
-			return record.NilRID, err
+		if rid, ok, err := f.insertAt(p, rec); ok || err != nil {
+			return rid, err
 		}
-		sp := page.Wrap(fr.Data()).WithHooks(&f.PageHooks)
-		if slot, ok := sp.Insert(rec); ok {
-			rid := record.RID{Page: p, Slot: uint16(slot)}
-			if sp.FreeSpace() < f.recSize {
-				f.fsm.remove(p)
-				if f.tail == p {
-					f.tail = sim.InvalidPage
-				}
-			}
-			f.pool.Unpin(fr, true)
-			f.count++
-			f.pool.Disk().ChargeRecords(1)
-			return rid, nil
-		}
-		f.fsm.remove(p)
-		if f.tail == p {
-			f.tail = sim.InvalidPage
-		}
-		f.pool.Unpin(fr, false)
 	}
 	// Grow the file.
 	fr, err := f.pool.NewPage(f.id)
@@ -244,13 +227,50 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 	}
 	rid := record.RID{Page: fr.Page(), Slot: uint16(slot)}
 	f.tail = fr.Page()
-	if sp.FreeSpace() >= f.recSize {
+	if sp.Fits(f.recSize) {
 		f.fsm.add(fr.Page())
 	}
 	f.pool.Unpin(fr, true)
 	f.count++
 	f.pool.Disk().ChargeRecords(1)
 	return rid, nil
+}
+
+// insertAt stores rec on page p, a page believed to have room; ok is false
+// when it had none. A page the insert leaves unable to take another record
+// leaves the free map, and, unless it is the tail, goes to the cold end of
+// the pool: no insert reads it again until a delete frees a slot.
+func (f *File) insertAt(p sim.PageNo, rec []byte) (rid record.RID, ok bool, err error) {
+	tail := p == f.tail
+	// A refill after a delete works up the free pages: a missed p is read
+	// together with the free pages that follow it, in one chained run (the
+	// tail has none after it).
+	fr, err := f.pool.GetForScan(f.id, p, f.fsm.run(p, f.pool.ReadAhead()))
+	if err != nil {
+		return record.NilRID, false, err
+	}
+	sp := page.Wrap(fr.Data()).WithHooks(&f.PageHooks)
+	slot, ok := sp.Insert(rec)
+	if ok && sp.Fits(f.recSize) {
+		f.pool.Unpin(fr, true)
+	} else {
+		f.fsm.remove(p)
+		if tail {
+			f.tail = sim.InvalidPage
+		}
+		switch {
+		case !ok:
+			f.pool.Unpin(fr, false)
+			return record.NilRID, false, nil
+		case tail:
+			f.pool.Unpin(fr, true)
+		default:
+			f.pool.UnpinCold(fr, true)
+		}
+	}
+	f.count++
+	f.pool.Disk().ChargeRecords(1)
+	return record.RID{Page: p, Slot: uint16(slot)}, true, nil
 }
 
 // Get returns a copy of the record at rid; ErrNoRecord if it holds none.

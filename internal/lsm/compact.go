@@ -352,7 +352,7 @@ func (t *Tree) applyRangeLocked(li, vi int) error {
 // nil when nothing would be left. mu held.
 func (t *Tree) rewriteLocked(sst *SSTable, rts []RangeTomb, victim bool) (*SSTable, error) {
 	var live []entry
-	it, n := sst.iter(), 0
+	it, n := sst.iter(sst.Blocks), 0
 	for ; ; n++ {
 		e, ok, err := it.next()
 		if err != nil {
@@ -483,7 +483,7 @@ func (t *Tree) mergeLocked(runs, others [][]*SSTable) ([]*SSTable, error) {
 		}
 	}
 	var rtombs []RangeTomb // the surviving inputs' tombstones
-	srcs := make([]func() (entry, bool, error), 0, len(runs))
+	var lives [][]*SSTable
 	for _, run := range runs {
 		var live []*SSTable
 		for _, sst := range run {
@@ -493,8 +493,16 @@ func (t *Tree) mergeLocked(runs, others [][]*SSTable) ([]*SSTable, error) {
 			}
 		}
 		if len(live) > 0 {
-			srcs = append(srcs, chain(live, math.MinInt64))
+			lives = append(lives, live)
 		}
+	}
+	// Every input is read to its end, in chained runs; together the runs
+	// take at most half the pool, so one input's read-ahead does not evict
+	// another's before the merge reaches it.
+	ahead := max(1, t.pool.Capacity()/(2*max(1, len(lives))))
+	srcs := make([]func() (entry, bool, error), 0, len(lives))
+	for _, live := range lives {
+		srcs = append(srcs, chain(live, math.MinInt64, ahead))
 	}
 	m, err := newMerge(t.pool.Disk(), srcs)
 	if err != nil {

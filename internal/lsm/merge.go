@@ -203,8 +203,9 @@ func (m *kmerge) skip(key int64) error {
 
 // chain walks a run of tables — key-disjoint and sorted by key, as a level
 // >= 1 is — as one merge source from the first entry >= lo; a table's
-// blocks are read only when the walk reaches it.
-func chain(run []*SSTable, lo int64) func() (entry, bool, error) {
+// blocks are read only when the walk reaches it, ahead blocks at a time
+// (see sstIter).
+func chain(run []*SSTable, lo int64, ahead int) func() (entry, bool, error) {
 	var it *sstIter
 	return func() (entry, bool, error) {
 		for {
@@ -217,7 +218,7 @@ func chain(run []*SSTable, lo int64) func() (entry, bool, error) {
 				return entry{}, false, nil
 			}
 			first := it == nil
-			it, run = run[0].iter(), run[1:]
+			it, run = run[0].iter(ahead), run[1:]
 			if first {
 				if err := it.seek(lo); err != nil {
 					return entry{}, false, err
@@ -246,7 +247,7 @@ func (s *Snapshot) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error)
 		if li == 0 {
 			for _, sst := range lvl {
 				if sst.Blocks > 0 && overlaps(sst.Meta, lo, hi) {
-					srcs = append(srcs, chain([]*SSTable{sst}, lo))
+					srcs = append(srcs, chain([]*SSTable{sst}, lo, 1))
 				}
 			}
 			continue
@@ -257,7 +258,7 @@ func (s *Snapshot) ScanRange(lo, hi int64, fn func(key int64, rec []byte) error)
 			end++
 		}
 		if end > first {
-			srcs = append(srcs, chain(lvl[first:end], lo))
+			srcs = append(srcs, chain(lvl[first:end], lo, 1))
 		}
 	}
 	m, err := newMerge(s.t.pool.Disk(), srcs)

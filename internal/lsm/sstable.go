@@ -322,7 +322,7 @@ func openSSTable(pool *buffer.Pool, recSize int, meta Meta) (*SSTable, error) {
 	if meta.Pages < 1 {
 		return nil, fmt.Errorf("catalog says %d pages", meta.Pages)
 	}
-	tail, n, err := sst.readFramed(sim.PageNo(meta.Pages - 1))
+	tail, n, err := sst.readFramed(sim.PageNo(meta.Pages-1), 1)
 	if err != nil {
 		return nil, fmt.Errorf("trailer: %w", err)
 	}
@@ -331,7 +331,7 @@ func openSSTable(pool *buffer.Pool, recSize int, meta Meta) (*SSTable, error) {
 	}
 	var tr []byte
 	for p := meta.Pages - int64(n); p < meta.Pages-1; p++ {
-		pg, _, err := sst.readFramed(sim.PageNo(p))
+		pg, _, err := sst.readFramed(sim.PageNo(p), 1)
 		if err != nil {
 			return nil, fmt.Errorf("trailer: %w", err)
 		}
@@ -344,9 +344,9 @@ func openSSTable(pool *buffer.Pool, recSize int, meta Meta) (*SSTable, error) {
 }
 
 // readFramed reads one crc-framed page and returns its used payload and
-// its count field.
-func (s *SSTable) readFramed(p sim.PageNo) ([]byte, int, error) {
-	fr, payload, count, err := s.pinFramed(p)
+// its count field; see pinFramed for run.
+func (s *SSTable) readFramed(p sim.PageNo, run int) ([]byte, int, error) {
+	fr, payload, count, err := s.pinFramed(p, run)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -355,9 +355,10 @@ func (s *SSTable) readFramed(p sim.PageNo) ([]byte, int, error) {
 }
 
 // pinFramed pins page p, verifies its framing and CRC, and returns its
-// frame, payload and count field; the caller unpins the frame.
-func (s *SSTable) pinFramed(p sim.PageNo) (*buffer.Frame, []byte, int, error) {
-	fr, err := s.pool.Get(sim.FileID(s.File), p)
+// frame, payload and count field; the caller unpins the frame. A miss reads
+// p in one chained run with the run-1 pages after it (run ≤ 1: p alone).
+func (s *SSTable) pinFramed(p sim.PageNo, run int) (*buffer.Frame, []byte, int, error) {
+	fr, err := s.pool.GetForScan(sim.FileID(s.File), p, run)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -437,11 +438,12 @@ func (s *SSTable) decodeEntry(payload []byte, off int, prev int64) (entry, int, 
 	return e, off + s.recSize, nil
 }
 
-// readBlock decodes data block b (0-based). One copy of the payload backs
+// readBlock decodes data block b (0-based), read as pinFramed reads with
+// run. One copy of the payload backs
 // every value it returns: the frame is recycled once unpinned, and the
 // values must outlive it.
-func (s *SSTable) readBlock(b int) ([]entry, error) {
-	payload, count, err := s.readFramed(sim.PageNo(b))
+func (s *SSTable) readBlock(b, run int) ([]entry, error) {
+	payload, count, err := s.readFramed(sim.PageNo(b), run)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +483,7 @@ func (s *SSTable) get(key int64) (entry, bool, error) {
 	if b < 0 {
 		return entry{}, false, nil
 	}
-	fr, payload, count, err := s.pinFramed(sim.PageNo(b))
+	fr, payload, count, err := s.pinFramed(sim.PageNo(b), 1)
 	if err != nil {
 		return entry{}, false, err
 	}
@@ -517,7 +519,7 @@ func (s *SSTable) check(hide []RangeTomb) error {
 	last := int64(0)
 	haveLast := false
 	for b := 0; b < s.Blocks; b++ {
-		entries, err := s.readBlock(b)
+		entries, err := s.readBlock(b, 1)
 		if err != nil {
 			return err
 		}
@@ -550,15 +552,24 @@ func (s *SSTable) check(hide []RangeTomb) error {
 	return nil
 }
 
-// iter walks the table's entries in key order, reading blocks lazily.
+// iter walks the table's entries in key order, reading blocks lazily: a
+// missed block in one chained run with up to ahead-1 blocks after it. A
+// compaction input, read to its end, reads ahead; a range scan, which may
+// stop early, reads single blocks (ahead 1), never past its range.
 type sstIter struct {
-	t   *SSTable
-	blk int
-	buf []entry
-	i   int
+	t     *SSTable
+	blk   int
+	buf   []entry
+	i     int
+	ahead int
 }
 
-func (s *SSTable) iter() *sstIter { return &sstIter{t: s} }
+func (s *SSTable) iter(ahead int) *sstIter { return &sstIter{t: s, ahead: ahead} }
+
+// readBlock reads block b and the blocks the iterator reads ahead.
+func (it *sstIter) readBlock(b int) ([]entry, error) {
+	return it.t.readBlock(b, min(it.ahead, it.t.Blocks-b))
+}
 
 // next returns the following entry; ok=false at the end.
 func (it *sstIter) next() (entry, bool, error) {
@@ -566,7 +577,7 @@ func (it *sstIter) next() (entry, bool, error) {
 		if it.blk >= it.t.Blocks {
 			return entry{}, false, nil
 		}
-		buf, err := it.t.readBlock(it.blk)
+		buf, err := it.readBlock(it.blk)
 		if err != nil {
 			return entry{}, false, err
 		}
@@ -590,7 +601,7 @@ func (it *sstIter) seek(lo int64) error {
 	if it.t.Blocks == 0 {
 		return nil
 	}
-	buf, err := it.t.readBlock(b)
+	buf, err := it.readBlock(b)
 	if err != nil {
 		return err
 	}

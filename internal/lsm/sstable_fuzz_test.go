@@ -50,11 +50,11 @@ func FuzzSSTableDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	block, _, err := seed.readFramed(0)
+	block, _, err := seed.readFramed(0, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	trailer, _, err := seed.readFramed(1)
+	trailer, _, err := seed.readFramed(1, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func FuzzSSTableDecode(f *testing.F) {
 		}
 		if sst, err := openSSTable(pool, 16, Meta{File: uint32(id), Pages: 2}); err == nil {
 			_ = sst.check(nil)
-			for it := sst.iter(); ; {
+			for it := sst.iter(1); ; {
 				if _, ok, err := it.next(); !ok || err != nil {
 					break
 				}
@@ -104,7 +104,7 @@ func FuzzSSTableDecode(f *testing.F) {
 		if err := got.check(nil); err != nil {
 			t.Fatal(err)
 		}
-		it := got.iter()
+		it := got.iter(1)
 		for i, want := range es {
 			e, ok, err := it.next()
 			if err != nil || !ok || e.key != want.key || e.seq != want.seq || e.kind != want.kind || !bytes.Equal(e.val, want.val) {

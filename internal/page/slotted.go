@@ -180,6 +180,29 @@ func (p Slotted) FreeSpace() int {
 	return free
 }
 
+// Fits reports whether Insert would store an n-byte record: it counts the
+// space Compact would reclaim from dead slots, which FreeSpace does not.
+func (p Slotted) Fits(n int) bool {
+	if n <= 0 || n > sim.PageSize-HeaderSize-SlotSize {
+		return false
+	}
+	if p.FreeSpace() >= n {
+		return true
+	}
+	// After a Compact the directory ends at the last live slot; a record
+	// needs a new slot only when no dead one is left below it.
+	slots, live, bytes := 0, 0, 0
+	for i := 0; i < p.NumSlots(); i++ {
+		if off, l := p.slotAt(i); off != 0 {
+			slots, live, bytes = i+1, live+1, bytes+int(l)
+		}
+	}
+	if live == slots {
+		n += SlotSize
+	}
+	return sim.PageSize-HeaderSize-slots*SlotSize-bytes >= n
+}
+
 // LiveCount returns the number of live records on the page.
 func (p Slotted) LiveCount() int {
 	n := 0

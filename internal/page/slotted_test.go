@@ -297,3 +297,34 @@ func ExampleCapacity() {
 	fmt.Println(Capacity(512))
 	// Output: 7
 }
+
+// TestFitsMatchesInsert: Fits(n) says whether Insert of an n-byte record
+// succeeds, through random inserts and deletes that leave dead slots and
+// dead bytes behind — space FreeSpace does not count.
+func TestFitsMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := newPage(t)
+	probe := make([]byte, sim.PageSize)
+	for step := range 2000 {
+		if live := p.LiveCount(); live > 0 && rng.Intn(3) == 0 {
+			for {
+				if s := rng.Intn(p.NumSlots()); p.InUse(s) {
+					if err := p.Delete(s); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+		} else {
+			p.Insert(make([]byte, 1+rng.Intn(400)))
+		}
+		for _, n := range []int{1, 64, 128, 400, 1000} {
+			copy(probe, p.buf)
+			_, ok := Wrap(probe).Insert(make([]byte, n))
+			if got := p.Fits(n); got != ok {
+				t.Fatalf("step %d: Fits(%d) = %v, Insert ok = %v (free %d, %d live of %d slots)",
+					step, n, got, ok, p.FreeSpace(), p.LiveCount(), p.NumSlots())
+			}
+		}
+	}
+}

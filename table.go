@@ -150,6 +150,12 @@ func (tbl *Table) CreateIndex(opts IndexOptions) error {
 			return err
 		}
 	}
+	// The table goes to disk, the new tree with it, before the catalog save
+	// that names the tree: a crash after the save finds an index file (not
+	// a file without its meta page) whose entries name rows on disk.
+	if err := h.flush(); err != nil {
+		return err
+	}
 	return tbl.db.saveCatalog()
 }
 
