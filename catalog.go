@@ -37,16 +37,16 @@ type catalogPartition struct {
 }
 
 type catalogTable struct {
-	Name      string         `json:"name"`
-	NumFields int            `json:"numFields"`
-	Size      int            `json:"size"`
-	HeapFile  uint32         `json:"heapFile"`
-	Indexes   []catalogIndex `json:"indexes"`
-	// Partitioned heaps: the spec, the per-partition files (HeapFiles[0]
-	// == HeapFile) and their device placements.
-	Partition   *catalogPartition `json:"partition,omitempty"`
-	HeapFiles   []uint32          `json:"heapFiles,omitempty"`
-	HeapDevices []int             `json:"heapDevices,omitempty"`
+	Name      string `json:"name"`
+	NumFields int    `json:"numFields"`
+	Size      int    `json:"size"`
+	// Heap tables: the heap's partition files in ordinal order (one for a
+	// table without a partition spec) and their devices.
+	HeapFiles   []uint32       `json:"heapFiles,omitempty"`
+	HeapDevices []int          `json:"heapDevices,omitempty"`
+	Indexes     []catalogIndex `json:"indexes"`
+	// Partition is the heap's spec, present only when it has one.
+	Partition *catalogPartition `json:"partition,omitempty"`
 	// LSM-backed tables: Backend is "lsm" and LSM is the tree's manifest —
 	// the durable level layout. A flush or compaction commits by saving the
 	// catalog; the manifest swap in that single save is what makes it

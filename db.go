@@ -708,14 +708,25 @@ func (db *DB) WALFile() sim.FileID { return db.log.FileID() }
 // CreateTable adds a heap table of numFields int64 attributes padded to
 // recordSize bytes; CreateTableLSM makes an LSM one.
 func (db *DB) CreateTable(name string, numFields, recordSize int) (*Table, error) {
-	schema := record.Schema{NumFields: numFields, Size: recordSize}
-	return db.created(db.addTable(name, schema, func(tbl *Table) (backend, error) {
-		t, err := table.Create(db.pool, name, schema)
+	return db.createHeapTable(name, record.Schema{NumFields: numFields, Size: recordSize}, PartitionSpec{})
+}
+
+// createHeapTable adds a heap table split by spec, its partitions placed by
+// the device policy.
+func (db *DB) createHeapTable(name string, schema record.Schema, spec PartitionSpec) (*Table, error) {
+	var h *heapBackend
+	tbl, err := db.addTable(name, schema, func(tbl *Table) (backend, error) {
+		t, err := table.Create(db.pool, name, schema, spec)
 		if err != nil {
 			return nil, err
 		}
-		return newHeapBackend(tbl, t), nil
-	}))
+		h = newHeapBackend(tbl, t)
+		return h, nil
+	})
+	if err == nil {
+		err = h.placeHeapPartitions()
+	}
+	return db.created(tbl, err)
 }
 
 // created finishes a CREATE TABLE: the new table's files are written first,

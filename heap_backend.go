@@ -11,7 +11,6 @@ import (
 	"bulkdel/internal/btree"
 	"bulkdel/internal/cc"
 	"bulkdel/internal/core"
-	"bulkdel/internal/heap"
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
@@ -19,8 +18,8 @@ import (
 	"bulkdel/internal/table"
 )
 
-// heapBackend is the storage the paper studies: a heap (single file or
-// partitioned) with B-link-tree indexes, index gates and side-files, MVCC
+// heapBackend is the storage the paper studies: a heap (one file per
+// partition) with B-link-tree indexes, index gates and side-files, MVCC
 // snapshot reads, and the ⋈̸ bulk-delete statement body. Everything that
 // needs a RID, an index, or the planner lives here and is reached from the
 // public Table through Table.heap.
@@ -82,16 +81,13 @@ func (h *heapBackend) ownedFiles() []sim.FileID {
 
 func (h *heapBackend) catalogEntry() catalogTable {
 	disk := h.tbl.db.disk
-	ct := catalogTable{HeapFile: uint32(h.t.Heap.ID())}
-	if ph, ok := h.t.Heap.(*heap.Partitioned); ok {
-		spec := ph.Spec()
-		ct.Partition = &catalogPartition{
-			Field: spec.Field, Hash: spec.HashParts, Bounds: spec.RangeBounds,
-		}
-		for _, p := range ph.Parts() {
-			ct.HeapFiles = append(ct.HeapFiles, uint32(p.ID()))
-			ct.HeapDevices = append(ct.HeapDevices, disk.DeviceOf(p.ID()))
-		}
+	var ct catalogTable
+	for _, p := range h.t.Heap.Parts() {
+		ct.HeapFiles = append(ct.HeapFiles, uint32(p.ID()))
+		ct.HeapDevices = append(ct.HeapDevices, disk.DeviceOf(p.ID()))
+	}
+	if spec := h.t.Heap.Spec(); spec.NumParts() > 1 {
+		ct.Partition = &catalogPartition{Field: spec.Field, Hash: spec.HashParts, Bounds: spec.RangeBounds}
 	}
 	for _, ix := range h.t.Idx {
 		ct.Indexes = append(ct.Indexes, catalogIndex{
@@ -105,40 +101,29 @@ func (h *heapBackend) catalogEntry() catalogTable {
 }
 
 // openHeapBackend reopens a heap table from its catalog entry during
-// Recover: the heap store (partition placements reapplied), then every
+// Recover: the heap's partition files (placements reapplied), then every
 // index tree.
 func openHeapBackend(tbl *Table, ct catalogTable) (backend, error) {
 	db, schema := tbl.db, tbl.schema
-	var h heap.Store
-	if ct.Partition != nil && len(ct.HeapFiles) > 0 {
-		ids := make([]sim.FileID, len(ct.HeapFiles))
-		for i, f := range ct.HeapFiles {
-			ids[i] = sim.FileID(f)
-		}
-		spec := heap.PartitionSpec{
-			Field: ct.Partition.Field, HashParts: ct.Partition.Hash,
-			RangeBounds: ct.Partition.Bounds,
-		}
-		ph, err := heap.OpenPartitioned(db.pool, ids, schema, spec)
-		if err != nil {
-			return nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
-		}
-		for i, d := range ct.HeapDevices {
-			if i < len(ids) && d > 0 {
-				if err := db.disk.PlaceFile(ids[i], d); err != nil {
-					return nil, fmt.Errorf("bulkdel: placing partition %d of %s: %w", i, ct.Name, err)
-				}
+	var spec PartitionSpec
+	if p := ct.Partition; p != nil {
+		spec = PartitionSpec{Field: p.Field, HashParts: p.Hash, RangeBounds: p.Bounds}
+	}
+	ids := make([]sim.FileID, len(ct.HeapFiles))
+	for i, f := range ct.HeapFiles {
+		ids[i] = sim.FileID(f)
+	}
+	t, err := table.Open(db.pool, ct.Name, schema, spec, ids)
+	if err != nil {
+		return nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
+	}
+	for i, d := range ct.HeapDevices {
+		if i < len(ids) && d > 0 {
+			if err := db.disk.PlaceFile(ids[i], d); err != nil {
+				return nil, fmt.Errorf("bulkdel: placing partition %d of %s: %w", i, ct.Name, err)
 			}
 		}
-		h = ph
-	} else {
-		hf, err := heap.Open(db.pool, sim.FileID(ct.HeapFile))
-		if err != nil {
-			return nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
-		}
-		h = hf
 	}
-	t := table.ReattachForRecovery(db.pool, ct.Name, schema, h)
 	for _, ci := range ct.Indexes {
 		tr, err := btree.Open(db.pool, sim.FileID(ci.File))
 		if err != nil {

@@ -34,15 +34,15 @@ func testPool(pages int) *buffer.Pool {
 // field2 = i mod 211) and the requested indexes.
 func makeTarget(t *testing.T, pool *buffer.Pool, n int, fields []int, unique []bool) *Target {
 	t.Helper()
-	h, err := heap.Create(pool, testSchema.Size)
+	h, err := heap.CreateHeap(pool, testSchema, heap.PartitionSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return makeTargetOn(t, pool, h, n, fields, unique)
 }
 
-// makeTargetOn is makeTarget over a given empty heap store.
-func makeTargetOn(t *testing.T, pool *buffer.Pool, h heap.Store, n int, fields []int, unique []bool) *Target {
+// makeTargetOn is makeTarget over a given empty heap.
+func makeTargetOn(t *testing.T, pool *buffer.Pool, h *heap.Heap, n int, fields []int, unique []bool) *Target {
 	t.Helper()
 	rec := make([]byte, testSchema.Size)
 	rids := make([]record.RID, n)

@@ -292,10 +292,7 @@ type visitFn func(rid record.RID, rec []byte) (dirtied bool, err error)
 // pages a chained read passes through on its way from one to the next
 // (ridLookahead.runEnd).
 func heapPassSortedRIDs(e *execCtx, rids rowIter, del bool, visit visitFn) (int64, error) {
-	ed, err := e.tgt.Heap.Edit()
-	if err != nil {
-		return 0, err
-	}
+	ed := e.tgt.Heap.Edit()
 	defer ed.Close()
 	var deleted int64
 	flush := func() error { return e.tgt.Heap.Flush() }
@@ -471,9 +468,8 @@ type pageView struct {
 
 // heapDeleteByRIDProbe scans every heap page once, probing each live record
 // against the in-memory RID set — the hash plan's ⋈̸ with R (Figure 4). The
-// scan is partition-major (partition 0 of a single-file heap is the whole
-// file), probing the tagged form of each position since that is what the
-// indexes — and therefore the RID set — carry.
+// scan is partition-major, probing the tagged form of each position since
+// that is what the indexes — and therefore the RID set — carry.
 func heapDeleteByRIDProbe(e *execCtx, ridSet map[record.RID]struct{}) (int64, error) {
 	var deleted int64
 	flush := func() error { return e.tgt.Heap.Flush() }

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"bulkdel/internal/buffer"
-	"bulkdel/internal/heap"
-	"bulkdel/internal/page"
 	"bulkdel/internal/sim"
 	"bulkdel/internal/wal"
 )
@@ -14,68 +12,46 @@ import (
 // 64 bytes, over 300 heap pages behind a 64-frame pool.
 const heapReadRows = 20000
 
-// walkIO is what one bulk-edit walk over the heap read: pages, and chained
-// runs of more than one page.
-type walkIO struct{ reads, runs uint64 }
-
-// coldWalks is a heap whose every bulk-edit walk starts on a cold pool and
-// counts the I/O of its own seeks, which read nothing but heap pages.
-type coldWalks struct {
-	heap.Store
-	pool  *buffer.Pool
-	walks []walkIO
-}
-
-func (c *coldWalks) Edit() (heap.Editor, error) {
-	if err := c.pool.FlushAll(); err != nil {
-		return nil, err
-	}
-	c.pool.InvalidateAll()
-	ed, err := c.Store.Edit()
-	if err != nil {
-		return nil, err
-	}
-	c.walks = append(c.walks, walkIO{})
-	return &countedEditor{Editor: ed, c: c, walk: len(c.walks) - 1}, nil
-}
-
-type countedEditor struct {
-	heap.Editor
-	c    *coldWalks
-	walk int
-}
-
-func (e *countedEditor) Seek(p, upTo sim.PageNo) (page.Slotted, error) {
-	before := e.c.pool.Disk().Stats()
-	sp, err := e.Editor.Seek(p, upTo)
-	after := e.c.pool.Disk().Stats()
-	w := &e.c.walks[e.walk]
-	w.reads += after.Reads - before.Reads
-	w.runs += after.ChainedRuns - before.ChainedRuns
-	return sp, err
-}
+// walkIO is what the heap pass read: pages, and of those the pages chained
+// runs read ahead of the page a seek asked for.
+type walkIO struct{ reads, ahead uint64 }
 
 // heapWalks runs a logged sort/merge delete of victims (field0 values) and
 // returns the I/O of its one heap walk — the heap pass, which also projects
-// the remaining index's key list — and the heap's data page count.
+// the remaining index's key list — and the heap's data page count. The heap
+// has a device and a 64-frame pool shard of its own, emptied when the
+// passes start, so that device's reads from then on are the walk's alone
+// (the pass's trace span also counts its reads of the RID list).
 func heapWalks(t *testing.T, victims []int64) (pass walkIO, heapPages uint64) {
 	t.Helper()
-	pool := testPool(64)
+	pool := testPool(128)
+	disk := pool.Disk()
+	disk.ConfigureDevices(2)
 	tgt := makeTarget(t, pool, heapReadRows, []int{0, 1}, []bool{true, false})
 	n, err := tgt.Heap.Parts()[0].NumPages()
 	if err != nil {
 		t.Fatal(err)
 	}
-	walks := &coldWalks{Store: tgt.Heap, pool: pool}
-	tgt.Heap = walks
-	st, err := Execute(tgt, 0, victims, Options{Method: SortMerge, Log: wal.Create(pool.Disk()), TxID: 1})
-	if err != nil {
+	if err := pool.Relocate(tgt.Heap.ID(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if st.Deleted != int64(len(victims)) || len(walks.walks) != 1 {
-		t.Fatalf("deleted %d of %d in %d heap walks, want 1", st.Deleted, len(victims), len(walks.walks))
+	var d0 sim.Stats
+	var h0 buffer.Stats
+	var coldErr error
+	cold := func() {
+		coldErr = pool.FlushAll()
+		pool.InvalidateAll()
+		d0, h0 = disk.DeviceStats(1), pool.ShardStats(1)
 	}
-	return walks.walks[0], uint64(n) - 1
+	st, err := Execute(tgt, 0, victims, Options{Method: SortMerge, Log: wal.Create(disk), TxID: 1, OnPassesStart: cold})
+	if err != nil || coldErr != nil {
+		t.Fatal(err, coldErr)
+	}
+	if st.Deleted != int64(len(victims)) {
+		t.Fatalf("deleted %d of %d", st.Deleted, len(victims))
+	}
+	reads := disk.DeviceStats(1).Reads - d0.Reads
+	return walkIO{reads: reads, ahead: reads - (pool.ShardStats(1).Misses - h0.Misses)}, uint64(n) - 1
 }
 
 // TestSparseHeapPassReadsOnlyVictimPages: sixteen victims, each on its own
@@ -101,8 +77,8 @@ func TestSparseHeapPassReadsOnlyVictimPages(t *testing.T) {
 func TestDenseHeapPassStaysChained(t *testing.T) {
 	victims, _ := pickVictims(heapReadRows, heapReadRows*15/100, 5)
 	pass, heapPages := heapWalks(t, victims)
-	if pass.reads > heapPages || pass.runs == 0 {
-		t.Errorf("heap pass read %d pages of a %d-page heap in %d chained runs; want at most the heap, chained",
-			pass.reads, heapPages, pass.runs)
+	if pass.reads > heapPages || pass.ahead == 0 {
+		t.Errorf("heap pass read %d pages of a %d-page heap, %d of them ahead in chained runs; want at most the heap, chained",
+			pass.reads, heapPages, pass.ahead)
 	}
 }

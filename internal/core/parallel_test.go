@@ -200,7 +200,7 @@ func TestPartitionedHeapFanOutWithRemainingIndexes(t *testing.T) {
 			for _, parallel := range []int{0, 4} {
 				pool := testPool(256)
 				pool.Disk().ConfigureDevices(4)
-				h, err := heap.CreatePartitioned(pool, testSchema, heap.PartitionSpec{Field: 0, HashParts: 3})
+				h, err := heap.CreateHeap(pool, testSchema, heap.PartitionSpec{Field: 0, HashParts: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +219,7 @@ func TestPartitionedHeapFanOutWithRemainingIndexes(t *testing.T) {
 				// through its per-record hook) and a sixth of the rest.
 				victims, set := pickVictims(n, n/6, 19)
 				for v := int64(0); v < n; v++ {
-					if h.PartForKey(v) == 0 && !set[v] {
+					if h.Spec().Route(v) == 0 && !set[v] {
 						victims, set[v] = append(victims, v), true
 					}
 				}

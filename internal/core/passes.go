@@ -29,8 +29,8 @@ type passJob struct {
 	// job, which flushes tgt.Heap and counts into Stats.Deleted.
 	tree *btree.Tree
 	// tgt is the target the body runs against: the statement's, or for a
-	// partition job a copy whose Heap is the partition file, so checkpoints
-	// and page edits address the partition directly.
+	// partition job a copy whose Heap is a one-partition view of the
+	// partition file, so checkpoints and page edits address it directly.
 	tgt *Target
 	// body is the join kernel between the WAL's struct-start and
 	// struct-done records. It stays a closure so that what it opens — a
@@ -336,11 +336,12 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 		if rids == nil || e.skip(part.ID()) {
 			continue
 		}
-		// The child target addresses the partition file with raw page
-		// numbers; its part makes the pass hand Retain and the projection
+		// The child target's heap is a one-partition view of the partition
+		// file, addressed with raw page numbers, so checkpoints flush that
+		// file alone; its part makes the pass hand Retain and the projection
 		// table-level (partition-tagged) RIDs.
 		tgt := *e.tgt
-		tgt.Heap, tgt.part = part, pi
+		tgt.Heap, tgt.part = e.tgt.Heap.Part(pi), pi
 		visit, err := project()
 		if err != nil {
 			return nil, files, err

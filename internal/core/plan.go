@@ -80,11 +80,11 @@ type IndexRef struct {
 }
 
 // Target is core's view of the table a bulk delete operates on. Heap is
-// the table's storage — a single heap file or a partitioned store whose
-// partitions the heap ⋈̸ pass processes as independent DAG nodes.
+// the table's storage, whose partitions the heap ⋈̸ pass processes as
+// independent DAG nodes.
 type Target struct {
 	Name    string
-	Heap    heap.Store
+	Heap    *heap.Heap
 	Schema  record.Schema
 	Indexes []IndexRef
 	Pool    *buffer.Pool
@@ -100,8 +100,9 @@ type Target struct {
 	// Hooks are the executor's test interception points; the zero value
 	// (every production target) has none.
 	Hooks Hooks
-	// part is the ordinal of the partition a partition job's Heap is: the
-	// tag its raw page numbers carry in table-level RIDs (0 otherwise).
+	// part is the ordinal of the partition a partition job's Heap is a
+	// one-partition view of: the tag its raw page numbers carry in
+	// table-level RIDs (0 otherwise).
 	part int
 }
 
@@ -124,8 +125,7 @@ type Hooks struct {
 	StructDone func(file sim.FileID)
 }
 
-// HeapFiles returns the file IDs of the heap's partitions in ordinal order
-// (a single-file heap yields just its own ID).
+// HeapFiles returns the file IDs of the heap's partitions in ordinal order.
 func (t *Target) HeapFiles() []sim.FileID {
 	parts := t.Heap.Parts()
 	ids := make([]sim.FileID, len(parts))
@@ -292,7 +292,7 @@ type Stats struct {
 	// index-pass section (nil when the statement ran serially).
 	Schedule *sched.Schedule
 	// HeapSchedule is the schedule of the parallel per-partition heap-pass
-	// section (nil for single-file heaps or serial heap passes).
+	// section (nil for one-partition heaps or serial heap passes).
 	HeapSchedule *sched.Schedule
 	// Workers is the degree of parallelism actually used (1 when serial).
 	Workers int
@@ -437,9 +437,9 @@ func BuildPlan(tgt *Target, field int, method Method, mem int, parts int) *PlanN
 	return root
 }
 
-// heapDeleteNodes renders the heap ⋈̸ pass: one operator for a single-file
-// heap, one operator per partition for a partitioned store — each partition
-// is an independent DAG node the scheduler can place on its own device.
+// heapDeleteNodes renders the heap ⋈̸ pass: one operator for a
+// one-partition heap, else one operator per partition — each partition is
+// an independent DAG node the scheduler can place on its own device.
 // PartName names partition i's operator and matches its StructStats.Name.
 func heapDeleteNodes(tgt *Target, method, detail, sharedDetail string, child *PlanNode) []*PlanNode {
 	var parts []*heap.File

@@ -78,7 +78,7 @@ func TestLoggedExecuteProtocol(t *testing.T) {
 func partedSetup(t *testing.T, n, v int) (*buffer.Pool, *Target, []int64, map[int64]bool, *wal.Log) {
 	t.Helper()
 	pool := testPool(2048)
-	h, err := heap.CreatePartitioned(pool, testSchema, heap.PartitionSpec{Field: 0, HashParts: 3})
+	h, err := heap.CreateHeap(pool, testSchema, heap.PartitionSpec{Field: 0, HashParts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,10 @@ func partedSetup(t *testing.T, n, v int) (*buffer.Pool, *Target, []int64, map[in
 	return pool, tgt, victims, set, wal.Create(pool.Disk())
 }
 
-// reopenHeap reopens a target's heap store from disk after a crash.
-func reopenHeap(t *testing.T, pool *buffer.Pool, tgt *Target) heap.Store {
+// reopenHeap reopens a target's heap from disk after a crash.
+func reopenHeap(t *testing.T, pool *buffer.Pool, tgt *Target) *heap.Heap {
 	t.Helper()
-	var h heap.Store
-	var err error
-	if ph, ok := tgt.Heap.(*heap.Partitioned); ok {
-		h, err = heap.OpenPartitioned(pool, tgt.HeapFiles(), tgt.Schema, ph.Spec())
-	} else {
-		h, err = heap.Open(pool, tgt.Heap.ID())
-	}
+	h, err := heap.OpenHeap(pool, tgt.HeapFiles(), tgt.Schema, tgt.Heap.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +192,7 @@ func TestRecoveryIsIdempotentAcrossDoubleCrash(t *testing.T) {
 	}
 	// First recovery also crashes.
 	pool.InvalidateAll()
-	h, err := heap.Open(pool, tgt.Heap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := &Target{Name: tgt.Name, Heap: h, Schema: tgt.Schema, Pool: pool}
+	re := &Target{Name: tgt.Name, Heap: reopenHeap(t, pool, tgt), Schema: tgt.Schema, Pool: pool}
 	for _, ix := range tgt.Indexes {
 		tr, err := btree.Open(pool, ix.Tree.ID())
 		if err != nil {
@@ -328,11 +318,7 @@ func TestRecoveryRebuildsStructurallyDamagedAccessIndex(t *testing.T) {
 	pool.InvalidateAll()
 	corruptTree(t, pool, tgt.Indexes[0].Tree)
 
-	h, err := heap.Open(pool, tgt.Heap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := &Target{Name: tgt.Name, Heap: h, Schema: tgt.Schema, Pool: pool}
+	re := &Target{Name: tgt.Name, Heap: reopenHeap(t, pool, tgt), Schema: tgt.Schema, Pool: pool}
 	for _, ix := range tgt.Indexes {
 		tr, err := btree.Open(pool, ix.Tree.ID())
 		if err != nil {
@@ -374,11 +360,7 @@ func TestRecoveryRebuildsDamagedSecondaryIndex(t *testing.T) {
 	pool.InvalidateAll()
 	corruptTree(t, pool, tgt.Indexes[1].Tree)
 
-	h, err := heap.Open(pool, tgt.Heap.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := &Target{Name: tgt.Name, Heap: h, Schema: tgt.Schema, Pool: pool}
+	re := &Target{Name: tgt.Name, Heap: reopenHeap(t, pool, tgt), Schema: tgt.Schema, Pool: pool}
 	for _, ix := range tgt.Indexes {
 		tr, err := btree.Open(pool, ix.Tree.ID())
 		if err != nil {

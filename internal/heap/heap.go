@@ -1,5 +1,7 @@
-// Package heap implements heap files: unordered (or load-ordered) base
-// table storage made of slotted pages, addressed by RID.
+// Package heap implements the base table's heap: unordered (or
+// load-ordered) storage made of slotted pages, addressed by RID. A table's
+// heap is a Heap: one File per partition, a single File for a table
+// without a partition spec (see partition.go).
 //
 // The paper's table R lives in a heap file. Its properties that the
 // bulk-delete algorithms exploit are all present here:
@@ -14,7 +16,7 @@
 //   - a clustered table is simply a heap file loaded in key order (the
 //     paper's "R is sorted by attribute A" scenario of Experiment 5).
 //
-// Page 0 of the file is a header page holding the record size; data pages
+// Page 0 of each File is a header page holding the record size; data pages
 // start at page 1.
 package heap
 
@@ -35,7 +37,7 @@ const PageTypeData = uint8('H')
 
 const headerMagic = 0x48454150 // "HEAP"
 
-// File is a heap file of fixed-size records.
+// File is one partition's heap file of fixed-size records.
 type File struct {
 	pool    *buffer.Pool
 	id      sim.FileID
@@ -51,7 +53,7 @@ type File struct {
 	// unlatched readers MVCC snapshot reads admit during a delete: an
 	// Insert that triggers a page Compact rewrites live record bytes, so
 	// a concurrent Get of the same page could read a half-moved record
-	// (see compact_race_test.go). Writers (Insert/Delete/Update/Truncate
+	// (see compact_race_test.go). Writers (Insert/Delete/Update/TruncateWith
 	// and the bulk editor's DeleteSlot) hold it exclusively; Get and Scan
 	// hold it shared per page. Bulk passes' read-only page views skip it —
 	// the exclusive table lock excludes every other writer.
@@ -186,9 +188,6 @@ func (f *File) Count() int64 {
 func (f *File) NumPages() (sim.PageNo, error) {
 	return f.pool.Disk().NumPages(f.id)
 }
-
-// FirstDataPage is the page number of the first data page.
-func FirstDataPage() sim.PageNo { return 1 }
 
 // Insert stores rec and returns its RID, reusing freed space when known.
 func (f *File) Insert(rec []byte) (record.RID, error) {

@@ -532,11 +532,11 @@ func TestGetReportsNoRecord(t *testing.T) {
 		t.Fatalf("Get on a failed disk = %v, want the crash alone", err)
 	}
 	p.Disk().SetFaultPlan(nil)
-	if err := f.Truncate(); err != nil {
+	if err := f.TruncateWith(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Get(r2); !errors.Is(err, ErrNoRecord) {
-		t.Fatalf("Get after Truncate = %v, want ErrNoRecord", err)
+		t.Fatalf("Get after TruncateWith(nil) = %v, want ErrNoRecord", err)
 	}
 }
 

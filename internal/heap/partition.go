@@ -1,6 +1,7 @@
-// Partitioned heap storage: the base table's heap split into N partitions
-// by hash or key range on the table's delete key, each partition a separate
-// sim file placeable on its own device.
+// The table heap: a Heap is one File per partition, the partitions split by
+// hash or key range on the table's delete key, each a separate sim file
+// placeable on its own device. A table without a partition spec is a
+// one-partition Heap.
 //
 // The paper's thesis is that a bulk delete goes fast when the victim list
 // is laid out to match the physical structure it is applied to. Partitioning
@@ -13,11 +14,11 @@
 //     delete that covers a partition's entire range drops the partition's
 //     data pages as a metadata operation and never scans them.
 //
-// RIDs stay the engine-wide record address: a partitioned heap tags the
-// partition ordinal into the high bits of RID.Page (see TagPage), so index
-// entries, WAL payloads, and materialized row-file formats are unchanged,
-// and a RID list sorted bytewise visits partitions contiguously
-// (partition-major order) and pages sequentially within each.
+// RIDs stay the engine-wide record address: a heap tags the partition
+// ordinal into the high bits of RID.Page (see TagPage), so index entries,
+// WAL payloads, and materialized row-file formats are unchanged, and a RID
+// list sorted bytewise visits partitions contiguously (partition-major
+// order) and pages sequentially within each.
 package heap
 
 import (
@@ -43,7 +44,7 @@ const pageMask = sim.PageNo(1)<<partShift - 1
 
 // TagPage encodes a partition ordinal into a partition-local page number,
 // yielding the external page number stored in RIDs. Partition 0's pages are
-// tagged with 0, so a single-file heap's RIDs are their own tagged form.
+// tagged with 0, so a one-partition heap's RIDs are its file's page numbers.
 func TagPage(part int, p sim.PageNo) sim.PageNo {
 	return p | sim.PageNo(part)<<partShift
 }
@@ -65,72 +66,20 @@ var ErrPageRange = errors.New("page outside data pages")
 // failed read, not an answer.
 var ErrNoRecord = errors.New("no record at RID")
 
-// Editor is the page-at-a-time bulk-edit interface over a Store: Seek pins
-// one data page (reading it, on a miss, in one run with the pages through
-// upTo), DeleteSlot/MarkDirty mutate it, the next Seek (or Close) unpins it.
-// *PageEditor implements it for a single file; a partitioned store routes
-// seeks to per-partition editors by the page's partition tag.
-type Editor interface {
-	Seek(p, upTo sim.PageNo) (page.Slotted, error)
-	DeleteSlot(slot int) error
-	MarkDirty()
-	Close()
-}
-
-// Store is the heap abstraction the engine operates on — either a single
-// *File or a *Partitioned set of files. All record addresses crossing this
-// interface are external (partition-tagged) RIDs.
-type Store interface {
-	ID() sim.FileID
-	RecordSize() int
-	Count() int64
-	Insert(rec []byte) (record.RID, error)
-	Get(rid record.RID) ([]byte, error)
-	Delete(rid record.RID) error
-	Update(rid record.RID, rec []byte) error
-	Scan(fn func(rid record.RID, rec []byte) error) error
-	Edit() (Editor, error)
-	// Parts returns the underlying partition files in ordinal order; a
-	// single-file heap returns itself as the only partition.
-	Parts() []*File
-	Flush() error
-	Drop() error
-}
-
-// Edit starts a bulk-edit pass over a single-file heap (EditPages behind
-// the Store interface).
-func (f *File) Edit() (Editor, error) {
-	ed, err := f.EditPages()
-	if err != nil {
-		return nil, err
-	}
-	return ed, nil
-}
-
-// Parts returns the file itself as partition 0.
-func (f *File) Parts() []*File { return []*File{f} }
-
-// Truncate discards every record in the heap by releasing its data pages —
-// a metadata operation on the simulated disk (the header page survives, so
-// the file reopens as an empty heap). Dirty frames are flushed first so the
-// header is durable, then all frames are discarded along with the pages.
-func (f *File) Truncate() error {
-	f.latch.Lock()
-	defer f.latch.Unlock()
-	return f.truncateLocked()
-}
-
-// TruncateWith is Truncate with MVCC retention: when retain is non-nil,
-// every live record is handed to it (keyed by partition-local RID) before
-// the pages are released. Retention is unconditional, matching the
-// per-row delete paths: an "any snapshot open?" check here — however it
-// is latched — races a reader that registers its snapshot after the
-// check but before the delete's commit epoch is stamped. That snapshot
-// predates the commit, so it is entitled to see every truncated row, yet
-// the rows would be in neither the heap nor the version store. The
-// metadata-only fast path therefore survives only with snapshot reads
-// off (retain == nil); with MVCC on, the retention pass prices itself as
-// the extra scan it is.
+// TruncateWith discards every record in the file by releasing its data
+// pages — a metadata operation on the simulated disk (the header page
+// survives, so the file reopens as an empty heap file). Dirty frames are
+// flushed first so the header is durable, then all frames are discarded
+// along with the pages. When retain is non-nil, every live record is handed
+// to it (keyed by partition-local RID) before the pages are released.
+// Retention is unconditional, matching the per-row delete paths: an "any
+// snapshot open?" check here — however it is latched — races a reader that
+// registers its snapshot after the check but before the delete's commit
+// epoch is stamped. That snapshot predates the commit, so it is entitled to
+// see every truncated row, yet the rows would be in neither the heap nor the
+// version store. The metadata-only fast path therefore survives only with
+// retain == nil; with a retention hook, the pass prices itself as the extra
+// scan it is.
 func (f *File) TruncateWith(retain func(rid record.RID, rec []byte)) error {
 	f.latch.Lock()
 	defer f.latch.Unlock()
@@ -160,10 +109,6 @@ func (f *File) TruncateWith(retain func(rid record.RID, rec []byte)) error {
 			f.pool.Unpin(fr, false)
 		}
 	}
-	return f.truncateLocked()
-}
-
-func (f *File) truncateLocked() error {
 	if err := f.pool.FlushFile(f.id); err != nil {
 		return err
 	}
@@ -192,24 +137,23 @@ type PartitionSpec struct {
 	RangeBounds []int64
 }
 
-// NumParts returns the partition count the spec describes (0 if unset).
+// NumParts returns the partition count the spec describes: 1 for the zero
+// spec, whose Route sends every key to partition 0.
 func (s PartitionSpec) NumParts() int {
 	if s.HashParts > 0 {
 		return s.HashParts
 	}
-	if len(s.RangeBounds) > 0 {
-		return len(s.RangeBounds) + 1
-	}
-	return 0
+	return len(s.RangeBounds) + 1
 }
 
-// Validate checks the spec against a schema.
+// Validate checks the spec against a schema. The zero spec is the
+// one-partition heap; a spec that declares partitioning needs at least 2.
 func (s PartitionSpec) Validate(schema record.Schema) error {
 	if s.HashParts > 0 && len(s.RangeBounds) > 0 {
 		return fmt.Errorf("heap: partition spec sets both hash and range")
 	}
 	n := s.NumParts()
-	if n < 2 {
+	if n < 2 && s.HashParts != 0 {
 		return fmt.Errorf("heap: partition spec needs at least 2 partitions")
 	}
 	if n > MaxPartitions {
@@ -262,84 +206,87 @@ func (s PartitionSpec) Range(p int) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// Partitioned is a heap Store made of one File per partition. Its identity
-// (ID) is partition 0's file ID — the stable handle WAL records and lock
-// footprints use for the whole store.
-type Partitioned struct {
+// Heap is a table's heap: one File per partition of its spec, a single
+// file under the zero spec. Its identity (ID) is partition 0's file ID — the
+// stable handle WAL records and lock footprints use for the whole heap.
+type Heap struct {
 	parts  []*File
 	spec   PartitionSpec
 	schema record.Schema
 }
 
-// CreatePartitioned makes a new partitioned heap: one file per partition of
-// the spec. Device placement is the caller's concern (see internal/place).
-func CreatePartitioned(pool *buffer.Pool, schema record.Schema, spec PartitionSpec) (*Partitioned, error) {
+// CreateHeap makes a new heap: one file per partition of the spec. Device
+// placement is the caller's concern (see internal/place).
+func CreateHeap(pool *buffer.Pool, schema record.Schema, spec PartitionSpec) (*Heap, error) {
 	if err := spec.Validate(schema); err != nil {
 		return nil, err
 	}
-	ph := &Partitioned{spec: spec, schema: schema}
+	if spec.NumParts() == 1 {
+		spec = PartitionSpec{} // one partition routes on no field
+	}
+	h := &Heap{spec: spec, schema: schema}
 	for i := 0; i < spec.NumParts(); i++ {
 		f, err := Create(pool, schema.Size)
 		if err != nil {
 			return nil, err
 		}
-		ph.parts = append(ph.parts, f)
+		h.parts = append(h.parts, f)
 	}
-	return ph, nil
+	return h, nil
 }
 
-// OpenPartitioned reattaches a partitioned heap from its catalog state: the
-// partition file IDs in ordinal order plus the spec they were created with.
-func OpenPartitioned(pool *buffer.Pool, ids []sim.FileID, schema record.Schema, spec PartitionSpec) (*Partitioned, error) {
+// OpenHeap reattaches a heap from its catalog state: the partition file IDs
+// in ordinal order plus the spec they were created with.
+func OpenHeap(pool *buffer.Pool, ids []sim.FileID, schema record.Schema, spec PartitionSpec) (*Heap, error) {
 	if err := spec.Validate(schema); err != nil {
 		return nil, err
 	}
 	if len(ids) != spec.NumParts() {
 		return nil, fmt.Errorf("heap: %d partition files for a %d-partition spec", len(ids), spec.NumParts())
 	}
-	ph := &Partitioned{spec: spec, schema: schema}
+	h := &Heap{spec: spec, schema: schema}
 	for _, id := range ids {
 		f, err := Open(pool, id)
 		if err != nil {
 			return nil, err
 		}
-		ph.parts = append(ph.parts, f)
+		h.parts = append(h.parts, f)
 	}
-	return ph, nil
+	return h, nil
 }
 
-// ID returns partition 0's file ID — the store's stable identity.
-func (ph *Partitioned) ID() sim.FileID { return ph.parts[0].ID() }
+// Part returns partition i as a one-partition heap: its RIDs are the
+// partition file's own, untagged page numbers.
+func (h *Heap) Part(i int) *Heap {
+	return &Heap{parts: h.parts[i : i+1], schema: h.schema}
+}
 
-// RecordSize returns the fixed record size.
-func (ph *Partitioned) RecordSize() int { return ph.parts[0].RecordSize() }
+// ID returns partition 0's file ID — the heap's stable identity.
+func (h *Heap) ID() sim.FileID { return h.parts[0].ID() }
 
 // Count returns the number of live records across all partitions.
-func (ph *Partitioned) Count() int64 {
+func (h *Heap) Count() int64 {
 	var n int64
-	for _, p := range ph.parts {
+	for _, p := range h.parts {
 		n += p.Count()
 	}
 	return n
 }
 
 // Spec returns the partitioning spec.
-func (ph *Partitioned) Spec() PartitionSpec { return ph.spec }
+func (h *Heap) Spec() PartitionSpec { return h.spec }
 
 // Parts returns the partition files in ordinal order.
-func (ph *Partitioned) Parts() []*File { return ph.parts }
-
-// PartForKey returns the partition ordinal the spec routes a key to.
-func (ph *Partitioned) PartForKey(v int64) int { return ph.spec.Route(v) }
+func (h *Heap) Parts() []*File { return h.parts }
 
 // Insert routes the record to its partition by the partition field and
 // returns the partition-tagged RID.
-func (ph *Partitioned) Insert(rec []byte) (record.RID, error) {
-	if len(rec) != ph.RecordSize() {
-		return record.NilRID, fmt.Errorf("heap: record is %d bytes, store holds %d", len(rec), ph.RecordSize())
+func (h *Heap) Insert(rec []byte) (record.RID, error) {
+	if len(rec) != h.schema.Size {
+		return record.NilRID, fmt.Errorf("heap: record is %d bytes, heap stores %d", len(rec), h.schema.Size)
 	}
-	part := ph.spec.Route(ph.schema.Field(rec, ph.spec.Field))
-	rid, err := ph.parts[part].Insert(rec)
+	part := h.spec.Route(h.schema.Field(rec, h.spec.Field))
+	rid, err := h.parts[part].Insert(rec)
 	if err != nil {
 		return record.NilRID, err
 	}
@@ -349,17 +296,18 @@ func (ph *Partitioned) Insert(rec []byte) (record.RID, error) {
 	return record.RID{Page: TagPage(part, rid.Page), Slot: rid.Slot}, nil
 }
 
-func (ph *Partitioned) resolve(rid record.RID) (*File, record.RID, error) {
+func (h *Heap) resolve(rid record.RID) (*File, record.RID, error) {
 	part, raw := SplitPage(rid.Page)
-	if part >= len(ph.parts) {
-		return nil, record.NilRID, fmt.Errorf("heap: %s names partition %d of %d", rid, part, len(ph.parts))
+	if part >= len(h.parts) {
+		return nil, record.NilRID, fmt.Errorf("heap: %s names partition %d of %d: %w", rid, part, len(h.parts), ErrNoRecord)
 	}
-	return ph.parts[part], record.RID{Page: raw, Slot: rid.Slot}, nil
+	return h.parts[part], record.RID{Page: raw, Slot: rid.Slot}, nil
 }
 
-// Get returns a copy of the record at the tagged RID.
-func (ph *Partitioned) Get(rid record.RID) ([]byte, error) {
-	f, raw, err := ph.resolve(rid)
+// Get returns a copy of the record at the tagged RID; ErrNoRecord if it
+// holds none.
+func (h *Heap) Get(rid record.RID) ([]byte, error) {
+	f, raw, err := h.resolve(rid)
 	if err != nil {
 		return nil, err
 	}
@@ -367,8 +315,8 @@ func (ph *Partitioned) Get(rid record.RID) ([]byte, error) {
 }
 
 // Delete tombstones the record at the tagged RID.
-func (ph *Partitioned) Delete(rid record.RID) error {
-	f, raw, err := ph.resolve(rid)
+func (h *Heap) Delete(rid record.RID) error {
+	f, raw, err := h.resolve(rid)
 	if err != nil {
 		return err
 	}
@@ -377,14 +325,14 @@ func (ph *Partitioned) Delete(rid record.RID) error {
 
 // Update overwrites the record at the tagged RID in place. The partition
 // field must keep a value routing to the same partition.
-func (ph *Partitioned) Update(rid record.RID, rec []byte) error {
-	f, raw, err := ph.resolve(rid)
+func (h *Heap) Update(rid record.RID, rec []byte) error {
+	f, raw, err := h.resolve(rid)
 	if err != nil {
 		return err
 	}
-	if len(rec) == ph.RecordSize() {
+	if len(rec) == h.schema.Size {
 		part, _ := SplitPage(rid.Page)
-		if ph.spec.Route(ph.schema.Field(rec, ph.spec.Field)) != part {
+		if h.spec.Route(h.schema.Field(rec, h.spec.Field)) != part {
 			return fmt.Errorf("heap: update moves record across partitions")
 		}
 	}
@@ -392,9 +340,10 @@ func (ph *Partitioned) Update(rid record.RID, rec []byte) error {
 }
 
 // Scan visits every live record in partition-major, then physical, order —
-// exactly the bytewise sort order of the tagged RIDs.
-func (ph *Partitioned) Scan(fn func(rid record.RID, rec []byte) error) error {
-	for i, p := range ph.parts {
+// exactly the bytewise sort order of the tagged RIDs. The rec slice is only
+// valid during the call; fn may re-enter the heap (see File.Scan).
+func (h *Heap) Scan(fn func(rid record.RID, rec []byte) error) error {
+	for i, p := range h.parts {
 		err := p.Scan(func(rid record.RID, rec []byte) error {
 			return fn(record.RID{Page: TagPage(i, rid.Page), Slot: rid.Slot}, rec)
 		})
@@ -406,8 +355,8 @@ func (ph *Partitioned) Scan(fn func(rid record.RID, rec []byte) error) error {
 }
 
 // Flush writes every partition's dirty pages back.
-func (ph *Partitioned) Flush() error {
-	for _, p := range ph.parts {
+func (h *Heap) Flush() error {
+	for _, p := range h.parts {
 		if err := p.Flush(); err != nil {
 			return err
 		}
@@ -416,8 +365,8 @@ func (ph *Partitioned) Flush() error {
 }
 
 // Drop discards every partition file.
-func (ph *Partitioned) Drop() error {
-	for _, p := range ph.parts {
+func (h *Heap) Drop() error {
+	for _, p := range h.parts {
 		if err := p.Drop(); err != nil {
 			return err
 		}
@@ -425,33 +374,39 @@ func (ph *Partitioned) Drop() error {
 	return nil
 }
 
-// Edit starts a bulk-edit pass over the store: seeks take tagged page
-// numbers and are routed to a lazily opened per-partition editor. A RID
-// list in sorted order degenerates to one sequential pass per partition.
-func (ph *Partitioned) Edit() (Editor, error) {
-	return &partEditor{ph: ph, eds: make([]*PageEditor, len(ph.parts)), cur: -1}, nil
-}
-
-type partEditor struct {
-	ph  *Partitioned
+// Editor gives a bulk operation page-at-a-time access to the heap, so it
+// can delete many records on a page with one pin. Seek pins one data page
+// (reading it, on a miss, in one run with the pages through upTo),
+// DeleteSlot and MarkDirty mutate it, the next Seek (or Close) unpins it.
+// Seeks take tagged page numbers and go to a lazily started PageEditor of
+// the page's partition, so a RID list in sorted order is one sequential
+// pass per partition.
+type Editor struct {
+	h   *Heap
 	eds []*PageEditor
 	cur int // partition of the last successful Seek
 }
 
-// Seek reads ahead through upTo only within p's partition: the next
+// Edit starts a bulk-edit pass over the heap.
+func (h *Heap) Edit() *Editor {
+	return &Editor{h: h, eds: make([]*PageEditor, len(h.parts)), cur: -1}
+}
+
+// Seek positions the editor on tagged page p and returns the slotted page.
+// It reads ahead through upTo only within p's partition: the next
 // partition's pages live in another file.
-func (e *partEditor) Seek(p, upTo sim.PageNo) (page.Slotted, error) {
+func (e *Editor) Seek(p, upTo sim.PageNo) (page.Slotted, error) {
 	part, raw := SplitPage(p)
 	upPart, rawUpTo := SplitPage(upTo)
 	if upPart != part {
 		rawUpTo = raw
 	}
-	if part >= len(e.ph.parts) {
+	if part >= len(e.h.parts) {
 		return page.Slotted{}, fmt.Errorf("heap: seek to page %d names partition %d of %d: %w",
-			p, part, len(e.ph.parts), ErrPageRange)
+			p, part, len(e.h.parts), ErrPageRange)
 	}
 	if e.eds[part] == nil {
-		ed, err := e.ph.parts[part].EditPages()
+		ed, err := e.h.parts[part].EditPages()
 		if err != nil {
 			return page.Slotted{}, err
 		}
@@ -465,20 +420,23 @@ func (e *partEditor) Seek(p, upTo sim.PageNo) (page.Slotted, error) {
 	return sp, nil
 }
 
-func (e *partEditor) DeleteSlot(slot int) error {
+// DeleteSlot tombstones a slot on the currently seeked page.
+func (e *Editor) DeleteSlot(slot int) error {
 	if e.cur < 0 {
 		return fmt.Errorf("heap: DeleteSlot without Seek")
 	}
 	return e.eds[e.cur].DeleteSlot(slot)
 }
 
-func (e *partEditor) MarkDirty() {
+// MarkDirty flags the currently seeked page as mutated.
+func (e *Editor) MarkDirty() {
 	if e.cur >= 0 {
 		e.eds[e.cur].MarkDirty()
 	}
 }
 
-func (e *partEditor) Close() {
+// Close unpins every partition's current page.
+func (e *Editor) Close() {
 	for _, ed := range e.eds {
 		if ed != nil {
 			ed.Close()

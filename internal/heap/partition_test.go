@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"errors"
 	"testing"
 
 	"bulkdel/internal/record"
@@ -76,12 +77,45 @@ func TestPartitionSpecValidate(t *testing.T) {
 	if err := (PartitionSpec{Field: 1, HashParts: 8}).Validate(s); err != nil {
 		t.Error(err)
 	}
+	// The zero spec is the one-partition heap.
+	if err := (PartitionSpec{}).Validate(s); err != nil || (PartitionSpec{}).NumParts() != 1 {
+		t.Errorf("zero spec: %v, %d partitions", err, PartitionSpec{}.NumParts())
+	}
+}
+
+// TestOnePartitionHeap: under the zero spec the heap is one file whose page
+// numbers are the RIDs' own, and a RID naming another partition holds no
+// record.
+func TestOnePartitionHeap(t *testing.T) {
+	p := testPool(64)
+	s := partSchema()
+	h, err := CreateHeap(p, s, PartitionSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Parts()) != 1 || h.ID() != h.Parts()[0].ID() || h.Part(0).ID() != h.ID() {
+		t.Fatalf("%d parts, ID %d", len(h.Parts()), h.ID())
+	}
+	rid, err := h.Insert(partRec(t, s, 42, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part, raw := SplitPage(rid.Page); part != 0 || raw != rid.Page {
+		t.Fatalf("RID %s tagged partition %d", rid, part)
+	}
+	if got, err := h.Parts()[0].Get(rid); err != nil || s.Field(got, 0) != 42 {
+		t.Fatalf("file Get(%s) = %v, %v", rid, got, err)
+	}
+	other := record.RID{Page: TagPage(1, rid.Page), Slot: rid.Slot}
+	if _, err := h.Get(other); !errors.Is(err, ErrNoRecord) {
+		t.Fatalf("Get(%s) = %v, want ErrNoRecord", other, err)
+	}
 }
 
 func TestPartitionedRoundTrip(t *testing.T) {
 	p := testPool(64)
 	s := partSchema()
-	ph, err := CreatePartitioned(p, s, PartitionSpec{Field: 0, HashParts: 4})
+	ph, err := CreateHeap(p, s, PartitionSpec{Field: 0, HashParts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +141,8 @@ func TestPartitionedRoundTrip(t *testing.T) {
 		}
 		// The tagged RID names the partition the key routes to.
 		part, _ := SplitPage(rid.Page)
-		if part != ph.PartForKey(i) {
-			t.Fatalf("key %d tagged partition %d, routed to %d", i, part, ph.PartForKey(i))
+		if part != ph.Spec().Route(i) {
+			t.Fatalf("key %d tagged partition %d, routed to %d", i, part, ph.Spec().Route(i))
 		}
 	}
 	seen := 0
@@ -143,7 +177,7 @@ func TestPartitionedRoundTrip(t *testing.T) {
 func TestPartEditorChainsWithinPartition(t *testing.T) {
 	p := testPool(64)
 	s := partSchema()
-	ph, err := CreatePartitioned(p, s, PartitionSpec{Field: 0, HashParts: 2})
+	ph, err := CreateHeap(p, s, PartitionSpec{Field: 0, HashParts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +190,7 @@ func TestPartEditorChainsWithinPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.InvalidateAll()
-	ed, err := ph.Edit()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ed := ph.Edit()
 	defer ed.Close()
 	for _, tc := range []struct {
 		p, upTo sim.PageNo
@@ -184,7 +215,7 @@ func TestEmptyPartition(t *testing.T) {
 	// partitions 1 and 2 stay empty and every operation must cope.
 	p := testPool(64)
 	s := partSchema()
-	ph, err := CreatePartitioned(p, s, PartitionSpec{Field: 0, RangeBounds: []int64{1000, 2000}})
+	ph, err := CreateHeap(p, s, PartitionSpec{Field: 0, RangeBounds: []int64{1000, 2000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +239,7 @@ func TestEmptyPartition(t *testing.T) {
 		t.Fatalf("scan over empty partitions saw %d", n)
 	}
 	// Truncating an empty partition is a no-op, not an error.
-	if err := parts[1].Truncate(); err != nil {
+	if err := parts[1].TruncateWith(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ph.Flush(); err != nil {
@@ -219,7 +250,7 @@ func TestEmptyPartition(t *testing.T) {
 func TestWholePartitionTruncate(t *testing.T) {
 	p := testPool(64)
 	s := partSchema()
-	ph, err := CreatePartitioned(p, s, PartitionSpec{Field: 0, RangeBounds: []int64{50}})
+	ph, err := CreateHeap(p, s, PartitionSpec{Field: 0, RangeBounds: []int64{50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +263,14 @@ func TestWholePartitionTruncate(t *testing.T) {
 	if parts[0].Count() != 50 || parts[1].Count() != 50 {
 		t.Fatalf("partition counts %d/%d", parts[0].Count(), parts[1].Count())
 	}
-	if err := parts[1].Truncate(); err != nil {
+	if err := parts[1].TruncateWith(nil); err != nil {
 		t.Fatal(err)
 	}
 	if ph.Count() != 50 {
 		t.Fatalf("count after truncate = %d", ph.Count())
 	}
-	// Truncate is idempotent (recovery may re-run it).
-	if err := parts[1].Truncate(); err != nil {
+	// TruncateWith is idempotent (recovery may re-run it).
+	if err := parts[1].TruncateWith(nil); err != nil {
 		t.Fatal(err)
 	}
 	// The surviving partition is untouched and the truncated one reusable.
@@ -255,7 +286,7 @@ func TestPartitionedReopen(t *testing.T) {
 	p := testPool(64)
 	s := partSchema()
 	spec := PartitionSpec{Field: 0, HashParts: 3}
-	ph, err := CreatePartitioned(p, s, spec)
+	ph, err := CreateHeap(p, s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +303,7 @@ func TestPartitionedReopen(t *testing.T) {
 	for _, f := range files {
 		idList = append(idList, f.ID())
 	}
-	ph2, err := OpenPartitioned(p, idList, s, spec)
+	ph2, err := OpenHeap(p, idList, s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestScanSurvivesConcurrentTruncate(t *testing.T) {
 			// The callback runs with the latch released, so the truncate
 			// proceeds inline; the scan's next iteration sees page 1 as
 			// past the end of the file.
-			return f.Truncate()
+			return f.TruncateWith(nil)
 		}
 		return nil
 	})

@@ -117,9 +117,14 @@ func (p Slotted) LSN() uint64 { return binary.LittleEndian.Uint64(p.buf[offLSN:]
 // SetLSN stores the page LSN.
 func (p Slotted) SetLSN(l uint64) { binary.LittleEndian.PutUint64(p.buf[offLSN:], l) }
 
-// NumSlots returns the size of the slot directory, including dead slots.
+// maxSlots is the largest slot directory a page can hold.
+const maxSlots = (sim.PageSize - HeaderSize) / SlotSize
+
+// NumSlots returns the size of the slot directory, including dead slots. A
+// header claiming more slots than fit in the page is cut to the slots that
+// do, so a hostile page never indexes past its buffer.
 func (p Slotted) NumSlots() int {
-	return int(binary.LittleEndian.Uint16(p.buf[offNumSlots:]))
+	return min(int(binary.LittleEndian.Uint16(p.buf[offNumSlots:])), maxSlots)
 }
 
 func (p Slotted) setNumSlots(n int) {
@@ -127,16 +132,23 @@ func (p Slotted) setNumSlots(n int) {
 }
 
 func (p Slotted) freeStart() uint16 {
-	return binary.LittleEndian.Uint16(p.buf[offFreeStart:])
+	return min(binary.LittleEndian.Uint16(p.buf[offFreeStart:]), uint16(len(p.buf)))
 }
 
 func (p Slotted) setFreeStart(v uint16) {
 	binary.LittleEndian.PutUint16(p.buf[offFreeStart:], v)
 }
 
+// slotAt returns slot i's record extent. A slot whose extent passes the
+// end of the page reads as dead (offset 0): no accessor slices outside the
+// buffer, whatever the page's bytes.
 func (p Slotted) slotAt(i int) (off, length uint16) {
 	base := HeaderSize + i*SlotSize
-	return binary.LittleEndian.Uint16(p.buf[base:]), binary.LittleEndian.Uint16(p.buf[base+2:])
+	off, length = binary.LittleEndian.Uint16(p.buf[base:]), binary.LittleEndian.Uint16(p.buf[base+2:])
+	if int(off)+int(length) > len(p.buf) {
+		return 0, 0
+	}
+	return off, length
 }
 
 func (p Slotted) setSlot(i int, off, length uint16) {
@@ -336,29 +348,35 @@ func (p Slotted) Update(i int, rec []byte) error {
 func (p Slotted) Compact() {
 	type ent struct {
 		slot   int
-		off    uint16
+		off    int // in the scratch area
 		length uint16
 	}
 	n := p.NumSlots()
 	live := make([]ent, 0, n)
-	for i := 0; i < n; i++ {
-		if off, l := p.slotAt(i); off != 0 {
-			live = append(live, ent{i, off, l})
-		}
-	}
 	// Copy live records into a scratch area, then lay them back down.
 	scratch := make([]byte, 0, sim.PageSize)
-	for i := range live {
-		rec := p.buf[live[i].off : live[i].off+live[i].length]
-		live[i].off = uint16(len(scratch)) // temporary: offset in scratch
-		scratch = append(scratch, rec...)
+	for i := 0; i < n; i++ {
+		if off, l := p.slotAt(i); off != 0 {
+			live = append(live, ent{i, len(scratch), l})
+			scratch = append(scratch, p.buf[off:off+l]...)
+		}
 	}
 	freeStart := uint16(len(p.buf))
+	dirEnd := HeaderSize // of the directory trimmed to its last live slot
+	if len(live) > 0 {
+		dirEnd += (live[len(live)-1].slot + 1) * SlotSize
+	}
 	for i := range live {
 		if i > 0 && p.hooks != nil && p.hooks.MidCompact != nil {
 			p.hooks.MidCompact()
 		}
-		rec := scratch[live[i].off : live[i].off+live[i].length]
+		if int(freeStart)-int(live[i].length) < dirEnd {
+			// Only a corrupt page's overlapping extents get here: the
+			// record has no room left, so its slot dies.
+			p.setSlot(live[i].slot, 0, 0)
+			continue
+		}
+		rec := scratch[live[i].off : live[i].off+int(live[i].length)]
 		freeStart -= live[i].length
 		copy(p.buf[freeStart:], rec)
 		p.setSlot(live[i].slot, freeStart, live[i].length)

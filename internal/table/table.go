@@ -22,6 +22,7 @@ import (
 	"bulkdel/internal/heap"
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/record"
+	"bulkdel/internal/sim"
 	"bulkdel/internal/xsort"
 )
 
@@ -63,13 +64,13 @@ func (ix *Index) EncodeKey(v int64) []byte {
 }
 
 // Table is a base table with its indexes. Heap is the storage behind the
-// table: a single heap file, or a partitioned heap split on the table's
-// delete key (heap.Partitioned) whose partitions can live on different
+// table: one heap file per partition of the table's partition spec (a
+// single file without one), whose partitions can live on different
 // devices.
 type Table struct {
 	Name   string
 	Schema record.Schema
-	Heap   heap.Store
+	Heap   *heap.Heap
 	Idx    []*Index
 	// Lock is the §3 coarse table lock; a DB replaces the private one with
 	// the shared instance from its cc.Manager so ordered multi-table
@@ -84,34 +85,33 @@ type Table struct {
 	pool *buffer.Pool
 }
 
-// Create makes an empty table.
-func Create(pool *buffer.Pool, name string, schema record.Schema) (*Table, error) {
+// Create makes an empty table whose heap is split by spec — one partition
+// for the zero spec. Partition device placement is the caller's concern
+// (see internal/place).
+func Create(pool *buffer.Pool, name string, schema record.Schema, spec heap.PartitionSpec) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	h, err := heap.Create(pool, schema.Size)
+	h, err := heap.CreateHeap(pool, schema, spec)
 	if err != nil {
 		return nil, err
 	}
 	return newTable(pool, name, schema, h), nil
 }
 
-// CreatePartitioned makes an empty table whose heap is partitioned by spec.
-// Partition device placement is the caller's concern (see internal/place).
-func CreatePartitioned(pool *buffer.Pool, name string, schema record.Schema, spec heap.PartitionSpec) (*Table, error) {
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	h, err := heap.CreatePartitioned(pool, schema, spec)
+// Open reattaches a table to its heap's partition files during crash
+// recovery; the caller attaches the reopened indexes to Idx.
+func Open(pool *buffer.Pool, name string, schema record.Schema, spec heap.PartitionSpec, files []sim.FileID) (*Table, error) {
+	h, err := heap.OpenHeap(pool, files, schema, spec)
 	if err != nil {
 		return nil, err
 	}
 	return newTable(pool, name, schema, h), nil
 }
 
-// newTable wraps a heap store. The lock and the MVCC clock start out private
-// to the table; a DB swaps in its manager's lock and its shared clock.
-func newTable(pool *buffer.Pool, name string, schema record.Schema, h heap.Store) *Table {
+// newTable wraps a heap. The lock and the MVCC clock start out private to
+// the table; a DB swaps in its manager's lock and its shared clock.
+func newTable(pool *buffer.Pool, name string, schema record.Schema, h *heap.Heap) *Table {
 	return &Table{
 		Name:       name,
 		Schema:     schema,
@@ -138,12 +138,6 @@ func (t *Table) Target() *core.Target {
 		})
 	}
 	return tgt
-}
-
-// ReattachForRecovery rebuilds a Table around an already-opened heap store
-// during crash recovery; the caller attaches the reopened indexes to Idx.
-func ReattachForRecovery(pool *buffer.Pool, name string, schema record.Schema, h heap.Store) *Table {
-	return newTable(pool, name, schema, h)
 }
 
 // FindIndex returns the index with the given name, or nil.
@@ -334,27 +328,17 @@ func (t *Table) DropIndex(name string) error {
 	return fmt.Errorf("table %s: no index %q", t.Name, name)
 }
 
-// Repartition rebuilds the table's heap under a new partition spec — or
-// back to a single file when spec is empty. Every RID changes, so each
-// index is reset and rebuilt from the new heap (file IDs and device
-// placements survive). The caller holds the table's exclusive lock and
-// re-saves the catalog afterwards.
+// Repartition rebuilds the table's heap under a new partition spec — one
+// partition for the zero spec. Every RID changes, so each index is reset
+// and rebuilt from the new heap (file IDs and device placements survive).
+// The caller holds the table's exclusive lock and re-saves the catalog
+// afterwards.
 func (t *Table) Repartition(spec heap.PartitionSpec) error {
-	var ns heap.Store
-	if spec.NumParts() > 0 {
-		ph, err := heap.CreatePartitioned(t.pool, t.Schema, spec)
-		if err != nil {
-			return err
-		}
-		ns = ph
-	} else {
-		f, err := heap.Create(t.pool, t.Schema.Size)
-		if err != nil {
-			return err
-		}
-		ns = f
+	ns, err := heap.CreateHeap(t.pool, t.Schema, spec)
+	if err != nil {
+		return err
 	}
-	err := t.Heap.Scan(func(_ record.RID, rec []byte) error {
+	err = t.Heap.Scan(func(_ record.RID, rec []byte) error {
 		_, err := ns.Insert(rec)
 		return err
 	})

@@ -8,6 +8,7 @@ import (
 	"bulkdel/internal/btree"
 	"bulkdel/internal/buffer"
 	"bulkdel/internal/cc"
+	"bulkdel/internal/heap"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
 )
@@ -28,7 +29,7 @@ var testSchema = record.Schema{NumFields: 3, Size: 64}
 func newTestTable(t *testing.T, n int) *Table {
 	t.Helper()
 	p := testPool(2048)
-	tbl, err := Create(p, "R", testSchema)
+	tbl, err := Create(p, "R", testSchema, heap.PartitionSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestTraditionalDeleteAbsentKeysAreNoops(t *testing.T) {
 
 func TestTraditionalDeleteNeedsIndex(t *testing.T) {
 	p := testPool(64)
-	tbl, err := Create(p, "R", testSchema)
+	tbl, err := Create(p, "R", testSchema, heap.PartitionSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestCheckConsistencyDetectsDivergence(t *testing.T) {
 
 func TestClusteredLoad(t *testing.T) {
 	p := testPool(1024)
-	tbl, err := Create(p, "R", testSchema)
+	tbl, err := Create(p, "R", testSchema, heap.PartitionSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

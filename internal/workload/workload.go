@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"bulkdel/internal/buffer"
+	"bulkdel/internal/heap"
 	"bulkdel/internal/record"
 	"bulkdel/internal/table"
 )
@@ -129,7 +130,7 @@ func Build(pool *buffer.Pool, s Spec) (*table.Table, [][]int64, error) {
 	}
 
 	schema := record.Schema{NumFields: s.Fields, Size: s.TupleSize}
-	tbl, err := table.Create(pool, "R", schema)
+	tbl, err := table.Create(pool, "R", schema, heap.PartitionSpec{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -663,7 +664,7 @@ func TestHeapOnlyOpsOnLSMTable(t *testing.T) {
 	if got := s.Partitions(); got != 0 {
 		t.Errorf("Partitions = %d, want 0", got)
 	}
-	if got := s.PartitionSpec(); got.NumParts() != 0 || got.Field != 0 {
+	if got := s.PartitionSpec(); !reflect.DeepEqual(got, PartitionSpec{}) {
 		t.Errorf("PartitionSpec = %+v, want the zero spec", got)
 	}
 	if got := s.EstimateMethods(0, 100, 0); len(got) != 0 {

@@ -1,6 +1,7 @@
 package bulkdel
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,6 +153,27 @@ func TestRangePartitionTruncateFastPath(t *testing.T) {
 	}
 }
 
+// TestCreateTablePartitionedNeedsTwoPartitions: a spec that splits nothing
+// is refused; CreateTable makes the one-partition heap.
+func TestCreateTablePartitionedNeedsTwoPartitions(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []PartitionSpec{{}, {Field: 0, HashParts: 1}} {
+		if _, err := db.CreateTablePartitioned("P", 3, 64, spec); err == nil {
+			t.Errorf("spec %+v accepted", spec)
+		}
+	}
+	tbl, err := db.CreateTable("R", 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Partitions() != 1 || !reflect.DeepEqual(tbl.PartitionSpec(), PartitionSpec{}) {
+		t.Fatalf("plain table: %d partitions, spec %+v", tbl.Partitions(), tbl.PartitionSpec())
+	}
+}
+
 func TestAlterPartitioning(t *testing.T) {
 	db, tbl := newBenchDB(t, 1500, Options{Devices: 4})
 	check := func(stage string) {
@@ -186,7 +208,7 @@ func TestAlterPartitioning(t *testing.T) {
 	check("to-range")
 
 	// Deletes still work on the repartitioned table, then convert back to
-	// a single-file heap.
+	// a one-partition heap.
 	res, err := tbl.BulkDelete(0, victims(1500, 300, 3), BulkOptions{})
 	if err != nil || res.Deleted != 300 {
 		t.Fatalf("delete after repartition: %v, %v", res, err)
@@ -204,6 +226,34 @@ func TestAlterPartitioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The one-partition heap reopens after a crash and still takes inserts
+	// and bulk deletes.
+	db2, _, err := Recover(db.SimulateCrash(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl = db2.Table("R")
+	if tbl.Partitions() != 1 || tbl.Count() != 1200 {
+		t.Fatalf("recovered: %d partitions, %d rows", tbl.Partitions(), tbl.Count())
+	}
+	if err := tbl.Check(); err != nil {
+		t.Fatalf("recovered: %v", err)
+	}
+	if _, err := tbl.Insert(5000, 15000, 1); err != nil {
+		t.Fatal(err)
+	}
+	survivors := victims(1500, 1500, 3)[300:350]
+	res, err = tbl.BulkDelete(0, survivors, BulkOptions{})
+	if err != nil || res.Deleted != 50 {
+		t.Fatalf("delete after recovery: %v, %v", res, err)
+	}
+	if tbl.Count() != 1151 {
+		t.Fatalf("count = %d after insert and delete", tbl.Count())
+	}
+	if err := tbl.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

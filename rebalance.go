@@ -12,7 +12,6 @@ import (
 	"bulkdel/internal/place"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
-	"bulkdel/internal/table"
 	"bulkdel/internal/wal"
 )
 
@@ -27,27 +26,14 @@ type PartitionSpec = heap.PartitionSpec
 // multi-device array each partition is placed by the device policy, so the
 // per-partition passes of a bulk delete can overlap on separate spindles.
 func (db *DB) CreateTablePartitioned(name string, numFields, recordSize int, spec PartitionSpec) (*Table, error) {
-	schema := record.Schema{NumFields: numFields, Size: recordSize}
-	if err := spec.Validate(schema); err != nil {
-		return nil, err
+	if spec.NumParts() < 2 {
+		return nil, fmt.Errorf("heap: partition spec needs at least 2 partitions")
 	}
-	var h *heapBackend
-	tbl, err := db.addTable(name, schema, func(tbl *Table) (backend, error) {
-		t, err := table.CreatePartitioned(db.pool, name, schema, spec)
-		if err != nil {
-			return nil, err
-		}
-		h = newHeapBackend(tbl, t)
-		return h, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return db.created(tbl, h.placeHeapPartitions())
+	return db.createHeapTable(name, record.Schema{NumFields: numFields, Size: recordSize}, spec)
 }
 
 // Partitions reports how many heap partitions the table has (1 = a plain
-// single-file heap, 0 = an LSM table, which has no heap).
+// one-partition heap, 0 = an LSM table, which has no heap).
 func (tbl *Table) Partitions() int {
 	if h, err := tbl.heap(); err == nil {
 		return len(h.t.Heap.Parts())
@@ -56,18 +42,16 @@ func (tbl *Table) Partitions() int {
 }
 
 // PartitionSpec returns the table's partitioning declaration (zero value
-// for a single-file heap or an LSM table).
+// for a one-partition heap or an LSM table).
 func (tbl *Table) PartitionSpec() PartitionSpec {
 	if h, err := tbl.heap(); err == nil {
-		if ph, ok := h.t.Heap.(*heap.Partitioned); ok {
-			return ph.Spec()
-		}
+		return h.t.Heap.Spec()
 	}
 	return PartitionSpec{}
 }
 
 // AlterPartitioning rewrites the table's heap under the new spec (a zero
-// spec converts back to a single file): every record is re-routed into the
+// spec converts back to one partition): every record is re-routed into the
 // new partition layout and every index is rebuilt in place — file IDs and
 // device placements survive, so the catalog's index entries stay valid. The
 // statement takes the table's Structural lock — the rewrite renumbers every
@@ -79,10 +63,8 @@ func (tbl *Table) AlterPartitioning(spec PartitionSpec) error {
 	if err != nil {
 		return err
 	}
-	if spec.NumParts() > 0 {
-		if err := spec.Validate(tbl.schema); err != nil {
-			return err
-		}
+	if err := spec.Validate(tbl.schema); err != nil {
+		return err
 	}
 	stmt, held := h.structural("alter-partitioning")
 	defer tbl.db.endStatement(stmt, held)
@@ -97,8 +79,8 @@ func (tbl *Table) AlterPartitioning(spec PartitionSpec) error {
 }
 
 // placeHeapPartitions spreads a partitioned heap's files across the data
-// devices via the placement policy. Single-file heaps stay on the system
-// device (their sequential pass shares it with the WAL, as before).
+// devices via the placement policy. A one-partition heap stays on the
+// system device (its sequential pass shares it with the WAL).
 func (h *heapBackend) placeHeapPartitions() error {
 	db, parts := h.tbl.db, h.t.Heap.Parts()
 	if len(parts) <= 1 || db.numDataDevices() <= 1 {
