@@ -485,7 +485,7 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("bulkdel: bulk-start record lacks the delete attribute")
 		}
-		deleted, err := db.resume(victim.target(), bs, recs, field, core.Options{})
+		deleted, err := db.resume(victim.target(), bs, recs, field)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bulkdel: roll-forward on %s failed: %w", victim.t.Name, err)
 		}

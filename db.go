@@ -575,7 +575,7 @@ func (db *DB) rollForwardOnline(h *heapBackend, txID uint64, field int, token ui
 		// attempts' versions together.
 		tgt := h.target()
 		h.retainTarget(tgt, token)
-		return db.resume(tgt, bs, recs, field, core.Options{})
+		return db.resume(tgt, bs, recs, field)
 	}
 	return 0, nil
 }
@@ -583,9 +583,8 @@ func (db *DB) rollForwardOnline(h *heapBackend, txID uint64, field int, token ui
 // resume finishes one interrupted bulk delete by the §3.2 roll-forward —
 // shared by crash recovery and the online abort — and returns the rows it
 // completed.
-func (db *DB) resume(tgt *core.Target, bs wal.BulkState, recs []wal.Record, field int, opts core.Options) (int64, error) {
-	opts.Reorganize = true
-	st, err := core.Resume(tgt, bs, db.log, recs, field, opts)
+func (db *DB) resume(tgt *core.Target, bs wal.BulkState, recs []wal.Record, field int) (int64, error) {
+	st, err := core.Resume(tgt, bs, db.log, recs, field, core.Options{Reorganize: true})
 	db.countMerged(st)
 	if err != nil {
 		return 0, err

@@ -162,12 +162,6 @@ func (n node) setInnerEntry(i int, fk []byte, child sim.PageNo) {
 	binary.LittleEndian.PutUint32(n.buf[off+n.fkLen():], uint32(child))
 }
 
-// setInnerChild rewrites only the child pointer of inner entry i.
-func (n node) setInnerChild(i int, child sim.PageNo) {
-	off := n.entryOff(i) + n.fkLen()
-	binary.LittleEndian.PutUint32(n.buf[off:], uint32(child))
-}
-
 // setInnerKey rewrites only the separator full key of inner entry i.
 func (n node) setInnerKey(i int, fk []byte) {
 	off := n.entryOff(i)

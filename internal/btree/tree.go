@@ -210,9 +210,6 @@ func (t *Tree) SetPolicy(p Policy) { t.policy = p }
 // LeafCapacity returns the number of entries per leaf page.
 func (t *Tree) LeafCapacity() int { return leafCapacity(t.keyLen) }
 
-// InnerCapacity returns the number of entries per inner page.
-func (t *Tree) InnerCapacity() int { return innerCapacity(t.keyLen) }
-
 // fullKey builds the composite (key ‖ RID) search key.
 func (t *Tree) fullKey(key []byte, rid record.RID) []byte {
 	fk := make([]byte, t.keyLen+record.RIDSize)

@@ -62,7 +62,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	stats.PlanText = stats.Plan.String()
 
 	logged := o.Log != nil
-	var victimFile *rowFile
+	var victimFile *xsort.RowFile
 	if logged {
 		err := e.phase("materialize-victims", fmt.Sprintf("%d values → stable storage", len(values)), tgt.Name, func() error {
 			if _, err := o.Log.Append(wal.TBegin, o.TxID, 0, 0, nil); err != nil {
@@ -80,13 +80,13 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 			}
 			// Payload: victim row count + delete attribute, so recovery can
 			// reconstruct the statement without the catalog's help.
-			payload := binary.LittleEndian.AppendUint64(nil, uint64(victimFile.rows))
+			payload := binary.LittleEndian.AppendUint64(nil, uint64(victimFile.Rows()))
 			payload = binary.LittleEndian.AppendUint64(payload, uint64(field))
 			if _, err := o.Log.Append(wal.TBulkStart, o.TxID,
-				uint64(tgt.Heap.ID()), uint64(victimFile.file), payload); err != nil {
+				uint64(tgt.Heap.ID()), uint64(victimFile.File()), payload); err != nil {
 				return err
 			}
-			o.Stmt.Event(obs.EvWAL, fmt.Sprintf("bulk-start rows=%d field=%d", victimFile.rows, field))
+			o.Stmt.Event(obs.EvWAL, fmt.Sprintf("bulk-start rows=%d field=%d", victimFile.Rows(), field))
 			return o.Log.Flush()
 		})
 		if err != nil {
@@ -162,15 +162,15 @@ func finishTiming(stats *Stats, disk *sim.Disk) {
 // resumeState carries recovery positions into run.
 type resumeState struct {
 	st       wal.BulkState
-	ridFile  *rowFile
-	keyFiles map[sim.FileID][]*rowFile
+	ridFile  *xsort.RowFile
+	keyFiles map[sim.FileID][]*xsort.RowFile
 }
 
 // run executes the phases: it builds each phase's jobs and hands them to
 // runPasses. victimFile is non-nil in logged mode; rs is non-nil when
 // resuming after a crash.
 func (e *execCtx) run(field int, values []int64, method Method,
-	access *IndexRef, rest []*IndexRef, victimFile *rowFile, rs *resumeState) (err error) {
+	access *IndexRef, rest []*IndexRef, victimFile *xsort.RowFile, rs *resumeState) (err error) {
 
 	o := e.opts
 	logged := o.Log != nil
@@ -208,7 +208,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// victimIter returns a fresh iterator over the sorted victim keys.
 	victimIter := func(ce *execCtx) (rowIter, error) {
 		if victimFile != nil {
-			return victimFile.iterator(0)
+			return victimFile.Iterator(0)
 		}
 		sp := ce.child("sort-victims", fmt.Sprintf("%d values by key", len(values)))
 		it, err := sortedVictims(ce, values)
@@ -222,7 +222,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 
 	// ---- Phase 1: find (and in sort/merge order, delete) the victims in
 	// the access index, producing the RID list.
-	var ridFile *rowFile               // materialized sorted RID list (logged)
+	var ridFile *xsort.RowFile         // materialized sorted RID list (logged)
 	var ridIter rowIter                // sorted RID rows (unlogged)
 	var ridSet map[record.RID]struct{} // hash method
 	addToSet := func(rid record.RID) error {
@@ -240,7 +240,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			vals := values
 			if len(vals) == 0 && victimFile != nil {
 				// Recovery: decode the materialized victim keys.
-				err := victimFile.iterate(0, func(row []byte) error {
+				err := victimFile.Iterate(0, func(row []byte) error {
 					vals = append(vals, keyenc.Int64(row))
 					return nil
 				})
@@ -357,7 +357,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	if logged && method == Hash {
 		// Build the RID hash from the materialized list.
 		ridSet = make(map[record.RID]struct{})
-		err := ridFile.iterate(0, func(row []byte) error { return addToSet(record.GetRID(row)) })
+		err := ridFile.Iterate(0, func(row []byte) error { return addToSet(record.GetRID(row)) })
 		if err != nil {
 			return phaseErr("collect-rids", e.tgt.Name, err)
 		}
@@ -370,7 +370,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// — a row file. A partitioned heap runs one job per victim partition;
 	// the hash method keeps its one-scan-probes-all shape; a resumed run
 	// whose key lists are durable projects nothing.
-	keyLists := make(map[sim.FileID][]*rowFile) // per index: one sorted file, or a bucket per heap job
+	keyLists := make(map[sim.FileID][]*xsort.RowFile) // per index: one sorted file, or a bucket per heap job
 	if rs != nil && len(rs.keyFiles) == len(rest) {
 		keyLists = rs.keyFiles
 	}
@@ -385,11 +385,11 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		for _, ix := range rest {
 			id, size := ix.Tree.ID(), ix.Tree.KeyLen()+record.RIDSize
 			if unsorted {
-				rf, err := newRowFileOn(disk, size, e.stageDev(ix))
+				rf, err := xsort.NewRowFile(disk, size, e.stageDev(ix))
 				if err != nil {
 					return nil, err
 				}
-				keyLists[id], add[id] = append(keyLists[id], rf), rf.append
+				keyLists[id], add[id] = append(keyLists[id], rf), rf.Append
 				continue
 			}
 			srt, err := xsort.New(disk, size, o.Memory, nil)
@@ -410,13 +410,13 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	}
 
 	var heapJobs []passJob
-	var partFiles []*rowFile
+	var partFiles []*xsort.RowFile
 	defer func() { dropLists(&err, partFiles...) }()
 	heapWorkers := 1
 	if len(e.tgt.Heap.Parts()) > 1 && method != Hash {
 		src := ridIter
 		if logged {
-			it, err := ridFile.iterator(0)
+			it, err := ridFile.Iterator(0)
 			if err != nil {
 				return phaseErr("heap-pass", e.tgt.Name, err)
 			}
@@ -445,7 +445,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			if logged {
 				from := resumeFrom(rs, e.tgt.Heap.ID())
 				var err error
-				if it, err = ridFile.iterator(from); err != nil {
+				if it, err = ridFile.Iterator(from); err != nil {
 					return 0, 0, err
 				}
 				ce.applied = from // keep checkpoint progress absolute
@@ -471,7 +471,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 				id := ix.Tree.ID()
 				if unsorted {
 					for _, rf := range keyLists[id] {
-						if err := rf.seal(); err != nil {
+						if err := rf.Seal(); err != nil {
 							return err
 						}
 					}
@@ -485,7 +485,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 				if err != nil {
 					return err
 				}
-				keyLists[id] = []*rowFile{kf}
+				keyLists[id] = []*xsort.RowFile{kf}
 				if logged {
 					if err := e.logMaterialized(id, kf); err != nil {
 						return err
@@ -524,7 +524,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			var err error
 			if kf := keyLists[id]; kf != nil {
 				from := resumeFrom(rs, id)
-				if rows, err = kf[0].iterator(from); err != nil {
+				if rows, err = kf[0].Iterator(from); err != nil {
 					return 0, 0, err
 				}
 				ce.applied = from // keep checkpoint progress absolute
@@ -543,7 +543,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// The lists are the statement's to drop: an unlogged run is through with
 	// them here; a logged one keeps every list recovery would read — victims,
 	// RIDs, keys — until finish has made its commit durable.
-	lists := []*rowFile{victimFile, ridFile}
+	lists := []*xsort.RowFile{victimFile, ridFile}
 	for _, kl := range keyLists {
 		lists = append(lists, kl...)
 	}
@@ -558,12 +558,12 @@ func (e *execCtx) run(field int, values []int64, method Method,
 // dropLists releases scratch row files (nil entries are lists that never came
 // to be). A failed drop is reported through err unless an earlier error
 // already is, so it can sit in a defer.
-func dropLists(err *error, files ...*rowFile) {
+func dropLists(err *error, files ...*xsort.RowFile) {
 	for _, rf := range files {
 		if rf == nil {
 			continue
 		}
-		if derr := rf.drop(); derr != nil && *err == nil {
+		if derr := rf.Drop(); derr != nil && *err == nil {
 			*err = phaseErr("cleanup", "scratch lists", derr)
 		}
 	}
@@ -585,17 +585,17 @@ func (e *execCtx) keyRows(rest []*IndexRef, rid record.RID, rec []byte, sinks ma
 
 // logMaterialized records that structure's victim list (0 = the RID list)
 // now sits in rf, with the row count recovery reopens it by.
-func (e *execCtx) logMaterialized(structure sim.FileID, rf *rowFile) error {
+func (e *execCtx) logMaterialized(structure sim.FileID, rf *xsort.RowFile) error {
 	var rows [8]byte
-	binary.LittleEndian.PutUint64(rows[:], uint64(rf.rows))
-	_, err := e.opts.Log.Append(wal.TMaterialized, e.opts.TxID, uint64(structure), uint64(rf.file), rows[:])
+	binary.LittleEndian.PutUint64(rows[:], uint64(rf.Rows()))
+	_, err := e.opts.Log.Append(wal.TMaterialized, e.opts.TxID, uint64(structure), uint64(rf.File()), rows[:])
 	return err
 }
 
 // materializeOn drains a sorted stream into a sealed row file on device dev
 // (dev < 0 = default placement).
-func materializeOn(e *execCtx, next rowIter, rowSize int, dev int) (*rowFile, error) {
-	rf, err := newRowFileOn(e.disk(), rowSize, dev)
+func materializeOn(e *execCtx, next rowIter, rowSize int, dev int) (*xsort.RowFile, error) {
+	rf, err := xsort.NewRowFile(e.disk(), rowSize, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -607,11 +607,11 @@ func materializeOn(e *execCtx, next rowIter, rowSize int, dev int) (*rowFile, er
 		if !ok {
 			break
 		}
-		if err := rf.append(row); err != nil {
+		if err := rf.Append(row); err != nil {
 			return nil, err
 		}
 	}
-	if err := rf.seal(); err != nil {
+	if err := rf.Seal(); err != nil {
 		return nil, err
 	}
 	return rf, nil

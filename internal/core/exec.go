@@ -43,7 +43,7 @@ type execCtx struct {
 	scratchDev int
 	// lists are the row files a logged statement materialized for recovery;
 	// finish drops them once the commit record is durable.
-	lists []*rowFile
+	lists []*xsort.RowFile
 	// cbMu serializes the engine callbacks (OnStructureDone, OnCriticalDone)
 	// and guards criticalLeft, the §3.1 count of what must still finish
 	// before the table lock may go: one token run holds until phase 3

@@ -1,6 +1,9 @@
 package core
 
-import "bulkdel/internal/record"
+import (
+	"bulkdel/internal/record"
+	"bulkdel/internal/xsort"
+)
 
 // The entry points TestLeafKernels drives. This file is the only part of
 // the test that names production functions, so the table, the checks and the
@@ -22,6 +25,6 @@ func kernelProbeByRID(e *execCtx, ix *IndexRef, set map[record.RID]struct{}) (in
 	return walkLeaves(e, ix, nil, nil, &probeMatcher{e: e, ix: ix, rids: set}, true, nil)
 }
 
-func kernelProbePartitioned(e *execCtx, ix *IndexRef, rows *rowFile) (int64, int, error) {
-	return indexDeletePartitioned(e, ix, []*rowFile{rows})
+func kernelProbePartitioned(e *execCtx, ix *IndexRef, rows *xsort.RowFile) (int64, int, error) {
+	return indexDeletePartitioned(e, ix, []*xsort.RowFile{rows})
 }

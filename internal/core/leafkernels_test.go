@@ -18,6 +18,7 @@ import (
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
 	"bulkdel/internal/wal"
+	"bulkdel/internal/xsort"
 )
 
 // updateLeafKernels rewrites testdata/leaf_kernels.golden from whatever
@@ -241,7 +242,7 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 	// Everything a kernel is handed is prepared before the counters are
 	// read, so the deltas are the kernel's own.
 	var rows rowIter
-	var keyFile *rowFile
+	var keyFile *xsort.RowFile
 	var err error
 	switch c.kernel {
 	case "merge-key":
@@ -251,16 +252,16 @@ func runLeafKernel(t *testing.T, f *leafFixture, c leafCase, v leafVictims, log 
 		rows = sliceRows(v.rows[from:])
 		e.applied = from
 	case "probe-full-1", "probe-full-k":
-		if keyFile, err = newRowFileOn(disk, kl+record.RIDSize, -1); err != nil {
+		if keyFile, err = xsort.NewRowFile(disk, kl+record.RIDSize, -1); err != nil {
 			t.Fatal(err)
 		}
 		// Routing does not need sorted input; feed it back to front.
 		for i := len(v.rows) - 1; i >= 0; i-- {
-			if err := keyFile.append(v.rows[i]); err != nil {
+			if err := keyFile.Append(v.rows[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := keyFile.seal(); err != nil {
+		if err := keyFile.Seal(); err != nil {
 			t.Fatal(err)
 		}
 	}

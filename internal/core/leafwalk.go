@@ -7,6 +7,7 @@ import (
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
+	"bulkdel/internal/xsort"
 )
 
 // matcher tells walkLeaves, entry by entry, whether it is looking at a
@@ -349,11 +350,11 @@ const hashOverheadPerEntry = 48
 // because the index is clustered by the key"), four compares charged per
 // routed row; then each non-empty partition probes only its own leaf range.
 // The rows arrive in one or more lists (one per heap job).
-func indexDeletePartitioned(e *execCtx, ix *IndexRef, lists []*rowFile) (deleted int64, parts int, err error) {
+func indexDeletePartitioned(e *execCtx, ix *IndexRef, lists []*xsort.RowFile) (deleted int64, parts int, err error) {
 	fkLen := ix.Tree.KeyLen() + record.RIDSize
 	var rows int64
 	for _, rf := range lists {
-		rows += rf.rows
+		rows += rf.Rows()
 	}
 	need := rows * int64(fkLen+hashOverheadPerEntry)
 	k := int(need/int64(e.opts.Memory)) + 1
@@ -363,35 +364,35 @@ func indexDeletePartitioned(e *execCtx, ix *IndexRef, lists []*rowFile) (deleted
 	}
 	parts = len(boundaries) + 1
 
-	partFiles := make([]*rowFile, parts)
+	partFiles := make([]*xsort.RowFile, parts)
 	defer func() { dropLists(&err, partFiles...) }()
 	for i := range partFiles {
-		if partFiles[i], err = newRowFileOn(e.disk(), fkLen, e.scratchDev); err != nil {
+		if partFiles[i], err = xsort.NewRowFile(e.disk(), fkLen, e.scratchDev); err != nil {
 			return 0, parts, err
 		}
 	}
 	for _, rf := range lists {
-		err = rf.iterate(0, func(row []byte) error {
+		err = rf.Iterate(0, func(row []byte) error {
 			key := row[:ix.Tree.KeyLen()]
 			p := sort.Search(len(boundaries), func(i int) bool {
 				return bytes.Compare(boundaries[i], key) > 0
 			})
 			e.disk().ChargeCompares(4)
-			return partFiles[p].append(row)
+			return partFiles[p].Append(row)
 		})
 		if err != nil {
 			return 0, parts, err
 		}
 	}
 	for _, pf := range partFiles {
-		if err := pf.seal(); err != nil {
+		if err := pf.Seal(); err != nil {
 			return 0, parts, err
 		}
 	}
 
 	for p, pf := range partFiles {
 		set := make(map[string]struct{})
-		err := pf.iterate(0, func(row []byte) error {
+		err := pf.Iterate(0, func(row []byte) error {
 			set[string(row)] = struct{}{}
 			return nil
 		})

@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"bulkdel/internal/buffer"
 	"bulkdel/internal/heap"
+	"bulkdel/internal/obs"
 	"bulkdel/internal/wal"
 )
 
@@ -68,6 +70,23 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if serDel[ss.Name] != ss.Deleted {
 					t.Fatalf("structure %s: serial deleted %d, parallel %d",
 						ss.Name, serDel[ss.Name], ss.Deleted)
+				}
+			}
+			// Each pass span carries its structure's I/O, the fanned-out
+			// ones included: a span and its stats row are one measurement.
+			var passes []*obs.Span
+			for _, sp := range par.Trace.Root().Children {
+				if strings.HasSuffix(sp.Name, "-pass") {
+					passes = append(passes, sp)
+				}
+			}
+			if len(passes) != len(par.PerStructure) {
+				t.Fatalf("%d pass spans for %d structures", len(passes), len(par.PerStructure))
+			}
+			for i, ss := range par.PerStructure {
+				if io := passes[i].IO; io.Reads != ss.Reads || io.Writes != ss.Writes {
+					t.Errorf("%s span %s: %d reads, %d writes; its row has %d, %d",
+						passes[i].Name, ss.Name, io.Reads, io.Writes, ss.Reads, ss.Writes)
 				}
 			}
 		})

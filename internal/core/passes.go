@@ -5,12 +5,12 @@ import (
 	"fmt"
 
 	"bulkdel/internal/btree"
-	"bulkdel/internal/buffer"
 	"bulkdel/internal/heap"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sched"
 	"bulkdel/internal/sim"
+	"bulkdel/internal/xsort"
 )
 
 // passJob is one structure's ⋈̸ pass: the access index, the heap (or one of
@@ -81,9 +81,9 @@ func (j *passJob) run(ce *execCtx) (deleted int64, parts int, err error) {
 // workers > 1 they run as a fan-out DAG under internal/sched, one job per
 // device arm at a time, and a job's I/O is the delta of its device's and
 // its pool shard's counters — exact, because the job has the arm to itself,
-// where a span diff would also count the jobs running beside it (the spans
-// are written after the section; WAL bytes of concurrent jobs interleave
-// in one stream and stay unattributed).
+// where a span diff would also count the jobs running beside it. That delta
+// is both the job's stats row and its span, written after the section (WAL
+// bytes of concurrent jobs interleave in one stream and stay unattributed).
 //
 // What concurrent jobs share is safe for it: WAL appends funnel through
 // wal.Log's mutex at whole-record granularity; scratch files a job creates
@@ -162,8 +162,11 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 	type result struct {
 		deleted, merged int64
 		parts           int
-		d0, d1          sim.Stats
-		h0, h1          buffer.Stats
+		io              obs.Delta
+	}
+	// device reads the counters of one arm and its pool shard.
+	device := func(dev int) obs.Snapshot {
+		return obs.Snapshot{Clock: disk.DeviceBusy(dev), Disk: disk.DeviceStats(dev), Pool: pool.ShardStats(dev)}
 	}
 	results := make([]result, len(live))
 	nodes := make([]sched.Node, len(live))
@@ -171,11 +174,10 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 		r, ce := &results[i], child(j, j.dev)
 		nodes[i] = sched.Node{Label: j.label, Device: j.dev, Run: func() error {
 			e.opts.Stmt.EventDev(obs.EvNodeStart, j.label, j.dev)
-			r.d0, r.h0 = disk.DeviceStats(j.dev), pool.ShardStats(j.dev)
+			before := device(j.dev)
 			var err error
 			r.deleted, r.parts, err = j.run(ce)
-			r.merged = ce.merged
-			r.d1, r.h1 = disk.DeviceStats(j.dev), pool.ShardStats(j.dev)
+			r.merged, r.io = ce.merged, device(j.dev).Sub(before)
 			e.opts.Stmt.EventDev(obs.EvNodeFinish, j.label, j.dev)
 			if err == nil {
 				e.criticalDone(j.unique)
@@ -204,20 +206,13 @@ func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 	stats.AdmissionWait += sc.AdmissionWait
 	for i, j := range live {
 		r, it := results[i], sc.Items[i]
-		emit(j, r.deleted, r.merged, r.parts, obs.Delta{
-			Elapsed: it.Duration,
-			Reads:   r.d1.Reads - r.d0.Reads,
-			Writes:  r.d1.Writes - r.d0.Writes,
-			Seeks:   r.d1.RandomOps - r.d0.RandomOps,
-			Hits:    r.h1.Hits - r.h0.Hits,
-			Misses:  r.h1.Misses - r.h0.Misses,
-		})
+		emit(j, r.deleted, r.merged, r.parts, r.io)
 		sp := e.span(phase, j.detail)
 		sp.Set("worker", fmt.Sprintf("%d", it.Worker))
 		sp.Set("device", fmt.Sprintf("%d", it.Device))
 		sp.Set("start", it.Start.String())
 		sp.Set("finish", it.Finish.String())
-		sp.Finish()
+		sp.FinishWith(r.io)
 	}
 	return nil
 }
@@ -282,11 +277,10 @@ func (e *execCtx) stageDev(ix *IndexRef) int {
 // nil visit: none), so no sink is shared between workers. The returned
 // files are the caller's to drop (dropLists), also on error.
 func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par bool,
-	project func() (visitFn, error)) ([]passJob, []*rowFile, error) {
+	project func() (visitFn, error)) ([]passJob, []*xsort.RowFile, error) {
 	disk := e.disk()
 	parts := e.tgt.Heap.Parts()
-	files := make([]*rowFile, len(parts))
-	counts := make([]int64, len(parts))
+	files := make([]*xsort.RowFile, len(parts))
 	err := e.phase("heap-split", fmt.Sprintf("route sorted RID list into %d partition lists", len(parts)), e.tgt.Name, func() error {
 		var raw [record.RIDSize]byte
 		for {
@@ -307,19 +301,18 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 				if par {
 					dev = disk.DeviceOf(parts[pi].ID())
 				}
-				if files[pi], err = newRowFileOn(disk, record.RIDSize, dev); err != nil {
+				if files[pi], err = xsort.NewRowFile(disk, record.RIDSize, dev); err != nil {
 					return err
 				}
 			}
 			record.PutRID(raw[:], record.RID{Page: page, Slot: rid.Slot})
-			if err := files[pi].append(raw[:]); err != nil {
+			if err := files[pi].Append(raw[:]); err != nil {
 				return err
 			}
-			counts[pi]++
 		}
 		for _, rf := range files {
 			if rf != nil {
-				if err := rf.seal(); err != nil {
+				if err := rf.Seal(); err != nil {
 					return err
 				}
 			}
@@ -332,10 +325,11 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 
 	var jobs []passJob
 	for pi, part := range parts {
-		rids, count := files[pi], counts[pi]
+		rids := files[pi]
 		if rids == nil || e.skip(part.ID()) {
 			continue
 		}
+		count := rids.Rows()
 		// The child target's heap is a one-partition view of the partition
 		// file, addressed with raw page numbers, so checkpoints flush that
 		// file alone; its part makes the pass hand Retain and the projection
@@ -385,7 +379,7 @@ func (e *execCtx) partitionJobs(src rowIter, method Method, rs *resumeState, par
 				return count, 0, nil
 			}
 			from := resumeFrom(rs, part.ID())
-			it, err := rids.iterator(from)
+			it, err := rids.Iterator(from)
 			if err != nil {
 				return 0, 0, err
 			}

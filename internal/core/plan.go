@@ -263,13 +263,6 @@ func (ss StructStats) HitRatio() float64 {
 	return obs.Delta{Hits: ss.Hits, Misses: ss.Misses}.HitRatio()
 }
 
-// fillIO copies a span's I/O attribution into the structure stats.
-func (ss *StructStats) fillIO(sp *obs.Span) {
-	d := sp.Delta()
-	ss.Reads, ss.Writes, ss.Seeks = d.Reads, d.Writes, d.Seeks
-	ss.Hits, ss.Misses, ss.WALBytes = d.Hits, d.Misses, d.WALBytes
-}
-
 // Stats reports one bulk delete execution.
 type Stats struct {
 	Method       Method

@@ -7,6 +7,7 @@ import (
 	"bulkdel/internal/page"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
+	"bulkdel/internal/xsort"
 )
 
 // The planner mirrors the optimizer decisions the paper assigns to the
@@ -102,7 +103,7 @@ func (p pricer) sort(rows, rowSize float64) time.Duration {
 		return 0
 	}
 	pgs := bytes / sim.PageSize
-	return pages(2*pgs/rowFileChunk, p.randIO) + pages(2*pgs, p.seqIO)
+	return pages(2*pgs/xsort.ChunkPages, p.randIO) + pages(2*pgs, p.seqIO)
 }
 
 // chain prices one chained read of n pages in file order: a transfer per
@@ -183,7 +184,7 @@ func priceMethods(tgt *Target, field int, victims int, span float64, memory int)
 		// HashPartition writes + reads the ⟨key,RID⟩ list twice (list,
 		// partitions) before its pass.
 		ioPages := 4 * v * rowSize / sim.PageSize
-		hp += pages(ioPages, p.seqIO) + pages(ioPages/rowFileChunk, p.randIO) + p.chain(lp) + writes
+		hp += pages(ioPages, p.seqIO) + pages(ioPages/xsort.ChunkPages, p.randIO) + p.chain(lp) + writes
 	}
 
 	ests := []CostEstimate{{Method: SortMerge, Time: sm}}

@@ -73,19 +73,19 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	if err != nil {
 		return nil, err
 	}
-	victimFile, err := openRowFile(disk, sim.FileID(st.VictimFile), keyenc.Int64Width, victimRows)
+	victimFile, err := xsort.OpenRowFile(disk, sim.FileID(st.VictimFile), keyenc.Int64Width, victimRows)
 	if err != nil {
 		return nil, err
 	}
 	stats.Victims = int(victimRows)
 
-	rs := &resumeState{st: st, keyFiles: make(map[sim.FileID][]*rowFile)}
+	rs := &resumeState{st: st, keyFiles: make(map[sim.FileID][]*xsort.RowFile)}
 	if rid, ok := st.Materialized[0]; ok {
 		rows, err := materializedRows(recs, st.TxID, wal.TMaterialized, rid)
 		if err != nil {
 			return nil, err
 		}
-		rs.ridFile, err = openRowFile(disk, sim.FileID(rid), record.RIDSize, rows)
+		rs.ridFile, err = xsort.OpenRowFile(disk, sim.FileID(rid), record.RIDSize, rows)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +115,14 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 			// writes outran the last meta-page flush before the crash.
 			return nil
 		}
-		if err := rebuildIndexFromHeap(e, ix); err != nil {
+		err := ix.Tree.ResetEmpty()
+		if err == nil {
+			err = tgt.BuildIndex(ix.Tree, ix.Field, e.opts.Memory)
+		}
+		if err == nil {
+			err = ix.Tree.Flush()
+		}
+		if err != nil {
 			return fmt.Errorf("core: rebuilding damaged index %s: %w", ix.Name, err)
 		}
 		// Any checkpointed progress inside this structure refers to the
@@ -165,11 +172,11 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 		if err != nil {
 			return nil, err
 		}
-		kf, err := openRowFile(disk, sim.FileID(f), ix.Tree.KeyLen()+record.RIDSize, rows)
+		kf, err := xsort.OpenRowFile(disk, sim.FileID(f), ix.Tree.KeyLen()+record.RIDSize, rows)
 		if err != nil {
 			return nil, err
 		}
-		rs.keyFiles[ix.Tree.ID()] = []*rowFile{kf}
+		rs.keyFiles[ix.Tree.ID()] = []*xsort.RowFile{kf}
 	}
 	method := SortMerge
 	if len(rs.keyFiles) != len(rest) {
@@ -214,25 +221,21 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 	return stats, e.finish(start, ownTrace)
 }
 
-// rebuildIndexFromHeap restores a structurally damaged index from the base
-// table: reset to empty, scan the heap, external-sort the ⟨key,RID⟩ pairs,
-// bulk load bottom-up — the same recipe as index creation.
-func rebuildIndexFromHeap(e *execCtx, ix *IndexRef) error {
-	if err := ix.Tree.ResetEmpty(); err != nil {
-		return err
-	}
-	rowSize := ix.Tree.KeyLen() + record.RIDSize
-	srt, err := xsort.New(e.disk(), rowSize, e.opts.Memory, nil)
+// BuildIndex fills tree, an empty index on field, from the heap: one scan
+// feeding an external sort of the ⟨key,RID⟩ pairs under budget bytes,
+// feeding a bottom-up bulk load. Index creation and recovery's rebuild of a
+// damaged index are this one recipe.
+func (tgt *Target) BuildIndex(tree *btree.Tree, field, budget int) error {
+	kl := tree.KeyLen()
+	srt, err := xsort.New(tgt.Pool.Disk(), kl+record.RIDSize, budget, nil)
 	if err != nil {
 		return err
 	}
-	row := make([]byte, rowSize)
-	err = e.tgt.Heap.Scan(func(rid record.RID, rec []byte) error {
-		for i := range row {
-			row[i] = 0
-		}
-		keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
-		record.PutRID(row[ix.Tree.KeyLen():], rid)
+	row := make([]byte, kl+record.RIDSize)
+	err = tgt.Heap.Scan(func(rid record.RID, rec []byte) error {
+		clear(row)
+		keyenc.PutInt64(row, tgt.Schema.Field(rec, field))
+		record.PutRID(row[kl:], rid)
 		return srt.Add(row)
 	})
 	if err != nil {
@@ -243,18 +246,15 @@ func rebuildIndexFromHeap(e *execCtx, ix *IndexRef) error {
 		return err
 	}
 	defer it.Close()
-	key := make([]byte, ix.Tree.KeyLen())
-	if err := ix.Tree.BulkLoad(func() (btree.Entry, bool, error) {
+	key := make([]byte, kl)
+	return tree.BulkLoad(func() (btree.Entry, bool, error) {
 		r, ok, err := it.Next()
 		if err != nil || !ok {
 			return btree.Entry{}, false, err
 		}
-		copy(key, r[:ix.Tree.KeyLen()])
-		return btree.Entry{Key: key, RID: record.GetRID(r[ix.Tree.KeyLen():])}, true, nil
-	}, 1.0); err != nil {
-		return err
-	}
-	return ix.Tree.Flush()
+		copy(key, r[:kl])
+		return btree.Entry{Key: key, RID: record.GetRID(r[kl:])}, true, nil
+	}, 1.0)
 }
 
 // BulkStartField extracts the delete attribute recorded in the TBulkStart

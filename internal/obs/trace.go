@@ -101,6 +101,21 @@ func (s *Span) Finish() {
 	s.finishLocked(s.tr.src.Capture())
 }
 
+// FinishWith closes the span like Finish but records d as its I/O: the work
+// of a job that ran beside other spans, measured on the job's own device by
+// the caller. Nil-safe; finishing a finished span is a no-op.
+func (s *Span) FinishWith(d Delta) {
+	if s == nil {
+		return
+	}
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	if s.open {
+		s.finishLocked(s.tr.src.Capture())
+		s.IO = d
+	}
+}
+
 func (s *Span) finishLocked(snap Snapshot) {
 	for _, c := range s.Children {
 		c.finishLocked(snap)

@@ -55,7 +55,6 @@ type MVCC struct {
 	births   map[record.RID]uint64
 	pending  map[uint64][]record.RID // retain token → rids retained under it
 	tokenSeq uint64
-	retained int64 // lifetime retained-version count, for metrics
 	liveByte int64 // bytes held by currently retained versions
 
 }
@@ -113,7 +112,6 @@ func (m *MVCC) Retain(token uint64, rid record.RID, rec []byte) {
 		birth: m.births[rid],
 	})
 	m.pending[token] = append(m.pending[token], rid)
-	m.retained++
 	m.liveByte += int64(len(rec))
 	m.mu.Unlock()
 }
@@ -233,13 +231,6 @@ func (m *MVCC) visibleDeleted(s uint64, fn func(rid record.RID, rec []byte)) {
 		}
 	}
 	m.mu.Unlock()
-}
-
-// RetainedCount returns the lifetime number of retained versions.
-func (m *MVCC) RetainedCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retained
 }
 
 // LiveVersions returns the number of currently retained versions.

@@ -23,7 +23,6 @@ import (
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
-	"bulkdel/internal/xsort"
 )
 
 // DefaultSortBudget is the working memory used for index builds and victim
@@ -270,48 +269,12 @@ func (t *Table) CreateIndex(def IndexDef) (*Index, error) {
 	}
 	ix := &Index{Def: def, Tree: tree, Gate: cc.NewGate()}
 	if t.Heap.Count() > 0 {
-		if err := t.buildIndex(ix); err != nil {
+		if err := t.Target().BuildIndex(tree, def.Field, t.SortBudget); err != nil {
 			return nil, err
 		}
 	}
 	t.Idx = append(t.Idx, ix)
 	return ix, nil
-}
-
-// buildIndex fills an empty tree from the heap via scan + sort + bulk load.
-func (t *Table) buildIndex(ix *Index) error {
-	rowSize := ix.Def.KeyLen + record.RIDSize
-	srt, err := xsort.New(t.pool.Disk(), rowSize, t.SortBudget, nil)
-	if err != nil {
-		return err
-	}
-	row := make([]byte, rowSize)
-	err = t.Heap.Scan(func(rid record.RID, rec []byte) error {
-		for i := range row {
-			row[i] = 0
-		}
-		keyenc.PutInt64(row, t.Schema.Field(rec, ix.Def.Field))
-		record.PutRID(row[ix.Def.KeyLen:], rid)
-		return srt.Add(row)
-	})
-	if err != nil {
-		return err
-	}
-	it, err := srt.Finish()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	key := make([]byte, ix.Def.KeyLen)
-	err = ix.Tree.BulkLoad(func() (btree.Entry, bool, error) {
-		r, ok, err := it.Next()
-		if err != nil || !ok {
-			return btree.Entry{}, false, err
-		}
-		copy(key, r[:ix.Def.KeyLen])
-		return btree.Entry{Key: key, RID: record.GetRID(r[ix.Def.KeyLen:])}, true, nil
-	}, 1.0)
-	return err
 }
 
 // DropIndex removes an index and its file.
@@ -357,7 +320,7 @@ func (t *Table) Repartition(spec heap.PartitionSpec) error {
 			return err
 		}
 		if t.Heap.Count() > 0 {
-			if err := t.buildIndex(ix); err != nil {
+			if err := t.Target().BuildIndex(ix.Tree, ix.Def.Field, t.SortBudget); err != nil {
 				return err
 			}
 		}

@@ -12,8 +12,8 @@
 //
 // Rows are opaque fixed-width byte strings compared with a caller-supplied
 // comparator (usually bytes.Compare over an order-preserving encoding).
-// Spilled runs live in a temporary file on the simulated disk so that the
-// I/O they cause is priced into the experiment clock.
+// Spilled runs are RowFiles, regions of one temporary file on the simulated
+// disk, so that the I/O they cause is priced into the experiment clock.
 package xsort
 
 import (
@@ -33,18 +33,11 @@ type Sorter struct {
 
 	maxRows int // rows held in memory before spilling
 	buf     [][]byte
-	runs    []runInfo
+	runs    []*RowFile
 	file    sim.FileID
 	haveTmp bool
-	nextPg  sim.PageNo
 	rowsIn  int64
 	done    bool
-}
-
-type runInfo struct {
-	start sim.PageNo
-	pages int
-	rows  int64
 }
 
 // New creates a sorter for rows of rowSize bytes under a memory budget of
@@ -101,9 +94,19 @@ func (s *Sorter) sortBuf() {
 	s.disk.ChargeCompares(cmps)
 }
 
-const spillChunkPages = 16
-
-func (s *Sorter) rowsPerPage() int { return sim.PageSize / s.rowSize }
+// newRun starts a run at the end of the temporary file, creating the file
+// on first use.
+func (s *Sorter) newRun() (*RowFile, error) {
+	if !s.haveTmp {
+		s.file = s.disk.CreateFile()
+		s.haveTmp = true
+	}
+	n, err := s.disk.NumPages(s.file)
+	if err != nil {
+		return nil, err
+	}
+	return &RowFile{disk: s.disk, file: s.file, start: n, rowSize: s.rowSize}, nil
+}
 
 // spill sorts the in-memory buffer and writes it as a run.
 func (s *Sorter) spill() error {
@@ -111,39 +114,18 @@ func (s *Sorter) spill() error {
 		return nil
 	}
 	s.sortBuf()
-	if !s.haveTmp {
-		s.file = s.disk.CreateFile()
-		s.haveTmp = true
+	run, err := s.newRun()
+	if err != nil {
+		return err
 	}
-	rpp := s.rowsPerPage()
-	pages := (len(s.buf) + rpp - 1) / rpp
-	run := runInfo{start: s.nextPg, pages: pages, rows: int64(len(s.buf))}
-	// Allocate and write in chained chunks.
-	for i := 0; i < pages; i++ {
-		if _, err := s.disk.Allocate(s.file); err != nil {
+	for _, row := range s.buf {
+		if err := run.Append(row); err != nil {
 			return err
 		}
 	}
-	row := 0
-	for base := 0; base < pages; base += spillChunkPages {
-		n := spillChunkPages
-		if base+n > pages {
-			n = pages - base
-		}
-		chunk := make([][]byte, n)
-		for i := range chunk {
-			pg := make([]byte, sim.PageSize)
-			for r := 0; r < rpp && row < len(s.buf); r++ {
-				copy(pg[r*s.rowSize:], s.buf[row])
-				row++
-			}
-			chunk[i] = pg
-		}
-		if err := s.disk.WriteRun(s.file, run.start+sim.PageNo(base), chunk); err != nil {
-			return err
-		}
+	if err := run.Seal(); err != nil {
+		return err
 	}
-	s.nextPg += sim.PageNo(pages)
 	s.runs = append(s.runs, run)
 	s.buf = s.buf[:0]
 	return nil
@@ -212,7 +194,7 @@ func (s *Sorter) Finish() (*Iterator, error) {
 	}
 	runs := s.runs
 	for len(runs) > fanIn {
-		var next []runInfo
+		var next []*RowFile
 		for base := 0; base < len(runs); base += fanIn {
 			n := fanIn
 			if base+n > len(runs) {
@@ -298,52 +280,16 @@ func Merge(srts []*Sorter) (*Iterator, error) {
 // mergeBufPages is the chained-I/O read buffer per run during merges.
 const mergeBufPages = 4
 
-// runReader streams one run with buffered chained reads.
+// runReader streams one run in chained reads of mergeBufPages pages; cur
+// is its next row, nil once the run is exhausted.
 type runReader struct {
-	s      *Sorter
-	run    runInfo
-	pgOff  int // pages consumed
-	rowOff int64
-	buf    [][]byte
-	bufPos int // row index within buf
-	bufLen int // rows valid in buf
-	cur    []byte
+	next func() ([]byte, bool, error)
+	cur  []byte
 }
 
-func (r *runReader) fill() error {
-	if r.rowOff >= r.run.rows {
-		r.cur = nil
-		return nil
-	}
-	if r.bufPos >= r.bufLen {
-		n := mergeBufPages
-		if r.pgOff+n > r.run.pages {
-			n = r.run.pages - r.pgOff
-		}
-		bufs := make([][]byte, n)
-		for i := range bufs {
-			bufs[i] = make([]byte, sim.PageSize)
-		}
-		if err := r.s.disk.ReadRun(r.s.file, r.run.start+sim.PageNo(r.pgOff), bufs); err != nil {
-			return err
-		}
-		r.pgOff += n
-		r.buf = bufs
-		r.bufPos = 0
-		rpp := r.s.rowsPerPage()
-		r.bufLen = n * rpp
-	}
-	rpp := r.s.rowsPerPage()
-	pg := r.bufPos / rpp
-	slot := r.bufPos % rpp
-	r.cur = r.buf[pg][slot*r.s.rowSize : (slot+1)*r.s.rowSize]
-	return nil
-}
-
-func (r *runReader) advance() error {
-	r.bufPos++
-	r.rowOff++
-	return r.fill()
+func (r *runReader) advance() (err error) {
+	r.cur, _, err = r.next()
+	return err
 }
 
 // mergeHeap is a binary min-heap of run readers ordered by current row.
@@ -387,11 +333,15 @@ func (h *mergeHeap) down(i int) {
 	}
 }
 
-func (s *Sorter) openReaders(runs []runInfo) (*mergeHeap, error) {
+func (s *Sorter) openReaders(runs []*RowFile) (*mergeHeap, error) {
 	h := &mergeHeap{s: s}
 	for _, r := range runs {
-		rr := &runReader{s: s, run: r}
-		if err := rr.fill(); err != nil {
+		next, err := r.reader(0, mergeBufPages)
+		if err != nil {
+			return nil, err
+		}
+		rr := &runReader{next: next}
+		if err := rr.advance(); err != nil {
 			return nil, err
 		}
 		if rr.cur != nil {
@@ -426,83 +376,35 @@ func (h *mergeHeap) pop() ([]byte, bool, error) {
 }
 
 // mergeToRun merges runs into one new run on disk (one intermediate pass).
-func (s *Sorter) mergeToRun(runs []runInfo) (runInfo, error) {
-	h, err := s.openReaders(runs)
-	if err != nil {
-		return runInfo{}, err
-	}
-	var totalRows int64
-	for _, r := range runs {
-		totalRows += r.rows
-	}
-	rpp := s.rowsPerPage()
-	pages := int((totalRows + int64(rpp) - 1) / int64(rpp))
-	out := runInfo{start: s.nextPg, pages: pages, rows: totalRows}
-	for i := 0; i < pages; i++ {
-		if _, err := s.disk.Allocate(s.file); err != nil {
-			return runInfo{}, err
-		}
-	}
-	written := 0
-	chunk := make([][]byte, 0, spillChunkPages)
-	pg := make([]byte, sim.PageSize)
-	inPg := 0
-	flushChunk := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		err := s.disk.WriteRun(s.file, out.start+sim.PageNo(written), chunk)
-		written += len(chunk)
-		chunk = chunk[:0]
-		return err
-	}
-	for {
-		row, ok, err := h.pop()
-		if err != nil {
-			return runInfo{}, err
-		}
-		if !ok {
-			break
-		}
-		copy(pg[inPg*s.rowSize:], row)
-		inPg++
-		if inPg == rpp {
-			chunk = append(chunk, pg)
-			pg = make([]byte, sim.PageSize)
-			inPg = 0
-			if len(chunk) == spillChunkPages {
-				if err := flushChunk(); err != nil {
-					return runInfo{}, err
-				}
-			}
-		}
-	}
-	if inPg > 0 {
-		chunk = append(chunk, pg)
-	}
-	if err := flushChunk(); err != nil {
-		return runInfo{}, err
-	}
-	s.nextPg += sim.PageNo(pages)
-	return out, nil
-}
-
-// mergeIterator streams the final merge of runs.
-func (s *Sorter) mergeIterator(runs []runInfo) (*Iterator, error) {
+func (s *Sorter) mergeToRun(runs []*RowFile) (*RowFile, error) {
 	h, err := s.openReaders(runs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, s.rowSize)
-	return &Iterator{
-		next: func() ([]byte, bool, error) {
-			row, ok, err := h.pop()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			copy(out, row) // row aliases a reader buffer about to be refilled
-			return out, true, nil
-		},
-		close: s.Close,
-	}, nil
+	out, err := s.newRun()
+	if err != nil {
+		return nil, err
+	}
+	for {
+		row, ok, err := h.pop()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, out.Seal()
+		}
+		if err := out.Append(row); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// mergeIterator streams the final merge of runs. A popped row stays valid
+// (see RowFile.reader), so it is handed out as is.
+func (s *Sorter) mergeIterator(runs []*RowFile) (*Iterator, error) {
+	h, err := s.openReaders(runs)
+	if err != nil {
+		return nil, err
+	}
+	return &Iterator{next: h.pop, close: s.Close}, nil
 }

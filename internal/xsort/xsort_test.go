@@ -477,3 +477,47 @@ func TestMergeSorters(t *testing.T) {
 		t.Fatalf("one sorter merged to %v", out)
 	}
 }
+
+// TestSpillCostIsPinned pins what a spilling sort charges — clock, I/O and
+// compares — so a change to how runs are written, read or merged shows up as
+// a moved number, not just a moved ratio.
+func TestSpillCostIsPinned(t *testing.T) {
+	for _, c := range []struct {
+		budget, rows                 int
+		clock                        time.Duration
+		reads, writes, random, chain uint64
+		compares                     uint64
+	}{
+		// A 1-byte budget holds 16 rows: 188 one-page runs, merged two at a time.
+		{1, 3000, 4311004676, 383, 383, 119, 752, 33405},
+		{32000, 100000, 9146763532, 993, 993, 105, 327, 1744536},
+	} {
+		d := sim.NewDisk(sim.DefaultCostModel())
+		s, err := New(d, 8, c.budget, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(c.rows)))
+		row := make([]byte, 8)
+		for i := 0; i < c.rows; i++ {
+			rng.Read(row)
+			if err := s.Add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		it, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(drain(t, it)); got != c.rows {
+			t.Fatalf("budget %d: %d rows out of %d", c.budget, got, c.rows)
+		}
+		st := d.Stats()
+		if d.Clock() != c.clock || st.Reads != c.reads || st.Writes != c.writes ||
+			st.RandomOps != c.random || st.ChainedRuns != c.chain || st.Compares != c.compares {
+			t.Errorf("budget %d, %d rows: clock %v, %d reads, %d writes, %d random, %d chained runs, %d compares; want %v, %d, %d, %d, %d, %d",
+				c.budget, c.rows, d.Clock(), st.Reads, st.Writes, st.RandomOps, st.ChainedRuns, st.Compares,
+				c.clock, c.reads, c.writes, c.random, c.chain, c.compares)
+		}
+	}
+}
