@@ -9,8 +9,9 @@
 //
 //   - LRU replacement with pinning: hot inner B-tree nodes stay cached
 //     while a random leaf/heap workload thrashes (the traditional delete);
-//     the one exception is UnpinCold, which puts a page its caller is done
-//     with (a heap page an insert filled) at the cold end instead,
+//     the one exception is Retire, which writes a batch of pages its caller
+//     is done with (heap pages a refill filled, a compaction's output) in
+//     one page-order sweep and puts them, clean, at the cold end instead,
 //   - chained I/O: sequential scans read runs of pages with a single
 //     positioning charge (the vertical bulk delete), as the paper's
 //     prototype does with "chunks of several pages from disk".
@@ -107,8 +108,8 @@ type shard struct {
 	free   *Frame // frames holding no page, linked through next
 	stats  Stats
 
-	// Scratch reused under mu: an eviction sweep's dirty frames, a chained
-	// read's frames and their buffers.
+	// Scratch reused under mu: an eviction sweep's or a retire's dirty
+	// frames, a chained read's frames and their buffers, a retire's frames.
 	sweep []*Frame
 	run   []*Frame
 	bufs  [][]byte
@@ -299,16 +300,11 @@ func (s *shard) pin(f *Frame) {
 
 // Unpin releases one pin. dirty=true records that the caller mutated the
 // page; it is written back at eviction or flush time.
-func (p *Pool) Unpin(f *Frame, dirty bool) { f.sh.unpin(f, dirty, false) }
+func (p *Pool) Unpin(f *Frame, dirty bool) { f.sh.unpin(f, dirty) }
 
-// UnpinCold is Unpin for a page the caller is done with for good — a heap
-// page an insert just filled: when the last pin goes, the frame goes to the
-// least recently used end of its shard's list, so the next eviction takes it.
-func (p *Pool) UnpinCold(f *Frame, dirty bool) { f.sh.unpin(f, dirty, true) }
-
-// unpin releases one pin; the last puts the frame on the LRU list, at the
-// cold end if cold, else at the hot end.
-func (s *shard) unpin(f *Frame, dirty, cold bool) {
+// unpin releases one pin; the last puts the frame at the hot end of the LRU
+// list.
+func (s *shard) unpin(f *Frame, dirty bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f.pins <= 0 {
@@ -318,13 +314,43 @@ func (s *shard) unpin(f *Frame, dirty, cold bool) {
 		f.dirty.Store(true)
 	}
 	f.pins--
-	switch {
-	case f.pins > 0:
-	case cold:
-		s.pushBack(f)
-	default:
+	if f.pins == 0 {
 		s.pushFront(f)
 	}
+}
+
+// Retire hands back pages of a file its caller is done with for good — the
+// heap pages a refill filled, the pages of a compaction's output: it writes
+// the dirty ones in page order, one sweep where one eviction each would go,
+// and moves them all, clean, to the least recently used end of the shard's
+// list, so the next evictions take them and write nothing. A page not
+// resident or still pinned is skipped. On a write error nothing moves, the
+// pages not yet written stay dirty, and the error names the page that
+// failed.
+func (p *Pool) Retire(file sim.FileID, pages []sim.PageNo) error {
+	s := p.shardOf(file)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	kept, dirty := s.run[:0], s.sweep[:0]
+	for _, pg := range pages {
+		f, ok := s.frames[frameKey{file, pg}]
+		if !ok || f.pins > 0 {
+			continue
+		}
+		kept = append(kept, f)
+		if f.dirty.Load() {
+			dirty = append(dirty, f)
+		}
+	}
+	s.run, s.sweep = kept, dirty
+	if _, err := writeBack(p.disk, dirty, "retiring"); err != nil {
+		return err
+	}
+	for _, f := range kept {
+		s.unlink(f)
+		s.pushBack(f)
+	}
+	return nil
 }
 
 // sweepShare sets the window a dirty eviction cleans: the victim and the

@@ -49,6 +49,10 @@ type File struct {
 	fsm freeMap
 	// tail is the last data page inserts are currently filling.
 	tail sim.PageNo
+	// filled lists the pages other than the tail that inserts filled since
+	// they were last handed to Pool.Retire, which takes them a read-ahead's
+	// worth at a time.
+	filled []sim.PageNo
 	// latch closes the torn-page window between in-place writers and the
 	// unlatched readers MVCC snapshot reads admit during a delete: an
 	// Insert that triggers a page Compact rewrites live record bytes, so
@@ -237,14 +241,23 @@ func (f *File) Insert(rec []byte) (record.RID, error) {
 
 // insertAt stores rec on page p, a page believed to have room; ok is false
 // when it had none. A page the insert leaves unable to take another record
-// leaves the free map, and, unless it is the tail, goes to the cold end of
-// the pool: no insert reads it again until a delete frees a slot.
+// leaves the free map, and, unless it is the tail, joins f.filled: no insert
+// reads it again until a delete frees a slot. Once a read-ahead's worth of
+// pages is filled, the next insertAt retires them before it places its
+// record, so a failed write-back fails an insert that changed nothing.
 func (f *File) insertAt(p sim.PageNo, rec []byte) (rid record.RID, ok bool, err error) {
+	ra := f.pool.ReadAhead()
+	if len(f.filled) >= ra {
+		if err := f.pool.Retire(f.id, f.filled); err != nil {
+			return record.NilRID, false, err
+		}
+		f.filled = f.filled[:0]
+	}
 	tail := p == f.tail
 	// A refill after a delete works up the free pages: a missed p is read
 	// together with the free pages that follow it, in one chained run (the
 	// tail has none after it).
-	fr, err := f.pool.GetForScan(f.id, p, f.fsm.run(p, f.pool.ReadAhead()))
+	fr, err := f.pool.GetForScan(f.id, p, f.fsm.run(p, ra))
 	if err != nil {
 		return record.NilRID, false, err
 	}
@@ -257,14 +270,13 @@ func (f *File) insertAt(p sim.PageNo, rec []byte) (rid record.RID, ok bool, err 
 		if tail {
 			f.tail = sim.InvalidPage
 		}
-		switch {
-		case !ok:
+		if !ok {
 			f.pool.Unpin(fr, false)
 			return record.NilRID, false, nil
-		case tail:
-			f.pool.Unpin(fr, true)
-		default:
-			f.pool.UnpinCold(fr, true)
+		}
+		f.pool.Unpin(fr, true)
+		if !tail {
+			f.filled = append(f.filled, p)
 		}
 	}
 	f.count++

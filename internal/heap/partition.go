@@ -119,6 +119,7 @@ func (f *File) TruncateWith(retain func(rid record.RID, rec []byte)) error {
 	f.count = 0
 	f.fsm = freeMap{}
 	f.tail = sim.InvalidPage
+	f.filled = f.filled[:0]
 	return nil
 }
 

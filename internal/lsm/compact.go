@@ -376,7 +376,7 @@ func (t *Tree) rewriteLocked(sst *SSTable, rts []RangeTomb, victim bool) (*SSTab
 	if len(live) == 0 && len(own) == 0 {
 		return nil, nil
 	}
-	return buildSSTable(t.pool, t.pickDeviceLocked(), t.recSize, live, own, sst.Born)
+	return buildSSTable(t.pool, t.pickDeviceLocked(), t.recSize, live, own, sst.Born, true)
 }
 
 // compactLocked merges runs into level out, which becomes keep plus the
@@ -525,7 +525,7 @@ func (t *Tree) mergeLocked(runs, others [][]*SSTable) ([]*SSTable, error) {
 		if len(buf) == 0 && len(pieces) == 0 {
 			return nil
 		}
-		sst, err := buildSSTable(t.pool, t.pickDeviceLocked(), t.recSize, buf, pieces, t.tick)
+		sst, err := buildSSTable(t.pool, t.pickDeviceLocked(), t.recSize, buf, pieces, t.tick, true)
 		if err != nil {
 			return err
 		}

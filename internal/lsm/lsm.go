@@ -431,7 +431,7 @@ func (t *Tree) flushLocked() error {
 		}
 	}
 	prev := t.captureLocked()
-	sst, err := buildSSTable(t.pool, t.pickDeviceLocked(), t.recSize, live, t.mem.rtombs, t.tick)
+	sst, err := buildSSTable(t.pool, t.pickDeviceLocked(), t.recSize, live, t.mem.rtombs, t.tick, false)
 	if err != nil {
 		t.restoreLocked(prev)
 		return err

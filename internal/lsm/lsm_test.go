@@ -637,7 +637,7 @@ func build(t *testing.T, pool *buffer.Pool, seq uint64, keys, dels []int64, rts 
 		es = append(es, entry{key: k, seq: seq, kind: kindDel})
 	}
 	sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
-	sst, err := buildSSTable(pool, 0, 16, es, rts, 0)
+	sst, err := buildSSTable(pool, 0, 16, es, rts, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,9 @@ func framePage(payload []byte, count int) []byte {
 // buildSSTable writes entries (sorted by key, at most one per key) and
 // range tombstones into a fresh file on dev and returns the open table.
 // The caller commits the manifest; until then the file is unreferenced.
-func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtombs []RangeTomb, born uint64) (*SSTable, error) {
+// A cold table — a compaction's output — leaves its pages at the cold end
+// of the pool, so they do not push the compaction's inputs out.
+func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtombs []RangeTomb, born uint64, cold bool) (*SSTable, error) {
 	disk := pool.Disk()
 	file, err := disk.CreateFileOn(dev)
 	if err != nil {
@@ -230,15 +232,22 @@ func buildSSTable(pool *buffer.Pool, dev int, recSize int, entries []entry, rtom
 	sst.Pages = int64(len(pages))
 
 	// Write everything through the pool and force it out in file order.
-	for _, pg := range pages {
+	nos := make([]sim.PageNo, len(pages))
+	for i, pg := range pages {
 		fr, err := pool.NewPage(file)
 		if err != nil {
 			return nil, err
 		}
 		copy(fr.Data(), pg)
+		nos[i] = fr.Page()
 		pool.Unpin(fr, true)
 	}
-	if err := pool.FlushFile(file); err != nil {
+	if cold {
+		err = pool.Retire(file, nos)
+	} else {
+		err = pool.FlushFile(file)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return sst, nil

@@ -46,7 +46,7 @@ func fuzzRangeTombs(b []byte) []RangeTomb {
 func FuzzSSTableDecode(f *testing.F) {
 	disk := sim.NewDisk(sim.DefaultCostModel())
 	pool := buffer.New(disk, 1<<20)
-	seed, err := buildSSTable(pool, 0, 16, fuzzEntries([]byte{0, 1, 3, 9, 8, 40, 255, 255}), []RangeTomb{{Lo: -5, Hi: 5, Seq: 9}}, 3)
+	seed, err := buildSSTable(pool, 0, 16, fuzzEntries([]byte{0, 1, 3, 9, 8, 40, 255, 255}), []RangeTomb{{Lo: -5, Hi: 5, Seq: 9}}, 3, false)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func FuzzSSTableDecode(f *testing.F) {
 		}
 
 		es, rts := fuzzEntries(block), fuzzRangeTombs(trailer)
-		built, err := buildSSTable(pool, 0, 16, es, rts, uint64(count))
+		built, err := buildSSTable(pool, 0, 16, es, rts, uint64(count), false)
 		if err != nil {
 			t.Fatal(err)
 		}
