@@ -216,6 +216,42 @@ func TestExplainAndEstimates(t *testing.T) {
 	}
 }
 
+// TestSmallBudgetEstimates: under a 512-byte budget every ⟨key,RID⟩ list
+// sort is a multi-pass merge, and a logged hash+partition sorts its lists
+// too and splits each into one partition per leaf. Both plans' estimates
+// stay within 1.5× of what they run, and Auto runs the cheaper one.
+func TestSmallBudgetEstimates(t *testing.T) {
+	actual := map[Method]time.Duration{}
+	var auto Method
+	for _, m := range []Method{SortMerge, HashPartition, Auto} {
+		_, tbl := newBenchDB(t, 3000, Options{BufferBytes: 256 << 10})
+		res, err := tbl.DeleteRange(0, 1200, 1799, BulkOptions{Method: m, Memory: 512})
+		if err != nil || res.Deleted != 600 {
+			t.Fatalf("%v: deleted %v, %v", m, res, err)
+		}
+		if m == Auto {
+			auto = res.Method
+			break
+		}
+		actual[m] = res.Elapsed
+		for _, e := range res.stats.Estimates {
+			if e.Method != m {
+				continue
+			}
+			if r := float64(e.Time) / float64(res.Elapsed); r < 1/1.5 || r > 1.5 {
+				t.Errorf("%v: estimated %v, ran %v", m, e.Time, res.Elapsed)
+			}
+		}
+	}
+	want := SortMerge
+	if actual[HashPartition] < actual[SortMerge] {
+		want = HashPartition
+	}
+	if auto != want {
+		t.Errorf("auto ran %v; sort/merge took %v, hash+partition %v", auto, actual[SortMerge], actual[HashPartition])
+	}
+}
+
 func TestDeleteRowAndGet(t *testing.T) {
 	_, tbl := newBenchDB(t, 100, Options{})
 	rid, err := tbl.Insert(500, 1500, 3)

@@ -497,6 +497,7 @@ func TestBulkLoadRejectsUnsortedAndNonEmpty(t *testing.T) {
 	}
 	vals := []int64{1, 3, 2}
 	i := 0
+	r0 := p.Disk().Stats().Records
 	err = tr.BulkLoad(func() (Entry, bool, error) {
 		if i >= len(vals) {
 			return Entry{}, false, nil
@@ -507,6 +508,11 @@ func TestBulkLoadRejectsUnsortedAndNonEmpty(t *testing.T) {
 	}, 1.0)
 	if err == nil {
 		t.Fatal("unsorted bulk load should fail")
+	}
+	// Entries are charged a leaf at a time; the failed load still pays
+	// for the two it placed.
+	if got := p.Disk().Stats().Records - r0; got != 2 {
+		t.Errorf("the failed bulk load charged %d records, want 2", got)
 	}
 	tr2, err := Create(p, 8, false)
 	if err != nil {

@@ -49,8 +49,18 @@ func (t *Tree) BulkLoad(next func() (Entry, bool, error), fill float64) error {
 	}
 	var leaves []childRef
 	fkLen := t.keyLen + record.RIDSize
-	var prev []byte
+	// Full keys alternate between two buffers: the entry being placed and
+	// the one placed before it, which it must follow.
+	fks := [2][]byte{make([]byte, fkLen), make([]byte, fkLen)}
 	n := int64(0)
+	// The entries placed are charged a leaf at a time; an early return
+	// charges those of the leaf it leaves.
+	placed := 0
+	charge := func() {
+		t.pool.Disk().ChargeRecords(placed)
+		placed = 0
+	}
+	defer charge()
 
 	flushLeaf := func() {
 		sep := make([]byte, fkLen)
@@ -71,8 +81,10 @@ func (t *Tree) BulkLoad(next func() (Entry, bool, error), fill float64) error {
 			t.pool.Unpin(curFr, true)
 			return fmt.Errorf("btree: bulk load key is %d bytes, tree uses %d", len(e.Key), t.keyLen)
 		}
-		fk := t.fullKey(e.Key, e.RID)
-		if prev != nil {
+		fk, prev := fks[n%2], fks[(n+1)%2]
+		copy(fk, e.Key)
+		record.PutRID(fk[t.keyLen:], e.RID)
+		if n > 0 {
 			if bytes.Compare(prev, fk) >= 0 {
 				t.pool.Unpin(curFr, true)
 				return fmt.Errorf("btree: bulk load input not strictly ordered at entry %d", n)
@@ -82,9 +94,9 @@ func (t *Tree) BulkLoad(next func() (Entry, bool, error), fill float64) error {
 				return ErrDuplicateKey
 			}
 		}
-		prev = fk
 		if cur.count() >= target {
 			// Start a new leaf, chained to the current one.
+			charge()
 			nf, err := t.allocNode()
 			if err != nil {
 				t.pool.Unpin(curFr, true)
@@ -101,8 +113,9 @@ func (t *Tree) BulkLoad(next func() (Entry, bool, error), fill float64) error {
 		cur.setCount(cur.count() + 1)
 		cur.setLeafEntry(cur.count()-1, fk)
 		n++
-		t.pool.Disk().ChargeRecords(1)
+		placed++
 	}
+	charge()
 	flushLeaf()
 	t.pool.Unpin(curFr, true)
 	t.count = n
@@ -187,11 +200,11 @@ func (t *Tree) buildInnerLevels(children []innerRef, level int, fill float64) er
 			}
 			cur.setCount(cur.count() + 1)
 			cur.setInnerEntry(cur.count()-1, c.sep, c.page)
-			t.pool.Disk().ChargeRecords(1)
 			// Close the node at the fill target or at the end of the
-			// level. (A trailing node with a single entry is valid;
-			// only the root is ever collapsed.)
+			// level, charging its entries. (A trailing node with a
+			// single entry is valid; only the root is ever collapsed.)
 			if cur.count() >= target || i == len(children)-1 {
+				t.pool.Disk().ChargeRecords(cur.count())
 				t.pool.Unpin(curFr, true)
 				curFr = nil
 			}

@@ -398,7 +398,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			}
 			sorts, sorters[id], add[id] = append(sorts, srt), append(sorters[id], srt), srt.Add
 		}
-		return func(rid record.RID, rec []byte) (bool, error) { return false, e.keyRows(rest, rid, rec, add) }, nil
+		return e.keyRows(rest, add), nil
 	}
 	// sortedKeys opens an index's projection as one sorted stream.
 	sortedKeys := func(id sim.FileID) (rowIter, error) {
@@ -569,18 +569,24 @@ func dropLists(err *error, files ...*xsort.RowFile) {
 	}
 }
 
-// keyRows hands each remaining index's sink, keyed by the index's file, the
-// record's ⟨key,RID⟩ row (the π of Figure 3).
-func (e *execCtx) keyRows(rest []*IndexRef, rid record.RID, rec []byte, sinks map[sim.FileID]func([]byte) error) error {
-	for _, ix := range rest {
-		row := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
-		keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
-		record.PutRID(row[ix.Tree.KeyLen():], rid)
-		if err := sinks[ix.Tree.ID()](row); err != nil {
-			return err
-		}
+// keyRows returns a heap job's visit that hands each remaining index's sink,
+// keyed by the index's file, the record's ⟨key,RID⟩ row (the π of Figure 3).
+// It fills one row per index over and over: every sink copies what it gets.
+func (e *execCtx) keyRows(rest []*IndexRef, sinks map[sim.FileID]func([]byte) error) visitFn {
+	rows := make([][]byte, len(rest))
+	for i, ix := range rest {
+		rows[i] = make([]byte, ix.Tree.KeyLen()+record.RIDSize)
 	}
-	return nil
+	return func(rid record.RID, rec []byte) (bool, error) {
+		for i, ix := range rest {
+			keyenc.PutInt64(rows[i], e.tgt.Schema.Field(rec, ix.Field))
+			record.PutRID(rows[i][ix.Tree.KeyLen():], rid)
+			if err := sinks[ix.Tree.ID()](rows[i]); err != nil {
+				return false, err
+			}
+		}
+		return false, nil
+	}
 }
 
 // logMaterialized records that structure's victim list (0 = the RID list)

@@ -343,6 +343,12 @@ func (p *probeMatcher) took() (bool, error) {
 // (Go map overhead included) for the planner and the partition count.
 const hashOverheadPerEntry = 48
 
+// partitionsFor is how many partitions rows ⟨key,RID⟩ rows of rowSize bytes
+// are split into so that each one's hash table fits memory bytes.
+func partitionsFor(rows int64, rowSize, memory int) int {
+	return int(rows*int64(rowSize+hashOverheadPerEntry)/int64(memory)) + 1
+}
+
 // indexDeletePartitioned is the routing step of the hash + range-partitioning
 // ⋈̸ of Figure 5 for one index: the ⟨key, RID⟩ rows are split into partitions
 // small enough for an in-memory hash table using separator keys sampled from
@@ -356,9 +362,7 @@ func indexDeletePartitioned(e *execCtx, ix *IndexRef, lists []*xsort.RowFile) (d
 	for _, rf := range lists {
 		rows += rf.Rows()
 	}
-	need := rows * int64(fkLen+hashOverheadPerEntry)
-	k := int(need/int64(e.opts.Memory)) + 1
-	boundaries, err := ix.Tree.SeparatorSample(k)
+	boundaries, err := ix.Tree.SeparatorSample(partitionsFor(rows, fkLen, e.opts.Memory))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -41,15 +41,15 @@ func bestEstimate(ests []CostEstimate) Method {
 
 // EstimateCosts returns the estimated execution time of every applicable
 // method, in plan order (SortMerge, Hash, HashPartition), for victims
-// scattered over the key space.
+// scattered over the key space, by a logged statement (as every DB one is).
 func EstimateCosts(tgt *Target, field int, victims int, memory int) []CostEstimate {
-	return priceMethods(tgt, field, victims, 0, memory)
+	return priceMethods(tgt, field, victims, 0, memory, true)
 }
 
 // planStatement is the planner's verdict on one statement: the estimates and
 // the method it runs — the one Options forces, or for Auto the cheapest.
 func planStatement(tgt *Target, field int, values []int64, o Options) ([]CostEstimate, Method) {
-	ests := priceMethods(tgt, field, len(values), keySpan(values), o.Memory)
+	ests := priceMethods(tgt, field, len(values), keySpan(values), o.Memory, o.Log != nil)
 	if o.Method != Auto {
 		return ests, o.Method
 	}
@@ -95,15 +95,10 @@ func newPricer(disk *sim.Disk, memory int) pricer {
 func pages(n float64, each time.Duration) time.Duration { return time.Duration(n * float64(each)) }
 
 // sort prices sorting rows of rowSize bytes: in memory when they fit (CPU
-// only, negligible against I/O here), else one spill + merge pass (write +
-// read, chained).
+// only, negligible against I/O here), else the runs, merge passes and final
+// merge the sorter will write and read.
 func (p pricer) sort(rows, rowSize float64) time.Duration {
-	bytes := rows * rowSize
-	if bytes <= float64(p.memory) {
-		return 0
-	}
-	pgs := bytes / sim.PageSize
-	return pages(2*pgs/xsort.ChunkPages, p.randIO) + pages(2*pgs, p.seqIO)
+	return xsort.SpillCost(p.cm, int64(math.Ceil(rows)), int(rowSize), p.memory).Time
 }
 
 // chain prices one chained read of n pages in file order: a transfer per
@@ -153,7 +148,8 @@ func (p pricer) leaves(ix *IndexRef, rows, span float64) (lp, touched float64) {
 // spanning span values (0 = scattered), by every method, in plan order. An
 // index ⋈̸ of the sorting plans is the seeking walk over the leaves holding a
 // victim; the hash plans read every leaf. Either writes back what it touched.
-func priceMethods(tgt *Target, field int, victims int, span float64, memory int) []CostEstimate {
+// A logged statement sorts hash+partition's lists too.
+func priceMethods(tgt *Target, field int, victims int, span float64, memory int, logged bool) []CostEstimate {
 	p := newPricer(tgt.Pool.Disk(), memory)
 	v := float64(victims)
 	n := math.Max(1, float64(tgt.Heap.Count()))
@@ -182,9 +178,15 @@ func priceMethods(tgt *Target, field int, victims int, span float64, memory int)
 		// Hash probes every entry by RID: a full pass, no list to sort.
 		hash += p.chain(lp) + writes
 		// HashPartition writes + reads the ⟨key,RID⟩ list twice (list,
-		// partitions) before its pass.
+		// partitions) before its pass. Each partition past the first (at
+		// most one per leaf) is read back between two leaf walks: one more
+		// positioning.
 		ioPages := 4 * v * rowSize / sim.PageSize
-		hp += pages(ioPages, p.seqIO) + pages(ioPages/xsort.ChunkPages, p.randIO) + p.chain(lp) + writes
+		parts := math.Min(float64(partitionsFor(int64(victims), int(rowSize), memory)), math.Max(1, lp))
+		hp += pages(ioPages, p.seqIO) + pages(ioPages/xsort.ChunkPages+parts-1, p.randIO) + p.chain(lp) + writes
+		if logged {
+			hp += p.sort(v, rowSize)
+		}
 	}
 
 	ests := []CostEstimate{{Method: SortMerge, Time: sm}}
@@ -200,11 +202,7 @@ func priceMethods(tgt *Target, field int, victims int, span float64, memory int)
 func estimatePartitions(tgt *Target, rest []*IndexRef, victims int, memory int) int {
 	parts := 1
 	for _, ix := range rest {
-		need := int64(victims) * int64(ix.Tree.KeyLen()+record.RIDSize+hashOverheadPerEntry)
-		k := int(need/int64(memory)) + 1
-		if k > parts {
-			parts = k
-		}
+		parts = max(parts, partitionsFor(int64(victims), ix.Tree.KeyLen()+record.RIDSize, memory))
 	}
 	return parts
 }

@@ -103,14 +103,19 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 		defer ns.Close()
 	}
 
+	// One row buffer per index, filled for every record: the sorters copy.
+	bufs := make([][]byte, len(touched))
+	for i, ix := range touched {
+		bufs[i] = make([]byte, ix.Tree.KeyLen()+record.RIDSize)
+	}
 	_, err = heapPassSortedRIDs(e, ridIt.Next, false, func(rid record.RID, rec []byte) (bool, error) {
 		oldVal := tgt.Schema.Field(rec, setField)
 		newVal := transform(oldVal)
 		if newVal == oldVal {
 			return false, nil // no index churn, no write
 		}
-		for _, ix := range touched {
-			buf := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
+		for i, ix := range touched {
+			buf := bufs[i]
 			keyenc.PutInt64(buf, oldVal)
 			record.PutRID(buf[ix.Tree.KeyLen():], rid)
 			if err := oldSorters[ix.Tree.ID()].Add(buf); err != nil {

@@ -396,18 +396,22 @@ func (f *File) Scan(fn func(rid record.RID, rec []byte) error) error {
 		f.pool.Unpin(fr, false)
 		f.latch.RUnlock()
 		sp := page.Wrap(buf)
-		for s := 0; s < sp.NumSlots(); s++ {
+		seen := 0
+		for s := 0; s < sp.NumSlots() && err == nil; s++ {
 			if !sp.InUse(s) {
 				continue
 			}
-			rec, err := sp.Get(s)
-			if err != nil {
-				return err
+			var rec []byte
+			if rec, err = sp.Get(s); err == nil {
+				seen++
+				err = fn(record.RID{Page: p, Slot: uint16(s)}, rec)
 			}
-			f.pool.Disk().ChargeRecords(1)
-			if err := fn(record.RID{Page: p, Slot: uint16(s)}, rec); err != nil {
-				return err
-			}
+		}
+		// One charge per page for the records handed to fn, those of a
+		// page the scan stopped on included.
+		f.pool.Disk().ChargeRecords(seen)
+		if err != nil {
+			return err
 		}
 	}
 }

@@ -191,8 +191,12 @@ func TestScanStopsOnError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Records are charged a page at a time, and a scan stopped mid-page
+	// is charged the records it handed out, as a full one is.
+	records := func() uint64 { return p.Disk().Stats().Records }
 	calls := 0
 	sentinel := fmt.Errorf("stop")
+	r0 := records()
 	err = f.Scan(func(record.RID, []byte) error {
 		calls++
 		if calls == 10 {
@@ -202,6 +206,16 @@ func TestScanStopsOnError(t *testing.T) {
 	})
 	if err != sentinel || calls != 10 {
 		t.Fatalf("err=%v calls=%d", err, calls)
+	}
+	if got := records() - r0; got != 10 {
+		t.Errorf("a scan stopped at record 10 charged %d records", got)
+	}
+	r0 = records()
+	if err := f.Scan(func(record.RID, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := records() - r0; got != 50 {
+		t.Errorf("a full scan of 50 records charged %d", got)
 	}
 }
 

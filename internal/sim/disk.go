@@ -333,6 +333,14 @@ func (cm CostModel) Skip(gap PageNo) time.Duration {
 	return charge
 }
 
+// Position is the positioning charge for an access to page to of a file
+// right after one to page from of the same file, as the disk makes it, and
+// whether it pays a seek (a RandomOp in Stats).
+func (cm CostModel) Position(from, to PageNo) (time.Duration, bool) {
+	charge, kind := cm.jump(from, to)
+	return charge, kind == randomJump
+}
+
 // seekFor prices an arm movement of dist pages with the square-root curve:
 // SeekMin + (SeekMax − SeekMin)·sqrt(dist/SeekSpan), with SeekMax chosen as
 // 2·Seek − SeekMin so the configured Seek remains the average over random

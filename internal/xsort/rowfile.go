@@ -157,7 +157,8 @@ func (r *RowFile) Iterator(from int64) (func() ([]byte, bool, error), error) {
 
 // reader is Iterator with chained reads of chunk pages. Each chunk is read
 // into fresh buffers, so a returned row stays valid after the reader has
-// moved on: the merge heap holds a popped row while its run advances.
+// moved on: the merge heap holds a popped row while its run advances. A row
+// is capped, so appending to it cannot reach the next.
 func (r *RowFile) reader(from int64, chunk int) (func() ([]byte, bool, error), error) {
 	if !r.sealed {
 		return nil, fmt.Errorf("xsort: iterate over unsealed row file")
@@ -183,7 +184,7 @@ func (r *RowFile) reader(from int64, chunk int) (func() ([]byte, bool, error), e
 		}
 		off := int(pos%rpp) * r.rowSize
 		pos++
-		return bufs[pg-bufStart][off : off+r.rowSize], true, nil
+		return bufs[pg-bufStart][off : off+r.rowSize : off+r.rowSize], true, nil
 	}, nil
 }
 

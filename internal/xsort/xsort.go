@@ -11,15 +11,24 @@
 // spilled to disk and merged, exactly like a classic sort/merge join build.
 //
 // Rows are opaque fixed-width byte strings compared with a caller-supplied
-// comparator (usually bytes.Compare over an order-preserving encoding).
-// Spilled runs are RowFiles, regions of one temporary file on the simulated
-// disk, so that the I/O they cause is priced into the experiment clock.
+// comparator, or in byte order when it is nil. In memory they sit packed in
+// one buffer, with a small fixed-size entry per row that the sort moves: in
+// byte order the entry carries the row's first 16 bytes as big-endian
+// integers, so most comparisons never touch the row. slices.SortFunc orders
+// the entries with the pdqsort package sort runs on a slice of rows; given
+// the same comparison results it makes the same comparisons, so the compares
+// charged to the simulated clock do not depend on the layout. Spilled runs
+// are RowFiles, regions of one temporary file on the simulated disk, so that
+// the I/O they cause is priced into the experiment clock; SpillCost prices
+// that I/O ahead of a sort.
 package xsort
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bulkdel/internal/sim"
 )
@@ -28,11 +37,12 @@ import (
 type Sorter struct {
 	disk    *sim.Disk
 	rowSize int
-	budget  int // bytes of working memory
-	compare func(a, b []byte) int
+	budget  int                   // bytes of working memory
+	compare func(a, b []byte) int // nil: byte order, by prefix first
 
-	maxRows int // rows held in memory before spilling
-	buf     [][]byte
+	maxRows int     // rows held in memory before spilling
+	rows    []byte  // the rows in memory, packed in arrival order
+	ents    []entry // one per row in memory: what the in-memory sort orders
 	runs    []*RowFile
 	file    sim.FileID
 	haveTmp bool
@@ -40,27 +50,36 @@ type Sorter struct {
 	done    bool
 }
 
+// entry is one in-memory row as the sort sees it: its offset in the packed
+// buffer and, in byte order, its first 16 bytes as big-endian integers
+// (zero past the end of a shorter row, which every row shares).
+type entry struct {
+	hi, lo uint64
+	off    int
+}
+
+// prefixLen is how many leading bytes of a row an entry carries.
+const prefixLen = 16
+
 // New creates a sorter for rows of rowSize bytes under a memory budget of
-// budgetBytes. compare orders two rows; bytes.Compare is the common choice.
+// budgetBytes. compare orders two rows; nil sorts them in byte order, the
+// common case (an order-preserving encoding), the fastest.
 func New(disk *sim.Disk, rowSize, budgetBytes int, compare func(a, b []byte) int) (*Sorter, error) {
 	if rowSize <= 0 || rowSize > sim.PageSize {
 		return nil, fmt.Errorf("xsort: unusable row size %d", rowSize)
-	}
-	if compare == nil {
-		compare = bytes.Compare
-	}
-	maxRows := budgetBytes / rowSize
-	if maxRows < 16 {
-		maxRows = 16
 	}
 	return &Sorter{
 		disk:    disk,
 		rowSize: rowSize,
 		budget:  budgetBytes,
 		compare: compare,
-		maxRows: maxRows,
+		maxRows: maxRows(rowSize, budgetBytes),
 	}, nil
 }
+
+// maxRows is how many rows of rowSize bytes a sorter holds in memory under
+// budget bytes before it spills a run.
+func maxRows(rowSize, budget int) int { return max(budget/rowSize, 16) }
 
 // RowsAdded returns the number of rows fed into the sorter.
 func (s *Sorter) RowsAdded() int64 { return s.rowsIn }
@@ -77,21 +96,75 @@ func (s *Sorter) Add(row []byte) error {
 	if len(row) != s.rowSize {
 		return fmt.Errorf("xsort: row is %d bytes, sorter uses %d", len(row), s.rowSize)
 	}
-	s.buf = append(s.buf, append([]byte(nil), row...))
+	if len(s.ents) == cap(s.ents) {
+		s.grow()
+	}
+	e := entry{off: len(s.rows)}
+	if s.compare == nil {
+		e.hi, e.lo = prefix(row)
+	}
+	s.rows = append(s.rows, row...)
+	s.ents = append(s.ents, e)
 	s.rowsIn++
-	if len(s.buf) >= s.maxRows {
+	if len(s.ents) >= s.maxRows {
 		return s.spill()
 	}
 	return nil
 }
 
+// grow doubles the room for rows in memory, up to maxRows and no further.
+func (s *Sorter) grow() {
+	n := min(max(2*cap(s.ents), 64), s.maxRows)
+	s.ents = append(make([]entry, 0, n), s.ents...)
+	s.rows = append(make([]byte, 0, n*s.rowSize), s.rows...)
+}
+
+// prefix reads a row's first prefixLen bytes as two big-endian integers,
+// zero-padded, so that comparing them compares the bytes.
+func prefix(row []byte) (hi, lo uint64) {
+	if len(row) >= prefixLen {
+		return binary.BigEndian.Uint64(row), binary.BigEndian.Uint64(row[8:])
+	}
+	var b [prefixLen]byte
+	copy(b[:], row)
+	return binary.BigEndian.Uint64(b[:]), binary.BigEndian.Uint64(b[8:])
+}
+
+// rowOf returns e's row, its place in the packed buffer, capped so that
+// appending to it cannot reach the next row.
+func (s *Sorter) rowOf(e entry) []byte {
+	return s.rows[e.off : e.off+s.rowSize : e.off+s.rowSize]
+}
+
+// sortBuf sorts the entries in memory, charging every comparison made.
 func (s *Sorter) sortBuf() {
-	cmps := 0
-	sort.Slice(s.buf, func(i, j int) bool {
-		cmps++
-		return s.compare(s.buf[i], s.buf[j]) < 0
-	})
+	cmps, rows, rs := 0, s.rows, s.rowSize
+	if s.compare != nil {
+		slices.SortFunc(s.ents, func(a, b entry) int {
+			cmps++
+			return s.compare(rows[a.off:a.off+rs], rows[b.off:b.off+rs])
+		})
+	} else {
+		slices.SortFunc(s.ents, func(a, b entry) int {
+			cmps++
+			if a.hi != b.hi {
+				return cmp.Compare(a.hi, b.hi)
+			}
+			if a.lo != b.lo || rs <= prefixLen {
+				return cmp.Compare(a.lo, b.lo)
+			}
+			return bytes.Compare(rows[a.off+prefixLen:a.off+rs], rows[b.off+prefixLen:b.off+rs])
+		})
+	}
 	s.disk.ChargeCompares(cmps)
+}
+
+// compareRows orders two rows as the sorter does.
+func (s *Sorter) compareRows(a, b []byte) int {
+	if s.compare == nil {
+		return bytes.Compare(a, b)
+	}
+	return s.compare(a, b)
 }
 
 // newRun starts a run at the end of the temporary file, creating the file
@@ -108,9 +181,9 @@ func (s *Sorter) newRun() (*RowFile, error) {
 	return &RowFile{disk: s.disk, file: s.file, start: n, rowSize: s.rowSize}, nil
 }
 
-// spill sorts the in-memory buffer and writes it as a run.
+// spill sorts the rows in memory and writes them as a run.
 func (s *Sorter) spill() error {
-	if len(s.buf) == 0 {
+	if len(s.ents) == 0 {
 		return nil
 	}
 	s.sortBuf()
@@ -118,8 +191,8 @@ func (s *Sorter) spill() error {
 	if err != nil {
 		return err
 	}
-	for _, row := range s.buf {
-		if err := run.Append(row); err != nil {
+	for _, e := range s.ents {
+		if err := run.Append(s.rowOf(e)); err != nil {
 			return err
 		}
 	}
@@ -127,12 +200,12 @@ func (s *Sorter) spill() error {
 		return err
 	}
 	s.runs = append(s.runs, run)
-	s.buf = s.buf[:0]
+	s.rows, s.ents = s.rows[:0], s.ents[:0]
 	return nil
 }
 
-// Iterator yields rows in sorted order. The returned slice is only valid
-// until the next call.
+// Iterator yields rows in sorted order. A returned row stays valid after
+// later calls; the caller must not modify it.
 type Iterator struct {
 	next  func() ([]byte, bool, error)
 	close func() error
@@ -154,6 +227,7 @@ func (it *Iterator) Close() error {
 // the iterator's Close does; calling it again is harmless.
 func (s *Sorter) Close() error {
 	s.done = true
+	s.rows, s.ents = nil, nil
 	if !s.haveTmp {
 		return nil
 	}
@@ -169,18 +243,20 @@ func (s *Sorter) Finish() (*Iterator, error) {
 	}
 	s.done = true
 	if len(s.runs) == 0 {
-		// Everything fit in memory: one in-memory sort, no I/O.
+		// Everything fit in memory: one in-memory sort, no I/O. The rows
+		// handed out are pieces of the packed buffer, in entry order;
+		// nothing writes the buffer again.
 		s.sortBuf()
-		i := 0
-		buf := s.buf
-		s.buf = nil
+		rows, ents, rs := s.rows, s.ents, s.rowSize
+		s.rows, s.ents = nil, nil
 		return &Iterator{next: func() ([]byte, bool, error) {
-			if i >= len(buf) {
+			if len(ents) == 0 {
+				rows = nil
 				return nil, false, nil
 			}
-			r := buf[i]
-			i++
-			return r, true, nil
+			off := ents[0].off
+			ents = ents[1:]
+			return rows[off : off+rs : off+rs], true, nil
 		}}, nil
 	}
 	// Spill the tail, then merge runs, multi-pass if the fan-in exceeds
@@ -188,19 +264,13 @@ func (s *Sorter) Finish() (*Iterator, error) {
 	if err := s.spill(); err != nil {
 		return nil, err
 	}
-	fanIn := s.budget/(sim.PageSize*mergeBufPages) - 1
-	if fanIn < 2 {
-		fanIn = 2
-	}
+	s.rows, s.ents = nil, nil
+	width := fanIn(s.budget)
 	runs := s.runs
-	for len(runs) > fanIn {
+	for len(runs) > width {
 		var next []*RowFile
-		for base := 0; base < len(runs); base += fanIn {
-			n := fanIn
-			if base+n > len(runs) {
-				n = len(runs) - base
-			}
-			merged, err := s.mergeToRun(runs[base : base+n])
+		for base := 0; base < len(runs); base += width {
+			merged, err := s.mergeToRun(runs[base:min(base+width, len(runs))])
 			if err != nil {
 				return nil, err
 			}
@@ -228,13 +298,12 @@ func Merge(srts []*Sorter) (*Iterator, error) {
 		its[i] = it
 	}
 	// heads[i] is stream i's next row (nil once it ran dry). A stream is
-	// pulled again only after its head was copied out, so the row stays
-	// valid while it waits.
+	// pulled again only after its head went out; rows stay valid, so the
+	// head goes out as is.
 	heads, stale := make([][]byte, len(its)), make([]bool, len(its))
 	for i := range stale {
 		stale[i] = true
 	}
-	var out []byte
 	next := func() ([]byte, bool, error) {
 		best := -1
 		for i, it := range its {
@@ -253,7 +322,7 @@ func Merge(srts []*Sorter) (*Iterator, error) {
 			}
 			if best >= 0 {
 				srts[i].disk.ChargeCompares(1)
-				if srts[i].compare(heads[i], heads[best]) >= 0 {
+				if srts[i].compareRows(heads[i], heads[best]) >= 0 {
 					continue
 				}
 			}
@@ -262,8 +331,8 @@ func Merge(srts []*Sorter) (*Iterator, error) {
 		if best < 0 {
 			return nil, false, nil
 		}
-		out, stale[best] = append(out[:0], heads[best]...), true
-		return out, true, nil
+		stale[best] = true
+		return heads[best], true, nil
 	}
 	closeAll := func() error {
 		var first error
@@ -279,6 +348,10 @@ func Merge(srts []*Sorter) (*Iterator, error) {
 
 // mergeBufPages is the chained-I/O read buffer per run during merges.
 const mergeBufPages = 4
+
+// fanIn is how many runs one merge reads at once under budget bytes: a
+// read buffer of mergeBufPages pages per run, less one for the output.
+func fanIn(budget int) int { return max(budget/(sim.PageSize*mergeBufPages)-1, 2) }
 
 // runReader streams one run in chained reads of mergeBufPages pages; cur
 // is its next row, nil once the run is exhausted.
@@ -300,7 +373,7 @@ type mergeHeap struct {
 
 func (h *mergeHeap) lessRR(a, b *runReader) bool {
 	h.s.disk.ChargeCompares(1)
-	return h.s.compare(a.cur, b.cur) < 0
+	return h.s.compareRows(a.cur, b.cur) < 0
 }
 
 func (h *mergeHeap) up(i int) {

@@ -3,6 +3,8 @@ package xsort
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -478,46 +480,196 @@ func TestMergeSorters(t *testing.T) {
 	}
 }
 
+// pinnedSpills are two spilling sorts of 8-byte random rows and what they
+// charge. A 1-byte budget holds 16 rows: 188 one-page runs, merged two at a
+// time.
+var pinnedSpills = []struct {
+	budget, rows                 int
+	clock                        time.Duration
+	reads, writes, random, chain uint64
+	compares                     uint64
+}{
+	{1, 3000, 4311004676, 383, 383, 119, 752, 33405},
+	{32000, 100000, 9146763532, 993, 993, 105, 327, 1744536},
+}
+
+// spillPinned runs the pinned sort of rows rows under budget bytes on a
+// fresh disk and returns the disk.
+func spillPinned(t *testing.T, budget, rows int) *sim.Disk {
+	t.Helper()
+	d := sim.NewDisk(sim.DefaultCostModel())
+	s, err := New(d, 8, budget, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(rows)))
+	row := make([]byte, 8)
+	for i := 0; i < rows; i++ {
+		rng.Read(row)
+		if err := s.Add(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(drain(t, it)); got != rows {
+		t.Fatalf("budget %d: %d rows out of %d", budget, got, rows)
+	}
+	return d
+}
+
 // TestSpillCostIsPinned pins what a spilling sort charges — clock, I/O and
 // compares — so a change to how runs are written, read or merged shows up as
 // a moved number, not just a moved ratio.
 func TestSpillCostIsPinned(t *testing.T) {
-	for _, c := range []struct {
-		budget, rows                 int
-		clock                        time.Duration
-		reads, writes, random, chain uint64
-		compares                     uint64
-	}{
-		// A 1-byte budget holds 16 rows: 188 one-page runs, merged two at a time.
-		{1, 3000, 4311004676, 383, 383, 119, 752, 33405},
-		{32000, 100000, 9146763532, 993, 993, 105, 327, 1744536},
-	} {
-		d := sim.NewDisk(sim.DefaultCostModel())
-		s, err := New(d, 8, c.budget, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(c.rows)))
-		row := make([]byte, 8)
-		for i := 0; i < c.rows; i++ {
-			rng.Read(row)
-			if err := s.Add(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		it, err := s.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(drain(t, it)); got != c.rows {
-			t.Fatalf("budget %d: %d rows out of %d", c.budget, got, c.rows)
-		}
+	for _, c := range pinnedSpills {
+		d := spillPinned(t, c.budget, c.rows)
 		st := d.Stats()
 		if d.Clock() != c.clock || st.Reads != c.reads || st.Writes != c.writes ||
 			st.RandomOps != c.random || st.ChainedRuns != c.chain || st.Compares != c.compares {
 			t.Errorf("budget %d, %d rows: clock %v, %d reads, %d writes, %d random, %d chained runs, %d compares; want %v, %d, %d, %d, %d, %d",
 				c.budget, c.rows, d.Clock(), st.Reads, st.Writes, st.RandomOps, st.ChainedRuns, st.Compares,
 				c.clock, c.reads, c.writes, c.random, c.chain, c.compares)
+		}
+	}
+}
+
+// TestPackedSortMatchesSortSlice: in memory, the sorter orders rows with
+// duplicates — whole rows and shared 16-byte prefixes — exactly as a
+// sort.Slice over the same rows does, and charges exactly the compares that
+// sort.Slice makes, in byte order and under a caller's comparator.
+func TestPackedSortMatchesSortSlice(t *testing.T) {
+	desc := func(a, b []byte) int { return bytes.Compare(b, a) }
+	for _, rowSize := range []int{6, 8, 14, 16, 24} {
+		for _, compare := range []func(a, b []byte) int{nil, desc} {
+			rng := rand.New(rand.NewSource(int64(rowSize)))
+			pool := make([][]byte, 50)
+			for i := range pool {
+				pool[i] = make([]byte, rowSize)
+				rng.Read(pool[i])
+				if i%2 == 1 { // a prefix shared with the row before, a tail of its own
+					copy(pool[i], pool[i-1][:min(rowSize-1, prefixLen)])
+				}
+			}
+			rows := make([][]byte, 3000)
+			for i := range rows {
+				rows[i] = pool[rng.Intn(len(pool))]
+			}
+			d := testDisk()
+			s, err := New(d, rowSize, 1<<20, compare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				if err := s.Add(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, err := s.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := drain(t, it)
+
+			ref, cmps := compare, uint64(0)
+			if ref == nil {
+				ref = bytes.Compare
+			}
+			sort.Slice(rows, func(i, j int) bool {
+				cmps++
+				return ref(rows[i], rows[j]) < 0
+			})
+			name := fmt.Sprintf("row size %d, comparator %v", rowSize, compare != nil)
+			if len(out) != len(rows) {
+				t.Fatalf("%s: %d rows out of %d", name, len(out), len(rows))
+			}
+			for i := range rows {
+				if !bytes.Equal(out[i], rows[i]) {
+					t.Fatalf("%s: row %d is %x, sort.Slice has %x", name, i, out[i], rows[i])
+				}
+			}
+			if got := d.Stats().Compares; got != cmps {
+				t.Errorf("%s: charged %d compares, sort.Slice made %d", name, got, cmps)
+			}
+		}
+	}
+}
+
+// TestAddAllocatesOnlyToGrow: Add copies rows into buffers that double, so n
+// rows cost O(log n) allocations, not one per row.
+func TestAddAllocatesOnlyToGrow(t *testing.T) {
+	for _, rowSize := range []int{16, 24} {
+		for _, n := range []int{1000, 100000} {
+			row := make([]byte, rowSize)
+			allocs := testing.AllocsPerRun(1, func() {
+				s, err := New(testDisk(), rowSize, 1<<30, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					binary.BigEndian.PutUint64(row, uint64(i))
+					if err := s.Add(row); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			// Per doubling, one slice of entries and one of rows; plus
+			// the sorter and whatever New asks for.
+			if limit := 2*bits.Len(uint(n)) + 2; allocs > float64(limit) {
+				t.Errorf("row size %d: %d rows took %v allocations, want at most %d", rowSize, n, allocs, limit)
+			}
+		}
+	}
+}
+
+// TestIteratorRowsStayValid: rows handed out by the in-memory iterator, the
+// spilled merge and Merge still hold their values after the iterator moved
+// on to the end.
+func TestIteratorRowsStayValid(t *testing.T) {
+	for _, budget := range []int{1 << 20, 1600} {
+		for _, rowSize := range []int{8, 24} {
+			d := testDisk()
+			s, err := New(d, rowSize, budget, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 2000
+			for i := 0; i < n; i++ {
+				row := make([]byte, rowSize)
+				binary.BigEndian.PutUint64(row, uint64((i*7919)%n))
+				if err := s.Add(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, err := Merge([]*Sorter{s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held [][]byte
+			for {
+				r, ok, err := it.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				held = append(held, r)
+			}
+			if len(held) != n {
+				t.Fatalf("budget %d: %d rows out of %d", budget, len(held), n)
+			}
+			for i, r := range held {
+				if got := binary.BigEndian.Uint64(r); got != uint64(i) || len(r) != rowSize || cap(r) != rowSize {
+					t.Fatalf("budget %d, row size %d: held row %d reads %d (len %d, cap %d) after the iterator moved on",
+						budget, rowSize, i, got, len(r), cap(r))
+				}
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
