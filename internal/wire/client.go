@@ -14,6 +14,7 @@ import (
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
+	buf  []byte // the frame buffer of every request and response
 }
 
 // Dial connects to a wire server.
@@ -29,11 +30,18 @@ func Dial(addr string) (*Client, error) {
 // errors (ErrCancelled, ErrLockTimeout, ErrOverloaded, ErrRestricted)
 // round-trip: errors.Is works on the returned error.
 func (c *Client) Exec(sql string) (*session.Result, error) {
-	if err := writeFrame(c.conn, Request{SQL: sql}); err != nil {
+	c.buf = Request{SQL: sql}.appendTo(newFrame(c.buf))
+	if err := writeFrame(c.conn, c.buf); err != nil {
+		return nil, err
+	}
+	var err error
+	if c.buf, err = readFrame(c.r, c.buf); err != nil {
 		return nil, err
 	}
 	var resp Response
-	if err := readFrame(c.r, &resp); err != nil {
+	err = resp.decode(c.buf)
+	c.buf = reuse(c.buf)
+	if err != nil {
 		return nil, err
 	}
 	if resp.Error != "" {

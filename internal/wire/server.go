@@ -87,15 +87,20 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	sess.SetWatch(func() func() { return s.watch(conn, r, sess) })
+	var buf []byte // the frame buffer of every request and response
 	for {
-		var req Request
-		if err := readFrame(r, &req); err != nil {
+		var err error
+		if buf, err = readFrame(r, buf); err != nil {
 			return // client gone or garbage, or force shutdown closed conn
 		}
-		res, err := sess.Exec(req.SQL)
-		if err := writeFrame(conn, responseFor(res, err)); err != nil {
+		var req Request
+		req.decode(buf)
+		resp := responseFor(sess.Exec(req.SQL))
+		buf = resp.appendTo(newFrame(buf))
+		if err := writeFrame(conn, buf); err != nil {
 			return
 		}
+		buf = reuse(buf)
 	}
 }
 

@@ -542,8 +542,8 @@ func TestWirePipelined(t *testing.T) {
 			lo = 200
 		}
 		var del, sel bytes.Buffer
-		writeFrame(&del, Request{SQL: fmt.Sprintf("DELETE FROM R WHERE id BETWEEN %d AND %d", lo, lo+99)})
-		writeFrame(&sel, Request{SQL: "SELECT COUNT(*) FROM R"})
+		writeFrame(&del, Request{SQL: fmt.Sprintf("DELETE FROM R WHERE id BETWEEN %d AND %d", lo, lo+99)}.appendTo(newFrame(nil)))
+		writeFrame(&sel, Request{SQL: "SELECT COUNT(*) FROM R"}.appendTo(newFrame(nil)))
 		if parked {
 			db.Disk().SetFaultPlan(sim.NewFaultPlan().CallAtIO(1, func() {
 				conn.Write(sel.Bytes())
@@ -559,11 +559,14 @@ func TestWirePipelined(t *testing.T) {
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 		r := bufio.NewReader(conn)
 		var delResp, selResp Response
-		if err := readFrame(r, &delResp); err != nil {
-			t.Fatal(err)
-		}
-		if err := readFrame(r, &selResp); err != nil {
-			t.Fatal(err)
+		for _, resp := range []*Response{&delResp, &selResp} {
+			payload, err := readFrame(r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resp.decode(payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 		db.Disk().SetFaultPlan(nil)
 		conn.Close()
@@ -647,5 +650,64 @@ func TestWireWatchesOnlyCancellableStatements(t *testing.T) {
 	mustExecWire(t, c, "DELETE FROM R WHERE id = 7")
 	if n := srv.watches.Load() - before; n != 1 {
 		t.Fatalf("one DELETE armed %d watchers, want 1", n)
+	}
+}
+
+// TestExecAllocs pins the allocations of a loopback point SELECT through
+// Client.Exec, client and server together (the count is process-wide):
+// 67 per statement with JSON payloads and a fresh buffer per frame, 42
+// with the binary codec, whose share is 6 (the SQL string, the Result, the
+// column names and their slice, the cells and the rows slicing them).
+func TestExecAllocs(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustExecWire(t, c, "CREATE TABLE kv (k, v, w)")
+	mustExecWire(t, c, "CREATE UNIQUE INDEX kv_pk ON kv (k)")
+	mustExecWire(t, c, "INSERT INTO kv VALUES (1, 10, 100), (2, 20, 200), (3, 30, 300)")
+	allocs := testing.AllocsPerRun(200, func() {
+		if res := mustExecWire(t, c, "SELECT * FROM kv WHERE k = 2"); res.Rows[0][2] != 200 {
+			t.Fatalf("select rows=%v", res.Rows)
+		}
+	})
+	t.Logf("%.1f allocations per point SELECT", allocs)
+	const limit = 42
+	if allocs > limit {
+		t.Fatalf("%.1f allocations per point SELECT, want <= %d", allocs, limit)
+	}
+}
+
+// TestWireDropsLargeFrameBuffer: a connection end keeps its frame buffer
+// between statements unless a frame grew it past keepFrame.
+func TestWireDropsLargeFrameBuffer(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustExecWire(t, c, "CREATE TABLE kv (k, v, w)")
+	if cap(c.buf) == 0 || cap(c.buf) > keepFrame {
+		t.Fatalf("after a small statement the buffer holds %d bytes", cap(c.buf))
+	}
+	const rows = 8000
+	vals := make([]string, rows)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d, %d)", i, i<<20, -i<<20)
+	}
+	mustExecWire(t, c, "INSERT INTO kv VALUES "+strings.Join(vals, ", ")) // a large request
+	if cap(c.buf) != 0 {
+		t.Fatalf("after a large request the buffer holds %d bytes", cap(c.buf))
+	}
+	mustExecWire(t, c, "SELECT COUNT(*) FROM kv")
+	res := mustExecWire(t, c, "SELECT * FROM kv") // a large response
+	if len(res.Rows) != rows || res.Rows[rows-1][2] != -(rows-1)<<20 {
+		t.Fatalf("large SELECT read %d rows, last %v", len(res.Rows), res.Rows[len(res.Rows)-1])
+	}
+	if cap(c.buf) != 0 {
+		t.Fatalf("after a large response the buffer holds %d bytes", cap(c.buf))
 	}
 }
