@@ -189,51 +189,6 @@ func TestRunConcurrentCtxRetries(t *testing.T) {
 	}
 }
 
-// TestAdmissionShed caps the admission queue at zero and floods the pool
-// with parallel statements: the overflow must be shed with ErrOverloaded
-// before doing any work, and adm_shed must count each refusal.
-func TestAdmissionShed(t *testing.T) {
-	db, tbl, _ := newCancelDB(t, 120, Options{Devices: 4, Parallel: 1, AdmissionQueue: 1})
-	// Saturate: statements that want pool workers beyond budget+queue.
-	stmts := make([]func() error, 6)
-	errsC := make(chan error, len(stmts))
-	for i := range stmts {
-		lo := int64(i * 10)
-		stmts[i] = func() error {
-			var victims []int64
-			for v := lo; v < lo+10; v++ {
-				victims = append(victims, v)
-			}
-			_, err := tbl.BulkDelete(0, victims, BulkOptions{Parallel: 3})
-			errsC <- err
-			if errors.Is(err, ErrOverloaded) {
-				return nil // shed is an expected outcome here
-			}
-			return err
-		}
-	}
-	if _, err := db.RunConcurrent(stmts...); err != nil {
-		t.Fatal(err)
-	}
-	close(errsC)
-	shed := 0
-	for err := range errsC {
-		if errors.Is(err, ErrOverloaded) {
-			shed++
-		}
-	}
-	reg := db.Observer().Registry()
-	if int(reg.Counter(obs.MetricAdmissionShed).Value()) != shed {
-		t.Fatalf("adm_shed = %d, observed %d ErrOverloaded", reg.Counter(obs.MetricAdmissionShed).Value(), shed)
-	}
-	if err := tbl.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if insp := db.Inspect(); len(insp.Statements) != 0 || !insp.WaitGraph.Idle() {
-		t.Fatalf("leaked concurrent state:\n%s", insp.String())
-	}
-}
-
 // TestRebalanceCtxCancel cancels an online rebalancing between moves: the
 // call must return ErrCancelled, completed moves stay durable (the catalog
 // was saved), and every table remains consistent.

@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	memory := fs.Int("memory", 0, "sort/hash budget in bytes (default 512)")
 	buffer := fs.Int("buffer", 0, "buffer-pool budget in bytes (default 24 pages)")
 	devices := fs.Int("devices", 0, "simulated disk array width (data files placed by the device policy; 0 = single spindle)")
-	parallel := fs.Int("parallel", 0, "worker cap for the remaining-index passes (makes the crash point nondeterministic; invariants still checked)")
+	parallel := fs.Int("parallel", 0, "worker cap for the remaining-index passes (the virtual schedule's workers)")
 	concurrent := fs.Bool("concurrent", false, "two-table scenario: crash a concurrent two-statement batch (invariants only, no digest)")
 	rebalance := fs.Bool("rebalance", false, "partitioned-table scenarios: crash an online device rebalancing (rebalance:) and a sort/merge bulk delete on a hash-partitioned 4-way heap (parted:)")
 	lsmMode := fs.Bool("lsm", false, "LSM scenarios: crash an LSM range delete (lsm:) and an IN-list delete (lsm-in:), each followed by flush + compaction, inserts driving a multi-table compaction and WAL restarts (lsm-grow:), a tenant drop applied in place at its TTL (lsm-drop:), and a heap bulk delete beside an LSM table living in the WAL (lsm-heap:); with -rows, the fixed-size lsm-grow and lsm-drop are left out")
@@ -277,8 +277,8 @@ func runScenario(w io.Writer, name string, k kind, label string, cfg crashtest.C
 		line += ", reference " + sw.Reference
 	}
 	fmt.Fprintln(w, line)
-	// A deterministic configuration (no statement-level goroutines racing
-	// for the disk) must reproduce its digest exactly on a second sweep.
+	// A sweep no goroutine races (every one but a concurrent batch or a
+	// snapshot reader) must reproduce its digest exactly on a second sweep.
 	if verifyDigest && k.digest && sw.Deterministic {
 		sw2, err := crashtest.Run(name, cfg)
 		if err != nil {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	repl                         # local in-memory database
-//	repl -devices 4 -parallel 3  # local, parallel index passes enabled
+//	repl -devices 4              # local, on a 4-device array (SET parallel = 3)
 //	repl -connect 127.0.0.1:7878 # talk to cmd/server
 //	repl -f setup.sql            # run a script, then exit
 //	repl -f setup.sql -i         # run a script, then go interactive
@@ -37,7 +37,6 @@ type executor interface {
 
 func main() {
 	devices := flag.Int("devices", 1, "simulated disk devices (local mode)")
-	parallel := flag.Int("parallel", 0, "DB-wide parallel worker budget (local mode)")
 	connect := flag.String("connect", "", "connect to a wire server instead of opening a local database")
 	script := flag.String("f", "", "execute statements from this file")
 	interactive := flag.Bool("i", false, "stay interactive after -f")
@@ -58,7 +57,7 @@ func main() {
 			fmt.Printf("connected to %s\n", *connect)
 		}
 	default:
-		db, err := bulkdel.Open(bulkdel.Options{Devices: *devices, Parallel: *parallel})
+		db, err := bulkdel.Open(bulkdel.Options{Devices: *devices})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "open:", err)
 			os.Exit(1)

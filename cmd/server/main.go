@@ -2,13 +2,13 @@
 // database and serves the length-delimited SQL wire protocol, one session
 // per connection. Statements from all connections contend inside the
 // engine exactly like concurrent Go-API statements — per-table lock
-// footprints, the shared parallel-worker admission pool, and the
-// cancellation machinery.
+// footprints, the §3.1 concurrent-delete protocol, and the cancellation
+// machinery.
 //
 // Usage:
 //
 //	server                                  # listen on 127.0.0.1:7878
-//	server -addr :7878 -devices 4 -parallel 3 -admission-queue 8
+//	server -addr :7878 -devices 4
 //
 // SIGINT/SIGTERM shut down gracefully: the listener closes, in-flight
 // statements finish, and connected clients are waited for up to -drain;
@@ -35,16 +35,10 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7878", "listen address")
 	devices := flag.Int("devices", 1, "simulated disk devices (≥2 enables parallel index passes)")
-	parallel := flag.Int("parallel", 0, "DB-wide parallel worker budget (0 = unbounded)")
-	admissionQueue := flag.Int("admission-queue", 0, "max statements queued for the worker pool (0 = unbounded)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline before in-flight statements are cancelled")
 	flag.Parse()
 
-	db, err := bulkdel.Open(bulkdel.Options{
-		Devices:        *devices,
-		Parallel:       *parallel,
-		AdmissionQueue: *admissionQueue,
-	})
+	db, err := bulkdel.Open(bulkdel.Options{Devices: *devices})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)
@@ -55,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("listening on %s (devices=%d parallel=%d)\n", ln.Addr(), *devices, *parallel)
+	fmt.Printf("listening on %s (devices=%d)\n", ln.Addr(), *devices)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	stress                                  # defaults: 4 tables, 4 workers
-//	stress -seed 3 -devices 4 -budget 4 -parallel 3 -concurrent
+//	stress -seed 3 -devices 4 -parallel 3 -concurrent
 //	stress -workers 8 -ops 200 -rows 1000
 //	stress -chaos-cancel 20 -chaos-deadline 20 -chaos-lockwait 25
 //	stress -sql 30                          # 30% of ops via the SQL wire front door
@@ -53,7 +53,6 @@ type benchJSON struct {
 	Seed               int64   `json:"seed"`
 	Devices            int     `json:"devices"`
 	Parallel           int     `json:"parallel"`
-	Budget             int     `json:"budget"`
 	Concurrent         bool    `json:"concurrent"`
 	BulkDeletes        int64   `json:"bulk_deletes"`
 	RowsDeleted        int64   `json:"rows_deleted"`
@@ -72,7 +71,6 @@ type benchJSON struct {
 	FullAborts         int64   `json:"full_aborts,omitempty"`
 	ZeroAborts         int64   `json:"zero_aborts,omitempty"`
 	LockTimeouts       int64   `json:"lock_timeouts,omitempty"`
-	Shed               int64   `json:"shed,omitempty"`
 	Retries            int64   `json:"retries,omitempty"`
 	SQLStmts           int64   `json:"sql_stmts,omitempty"`
 	SnapshotProbes     int64   `json:"snapshot_probes"`
@@ -96,12 +94,10 @@ func main() {
 	seed := flag.Int64("seed", 0, "generator seed (default 1)")
 	devices := flag.Int("devices", 0, "simulated disk array width (0 = single spindle)")
 	parallel := flag.Int("parallel", 0, "per-statement worker cap for the remaining-index passes")
-	budget := flag.Int("budget", 0, "DB-wide admission budget shared by all statements (0 = unbounded)")
 	concurrent := flag.Bool("concurrent", false, "run bulk deletes under the §3.1 protocol (early lock release)")
 	chaosCancel := flag.Int("chaos-cancel", 0, "percent of bulk deletes issued with an already-cancelled context")
 	chaosDeadline := flag.Int("chaos-deadline", 0, "percent of bulk deletes issued with a tiny random deadline")
 	chaosLockWait := flag.Int("chaos-lockwait", 0, "percent of bulk deletes issued with a tiny random lock-wait budget")
-	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue cap; overflowing parallel statements are shed and retried (0 = unbounded)")
 	sqlPct := flag.Int("sql", 0, "percent of operations routed through the SQL wire front door (each worker dials its own session)")
 	top := flag.Bool("top", false, "print a live in-flight/lock-graph view while the run executes")
 	topEvery := flag.Duration("top-interval", 200*time.Millisecond, "refresh interval for -top")
@@ -112,11 +108,10 @@ func main() {
 
 	spec := workload.StressSpec{
 		Tables: *tables, Rows: *rows, Workers: *workers, Ops: *ops,
-		Devices: *devices, Parallel: *parallel, Budget: *budget,
+		Devices: *devices, Parallel: *parallel,
 		Seed: *seed, Concurrent: *concurrent,
 		CancelPct: *chaosCancel, DeadlinePct: *chaosDeadline,
-		LockWaitPct: *chaosLockWait, AdmissionQueue: *admissionQueue,
-		SQLPct: *sqlPct,
+		LockWaitPct: *chaosLockWait, SQLPct: *sqlPct,
 	}
 
 	// SIGINT/SIGTERM cancel the run context: the workers drain, the final
@@ -175,9 +170,9 @@ func main() {
 	if stats.SQLStmts > 0 {
 		fmt.Printf("stress: sql statements=%d (via wire front door)\n", stats.SQLStmts)
 	}
-	if stats.Cancelled+stats.LockTimeouts+stats.Shed > 0 {
-		fmt.Printf("stress: chaos cancelled=%d full-aborts=%d zero-aborts=%d lock-timeouts=%d shed=%d retries=%d\n",
-			stats.Cancelled, stats.FullAborts, stats.ZeroAborts, stats.LockTimeouts, stats.Shed, stats.Retries)
+	if stats.Cancelled+stats.LockTimeouts > 0 {
+		fmt.Printf("stress: chaos cancelled=%d full-aborts=%d zero-aborts=%d lock-timeouts=%d retries=%d\n",
+			stats.Cancelled, stats.FullAborts, stats.ZeroAborts, stats.LockTimeouts, stats.Retries)
 	}
 	fmt.Printf("stress: makespan=%v serial-equivalent=%v wall=%v\n",
 		stats.Makespan, stats.SerialEquivalent, stats.WallTime)
@@ -189,7 +184,7 @@ func main() {
 		out := benchJSON{
 			Tables: sp.Tables, Rows: sp.Rows, Workers: sp.Workers, Ops: sp.Ops,
 			Seed: sp.Seed, Devices: sp.Devices, Parallel: sp.Parallel,
-			Budget: sp.Budget, Concurrent: sp.Concurrent,
+			Concurrent:         sp.Concurrent,
 			BulkDeletes:        stats.BulkDeletes,
 			RowsDeleted:        stats.RowsDeleted,
 			RowsInserted:       stats.RowsInserted,
@@ -206,7 +201,6 @@ func main() {
 			FullAborts:         stats.FullAborts,
 			ZeroAborts:         stats.ZeroAborts,
 			LockTimeouts:       stats.LockTimeouts,
-			Shed:               stats.Shed,
 			SQLStmts:           stats.SQLStmts,
 			Retries:            stats.Retries,
 			SnapshotProbes:     stats.SnapshotProbes,

@@ -34,7 +34,6 @@ import (
 	"bulkdel/internal/core"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
-	"bulkdel/internal/sched"
 	"bulkdel/internal/sim"
 	"bulkdel/internal/table"
 	"bulkdel/internal/wal"
@@ -88,10 +87,6 @@ var (
 	// boundary followed by Recover would have produced (the delete, being
 	// roll-forward-only, still completes).
 	ErrCancelled = core.ErrCancelled
-	// ErrOverloaded reports that the admission overload guard shed the
-	// statement before it acquired any lock or wrote any log record
-	// (Options.AdmissionQueue). Always safe to retry.
-	ErrOverloaded = sched.ErrOverloaded
 	// ErrLockTimeout reports that the statement's lock footprint could not
 	// be acquired within BulkOptions.LockWait; nothing was modified and
 	// every partially acquired lock was released. Always safe to retry.
@@ -119,20 +114,6 @@ type Options struct {
 	// indexes are placed round-robin on devices 1..Devices. 0 or 1 keeps
 	// the single-spindle model.
 	Devices int
-	// Parallel is the DB-wide worker budget shared by all concurrently
-	// running statements: however many statements overlap, at most this
-	// many parallel index-pass workers run at once — concurrent statements
-	// split the budget instead of each bringing their own. 0 leaves
-	// admission unbounded (each statement is still capped by its own
-	// BulkOptions.Parallel).
-	Parallel int
-	// AdmissionQueue bounds how many parallel statements may queue for the
-	// shared worker pool at once: when every Parallel worker slot is busy
-	// and AdmissionQueue acquirers are already blocked, a new statement that
-	// wants pool workers is shed immediately with ErrOverloaded instead of
-	// joining the line. 0 (default) leaves queueing unbounded. Only
-	// meaningful with Parallel > 0.
-	AdmissionQueue int
 	// Observer receives every statement's trace and aggregates engine-wide
 	// metrics (nil = the DB creates its own; see DB.Observer).
 	Observer *obs.Observer
@@ -175,10 +156,7 @@ type DB struct {
 	obs   *obs.Observer
 	// cc owns the per-table locks; every statement acquires its footprint
 	// through cc.Manager.Acquire (see internal/cc).
-	cc *cc.Manager
-	// sched is the DB-wide worker admission pool shared by concurrent
-	// statements' parallel index passes.
-	sched   *sched.Pool
+	cc      *cc.Manager
 	crashed atomic.Bool
 	// active tracks statements currently holding table locks, for the
 	// cc_statements_active/peak gauges.
@@ -261,11 +239,6 @@ func (db *DB) initConcurrency() {
 		}
 		stmt.EventWait(obs.EvLock, detail, ev.Waited)
 	}
-	db.sched = sched.NewPool(db.opts.Parallel)
-	db.sched.SetQueueCap(db.opts.AdmissionQueue)
-	db.sched.SetOnShed(func() {
-		reg.Counter(obs.MetricAdmissionShed).Add(1)
-	})
 }
 
 // wireWAL connects the log's appender-queue hooks to the observer's
@@ -409,9 +382,8 @@ func (r *ConcurrentResult) Overlap() time.Duration {
 }
 
 // RetryPolicy governs how RunConcurrentCtx handles retryable statement
-// failures — admission sheds (ErrOverloaded) and lock-wait timeouts
-// (ErrLockTimeout), both of which fail before the statement modifies
-// anything, so re-running the closure is always safe.
+// failures — lock-wait timeouts (ErrLockTimeout), which fail before the
+// statement modifies anything, so re-running the closure is always safe.
 type RetryPolicy struct {
 	// MaxRetries is the per-statement retry budget (0 disables retrying —
 	// and with it the batch's retry event stream, keeping non-retrying
@@ -446,17 +418,17 @@ func (db *DB) RunConcurrent(stmts ...func() error) (*ConcurrentResult, error) {
 }
 
 // RunConcurrentCtx is RunConcurrent under an external context and a retry
-// policy. Retryable failures (shed or lock-timeout statements — nothing ran,
+// policy. Retryable failures (lock-timeout statements — nothing ran,
 // nothing to undo) are re-run after exponential backoff with deterministic
 // jitter, up to policy.MaxRetries per statement; each re-admission bumps
 // cc_retries and emits an EvRetry event on the batch's statement stream.
 //
 // Victim selection: ordered lock acquisition keeps the wait graph acyclic,
-// so the statement whose lock wait timed out (or that was shed) IS the
-// victim — it backs off while the blocking holder finishes. The wait graph
-// still informs the policy: while it shows blocked tables, the backoff is
-// extended by one extra doubling, since retrying into a still-contended
-// footprint would only time out again.
+// so the statement whose lock wait timed out IS the victim — it backs off
+// while the blocking holder finishes. The wait graph still informs the
+// policy: while it shows blocked tables, the backoff is extended by one
+// extra doubling, since retrying into a still-contended footprint would
+// only time out again.
 //
 // ctx cancels only the retry loop (no retry starts after ctx is done); to
 // cancel the statements themselves mid-run, thread the same ctx into each
@@ -489,7 +461,7 @@ func (db *DB) RunConcurrentCtx(ctx context.Context, policy RetryPolicy, stmts ..
 			for attempt := 0; ; attempt++ {
 				err := fn()
 				if err == nil || attempt >= policy.MaxRetries || ctx.Err() != nil ||
-					!(errors.Is(err, ErrOverloaded) || errors.Is(err, ErrLockTimeout)) {
+					!errors.Is(err, ErrLockTimeout) {
 					errs[i] = err
 					return
 				}

@@ -346,7 +346,6 @@ func (h *heapBackend) bulkDeleteWithDepth(field int, values []int64, opts BulkOp
 		Reorganize:     true,
 		CheckpointRows: opts.CheckpointRows,
 		Parallel:       opts.Parallel,
-		Sched:          db.sched,
 		Stmt:           stmt,
 		Log:            db.log,
 		TxID:           db.nextTx(),

@@ -9,7 +9,6 @@ import (
 	"bulkdel/internal/keyenc"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
-	"bulkdel/internal/sched"
 	"bulkdel/internal/sim"
 	"bulkdel/internal/wal"
 	"bulkdel/internal/xsort"
@@ -147,7 +146,7 @@ func finishTiming(stats *Stats, disk *sim.Disk) {
 		stats.Workers = 1
 	}
 	stats.Makespan = stats.Elapsed
-	for _, sc := range []*sched.Schedule{stats.HeapSchedule, stats.Schedule} {
+	for _, sc := range []*Schedule{stats.HeapSchedule, stats.Schedule} {
 		if sc == nil {
 			continue
 		}

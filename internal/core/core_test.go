@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -467,10 +466,10 @@ func TestOnPassesStartPrecedesEveryChange(t *testing.T) {
 	}
 }
 
-// TestOnStructureDoneAndCriticalHooks: the callbacks mutate unsynchronized
-// state, as an engine's may — the runner never invokes them concurrently,
-// serial or fanned out over a device array. The first index callback of the
-// fan-out lingers, so the other pass's callback would walk in on it.
+// TestOnStructureDoneAndCriticalHooks: the callbacks run on the statement's
+// goroutine in plan order — access index, heap, then the remaining indexes —
+// whether the passes are scheduled serially or onto a device array's
+// virtual workers, so an engine's callbacks may mutate unsynchronized state.
 func TestOnStructureDoneAndCriticalHooks(t *testing.T) {
 	for _, parallel := range []int{0, 3} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
@@ -488,27 +487,12 @@ func TestOnStructureDoneAndCriticalHooks(t *testing.T) {
 			}
 			var done []sim.FileID
 			critical := -1
-			var inside atomic.Int32
-			overlap := make(chan struct{})
 			victims, set := pickVictims(5000, 500, 13)
 			st, err := Execute(tgt, 0, victims, Options{
-				Method:   SortMerge,
-				Parallel: parallel,
-				OnStructureDone: func(f sim.FileID) {
-					if inside.Add(1) == 2 {
-						close(overlap)
-					}
-					defer inside.Add(-1)
-					if parallel > 1 && len(done) == 2 {
-						select {
-						case <-overlap:
-							t.Error("OnStructureDone invoked concurrently")
-						case <-time.After(100 * time.Millisecond):
-						}
-					}
-					done = append(done, f)
-				},
-				OnCriticalDone: func() { critical = len(done) },
+				Method:          SortMerge,
+				Parallel:        parallel,
+				OnStructureDone: func(f sim.FileID) { done = append(done, f) },
+				OnCriticalDone:  func() { critical = len(done) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -516,19 +500,14 @@ func TestOnStructureDoneAndCriticalHooks(t *testing.T) {
 			if (st.Schedule != nil) != (parallel > 1) {
 				t.Fatalf("parallel=%d: schedule %v", parallel, st.Schedule)
 			}
-			if len(done) != 4 {
-				t.Fatalf("structure-done hooks: %d, want 4", len(done))
+			want := []sim.FileID{tgt.Indexes[0].Tree.ID(), tgt.Heap.ID(),
+				tgt.Indexes[1].Tree.ID(), tgt.Indexes[2].Tree.ID()}
+			if !slices.Equal(done, want) {
+				t.Fatalf("structure-done order %v, want plan order %v", done, want)
 			}
-			// Order: IA (access), heap, then IB (unique) and IC — in that
-			// order serially, in either order when they overlap.
-			ib, ic := tgt.Indexes[1].Tree.ID(), tgt.Indexes[2].Tree.ID()
-			if done[0] != tgt.Indexes[0].Tree.ID() || done[1] != tgt.Heap.ID() ||
-				!(done[2] == ib && done[3] == ic || parallel > 1 && done[2] == ic && done[3] == ib) {
-				t.Fatalf("structure order wrong: %v", done)
-			}
-			// Critical point: once IB, the last unique index, is done —
-			// before IC serially.
-			if critical <= slices.Index(done, ib) || parallel <= 1 && critical != 3 {
+			// Critical point: once IB, the last unique index, is done and
+			// before IC.
+			if critical != 3 {
 				t.Fatalf("critical-done fired after %d structures of %v", critical, done)
 			}
 			verifyTarget(t, tgt, set, 5000)

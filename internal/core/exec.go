@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"bulkdel/internal/heap"
@@ -44,11 +43,9 @@ type execCtx struct {
 	// lists are the row files a logged statement materialized for recovery;
 	// finish drops them once the commit record is durable.
 	lists []*xsort.RowFile
-	// cbMu serializes the engine callbacks (OnStructureDone, OnCriticalDone)
-	// and guards criticalLeft, the §3.1 count of what must still finish
-	// before the table lock may go: one token run holds until phase 3
-	// starts, plus one per remaining unique index.
-	cbMu         sync.Mutex
+	// criticalLeft is the §3.1 count of what must still finish before the
+	// table lock may go: one token run holds until phase 3 starts, plus one
+	// per remaining unique index.
 	criticalLeft int
 }
 

@@ -96,12 +96,11 @@ func (st *Stats) ExplainAnalyze() string {
 		fmt.Fprintf(&b, "parallel: workers=1 (requested %d; clamped — single device or too few secondary indexes)\n",
 			st.ParallelRequested)
 	}
-	if st.LockWait > 0 || st.AdmissionWait > 0 {
+	if st.LockWait > 0 {
 		// Wait attribution is real (wall-clock) blocking on other
 		// statements; uncontended runs never print this line, keeping the
 		// deterministic output byte-identical.
-		fmt.Fprintf(&b, "waits: lock=%v admission=%v (real time, concurrent statements)\n",
-			st.LockWait, st.AdmissionWait)
+		fmt.Fprintf(&b, "waits: lock=%v (real time, concurrent statements)\n", st.LockWait)
 	}
 	if len(st.Estimates) > 0 {
 		b.WriteString("planner estimates:")
@@ -197,15 +196,14 @@ type statsJSON struct {
 	Deleted    int64  `json:"deleted"`
 	Partitions int    `json:"partitions,omitempty"`
 	ElapsedUS  int64  `json:"elapsed_us"`
-	// Wait attribution is real blocking on concurrent statements; both
-	// fields are omitted for uncontended runs, so deterministic output is
+	// Wait attribution is real blocking on concurrent statements; the
+	// field is omitted for uncontended runs, so deterministic output is
 	// unchanged.
-	LockWaitUS      int64           `json:"lock_wait_us,omitempty"`
-	AdmissionWaitUS int64           `json:"admission_wait_us,omitempty"`
-	Estimates       []estimateJSON  `json:"estimates,omitempty"`
-	Structures      []structJSON    `json:"structures"`
-	Schedule        *scheduleJSON   `json:"schedule,omitempty"`
-	Trace           json.RawMessage `json:"trace,omitempty"`
+	LockWaitUS int64           `json:"lock_wait_us,omitempty"`
+	Estimates  []estimateJSON  `json:"estimates,omitempty"`
+	Structures []structJSON    `json:"structures"`
+	Schedule   *scheduleJSON   `json:"schedule,omitempty"`
+	Trace      json.RawMessage `json:"trace,omitempty"`
 }
 
 // scheduleJSON is the stable wire form of the parallel section's virtual
@@ -254,13 +252,12 @@ type structJSON struct {
 // structure I/O, and the full phase trace — as stable JSON.
 func (st *Stats) MetricsJSON() ([]byte, error) {
 	out := statsJSON{
-		Method:          st.Method.String(),
-		Victims:         st.Victims,
-		Deleted:         st.Deleted,
-		Partitions:      st.Partitions,
-		ElapsedUS:       st.Elapsed.Microseconds(),
-		LockWaitUS:      st.LockWait.Microseconds(),
-		AdmissionWaitUS: st.AdmissionWait.Microseconds(),
+		Method:     st.Method.String(),
+		Victims:    st.Victims,
+		Deleted:    st.Deleted,
+		Partitions: st.Partitions,
+		ElapsedUS:  st.Elapsed.Microseconds(),
+		LockWaitUS: st.LockWait.Microseconds(),
 	}
 	for _, e := range st.Estimates {
 		out.Estimates = append(out.Estimates, estimateJSON{

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"bulkdel/internal/buffer"
 	"bulkdel/internal/heap"
@@ -94,7 +95,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // Same plan + same seed ⇒ identical simulated makespan, elapsed time, and
-// virtual schedule, no matter how the goroutines interleaved.
+// virtual schedule.
 func TestParallelDeterministicMakespan(t *testing.T) {
 	const n = 2500
 	run := func() *Stats {
@@ -124,6 +125,49 @@ func TestParallelDeterministicMakespan(t *testing.T) {
 		if !reflect.DeepEqual(first.Schedule, again.Schedule) {
 			t.Fatalf("schedule differs:\n%+v\n%+v", first.Schedule, again.Schedule)
 		}
+	}
+}
+
+// items builds schedule items from (device, duration in ms) pairs.
+func items(devDurs ...[2]int) []Item {
+	out := make([]Item, len(devDurs))
+	for i, dd := range devDurs {
+		out[i] = Item{Label: string(rune('a' + i)), Device: dd[0], Duration: time.Duration(dd[1]) * time.Millisecond}
+	}
+	return out
+}
+
+func TestPlanMath(t *testing.T) {
+	sc := planSchedule(2, items([2]int{1, 10}, [2]int{2, 20}, [2]int{1, 5}))
+	if sc.Makespan != 20*time.Millisecond {
+		t.Fatalf("makespan %v, want 20ms", sc.Makespan)
+	}
+	if sc.Items[2].Start != 10*time.Millisecond {
+		t.Fatalf("item c start %v, want 10ms (device busy)", sc.Items[2].Start)
+	}
+	if len(sc.Critical) == 0 || sc.Critical[len(sc.Critical)-1] != 1 {
+		t.Fatalf("critical path %v, want to end at item 1", sc.Critical)
+	}
+}
+
+func TestPlanSerialWorker(t *testing.T) {
+	sc := planSchedule(1, items([2]int{1, 10}, [2]int{2, 10}, [2]int{3, 10}))
+	if sc.Makespan != 30*time.Millisecond {
+		t.Fatalf("one worker must serialize: makespan %v, want 30ms", sc.Makespan)
+	}
+}
+
+// TestPlanDeviceExclusive: two items on one device never overlap in the
+// virtual schedule, however many workers are free, and the item that waits
+// for the device has it on its critical chain.
+func TestPlanDeviceExclusive(t *testing.T) {
+	sc := planSchedule(4, items([2]int{0, 20}, [2]int{1, 10}, [2]int{2, 30}, [2]int{3, 5}, [2]int{0, 8}))
+	a, e := sc.Items[0], sc.Items[4]
+	if e.Start < a.Finish && a.Start < e.Finish {
+		t.Fatalf("device-0 items overlap: %+v vs %+v", a, e)
+	}
+	if sc.Makespan != 30*time.Millisecond || !reflect.DeepEqual(sc.Critical, []int{2}) {
+		t.Fatalf("makespan %v critical %v, want 30ms [2]", sc.Makespan, sc.Critical)
 	}
 }
 

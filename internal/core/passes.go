@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/heap"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
-	"bulkdel/internal/sched"
 	"bulkdel/internal/sim"
 	"bulkdel/internal/xsort"
 )
@@ -76,143 +74,93 @@ func (j *passJob) run(ce *execCtx) (deleted int64, parts int, err error) {
 // runPasses executes the jobs of one phase ("access-pass", "heap-pass" or
 // "index-pass") and is the only place a pass gets its context, its
 // structure records, its stats row and its span. Jobs recovery already
-// finished are skipped. With workers == 1 the rest run inline, in order,
-// each under its own phase span, and a job's I/O is its span's diff. With
-// workers > 1 they run as a fan-out DAG under internal/sched, one job per
-// device arm at a time, and a job's I/O is the delta of its device's and
-// its pool shard's counters — exact, because the job has the arm to itself,
-// where a span diff would also count the jobs running beside it. That delta
-// is both the job's stats row and its span, written after the section (WAL
-// bytes of concurrent jobs interleave in one stream and stay unattributed).
+// finished are skipped; the rest run inline, in plan order, each under its
+// own phase span, and a job boundary is a cancel checkpoint (structStart).
 //
-// What concurrent jobs share is safe for it: WAL appends funnel through
-// wal.Log's mutex at whole-record granularity; scratch files a job creates
-// land on its own device (execCtx.scratchDev); the engine callbacks and the
-// §3.1 critical count sit behind execCtx.cbMu; the shared Stats is written
-// only here, after the section. A job charges only its own device and the
-// order-independent CPU clock, so per-job costs stay deterministic (see
-// the internal/sched package comment).
+// With workers == 1 a job's I/O is its span's diff. With workers > 1 the
+// phase is a parallel section of the plan DAG: each job stages its scratch
+// files on its own device (execCtx.scratchDev), its I/O is the delta of its
+// device's and its pool shard's counters — what it would cost on an arm of
+// its own, leaving out the WAL bytes and CPU charges the jobs share — and
+// those deltas are list-scheduled onto `workers` virtual workers
+// (planSchedule). The schedule, not the serial run, gives the section's
+// share of Stats.Makespan, and each span carries its job's place in it.
 func (e *execCtx) runPasses(phase string, jobs []passJob, workers int) error {
 	if cb := e.opts.OnPassesStart; cb != nil {
 		e.opts.OnPassesStart = nil
 		cb()
 	}
 	disk, pool, stats := e.disk(), e.tgt.Pool, e.stats
-	var live []*passJob
+	par := workers > 1
+	// device reads the counters of one arm and its pool shard.
+	device := func(dev int) obs.Snapshot {
+		return obs.Snapshot{Clock: disk.DeviceBusy(dev), Disk: disk.DeviceStats(dev), Pool: pool.ShardStats(dev)}
+	}
+	var items []Item
+	var spans []*obs.Span
 	for i := range jobs {
-		if j := &jobs[i]; e.skip(j.file) {
+		j := &jobs[i]
+		if e.skip(j.file) {
 			e.criticalDone(j.unique)
+			continue
+		}
+		sp := e.span(phase, j.detail)
+		// Nested spans and crash-injection counting stay statement-wide.
+		ce := &execCtx{tgt: j.tgt, opts: e.opts, trace: e.trace, cur: sp, crash: e.crash, scratchDev: e.scratchDev}
+		t0 := disk.Clock()
+		var before obs.Snapshot
+		if par {
+			ce.scratchDev = j.dev
+			e.opts.Stmt.EventDev(obs.EvNodeStart, j.label, j.dev)
+			before = device(j.dev)
+		}
+		deleted, parts, err := j.run(ce)
+		e.crash = ce.crash
+		if err != nil {
+			return phaseErr(phase, j.label, err)
+		}
+		var io obs.Delta
+		if par {
+			io = device(j.dev).Sub(before)
+			sp.FinishWith(io)
+			e.opts.Stmt.EventDev(obs.EvNodeFinish, j.label, j.dev)
+			items = append(items, Item{Label: j.label, Device: j.dev, Duration: io.Elapsed})
+			spans = append(spans, sp)
 		} else {
-			live = append(live, j)
+			sp.Finish()
+			io = sp.Delta()
+			io.Elapsed = disk.Clock() - t0
 		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	child := func(j *passJob, scratchDev int) *execCtx {
-		ce := &execCtx{tgt: j.tgt, opts: e.opts, scratchDev: scratchDev}
-		if cb := e.opts.OnStructureDone; cb != nil {
-			ce.opts.OnStructureDone = func(f sim.FileID) {
-				e.cbMu.Lock()
-				defer e.cbMu.Unlock()
-				cb(f)
-			}
-		}
-		return ce
-	}
-	emit := func(j *passJob, deleted, merged int64, parts int, io obs.Delta) {
 		var leaves int64
 		if j.tree == nil {
 			stats.Deleted += deleted
 		} else {
 			leaves = j.tree.Leaves()
 		}
-		if parts > stats.Partitions {
-			stats.Partitions = parts
-		}
+		stats.Partitions = max(stats.Partitions, parts)
 		stats.PerStructure = append(stats.PerStructure, StructStats{
 			Name: j.label, File: j.file, Deleted: deleted, Elapsed: io.Elapsed,
 			Reads: io.Reads, Writes: io.Writes, Seeks: io.Seeks,
 			Hits: io.Hits, Misses: io.Misses, WALBytes: io.WALBytes,
-			LeavesMerged: merged, Leaves: leaves,
+			LeavesMerged: ce.merged, Leaves: leaves,
 		})
+		e.criticalDone(j.unique)
 	}
-
-	if workers <= 1 {
-		for _, j := range live {
-			sp := e.span(phase, j.detail)
-			t0 := disk.Clock()
-			ce := child(j, e.scratchDev)
-			// Nested spans and crash-injection counting stay statement-wide.
-			ce.trace, ce.cur, ce.crash = e.trace, sp, e.crash
-			deleted, parts, err := j.run(ce)
-			e.crash = ce.crash
-			if err != nil {
-				return phaseErr(phase, j.label, err)
-			}
-			sp.Finish()
-			io := sp.Delta()
-			io.Elapsed = disk.Clock() - t0
-			emit(j, deleted, ce.merged, parts, io)
-			e.criticalDone(j.unique)
-		}
+	if len(items) == 0 {
 		return nil
 	}
-
-	type result struct {
-		deleted, merged int64
-		parts           int
-		io              obs.Delta
-	}
-	// device reads the counters of one arm and its pool shard.
-	device := func(dev int) obs.Snapshot {
-		return obs.Snapshot{Clock: disk.DeviceBusy(dev), Disk: disk.DeviceStats(dev), Pool: pool.ShardStats(dev)}
-	}
-	results := make([]result, len(live))
-	nodes := make([]sched.Node, len(live))
-	for i, j := range live {
-		r, ce := &results[i], child(j, j.dev)
-		nodes[i] = sched.Node{Label: j.label, Device: j.dev, Run: func() error {
-			e.opts.Stmt.EventDev(obs.EvNodeStart, j.label, j.dev)
-			before := device(j.dev)
-			var err error
-			r.deleted, r.parts, err = j.run(ce)
-			r.merged, r.io = ce.merged, device(j.dev).Sub(before)
-			e.opts.Stmt.EventDev(obs.EvNodeFinish, j.label, j.dev)
-			if err == nil {
-				e.criticalDone(j.unique)
-			}
-			return err
-		}}
-	}
-	// Node boundaries are cancel checkpoints: a done context stops further
-	// nodes from dispatching.
-	ctx := e.opts.Ctx
-	sc, err := sched.Execute(ctx, e.opts.Sched, disk, workers, nodes)
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil && !errors.Is(err, ErrCancelled) {
-			// The scheduler reports a bare ctx error for nodes it never
-			// started; normalize to the executor's cancel sentinel.
-			err = fmt.Errorf("%w: %v", ErrCancelled, err)
-		}
-		return phaseErr(phase, "parallel section", err)
-	}
-	if live[0].tree == nil {
+	sc := planSchedule(workers, items)
+	if jobs[0].tree == nil {
 		stats.HeapSchedule = sc
 	} else {
 		stats.Schedule = sc
 	}
 	stats.Workers = workers
-	stats.AdmissionWait += sc.AdmissionWait
-	for i, j := range live {
-		r, it := results[i], sc.Items[i]
-		emit(j, r.deleted, r.merged, r.parts, r.io)
-		sp := e.span(phase, j.detail)
-		sp.Set("worker", fmt.Sprintf("%d", it.Worker))
-		sp.Set("device", fmt.Sprintf("%d", it.Device))
-		sp.Set("start", it.Start.String())
-		sp.Set("finish", it.Finish.String())
-		sp.FinishWith(r.io)
+	for i, it := range sc.Items {
+		spans[i].Set("worker", fmt.Sprintf("%d", it.Worker))
+		spans[i].Set("device", fmt.Sprintf("%d", it.Device))
+		spans[i].Set("start", it.Start.String())
+		spans[i].Set("finish", it.Finish.String())
 	}
 	return nil
 }
@@ -225,8 +173,6 @@ func (e *execCtx) criticalDone(counted bool) {
 	if !counted {
 		return
 	}
-	e.cbMu.Lock()
-	defer e.cbMu.Unlock()
 	e.criticalLeft--
 	if e.criticalLeft == 0 && e.opts.OnCriticalDone != nil {
 		e.opts.OnCriticalDone()

@@ -32,7 +32,6 @@ import (
 	"bulkdel/internal/heap"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
-	"bulkdel/internal/sched"
 	"bulkdel/internal/sim"
 	"bulkdel/internal/wal"
 )
@@ -176,18 +175,14 @@ type Options struct {
 	// SkipStructures lists structure files already fully processed
 	// (recovery).
 	SkipStructures map[sim.FileID]bool
-	// Parallel caps the number of workers for the remaining-index passes
-	// (phase 3). 0 or 1 runs them serially; >1 runs independent ⋈̸ passes
-	// concurrently, at most one per device of the disk array (the effective
-	// degree is clampWorkers of this cap). Recovery always runs serially.
+	// Parallel caps the virtual workers of the remaining-index passes
+	// (phase 3) and of a partitioned heap's passes. 0 or 1 is serial; >1
+	// schedules the independent ⋈̸ passes onto that many workers, at most
+	// one per device of the disk array (the effective degree is
+	// clampWorkers of this cap), and reports the schedule's makespan. The
+	// passes themselves always run one after another on the statement's
+	// goroutine. Recovery always runs serially.
 	Parallel int
-	// Sched, when set, is the DB-wide admission pool shared by concurrent
-	// statements: every parallel index-pass node takes a pool slot and the
-	// pool's per-device mutex in addition to the statement-local Parallel
-	// semaphore, so simultaneous statements split — not duplicate — the
-	// worker budget and never co-occupy a device. Nil keeps the
-	// single-statement behavior.
-	Sched *sched.Pool
 	// OnPassesStart is invoked once, before the first pass that changes a
 	// structure; what precedes it (materializing and sorting the victims,
 	// the read-only collect) only reads the table. The engine takes its
@@ -195,13 +190,11 @@ type Options struct {
 	OnPassesStart func()
 	// OnStructureDone is invoked after each structure (heap or index) is
 	// fully processed — the hook where the engine applies side-files and
-	// brings index gates back online. From passes running in parallel it
-	// is called on their goroutines, but never concurrently with itself or
-	// with OnCriticalDone.
+	// brings index gates back online. It is called on the statement's
+	// goroutine, in plan order.
 	OnStructureDone func(file sim.FileID)
 	// OnCriticalDone is invoked once the heap and every unique index are
-	// processed — the point where the paper releases the table lock. It is
-	// never invoked concurrently with OnStructureDone.
+	// processed — the point where the paper releases the table lock.
 	OnCriticalDone func()
 	// Trace, when set, receives one child span per plan phase under its
 	// root (the caller finishes the trace). When nil, Execute creates and
@@ -283,10 +276,10 @@ type Stats struct {
 
 	// Schedule is the deterministic virtual schedule of the parallel
 	// index-pass section (nil when the statement ran serially).
-	Schedule *sched.Schedule
+	Schedule *Schedule
 	// HeapSchedule is the schedule of the parallel per-partition heap-pass
 	// section (nil for one-partition heaps or serial heap passes).
-	HeapSchedule *sched.Schedule
+	HeapSchedule *Schedule
 	// Workers is the degree of parallelism actually used (1 when serial).
 	Workers int
 	// ParallelRequested is the worker cap the statement asked for
@@ -303,12 +296,10 @@ type Stats struct {
 	// serial run Makespan == Elapsed.
 	Makespan time.Duration
 	// LockWait is the real (wall-clock) time the statement spent blocked
-	// acquiring its table-lock footprint; AdmissionWait is the real time
-	// its DAG nodes spent blocked on the DB-wide admission pool. Both are
-	// zero for uncontended runs and nondeterministic under contention —
-	// they are reported (EXPLAIN ANALYZE, MetricsJSON) only when nonzero.
-	LockWait      time.Duration
-	AdmissionWait time.Duration
+	// acquiring its table-lock footprint: zero for uncontended runs and
+	// nondeterministic under contention, so it is reported (EXPLAIN
+	// ANALYZE, MetricsJSON) only when nonzero.
+	LockWait time.Duration
 }
 
 // PlanNode is one operator of the logical plan, used for explain output in

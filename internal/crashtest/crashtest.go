@@ -72,10 +72,9 @@ type Config struct {
 	// Devices sizes the simulated disk array; indexes are then placed
 	// round-robin on devices 1..Devices (default 0 = single spindle).
 	Devices int
-	// Parallel caps the workers for the remaining-index ⋈̸ passes. With
-	// goroutines in play the kth I/O is no longer a deterministic point
-	// in the statement, so parallel sweeps assert the recovery invariants
-	// per ordinal but must not compare digests across runs.
+	// Parallel caps the virtual workers the remaining-index ⋈̸ passes are
+	// scheduled onto. The passes still run one after another, so the kth
+	// I/O is the same point of the statement in every sweep.
 	Parallel int
 	// Observer, when set, accumulates metrics across every run of the
 	// sweep (faults_injected, crashes_simulated, recoveries_run).
@@ -114,17 +113,6 @@ func (c Config) withDefaults() Config {
 		c.Stride = 1
 	}
 	return c
-}
-
-// Deterministic reports whether a single-statement heap sweep's digest is
-// reproducible: true unless the statement runs parallel workers on a real
-// multi-device array. With workers == 1 the statement is sequential by
-// construction; with a single device the parallel degree is clamped back
-// to 1, so goroutine scheduling never reorders the I/O stream in either
-// case.
-func (c Config) Deterministic() bool {
-	c = c.withDefaults()
-	return c.Parallel <= 1 || c.Devices <= 1
 }
 
 // Field is one scenario-named column of a Result: a bool or an int64.
@@ -281,7 +269,7 @@ func Run(name string, cfg Config) (*SweepResult, error) {
 	if sc.cancel {
 		cycle = sc.cancelCycle
 	}
-	sw := &SweepResult{TotalIOs: ref.totalIOs, Reference: ref.post, Deterministic: sc.deterministic(cfg)}
+	sw := &SweepResult{TotalIOs: ref.totalIOs, Reference: ref.post, Deterministic: !sc.racy}
 	for k := from; k <= to; k += cfg.Stride {
 		r, err := cycle(cfg, k, ref)
 		if err != nil {

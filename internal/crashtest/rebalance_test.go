@@ -30,21 +30,3 @@ func TestRebalanceSweepEveryOrdinal(t *testing.T) {
 		t.Fatalf("sweep did not cross the move-start durability boundary (none=%v replayed=%v)", none, replayed)
 	}
 }
-
-func TestConfigDeterministic(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want bool
-	}{
-		{Config{}, true},                         // serial, single spindle
-		{Config{Parallel: 4}, true},              // workers clamp to one device
-		{Config{Devices: 4}, true},               // multi-device but serial
-		{Config{Devices: 4, Parallel: 4}, false}, // true parallelism: goroutines race
-		{Config{Devices: 1, Parallel: 8}, true},  // single device clamps again
-	}
-	for i, c := range cases {
-		if got := c.cfg.Deterministic(); got != c.want {
-			t.Errorf("case %d: Deterministic() = %v, want %v", i, got, c.want)
-		}
-	}
-}

@@ -38,8 +38,11 @@ type scenario struct {
 	// verify checks the recovered database against the scenario's
 	// invariants, recording its columns, Survivors and Err in res.
 	verify func(cfg Config, st *state, rdb *bulkdel.DB, rep *bulkdel.RecoveryReport, res *Result)
-	// deterministic reports whether two sweeps of cfg must agree.
-	deterministic func(cfg Config) bool
+	// racy marks a scenario whose goroutines race to the fault (a
+	// concurrent batch, a snapshot reader): two sweeps need not agree, so
+	// its sweeps are invariants-only. Every other scenario is a function
+	// of its Config and two sweeps must give one digest.
+	racy bool
 	// fields are the crash cycle's columns with their zero values, so every
 	// ordinal line has the same shape even when recovery fails.
 	fields []Field
@@ -52,20 +55,14 @@ type scenario struct {
 	cancel, reader bool
 }
 
-var (
-	always = func(Config) bool { return true }
-	never  = func(Config) bool { return false }
-)
-
 // bulk is the paper's statement: one ⋈̸ bulk delete of a seeded victim set
 // on a heap table with Config.Indexes indexes.
 var bulk = scenario{
-	build:         buildHeap("R"),
-	run:           runBulk,
-	reference:     checkTables,
-	verify:        verifyBulk,
-	deterministic: Config.Deterministic,
-	fields:        []Field{{"bulk-in-wal", false}, {"rolled-forward", int64(0)}},
+	build:     buildHeap("R"),
+	run:       runBulk,
+	reference: checkTables,
+	verify:    verifyBulk,
+	fields:    []Field{{"bulk-in-wal", false}, {"rolled-forward", int64(0)}},
 }
 
 func (sc scenario) inCancelMode() scenario {
@@ -74,7 +71,7 @@ func (sc scenario) inCancelMode() scenario {
 }
 
 func (sc scenario) underReader() scenario {
-	sc.reader, sc.deterministic = true, never
+	sc.reader, sc.racy = true, true
 	return sc
 }
 
@@ -97,11 +94,10 @@ var sparse = scenario{
 		first := cfg.Rows / 2 / sparseLeafCap * sparseLeafCap // a leaf's first key
 		return keys(first, first+cfg.Victims-1, 1)
 	}, "R"),
-	run:           runSparse,
-	reference:     checkTables,
-	verify:        verifyBulk,
-	deterministic: Config.Deterministic,
-	fields:        bulk.fields,
+	run:       runSparse,
+	reference: checkTables,
+	verify:    verifyBulk,
+	fields:    bulk.fields,
 }
 
 // merge is the paper's statement with the walks reorganizing as they go: R
@@ -117,12 +113,11 @@ var merge = scenario{
 		cfg.Victims = cfg.Rows * 3 / 5
 		return cfg
 	},
-	build:         buildTables(0, sparseKeyLen, seeded, "R"),
-	run:           runMerge,
-	reference:     checkTables,
-	verify:        verifyBulk,
-	deterministic: Config.Deterministic,
-	fields:        bulk.fields,
+	build:     buildTables(0, sparseKeyLen, seeded, "R"),
+	run:       runMerge,
+	reference: checkTables,
+	verify:    verifyBulk,
+	fields:    bulk.fields,
 }
 
 // rangeDel is the statement every heap range DELETE is: Table.DeleteRange
@@ -138,11 +133,10 @@ var rangeDel = scenario{
 		lo := (cfg.Rows - cfg.Victims) / 2
 		return keys(lo, lo+cfg.Victims-1, 1)
 	}, "R"),
-	run:           runRange,
-	reference:     checkTables,
-	verify:        verifyBulk,
-	deterministic: Config.Deterministic,
-	fields:        bulk.fields,
+	run:       runRange,
+	reference: checkTables,
+	verify:    verifyBulk,
+	fields:    bulk.fields,
 }
 
 // parted is the paper's statement on a partitioned heap: R hash-partitioned
@@ -152,12 +146,11 @@ var rangeDel = scenario{
 // partition is done, so recovery finishes an interrupted heap phase on the
 // durable RID list.
 var parted = scenario{
-	build:         buildHeapParts(4, "R"),
-	run:           runParted,
-	reference:     checkTables,
-	verify:        verifyBulk,
-	deterministic: Config.Deterministic,
-	fields:        bulk.fields,
+	build:     buildHeapParts(4, "R"),
+	run:       runParted,
+	reference: checkTables,
+	verify:    verifyBulk,
+	fields:    bulk.fields,
 }
 
 // sparseKeyLen is the sparse scenario's index key width, sparseLeafCap the
@@ -189,12 +182,12 @@ var scenarios = map[string]scenario{
 	// shared WAL rolled forward independently (wal.AnalyzeBulks routes the
 	// interleaved records per transaction, in TBulkStart order).
 	"concurrent": {
-		build:         buildHeap("R", "S"),
-		run:           runConcurrent,
-		reference:     checkTables,
-		verify:        verifyConcurrent,
-		deterministic: never,
-		fields:        []Field{{"statements", int64(0)}, {"rolled-forward", int64(0)}},
+		build:     buildHeap("R", "S"),
+		run:       runConcurrent,
+		reference: checkTables,
+		verify:    verifyConcurrent,
+		racy:      true,
+		fields:    []Field{{"statements", int64(0)}, {"rolled-forward", int64(0)}},
 	},
 	// An online rebalancing run instead of a delete: a partitioned table
 	// plus its indexes live on a 2-data-device array, the array grows, and
@@ -204,12 +197,11 @@ var scenarios = map[string]scenario{
 	// the catalog save — recovery must land every file intact on exactly
 	// one device in all of them.
 	"rebalance": {
-		build:         buildRebalance,
-		run:           runRebalance,
-		reference:     checkTables,
-		verify:        verifyRebalance,
-		deterministic: always,
-		fields:        []Field{{"replayed", int64(0)}, {"completed", int64(0)}},
+		build:     buildRebalance,
+		run:       runRebalance,
+		reference: checkTables,
+		verify:    verifyRebalance,
+		fields:    []Field{{"replayed", int64(0)}, {"completed", int64(0)}},
 	},
 	"parted":        parted,
 	"parted-cancel": parted.inCancelMode(),
@@ -240,12 +232,11 @@ var scenarios = map[string]scenario{
 	// memtable's flush commits, so recovery must land on the base plus a
 	// prefix of the inserts, whole memtables at a time.
 	"lsm-grow": {
-		build:         buildLSMGrow,
-		run:           runLSMGrow,
-		reference:     referenceLSMGrow,
-		verify:        verifyLSMGrow,
-		deterministic: always,
-		fields:        []Field{{"inserted", int64(0)}},
+		build:     buildLSMGrow,
+		run:       runLSMGrow,
+		reference: referenceLSMGrow,
+		verify:    verifyLSMGrow,
+		fields:    []Field{{"inserted", int64(0)}},
 	},
 	// A tenant drop meets its TTL: on a base spanning levels 1 and 2, a
 	// range tombstone sitting in level 1 one tick short of TombstoneTTL; the
@@ -253,12 +244,11 @@ var scenarios = map[string]scenario{
 	// one table at each level and drops a third unread, in one manifest
 	// commit. Recovery must never bring a dropped row back.
 	"lsm-drop": {
-		build:         buildLSMDrop,
-		run:           runLSMDrop,
-		reference:     referenceLSMDrop,
-		verify:        verifyLSMDrop,
-		deterministic: always,
-		fields:        []Field{{"filler", int64(0)}},
+		build:     buildLSMDrop,
+		run:       runLSMDrop,
+		reference: referenceLSMDrop,
+		verify:    verifyLSMDrop,
+		fields:    []Field{{"filler", int64(0)}},
 	},
 	// Recovery with mixed backends: the paper's statement on heap table R
 	// while LSM table S sits beside it with rows durable only as WAL records
@@ -266,12 +256,11 @@ var scenarios = map[string]scenario{
 	// its memtable and roll R's interrupted delete forward — matching the
 	// bulk-start record against heap tables only, since S owns no heap file.
 	"lsm-heap": {
-		build:         buildLSMHeap,
-		run:           runBulk,
-		reference:     checkTables,
-		verify:        verifyLSMHeap,
-		deterministic: Config.Deterministic,
-		fields:        append(slices.Clone(bulk.fields), Field{"replayed", int64(0)}),
+		build:     buildLSMHeap,
+		run:       runBulk,
+		reference: checkTables,
+		verify:    verifyLSMHeap,
+		fields:    append(slices.Clone(bulk.fields), Field{"replayed", int64(0)}),
 	},
 }
 
@@ -957,8 +946,7 @@ func verifyRebalance(cfg Config, _ *state, rdb *bulkdel.DB, rep *bulkdel.Recover
 // flush + compaction to the tombstone-free fixpoint. After recovery exactly
 // two logical states are legal — the base, or the base minus the victims —
 // and compacting the recovered tree must never resurrect a deleted row.
-// survived names the column that says which state recovery landed on. The
-// backend has no statement-level goroutines: always deterministic.
+// survived names the column that says which state recovery landed on.
 func lsmScenario(survived string, pick func(rows int) []int64, del func(*bulkdel.Table, []int64) error) scenario {
 	return scenario{
 		build: func(cfg Config) (*state, error) {
@@ -1023,7 +1011,6 @@ func lsmScenario(survived string, pick func(rows int) []int64, del func(*bulkdel
 					res.Survivors, intact, total, intact2)
 			}
 		},
-		deterministic: always,
-		fields:        []Field{{"replayed", int64(0)}, {survived, false}},
+		fields: []Field{{"replayed", int64(0)}, {survived, false}},
 	}
 }

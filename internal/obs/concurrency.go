@@ -27,9 +27,6 @@ const (
 	// MetricDeadlineExceeded counts statements that hit their deadline (a
 	// subset of the aborts counted by MetricAborts).
 	MetricDeadlineExceeded = "cc_deadline_exceeded"
-	// MetricAdmissionShed counts statements rejected by the admission
-	// pool's overload guard instead of being queued.
-	MetricAdmissionShed = "adm_shed"
 )
 
 // Canonical metric names for MVCC snapshot reads. Snapshot readers never

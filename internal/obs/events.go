@@ -7,7 +7,7 @@
 //
 // Timestamps come from the simulated disk clock (SetNow), so for a serial
 // uncontended run the whole event stream is deterministic and golden-
-// testable; real-time wait durations (lock/admission blocking) travel in a
+// testable; real-time wait durations (lock and WAL-append blocking) travel in a
 // separate WaitUS field that is zero in that scenario. The log exports as
 // JSONL (one event per line, seq-ordered) and as Chrome trace_event JSON
 // so a whole RunConcurrent batch renders as a timeline in chrome://tracing
@@ -35,18 +35,17 @@ const (
 	EvGateOnline   EventKind = "gate-online"   // gate back online, side-file drained
 	EvEarlyRelease EventKind = "early-release" // exclusive lock dropped after the critical set
 	EvPhase        EventKind = "phase"         // executor phase change
-	EvNodeStart    EventKind = "node-start"    // DAG node dispatched to a device
-	EvNodeFinish   EventKind = "node-finish"   // DAG node done
+	EvNodeStart    EventKind = "node-start"    // parallel-section pass started on its device
+	EvNodeFinish   EventKind = "node-finish"   // parallel-section pass done
 	EvWAL          EventKind = "wal"           // WAL lifecycle record appended
 	EvCommit       EventKind = "commit"        // commit record flushed
 	EvEnd          EventKind = "end"           // release-all, statement finished
 
-	// Cancellation lifecycle (emitted only by cancelled/retried/shed
+	// Cancellation lifecycle (emitted only by cancelled/retried
 	// statements, so existing streams are unchanged).
 	EvCancel EventKind = "cancel" // cancellation observed at a recoverable boundary
 	EvAbort  EventKind = "abort"  // abort-to-consistency replay finished
 	EvRetry  EventKind = "retry"  // statement re-admitted by the retry policy
-	EvShed   EventKind = "shed"   // admission overload guard rejected the statement
 )
 
 // Event is one entry of a statement's lifecycle stream. Seq is a global

@@ -7,9 +7,9 @@
 // parallel / …`), and a statement ID wired into the obs event log.
 //
 // Every statement a session executes follows the same lifecycle as native
-// Go-API statements: it funnels into the cc.Manager lock footprints, the
-// DB-wide admission pool, and the PR-7 cancellation machinery, so
-// thousands of sessions contend exactly like RunConcurrent batches do.
+// Go-API statements: it funnels into the cc.Manager lock footprints and
+// the cancellation machinery, so thousands of sessions contend exactly
+// like RunConcurrent batches do.
 package session
 
 import (
@@ -204,8 +204,8 @@ func plural(n int) string {
 }
 
 // Exec parses and executes one statement. Errors from the engine keep
-// their sentinel identity (ErrCancelled, ErrLockTimeout, ErrOverloaded,
-// ErrRestricted) so callers can implement retry policies.
+// their sentinel identity (ErrCancelled, ErrLockTimeout, ErrRestricted)
+// so callers can implement retry policies.
 func (s *Session) Exec(src string) (*Result, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: session closed: %v", bulkdel.ErrCancelled, err)
@@ -798,7 +798,7 @@ func (s *Session) show(st *sql.Show) (*Result, error) {
 }
 
 // IsRetryable reports whether err is a zero-effect engine failure that a
-// client may simply retry (lock-wait expiry, admission shed).
+// client may simply retry (lock-wait expiry).
 func IsRetryable(err error) bool {
-	return errors.Is(err, bulkdel.ErrLockTimeout) || errors.Is(err, bulkdel.ErrOverloaded)
+	return errors.Is(err, bulkdel.ErrLockTimeout)
 }

@@ -8,11 +8,12 @@
 // one device behaves exactly like the original single-spindle model.
 //
 // The global clock still accumulates every charge — it is the total device
-// time, i.e. the elapsed time of a serial execution. A parallel executor
-// measures each task by the busy-time delta of the device it ran on
-// (exclusive access per device makes the delta exact) and computes the
-// wall-clock makespan by scheduling those measured durations; see
-// internal/sched.
+// time, i.e. the elapsed time of a serial execution. The bulk-delete
+// executor runs its passes one after another, measures each by the
+// busy-time delta of the device it ran on, and computes the wall-clock
+// makespan of a parallel plan by list-scheduling those durations onto
+// virtual workers, one pass per device at a time; see planSchedule in
+// internal/core.
 package sim
 
 import (

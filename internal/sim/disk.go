@@ -160,7 +160,7 @@ func (f *file) platter(p PageNo) []byte {
 // position and busy time, while the global clock accumulates every charge
 // (it is the *sum* of device time — with a single device, exactly the
 // elapsed time; with several, the serial-equivalent work. Wall-clock
-// makespan of a parallel schedule is computed by internal/sched from
+// makespan of a parallel schedule is computed by internal/core from
 // per-device busy deltas).
 type Disk struct {
 	mu       sync.Mutex

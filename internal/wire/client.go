@@ -27,7 +27,7 @@ func Dial(addr string) (*Client, error) {
 }
 
 // Exec sends one statement and waits for its result. Engine sentinel
-// errors (ErrCancelled, ErrLockTimeout, ErrOverloaded, ErrRestricted)
+// errors (ErrCancelled, ErrLockTimeout, ErrRestricted)
 // round-trip: errors.Is works on the returned error.
 func (c *Client) Exec(sql string) (*session.Result, error) {
 	c.buf = Request{SQL: sql}.appendTo(newFrame(c.buf))

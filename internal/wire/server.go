@@ -15,8 +15,8 @@ import (
 
 // Server accepts TCP connections and runs one session per connection.
 // Statements from different connections contend inside the engine exactly
-// like concurrent Go-API statements: per-table lock footprints, the DB-wide
-// admission pool, and the cancellation machinery.
+// like concurrent Go-API statements: per-table lock footprints and the
+// cancellation machinery.
 type Server struct {
 	frontend *session.Frontend
 

@@ -65,7 +65,6 @@ type Response struct {
 const (
 	ClassCancelled   = "cancelled"
 	ClassLockTimeout = "lock_timeout"
-	ClassOverloaded  = "overloaded"
 	ClassRestricted  = "restricted"
 )
 
@@ -77,8 +76,6 @@ func classOf(err error) string {
 		return ClassCancelled
 	case errors.Is(err, bulkdel.ErrLockTimeout):
 		return ClassLockTimeout
-	case errors.Is(err, bulkdel.ErrOverloaded):
-		return ClassOverloaded
 	case errors.As(err, &restricted):
 		return ClassRestricted
 	}
@@ -94,8 +91,6 @@ func sentinelOf(class string) error {
 		return bulkdel.ErrCancelled
 	case ClassLockTimeout:
 		return bulkdel.ErrLockTimeout
-	case ClassOverloaded:
-		return bulkdel.ErrOverloaded
 	case ClassRestricted:
 		return &bulkdel.ErrRestricted{}
 	}

@@ -49,8 +49,6 @@ type StressSpec struct {
 	Devices int
 	// Parallel is the per-statement worker cap for remaining-index passes.
 	Parallel int
-	// Budget is the DB-wide admission budget (Options.Parallel).
-	Budget int
 	// Seed drives every worker's generator.
 	Seed int64
 	// Concurrent runs bulk deletes under the §3.1 protocol (offline
@@ -87,11 +85,6 @@ type StressSpec struct {
 	// budget after repeated timeouts), modelling the timeout-victim retry
 	// policy.
 	LockWaitPct int
-	// AdmissionQueue caps the admission-pool wait queue (Options.
-	// AdmissionQueue): parallel statements beyond Budget+AdmissionQueue
-	// are shed with ErrOverloaded, which the worker retries like a lock
-	// timeout.
-	AdmissionQueue int
 
 	// SQLPct routes this percentage of operations through the SQL front
 	// door instead of the Go API: the run starts an in-process wire server
@@ -155,10 +148,10 @@ type StressStats struct {
 	// deadline; FullAborts of them were completed by the online recovery
 	// replay (full effect), ZeroAborts stopped before any work.
 	Cancelled, FullAborts, ZeroAborts int64
-	// LockTimeouts and Shed count statements refused by the lock-wait
-	// budget and the admission overload guard; Retries counts the worker
-	// re-issues that followed any refused or zero-effect statement.
-	LockTimeouts, Shed, Retries int64
+	// LockTimeouts counts statements refused by the lock-wait budget;
+	// Retries counts the worker re-issues that followed any refused or
+	// zero-effect statement.
+	LockTimeouts, Retries int64
 	// Interrupted reports that the spec's Ctx was cancelled and the run
 	// drained early (the final verification still ran).
 	Interrupted bool
@@ -256,11 +249,7 @@ var stressMethods = []bulkdel.Method{bulkdel.Auto, bulkdel.SortMerge, bulkdel.Ha
 // state. A nil error means every invariant held.
 func Stress(spec StressSpec) (*StressStats, error) {
 	spec = spec.withDefaults()
-	db, err := bulkdel.Open(bulkdel.Options{
-		Devices:        spec.Devices,
-		Parallel:       spec.Budget,
-		AdmissionQueue: spec.AdmissionQueue,
-	})
+	db, err := bulkdel.Open(bulkdel.Options{Devices: spec.Devices})
 	if err != nil {
 		return nil, err
 	}
@@ -542,13 +531,9 @@ func Stress(spec StressSpec) (*StressStats, error) {
 								statsMu.Unlock()
 								break
 							}
-							if errors.Is(err, bulkdel.ErrLockTimeout) || errors.Is(err, bulkdel.ErrOverloaded) {
+							if errors.Is(err, bulkdel.ErrLockTimeout) {
 								statsMu.Lock()
-								if errors.Is(err, bulkdel.ErrLockTimeout) {
-									stats.LockTimeouts++
-								} else {
-									stats.Shed++
-								}
+								stats.LockTimeouts++
 								statsMu.Unlock()
 								continue
 							}
@@ -609,17 +594,13 @@ func Stress(spec StressSpec) (*StressStats, error) {
 							default:
 								return fail(fmt.Errorf("cancelled delete tore its victim set: %d of %d gone", gone, len(victims)))
 							}
-						case errors.Is(err, bulkdel.ErrLockTimeout), errors.Is(err, bulkdel.ErrOverloaded):
+						case errors.Is(err, bulkdel.ErrLockTimeout):
 							// Refused before any work: this statement is the
-							// timeout/overload victim, and retrying it is
-							// always safe. Drop the budget after repeated
-							// refusals so the loop terminates.
+							// timeout victim, and retrying it is always safe.
+							// Drop the budget after repeated refusals so the
+							// loop terminates.
 							statsMu.Lock()
-							if errors.Is(err, bulkdel.ErrLockTimeout) {
-								stats.LockTimeouts++
-							} else {
-								stats.Shed++
-							}
+							stats.LockTimeouts++
 							statsMu.Unlock()
 							if attempt >= 2 {
 								opts.LockWait = 0
@@ -676,8 +657,8 @@ func Stress(spec StressSpec) (*StressStats, error) {
 	}
 
 	// Leak check: after every statement has finished — including the
-	// cancelled, timed-out, and shed ones — nothing may linger: no
-	// in-flight statements, no held or waited-on lock, no admission slot.
+	// cancelled and timed-out ones — nothing may linger: no in-flight
+	// statements, no held or waited-on lock.
 	if insp := db.Inspect(); len(insp.Statements) != 0 || !insp.WaitGraph.Idle() {
 		return stats, fmt.Errorf("seed %d: leaked concurrent state after stress:\n%s", spec.Seed, insp.String())
 	}

@@ -17,7 +17,7 @@ func TestStress(t *testing.T) {
 	}{
 		{"serial-protocol", StressSpec{Seed: 1}},
 		{"concurrent-protocol", StressSpec{Seed: 2, Concurrent: true}},
-		{"device-array", StressSpec{Seed: 3, Devices: 4, Parallel: 3, Budget: 4, Concurrent: true}},
+		{"device-array", StressSpec{Seed: 3, Devices: 4, Parallel: 3, Concurrent: true}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -38,9 +38,9 @@ func TestStress(t *testing.T) {
 }
 
 // TestStressChaos turns on every disruption knob at once: random
-// cancellations, tiny statement deadlines, tiny lock-wait budgets, and a
-// capped admission queue. The run must still end with an exact model match
-// and no leaked statements, locks, or admission slots — cancelled deletes
+// cancellations, tiny statement deadlines and tiny lock-wait budgets. The
+// run must still end with an exact model match and no leaked statements or
+// locks — cancelled deletes
 // abort to consistency (zero or full effect, never torn) and refused ones
 // are retried.
 func TestStressChaos(t *testing.T) {
@@ -49,8 +49,8 @@ func TestStressChaos(t *testing.T) {
 		spec StressSpec
 	}{
 		{"serial", StressSpec{Seed: 11, CancelPct: 25, DeadlinePct: 25, LockWaitPct: 30}},
-		{"concurrent-array", StressSpec{Seed: 12, Devices: 4, Parallel: 3, Budget: 2,
-			AdmissionQueue: 1, Concurrent: true, CancelPct: 20, DeadlinePct: 20, LockWaitPct: 25}},
+		{"concurrent-array", StressSpec{Seed: 12, Devices: 4, Parallel: 3,
+			Concurrent: true, CancelPct: 20, DeadlinePct: 20, LockWaitPct: 25}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,9 +62,9 @@ func TestStressChaos(t *testing.T) {
 			if stats.BulkDeletes == 0 {
 				t.Fatalf("degenerate run: %+v", stats)
 			}
-			t.Logf("deletes=%d cancelled=%d full-aborts=%d zero-aborts=%d lock-timeouts=%d shed=%d retries=%d",
+			t.Logf("deletes=%d cancelled=%d full-aborts=%d zero-aborts=%d lock-timeouts=%d retries=%d",
 				stats.BulkDeletes, stats.Cancelled, stats.FullAborts, stats.ZeroAborts,
-				stats.LockTimeouts, stats.Shed, stats.Retries)
+				stats.LockTimeouts, stats.Retries)
 			if tc.spec.CancelPct > 0 && stats.Cancelled == 0 {
 				t.Error("chaos never cancelled a statement")
 			}
@@ -84,7 +84,7 @@ func TestStressSQL(t *testing.T) {
 	}{
 		{"serial", StressSpec{Seed: 21, SQLPct: 40, Workers: 6, Ops: 60}},
 		{"concurrent-array", StressSpec{Seed: 22, SQLPct: 30, Devices: 4, Parallel: 3,
-			Budget: 4, Concurrent: true, Workers: 6, Ops: 60}},
+			Concurrent: true, Workers: 6, Ops: 60}},
 		{"sql-with-chaos-elsewhere", StressSpec{Seed: 23, SQLPct: 35, CancelPct: 20,
 			DeadlinePct: 20, Workers: 6, Ops: 60}},
 	} {

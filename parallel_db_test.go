@@ -104,7 +104,7 @@ func TestParallelBulkDeleteOnDeviceArray(t *testing.T) {
 
 // The serial and parallel statements must agree on their effects through
 // the public API, and the §3.1 concurrent protocol must compose with
-// parallel passes (OnStructureDone fires from worker goroutines).
+// parallel plans (OnStructureDone fires once per pass, in plan order).
 func TestParallelWithConcurrentProtocol(t *testing.T) {
 	db, tbl := newArrayDB(t, 1500, Options{})
 	vs := victims(1500, 300, 11)

@@ -35,7 +35,7 @@ type IndexOptions struct {
 
 // Table is a base table: the statement layer over one storage backend. It
 // owns what every backend shares — the name, the schema, the §3 coarse table
-// lock — and runs each statement's lifecycle (crashed check, admission, lock
+// lock — and runs each statement's lifecycle (crashed check, deadline, lock
 // footprint, event stream) once; the rows live behind b. See DESIGN.md §4.9.
 type Table struct {
 	db     *DB
@@ -399,14 +399,17 @@ type BulkOptions struct {
 	// lock released once the table and all unique indexes are done.
 	// Without it the whole statement runs under the exclusive lock.
 	Concurrent bool
-	// Parallel caps the number of workers for the remaining-index ⋈̸
-	// passes (0/1 = serial). The effective degree is clamped to the
-	// number of distinct devices those indexes live on, so it only helps
-	// on a multi-device array (Options.Devices).
+	// Parallel caps the virtual workers the remaining-index ⋈̸ passes (and
+	// a partitioned heap's passes) are scheduled onto (0/1 = serial). The
+	// passes run one after another; the makespan reported is that of a
+	// list schedule of each pass's device busy time, with one pass per
+	// device at a time. The effective degree is clamped to the number of
+	// distinct devices those structures live on, so it only helps on a
+	// multi-device array (Options.Devices).
 	Parallel int
 	// Ctx, when set, makes the statement cooperatively cancellable: the
 	// executor polls it at recoverable boundaries (page-I/O checkpoints in
-	// the pass loops, structure starts/completions, DAG-node dispatch) and
+	// the pass loops, structure starts/completions) and
 	// stops with ErrCancelled when it is done. The engine then runs
 	// abort-to-consistency — the §3.2 roll-forward is
 	// replayed online, while the statement still holds its locks and gates,
@@ -493,7 +496,7 @@ type statement struct {
 }
 
 // deleteStatement is the lifecycle of every delete statement, on either
-// backend: crashed check, admission, deadline, the lock footprint — this
+// backend: crashed check, deadline, the lock footprint — this
 // table plus every cascade-reachable child exclusively, RESTRICT children
 // shared, taken up front in the lock manager's deterministic order, so
 // deletes on different tables run concurrently and overlapping ones cannot
@@ -501,16 +504,6 @@ type statement struct {
 func (tbl *Table) deleteStatement(opts BulkOptions, body func(*statement) (*BulkResult, error)) (*BulkResult, error) {
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
-	}
-	// Overload guard: a statement that wants pool workers is shed here, at
-	// admission — before any lock is taken or log record written — when the
-	// pool's waiter queue is at its cap, so a shed statement is always safe
-	// to retry.
-	if opts.Parallel > 1 && !tbl.db.sched.Admit() {
-		stmt := tbl.db.obs.Events().Begin("bulk-delete", tbl.name)
-		stmt.Event(obs.EvShed, "admission queue full")
-		stmt.End()
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.name, ErrOverloaded)
 	}
 	if opts.Timeout > 0 {
 		parent := opts.Ctx
